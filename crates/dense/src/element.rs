@@ -78,19 +78,12 @@ pub trait Element:
     const NR: usize;
     /// Packed-vs-AXPY GEMM crossover on SIMD dispatch paths, in flops
     /// (`2 m k n`). Measured for f64 (see `BENCH_gemm.json`); the f32
-    /// value starts from the same sweep methodology.
+    /// value starts from the same sweep methodology. Only products whose
+    /// `A` is not a small block consult it: square `A` of order 4, 8 or
+    /// 16 always takes the small-block panel kernel.
     const PACKED_MIN_FLOPS_SIMD: usize;
     /// Packed-vs-AXPY crossover on the scalar fallback path.
     const PACKED_MIN_FLOPS_SCALAR: usize;
-    /// Whether wide multi-RHS triangular panel solves take the
-    /// row-oriented sweep (`LuFactors` transposes the panel so every
-    /// elimination step is one AXPY across the full panel width instead
-    /// of a length-`<= n` column fragment). `f32` opts in — block orders
-    /// are small (`M ~ 8`), so the column sweep's AXPYs never fill the
-    /// 8-lane `f32` FMA vectors and the half-width path would see no
-    /// speedup. `f64` stays on the per-column sweep, keeping its solver
-    /// bit patterns identical to the original `f64`-only implementation.
-    const WIDE_PANEL_SOLVE: bool;
 
     /// Conversion from `f64` (rounds for `f32`; identity for `f64`).
     fn from_f64(v: f64) -> Self;
@@ -117,7 +110,8 @@ pub trait Element:
     fn simd_dot(x: &[Self], y: &[Self]) -> Self;
     /// Packed `MR x NR` microkernel; `acc` must hold `MR * NR` elements.
     fn simd_microkernel(kb: usize, pa: &[Self], pb: &[Self], acc: &mut [Self]);
-    /// Whole-block small-M GEMM; returns `false` for unsupported shapes.
+    /// Small-block panel GEMM (`M x M · M x R`, `M` in {4, 8, 16});
+    /// returns `false` for unsupported shapes.
     fn simd_gemm_small(
         alpha: Self,
         a: MatRef<'_, Self>,
@@ -134,9 +128,22 @@ pub trait Element:
     /// Register-fused lane reduction `c[i] -= sum_l a[l*k+i] *
     /// b[l*bstride+i]` (see [`crate::simd::lane_dot_sub`]).
     fn simd_lane_dot_sub(a: &[Self], b: &[Self], bstride: usize, c: &mut [Self]);
-    /// Hands the caller this thread's packing scratch `(packed_a,
-    /// packed_b)` for [`crate::gemm_packed`] — per element type, because
-    /// a `thread_local!` cannot be generic.
+    /// Left-looking row update of the row-oriented triangular sweep,
+    /// `acc += sum_q w[q] * rows[q]` then `acc /= d` (see
+    /// `simd::fma_rows`).
+    fn simd_fma_rows(
+        w: &[Self],
+        rows: &[Self],
+        stride: usize,
+        rev: bool,
+        d: Option<Self>,
+        acc: &mut [Self],
+    );
+    /// Hands the caller this thread's kernel scratch `(packed_a,
+    /// packed_b)`: the packing panels of [`crate::gemm_packed`], whose
+    /// first buffer doubles as the row-major transpose of
+    /// [`crate::LuFactors`]'s wide panel solve (the two never nest). Per
+    /// element type, because a `thread_local!` cannot be generic.
     fn with_pack_bufs<R>(f: impl FnOnce(&mut Vec<Self>, &mut Vec<Self>) -> R) -> R;
 
     /// Wraps a buffer in the precision-erased [`AnyVec`].
@@ -156,9 +163,11 @@ impl Element for f64 {
     const NAME: &'static str = "f64";
     const MR: usize = 8;
     const NR: usize = 4;
-    // Measured on the AVX2+FMA reference host (`cargo bench -p bt-bench
-    // --bench kernels`, see `BENCH_gemm.json`): the FMA microkernel beats
-    // the (also FMA-vectorized) AXPY kernel at every swept size from
+    // Crossovers for A operands outside the small-block orders {4, 8,
+    // 16} (those always take the panel kernel). Measured on the
+    // AVX2+FMA reference host (`cargo bench -p bt-bench --bench
+    // kernels`, see `BENCH_gemm.json`): the FMA microkernel beats the
+    // (also FMA-vectorized) AXPY kernel at every swept size from
     // m = k = n = 8 (1 kflop, 1.08x) through m = 256 (3.7x), while AXPY
     // wins at m = 4 (128 flop, 2.2x — the pack pass dominates). 512 flops
     // splits that gap.
@@ -167,9 +176,6 @@ impl Element for f64 {
     // AXPY loop winning through m = 48 and the scalar microkernel taking
     // over from m = 63; the crossover sits right at `2 * 63^3`.
     const PACKED_MIN_FLOPS_SCALAR: usize = 500_000;
-    // Frozen bit patterns: every pre-existing f64 result is pinned by
-    // downstream tests, so f64 keeps the original per-column sweep.
-    const WIDE_PANEL_SOLVE: bool = false;
 
     #[inline(always)]
     fn from_f64(v: f64) -> Self {
@@ -233,6 +239,17 @@ impl Element for f64 {
     fn simd_lane_dot_sub(a: &[Self], b: &[Self], bstride: usize, c: &mut [Self]) {
         simd::lane_dot_sub(a, b, bstride, c);
     }
+    #[inline]
+    fn simd_fma_rows(
+        w: &[Self],
+        rows: &[Self],
+        stride: usize,
+        rev: bool,
+        d: Option<Self>,
+        acc: &mut [Self],
+    ) {
+        simd::fma_rows(w, rows, stride, rev, d, acc);
+    }
     fn with_pack_bufs<R>(f: impl FnOnce(&mut Vec<Self>, &mut Vec<Self>) -> R) -> R {
         thread_local! {
             /// Per-thread packing scratch `(packed_a, packed_b)`: warm
@@ -280,16 +297,12 @@ impl Element for f32 {
     // Two AVX2 vectors per register column, like f64 — but 8 lanes each.
     const MR: usize = 16;
     const NR: usize = 4;
-    // Same flop-count crossover as f64 to first order: the pack-pass
-    // overhead and the microkernel advantage both scale with element
-    // throughput. The f32 rows of `BENCH_gemm.json` measure the actual
-    // per-ISA crossover.
+    // Same flop-count crossover as f64 to first order (and likewise
+    // only for orders outside {4, 8, 16}): the pack-pass overhead and
+    // the microkernel advantage both scale with element throughput. The
+    // f32 rows of `BENCH_gemm.json` measure the actual per-ISA crossover.
     const PACKED_MIN_FLOPS_SIMD: usize = 512;
     const PACKED_MIN_FLOPS_SCALAR: usize = 500_000;
-    // At M ~ 8 block orders the column sweep's AXPYs are at most 8 long
-    // and spend everything on dispatch; the row sweep's panel-width
-    // AXPYs are what make the half-width replay actually fast.
-    const WIDE_PANEL_SOLVE: bool = true;
 
     #[inline(always)]
     fn from_f64(v: f64) -> Self {
@@ -352,6 +365,17 @@ impl Element for f32 {
     #[inline]
     fn simd_lane_dot_sub(a: &[Self], b: &[Self], bstride: usize, c: &mut [Self]) {
         simd::lane_dot_sub_f32(a, b, bstride, c);
+    }
+    #[inline]
+    fn simd_fma_rows(
+        w: &[Self],
+        rows: &[Self],
+        stride: usize,
+        rev: bool,
+        d: Option<Self>,
+        acc: &mut [Self],
+    ) {
+        simd::fma_rows_f32(w, rows, stride, rev, d, acc);
     }
     fn with_pack_bufs<R>(f: impl FnOnce(&mut Vec<Self>, &mut Vec<Self>) -> R) -> R {
         thread_local! {

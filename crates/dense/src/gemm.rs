@@ -5,9 +5,10 @@
 //! either operand, dispatched over three kernels by measured crossover
 //! (see the [`Element`] crossover constants):
 //!
-//! * [`gemm_small`] — fully unrolled whole-block kernels for exact
-//!   `M x M x M` products with `M` in {4, 8, 16}, the block orders that
-//!   dominate ARD workloads. No packing, no blocking loops.
+//! * [`gemm_small`] — unrolled small-block panel kernels for
+//!   `M x M · M x R` products with `M` in {4, 8, 16} and any `R`, the
+//!   shapes of every ARD replay and setup update. No packing, no
+//!   blocking loops; taken whenever `A` is such a block, whatever `R`.
 //! * [`gemm_axpy`] — a lean cache-blocked j-k-i kernel whose AXPY inner
 //!   loops go through the runtime-dispatched SIMD primitives
 //!   ([`crate::simd`]).
@@ -21,7 +22,9 @@
 //! Every kernel is generic over the element type (`f64` by default,
 //! `f32` for the mixed-precision solve path); the tile shape and the
 //! packed-vs-AXPY crossover come from the [`Element`] impl, and the
-//! per-type SIMD kernels are reached through its dispatch hooks.
+//! per-type SIMD kernels are reached through its dispatch hooks. The
+//! crossover only decides between packed and AXPY for `A` operands that
+//! are not small blocks.
 //!
 //! Every public kernel accepts `impl Into<MatRef>` / `impl Into<MatMut>`
 //! operands, so both owned matrices (`&Mat` / `&mut Mat`) and borrowed
@@ -30,11 +33,15 @@
 //! buffers ([`Element::with_pack_bufs`]), so warm calls on a given
 //! thread allocate nothing.
 //!
-//! Both kernels accumulate every term unconditionally (no zero
+//! Every kernel accumulates every term unconditionally (no zero
 //! short-circuits), so non-finite inputs propagate into the output as
-//! IEEE-754 dictates. Both also fix the per-element summation order
-//! independently of blocking and thread count: for a given problem the
-//! result is bitwise identical whether the kernel runs on 1 thread or 16.
+//! IEEE-754 dictates. Every kernel also fixes the per-element summation
+//! order independently of blocking, column tiling and thread count: for
+//! a given problem the result is bitwise identical whether the kernel
+//! runs on 1 thread or 16. The small-block and packed kernels share one
+//! per-element chain for `k <= KC` (accumulate from zero in `k` order,
+//! then add `alpha` times the sum into C), so at `alpha = ±1` they agree
+//! bit for bit.
 
 use crate::element::Element;
 use crate::mat::Mat;
@@ -200,41 +207,29 @@ fn transpose_of<E: Element>(v: MatRef<'_, E>) -> Mat<E> {
     t
 }
 
-/// `C += alpha * A * B` for plain column-major operands: dispatches
-/// between the small-block, packed and AXPY kernels on problem shape
-/// and size (measured crossover — see the `Element` crossover consts).
-fn gemm_nn<E: Element>(alpha: E, a: MatRef<'_, E>, b: MatRef<'_, E>, mut c: MatMut<'_, E>) {
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    let isa = simd::active();
+/// `C += alpha * A * B` for plain column-major operands: small-block
+/// `A` operands take the panel kernel at any width; everything else
+/// picks packed vs. AXPY by size (measured crossover — see the
+/// `Element` crossover consts).
+fn gemm_nn<E: Element>(alpha: E, a: MatRef<'_, E>, b: MatRef<'_, E>, c: MatMut<'_, E>) {
     if bt_obs::enabled() {
+        let isa = simd::active();
         OBS_DISPATCH_ISA.set(f64::from(isa.index()));
         if isa != Isa::Scalar {
             OBS_SIMD_CALLS.incr();
         }
     }
-    if m == n && E::simd_gemm_small(alpha, a, b, &mut c) {
-        OBS_SMALL_CALLS.incr();
-        OBS_GEMM_FLOPS.add(gemm_flops(m, k, n));
-        return;
-    }
-    let packed_min = if isa == Isa::Scalar {
-        E::PACKED_MIN_FLOPS_SCALAR
-    } else {
-        E::PACKED_MIN_FLOPS_SIMD
-    };
-    if 2 * m * k * n >= packed_min {
-        gemm_packed_ref(alpha, a, b, c);
-    } else {
-        gemm_axpy_ref(alpha, a, b, c);
-    }
+    colsplit_plan_for::<E>(a.rows(), a.cols(), b.cols()).apply_ref(alpha, a, b, c);
 }
 
-/// Whole-block `C += alpha * A * B` for exact `M x M` operands with
-/// `M` in {4, 8, 16} — the fully unrolled small-block specialization
-/// the dispatcher prefers for ARD-sized blocks. Returns `false` without
-/// touching `C` when the shape is not an exact small block (callers
-/// fall back to [`gemm`]); exposed so benches can time it against the
-/// other kernels directly.
+/// Small-block panel `C += alpha * A * B`: `A` is `M x M` with `M` in
+/// {4, 8, 16}, `B` and `C` are `M x R` for any `R` (strided views
+/// welcome). Output columns are produced a few at a time straight from
+/// the operands — no packing, no scratch — with one FMA chain per
+/// element that matches [`gemm_packed`]'s, so at `alpha = ±1` the two
+/// agree bit for bit. [`gemm`] and [`ColsplitPlan`] route every such
+/// shape here. Returns `false` without touching `C` for any other shape;
+/// exposed so benches can time it against the other kernels directly.
 pub fn gemm_small<'a, 'b, 'c, E: Element>(
     alpha: E,
     a: impl Into<MatRef<'a, E>>,
@@ -245,7 +240,7 @@ pub fn gemm_small<'a, 'b, 'c, E: Element>(
     let hit = E::simd_gemm_small(alpha, a, b, &mut c);
     if hit {
         OBS_SMALL_CALLS.incr();
-        OBS_GEMM_FLOPS.add(gemm_flops(a.rows(), a.rows(), a.rows()));
+        OBS_GEMM_FLOPS.add(gemm_flops(a.rows(), a.rows(), b.cols()));
     }
     hit
 }
@@ -253,27 +248,35 @@ pub fn gemm_small<'a, 'b, 'c, E: Element>(
 /// A kernel choice frozen from a *full* problem shape, applicable to
 /// any column slice of that problem.
 ///
-/// The dispatcher in [`gemm`] picks packed vs. AXPY from `2*m*k*n`, so
-/// naively calling `gemm` per column-tile of a wide panel can cross the
-/// crossover threshold (or, for square tiles, hit the small-block
-/// kernels) and change the kernel — and with it the bitwise result —
-/// as a function of the tile width. `ColsplitPlan` freezes the decision
-/// once, from the full `(m, k, n)`: both selectable kernels accumulate
-/// each output column independently in fixed `k`-order (packed's NR
-/// zero-padding is inert, AXPY's column loop is outermost), so applying
-/// the same plan tile-by-tile is bitwise identical to one full-width
-/// call. Used by the RHS-tiled replay pipeline in bt-ard.
+/// The packed-vs-AXPY crossover depends on `2*m*k*n`, so naively calling
+/// `gemm` per column-tile of a wide panel can cross the threshold and
+/// change the kernel — and with it the bitwise result — as a function
+/// of the tile width. `ColsplitPlan` freezes the decision once, from the
+/// full `(m, k, n)`: every selectable kernel accumulates each output
+/// column independently in fixed `k`-order (the small-block kernel
+/// computes columns independently, packed's NR zero-padding is inert,
+/// AXPY's column loop is outermost), so applying the same plan
+/// tile-by-tile is bitwise identical to one full-width call. Used by
+/// [`gemm`] itself and by the RHS-tiled replay pipeline in bt-ard.
 ///
-/// The small-block kernels are deliberately never chosen: they require
-/// exact `M x M` shapes, which a partial tile cannot guarantee.
+/// The small-block panel kernel is chosen from `(m, k)` alone (square
+/// `A` of order 4, 8 or 16), so it serves every tile of such a product.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ColsplitPlan {
-    packed: bool,
+    kernel: Kernel,
 }
 
-/// Freezes the packed-vs-AXPY kernel choice for the full `(m, k, n)`
-/// problem at the default `f64` element type, for column-tiled
-/// application via [`ColsplitPlan::apply`].
+/// The kernels a [`ColsplitPlan`] can freeze.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kernel {
+    Small,
+    Packed,
+    Axpy,
+}
+
+/// Freezes the kernel choice for the full `(m, k, n)` problem at the
+/// default `f64` element type, for column-tiled application via
+/// [`ColsplitPlan::apply`].
 pub fn colsplit_plan(m: usize, k: usize, n: usize) -> ColsplitPlan {
     colsplit_plan_for::<f64>(m, k, n)
 }
@@ -287,9 +290,14 @@ pub fn colsplit_plan_for<E: Element>(m: usize, k: usize, n: usize) -> ColsplitPl
     } else {
         E::PACKED_MIN_FLOPS_SIMD
     };
-    ColsplitPlan {
-        packed: 2 * m * k * n >= packed_min,
-    }
+    let kernel = if simd::is_small_block(m, k) {
+        Kernel::Small
+    } else if 2 * m * k * n >= packed_min {
+        Kernel::Packed
+    } else {
+        Kernel::Axpy
+    };
+    ColsplitPlan { kernel }
 }
 
 impl ColsplitPlan {
@@ -306,10 +314,29 @@ impl ColsplitPlan {
         b: impl Into<MatRef<'b, E>>,
         c: impl Into<MatMut<'c, E>>,
     ) {
-        if self.packed {
-            gemm_packed_ref(alpha, a.into(), b.into(), c.into());
-        } else {
-            gemm_axpy_ref(alpha, a.into(), b.into(), c.into());
+        self.apply_ref(alpha, a.into(), b.into(), c.into());
+    }
+
+    fn apply_ref<E: Element>(
+        &self,
+        alpha: E,
+        a: MatRef<'_, E>,
+        b: MatRef<'_, E>,
+        mut c: MatMut<'_, E>,
+    ) {
+        match self.kernel {
+            Kernel::Small => {
+                let shapes = (a.shape(), b.shape(), c.shape());
+                assert!(
+                    gemm_small(alpha, a, b, c.rb_mut()),
+                    "gemm shape mismatch: {:?} x {:?} into {:?}",
+                    shapes.0,
+                    shapes.1,
+                    shapes.2
+                );
+            }
+            Kernel::Packed => gemm_packed_ref(alpha, a, b, c),
+            Kernel::Axpy => gemm_axpy_ref(alpha, a, b, c),
         }
     }
 }
@@ -416,7 +443,7 @@ fn gemm_packed_ref<E: Element>(alpha: E, a: MatRef<'_, E>, b: MatRef<'_, E>, mut
         // Partial move of the view's fields (MatMut has no Drop): the
         // raw buffer is what gets carved up across threads.
         let mut rest = c.data;
-        rayon::scope(|s| {
+        threading::pinned_scope(|s| {
             let mut j0 = 0;
             while j0 < n {
                 let ncols = cols_per.min(n - j0);
@@ -428,7 +455,7 @@ fn gemm_packed_ref<E: Element>(alpha: E, a: MatRef<'_, E>, b: MatRef<'_, E>, mut
                 let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(split);
                 rest = tail;
                 let b_chunk = &b_buf[j0 * ldb..];
-                s.spawn(move |_| {
+                s.spawn(move || {
                     packed_stripe(alpha, a_buf, lda, 0, m, k, b_chunk, ldb, ncols, chunk, ldc);
                 });
                 j0 += ncols;
@@ -459,9 +486,9 @@ fn gemm_packed_ref<E: Element>(alpha: E, a: MatRef<'_, E>, b: MatRef<'_, E>, mut
                 s
             })
             .collect();
-        rayon::scope(|s| {
+        threading::pinned_scope(|s| {
             for (&(r0, mb), stripe) in ranges.iter().zip(stripes.iter_mut()) {
-                s.spawn(move |_| {
+                s.spawn(move || {
                     packed_stripe(alpha, a_buf, lda, r0, mb, k, b_buf, ldb, n, stripe, mb);
                 });
             }
@@ -1032,8 +1059,7 @@ mod tests {
         // Column-tiled application of a frozen plan must reproduce the
         // full-width product bit for bit, for every tile width — the
         // invariant the RHS-tiled replay pipeline rests on. Shapes span
-        // both sides of the packed crossover, including square m == n
-        // cases the top-level dispatcher would send to the small kernels.
+        // the small-block plan and both sides of the packed crossover.
         for &(m, k, n) in &[(4, 4, 4), (8, 8, 8), (5, 7, 23), (16, 16, 64), (32, 32, 33)] {
             let a = seq_mat(m, k, 0.3);
             let b = seq_mat(k, n, 0.7);
@@ -1088,9 +1114,19 @@ mod tests {
 
     #[test]
     fn colsplit_plan_matches_dispatch_threshold() {
+        let plan = |kernel| ColsplitPlan { kernel };
         // Tiny problem: AXPY side of the crossover on every ISA.
-        assert_eq!(colsplit_plan(2, 2, 2), ColsplitPlan { packed: false });
+        assert_eq!(colsplit_plan(2, 2, 2), plan(Kernel::Axpy));
         // Huge problem: packed on every ISA (2 * 128^3 > 500k).
-        assert_eq!(colsplit_plan(128, 128, 128), ColsplitPlan { packed: true });
+        assert_eq!(colsplit_plan(128, 128, 128), plan(Kernel::Packed));
+        // Small blocks take the panel kernel at every width, on every ISA.
+        for m in [4, 8, 16] {
+            for n in [1, 3, 64, 4096] {
+                assert_eq!(colsplit_plan(m, m, n), plan(Kernel::Small), "{m}x{m}x{n}");
+            }
+        }
+        // Non-square or other orders never do.
+        assert_ne!(colsplit_plan(8, 4, 64), plan(Kernel::Small));
+        assert_ne!(colsplit_plan(5, 5, 64), plan(Kernel::Small));
     }
 }

@@ -26,8 +26,9 @@ static OBS_LU_PANEL_SOLVES: bt_obs::Counter = bt_obs::Counter::new("bt_dense.lu.
 static OBS_LU_PANEL_NS: bt_obs::Histogram = bt_obs::Histogram::new("bt_dense.lu.panel_solve_ns");
 
 /// Minimum panel width for the row-oriented sweep
-/// ([`LuFactors::solve_block_rowwise`]): one full 8-lane `f32` AVX2
-/// vector per AXPY. Narrower panels stay on the per-column sweep.
+/// ([`LuFactors::solve_block_rowwise`]): every AXPY fills at least one
+/// 8-lane `f32` AVX2 vector, or two 4-lane `f64` ones. Narrower panels
+/// stay on the per-column sweep.
 const WIDE_SOLVE_MIN_COLS: usize = 8;
 
 /// Error returned when a factorization or solve encounters a singular (or
@@ -195,7 +196,10 @@ impl<E: Element> LuFactors<E> {
     /// `B` may have any number of columns (multi-RHS panel); wide panels
     /// are split across the intra-rank thread budget
     /// ([`crate::threading`]), each column being an independent
-    /// triangular sweep.
+    /// triangular sweep. Contiguous panels at least
+    /// `WIDE_SOLVE_MIN_COLS` wide take the row-oriented sweep, which is
+    /// bit-identical to the per-column one for finite data up to the sign
+    /// of zero results; warm calls allocate nothing either way.
     ///
     /// # Panics
     ///
@@ -213,7 +217,7 @@ impl<E: Element> LuFactors<E> {
                 swap_rows_view(&mut b, k, p);
             }
         }
-        if E::WIDE_PANEL_SOLVE && b.is_contiguous() && b.cols() >= WIDE_SOLVE_MIN_COLS {
+        if b.is_contiguous() && b.cols() >= WIDE_SOLVE_MIN_COLS {
             crate::threading::for_each_column_block_parallel(b, 2 * n * n, |block, w| {
                 self.solve_block_rowwise(block, w);
             });
@@ -265,60 +269,64 @@ impl<E: Element> LuFactors<E> {
 
     /// Row-oriented multi-RHS sweep over a contiguous column-major block
     /// of `w` permuted RHS columns. The block is transposed into
-    /// row-major scratch so every elimination step updates one *row*
-    /// across all `w` columns with a single length-`w` AXPY (instead of
-    /// `w` separate length-`<= n` column fragments), then transposed
-    /// back; the two `O(n w)` transposes are noise next to the
-    /// `O(n^2 w)` sweep. Per element the arithmetic is the same fused
-    /// multiply-add and divide sequence as [`Self::solve_column`] — the
-    /// AXPY multiplier and vector swap roles, and IEEE products commute
-    /// exactly — so the orientation is a pure layout change. Enabled per
-    /// element type via [`Element::WIDE_PANEL_SOLVE`].
+    /// row-major scratch so each elimination step works on whole *rows*
+    /// of `w` columns, then transposed back; the two `O(n w)` transposes
+    /// are noise next to the `O(n^2 w)` sweep. The sweep is
+    /// left-looking: row `i` takes all of its updates in one
+    /// [`Element::simd_fma_rows`] call (forward: `-L[i,k] * row_k` for
+    /// `k = 0..i`; backward: `-U[i,k] * row_k` for `k = n-1` down to
+    /// `i+1`, then the divide by `U[i,i]`), so a strip of the row stays
+    /// in registers instead of being reloaded and stored once per term.
+    /// Per element the arithmetic is the same fused multiply-add and
+    /// divide sequence, in the same order, as [`Self::solve_column`] —
+    /// the multiplier and vector swap roles, and IEEE products commute
+    /// exactly — so the orientation is a pure layout change. The two
+    /// sweeps skip exact zeros on different operands (a zero RHS entry
+    /// there, a zero factor entry here), which can only flip the sign of
+    /// a zero result or, for an infinite RHS entry, decide whether a
+    /// `0 * inf` NaN appears. The row-major scratch and the gathered
+    /// factor row are the calling thread's reused kernel buffers
+    /// ([`Element::with_pack_bufs`]), so warm calls allocate nothing.
     fn solve_block_rowwise(&self, data: &mut [E], w: usize) {
         let n = self.order();
         debug_assert_eq!(data.len(), n * w);
-        let mut z = vec![E::ZERO; n * w];
-        for (j, col) in data.chunks_exact(n).enumerate() {
-            for (k, &v) in col.iter().enumerate() {
-                z[k * w + j] = v;
+        E::with_pack_bufs(|buf, coef| {
+            if buf.len() < n * w {
+                buf.resize(n * w, E::ZERO);
             }
-        }
-        // Forward substitution with unit lower triangular L: row k is
-        // final once reached, rows below accumulate `-L[i,k] * row_k`.
-        for k in 0..n {
-            let lcol = self.lu.col(k);
-            let (head, tail) = z.split_at_mut((k + 1) * w);
-            let zk = &head[k * w..];
-            for (off, zi) in tail.chunks_exact_mut(w).enumerate() {
-                let lik = lcol[k + 1 + off];
-                if lik == E::ZERO {
-                    continue;
+            if coef.len() < n {
+                coef.resize(n, E::ZERO);
+            }
+            let z = &mut buf[..n * w];
+            for (j, col) in data.chunks_exact(n).enumerate() {
+                for (k, &v) in col.iter().enumerate() {
+                    z[k * w + j] = v;
                 }
-                E::simd_axpy(-lik, zk, zi);
             }
-        }
-        // Backward substitution with U.
-        for k in (0..n).rev() {
-            let ucol = self.lu.col(k);
-            let (head, tail) = z.split_at_mut(k * w);
-            let zk = &mut tail[..w];
-            let ukk = ucol[k];
-            for v in zk.iter_mut() {
-                *v /= ukk;
-            }
-            for (i, zi) in head.chunks_exact_mut(w).enumerate() {
-                let uik = ucol[i];
-                if uik == E::ZERO {
-                    continue;
+            // Forward substitution with unit lower triangular L.
+            for i in 1..n {
+                let (done, rest) = z.split_at_mut(i * w);
+                for (k, c) in coef[..i].iter_mut().enumerate() {
+                    *c = -self.lu[(i, k)];
                 }
-                E::simd_axpy(-uik, &*zk, zi);
+                E::simd_fma_rows(&coef[..i], done, w, false, None, &mut rest[..w]);
             }
-        }
-        for (j, col) in data.chunks_exact_mut(n).enumerate() {
-            for (k, v) in col.iter_mut().enumerate() {
-                *v = z[k * w + j];
+            // Backward substitution with U; rows below `i` are final.
+            for i in (0..n).rev() {
+                let (head, tail) = z.split_at_mut((i + 1) * w);
+                let terms = n - 1 - i;
+                for (q, c) in coef[..terms].iter_mut().enumerate() {
+                    *c = -self.lu[(i, i + 1 + q)];
+                }
+                let zi = &mut head[i * w..];
+                E::simd_fma_rows(&coef[..terms], tail, w, true, Some(self.lu[(i, i)]), zi);
             }
-        }
+            for (j, col) in data.chunks_exact_mut(n).enumerate() {
+                for (k, v) in col.iter_mut().enumerate() {
+                    *v = z[k * w + j];
+                }
+            }
+        });
     }
 
     /// Solves `A X = B`, returning `X`.
@@ -558,7 +566,15 @@ mod tests {
         // performs the same FMA/divide sequence as the per-column sweep,
         // so the results agree bitwise. A strided output window forces
         // the legacy per-column path for the reference.
-        for (n, r) in [(5, 8), (8, 24), (13, 24), (17, 9), (40, 16)] {
+        for (n, r) in [
+            (5, 8),
+            (8, 24),
+            (8, 37),
+            (13, 24),
+            (16, 64),
+            (17, 9),
+            (40, 16),
+        ] {
             let a32 = test_mat(n, 0.6).convert::<f32>();
             let lu = LuFactors::factor(&a32).unwrap();
             let b = Mat::from_fn(n, r, |i, j| ((i * r + j) as f64 * 0.37).sin()).convert::<f32>();
@@ -566,6 +582,50 @@ mod tests {
             let mut scratch = Mat::<f32>::zeros(n + 3, r + 2);
             lu.solve_into(&b, scratch.submatrix_mut(1, 1, n, r));
             assert_eq!(scratch.block(1, 1, n, r), wide, "n={n} r={r}");
+        }
+    }
+
+    #[test]
+    fn f64_wide_panel_solve_matches_column_sweep_exactly() {
+        // The f64 twin of the test above: both precisions share the row
+        // sweep, and at f64 it must reproduce the per-column sweep's bits
+        // (the strided window forces the per-column path).
+        for (n, r) in [
+            (4, 8),
+            (5, 8),
+            (8, 24),
+            (8, 37),
+            (13, 24),
+            (16, 64),
+            (17, 9),
+            (40, 16),
+        ] {
+            let a = test_mat(n, 0.6);
+            // A tridiagonal twin puts exact zeros in L and U, which the
+            // row sweep skips per factor entry and the column sweep never
+            // sees as multipliers.
+            let tri = Mat::from_fn(
+                n,
+                n,
+                |i, j| if i.abs_diff(j) <= 1 { a[(i, j)] } else { 0.0 },
+            );
+            for a in [a, tri] {
+                let lu = LuFactors::factor(&a).unwrap();
+                let b = Mat::from_fn(n, r, |i, j| ((i * r + j) as f64 * 0.37).sin());
+                let wide = lu.solve(&b);
+                let mut scratch = Mat::zeros(n + 3, r + 2);
+                lu.solve_into(&b, scratch.submatrix_mut(1, 1, n, r));
+                let column = scratch.block(1, 1, n, r);
+                for j in 0..r {
+                    for i in 0..n {
+                        assert_eq!(
+                            wide[(i, j)].to_bits(),
+                            column[(i, j)].to_bits(),
+                            "n={n} r={r} ({i}, {j})"
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -3,8 +3,9 @@
 //! Every flop in the suite funnels through a handful of inner loops: the
 //! packed GEMM microkernel, the AXPY update (`y += w * x`) shared by
 //! `gemm_axpy`/`gemv`/the LU and Cholesky sweeps, the dot product of the
-//! transpose/backward sweeps, and the whole-block small-M GEMM
-//! specializations. This module provides one explicitly vectorized
+//! transpose/backward sweeps, the left-looking row update of the LU
+//! panel sweep (`fma_rows`), and the small-block panel GEMM
+//! (`M x M · M x R`, `M` in {4, 8, 16}). This module provides one explicitly vectorized
 //! implementation of each — at **both element widths**, `f64` and `f32`
 //! — selected **at runtime** from the CPU:
 //!
@@ -21,14 +22,21 @@
 //! twice the lanes per vector means the 16 x 4 f32 microkernel tile
 //! retires twice the flops per FMA of the 8 x 4 f64 tile, using the same
 //! register budget (two vectors of A per column). Both widths share one
-//! dispatch decision — there is exactly one [`active`] ISA per process,
-//! and `BT_DENSE_SIMD=0` forces the scalar path for every element type.
+//! dispatch decision — a thread runs exactly one [`active`] ISA at a
+//! time, and `BT_DENSE_SIMD=0` forces the scalar path for every element
+//! type.
 //!
 //! The decision is made once, cached in an atomic, and exposed as
-//! [`active`]. The `BT_DENSE_SIMD` environment variable overrides it:
+//! [`detected`]. The `BT_DENSE_SIMD` environment variable overrides it:
 //! `0` forces the scalar path (CI runs the whole workspace this way),
-//! any other value — or unset — keeps hardware detection. Tests can pin
-//! a path in-process with [`force`].
+//! any other value — or unset — keeps hardware detection. Tests and
+//! benches can pin a path for one closure on the calling thread with
+//! [`with_isa`]; [`active`] reports that scoped override where one is in
+//! force and the detected ISA everywhere else. The override is
+//! thread-local (concurrent tests cannot flip each other's kernels),
+//! restored on unwind, and inherited by the worker threads the dense
+//! kernels spawn, so a parallel GEMM or panel solve runs one ISA end to
+//! end.
 //!
 //! # Safety invariants
 //!
@@ -37,9 +45,10 @@
 //!
 //! 1. **CPU features** — a feature-gated kernel is only reachable through
 //!    a dispatch `match` on [`active`], which returns [`Isa::Avx2Fma`] /
-//!    [`Isa::Neon`] only after the corresponding runtime detection (or a
-//!    test override, which is documented as unsound-if-lied-to on
-//!    [`force`]).
+//!    [`Isa::Neon`] only after the corresponding runtime detection:
+//!    [`with_isa`] refuses any ISA but [`Isa::Scalar`] and the
+//!    [`detected`] one, and worker threads only re-pin the ISA their
+//!    spawning thread was already running.
 //! 2. **In-bounds pointers** — every kernel receives plain slices and the
 //!    safe wrappers assert the length contracts up front (`pa.len() >=
 //!    kb * MR`, equal `x`/`y` lengths, `4 | 8 | 16`-row columns). The
@@ -57,6 +66,7 @@
 
 use crate::element::Element;
 use crate::view::{MatMut, MatRef};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU8, Ordering::Relaxed};
 
 /// f64 microkernel tile height/width — `<f64 as Element>::MR` / `NR`.
@@ -97,9 +107,15 @@ impl Isa {
     }
 }
 
-/// Cached dispatch decision: `UNRESOLVED` until first use.
-static ACTIVE: AtomicU8 = AtomicU8::new(UNRESOLVED);
+/// Cached detection result: `UNRESOLVED` until first use.
+static DETECTED: AtomicU8 = AtomicU8::new(UNRESOLVED);
 const UNRESOLVED: u8 = u8::MAX;
+
+thread_local! {
+    /// The calling thread's scoped override ([`with_isa`]), encoded per
+    /// [`Isa::index`]; `UNRESOLVED` when none is in force.
+    static OVERRIDE: Cell<u8> = const { Cell::new(UNRESOLVED) };
+}
 
 fn decode(v: u8) -> Isa {
     match v {
@@ -109,7 +125,7 @@ fn decode(v: u8) -> Isa {
     }
 }
 
-/// Hardware + environment detection (no caching; see [`active`]).
+/// Hardware + environment detection (no caching; see [`detected`]).
 fn detect() -> Isa {
     // BT_DENSE_SIMD=0 forces the scalar path; anything else (including
     // unset or `1`) keeps hardware detection.
@@ -131,38 +147,68 @@ fn detect() -> Isa {
     Isa::Scalar
 }
 
-/// The instruction set every dispatched kernel currently uses.
-///
-/// First call runs detection (environment override, then CPU features)
-/// and caches the result; later calls are one relaxed atomic load.
+/// The process-wide dispatch decision: the `BT_DENSE_SIMD` override,
+/// then CPU features. First call runs detection and caches the result;
+/// later calls are one relaxed atomic load.
 #[inline]
-pub fn active() -> Isa {
-    let v = ACTIVE.load(Relaxed);
+pub fn detected() -> Isa {
+    let v = DETECTED.load(Relaxed);
     if v == UNRESOLVED {
         let isa = detect();
-        ACTIVE.store(isa.index(), Relaxed);
+        DETECTED.store(isa.index(), Relaxed);
         isa
     } else {
         decode(v)
     }
 }
 
-/// Overrides the dispatch decision in-process (primarily for tests and
-/// benches). `Some(isa)` pins every subsequent kernel to that path;
-/// `None` re-runs detection (environment, then CPU features). Returns
-/// the previously active ISA.
-///
-/// Forcing [`Isa::Avx2Fma`] or [`Isa::Neon`] on hardware without those
-/// features makes later kernel calls execute unsupported instructions —
-/// only force upward what [`active`] already reports, or [`Isa::Scalar`]
-/// (always safe).
-pub fn force(isa: Option<Isa>) -> Isa {
-    let prev = active();
-    match isa {
-        Some(isa) => ACTIVE.store(isa.index(), Relaxed),
-        None => ACTIVE.store(detect().index(), Relaxed),
+/// The instruction set every dispatched kernel on the calling thread
+/// currently uses: the innermost [`with_isa`] override, else
+/// [`detected`].
+#[inline]
+pub fn active() -> Isa {
+    let v = OVERRIDE.with(Cell::get);
+    if v == UNRESOLVED {
+        detected()
+    } else {
+        decode(v)
     }
-    prev
+}
+
+/// Runs `f` with the calling thread's kernels pinned to `isa`, restoring
+/// the previous choice afterwards (also on unwind). Worker threads the
+/// dense kernels spawn inside `f` inherit the pin. Other threads are
+/// unaffected.
+///
+/// # Panics
+///
+/// Panics if `isa` is neither [`Isa::Scalar`] (always available) nor the
+/// [`detected`] ISA — pinning an instruction set the CPU (or the
+/// `BT_DENSE_SIMD` override) did not report would execute unsupported
+/// instructions.
+pub fn with_isa<R>(isa: Isa, f: impl FnOnce() -> R) -> R {
+    let det = detected();
+    assert!(
+        isa == Isa::Scalar || isa == det,
+        "cannot pin {} kernels: detection reported {}",
+        isa.name(),
+        det.name()
+    );
+    scoped(isa, f)
+}
+
+/// [`with_isa`] without the availability check, for re-pinning an ISA
+/// some thread is already running (the spawning thread's [`active`]
+/// choice, handed to the workers of a parallel kernel).
+pub(crate) fn scoped<R>(isa: Isa, f: impl FnOnce() -> R) -> R {
+    struct Restore(u8);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            OVERRIDE.with(|o| o.set(self.0));
+        }
+    }
+    let _restore = Restore(OVERRIDE.with(|o| o.replace(isa.index())));
+    f()
 }
 
 // ---------------------------------------------------------------------
@@ -219,6 +265,107 @@ pub(crate) fn axpy_f32(w: f32, x: &[f32], y: &mut [f32]) {
         _ => {
             for (yi, xi) in y.iter_mut().zip(x) {
                 *yi += w * *xi;
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// ROW UPDATE: acc += sum_q w[q] * rows[q], one AXPY chain in registers
+// ---------------------------------------------------------------------
+
+/// Checks the [`fma_rows`] layout contract; returns the term count.
+fn fma_rows_terms<E>(w: &[E], rows: &[E], stride: usize, acc: &[E]) -> usize {
+    let nt = w.len();
+    assert!(acc.len() <= stride, "fma_rows: row longer than its stride");
+    assert!(
+        nt == 0 || rows.len() >= (nt - 1) * stride + acc.len(),
+        "fma_rows: rows too short for {nt} terms"
+    );
+    nt
+}
+
+/// Left-looking row update of the row-oriented triangular sweep:
+/// `acc[j] += w[q] * rows[q * stride + j]` for every term `q` — in
+/// ascending `q` order, or descending when `rev` — skipping terms whose
+/// weight is exactly zero, then `acc[j] /= d` when `d` is given.
+///
+/// Per element this is exactly the chain of [`axpy`] calls it replaces
+/// (one fused multiply-add per term on SIMD paths, separate rounding on
+/// the scalar one, then one IEEE division), so results are bitwise equal
+/// to the sequential AXPY formulation on the same ISA. The AVX2 kernel
+/// keeps a strip of `acc` in registers across all the terms: each FMA
+/// costs one load instead of an AXPY's two loads and a store. Other ISAs
+/// run the AXPY chain itself.
+///
+/// # Panics
+///
+/// Panics if `acc` is longer than `stride` or `rows` is too short for
+/// `w.len()` rows.
+#[inline]
+pub(crate) fn fma_rows(
+    w: &[f64],
+    rows: &[f64],
+    stride: usize,
+    rev: bool,
+    d: Option<f64>,
+    acc: &mut [f64],
+) {
+    let nt = fma_rows_terms(w, rows, stride, acc);
+    match active() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: Avx2Fma implies runtime-detected AVX2+FMA; the layout
+        // contract was just asserted.
+        Isa::Avx2Fma => unsafe { x86::fma_rows(w, rows, stride, rev, d, acc) },
+        _ => {
+            let n = acc.len();
+            for t in 0..nt {
+                let q = if rev { nt - 1 - t } else { t };
+                if w[q] != 0.0 {
+                    axpy(w[q], &rows[q * stride..q * stride + n], acc);
+                }
+            }
+            if let Some(d) = d {
+                for v in acc.iter_mut() {
+                    *v /= d;
+                }
+            }
+        }
+    }
+}
+
+/// `f32` counterpart of [`fma_rows`].
+///
+/// # Panics
+///
+/// As [`fma_rows`].
+#[inline]
+pub(crate) fn fma_rows_f32(
+    w: &[f32],
+    rows: &[f32],
+    stride: usize,
+    rev: bool,
+    d: Option<f32>,
+    acc: &mut [f32],
+) {
+    let nt = fma_rows_terms(w, rows, stride, acc);
+    match active() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: Avx2Fma implies runtime-detected AVX2+FMA; the layout
+        // contract was just asserted.
+        Isa::Avx2Fma => unsafe { x86::fma_rows_f32(w, rows, stride, rev, d, acc) },
+        _ => {
+            let n = acc.len();
+            for t in 0..nt {
+                let q = if rev { nt - 1 - t } else { t };
+                if w[q] != 0.0 {
+                    axpy_f32(w[q], &rows[q * stride..q * stride + n], acc);
+                }
+            }
+            if let Some(d) = d {
+                for v in acc.iter_mut() {
+                    *v /= d;
+                }
             }
         }
     }
@@ -606,45 +753,67 @@ fn microkernel_scalar<E: Element, const MRC: usize, const NRC: usize>(
 }
 
 // ---------------------------------------------------------------------
-// Small-M whole-block GEMM specializations
+// Small-block panel GEMM: M x M times M x R, M in {4, 8, 16}
 // ---------------------------------------------------------------------
 
-/// Block orders served by the whole-block kernels. These are the block
-/// sizes that dominate ARD workloads (DESIGN.md §6.8); the dispatcher in
-/// `gemm` routes exact `M x M x M` products here, skipping packing
+/// Block orders served by the small-block panel kernels. These are the
+/// block sizes that dominate ARD workloads (DESIGN.md §6.8); the
+/// dispatcher in `gemm` routes every `M x M · M x R` product with `M` in
+/// this set here, whatever the panel width `R`, skipping packing
 /// entirely.
 pub(crate) const SMALL_DIMS: [usize; 3] = [4, 8, 16];
 
-/// Whole-block `C += alpha * A * B` for square `M x M` operands with
-/// `M` in [`SMALL_DIMS`]. Returns `false` (computing nothing) when the
-/// shape is not an exact small block. Operands may be strided views —
-/// only columns are addressed, and view columns are always contiguous.
-pub(crate) fn gemm_small(alpha: f64, a: MatRef<'_>, b: MatRef<'_>, c: &mut MatMut<'_>) -> bool {
+/// True when an `m x k` A-operand is a small block: square, of an order
+/// in [`SMALL_DIMS`]. Eligibility depends on `A` alone, so every column
+/// slice of one product takes the same kernel.
+#[inline]
+pub(crate) fn is_small_block(m: usize, k: usize) -> bool {
+    m == k && SMALL_DIMS.contains(&m)
+}
+
+/// Shape gate shared by both element types: `A` is a small block and `B`
+/// and `C` are `M x R` panels of one width `R`.
+fn is_small_panel<E: Element>(a: MatRef<'_, E>, b: MatRef<'_, E>, c: &MatMut<'_, E>) -> bool {
     let m = a.rows();
-    if !SMALL_DIMS.contains(&m) || a.cols() != m || b.shape() != (m, m) || c.shape() != (m, m) {
+    is_small_block(m, a.cols()) && b.rows() == m && c.shape() == (m, b.cols())
+}
+
+/// Small-block panel `C += alpha * A * B` for an `M x M` block `A` with
+/// `M` in [`SMALL_DIMS`] and `M x R` panels `B`, `C` of any width `R`.
+/// Returns `false` (computing nothing) for any other shape. Operands may
+/// be strided views — only columns are addressed, and view columns are
+/// always contiguous.
+///
+/// Per output element the arithmetic is the packed kernel's for
+/// `k <= KC`: accumulate `a[i, k] * b[k, j]` from zero in `k` order (one
+/// FMA per term on SIMD paths), then add `alpha` times the sum into C
+/// once. For `alpha = ±1` the final scaling is exact, so the result is
+/// bit-identical to `gemm_packed` on the same ISA.
+pub(crate) fn gemm_small(alpha: f64, a: MatRef<'_>, b: MatRef<'_>, c: &mut MatMut<'_>) -> bool {
+    if !is_small_panel(a, b, c) {
         return false;
     }
     match active() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: Avx2Fma implies runtime-detected AVX2+FMA; the shape
-        // check above guarantees M-long columns with M = 4 * NV.
+        // gate above guarantees M-long columns with M = 4 * NV.
         Isa::Avx2Fma => unsafe {
-            match m {
-                4 => x86::small::<4, 1>(alpha, a, b, c),
-                8 => x86::small::<8, 2>(alpha, a, b, c),
-                _ => x86::small::<16, 4>(alpha, a, b, c),
+            match a.rows() {
+                4 => x86::small::<4, 1, 8>(alpha, a, b, c),
+                8 => x86::small::<8, 2, 4>(alpha, a, b, c),
+                _ => x86::small::<16, 4, 2>(alpha, a, b, c),
             }
         },
         #[cfg(target_arch = "aarch64")]
         // SAFETY: Neon implies runtime-detected NEON; M = 2 * NV.
         Isa::Neon => unsafe {
-            match m {
-                4 => neon::small::<4, 2>(alpha, a, b, c),
-                8 => neon::small::<8, 4>(alpha, a, b, c),
-                _ => neon::small::<16, 8>(alpha, a, b, c),
+            match a.rows() {
+                4 => neon::small::<4, 2, 8>(alpha, a, b, c),
+                8 => neon::small::<8, 4, 4>(alpha, a, b, c),
+                _ => neon::small::<16, 8, 2>(alpha, a, b, c),
             }
         },
-        _ => match m {
+        _ => match a.rows() {
             4 => small_scalar::<f64, 4>(alpha, a, b, c),
             8 => small_scalar::<f64, 8>(alpha, a, b, c),
             _ => small_scalar::<f64, 16>(alpha, a, b, c),
@@ -653,7 +822,7 @@ pub(crate) fn gemm_small(alpha: f64, a: MatRef<'_>, b: MatRef<'_>, c: &mut MatMu
     true
 }
 
-/// The `f32` whole-block kernel dispatcher (see [`gemm_small`]). The
+/// The `f32` small-block panel dispatcher (see [`gemm_small`]). The
 /// `M = 4` block fits a single SSE vector on x86, so it gets a dedicated
 /// 128-bit kernel; 8 and 16 use full-width AVX2 vectors.
 pub(crate) fn gemm_small_f32(
@@ -662,32 +831,31 @@ pub(crate) fn gemm_small_f32(
     b: MatRef<'_, f32>,
     c: &mut MatMut<'_, f32>,
 ) -> bool {
-    let m = a.rows();
-    if !SMALL_DIMS.contains(&m) || a.cols() != m || b.shape() != (m, m) || c.shape() != (m, m) {
+    if !is_small_panel(a, b, c) {
         return false;
     }
     match active() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: Avx2Fma implies runtime-detected AVX2+FMA (which
         // subsumes the SSE + FMA used by the M = 4 kernel); the shape
-        // check guarantees M-long columns with M = 8 * NV (or exactly 4).
+        // gate guarantees M-long columns with M = 8 * NV (or exactly 4).
         Isa::Avx2Fma => unsafe {
-            match m {
-                4 => x86::small4_f32(alpha, a, b, c),
-                8 => x86::small_f32::<8, 1>(alpha, a, b, c),
-                _ => x86::small_f32::<16, 2>(alpha, a, b, c),
+            match a.rows() {
+                4 => x86::small4_f32::<8>(alpha, a, b, c),
+                8 => x86::small_f32::<8, 1, 8>(alpha, a, b, c),
+                _ => x86::small_f32::<16, 2, 4>(alpha, a, b, c),
             }
         },
         #[cfg(target_arch = "aarch64")]
         // SAFETY: Neon implies runtime-detected NEON; M = 4 * NV.
         Isa::Neon => unsafe {
-            match m {
-                4 => neon::small_f32::<4, 1>(alpha, a, b, c),
-                8 => neon::small_f32::<8, 2>(alpha, a, b, c),
-                _ => neon::small_f32::<16, 4>(alpha, a, b, c),
+            match a.rows() {
+                4 => neon::small_f32::<4, 1, 8>(alpha, a, b, c),
+                8 => neon::small_f32::<8, 2, 4>(alpha, a, b, c),
+                _ => neon::small_f32::<16, 4, 4>(alpha, a, b, c),
             }
         },
-        _ => match m {
+        _ => match a.rows() {
             4 => small_scalar::<f32, 4>(alpha, a, b, c),
             8 => small_scalar::<f32, 8>(alpha, a, b, c),
             _ => small_scalar::<f32, 16>(alpha, a, b, c),
@@ -696,20 +864,22 @@ pub(crate) fn gemm_small_f32(
     true
 }
 
-/// Portable whole-block kernel: fixed-size array views make every loop
-/// bound a compile-time constant, so the body fully unrolls and
-/// autovectorizes without bounds checks.
+/// Portable small-block panel kernel: fixed-size array views make every
+/// loop bound over the block a compile-time constant, so the column body
+/// fully unrolls and autovectorizes without bounds checks. Same
+/// separate-rounding multiply-add chain as the scalar packed
+/// microkernel.
 fn small_scalar<E: Element, const M: usize>(
     alpha: E,
     a: MatRef<'_, E>,
     b: MatRef<'_, E>,
     c: &mut MatMut<'_, E>,
 ) {
-    for j in 0..M {
+    let acols: [&[E; M]; M] = std::array::from_fn(|k| a.col(k).try_into().expect("A column"));
+    for j in 0..b.cols() {
         let bcol: &[E; M] = b.col(j).try_into().expect("B column");
         let mut acc = [E::ZERO; M];
-        for (k, &bkj) in bcol.iter().enumerate() {
-            let acol: &[E; M] = a.col(k).try_into().expect("A column");
+        for (acol, &bkj) in acols.iter().zip(bcol) {
             for i in 0..M {
                 acc[i] += acol[i] * bkj;
             }
@@ -729,11 +899,11 @@ fn small_scalar<E: Element, const M: usize>(
 mod x86 {
     use super::{MatMut, MatRef, MR, MR32, NR, NR32};
     use core::arch::x86_64::{
-        __m256, __m256d, _mm256_add_pd, _mm256_add_ps, _mm256_fmadd_pd, _mm256_fmadd_ps,
-        _mm256_fnmadd_pd, _mm256_fnmadd_ps, _mm256_loadu_pd, _mm256_loadu_ps, _mm256_mul_pd,
-        _mm256_mul_ps, _mm256_set1_pd, _mm256_set1_ps, _mm256_setzero_pd, _mm256_setzero_ps,
-        _mm256_storeu_pd, _mm256_storeu_ps, _mm256_sub_pd, _mm256_sub_ps, _mm_fmadd_ps,
-        _mm_loadu_ps, _mm_set1_ps, _mm_setzero_ps, _mm_storeu_ps,
+        __m256, __m256d, _mm256_add_pd, _mm256_add_ps, _mm256_div_pd, _mm256_div_ps,
+        _mm256_fmadd_pd, _mm256_fmadd_ps, _mm256_fnmadd_pd, _mm256_fnmadd_ps, _mm256_loadu_pd,
+        _mm256_loadu_ps, _mm256_mul_pd, _mm256_mul_ps, _mm256_set1_pd, _mm256_set1_ps,
+        _mm256_setzero_pd, _mm256_setzero_ps, _mm256_storeu_pd, _mm256_storeu_ps, _mm256_sub_pd,
+        _mm256_sub_ps, _mm_fmadd_ps, _mm_loadu_ps, _mm_set1_ps, _mm_setzero_ps, _mm_storeu_ps,
     };
 
     /// f64 lanes per vector.
@@ -1271,6 +1441,173 @@ mod x86 {
         }
     }
 
+    /// [`super::fma_rows`]: strips of `4 * V` columns stay in four YMM
+    /// accumulators across every term (one load and one FMA per term and
+    /// vector), then one-vector strips and a scalar fused tail.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2 + FMA and the layout contract the safe wrapper
+    /// asserts (`acc.len() <= stride`, `rows` covering `w.len()` rows).
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub(super) unsafe fn fma_rows(
+        w: &[f64],
+        rows: &[f64],
+        stride: usize,
+        rev: bool,
+        d: Option<f64>,
+        acc: &mut [f64],
+    ) {
+        let n = acc.len();
+        let mut j = 0;
+        while j + 4 * V <= n {
+            fma_rows_strip::<4>(w, rows, stride, rev, d, acc, j);
+            j += 4 * V;
+        }
+        while j + V <= n {
+            fma_rows_strip::<1>(w, rows, stride, rev, d, acc, j);
+            j += V;
+        }
+        let nt = w.len();
+        for (jj, x) in acc.iter_mut().enumerate().skip(j) {
+            let mut s = *x;
+            for t in 0..nt {
+                let q = if rev { nt - 1 - t } else { t };
+                if w[q] != 0.0 {
+                    s = w[q].mul_add(rows[q * stride + jj], s);
+                }
+            }
+            *x = d.map_or(s, |d| s / d);
+        }
+    }
+
+    /// Columns `j0..j0 + NV * V` of [`fma_rows`].
+    ///
+    /// # Safety
+    ///
+    /// As [`fma_rows`], plus `j0 + NV * V <= acc.len()`.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    #[inline]
+    unsafe fn fma_rows_strip<const NV: usize>(
+        w: &[f64],
+        rows: &[f64],
+        stride: usize,
+        rev: bool,
+        d: Option<f64>,
+        acc: &mut [f64],
+        j0: usize,
+    ) {
+        let nt = w.len();
+        let (rp, cp) = (rows.as_ptr(), acc.as_mut_ptr().add(j0));
+        let mut a = [_mm256_setzero_pd(); NV];
+        for (v, x) in a.iter_mut().enumerate() {
+            *x = _mm256_loadu_pd(cp.add(V * v));
+        }
+        for t in 0..nt {
+            let q = if rev { nt - 1 - t } else { t };
+            let wq = w[q];
+            if wq == 0.0 {
+                continue;
+            }
+            let wv = _mm256_set1_pd(wq);
+            let row = rp.add(q * stride + j0);
+            for (v, x) in a.iter_mut().enumerate() {
+                *x = _mm256_fmadd_pd(wv, _mm256_loadu_pd(row.add(V * v)), *x);
+            }
+        }
+        if let Some(d) = d {
+            let dv = _mm256_set1_pd(d);
+            for x in a.iter_mut() {
+                *x = _mm256_div_pd(*x, dv);
+            }
+        }
+        for (v, &x) in a.iter().enumerate() {
+            _mm256_storeu_pd(cp.add(V * v), x);
+        }
+    }
+
+    /// `f32` counterpart of [`fma_rows`] (`4 * VS`-column strips).
+    ///
+    /// # Safety
+    ///
+    /// As [`fma_rows`].
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub(super) unsafe fn fma_rows_f32(
+        w: &[f32],
+        rows: &[f32],
+        stride: usize,
+        rev: bool,
+        d: Option<f32>,
+        acc: &mut [f32],
+    ) {
+        let n = acc.len();
+        let mut j = 0;
+        while j + 4 * VS <= n {
+            fma_rows_strip_f32::<4>(w, rows, stride, rev, d, acc, j);
+            j += 4 * VS;
+        }
+        while j + VS <= n {
+            fma_rows_strip_f32::<1>(w, rows, stride, rev, d, acc, j);
+            j += VS;
+        }
+        let nt = w.len();
+        for (jj, x) in acc.iter_mut().enumerate().skip(j) {
+            let mut s = *x;
+            for t in 0..nt {
+                let q = if rev { nt - 1 - t } else { t };
+                if w[q] != 0.0 {
+                    s = w[q].mul_add(rows[q * stride + jj], s);
+                }
+            }
+            *x = d.map_or(s, |d| s / d);
+        }
+    }
+
+    /// Columns `j0..j0 + NV * VS` of [`fma_rows_f32`].
+    ///
+    /// # Safety
+    ///
+    /// As [`fma_rows`], plus `j0 + NV * VS <= acc.len()`.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    #[inline]
+    unsafe fn fma_rows_strip_f32<const NV: usize>(
+        w: &[f32],
+        rows: &[f32],
+        stride: usize,
+        rev: bool,
+        d: Option<f32>,
+        acc: &mut [f32],
+        j0: usize,
+    ) {
+        let nt = w.len();
+        let (rp, cp) = (rows.as_ptr(), acc.as_mut_ptr().add(j0));
+        let mut a = [_mm256_setzero_ps(); NV];
+        for (v, x) in a.iter_mut().enumerate() {
+            *x = _mm256_loadu_ps(cp.add(VS * v));
+        }
+        for t in 0..nt {
+            let q = if rev { nt - 1 - t } else { t };
+            let wq = w[q];
+            if wq == 0.0 {
+                continue;
+            }
+            let wv = _mm256_set1_ps(wq);
+            let row = rp.add(q * stride + j0);
+            for (v, x) in a.iter_mut().enumerate() {
+                *x = _mm256_fmadd_ps(wv, _mm256_loadu_ps(row.add(VS * v)), *x);
+            }
+        }
+        if let Some(d) = d {
+            let dv = _mm256_set1_ps(d);
+            for x in a.iter_mut() {
+                *x = _mm256_div_ps(*x, dv);
+            }
+        }
+        for (v, &x) in a.iter().enumerate() {
+            _mm256_storeu_ps(cp.add(VS * v), x);
+        }
+    }
+
     /// Dot product with two independent lane accumulators.
     ///
     /// # Safety
@@ -1347,101 +1684,214 @@ mod x86 {
         s
     }
 
-    /// Whole-block `C += alpha * A * B` for `M x M` operands, `M = 4 * NV`.
-    /// One output column is accumulated in `NV` YMM registers while the
-    /// `M` rank-1 terms stream through broadcasts of B — no packing, no
-    /// scratch.
+    /// Small-block panel `C += alpha * A * B`: `A` is `M x M` with
+    /// `M = 4 * NV`, `B` and `C` are `M x n` panels of any width. Output
+    /// columns go `JB` at a time — `JB * NV` YMM accumulators, every A
+    /// vector loaded once per `JB` broadcasts of B — then one at a time
+    /// for the `n % JB` tail. No packing, no scratch.
     ///
     /// # Safety
     ///
-    /// Requires AVX2 + FMA; `a`, `b`, `c` must be `M x M` views (their
-    /// columns are contiguous `M`-long slices by the view invariant).
+    /// Requires AVX2 + FMA; `a` must be an `M x M` view and `b`, `c`
+    /// `M x n` views (their columns are contiguous `M`-long slices by the
+    /// view invariant).
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn small<const M: usize, const NV: usize>(
+    pub(super) unsafe fn small<const M: usize, const NV: usize, const JB: usize>(
         alpha: f64,
         a: MatRef<'_>,
         b: MatRef<'_>,
         c: &mut MatMut<'_>,
     ) {
-        debug_assert!(M == 4 * NV && a.shape() == (M, M));
-        let alphav = _mm256_set1_pd(alpha);
-        for j in 0..M {
-            let bcol = b.col(j);
-            let mut acc = [_mm256_setzero_pd(); NV];
-            for (k, bkj) in bcol.iter().enumerate() {
-                let ap = a.col(k).as_ptr();
-                let bv = _mm256_set1_pd(*bkj);
-                for (v, accv) in acc.iter_mut().enumerate() {
-                    *accv = _mm256_fmadd_pd(_mm256_loadu_pd(ap.add(V * v)), bv, *accv);
+        debug_assert!(M == 4 * NV && a.shape() == (M, M) && b.rows() == M);
+        debug_assert!(c.shape() == b.shape());
+        let n = b.cols();
+        let mut j = 0;
+        while j + JB <= n {
+            small_cols::<M, NV, JB>(alpha, a, b, c, j);
+            j += JB;
+        }
+        while j < n {
+            small_cols::<M, NV, 1>(alpha, a, b, c, j);
+            j += 1;
+        }
+    }
+
+    /// Output columns `j0..j0 + JB` of [`small`]: per element, one FMA
+    /// per `k` into a zeroed accumulator, then one FMA of `alpha` into C.
+    ///
+    /// # Safety
+    ///
+    /// As [`small`], plus `j0 + JB <= b.cols()`.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    #[inline]
+    unsafe fn small_cols<const M: usize, const NV: usize, const JB: usize>(
+        alpha: f64,
+        a: MatRef<'_>,
+        b: MatRef<'_>,
+        c: &mut MatMut<'_>,
+        j0: usize,
+    ) {
+        // Raw column pointers come from the whole view buffer (column j
+        // starts at j * col_stride), never from one column's sub-slice.
+        let (ap, lda) = (a.data.as_ptr(), a.col_stride());
+        let mut bp = [b.data.as_ptr(); JB];
+        for (jj, p) in bp.iter_mut().enumerate() {
+            *p = p.add((j0 + jj) * b.col_stride());
+        }
+        let mut acc = [[_mm256_setzero_pd(); NV]; JB];
+        for k in 0..M {
+            let acol = ap.add(k * lda);
+            let mut av = [_mm256_setzero_pd(); NV];
+            for (v, x) in av.iter_mut().enumerate() {
+                *x = _mm256_loadu_pd(acol.add(V * v));
+            }
+            for (accj, p) in acc.iter_mut().zip(&bp) {
+                let bv = _mm256_set1_pd(*p.add(k));
+                for (accv, &x) in accj.iter_mut().zip(&av) {
+                    *accv = _mm256_fmadd_pd(x, bv, *accv);
                 }
             }
-            let cp = c.col_mut(j).as_mut_ptr();
-            for (v, &accv) in acc.iter().enumerate() {
+        }
+        let alphav = _mm256_set1_pd(alpha);
+        for (jj, accj) in acc.iter().enumerate() {
+            let cp = c.col_mut(j0 + jj).as_mut_ptr();
+            for (v, &accv) in accj.iter().enumerate() {
                 let cv: __m256d = _mm256_loadu_pd(cp.add(V * v));
                 _mm256_storeu_pd(cp.add(V * v), _mm256_fmadd_pd(alphav, accv, cv));
             }
         }
     }
 
-    /// `f32` whole-block kernel for `M x M` operands, `M = 8 * NV`
-    /// (M = 8 and 16; M = 4 has its own 128-bit kernel below).
+    /// `f32` small-block panel kernel for `M = 8 * NV` (M = 8 and 16;
+    /// M = 4 has its own 128-bit kernel below), `JB` columns at a time.
     ///
     /// # Safety
     ///
-    /// Requires AVX2 + FMA; `a`, `b`, `c` must be `M x M` views.
+    /// Requires AVX2 + FMA; `a` must be `M x M` and `b`, `c` `M x n`
+    /// views.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn small_f32<const M: usize, const NV: usize>(
+    pub(super) unsafe fn small_f32<const M: usize, const NV: usize, const JB: usize>(
         alpha: f32,
         a: MatRef<'_, f32>,
         b: MatRef<'_, f32>,
         c: &mut MatMut<'_, f32>,
     ) {
-        debug_assert!(M == 8 * NV && a.shape() == (M, M));
-        let alphav = _mm256_set1_ps(alpha);
-        for j in 0..M {
-            let bcol = b.col(j);
-            let mut acc = [_mm256_setzero_ps(); NV];
-            for (k, bkj) in bcol.iter().enumerate() {
-                let ap = a.col(k).as_ptr();
-                let bv = _mm256_set1_ps(*bkj);
-                for (v, accv) in acc.iter_mut().enumerate() {
-                    *accv = _mm256_fmadd_ps(_mm256_loadu_ps(ap.add(VS * v)), bv, *accv);
+        debug_assert!(M == 8 * NV && a.shape() == (M, M) && b.rows() == M);
+        debug_assert!(c.shape() == b.shape());
+        let n = b.cols();
+        let mut j = 0;
+        while j + JB <= n {
+            small_cols_f32::<M, NV, JB>(alpha, a, b, c, j);
+            j += JB;
+        }
+        while j < n {
+            small_cols_f32::<M, NV, 1>(alpha, a, b, c, j);
+            j += 1;
+        }
+    }
+
+    /// Output columns `j0..j0 + JB` of [`small_f32`].
+    ///
+    /// # Safety
+    ///
+    /// As [`small_f32`], plus `j0 + JB <= b.cols()`.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    #[inline]
+    unsafe fn small_cols_f32<const M: usize, const NV: usize, const JB: usize>(
+        alpha: f32,
+        a: MatRef<'_, f32>,
+        b: MatRef<'_, f32>,
+        c: &mut MatMut<'_, f32>,
+        j0: usize,
+    ) {
+        let (ap, lda) = (a.data.as_ptr(), a.col_stride());
+        let mut bp = [b.data.as_ptr(); JB];
+        for (jj, p) in bp.iter_mut().enumerate() {
+            *p = p.add((j0 + jj) * b.col_stride());
+        }
+        let mut acc = [[_mm256_setzero_ps(); NV]; JB];
+        for k in 0..M {
+            let acol = ap.add(k * lda);
+            let mut av = [_mm256_setzero_ps(); NV];
+            for (v, x) in av.iter_mut().enumerate() {
+                *x = _mm256_loadu_ps(acol.add(VS * v));
+            }
+            for (accj, p) in acc.iter_mut().zip(&bp) {
+                let bv = _mm256_set1_ps(*p.add(k));
+                for (accv, &x) in accj.iter_mut().zip(&av) {
+                    *accv = _mm256_fmadd_ps(x, bv, *accv);
                 }
             }
-            let cp = c.col_mut(j).as_mut_ptr();
-            for (v, &accv) in acc.iter().enumerate() {
+        }
+        let alphav = _mm256_set1_ps(alpha);
+        for (jj, accj) in acc.iter().enumerate() {
+            let cp = c.col_mut(j0 + jj).as_mut_ptr();
+            for (v, &accv) in accj.iter().enumerate() {
                 let cv: __m256 = _mm256_loadu_ps(cp.add(VS * v));
                 _mm256_storeu_ps(cp.add(VS * v), _mm256_fmadd_ps(alphav, accv, cv));
             }
         }
     }
 
-    /// `f32` whole-block kernel for the 4 x 4 case: one 128-bit vector
-    /// holds a full column, so the accumulator is a single XMM register.
+    /// `f32` small-block panel kernel for `M = 4`: one 128-bit vector
+    /// holds a full column, so each of the `JB` columns in flight is a
+    /// single XMM accumulator.
     ///
     /// # Safety
     ///
     /// Requires AVX2 + FMA (FMA covers the 128-bit `_mm_fmadd_ps`);
-    /// `a`, `b`, `c` must be `4 x 4` views.
+    /// `a` must be a `4 x 4` view and `b`, `c` `4 x n` views.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn small4_f32(
+    pub(super) unsafe fn small4_f32<const JB: usize>(
         alpha: f32,
         a: MatRef<'_, f32>,
         b: MatRef<'_, f32>,
         c: &mut MatMut<'_, f32>,
     ) {
-        debug_assert!(a.shape() == (4, 4));
-        let alphav = _mm_set1_ps(alpha);
-        for j in 0..4 {
-            let bcol = b.col(j);
-            let mut acc = _mm_setzero_ps();
-            for (k, bkj) in bcol.iter().enumerate() {
-                let ap = a.col(k).as_ptr();
-                acc = _mm_fmadd_ps(_mm_loadu_ps(ap), _mm_set1_ps(*bkj), acc);
+        debug_assert!(a.shape() == (4, 4) && b.rows() == 4 && c.shape() == b.shape());
+        let n = b.cols();
+        let mut j = 0;
+        while j + JB <= n {
+            small4_cols_f32::<JB>(alpha, a, b, c, j);
+            j += JB;
+        }
+        while j < n {
+            small4_cols_f32::<1>(alpha, a, b, c, j);
+            j += 1;
+        }
+    }
+
+    /// Output columns `j0..j0 + JB` of [`small4_f32`].
+    ///
+    /// # Safety
+    ///
+    /// As [`small4_f32`], plus `j0 + JB <= b.cols()`.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    #[inline]
+    unsafe fn small4_cols_f32<const JB: usize>(
+        alpha: f32,
+        a: MatRef<'_, f32>,
+        b: MatRef<'_, f32>,
+        c: &mut MatMut<'_, f32>,
+        j0: usize,
+    ) {
+        let (ap, lda) = (a.data.as_ptr(), a.col_stride());
+        let mut bp = [b.data.as_ptr(); JB];
+        for (jj, p) in bp.iter_mut().enumerate() {
+            *p = p.add((j0 + jj) * b.col_stride());
+        }
+        let mut acc = [_mm_setzero_ps(); JB];
+        for k in 0..4 {
+            let av = _mm_loadu_ps(ap.add(k * lda));
+            for (accj, p) in acc.iter_mut().zip(&bp) {
+                *accj = _mm_fmadd_ps(av, _mm_set1_ps(*p.add(k)), *accj);
             }
-            let cp = c.col_mut(j).as_mut_ptr();
+        }
+        let alphav = _mm_set1_ps(alpha);
+        for (jj, &accj) in acc.iter().enumerate() {
+            let cp = c.col_mut(j0 + jj).as_mut_ptr();
             let cv = _mm_loadu_ps(cp);
-            _mm_storeu_ps(cp, _mm_fmadd_ps(alphav, acc, cv));
+            _mm_storeu_ps(cp, _mm_fmadd_ps(alphav, accj, cv));
         }
     }
 }
@@ -1917,64 +2367,142 @@ mod neon {
         s
     }
 
-    /// Whole-block `C += alpha * A * B` for `M x M` operands, `M = 2 * NV`.
+    /// Small-block panel `C += alpha * A * B`: `A` is `M x M` with
+    /// `M = 2 * NV`, `B` and `C` are `M x n` panels, `JB` output columns
+    /// at a time (see the x86 kernel of the same name).
     ///
     /// # Safety
     ///
-    /// Requires NEON; `a`, `b`, `c` must be `M x M` views.
+    /// Requires NEON; `a` must be an `M x M` view and `b`, `c` `M x n`
+    /// views.
     #[target_feature(enable = "neon")]
-    pub(super) unsafe fn small<const M: usize, const NV: usize>(
+    pub(super) unsafe fn small<const M: usize, const NV: usize, const JB: usize>(
         alpha: f64,
         a: MatRef<'_>,
         b: MatRef<'_>,
         c: &mut MatMut<'_>,
     ) {
-        debug_assert!(M == 2 * NV && a.shape() == (M, M));
-        let alphav = vdupq_n_f64(alpha);
-        for j in 0..M {
-            let bcol = b.col(j);
-            let mut acc = [vdupq_n_f64(0.0); NV];
-            for (k, bkj) in bcol.iter().enumerate() {
-                let ap = a.col(k).as_ptr();
-                let bv = vdupq_n_f64(*bkj);
-                for (v, accv) in acc.iter_mut().enumerate() {
-                    *accv = vfmaq_f64(*accv, vld1q_f64(ap.add(V * v)), bv);
+        debug_assert!(M == 2 * NV && a.shape() == (M, M) && b.rows() == M);
+        debug_assert!(c.shape() == b.shape());
+        let n = b.cols();
+        let mut j = 0;
+        while j + JB <= n {
+            small_cols::<M, NV, JB>(alpha, a, b, c, j);
+            j += JB;
+        }
+        while j < n {
+            small_cols::<M, NV, 1>(alpha, a, b, c, j);
+            j += 1;
+        }
+    }
+
+    /// Output columns `j0..j0 + JB` of [`small`].
+    ///
+    /// # Safety
+    ///
+    /// As [`small`], plus `j0 + JB <= b.cols()`.
+    #[target_feature(enable = "neon")]
+    #[inline]
+    unsafe fn small_cols<const M: usize, const NV: usize, const JB: usize>(
+        alpha: f64,
+        a: MatRef<'_>,
+        b: MatRef<'_>,
+        c: &mut MatMut<'_>,
+        j0: usize,
+    ) {
+        let (ap, lda) = (a.data.as_ptr(), a.col_stride());
+        let mut bp = [b.data.as_ptr(); JB];
+        for (jj, p) in bp.iter_mut().enumerate() {
+            *p = p.add((j0 + jj) * b.col_stride());
+        }
+        let mut acc = [[vdupq_n_f64(0.0); NV]; JB];
+        for k in 0..M {
+            let acol = ap.add(k * lda);
+            let mut av = [vdupq_n_f64(0.0); NV];
+            for (v, x) in av.iter_mut().enumerate() {
+                *x = vld1q_f64(acol.add(V * v));
+            }
+            for (accj, p) in acc.iter_mut().zip(&bp) {
+                let bv = vdupq_n_f64(*p.add(k));
+                for (accv, &x) in accj.iter_mut().zip(&av) {
+                    *accv = vfmaq_f64(*accv, x, bv);
                 }
             }
-            let cp = c.col_mut(j).as_mut_ptr();
-            for (v, &accv) in acc.iter().enumerate() {
+        }
+        let alphav = vdupq_n_f64(alpha);
+        for (jj, accj) in acc.iter().enumerate() {
+            let cp = c.col_mut(j0 + jj).as_mut_ptr();
+            for (v, &accv) in accj.iter().enumerate() {
                 let cv = vld1q_f64(cp.add(V * v));
                 vst1q_f64(cp.add(V * v), vfmaq_f64(cv, alphav, accv));
             }
         }
     }
 
-    /// `f32` whole-block kernel for `M x M` operands, `M = 4 * NV`.
+    /// `f32` small-block panel kernel for `M = 4 * NV`, `JB` columns at a
+    /// time.
     ///
     /// # Safety
     ///
-    /// Requires NEON; `a`, `b`, `c` must be `M x M` views.
+    /// Requires NEON; `a` must be `M x M` and `b`, `c` `M x n` views.
     #[target_feature(enable = "neon")]
-    pub(super) unsafe fn small_f32<const M: usize, const NV: usize>(
+    pub(super) unsafe fn small_f32<const M: usize, const NV: usize, const JB: usize>(
         alpha: f32,
         a: MatRef<'_, f32>,
         b: MatRef<'_, f32>,
         c: &mut MatMut<'_, f32>,
     ) {
-        debug_assert!(M == 4 * NV && a.shape() == (M, M));
-        let alphav = vdupq_n_f32(alpha);
-        for j in 0..M {
-            let bcol = b.col(j);
-            let mut acc = [vdupq_n_f32(0.0); NV];
-            for (k, bkj) in bcol.iter().enumerate() {
-                let ap = a.col(k).as_ptr();
-                let bv = vdupq_n_f32(*bkj);
-                for (v, accv) in acc.iter_mut().enumerate() {
-                    *accv = vfmaq_f32(*accv, vld1q_f32(ap.add(VS * v)), bv);
+        debug_assert!(M == 4 * NV && a.shape() == (M, M) && b.rows() == M);
+        debug_assert!(c.shape() == b.shape());
+        let n = b.cols();
+        let mut j = 0;
+        while j + JB <= n {
+            small_cols_f32::<M, NV, JB>(alpha, a, b, c, j);
+            j += JB;
+        }
+        while j < n {
+            small_cols_f32::<M, NV, 1>(alpha, a, b, c, j);
+            j += 1;
+        }
+    }
+
+    /// Output columns `j0..j0 + JB` of [`small_f32`].
+    ///
+    /// # Safety
+    ///
+    /// As [`small_f32`], plus `j0 + JB <= b.cols()`.
+    #[target_feature(enable = "neon")]
+    #[inline]
+    unsafe fn small_cols_f32<const M: usize, const NV: usize, const JB: usize>(
+        alpha: f32,
+        a: MatRef<'_, f32>,
+        b: MatRef<'_, f32>,
+        c: &mut MatMut<'_, f32>,
+        j0: usize,
+    ) {
+        let (ap, lda) = (a.data.as_ptr(), a.col_stride());
+        let mut bp = [b.data.as_ptr(); JB];
+        for (jj, p) in bp.iter_mut().enumerate() {
+            *p = p.add((j0 + jj) * b.col_stride());
+        }
+        let mut acc = [[vdupq_n_f32(0.0); NV]; JB];
+        for k in 0..M {
+            let acol = ap.add(k * lda);
+            let mut av = [vdupq_n_f32(0.0); NV];
+            for (v, x) in av.iter_mut().enumerate() {
+                *x = vld1q_f32(acol.add(VS * v));
+            }
+            for (accj, p) in acc.iter_mut().zip(&bp) {
+                let bv = vdupq_n_f32(*p.add(k));
+                for (accv, &x) in accj.iter_mut().zip(&av) {
+                    *accv = vfmaq_f32(*accv, x, bv);
                 }
             }
-            let cp = c.col_mut(j).as_mut_ptr();
-            for (v, &accv) in acc.iter().enumerate() {
+        }
+        let alphav = vdupq_n_f32(alpha);
+        for (jj, accj) in acc.iter().enumerate() {
+            let cp = c.col_mut(j0 + jj).as_mut_ptr();
+            for (v, &accv) in accj.iter().enumerate() {
                 let cv = vld1q_f32(cp.add(VS * v));
                 vst1q_f32(cp.add(VS * v), vfmaq_f32(cv, alphav, accv));
             }
@@ -1987,24 +2515,6 @@ mod tests {
     use super::*;
     use crate::mat::Mat;
 
-    /// Serializes tests that touch the process-global dispatch state.
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Restores the previously active ISA on drop.
-    struct IsaGuard(Isa);
-    impl Drop for IsaGuard {
-        fn drop(&mut self) {
-            force(Some(self.0));
-        }
-    }
-    fn pin(isa: Isa) -> IsaGuard {
-        IsaGuard(force(Some(isa)))
-    }
-
     #[test]
     fn tile_constants_match_the_element_trait() {
         assert_eq!(MR, <f64 as Element>::MR);
@@ -2014,19 +2524,79 @@ mod tests {
     }
 
     #[test]
-    fn detection_is_cached_and_forcible() {
-        let _l = lock();
-        let detected = active();
-        {
-            let _g = pin(Isa::Scalar);
+    fn scoped_override_is_thread_local_and_restored() {
+        let det = detected();
+        assert_eq!(active(), det);
+        with_isa(Isa::Scalar, || {
             assert_eq!(active(), Isa::Scalar);
+            // Nesting restores the outer pin, not the detected ISA.
+            with_isa(det, || assert_eq!(active(), det));
+            assert_eq!(active(), Isa::Scalar);
+            // Threads outside the dense kernels keep the detected ISA.
+            let other = std::thread::spawn(active).join().unwrap();
+            assert_eq!(other, det, "the override leaked to another thread");
+        });
+        assert_eq!(active(), det);
+        // Restored on unwind.
+        let caught = std::panic::catch_unwind(|| with_isa(Isa::Scalar, || panic!("boom")));
+        assert!(caught.is_err());
+        assert_eq!(active(), det, "a panic left the override in force");
+    }
+
+    #[test]
+    fn scoped_override_reaches_kernel_worker_threads() {
+        // Under a 2-thread budget the jc-parallel packed GEMM and the
+        // parallel panel solve must agree bit for bit with one thread on
+        // the pinned path: FMA and separate rounding differ, so a worker
+        // that fell back to the detected ISA would show.
+        use crate::lu::LuFactors;
+        use crate::threading::with_thread_budget;
+        let wave = |r: usize, c: usize, s: f64| {
+            Mat::from_fn(r, c, |i, j| ((i * c + j) as f64 * 0.37 + s).sin())
+        };
+        let (a, b) = (wave(96, 300, 0.11), wave(300, 200, 0.91));
+        let n = 40;
+        let d = Mat::from_fn(n, n, |i, j| {
+            let v = ((i * n + j) as f64 * 0.7).sin();
+            if i == j {
+                v + 2.0 * n as f64
+            } else {
+                v
+            }
+        });
+        let lu = LuFactors::factor(&d).unwrap();
+        let rhs = wave(n, 64, 0.5);
+        for isa in [Isa::Scalar, detected()] {
+            let run = |threads| {
+                with_isa(isa, || {
+                    with_thread_budget(threads, || {
+                        let mut c = Mat::zeros(96, 200);
+                        crate::gemm_packed(1.0, &a, &b, &mut c);
+                        (c, lu.solve(&rhs))
+                    })
+                })
+            };
+            assert_eq!(run(1), run(2), "workers left the {} pin", isa.name());
         }
-        assert_eq!(active(), detected, "force(None) re-detects");
+    }
+
+    #[test]
+    fn scoped_override_refuses_undetected_isas() {
+        let det = detected();
+        // At most one of the two SIMD sets can be the detected one.
+        let undetected = [Isa::Avx2Fma, Isa::Neon]
+            .into_iter()
+            .find(|&isa| isa != det)
+            .unwrap();
+        let caught = std::panic::catch_unwind(|| with_isa(undetected, active));
+        assert!(caught.is_err(), "pinned undetected {}", undetected.name());
+        assert_eq!(active(), det);
+        assert_eq!(with_isa(Isa::Scalar, active), Isa::Scalar);
+        assert_eq!(with_isa(det, active), det);
     }
 
     #[test]
     fn axpy_matches_scalar_reference() {
-        let _l = lock();
         for n in [0usize, 1, 3, 4, 7, 8, 9, 31, 64, 100] {
             let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin()).collect();
             let y0: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).cos()).collect();
@@ -2044,8 +2614,57 @@ mod tests {
     }
 
     #[test]
+    fn fma_rows_matches_axpy_chain_bit_for_bit() {
+        // The register-strip kernel must reproduce the sequential AXPY
+        // chain it replaces exactly: every strip/vector/tail split of
+        // the row, both term orders, exact-zero weights (skipped), a
+        // row stride wider than the row, with and without the divide.
+        let stride = 75;
+        for n in [0usize, 1, 3, 4, 7, 8, 15, 16, 17, 33, 40, 64, 71] {
+            for nt in [0usize, 1, 2, 5] {
+                let rows: Vec<f64> = (0..nt * stride).map(|i| (i as f64 * 0.37).sin()).collect();
+                let mut w: Vec<f64> = (0..nt).map(|q| (q as f64 * 1.3).cos() - 0.5).collect();
+                if nt > 2 {
+                    w[1] = 0.0;
+                }
+                let acc0: Vec<f64> = (0..n).map(|j| (j as f64 * 0.11).cos()).collect();
+                let rows32: Vec<f32> = rows.iter().map(|&v| v as f32).collect();
+                let w32: Vec<f32> = w.iter().map(|&v| v as f32).collect();
+                let acc32: Vec<f32> = acc0.iter().map(|&v| v as f32).collect();
+                for rev in [false, true] {
+                    for d in [None, Some(1.7)] {
+                        let mut expect = acc0.clone();
+                        let mut expect32 = acc32.clone();
+                        for t in 0..nt {
+                            let q = if rev { nt - 1 - t } else { t };
+                            if w[q] != 0.0 {
+                                let row = &rows[q * stride..q * stride + n];
+                                axpy(w[q], row, &mut expect);
+                                let row32 = &rows32[q * stride..q * stride + n];
+                                axpy_f32(w32[q], row32, &mut expect32);
+                            }
+                        }
+                        if let Some(d) = d {
+                            expect.iter_mut().for_each(|v| *v /= d);
+                            expect32.iter_mut().for_each(|v| *v /= d as f32);
+                        }
+                        let mut got = acc0.clone();
+                        fma_rows(&w, &rows, stride, rev, d, &mut got);
+                        let mut got32 = acc32.clone();
+                        fma_rows_f32(&w32, &rows32, stride, rev, d.map(|d| d as f32), &mut got32);
+                        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        let bits32 = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        let case = format!("n={n} nt={nt} rev={rev} d={d:?}");
+                        assert_eq!(bits(&got), bits(&expect), "f64 {case}");
+                        assert_eq!(bits32(&got32), bits32(&expect32), "f32 {case}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn axpy_f32_matches_scalar_reference() {
-        let _l = lock();
         for n in [0usize, 1, 3, 7, 8, 15, 16, 17, 31, 64, 100] {
             let x: Vec<f32> = (0..n).map(|i| (i as f32 * 0.7).sin()).collect();
             let y0: Vec<f32> = (0..n).map(|i| (i as f32 * 0.3).cos()).collect();
@@ -2064,7 +2683,6 @@ mod tests {
 
     #[test]
     fn axpy_propagates_zero_times_nan() {
-        let _l = lock();
         let x = [f64::NAN, f64::INFINITY, 1.0];
         let mut y = [0.0; 3];
         axpy(0.0, &x, &mut y);
@@ -2074,7 +2692,6 @@ mod tests {
 
     #[test]
     fn axpy_f32_propagates_zero_times_nan() {
-        let _l = lock();
         let x = [f32::NAN, f32::INFINITY, 1.0];
         let mut y = [0.0f32; 3];
         axpy_f32(0.0, &x, &mut y);
@@ -2084,7 +2701,6 @@ mod tests {
 
     #[test]
     fn lane_kernels_match_scalar_reference() {
-        let _l = lock();
         for n in [0usize, 1, 3, 4, 7, 8, 9, 31, 64, 100] {
             let a: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin()).collect();
             let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.5).cos() + 0.1).collect();
@@ -2114,7 +2730,6 @@ mod tests {
 
     #[test]
     fn lane_dot_sub_matches_scalar_reference() {
-        let _l = lock();
         for k in [0usize, 1, 4, 7, 8, 9, 24, 100] {
             for p in [0usize, 1, 3, 8] {
                 let bs = k + 3;
@@ -2155,7 +2770,6 @@ mod tests {
 
     #[test]
     fn lane_kernels_f32_match_scalar_reference() {
-        let _l = lock();
         for n in [0usize, 1, 3, 7, 8, 15, 16, 17, 31, 64, 100] {
             let a: Vec<f32> = (0..n).map(|i| (i as f32 * 0.7).sin()).collect();
             let b: Vec<f32> = (0..n).map(|i| (i as f32 * 0.5).cos() + 0.1).collect();
@@ -2177,7 +2791,6 @@ mod tests {
 
     #[test]
     fn dot_matches_scalar_reference() {
-        let _l = lock();
         for n in [0usize, 1, 2, 5, 8, 13, 16, 33, 100] {
             let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.11).sin()).collect();
             let y: Vec<f64> = (0..n).map(|i| (i as f64 * 0.23).cos()).collect();
@@ -2192,7 +2805,6 @@ mod tests {
 
     #[test]
     fn dot_f32_matches_scalar_reference() {
-        let _l = lock();
         for n in [0usize, 1, 2, 5, 8, 15, 16, 17, 33, 100] {
             let x: Vec<f32> = (0..n).map(|i| (i as f32 * 0.11).sin()).collect();
             let y: Vec<f32> = (0..n).map(|i| (i as f32 * 0.23).cos()).collect();
@@ -2208,15 +2820,11 @@ mod tests {
 
     #[test]
     fn microkernel_paths_agree() {
-        let _l = lock();
         let kb = 37;
         let pa: Vec<f64> = (0..kb * MR).map(|i| (i as f64 * 0.17).sin()).collect();
         let pb: Vec<f64> = (0..kb * NR).map(|i| (i as f64 * 0.29).cos()).collect();
         let mut scalar = [0.0f64; MR * NR];
-        {
-            let _g = pin(Isa::Scalar);
-            microkernel(kb, &pa, &pb, &mut scalar);
-        }
+        with_isa(Isa::Scalar, || microkernel(kb, &pa, &pb, &mut scalar));
         let mut active_path = [0.0f64; MR * NR];
         microkernel(kb, &pa, &pb, &mut active_path);
         for (s, v) in scalar.iter().zip(&active_path) {
@@ -2226,15 +2834,11 @@ mod tests {
 
     #[test]
     fn microkernel_f32_paths_agree() {
-        let _l = lock();
         let kb = 37;
         let pa: Vec<f32> = (0..kb * MR32).map(|i| (i as f32 * 0.17).sin()).collect();
         let pb: Vec<f32> = (0..kb * NR32).map(|i| (i as f32 * 0.29).cos()).collect();
         let mut scalar = [0.0f32; MR32 * NR32];
-        {
-            let _g = pin(Isa::Scalar);
-            microkernel_f32(kb, &pa, &pb, &mut scalar);
-        }
+        with_isa(Isa::Scalar, || microkernel_f32(kb, &pa, &pb, &mut scalar));
         let mut active_path = [0.0f32; MR32 * NR32];
         microkernel_f32(kb, &pa, &pb, &mut active_path);
         for (s, v) in scalar.iter().zip(&active_path) {
@@ -2244,90 +2848,94 @@ mod tests {
 
     #[test]
     fn small_kernel_paths_agree_and_respect_alpha() {
-        let _l = lock();
         for m in SMALL_DIMS {
-            let a = Mat::from_fn(m, m, |i, j| ((i * m + j) as f64 * 0.31).sin());
-            let b = Mat::from_fn(m, m, |i, j| ((i + 2 * j) as f64 * 0.17).cos());
-            let c0 = Mat::from_fn(m, m, |i, j| (i as f64 - j as f64) * 0.05);
-            let mut scalar = c0.clone();
-            {
-                let _g = pin(Isa::Scalar);
+            for r in [1, 3, m, 2 * m + 5] {
+                let a = Mat::from_fn(m, m, |i, j| ((i * m + j) as f64 * 0.31).sin());
+                let b = Mat::from_fn(m, r, |i, j| ((i + 2 * j) as f64 * 0.17).cos());
+                let c0 = Mat::from_fn(m, r, |i, j| (i as f64 - j as f64) * 0.05);
+                let mut scalar = c0.clone();
+                with_isa(Isa::Scalar, || {
+                    assert!(gemm_small(
+                        -1.5,
+                        a.as_ref(),
+                        b.as_ref(),
+                        &mut scalar.as_mut()
+                    ));
+                });
+                let mut active_path = c0.clone();
                 assert!(gemm_small(
                     -1.5,
                     a.as_ref(),
                     b.as_ref(),
-                    &mut scalar.as_mut()
+                    &mut active_path.as_mut()
                 ));
+                assert!(
+                    scalar.sub(&active_path).max_abs() <= 1e-13 * m as f64,
+                    "m={m} r={r}"
+                );
             }
-            let mut active_path = c0.clone();
-            assert!(gemm_small(
-                -1.5,
-                a.as_ref(),
-                b.as_ref(),
-                &mut active_path.as_mut()
-            ));
-            assert!(
-                scalar.sub(&active_path).max_abs() <= 1e-13 * m as f64,
-                "m={m}"
-            );
         }
     }
 
     #[test]
     fn small_f32_kernel_paths_agree_and_respect_alpha() {
-        let _l = lock();
         for m in SMALL_DIMS {
-            let a = Mat::<f32>::from_fn(m, m, |i, j| ((i * m + j) as f32 * 0.31).sin());
-            let b = Mat::<f32>::from_fn(m, m, |i, j| ((i + 2 * j) as f32 * 0.17).cos());
-            let c0 = Mat::<f32>::from_fn(m, m, |i, j| (i as f32 - j as f32) * 0.05);
-            let mut scalar = c0.clone();
-            {
-                let _g = pin(Isa::Scalar);
+            for r in [1, 3, m, 2 * m + 5] {
+                let a = Mat::<f32>::from_fn(m, m, |i, j| ((i * m + j) as f32 * 0.31).sin());
+                let b = Mat::<f32>::from_fn(m, r, |i, j| ((i + 2 * j) as f32 * 0.17).cos());
+                let c0 = Mat::<f32>::from_fn(m, r, |i, j| (i as f32 - j as f32) * 0.05);
+                let mut scalar = c0.clone();
+                with_isa(Isa::Scalar, || {
+                    assert!(gemm_small_f32(
+                        -1.5,
+                        a.as_ref(),
+                        b.as_ref(),
+                        &mut scalar.as_mut()
+                    ));
+                });
+                let mut active_path = c0.clone();
                 assert!(gemm_small_f32(
                     -1.5,
                     a.as_ref(),
                     b.as_ref(),
-                    &mut scalar.as_mut()
+                    &mut active_path.as_mut()
                 ));
+                assert!(
+                    scalar.sub(&active_path).max_abs() <= 1e-5 * m as f64,
+                    "m={m} r={r}"
+                );
             }
-            let mut active_path = c0.clone();
-            assert!(gemm_small_f32(
-                -1.5,
-                a.as_ref(),
-                b.as_ref(),
-                &mut active_path.as_mut()
-            ));
-            assert!(
-                scalar.sub(&active_path).max_abs() <= 1e-5 * m as f64,
-                "m={m}"
-            );
         }
     }
 
     #[test]
     fn small_kernel_rejects_unsupported_shapes() {
-        let _l = lock();
-        let a = Mat::zeros(5, 5);
-        let b = Mat::zeros(5, 5);
-        let mut c = Mat::zeros(5, 5);
-        assert!(!gemm_small(1.0, a.as_ref(), b.as_ref(), &mut c.as_mut()));
-        let a8 = Mat::zeros(8, 8);
-        let b84 = Mat::zeros(8, 4);
-        let mut c84 = Mat::zeros(8, 4);
-        assert!(!gemm_small(
-            1.0,
-            a8.as_ref(),
-            b84.as_ref(),
-            &mut c84.as_mut()
-        ));
-        let a5 = Mat::<f32>::zeros(5, 5);
-        let b5 = Mat::<f32>::zeros(5, 5);
-        let mut c5 = Mat::<f32>::zeros(5, 5);
-        assert!(!gemm_small_f32(
-            1.0,
-            a5.as_ref(),
-            b5.as_ref(),
-            &mut c5.as_mut()
-        ));
+        fn accepts(a: (usize, usize), b: (usize, usize), c: (usize, usize)) -> bool {
+            let (a, b, mut c) = (
+                Mat::zeros(a.0, a.1),
+                Mat::zeros(b.0, b.1),
+                Mat::zeros(c.0, c.1),
+            );
+            let hit = gemm_small(1.0, a.as_ref(), b.as_ref(), &mut c.as_mut());
+            let (a32, b32) = (a.convert::<f32>(), b.convert::<f32>());
+            let mut c32 = c.convert::<f32>();
+            let hit32 = gemm_small_f32(1.0, a32.as_ref(), b32.as_ref(), &mut c32.as_mut());
+            assert_eq!(hit, hit32, "precisions disagree on {a:?} {b:?}");
+            hit
+        }
+        // M x M · M x R panels of any width are the supported case.
+        assert!(accepts((8, 8), (8, 4), (8, 4)));
+        assert!(accepts((4, 4), (4, 1), (4, 1)));
+        assert!(accepts((16, 16), (16, 70), (16, 70)));
+        // Orders outside {4, 8, 16}.
+        assert!(!accepts((5, 5), (5, 5), (5, 5)));
+        assert!(!accepts((32, 32), (32, 4), (32, 4)));
+        // Non-square A.
+        assert!(!accepts((8, 4), (4, 8), (8, 8)));
+        assert!(!accepts((4, 8), (8, 8), (4, 8)));
+        // B whose row count does not match A, or C not M x R.
+        assert!(!accepts((8, 8), (4, 8), (8, 8)));
+        assert!(!accepts((8, 8), (8, 4), (8, 5)));
+        assert!(!accepts((8, 8), (8, 4), (4, 4)));
     }
 }

@@ -14,8 +14,11 @@
 //! Parallel kernels in this crate are written so the floating-point
 //! summation order per output element is independent of the budget:
 //! results are bitwise identical for any thread count (see DESIGN.md,
-//! "Threading model").
+//! "Threading model"). Their worker threads run the spawning thread's
+//! [`crate::simd::active`] ISA, so a scoped [`crate::simd::with_isa`]
+//! pin covers the whole parallel kernel.
 
+use crate::simd;
 use crate::view::MatMut;
 use std::cell::Cell;
 use std::sync::OnceLock;
@@ -60,6 +63,32 @@ pub fn with_thread_budget<R>(threads: usize, f: impl FnOnce() -> R) -> R {
     f()
 }
 
+/// A [`rayon::Scope`] whose tasks run the spawning thread's ISA: the one
+/// way the dense kernels start worker threads.
+pub(crate) struct PinnedScope<'a, 'scope, 'env: 'scope> {
+    scope: &'a rayon::Scope<'scope, 'env>,
+    isa: simd::Isa,
+}
+
+impl<'scope> PinnedScope<'_, 'scope, '_> {
+    /// Spawns `f` on the pool, re-pinned to the ISA the scope captured.
+    pub(crate) fn spawn(&self, f: impl FnOnce() + Send + 'scope) {
+        let isa = self.isa;
+        self.scope.spawn(move |_| simd::scoped(isa, f));
+    }
+}
+
+/// [`rayon::scope`] for the dense kernels: captures the calling thread's
+/// [`simd::active`] ISA once, and every task spawned through the
+/// [`PinnedScope`] runs under it, so a scoped [`simd::with_isa`] pin
+/// covers the whole parallel kernel.
+pub(crate) fn pinned_scope<'env, R: Send>(
+    op: impl for<'a, 'scope> FnOnce(&PinnedScope<'a, 'scope, 'env>) -> R + Send,
+) -> R {
+    let isa = simd::active();
+    rayon::scope(|scope| op(&PinnedScope { scope, isa }))
+}
+
 /// Minimum total flops before a panel operation is worth spreading over
 /// threads; below this, spawn overhead dominates.
 const PANEL_PAR_MIN_FLOPS: usize = 50_000;
@@ -86,9 +115,9 @@ pub(crate) fn for_each_column_parallel<E: crate::element::Element>(
     if t > 1 && b.is_contiguous() && flops_per_col.saturating_mul(r) >= PANEL_PAR_MIN_FLOPS {
         let cols_per = r.div_ceil(t);
         let f = &f;
-        rayon::scope(|s| {
+        pinned_scope(|s| {
             for chunk in b.data[..n * r].chunks_mut(cols_per * n) {
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for x in chunk.chunks_exact_mut(n) {
                         f(x);
                     }
@@ -125,9 +154,9 @@ pub(crate) fn for_each_column_block_parallel<E: crate::element::Element>(
     if t > 1 && flops_per_col.saturating_mul(r) >= PANEL_PAR_MIN_FLOPS {
         let cols_per = r.div_ceil(t);
         let f = &f;
-        rayon::scope(|s| {
+        pinned_scope(|s| {
             for chunk in data.chunks_mut(cols_per * n) {
-                s.spawn(move |_| f(chunk, chunk.len() / n));
+                s.spawn(move || f(chunk, chunk.len() / n));
             }
         });
     } else {

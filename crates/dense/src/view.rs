@@ -281,6 +281,11 @@ impl<'a, E: Element> MatMut<'a, E> {
     /// Panics on shape mismatch.
     pub fn copy_from(&mut self, src: MatRef<'_, E>) {
         assert_eq!(self.shape(), src.shape(), "copy_from shape mismatch");
+        if self.is_contiguous() && src.is_contiguous() {
+            let len = self.rows * self.cols;
+            self.data[..len].copy_from_slice(&src.data[..len]);
+            return;
+        }
         for j in 0..self.cols {
             self.col_mut(j).copy_from_slice(src.col(j));
         }

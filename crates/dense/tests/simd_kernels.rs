@@ -1,25 +1,29 @@
 //! Cross-kernel agreement and dispatch tests for the SIMD layer.
 //!
-//! Every GEMM kernel (AXPY, packed, small-block) must produce the same
-//! answer — to FMA-vs-separate-rounding tolerance — whichever instruction
-//! set [`bt_dense::simd`] dispatches to, across blocking boundaries and
-//! on strided views; non-finite inputs must propagate through every
-//! path; and the `BT_DENSE_SIMD=0` override must verifiably force the
-//! scalar path (observable through the `bt_dense.gemm.*` dispatch
-//! counters under `BT_OBS`).
+//! Every GEMM kernel (AXPY, packed, small-block panel) must produce the
+//! same answer — to FMA-vs-separate-rounding tolerance — whichever
+//! instruction set [`bt_dense::simd`] dispatches to, across blocking
+//! boundaries and on strided views; the small-block panel kernel must
+//! match the packed kernel bit for bit at `alpha = ±1`; non-finite
+//! inputs must propagate through every path; and the `BT_DENSE_SIMD=0`
+//! override must verifiably force the scalar path (observable through
+//! the `bt_dense.gemm.*` dispatch counters under `BT_OBS`).
 //!
-//! Tests that pin or inspect the process-global dispatch decision
-//! serialize on one mutex so they cannot race each other (or perturb
-//! each other's counter diffs) inside this binary.
+//! ISA pins are scoped and thread-local ([`simd::with_isa`]), so they
+//! cannot leak between tests; the tests still serialize on one mutex
+//! because the metrics registry behind the counter diffs is
+//! process-global.
 
 use bt_dense::random::{rng, uniform};
-use bt_dense::simd;
-use bt_dense::{gemm, gemm_axpy, gemm_packed, gemm_small, Isa, Mat, Trans};
+use bt_dense::simd::{self, with_isa};
+use bt_dense::{
+    colsplit_plan, gemm, gemm_axpy, gemm_packed, gemm_small, Isa, Mat, MatMut, MatRef, Trans,
+};
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-/// Serializes every test in this binary: the active ISA and the metrics
-/// registry are process-global.
+/// Serializes every test in this binary: the metrics registry is
+/// process-global.
 fn lock() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
     LOCK.get_or_init(Mutex::default)
@@ -27,21 +31,9 @@ fn lock() -> MutexGuard<'static, ()> {
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Runs `f` with the dispatch pinned to `isa`, restoring the previous
-/// decision afterwards. Only ever pins [`Isa::Scalar`] or an ISA that
-/// detection already reported, so no unsupported instructions run.
-fn with_isa<T>(isa: Isa, f: impl FnOnce() -> T) -> T {
-    let prev = simd::force(Some(isa));
-    let out = f();
-    simd::force(Some(prev));
-    out
-}
-
-/// The environment-driven dispatch decision (re-runs detection in case
-/// an earlier test left a pin behind).
+/// The environment-driven dispatch decision.
 fn detected_isa() -> Isa {
-    simd::force(None);
-    simd::active()
+    simd::detected()
 }
 
 /// Reference triple-loop product (no blocking, packing, or FMA).
@@ -104,21 +96,22 @@ proptest! {
         }
     }
 
-    /// The small-block kernels agree with the naive reference (and hence
-    /// with every other kernel) on both the scalar and detected paths,
-    /// including `alpha != 1` accumulation into non-zero C.
+    /// The small-block panel kernels agree with the naive reference (and
+    /// hence with every other kernel) on both the scalar and detected
+    /// paths, at any panel width, including `alpha != 1` accumulation
+    /// into non-zero C.
     #[test]
     fn small_kernels_agree_across_isas(
-        (m, seed, alpha) in (small_dim(), 0u64..1000, -2.0f64..2.0)
+        (m, r, seed, alpha) in (small_dim(), 1usize..71, 0u64..1000, -2.0f64..2.0)
     ) {
         let _g = lock();
         let a = uniform(m, m, &mut rng(seed));
-        let b = uniform(m, m, &mut rng(seed ^ 0x5EED));
-        let c0 = uniform(m, m, &mut rng(seed ^ 0xC0));
+        let b = uniform(m, r, &mut rng(seed ^ 0x5EED));
+        let c0 = uniform(m, r, &mut rng(seed ^ 0xC0));
         let expect = {
             let mut e = c0.clone();
             let p = naive_matmul(&a, &b);
-            for j in 0..m {
+            for j in 0..r {
                 for i in 0..m {
                     e.set(i, j, e.get(i, j) + alpha * p.get(i, j));
                 }
@@ -134,7 +127,7 @@ proptest! {
             })?;
             prop_assert!(
                 c.sub(&expect).max_abs() <= 1e-13 * m as f64,
-                "small m={m} on {}: err {}",
+                "small m={m} r={r} on {}: err {}",
                 isa.name(),
                 c.sub(&expect).max_abs()
             );
@@ -180,32 +173,132 @@ proptest! {
         prop_assert!(c2.sub(&expect).max_abs() <= tol);
     }
 
-    /// `0 * NaN == NaN` must reach C through every kernel on every ISA:
-    /// no kernel may skip zero weights (the
-    /// `nonfinite_propagates_through_zero_weights` contract).
+    /// `0 * NaN == NaN` must reach C through every kernel on every ISA,
+    /// in every column of a panel (the small-block kernel's column
+    /// groups and its one-column tail alike): no kernel may skip zero
+    /// weights (the `nonfinite_propagates_through_zero_weights`
+    /// contract).
     #[test]
     fn nonfinite_propagates_on_every_path(
-        (m, seed, poison) in (small_dim(), 0u64..1000, (0usize..2).prop_map(|i| if i == 0 { f64::NAN } else { f64::INFINITY }))
+        (m, r, seed, poison) in (small_dim(), 1usize..71, 0u64..1000, (0usize..2).prop_map(|i| if i == 0 { f64::NAN } else { f64::INFINITY }))
     ) {
         let _g = lock();
         let mut a = uniform(m, m, &mut rng(seed));
-        let mut b = uniform(m, m, &mut rng(seed ^ 0xF00));
+        let mut b = uniform(m, r, &mut rng(seed ^ 0xF00));
         a.set(1, 2, poison);
-        b.set(2, 0, 0.0); // 0 * poison must still poison C[1, 0]
+        for j in 0..r {
+            b.set(2, j, 0.0); // 0 * poison must still poison C[1, j]
+        }
+        let poisoned = |c: &Mat| (0..r).all(|j| !c.get(1, j).is_finite());
         let detected = detected_isa();
         for isa in [Isa::Scalar, detected] {
             with_isa(isa, || {
-                let mut c = Mat::zeros(m, m);
+                let mut c = Mat::zeros(m, r);
                 assert!(gemm_small(1.0, &a, &b, &mut c));
-                assert!(!c.get(1, 0).is_finite(), "small kernel on {} skipped 0 * {poison}", isa.name());
-                let mut c = Mat::zeros(m, m);
+                assert!(poisoned(&c), "small kernel on {} skipped 0 * {poison}", isa.name());
+                let mut c = Mat::zeros(m, r);
                 gemm_axpy(1.0, &a, &b, &mut c);
-                assert!(!c.get(1, 0).is_finite(), "axpy on {} skipped 0 * {poison}", isa.name());
-                let mut c = Mat::zeros(m, m);
+                assert!(poisoned(&c), "axpy on {} skipped 0 * {poison}", isa.name());
+                let mut c = Mat::zeros(m, r);
                 gemm_packed(1.0, &a, &b, &mut c);
-                assert!(!c.get(1, 0).is_finite(), "packed on {} skipped 0 * {poison}", isa.name());
+                assert!(poisoned(&c), "packed on {} skipped 0 * {poison}", isa.name());
             });
         }
+    }
+}
+
+/// Asserts two output windows hold identical bits (signed zeros and NaN
+/// payloads included).
+fn assert_same_bits(got: MatRef<'_>, expect: MatRef<'_>, what: &str) {
+    assert_eq!(got.shape(), expect.shape(), "{what}");
+    for j in 0..got.cols() {
+        for (i, (g, e)) in got.col(j).iter().zip(expect.col(j)).enumerate() {
+            assert_eq!(
+                g.to_bits(),
+                e.to_bits(),
+                "{what}: ({i}, {j}) {g:e} vs {e:e}"
+            );
+        }
+    }
+}
+
+/// The `m x r` output window of [`panel_kernel_matches_packed_bit_for_bit`].
+fn window_of(c: &mut Mat, m: usize, r: usize) -> MatMut<'_> {
+    c.as_mut().submatrix_mut(1, 2, m, r)
+}
+
+/// The small-block panel kernel is a pure re-layout of the packed
+/// kernel's arithmetic: at `alpha = ±1`, for every small order, panel
+/// width `1..=70`, `beta` in {0, 1} and strided in/out views, the
+/// dispatched `gemm` (which takes the panel kernel) and `gemm_small`
+/// equal `gemm_packed` bit for bit, on the scalar and the detected ISA.
+/// Column tiles of a frozen `ColsplitPlan` equal the full-width call.
+#[test]
+fn panel_kernel_matches_packed_bit_for_bit() {
+    let _g = lock();
+    for isa in [Isa::Scalar, detected_isa()] {
+        with_isa(isa, || {
+            for m in [4usize, 8, 16] {
+                for r in 1..=70usize {
+                    let big_a = uniform(m + 3, m + 2, &mut rng((m * 100 + r) as u64));
+                    let big_b = uniform(m + 5, r + 1, &mut rng((m * 100 + r) as u64 ^ 0xB));
+                    let big_c0 = uniform(m + 2, r + 3, &mut rng((m * 100 + r) as u64 ^ 0xC));
+                    let a = big_a.as_ref().submatrix(2, 1, m, m);
+                    let b = big_b.as_ref().submatrix(4, 1, m, r);
+                    for alpha in [1.0, -1.0] {
+                        for beta in [0.0, 1.0] {
+                            let what =
+                                format!("{} m={m} r={r} alpha={alpha} beta={beta}", isa.name());
+                            let mut packed = big_c0.clone();
+                            if beta == 0.0 {
+                                window_of(&mut packed, m, r).fill_zero();
+                            }
+                            gemm_packed(alpha, a, b, window_of(&mut packed, m, r));
+                            let mut dispatched = big_c0.clone();
+                            gemm(
+                                alpha,
+                                a,
+                                Trans::No,
+                                b,
+                                Trans::No,
+                                beta,
+                                window_of(&mut dispatched, m, r),
+                            );
+                            assert_same_bits(dispatched.as_ref(), packed.as_ref(), &what);
+                            let mut small = big_c0.clone();
+                            if beta == 0.0 {
+                                window_of(&mut small, m, r).fill_zero();
+                            }
+                            assert!(
+                                gemm_small(alpha, a, b, window_of(&mut small, m, r)),
+                                "{what}"
+                            );
+                            assert_same_bits(small.as_ref(), packed.as_ref(), &what);
+                        }
+                    }
+                    // Tiles of widths 1, 3, 16 and R through one frozen plan.
+                    let plan = colsplit_plan(m, m, r);
+                    let mut full = Mat::zeros(m, r);
+                    plan.apply(1.0, a, b, &mut full);
+                    for tile in [1, 3, 16, r] {
+                        let mut tiled = Mat::zeros(m, r);
+                        let mut c0 = 0;
+                        while c0 < r {
+                            let w = tile.min(r - c0);
+                            plan.apply(
+                                1.0,
+                                a,
+                                b.submatrix(0, c0, m, w),
+                                tiled.as_mut().submatrix_mut(0, c0, m, w),
+                            );
+                            c0 += w;
+                        }
+                        let what = format!("{} m={m} r={r} tile={tile}", isa.name());
+                        assert_same_bits(tiled.as_ref(), full.as_ref(), &what);
+                    }
+                }
+            }
+        });
     }
 }
 
@@ -216,8 +309,12 @@ proptest! {
 #[test]
 fn bt_dense_simd_env_override_forces_scalar() {
     let _g = lock();
-    // Re-run environment-driven detection (another test may have pinned).
     let isa = detected_isa();
+    assert_eq!(
+        simd::active(),
+        isa,
+        "an unpinned thread runs the detected ISA"
+    );
     bt_obs::set_enabled(true);
 
     let a = uniform(32, 32, &mut rng(7));
