@@ -6,7 +6,7 @@
 //!
 //! **Toeplitz cells** factor the same constant-block [`ClusteredToeplitz`]
 //! system twice on a live shm world — the general
-//! `ArdRankFactors<f64>` and the structure-exploiting
+//! `ArdRankFactors` and the structure-exploiting
 //! [`ToeplitzRankFactors`] — then time one warm replay solve each,
 //! best-of-N and rank-synchronized. Three figures per cell:
 //!
@@ -37,7 +37,7 @@
 
 use std::time::Instant;
 
-use bt_ard::state::{ArdRankFactors, RankSystem};
+use bt_ard::state::{ArdRankFactors, RankSystem, ReplayFactors};
 use bt_ard::toeplitz::ToeplitzRankFactors;
 use bt_ard::{solve_single, BatchedSystems};
 use bt_bench::Args;
@@ -153,7 +153,7 @@ fn toeplitz_cell<C: CommBackend>(
 ) -> Result<(f64, f64, u64, u64, f64, f64, f64), FactorError> {
     let m = src.m();
     let sys = RankSystem::from_source(src, p, comm.rank());
-    let general = ArdRankFactors::<f64>::setup(comm, &sys, true)?;
+    let general = ArdRankFactors::setup(comm, &sys, true)?;
     let fast = ToeplitzRankFactors::setup(comm, &sys)?;
     let general_bytes = comm.allreduce(general.storage_bytes(), |a, b| a + b);
     let toeplitz_bytes = comm.allreduce(fast.storage_bytes(), |a, b| a + b);
@@ -165,7 +165,11 @@ fn toeplitz_cell<C: CommBackend>(
     let t_general = time_best(comm, reps, |comm| {
         general.solve_replay_into(comm, &y, &mut xg)
     });
-    let t_toeplitz = time_best(comm, reps, |comm| fast.solve_replay_into(comm, &y, &mut xt));
+    // Same copy-then-in-place shape as the general side's wrapper.
+    let t_toeplitz = time_best(comm, reps, |comm| {
+        xt.clone_from_slice(&y);
+        fast.solve_in_place(comm, &mut xt)
+    });
 
     let general_residual = rel_residual(comm, &sys, &xg, &y);
     let toeplitz_residual = rel_residual(comm, &sys, &xt, &y);

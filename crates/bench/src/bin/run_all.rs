@@ -22,7 +22,6 @@ const EXPERIMENTS: &[&str] = &[
     "fig6_comm_volume",
     "fig7_crossover",
     "figa1_windowed_ablation",
-    "figa2_lean_ablation",
     "figa4_spike_comparison",
     "figa5_refinement",
     "figa6_pcr_comparison",

@@ -2,7 +2,7 @@
 //!
 //! Claim: the one-time setup dominates a single solve by a factor ~`M`
 //! (so it is amortized after the first one or two right-hand-side
-//! batches), at a storage cost of ~`5 M^2` doubles per local row.
+//! batches), at a storage cost of ~`3 M^2` doubles per local row.
 //!
 //! ```text
 //! cargo run --release -p bt-bench --bin table2_breakdown -- \
@@ -68,7 +68,7 @@ fn main() {
     emit(&args, &table);
     println!(
         "Expected shape: setup/solve ratio ~O(M/R); amortization after 1-2\n\
-         batches; storage ~5 M^2 doubles per local row; residuals equal for\n\
+         batches; storage ~3 M^2 doubles per local row; residuals equal for\n\
          both algorithms (identical arithmetic)."
     );
 }

@@ -48,11 +48,8 @@ fn main() {
             match auto_solve(cfg.p, CostModel::zero(), &src, &batches) {
                 Ok(auto) => {
                     let (chosen, evidence) = match &auto.chosen {
-                        Chosen::ExactScan {
-                            boundary_condition,
-                            precision,
-                        } => (
-                            format!("exact-scan/{precision}"),
+                        Chosen::ExactScan { boundary_condition } => (
+                            "exact-scan".to_string(),
                             format!("cond {boundary_condition:.1e}"),
                         ),
                         Chosen::Windowed { reason, residual } => (

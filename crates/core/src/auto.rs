@@ -22,7 +22,6 @@ use bt_blocktri::{BlockRowSource, BlockTridiag, BlockVec, FactorError};
 use bt_mpsim::CostModel;
 
 use crate::driver::{ard_solve_cfg, pcr_solve_cfg, DistOutcome, DriverConfig};
-use crate::mixed::{Precision, MIXED_COND_MAX};
 use crate::state::BoundaryMode;
 use crate::toeplitz::detect_toeplitz;
 
@@ -35,21 +34,6 @@ pub const RESIDUAL_ACCEPT: f64 = 1e-9;
 
 /// Window length used by the escalation step.
 pub const WINDOW: usize = 64;
-
-/// Precision the mixed solve path should factor at, given a measured
-/// boundary condition estimate: `f32` factors plus `f64` refinement
-/// inside the gray-zone gate ([`MIXED_COND_MAX`]), full `f64` outside
-/// it. This is the same gate [`crate::mixed::MixedRankFactors`] applies
-/// at setup; exposed here so callers that already ran the `f64` ladder
-/// can pin the cheaper precision for subsequent batches without a trial
-/// factorization.
-pub fn choose_precision(boundary_condition: f64) -> Precision {
-    if boundary_condition.is_finite() && boundary_condition <= MIXED_COND_MAX {
-        Precision::F32
-    } else {
-        Precision::F64
-    }
-}
 
 /// Block orders served by the batched-small interleaved path: the SoA
 /// kernels vectorize across the batch, so only genuinely small blocks —
@@ -68,7 +52,7 @@ pub const BATCH_SMALL_MAX_N: usize = 64;
 /// the general path. The win scales with `N/P / head` (head = rows until
 /// the diagonal recurrence goes stationary, typically 15-40 on dominant
 /// systems); below ~2 heads per rank the shared-tail store and the
-/// `O(log)` companion power save nothing over the general prefix panels.
+/// `O(log)` companion power save nothing over the general per-row store.
 pub const TOEPLITZ_MIN_LOCAL: usize = 32;
 
 /// A detected structural specialization for a registered system (see
@@ -105,15 +89,10 @@ pub fn choose_strategy(src: &dyn BlockRowSource, p: usize) -> Strategy {
 /// Which strategy [`auto_solve`] ended up using.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Chosen {
-    /// The paper's exact-scan accelerated algorithm, at full precision.
+    /// The paper's exact-scan accelerated algorithm.
     ExactScan {
         /// Measured boundary condition estimate.
         boundary_condition: f64,
-        /// Precision the mixed path would factor this system at
-        /// ([`choose_precision`] of the measured estimate): `F32` means
-        /// subsequent batches can ride the half-width replay +
-        /// refinement path at equal final residual.
-        precision: Precision,
     },
     /// Windowed boundary recovery (verified by residual).
     Windowed {
@@ -162,7 +141,6 @@ pub fn auto_solve<S: BlockRowSource + Sync>(
             return Ok(AutoOutcome {
                 chosen: Chosen::ExactScan {
                     boundary_condition: outcome.boundary_condition,
-                    precision: choose_precision(outcome.boundary_condition),
                 },
                 outcome,
             });
@@ -250,16 +228,8 @@ mod tests {
         let batches = vec![random_rhs(256, 4, 2, 2)];
         let auto = auto_solve(4, ZERO, &src, &batches).unwrap();
         match &auto.chosen {
-            Chosen::ExactScan {
-                boundary_condition,
-                precision,
-            } => {
+            Chosen::ExactScan { boundary_condition } => {
                 assert!(*boundary_condition < 1e6, "cond {boundary_condition}");
-                assert_eq!(
-                    *precision,
-                    Precision::F32,
-                    "well-conditioned: mixed path applies"
-                );
             }
             other => panic!("expected exact scan, got {other:?}"),
         }

@@ -115,11 +115,12 @@ pub fn rd_solve_bytes_per_rank(c: &Config) -> f64 {
     setup_bytes_per_rank(c) + ard_solve_bytes_per_rank(c)
 }
 
-/// Bytes of stored factors per rank (ARD's memory price): five `M x M`
-/// matrices per local row plus the recorded scan traces.
+/// Bytes of stored factors per rank (ARD's memory price): three `M x M`
+/// matrices per local row (`LU(D_i)`, `F_i`, `G_i`) plus the recorded
+/// scan traces.
 pub fn ard_storage_bytes(c: &Config) -> f64 {
     let m2 = (c.m * c.m * 8) as f64;
-    5.0 * m2 * c.nl() as f64 + 2.0 * m2 * c.rounds() as f64
+    3.0 * m2 * c.nl() as f64 + 2.0 * m2 * c.rounds() as f64
 }
 
 /// Predicted modeled time of ARD setup under an alpha-beta/flop-rate

@@ -15,7 +15,7 @@ use bt_shm::ShmBackend;
 
 use crate::pcr::PcrRankFactors;
 use crate::spike::SpikeRankFactors;
-use crate::state::{ArdRankFactors, BoundaryMode, RankSystem};
+use crate::state::{ArdRankFactors, BoundaryMode, RankSystem, ReplayFactors};
 
 /// Per-phase timing of one run, aggregated over ranks (maximum).
 #[derive(Debug, Clone, Default)]
@@ -65,7 +65,6 @@ pub struct DistOutcome {
 
 /// Per-rank raw output carried back from the SPMD closure.
 struct RankOutput {
-    lo: usize,
     boundary_condition: f64,
     x_local: Vec<Vec<Mat>>, // [batch][local row]
     setup_wall: Duration,
@@ -75,37 +74,18 @@ struct RankOutput {
     factor_bytes: u64,
 }
 
+/// Gathers the per-rank outputs (in rank order, so each batch's panels
+/// concatenate in row order) into solutions and max-over-ranks timings,
+/// moving every solution panel.
 fn assemble(
     n: usize,
-    m: usize,
     batches: usize,
-    outputs: &[Result<RankOutput, FactorError>],
+    outputs: Vec<Result<RankOutput, FactorError>>,
 ) -> Result<(Vec<BlockVec>, PhaseTimings, u64, f64), FactorError> {
     // Surface the first error (all ranks agree on it).
-    for out in outputs {
-        if let Err(e) = out {
-            return Err(e.clone());
-        }
-    }
-    let outputs: Vec<&RankOutput> = outputs
-        .iter()
-        .map(|o| o.as_ref().expect("checked above"))
-        .collect();
+    let outputs: Vec<RankOutput> = outputs.into_iter().collect::<Result<_, _>>()?;
 
-    let r = outputs[0]
-        .x_local
-        .first()
-        .and_then(|b| b.first())
-        .map_or(0, Mat::cols);
-    let mut xs = vec![BlockVec::zeros(n, m, r); batches];
-    for out in &outputs {
-        for (bi, panels) in out.x_local.iter().enumerate() {
-            for (k, panel) in panels.iter().enumerate() {
-                xs[bi].blocks[out.lo + k] = panel.clone();
-            }
-        }
-    }
-
+    let mut blocks: Vec<Vec<Mat>> = (0..batches).map(|_| Vec::with_capacity(n)).collect();
     let mut t = PhaseTimings {
         setup_wall: Duration::ZERO,
         setup_modeled: 0.0,
@@ -114,7 +94,7 @@ fn assemble(
     };
     let mut factor_bytes = 0u64;
     let mut boundary_condition = 1.0f64;
-    for out in &outputs {
+    for out in outputs {
         t.setup_wall = t.setup_wall.max(out.setup_wall);
         t.setup_modeled = t.setup_modeled.max(out.setup_vt);
         for bi in 0..batches {
@@ -123,11 +103,15 @@ fn assemble(
         }
         factor_bytes = factor_bytes.max(out.factor_bytes);
         boundary_condition = boundary_condition.max(out.boundary_condition);
+        for (batch, panels) in blocks.iter_mut().zip(out.x_local) {
+            batch.extend(panels);
+        }
     }
+    let xs = blocks.into_iter().map(BlockVec::from_blocks).collect();
     Ok((xs, t, factor_bytes, boundary_condition))
 }
 
-/// Extracts rank `rank`'s local panels of a global block vector.
+/// Copies rank `rank`'s local panels of a global block vector.
 fn local_panels(part: &RowPartition, rank: usize, y: &BlockVec) -> Vec<Mat> {
     part.range(rank).map(|i| y.blocks[i].clone()).collect()
 }
@@ -202,12 +186,6 @@ pub struct DriverConfig {
     pub model: CostModel,
     /// Phase 1 boundary recovery mode.
     pub boundary: BoundaryMode,
-    /// Memory-lean accelerated solves: shed the per-row prefix matrices
-    /// after setup and use the boundary-recurrence replay
-    /// ([`ArdRankFactors::solve_replay_lean`]). Same flop count and
-    /// message pattern, ~40% less stored factor memory. Ignored by the
-    /// classic-RD driver.
-    pub lean: bool,
     /// Intra-rank threads for the dense kernels on each simulated rank.
     /// Overrides the cost model's `threads_per_rank` for the run:
     /// `run_spmd` stamps every rank thread with this budget and the
@@ -225,7 +203,6 @@ impl DriverConfig {
             p,
             model: CostModel::cluster(),
             boundary: BoundaryMode::ExactScan,
-            lean: false,
             threads_per_rank: bt_dense::threading::default_threads(),
         }
     }
@@ -248,17 +225,10 @@ impl DriverConfig {
         self.boundary = boundary;
         self
     }
-
-    /// Enables memory-lean accelerated solves.
-    pub fn with_lean(mut self) -> Self {
-        self.lean = true;
-        self
-    }
 }
 
 /// SPIKE-style partitioned solver under an explicit [`DriverConfig`]
-/// (the stability-oriented parallel baseline; `boundary`/`lean` are
-/// ignored).
+/// (the stability-oriented parallel baseline; `boundary` is ignored).
 ///
 /// # Errors
 ///
@@ -273,7 +243,7 @@ pub fn spike_solve_cfg<S: BlockRowSource + Sync>(
 }
 
 /// Amortized parallel cyclic reduction under an explicit
-/// [`DriverConfig`] (the BCYCLIC-style comparator; `boundary`/`lean` are
+/// [`DriverConfig`] (the BCYCLIC-style comparator; `boundary` is
 /// ignored).
 ///
 /// # Errors
@@ -455,7 +425,6 @@ fn run_driver_cfg_on<B: SpmdBackend, S: BlockRowSource + Sync>(
                 .collect();
 
             let mut out = RankOutput {
-                lo: sys.lo,
                 boundary_condition: 1.0,
                 x_local: Vec::with_capacity(batches.len()),
                 setup_wall: Duration::ZERO,
@@ -472,27 +441,20 @@ fn run_driver_cfg_on<B: SpmdBackend, S: BlockRowSource + Sync>(
                     let t0 = Instant::now();
                     let span_setup =
                         bt_obs::span_with("solver", "setup", || r#"{"algo":"ard"}"#.to_string());
-                    let mut factors = ArdRankFactors::setup_with(comm, &sys, true, cfg.boundary)?;
-                    if cfg.lean {
-                        factors.shed_prefixes();
-                    }
+                    let factors = ArdRankFactors::setup_with(comm, &sys, true, cfg.boundary)?;
                     comm.barrier();
                     drop(span_setup);
                     out.setup_wall = t0.elapsed();
                     out.setup_vt = comm.virtual_time() - vt0;
                     out.factor_bytes = factors.storage_bytes();
                     out.boundary_condition = factors.boundary_condition();
-                    for (bi, y_local) in y_locals.iter().enumerate() {
+                    for (bi, mut x) in y_locals.into_iter().enumerate() {
                         let vt0 = comm.virtual_time();
                         let t0 = Instant::now();
                         let _span = bt_obs::span_with("solver", "solve_batch", || {
                             format!("{{\"algo\":\"ard\",\"batch\":{bi}}}")
                         });
-                        let x = if cfg.lean {
-                            factors.solve_replay_lean(comm, y_local)
-                        } else {
-                            factors.solve_replay(comm, y_local)
-                        };
+                        factors.solve_in_place(comm, &mut x);
                         comm.barrier();
                         out.solve_wall.push(t0.elapsed());
                         out.solve_vt.push(comm.virtual_time() - vt0);
@@ -541,14 +503,14 @@ fn run_driver_cfg_on<B: SpmdBackend, S: BlockRowSource + Sync>(
                 }
                 Mode::ClassicRd => {
                     comm.barrier();
-                    for (bi, y_local) in y_locals.iter().enumerate() {
+                    for (bi, mut x) in y_locals.into_iter().enumerate() {
                         let vt0 = comm.virtual_time();
                         let t0 = Instant::now();
                         let _span = bt_obs::span_with("solver", "solve_batch", || {
                             format!("{{\"algo\":\"rd\",\"batch\":{bi}}}")
                         });
                         let factors = ArdRankFactors::setup_with(comm, &sys, false, cfg.boundary)?;
-                        let x = factors.solve_fresh(comm, y_local);
+                        factors.solve_fresh(comm, &mut x);
                         comm.barrier();
                         out.solve_wall.push(t0.elapsed());
                         out.solve_vt.push(comm.virtual_time() - vt0);
@@ -561,8 +523,7 @@ fn run_driver_cfg_on<B: SpmdBackend, S: BlockRowSource + Sync>(
     );
 
     let obs_counters = counters_before.map(|before| bt_obs::counters_diff(&before));
-    let (x, timings, factor_bytes, boundary_condition) =
-        assemble(n, m, batches.len(), &spmd.results)?;
+    let (x, timings, factor_bytes, boundary_condition) = assemble(n, batches.len(), spmd.results)?;
     Ok(DistOutcome {
         x,
         stats: spmd.stats,

@@ -10,10 +10,10 @@
 //! * **Accelerated recursive doubling (ARD)** — the paper's contribution —
 //!   observes that *all* matrix-dependent scan work is independent of the
 //!   right-hand sides. One `O(M^3 (N/P + log P))` [`setup`] stores the
-//!   block-diagonal factorizations, local prefix matrices and the
-//!   cross-rank scan matrices; each of the `R` subsequent solves then
-//!   costs only `O(M^2 R (N/P + log P))` and ships `M x R` panels instead
-//!   of `M x M` matrices. Over `R` right-hand sides this is an `O(R)`
+//!   block-diagonal factorizations, the per-row elimination multipliers
+//!   and the cross-rank scan matrices; each of the `R` subsequent solves
+//!   then costs only `O(M^2 R (N/P + log P))` and ships `M x R` panels
+//!   instead of `M x M` matrices. Over `R` right-hand sides this is an `O(R)`
 //!   improvement (saturating at `O(M)`), with `R ~ 10^2..10^4` in the
 //!   paper's applications.
 //!
@@ -52,7 +52,6 @@ pub mod batch;
 pub mod companion;
 pub mod complexity;
 pub mod driver;
-pub mod mixed;
 pub mod pairs;
 pub mod pcr;
 pub mod refine;
@@ -70,7 +69,6 @@ pub use driver::{
     ard_solve_cfg, ard_solve_cfg_on, ard_solve_dist, pcr_solve_cfg, pcr_solve_cfg_on, rd_solve_cfg,
     rd_solve_dist, spike_solve_cfg, BackendKind, DistOutcome, DriverConfig, PhaseTimings,
 };
-pub use mixed::{MixedRankFactors, Precision, MIXED_COND_MAX};
 pub use pcr::PcrRankFactors;
 pub use refine::{ard_solve_refined, RefinedSolve};
 pub use service::{
@@ -80,5 +78,5 @@ pub use service::{
 pub use session::{ArdSession, ArdSessionOn};
 pub use solver::{PcrSession, RankSolver, Session, SpikeSession};
 pub use spike::SpikeRankFactors;
-pub use state::{rd_solve_rank, ArdRankFactors, BoundaryMode, RankSystem};
+pub use state::{rd_solve_rank, ArdRankFactors, BoundaryMode, RankSystem, ReplayFactors};
 pub use toeplitz::{detect_toeplitz, ToeplitzRankFactors, ToeplitzSession};

@@ -21,9 +21,8 @@ use bt_dense::{gemm, gemm_flops, Element, Mat, Trans};
 
 /// An affine map `t -> mat * t + vec`, with `mat` of shape `M x M` and
 /// `vec` of shape `M x R` (`R` = number of simultaneous right-hand sides).
-/// Generic over the element type: `f64` by default, `f32` on the
-/// mixed-precision solve path (the scan algebra is identical, only the
-/// arithmetic width changes).
+/// Generic over the element type (`f64` by default); the scan algebra
+/// is identical at any width.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AffinePair<E: Element = f64> {
     /// The linear part.

@@ -17,7 +17,7 @@ use bt_blocktri::FactorError;
 use bt_comm::CommBackend;
 use bt_dense::{gemm, gemm_flops, Mat, MatMut, MatRef, Trans};
 
-use crate::state::{ArdRankFactors, BoundaryMode, RankSystem};
+use crate::state::{ArdRankFactors, BoundaryMode, RankSystem, ReplayFactors};
 
 /// Tags for the residual halo exchange.
 mod tags {
@@ -25,10 +25,10 @@ mod tags {
     pub const HALO_LEFT: u64 = 521; // panel travelling to rank-1
 }
 
-/// Accepted refinement sweeps per refined solve (`history.len() - 1`),
-/// across both the pure-`f64` and the mixed-precision paths. Exported
-/// as `bt_ard.refine.iters` by the Prometheus endpoint; `BT_OBS`-gated.
-pub(crate) static REFINE_ITERS: bt_obs::Histogram = bt_obs::Histogram::new("bt_ard.refine.iters");
+/// Accepted refinement sweeps per refined solve (`history.len() - 1`).
+/// Exported as `bt_ard.refine.iters` by the Prometheus endpoint;
+/// `BT_OBS`-gated.
+static REFINE_ITERS: bt_obs::Histogram = bt_obs::Histogram::new("bt_ard.refine.iters");
 
 /// Exchanges boundary panels with both neighbours: sends this rank's
 /// first/last panels, returns `(x_{lo-1}, x_{hi})` (zero panels at the
@@ -146,7 +146,7 @@ pub fn local_residual_into<C: CommBackend>(
 }
 
 /// Squared Frobenius norm of a panel list (local part).
-pub(crate) fn sq_norm(panels: &[Mat]) -> f64 {
+fn sq_norm(panels: &[Mat]) -> f64 {
     panels
         .iter()
         .map(|p| p.as_slice().iter().map(|v| v * v).sum::<f64>())
@@ -164,91 +164,88 @@ pub struct RefinedSolve {
     pub history: Vec<f64>,
 }
 
-impl ArdRankFactors {
-    /// Replay solve followed by up to `max_sweeps` iterative-refinement
-    /// sweeps. Stops early once the global relative residual drops below
-    /// `tol` or stops improving. Collective; all ranks receive the same
-    /// `history`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if setup was run without trace recording or the prefix
-    /// matrices were shed (refinement reuses the standard replay), or on
-    /// shape mismatch.
-    pub fn solve_replay_refined<C: CommBackend>(
-        &self,
-        comm: &mut C,
-        sys: &RankSystem,
-        y_local: &[Mat],
-        max_sweeps: usize,
-        tol: f64,
-    ) -> RefinedSolve {
-        let mut x = self.solve_replay(comm, y_local);
-        let y_norm2 = comm
-            .allreduce(sq_norm(y_local), |a, b| a + b)
-            .max(f64::MIN_POSITIVE);
+/// Body of [`ReplayFactors::solve_replay_refined`] for every factor
+/// layout: replay solve, then up to `max_sweeps` iterative-refinement
+/// sweeps. Stops early once the global relative residual drops below
+/// `tol` or stops improving. Collective; all ranks receive the same
+/// `history`.
+pub(crate) fn replay_refined<C: CommBackend, L: ReplayFactors + ?Sized>(
+    factors: &L,
+    comm: &mut C,
+    sys: &RankSystem,
+    y_local: &[Mat],
+    max_sweeps: usize,
+    tol: f64,
+) -> RefinedSolve {
+    let mut x = y_local.to_vec();
+    factors.solve_in_place(comm, &mut x);
+    let y_norm2 = comm
+        .allreduce(sq_norm(y_local), |a, b| a + b)
+        .max(f64::MIN_POSITIVE);
 
-        // One set of sweep buffers, reused every iteration: residual and
-        // correction panels plus the two halo panels. After the first
-        // sweep the refinement loop allocates nothing.
-        let nl = x.len();
-        let (m, r) = x[0].shape();
-        let mut res: Vec<Mat> = (0..nl).map(|_| Mat::zeros(m, r)).collect();
-        let mut dx: Vec<Mat> = (0..nl).map(|_| Mat::zeros(m, r)).collect();
-        let mut halo_l = Mat::zeros(m, r);
-        let mut halo_r = Mat::zeros(m, r);
-        let mut history = Vec::with_capacity(max_sweeps + 1);
+    // One set of sweep buffers, reused every iteration: residual and
+    // correction panels plus the two halo panels. After the first
+    // sweep the refinement loop allocates nothing.
+    let nl = x.len();
+    let (m, r) = x[0].shape();
+    let mut res: Vec<Mat> = (0..nl).map(|_| Mat::zeros(m, r)).collect();
+    let mut dx: Vec<Mat> = (0..nl).map(|_| Mat::zeros(m, r)).collect();
+    let mut halo_l = Mat::zeros(m, r);
+    let mut halo_r = Mat::zeros(m, r);
+    let mut history = Vec::with_capacity(max_sweeps + 1);
 
-        let mut residual = |comm: &mut C, x: &[Mat], res: &mut [Mat]| -> f64 {
-            halo_exchange_into(
-                comm,
-                x[0].as_ref(),
-                x[nl - 1].as_ref(),
-                halo_l.as_mut(),
-                halo_r.as_mut(),
-            );
-            local_residual_into(
-                comm,
-                sys,
-                x,
-                (halo_l.as_ref(), halo_r.as_ref()),
-                y_local,
-                res,
-            );
-            (comm.allreduce(sq_norm(res), |a, b| a + b) / y_norm2).sqrt()
-        };
+    let mut residual = |comm: &mut C, x: &[Mat], res: &mut [Mat]| -> f64 {
+        halo_exchange_into(
+            comm,
+            x[0].as_ref(),
+            x[nl - 1].as_ref(),
+            halo_l.as_mut(),
+            halo_r.as_mut(),
+        );
+        local_residual_into(
+            comm,
+            sys,
+            x,
+            (halo_l.as_ref(), halo_r.as_ref()),
+            y_local,
+            res,
+        );
+        (comm.allreduce(sq_norm(res), |a, b| a + b) / y_norm2).sqrt()
+    };
 
-        let mut rel = residual(comm, &x, &mut res);
-        history.push(rel);
+    let mut rel = residual(comm, &x, &mut res);
+    history.push(rel);
 
-        for sweep in 0..max_sweeps {
-            if rel <= tol {
-                break;
-            }
-            let _span = bt_obs::span_with("solver", "refine.sweep", || {
-                format!("{{\"sweep\":{sweep},\"rel_residual\":{rel:e}}}")
-            });
-            // Correction: dx = F^{-1} res; x += dx.
-            self.solve_replay_into(comm, &res, &mut dx);
+    for sweep in 0..max_sweeps {
+        if rel <= tol {
+            break;
+        }
+        let _span = bt_obs::span_with("solver", "refine.sweep", || {
+            format!("{{\"sweep\":{sweep},\"rel_residual\":{rel:e}}}")
+        });
+        // Correction: dx = F^{-1} res, solved in the residual's own
+        // panels (the old correction's buffers take the next residual);
+        // x += dx.
+        std::mem::swap(&mut res, &mut dx);
+        factors.solve_in_place(comm, &mut dx);
+        for (xk, dk) in x.iter_mut().zip(&dx) {
+            xk.add_assign(dk);
+        }
+        let new_rel = residual(comm, &x, &mut res);
+        if !new_rel.is_finite() || new_rel >= rel {
+            // Diverging or stagnant: undo the last correction and stop.
             for (xk, dk) in x.iter_mut().zip(&dx) {
-                xk.add_assign(dk);
+                xk.sub_assign(dk);
             }
-            let new_rel = residual(comm, &x, &mut res);
-            if !new_rel.is_finite() || new_rel >= rel {
-                // Diverging or stagnant: undo the last correction and stop.
-                for (xk, dk) in x.iter_mut().zip(&dx) {
-                    xk.sub_assign(dk);
-                }
-                break;
-            }
-            rel = new_rel;
-            history.push(rel);
+            break;
         }
-        REFINE_ITERS.record((history.len() - 1) as u64);
-        RefinedSolve {
-            x_local: x,
-            history,
-        }
+        rel = new_rel;
+        history.push(rel);
+    }
+    REFINE_ITERS.record((history.len() - 1) as u64);
+    RefinedSolve {
+        x_local: x,
+        history,
     }
 }
 

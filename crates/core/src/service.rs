@@ -11,13 +11,14 @@
 //! [`SolverService`] is that layer:
 //!
 //! * **Factorization cache** — matrices are identified by a content
-//!   fingerprint ([`MatrixKey`]: FNV-1a over `N`, `M` and every block
-//!   entry's bit pattern). [`SolverService::register`] returns the cached
-//!   [`crate::session::ArdSession`]'s key on a hit and factors on a miss; entries are
-//!   evicted least-recently-used once stored factor bytes exceed the
-//!   configured budget (the most recent entry is never evicted, and
-//!   in-flight solves keep their entry alive via `Arc`, so eviction can
-//!   never invalidate a queued request).
+//!   fingerprint ([`MatrixKey`]: a four-lane word hash over `N`, `M`
+//!   and every block entry's bit pattern). [`SolverService::register`]
+//!   returns the cached [`crate::session::ArdSession`]'s key on a hit
+//!   and factors on a miss; entries are evicted least-recently-used
+//!   once stored factor bytes exceed the configured budget (the most
+//!   recent entry is never evicted, and in-flight solves keep their
+//!   entry alive via `Arc`, so eviction can never invalidate a queued
+//!   request).
 //! * **RHS coalescer** — [`SolverService::submit`] enqueues a request
 //!   and returns a [`SolveTicket`]; a dispatcher thread groups queued
 //!   requests by matrix and flushes a group when its total width reaches
@@ -76,7 +77,6 @@ use bt_mpsim::SimBackend;
 
 use crate::auto::{choose_strategy, Strategy};
 use crate::batch::{solve_single, BatchedSystems};
-use crate::mixed::Precision;
 use crate::session::ArdSessionOn;
 
 static OBS_CACHE_HIT: bt_obs::Counter = bt_obs::Counter::new("bt_service.cache.hit");
@@ -107,56 +107,110 @@ static LAT_FACTOR: bt_obs::Latency = bt_obs::Latency::new("bt_service.factor_ns"
 
 /// Content fingerprint identifying a registered matrix.
 ///
-/// 64-bit FNV-1a over `(N, M, every block entry's `f64` bit pattern)` in
-/// row order. Two matrices with identical contents hash to the same key
-/// regardless of how their [`BlockRowSource`] is implemented; distinct
-/// matrices collide with probability ~2^-64, which the service treats as
-/// negligible (a collision would silently reuse the wrong factors).
+/// A 64-bit hash of `(N, M)` and every block entry's `f64` bit pattern,
+/// in row order (`A`, `B`, `C` of each row, column-major). Two matrices
+/// with identical contents hash to the same key regardless of how their
+/// [`BlockRowSource`] is implemented; distinct matrices collide with
+/// probability ~2^-64, which the service treats as negligible (a
+/// collision would silently reuse the wrong factors). That bound is for
+/// accidental collisions only: the key does not resist crafted ones, so
+/// a tenant choosing matrix entries can build two matrices with one key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MatrixKey(u64);
 
 impl MatrixKey {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    /// Fingerprints a matrix by content. `O(N M^2)` — cheap next to the
-    /// `O(M^3 N / P)` factorization it deduplicates.
+    /// Fingerprints a matrix by content, a word at a time. `O(N M^2)` —
+    /// cheap next to the `O(M^3 N / P)` factorization it deduplicates.
     pub fn fingerprint<S: BlockRowSource + ?Sized>(src: &S) -> Self {
-        Self::fingerprint_with(src, Precision::F64)
-    }
-
-    /// [`MatrixKey::fingerprint`] with the factor precision mixed into
-    /// the key, so `f32`-factored and `f64`-factored sessions of the
-    /// same matrix coexist in one cache. `F64` keys are byte-identical
-    /// to [`MatrixKey::fingerprint`] (nothing extra is mixed), keeping
-    /// every pre-existing key stable.
-    pub fn fingerprint_with<S: BlockRowSource + ?Sized>(src: &S, precision: Precision) -> Self {
-        let mut h = Self::FNV_OFFSET;
-        let mut mix = |w: u64| {
-            for byte in w.to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(Self::FNV_PRIME);
-            }
-        };
-        mix(src.n() as u64);
-        mix(src.m() as u64);
+        let mut h = WordHash::new();
         for i in 0..src.n() {
             let row = src.row(i);
             for blk in [&row.a, &row.b, &row.c] {
-                for &v in blk.as_slice() {
-                    mix(v.to_bits());
-                }
+                h.write(blk.as_slice());
             }
         }
-        if precision == Precision::F32 {
-            mix(0x6d69_7865_645f_6633); // "mixed_f3" tag
-        }
-        Self(h)
+        Self(h.finish(src.n() as u64, src.m() as u64))
     }
 
     /// The raw 64-bit fingerprint.
     pub fn as_u64(self) -> u64 {
         self.0
+    }
+}
+
+/// The word hash behind [`MatrixKey::fingerprint`], after xxHash64: four
+/// lanes each fold every fourth word of a block with a multiply-rotate
+/// round (so the four multiply chains run in parallel), the merge mixes
+/// in the word count and `(N, M)`, and the finalizer avalanches every
+/// input bit into every output bit.
+struct WordHash {
+    lanes: [u64; 4],
+    words: u64,
+}
+
+impl WordHash {
+    const P1: u64 = 0x9e37_79b1_85eb_ca87;
+    const P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+    const P3: u64 = 0x1656_67b1_9e37_79f9;
+    const P4: u64 = 0x85eb_ca77_c2b2_ae63;
+
+    fn new() -> Self {
+        Self {
+            lanes: [
+                Self::P1.wrapping_add(Self::P2),
+                Self::P2,
+                0,
+                Self::P1.wrapping_neg(),
+            ],
+            words: 0,
+        }
+    }
+
+    /// One lane step; a bijection of `acc` for a fixed word and of the
+    /// word for a fixed `acc`, so no single-word change cancels out.
+    #[inline]
+    fn round(acc: u64, word: u64) -> u64 {
+        acc.wrapping_add(word.wrapping_mul(Self::P2))
+            .rotate_left(31)
+            .wrapping_mul(Self::P1)
+    }
+
+    /// Folds one block's entries; a block's tail past a multiple of four
+    /// goes to the first lanes.
+    fn write(&mut self, block: &[f64]) {
+        let [mut l0, mut l1, mut l2, mut l3] = self.lanes;
+        let mut quads = block.chunks_exact(4);
+        for q in &mut quads {
+            l0 = Self::round(l0, q[0].to_bits());
+            l1 = Self::round(l1, q[1].to_bits());
+            l2 = Self::round(l2, q[2].to_bits());
+            l3 = Self::round(l3, q[3].to_bits());
+        }
+        self.lanes = [l0, l1, l2, l3];
+        for (lane, v) in self.lanes.iter_mut().zip(quads.remainder()) {
+            *lane = Self::round(*lane, v.to_bits());
+        }
+        self.words += block.len() as u64;
+    }
+
+    fn finish(self, n: u64, m: u64) -> u64 {
+        let [l0, l1, l2, l3] = self.lanes;
+        let mut h = l0
+            .rotate_left(1)
+            .wrapping_add(l1.rotate_left(7))
+            .wrapping_add(l2.rotate_left(12))
+            .wrapping_add(l3.rotate_left(18));
+        for v in [l0, l1, l2, l3, self.words, n, m] {
+            h = (h ^ Self::round(0, v))
+                .rotate_left(27)
+                .wrapping_mul(Self::P1)
+                .wrapping_add(Self::P4);
+        }
+        h ^= h >> 33;
+        h = h.wrapping_mul(Self::P2);
+        h ^= h >> 29;
+        h = h.wrapping_mul(Self::P3);
+        h ^ (h >> 32)
     }
 }
 
@@ -188,8 +242,11 @@ pub struct ServiceConfig {
     /// instead of spawning `ranks` threads per dispatch.
     pub world_reuse: bool,
     /// When set, trim each rank's pooled solve workspace back to this
-    /// many bytes after every dispatch, so one oversized batch does not
-    /// pin its high-water allocation for the life of the service.
+    /// many bytes after every successful dispatch, so one oversized
+    /// batch does not pin its high-water allocation for the life of the
+    /// service. The trim runs before the batch's tickets resolve, so
+    /// [`ServiceStats::ws_trimmed_bytes`] already counts it when
+    /// [`SolveTicket::wait`] returns; a failed solve skips it.
     pub ws_trim_bytes: Option<u64>,
     /// Directory the flight-recorder ring is dumped to when a dispatched
     /// solve panics (one `bt-flight-batch<id>.json` per panicked batch).
@@ -371,8 +428,8 @@ struct AtomicCounters {
     batched_systems: AtomicU64,
 }
 
-/// What a cache entry is backed by: a factored SPMD session (general,
-/// Toeplitz or mixed-precision), or the raw block rows of a small
+/// What a cache entry is backed by: a factored SPMD session (general or
+/// Toeplitz), or the raw block rows of a small
 /// system held for interleaved batched solves (`crate::batch`) — small
 /// systems are cheaper to re-factor per dispatch across the whole
 /// batch than to replay one at a time through an SPMD world.
@@ -499,28 +556,7 @@ impl<B: SpmdBackend> ServiceOn<B> {
     /// [`ServiceError::TooFewRows`] if `src.n() < ranks`,
     /// [`ServiceError::Factorization`] if setup breaks down.
     pub fn register<S: BlockRowSource + Sync>(&self, src: &S) -> Result<MatrixKey, ServiceError> {
-        self.register_with_precision(src, Precision::F64)
-    }
-
-    /// [`SolverService::register`] with an explicit factor precision.
-    ///
-    /// [`Precision::F64`] is exactly `register` (same key, same classic
-    /// session). [`Precision::F32`] factors through the mixed path
-    /// ([`ArdSessionOn::create_mixed`]): half-width factors + `f64`
-    /// refinement when the gray-zone gate allows it, a transparent
-    /// `f64` fallback when it does not — either way under a key distinct
-    /// from the `f64` registration, so both precisions of one matrix can
-    /// be cached and served side by side.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SolverService::register`].
-    pub fn register_with_precision<S: BlockRowSource + Sync>(
-        &self,
-        src: &S,
-        precision: Precision,
-    ) -> Result<MatrixKey, ServiceError> {
-        let key = MatrixKey::fingerprint_with(src, precision);
+        let key = MatrixKey::fingerprint(src);
         {
             let mut cache = lock(&self.inner.cache);
             cache.seq += 1;
@@ -534,14 +570,8 @@ impl<B: SpmdBackend> ServiceOn<B> {
         }
         self.inner.counters.cache_misses.fetch_add(1, Relaxed);
         OBS_CACHE_MISS.incr();
-        // Structure detection: `f64` registrations may route onto a
-        // specialized path. The mixed (`f32`) path stays on the general
-        // SPMD pipeline — its half-width replay machinery is the whole
-        // point of that registration.
-        let strategy = match precision {
-            Precision::F64 => choose_strategy(src, self.inner.cfg.ranks),
-            Precision::F32 => Strategy::General,
-        };
+        // Structure detection may route onto a specialized path.
+        let strategy = choose_strategy(src, self.inner.cfg.ranks);
         if strategy == Strategy::BatchedSmall {
             // Small systems skip the SPMD session entirely (so they are
             // exempt from the one-row-per-rank floor): the raw rows are
@@ -556,7 +586,7 @@ impl<B: SpmdBackend> ServiceOn<B> {
                 0,
                 0,
                 key.as_u64(),
-                format!("bytes={bytes} precision=f64 path=batched-small"),
+                format!("bytes={bytes} path=batched-small"),
             );
             let entry = Arc::new(CacheEntry {
                 key,
@@ -575,21 +605,15 @@ impl<B: SpmdBackend> ServiceOn<B> {
             });
         }
         let factor_start = Instant::now();
-        let session = match (precision, strategy) {
-            (Precision::F64, Strategy::Toeplitz) => {
-                self.inner
-                    .counters
-                    .toeplitz_registrations
-                    .fetch_add(1, Relaxed);
-                OBS_TOEPLITZ_REG.incr();
-                ArdSessionOn::<B>::create_toeplitz(self.inner.cfg.ranks, self.inner.cfg.model, src)
-            }
-            (Precision::F64, _) => {
-                ArdSessionOn::<B>::create(self.inner.cfg.ranks, self.inner.cfg.model, src)
-            }
-            (Precision::F32, _) => {
-                ArdSessionOn::<B>::create_mixed(self.inner.cfg.ranks, self.inner.cfg.model, src)
-            }
+        let session = if strategy == Strategy::Toeplitz {
+            self.inner
+                .counters
+                .toeplitz_registrations
+                .fetch_add(1, Relaxed);
+            OBS_TOEPLITZ_REG.incr();
+            ArdSessionOn::<B>::create_toeplitz(self.inner.cfg.ranks, self.inner.cfg.model, src)
+        } else {
+            ArdSessionOn::<B>::create(self.inner.cfg.ranks, self.inner.cfg.model, src)
         }
         .map_err(ServiceError::Factorization)?;
         LAT_FACTOR.record_duration(factor_start.elapsed());
@@ -601,8 +625,7 @@ impl<B: SpmdBackend> ServiceOn<B> {
             0,
             key.as_u64(),
             format!(
-                "bytes={bytes} precision={} path={}",
-                session.precision(),
+                "bytes={bytes} path={}",
                 match strategy {
                     Strategy::Toeplitz => "toeplitz",
                     _ => "general",
@@ -939,7 +962,7 @@ fn dispatch<B: SpmdBackend>(inner: &Inner<B>, batch: Vec<Pending<B>>) {
 
 /// Per-matrix dispatch over the cached SPMD session: stack the group's
 /// right-hand sides into one wide panel, replay once, split back.
-fn dispatch_spmd<B: SpmdBackend>(inner: &Inner<B>, batch: Vec<Pending<B>>) {
+fn dispatch_spmd<B: SpmdBackend>(inner: &Inner<B>, mut batch: Vec<Pending<B>>) {
     let entry = Arc::clone(&batch[0].entry);
     let Backing::Spmd(session) = &entry.backing else {
         unreachable!("spmd dispatch over non-spmd entry");
@@ -999,17 +1022,16 @@ fn dispatch_spmd<B: SpmdBackend>(inner: &Inner<B>, batch: Vec<Pending<B>>) {
     });
     let assemble_start = Instant::now();
     let assemble_span = bt_obs::span("service", "batch.assemble");
-    let wide;
     let y = if batch.len() == 1 {
-        &batch[0].rhs
+        // A lone request's own panels go to the solver by value.
+        BlockVec::from_blocks(std::mem::take(&mut batch[0].rhs.blocks))
     } else {
-        wide = hstack(&batch);
-        &wide
+        hstack(&batch)
     };
     drop(assemble_span);
     LAT_BATCH_ASSEMBLE.record_duration(assemble_start.elapsed());
 
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| session.solve(y)));
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| session.solve_owned(y)));
     let solve_time = dispatched_at.elapsed();
     LAT_SOLVE.record_duration(solve_time);
     drop(span);
@@ -1017,6 +1039,13 @@ fn dispatch_spmd<B: SpmdBackend>(inner: &Inner<B>, batch: Vec<Pending<B>>) {
     match result {
         Ok(Ok(x_wide)) => {
             bt_obs::flight::record("solve_ok", 0, batch_id, key, "");
+            // Trim before answering, so `ws_trimmed_bytes` counts it by
+            // the time any ticket's `wait` returns. Only a solve that
+            // succeeded trims: a panicked one may have lost the factors.
+            if let Some(budget) = inner.cfg.ws_trim_bytes {
+                let released = session.trim_workspaces(budget);
+                inner.counters.ws_trimmed_bytes.fetch_add(released, Relaxed);
+            }
             let mut parts = if widths.len() == 1 {
                 vec![x_wide]
             } else {
@@ -1064,11 +1093,6 @@ fn dispatch_spmd<B: SpmdBackend>(inner: &Inner<B>, batch: Vec<Pending<B>>) {
                 let _ = p.tx.send(Err(ServiceError::SolveFailed(msg.clone())));
             }
         }
-    }
-
-    if let Some(budget) = inner.cfg.ws_trim_bytes {
-        let released = session.trim_workspaces(budget);
-        inner.counters.ws_trimmed_bytes.fetch_add(released, Relaxed);
     }
 }
 

@@ -46,17 +46,14 @@ use bt_mpsim::SimBackend;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use crate::mixed::{MixedRankFactors, Precision};
-use crate::state::{ArdRankFactors, BoundaryMode, RankSystem};
+use crate::state::{ArdRankFactors, BoundaryMode, RankSystem, ReplayFactors};
 use crate::toeplitz::ToeplitzRankFactors;
 
-/// A rank's factor state: the classic full-precision factors, the
-/// precision-adaptive mixed set (`f32` + refinement, with its own
-/// gray-zone fallback to `f64`), or the constant-block Toeplitz store
-/// (`O(log)`-sized factors over the same replay pipeline).
+/// A rank's factor state: the general per-row store or the
+/// constant-block Toeplitz layout (head plus shared tail). Both feed the
+/// same replay body.
 enum SessionFactors {
     Plain(ArdRankFactors),
-    Mixed(MixedRankFactors),
     Toeplitz(ToeplitzRankFactors),
 }
 
@@ -64,7 +61,6 @@ impl SessionFactors {
     fn storage_bytes(&self) -> u64 {
         match self {
             SessionFactors::Plain(f) => f.storage_bytes(),
-            SessionFactors::Mixed(f) => f.storage_bytes(),
             SessionFactors::Toeplitz(f) => f.storage_bytes(),
         }
     }
@@ -72,9 +68,30 @@ impl SessionFactors {
     fn trim_workspace(&self, max_pooled_bytes: u64) -> u64 {
         match self {
             SessionFactors::Plain(f) => f.trim_workspace(max_pooled_bytes),
-            SessionFactors::Mixed(f) => f.trim_workspace(max_pooled_bytes),
             SessionFactors::Toeplitz(f) => f.trim_workspace(max_pooled_bytes),
         }
+    }
+}
+
+/// One rank's share of a session solve: the replay runs in place in the
+/// rank's own right-hand-side panels when `max_sweeps == 0`; refinement
+/// keeps `y_local` for its residuals and returns fresh panels. Returns
+/// the solution panels and the residual history (empty without
+/// refinement).
+fn solve_rank<L: ReplayFactors, C: CommBackend>(
+    factors: &L,
+    comm: &mut C,
+    sys: &RankSystem,
+    mut y_local: Vec<Mat>,
+    max_sweeps: usize,
+    tol: f64,
+) -> (Vec<Mat>, Vec<f64>) {
+    if max_sweeps == 0 {
+        factors.solve_in_place(comm, &mut y_local);
+        (y_local, Vec::new())
+    } else {
+        let refined = factors.solve_replay_refined(comm, sys, &y_local, max_sweeps, tol);
+        (refined.x_local, refined.history)
     }
 }
 
@@ -124,9 +141,6 @@ pub struct ArdSessionOn<B: SpmdBackend> {
     /// Total stored factor bytes, captured at creation (so the getter
     /// never has to touch the factor lock).
     factor_bytes: u64,
-    /// Element type the factors were stored at (identical on all ranks;
-    /// `F64` for classic sessions, the gate's decision for mixed ones).
-    precision: Precision,
     /// Per-rank factors, handed out to worlds on each solve and returned
     /// afterwards. Held only for checkout/restore — never across a solve.
     state: Mutex<FactorStore>,
@@ -265,41 +279,14 @@ impl<B: SpmdBackend> ArdSessionOn<B> {
         })
     }
 
-    /// [`ArdSession::create`] through the precision-adaptive mixed path:
-    /// factors are stored in `f32` (half the bytes, half the replay wire
-    /// volume, wide-SIMD kernels) when the gray-zone gate allows it, and
-    /// transparently in `f64` when it does not (see [`crate::mixed`]).
-    /// Every solve through a mixed session runs `f64` iterative
-    /// refinement, so final residuals match the classic session's;
-    /// [`ArdSessionOn::precision`] reports the gate's decision.
-    ///
-    /// # Errors
-    ///
-    /// [`FactorError`] if even the `f64` fallback factorization breaks
-    /// down.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src.n() < p`.
-    pub fn create_mixed<S: BlockRowSource + Sync>(
-        p: usize,
-        model: CostModel,
-        src: &S,
-    ) -> Result<Self, FactorError> {
-        Self::create_impl(p, model, BoundaryMode::ExactScan, src, |comm, sys| {
-            Ok(SessionFactors::Mixed(MixedRankFactors::setup(comm, sys)?))
-        })
-    }
-
     /// [`ArdSession::create`] through the constant-block Toeplitz fast
-    /// path: per-row prefix panels are replaced by a short head plus one
+    /// path: per-row factors are replaced by a short head plus one
     /// shared tail triple and the cross-rank scan runs over repeated
-    /// squaring, so factor storage is `O(head + log)` instead of
-    /// `O(N/P)` per rank (see [`crate::toeplitz`]). Solves replay
-    /// through the same tiled pipeline as the general session. Only
-    /// call this for sources that pass [`crate::detect_toeplitz`] —
-    /// the setup debug-asserts constancy but does not re-verify it in
-    /// release builds.
+    /// squaring, so factor storage is `O(head)` instead of `O(N/P)` per
+    /// rank (see [`crate::toeplitz`]). Solves run the same replay body
+    /// as the general session. Only call this for sources that pass
+    /// [`crate::detect_toeplitz`] — the setup debug-asserts constancy
+    /// but does not re-verify it in release builds.
     ///
     /// # Errors
     ///
@@ -348,12 +335,6 @@ impl<B: SpmdBackend> ArdSessionOn<B> {
             Ok((sys, factors))
         });
         let state: Vec<RankState> = out.results.into_iter().collect::<Result<_, _>>()?;
-        // The gray-zone gate's decision is derived from allreduced
-        // quantities, so every rank agrees; rank 0 speaks for all.
-        let precision = match &state[0].1 {
-            SessionFactors::Plain(_) | SessionFactors::Toeplitz(_) => Precision::F64,
-            SessionFactors::Mixed(f) => f.precision(),
-        };
         let factor_bytes = state.iter().map(|(_, f)| f.storage_bytes()).sum();
         Ok(Self {
             p,
@@ -362,7 +343,6 @@ impl<B: SpmdBackend> ArdSessionOn<B> {
             model,
             part: RowPartition::new(n, p),
             factor_bytes,
-            precision,
             state: Mutex::new(FactorStore::Available(state)),
             state_cv: Condvar::new(),
             world: Mutex::new(None),
@@ -393,14 +373,6 @@ impl<B: SpmdBackend> ArdSessionOn<B> {
     /// Total stored factor bytes across ranks (captured at creation).
     pub fn factor_bytes(&self) -> u64 {
         self.factor_bytes
-    }
-
-    /// Element type the stored factors use: [`Precision::F64`] for
-    /// classic sessions, and for [`ArdSessionOn::create_mixed`] sessions
-    /// the gray-zone gate's decision (`F32` fast path, or `F64` when the
-    /// system's conditioning forced the fallback).
-    pub fn precision(&self) -> Precision {
-        self.precision
     }
 
     /// Switches persistent-world reuse on or off. When on, solves run on
@@ -450,7 +422,9 @@ impl<B: SpmdBackend> ArdSessionOn<B> {
         trimmed
     }
 
-    /// Solves one right-hand-side batch with the stored factors.
+    /// Solves one right-hand-side batch with the stored factors. Costs
+    /// one copy of `y`: the copy's panels move to the ranks, are solved
+    /// in place and move back as the solution.
     ///
     /// # Errors
     ///
@@ -462,6 +436,12 @@ impl<B: SpmdBackend> ArdSessionOn<B> {
     /// Panics on shape mismatch, or if an earlier panicked solve lost
     /// the factors (see the module docs on concurrency).
     pub fn solve(&self, y: &BlockVec) -> Result<BlockVec, FactorError> {
+        self.solve_owned(y.clone())
+    }
+
+    /// [`ArdSession::solve`] on an owned batch, with no copy: the
+    /// service dispatcher hands over each request's own panels.
+    pub(crate) fn solve_owned(&self, y: BlockVec) -> Result<BlockVec, FactorError> {
         Ok(self.solve_inner(y, 0, 0.0)?.0)
     }
 
@@ -482,30 +462,31 @@ impl<B: SpmdBackend> ArdSessionOn<B> {
         max_sweeps: usize,
         tol: f64,
     ) -> Result<(BlockVec, Vec<f64>), FactorError> {
-        self.solve_inner(y, max_sweeps, tol)
+        self.solve_inner(y.clone(), max_sweeps, tol)
     }
 
     fn solve_inner(
         &self,
-        y: &BlockVec,
+        y: BlockVec,
         max_sweeps: usize,
         tol: f64,
     ) -> Result<(BlockVec, Vec<f64>), FactorError> {
         assert_eq!(y.n(), self.n, "rhs block count mismatch");
         assert_eq!(y.m(), self.m, "rhs block order mismatch");
 
-        // Pre-slice the right-hand side per rank (one copy, same as the
-        // per-rank clones the world used to make) so the job closure can
-        // be `'static` for a persistent world.
-        let y_slices: Arc<Vec<parking_lot::Mutex<Option<Vec<Mat>>>>> = Arc::new(
-            (0..self.p)
-                .map(|rank| {
-                    parking_lot::Mutex::new(Some(
-                        self.part.range(rank).map(|i| y.blocks[i].clone()).collect(),
-                    ))
-                })
-                .collect(),
-        );
+        // Split the right-hand side into per-rank slices by moving its
+        // panels (no copies), so the job closure can be `'static` for a
+        // persistent world.
+        let mut blocks = y.blocks;
+        let mut slices: Vec<parking_lot::Mutex<Option<Vec<Mat>>>> = (0..self.p)
+            .rev()
+            .map(|rank| {
+                let lo = self.part.range(rank).start;
+                parking_lot::Mutex::new(Some(blocks.split_off(lo)))
+            })
+            .collect();
+        slices.reverse();
+        let y_slices = Arc::new(slices);
 
         // Short lock: factors leave the session here and come back when
         // `lease` drops — even if the solve below unwinds.
@@ -521,60 +502,29 @@ impl<B: SpmdBackend> ArdSessionOn<B> {
             let _ctx_guard = ctx.clone().map(bt_obs::ctx::enter);
             let _span = bt_obs::span("session", "replay.solve");
             let (sys, factors) = slots[comm.rank()].lock().take().expect("state present");
-            let y_local: Vec<Mat> = y_slices[comm.rank()]
+            let y_local = y_slices[comm.rank()]
                 .lock()
                 .take()
                 .expect("rhs slice present");
-            let (x_local, history) = match &factors {
-                SessionFactors::Plain(f) => {
-                    if max_sweeps == 0 {
-                        (f.solve_replay(comm, &y_local), Vec::new())
-                    } else {
-                        let refined = f.solve_replay_refined(comm, &sys, &y_local, max_sweeps, tol);
-                        (refined.x_local, refined.history)
-                    }
-                }
-                SessionFactors::Toeplitz(f) => {
-                    if max_sweeps == 0 {
-                        (f.solve_replay(comm, &y_local), Vec::new())
-                    } else {
-                        let refined = f.solve_replay_refined(comm, &sys, &y_local, max_sweeps, tol);
-                        (refined.x_local, refined.history)
-                    }
-                }
-                SessionFactors::Mixed(f) => {
-                    // Mixed factors always refine: `f32` replay error
-                    // must be corrected in `f64` before anyone sees the
-                    // answer, so a plain `solve` gets the defaults.
-                    let (sweeps, tol) = if max_sweeps == 0 {
-                        (
-                            crate::mixed::MIXED_DEFAULT_SWEEPS,
-                            crate::mixed::MIXED_DEFAULT_TOL,
-                        )
-                    } else {
-                        (max_sweeps, tol)
-                    };
-                    let refined = f.solve_refined(comm, &sys, &y_local, sweeps, tol);
-                    (refined.x_local, refined.history)
-                }
+            let solved = match &factors {
+                SessionFactors::Plain(f) => solve_rank(f, comm, &sys, y_local, max_sweeps, tol),
+                SessionFactors::Toeplitz(f) => solve_rank(f, comm, &sys, y_local, max_sweeps, tol),
             };
             *slots[comm.rank()].lock() = Some((sys, factors));
-            (x_local, history)
+            solved
         };
 
         let out = self.run_world(job);
         drop(lease); // factors restored; waiters wake
 
-        let mut x = BlockVec::zeros(self.n, self.m, y.r());
+        // Reassemble by moving each rank's panels back, in rank order.
+        let mut blocks = Vec::with_capacity(self.n);
         let mut history = Vec::new();
-        for (rank, (panels, h)) in out.results.into_iter().enumerate() {
-            let lo = self.part.range(rank).start;
-            for (k, panel) in panels.into_iter().enumerate() {
-                x.blocks[lo + k] = panel;
-            }
+        for (panels, h) in out.results {
+            blocks.extend(panels);
             history = h;
         }
-        Ok((x, history))
+        Ok((BlockVec::from_blocks(blocks), history))
     }
 
     /// Runs `job` on the persistent world when reuse is on (rebuilding a

@@ -12,7 +12,7 @@
 //!
 //! `Session<S>` generalizes [`crate::session::ArdSession`]: pick the
 //! solver by type parameter, keep the `ArdSession` type when you need
-//! ARD-specific extras (boundary modes, lean replay, refinement).
+//! ARD-specific extras (boundary modes, refinement).
 
 use bt_blocktri::{BlockRowSource, BlockVec, FactorError, RowPartition};
 use bt_comm::{CommBackend, CostModel};
@@ -197,7 +197,7 @@ impl<S: RankSolver> Session<S> {
 }
 
 /// Session over the accelerated recursive doubling solver (exact scan).
-/// For boundary modes / lean replay / refinement, use
+/// For boundary modes / refinement, use
 /// [`crate::session::ArdSession`].
 pub type ArdGenericSession = Session<ArdRankFactors>;
 /// Session over the SPIKE partitioned solver.

@@ -5,10 +5,16 @@
 //! tridiagonal matrix. [`ArdRankFactors::setup`] runs all
 //! matrix-dependent work — Phase 1 (block diagonals via the companion
 //! scan) plus the matrix components of the Phase 2/3 affine scans — in
-//! `O(M^3 (N/P + log P))` time. Each subsequent
-//! [`ArdRankFactors::solve_replay`] handles an `R`-column right-hand-side
-//! batch in `O(M^2 R (N/P + log P))` time, exchanging only `M x R`
-//! panels.
+//! `O(M^3 (N/P + log P))` time. Each subsequent replay
+//! ([`ReplayFactors::solve_in_place`]) handles an `R`-column
+//! right-hand-side batch in `O(M^2 R (N/P + log P))` time, exchanging
+//! only `M x R` panels.
+//!
+//! Every replay runs one in-place body over the [`ReplayFactors`]
+//! accessor: a rank's `LU(D_i)`, `F_i` and `G_i` by local row, plus the
+//! recorded scan traces. [`ArdRankFactors`] stores them per row;
+//! [`crate::toeplitz::ToeplitzRankFactors`] stores a short head plus one
+//! shared tail triple.
 //!
 //! Classic recursive doubling is the same machinery without reuse:
 //! [`rd_solve_rank`] rebuilds the factors and runs the fresh-scan solve
@@ -20,19 +26,20 @@ use std::cell::RefCell;
 use bt_blocktri::{BlockRow, BlockRowSource, FactorError, RowPartition};
 use bt_comm::CommBackend;
 use bt_dense::{
-    gemm, gemm_flops, lu_flops, lu_solve_flops, Element, LuFactors, Mat, Trans, Workspace,
-    WorkspaceStats,
+    gemm, gemm_flops, lu_flops, lu_solve_flops, LuFactors, Mat, Trans, Workspace, WorkspaceStats,
 };
 
 use crate::companion::{CompanionProduct, CompanionState, CompanionW};
 use crate::pairs::AffinePair;
+use crate::refine::RefinedSolve;
 use crate::scans::{
-    affine_exscan_fresh, affine_exscan_replay_tiled, auto_rhs_tile_for, companion_exscan,
-    Direction, ScanTrace,
+    affine_exscan_fresh, affine_exscan_replay_tiled, auto_rhs_tile, companion_exscan, Direction,
+    ScanTrace,
 };
 
-/// Tag bases for the point-to-point scans (each scan uses `base + step`).
-mod tags {
+/// Tag bases for the point-to-point scans (each scan uses `base + step`);
+/// shared by every factor layout, since a world runs one solver family.
+pub(crate) mod tags {
     pub const PHASE1: u64 = 0;
     pub const FWD_SETUP: u64 = 64;
     pub const BWD_SETUP: u64 = 128;
@@ -147,18 +154,309 @@ impl RankSystem {
     }
 }
 
-/// Matrix-dependent state produced by setup and reused across solves.
+/// Row-indexed access to a rank's stored replay factors — the one thing
+/// that differs between factor layouts. The replay body reads every
+/// factor through it, so each layout runs the same arithmetic in the
+/// same order: [`ArdRankFactors`] stores every owned row,
+/// [`crate::toeplitz::ToeplitzRankFactors`] a pre-convergence head plus
+/// one shared tail triple.
+pub trait ReplayFactors {
+    /// Number of owned rows.
+    fn rows(&self) -> usize;
+
+    /// `LU(D_i)` of local row `k` (global row `lo + k`).
+    fn d_lu(&self, k: usize) -> &LuFactors;
+
+    /// `F_i = -A_i D_{i-1}^{-1}` of local row `k` (`F_0 = 0`).
+    fn f(&self, k: usize) -> &Mat;
+
+    /// `G_i = -D_i^{-1} C_i` of local row `k` (`G_{N-1} = 0`).
+    fn g(&self, k: usize) -> &Mat;
+
+    /// The recorded forward and backward cross-rank scan traces.
+    fn traces(&self) -> (&ScanTrace, &ScanTrace);
+
+    /// The rank-owned buffer pool every replay temporary cycles through,
+    /// so a warm replay allocates nothing (see DESIGN.md "Memory
+    /// model"). `RefCell` keeps the `&self` solve signatures; factors
+    /// are owned by one rank thread, never shared.
+    fn workspace(&self) -> &RefCell<Workspace>;
+
+    /// Solves one right-hand-side batch in place by **replaying** the
+    /// recorded scans — the accelerated path, `O(M^2 R (N/P + log P))`.
+    /// `x[k]` holds the `M x R` right-hand-side panel of global row
+    /// `lo + k` on entry and its solution on return. The scan pipeline's
+    /// RHS tile is the `BT_ARD_RHS_TILE` override when set, else the
+    /// cost-model calibration ([`auto_rhs_tile`]). Collective.
+    ///
+    /// # Panics
+    ///
+    /// Panics on panel count or shape mismatch.
+    fn solve_in_place<C: CommBackend>(&self, comm: &mut C, x: &mut [Mat]) {
+        let (m, r) = x.first().map_or((0, 0), Mat::shape);
+        let tile = resolve_rhs_tile(comm, m, r);
+        self.solve_in_place_tiled(comm, x, tile);
+    }
+
+    /// [`ReplayFactors::solve_in_place`] with an explicit RHS tile width
+    /// for the scan pipeline (see [`affine_exscan_replay_tiled`]); the
+    /// output is bitwise identical for every `tile`.
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`ReplayFactors::solve_in_place`].
+    fn solve_in_place_tiled<C: CommBackend>(&self, comm: &mut C, x: &mut [Mat], tile: usize) {
+        let (fwd, bwd) = self.traces();
+        solve_in_place_with(self, comm, x, Scans::Replay { fwd, bwd, tile });
+    }
+
+    /// Replay solve followed by up to `max_sweeps` iterative-refinement
+    /// sweeps; see [`crate::refine`]. Collective; all ranks receive the
+    /// same `history`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on shape mismatch.
+    fn solve_replay_refined<C: CommBackend>(
+        &self,
+        comm: &mut C,
+        sys: &RankSystem,
+        y_local: &[Mat],
+        max_sweeps: usize,
+        tol: f64,
+    ) -> RefinedSolve {
+        crate::refine::replay_refined(self, comm, sys, y_local, max_sweeps, tol)
+    }
+
+    /// Shrinks the pooled solve workspace to at most `max_pooled_bytes`
+    /// of idle capacity (largest buffers dropped first), returning the
+    /// bytes released. Bounds the memory a single oversized batch pins
+    /// for the session's lifetime — see [`Workspace::trim_to`].
+    fn trim_workspace(&self, max_pooled_bytes: u64) -> u64 {
+        self.workspace().borrow_mut().trim_to(max_pooled_bytes)
+    }
+}
+
+/// Replay-pipeline RHS tile width for an `M x R` batch: the
+/// `BT_ARD_RHS_TILE` override when set (`0`/unset means auto), else the
+/// cost-model calibration in [`auto_rhs_tile`].
+fn resolve_rhs_tile<C: CommBackend>(comm: &C, m: usize, r: usize) -> usize {
+    static ENV_TILE: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
+    let env = *ENV_TILE.get_or_init(|| {
+        std::env::var("BT_ARD_RHS_TILE")
+            .ok()
+            .and_then(|v| v.trim().parse::<usize>().ok())
+            .filter(|&t| t > 0)
+    });
+    env.unwrap_or_else(|| auto_rhs_tile(&comm.model(), m, r))
+}
+
+/// The cross-rank scans one solve runs.
+#[derive(Clone, Copy)]
+enum Scans<'a> {
+    /// The accelerated replay: only `M x R` panels travel, combined
+    /// against the recorded traces and pipelined over RHS tiles of
+    /// `tile` columns.
+    Replay {
+        fwd: &'a ScanTrace,
+        bwd: &'a ScanTrace,
+        tile: usize,
+    },
+    /// Classic recursive doubling: fresh affine pairs travel, built
+    /// from the local prefix totals `F_{hi-1} ... F_lo` and
+    /// `G_lo ... G_{hi-1}`, and every combine pays the `O(M^3)` product.
+    Fresh {
+        fwd_total: &'a Mat,
+        bwd_total: &'a Mat,
+    },
+}
+
+impl Scans<'_> {
+    /// Exclusive scan of this rank's local total along `dir`: the
+    /// boundary value `z_{lo-1}` (forward) or `x_hi` (backward), or
+    /// `None` on the logically first rank.
+    fn exclusive<C: CommBackend>(
+        self,
+        comm: &mut C,
+        dir: Direction,
+        total: Mat,
+        ws: &mut Workspace,
+    ) -> Option<Mat> {
+        let forward = dir == Direction::Forward;
+        let tag = if forward {
+            tags::FWD_SOLVE
+        } else {
+            tags::BWD_SOLVE
+        };
+        match self {
+            Scans::Replay { fwd, bwd, tile } => {
+                let trace = if forward { fwd } else { bwd };
+                affine_exscan_replay_tiled(comm, dir, tag, total, trace, ws, tile)
+            }
+            Scans::Fresh {
+                fwd_total,
+                bwd_total,
+            } => {
+                let mat = if forward { fwd_total } else { bwd_total }.clone();
+                affine_exscan_fresh(comm, dir, tag, AffinePair { mat, vec: total }, None)
+            }
+        }
+    }
+}
+
+/// The one solve body: forward substitution `z_i = F_i z_{i-1} + y_i`,
+/// diagonal solves `h_i = D_i^{-1} z_i`, backward substitution
+/// `x_i = G_i x_{i+1} + h_i`, all in place in `x` (`y -> z -> h -> x`).
 ///
-/// Generic over the factor element type `E` (default `f64`): the source
-/// system stays `f64`, Phase 1's companion scan and boundary extraction
-/// run in `f64` (they set the accuracy envelope), and the per-row
-/// factors, prefixes and recorded scan traces are stored — and every
-/// replay runs — at `E`. `ArdRankFactors<f32>` is the mixed-precision
-/// factorization underneath [`crate::mixed`]: half the factor bytes,
-/// half the wire bytes per scan panel, and the wide-SIMD `f32` kernels,
-/// with accuracy restored by `f64` iterative refinement.
+/// Each substitution is the boundary-value recurrence. The logically
+/// first rank runs it directly, and its last value doubles as the scan
+/// total. Every other rank folds its local total (the recurrence from a
+/// zero boundary) through workspace buffers, scans, and runs the
+/// recurrence from the scanned boundary value — the scan's exclusive
+/// vector *is* `z_{lo-1}` (`x_hi` backward). So the only per-row factors
+/// are `LU(D_i)`, `F_i` and `G_i`, and every temporary cycles through
+/// the rank workspace.
+fn solve_in_place_with<C: CommBackend, L: ReplayFactors + ?Sized>(
+    factors: &L,
+    comm: &mut C,
+    x: &mut [Mat],
+    scans: Scans<'_>,
+) {
+    let nl = factors.rows();
+    assert_eq!(x.len(), nl, "rhs panel count mismatch");
+    let (m, r) = x[0].shape();
+    for (k, p) in x.iter().enumerate() {
+        assert_eq!(p.shape(), (m, r), "rhs panel {k} shape mismatch");
+    }
+    let mut ws = factors.workspace().borrow_mut();
+
+    // ---- Phase 2: forward substitution. ---------------------------------
+    let span_fwd = bt_obs::span("solver", "solve.forward");
+    if comm.rank() == 0 {
+        for k in 1..nl {
+            let (done, rest) = x.split_at_mut(k);
+            gemm(
+                1.0,
+                factors.f(k),
+                Trans::No,
+                &done[k - 1],
+                Trans::No,
+                1.0,
+                &mut rest[0],
+            );
+            comm.compute(gemm_flops(m, m, r));
+        }
+        let total = ws.take_copy(x[nl - 1].as_ref());
+        let none = scans.exclusive(comm, Direction::Forward, total, &mut ws);
+        debug_assert!(none.is_none());
+    } else {
+        let mut total = ws.take_copy(x[0].as_ref());
+        for (k, yk) in x.iter().enumerate().skip(1) {
+            let mut v = ws.take_copy(yk.as_ref());
+            gemm(1.0, factors.f(k), Trans::No, &total, Trans::No, 1.0, &mut v);
+            comm.compute(gemm_flops(m, m, r));
+            ws.put(std::mem::replace(&mut total, v));
+        }
+        let z_before = scans
+            .exclusive(comm, Direction::Forward, total, &mut ws)
+            .expect("non-first rank always has an exclusive value");
+        for k in 0..nl {
+            let (done, rest) = x.split_at_mut(k);
+            let prev = if k == 0 { &z_before } else { &done[k - 1] };
+            gemm(
+                1.0,
+                factors.f(k),
+                Trans::No,
+                prev,
+                Trans::No,
+                1.0,
+                &mut rest[0],
+            );
+            comm.compute(gemm_flops(m, m, r));
+        }
+        ws.put(z_before);
+    }
+    drop(span_fwd);
+
+    // ---- h_i = D_i^{-1} z_i. --------------------------------------------
+    {
+        let _span = bt_obs::span("solver", "solve.diag");
+        for (k, xk) in x.iter_mut().enumerate() {
+            factors.d_lu(k).solve_in_place(&mut *xk);
+            comm.compute(lu_solve_flops(m, r));
+        }
+    }
+
+    // ---- Phase 3: backward substitution, the mirror image. --------------
+    let _span_bwd = bt_obs::span("solver", "solve.backward");
+    if comm.rank() + 1 == comm.size() {
+        for k in (0..nl - 1).rev() {
+            let (head, tail) = x.split_at_mut(k + 1);
+            gemm(
+                1.0,
+                factors.g(k),
+                Trans::No,
+                &tail[0],
+                Trans::No,
+                1.0,
+                &mut head[k],
+            );
+            comm.compute(gemm_flops(m, m, r));
+        }
+        let total = ws.take_copy(x[0].as_ref());
+        let none = scans.exclusive(comm, Direction::Backward, total, &mut ws);
+        debug_assert!(none.is_none());
+    } else {
+        let mut total = ws.take_copy(x[nl - 1].as_ref());
+        for k in (0..nl - 1).rev() {
+            let mut v = ws.take_copy(x[k].as_ref());
+            gemm(1.0, factors.g(k), Trans::No, &total, Trans::No, 1.0, &mut v);
+            comm.compute(gemm_flops(m, m, r));
+            ws.put(std::mem::replace(&mut total, v));
+        }
+        let x_after = scans
+            .exclusive(comm, Direction::Backward, total, &mut ws)
+            .expect("non-last rank always has a backward exclusive value");
+        for k in (0..nl).rev() {
+            let (head, tail) = x.split_at_mut(k + 1);
+            let next = if k + 1 == nl { &x_after } else { &tail[0] };
+            gemm(
+                1.0,
+                factors.g(k),
+                Trans::No,
+                next,
+                Trans::No,
+                1.0,
+                &mut head[k],
+            );
+            comm.compute(gemm_flops(m, m, r));
+        }
+        ws.put(x_after);
+    }
+}
+
+/// `chain[last] ... chain[1] chain[0]`: each factor multiplies the
+/// running product on the left, charging the cost model per product.
+/// Setup folds the two local prefix totals the cross-rank scans need
+/// with it, `F_{hi-1} ... F_lo` and `G_lo ... G_{hi-1}`.
+fn left_product<'a, C: CommBackend>(comm: &mut C, mut chain: impl Iterator<Item = &'a Mat>) -> Mat {
+    let mut acc = chain.next().expect("a rank owns at least one row").clone();
+    let m = acc.rows();
+    let mut next = Mat::zeros(m, m);
+    for factor in chain {
+        gemm(1.0, factor, Trans::No, &acc, Trans::No, 0.0, &mut next);
+        comm.compute(gemm_flops(m, m, m));
+        std::mem::swap(&mut acc, &mut next);
+    }
+    acc
+}
+
+/// Matrix-dependent state produced by setup and reused across solves:
+/// per owned row `LU(D_i)`, `F_i` and `G_i`, plus the recorded
+/// cross-rank scan traces. The source system, Phase 1's companion scan
+/// and the boundary extraction, and every factor are `f64`.
 #[derive(Debug)]
-pub struct ArdRankFactors<E: Element = f64> {
+pub struct ArdRankFactors {
     /// Owned range and sizes (copied from the [`RankSystem`]).
     pub n: usize,
     /// Block order.
@@ -168,33 +466,28 @@ pub struct ArdRankFactors<E: Element = f64> {
     /// One past the last owned global row.
     pub hi: usize,
     /// LU of `D_i` for each owned row.
-    d_lu: Vec<LuFactors<E>>,
+    d_lu: Vec<LuFactors>,
     /// `F_i = -A_i D_{i-1}^{-1}` for each owned row (`F_0 = 0`).
-    f: Vec<Mat<E>>,
+    f: Vec<Mat>,
     /// `G_i = -D_i^{-1} C_i` for each owned row (`G_{N-1} = 0`).
-    g: Vec<Mat<E>>,
-    /// Forward local prefix matrices `F_i F_{i-1} ... F_lo`.
-    fwd_prefix: Vec<Mat<E>>,
-    /// Backward local prefix matrices `G_i G_{i+1} ... G_{hi-1}`.
-    bwd_prefix: Vec<Mat<E>>,
-    /// Recorded cross-rank scan matrices (empty when built for classic
+    g: Vec<Mat>,
+    /// Classic recursive doubling only: the local prefix totals
+    /// `(F_{hi-1} ... F_lo, G_lo ... G_{hi-1})` every fresh scan starts
+    /// from. `None` when traces were recorded (accelerated mode).
+    fresh_totals: Option<(Mat, Mat)>,
+    /// Recorded forward cross-rank scan matrices (empty for classic
     /// recursive doubling, which re-scans fresh every solve).
-    fwd_trace: ScanTrace<E>,
+    fwd_trace: ScanTrace,
     /// Backward counterpart of `fwd_trace`.
-    bwd_trace: ScanTrace<E>,
-    /// Whether traces were recorded (accelerated mode).
-    recorded: bool,
+    bwd_trace: ScanTrace,
     /// Worst boundary-extraction 1-norm condition estimate across ranks
     /// (1.0 for windowed mode / single-rank worlds).
     boundary_cond: f64,
-    /// Rank-owned buffer pool: every per-step temporary of the solve
-    /// paths is checked out of here, so a warm replay allocates nothing
-    /// (see DESIGN.md "Memory model"). `RefCell` keeps the `&self` solve
-    /// signatures; factors are owned by one rank thread, never shared.
-    ws: RefCell<Workspace<E>>,
+    /// Rank-owned solve buffer pool (see [`ReplayFactors::workspace`]).
+    ws: RefCell<Workspace>,
 }
 
-impl<E: Element> ArdRankFactors<E> {
+impl ArdRankFactors {
     /// Runs the full matrix-dependent setup: Phase 1 and the matrix
     /// components of the Phase 2/3 scans. Collective: every rank must
     /// call it together.
@@ -226,7 +519,6 @@ impl<E: Element> ArdRankFactors<E> {
         mode: BoundaryMode,
     ) -> Result<Self, FactorError> {
         let m = sys.m;
-        let nl = sys.local_len();
 
         // ---- Phase 1a: local companion product total. -------------------
         // Rank p contributes the product of W_i over i in
@@ -238,9 +530,6 @@ impl<E: Element> ArdRankFactors<E> {
         let mut pending_err: Option<FactorError> = None;
         let mut total = CompanionProduct::identity(m);
         let scanning = mode == BoundaryMode::ExactScan;
-        // Phase 1 buffer pool: the companion scan always runs in `f64`
-        // (it sets the boundary accuracy envelope), so its temporaries
-        // cannot share the element-typed solve workspace below.
         let mut ws_p1: Workspace = Workspace::new();
         let span_companion = bt_obs::span("solver", "phase1.local_companion");
         if scanning && comm.rank() + 1 < comm.size() {
@@ -314,83 +603,42 @@ impl<E: Element> ArdRankFactors<E> {
             |a, b| a.max(*b),
         );
 
-        // ---- Phase 2/3 matrix components: local prefixes + scans. -------
+        // ---- Phase 2/3 matrix components: the local prefix totals. ------
         let span_prefixes = bt_obs::span("solver", "setup.local_prefixes");
-        let mut fwd_prefix: Vec<Mat<E>> = Vec::with_capacity(nl);
-        for k in 0..nl {
-            let pfx = if k == 0 {
-                f[0].clone()
-            } else {
-                let mut p = Mat::zeros(m, m);
-                gemm(
-                    E::ONE,
-                    &f[k],
-                    Trans::No,
-                    &fwd_prefix[k - 1],
-                    Trans::No,
-                    E::ZERO,
-                    &mut p,
-                );
-                comm.compute(gemm_flops(m, m, m));
-                p
-            };
-            fwd_prefix.push(pfx);
-        }
-        // Built back-to-front by pushing in reverse, then reversed — no
-        // placeholder sentinels.
-        let mut bwd_prefix: Vec<Mat<E>> = Vec::with_capacity(nl);
-        for k in (0..nl).rev() {
-            let pfx = if k == nl - 1 {
-                g[nl - 1].clone()
-            } else {
-                let mut p = Mat::zeros(m, m);
-                gemm(
-                    E::ONE,
-                    &g[k],
-                    Trans::No,
-                    bwd_prefix.last().expect("pushed above"),
-                    Trans::No,
-                    E::ZERO,
-                    &mut p,
-                );
-                comm.compute(gemm_flops(m, m, m));
-                p
-            };
-            bwd_prefix.push(pfx);
-        }
-        bwd_prefix.reverse();
-
+        let fwd_total = left_product(comm, f.iter());
+        let bwd_total = left_product(comm, g.iter().rev());
         drop(span_prefixes);
 
-        let mut fwd_trace: ScanTrace<E> = ScanTrace::default();
-        let mut bwd_trace: ScanTrace<E> = ScanTrace::default();
-        let _span_record = record_traces.then(|| bt_obs::span("solver", "setup.record_scans"));
-        if record_traces {
+        let mut fwd_trace = ScanTrace::default();
+        let mut bwd_trace = ScanTrace::default();
+        let fresh_totals = if record_traces {
+            let _span = bt_obs::span("solver", "setup.record_scans");
             // Zero-width vectors: the scans run their full matrix work and
             // message pattern while carrying no right-hand-side data.
-            let fwd_total = AffinePair {
-                mat: fwd_prefix[nl - 1].clone(),
-                vec: Mat::zero_width(m),
-            };
             let _ = affine_exscan_fresh(
                 comm,
                 Direction::Forward,
                 tags::FWD_SETUP,
-                fwd_total,
+                AffinePair {
+                    mat: fwd_total,
+                    vec: Mat::zero_width(m),
+                },
                 Some(&mut fwd_trace),
             );
-            let bwd_total = AffinePair {
-                mat: bwd_prefix[0].clone(),
-                vec: Mat::zero_width(m),
-            };
             let _ = affine_exscan_fresh(
                 comm,
                 Direction::Backward,
                 tags::BWD_SETUP,
-                bwd_total,
+                AffinePair {
+                    mat: bwd_total,
+                    vec: Mat::zero_width(m),
+                },
                 Some(&mut bwd_trace),
             );
-        }
+            None
+        } else {
+            Some((fwd_total, bwd_total))
+        };
 
         Ok(Self {
             n: sys.n,
@@ -400,11 +648,9 @@ impl<E: Element> ArdRankFactors<E> {
             d_lu,
             f,
             g,
-            fwd_prefix,
-            bwd_prefix,
+            fresh_totals,
             fwd_trace,
             bwd_trace,
-            recorded: record_traces,
             boundary_cond,
             ws: RefCell::new(Workspace::new()),
         })
@@ -423,39 +669,6 @@ impl<E: Element> ArdRankFactors<E> {
         self.boundary_cond
     }
 
-    /// `(subnormal, total)` element counts over every stored factor
-    /// panel: LU diagonals, `F`/`G` chains, affine prefixes and the
-    /// recorded scan traces.
-    ///
-    /// Subnormals are the footprint of gradual underflow: at `f32` the
-    /// decaying prefix/trace entries of strongly dominant systems slide
-    /// below `2^-126` and flush toward zero, at which point replays
-    /// silently lose the tail of the scan and iterative refinement
-    /// stalls above its `f64` target instead of contracting. The mixed
-    /// path uses this census (allreduced) to detect the flush and fall
-    /// back to full width; see `bt_ard.precision.subnormal_fallbacks`.
-    pub fn subnormal_census(&self) -> (u64, u64) {
-        let mut sub = 0u64;
-        let mut total = 0u64;
-        let mut tally = |s: &[E]| {
-            total += s.len() as u64;
-            sub += s.iter().filter(|v| v.is_subnormal()).count() as u64;
-        };
-        for lu in &self.d_lu {
-            tally(lu.packed().as_slice());
-        }
-        for m in self.f.iter().chain(&self.g) {
-            tally(m.as_slice());
-        }
-        for m in self.fwd_prefix.iter().chain(&self.bwd_prefix) {
-            tally(m.as_slice());
-        }
-        for m in self.fwd_trace.mats.iter().chain(&self.bwd_trace.mats) {
-            tally(m.as_slice());
-        }
-        (sub, total)
-    }
-
     /// Phase 1c/1d: recover the boundary diagonal `D_{lo-1}` from the
     /// scanned companion product, then run the local Thomas-style pass.
     /// Produces, per owned row, `LU(D_i)`, `F_i` and `G_i`, plus a
@@ -468,12 +681,12 @@ impl<E: Element> ArdRankFactors<E> {
         excl: Option<&CompanionProduct>,
         mode: BoundaryMode,
         ws: &mut Workspace,
-    ) -> Result<(Vec<LuFactors<E>>, Vec<Mat<E>>, Vec<Mat<E>>, f64), FactorError> {
+    ) -> Result<(Vec<LuFactors>, Vec<Mat>, Vec<Mat>, f64), FactorError> {
         let m = sys.m;
         let nl = sys.local_len();
-        let mut d_lu: Vec<LuFactors<E>> = Vec::with_capacity(nl);
-        let mut f: Vec<Mat<E>> = Vec::with_capacity(nl);
-        let mut g: Vec<Mat<E>> = Vec::with_capacity(nl);
+        let mut d_lu: Vec<LuFactors> = Vec::with_capacity(nl);
+        let mut f: Vec<Mat> = Vec::with_capacity(nl);
+        let mut g: Vec<Mat> = Vec::with_capacity(nl);
         let mut boundary_cond = 1.0f64;
 
         // Rank 0 owns row 0: D_0 = B_0 directly, no companion needed.
@@ -507,15 +720,9 @@ impl<E: Element> ArdRankFactors<E> {
                 BoundaryMode::Windowed(_) => Self::windowed_boundary(comm, sys)?,
             }
         };
-        // The boundary diagonal is recovered in `f64` above (the
-        // extraction sets the accuracy envelope); the local recurrence
-        // below runs at the factor element type. For `E = f64` the
-        // conversion is a bit-exact copy; for `E = f32` this is the
-        // single rounding step of the mixed-precision factorization.
-        let boundary_diag: Mat<E> = boundary_diag.convert::<E>();
 
         // The LU used to form F for the first owned row.
-        let mut prev_lu: LuFactors<E>;
+        let mut prev_lu: LuFactors;
         let start_k;
         if sys.lo == 0 {
             // boundary_diag IS D_0 = B_0.
@@ -541,18 +748,18 @@ impl<E: Element> ArdRankFactors<E> {
             let i = sys.lo + k;
             let row = &sys.rows[k];
             // F_i = -A_i D_{i-1}^{-1}  (right division).
-            let mut f_i = prev_lu.solve_transposed_system(&row.a.convert::<E>());
+            let mut f_i = prev_lu.solve_transposed_system(&row.a);
             f_i.negate();
             comm.compute(lu_solve_flops(m, m));
             // D_i = B_i + F_i C_{i-1}.
-            let mut d_i = row.b.convert::<E>();
+            let mut d_i = row.b.clone();
             gemm(
-                E::ONE,
+                1.0,
                 &f_i,
                 Trans::No,
-                &sys.c_before(i).convert::<E>(),
+                sys.c_before(i),
                 Trans::No,
-                E::ONE,
+                1.0,
                 &mut d_i,
             );
             comm.compute(gemm_flops(m, m, m));
@@ -565,7 +772,7 @@ impl<E: Element> ArdRankFactors<E> {
 
         // G_i = -D_i^{-1} C_i (automatically zero at i = N-1).
         for (lu, row) in d_lu.iter().zip(&sys.rows) {
-            let mut g_i = lu.solve(&row.c.convert::<E>());
+            let mut g_i = lu.solve(&row.c);
             g_i.negate();
             comm.compute(lu_solve_flops(m, m));
             g.push(g_i);
@@ -622,26 +829,16 @@ impl<E: Element> ArdRankFactors<E> {
         self.hi - self.lo
     }
 
-    /// Bytes of matrix-dependent state stored per this rank (the memory
-    /// price of acceleration; Table II).
+    /// Bytes of matrix-dependent state stored on this rank (the memory
+    /// price of acceleration; Table II): `LU(D_i)`, `F_i` and `G_i` per
+    /// owned row plus the recorded scan traces (classic-RD factors hold
+    /// the two fresh-scan prefix totals instead of traces).
     pub fn storage_bytes(&self) -> u64 {
-        let mat_bytes = (self.m * self.m * std::mem::size_of::<E>()) as u64;
-        // d_lu (packed LU) + f + g per row, plus the prefix matrices if
-        // they have not been shed (see `shed_prefixes`).
-        let prefixes = (self.fwd_prefix.len() + self.bwd_prefix.len()) as u64;
-        (3 * self.local_len() as u64 + prefixes) * mat_bytes
+        let mat_bytes = (self.m * self.m * std::mem::size_of::<f64>()) as u64;
+        let totals = if self.fresh_totals.is_some() { 2 } else { 0 };
+        (3 * self.local_len() as u64 + totals) * mat_bytes
             + self.fwd_trace.storage_bytes()
             + self.bwd_trace.storage_bytes()
-    }
-
-    /// Frees the per-row local prefix matrices (40% of the stored factor
-    /// bytes), keeping only what [`ArdRankFactors::solve_replay_lean`]
-    /// needs. After shedding, [`ArdRankFactors::solve_replay`] and
-    /// [`ArdRankFactors::solve_fresh`] must not be called.
-    pub fn shed_prefixes(&mut self) {
-        assert!(self.recorded, "classic-RD factors need their prefixes");
-        self.fwd_prefix = Vec::new();
-        self.bwd_prefix = Vec::new();
     }
 
     /// Cumulative counters of the rank-owned solve workspace. The
@@ -659,50 +856,19 @@ impl<E: Element> ArdRankFactors<E> {
         self.ws.borrow_mut().reset();
     }
 
-    /// Shrinks the pooled solve workspace to at most `max_pooled_bytes`
-    /// of idle capacity (largest buffers dropped first), returning the
-    /// bytes released. Bounds the memory a single oversized batch pins
-    /// for the session's lifetime — see [`Workspace::trim_to`].
-    pub fn trim_workspace(&self, max_pooled_bytes: u64) -> u64 {
-        self.ws.borrow_mut().trim_to(max_pooled_bytes)
-    }
-
-    /// Replay-pipeline RHS tile width for an `M x R` batch: the
-    /// `BT_ARD_RHS_TILE` override when set (`0`/unset means auto), else
-    /// the cost-model calibration in [`auto_rhs_tile`].
-    fn resolve_rhs_tile<C: CommBackend>(comm: &C, m: usize, r: usize) -> usize {
-        static ENV_TILE: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
-        let env = *ENV_TILE.get_or_init(|| {
-            std::env::var("BT_ARD_RHS_TILE")
-                .ok()
-                .and_then(|v| v.trim().parse::<usize>().ok())
-                .filter(|&t| t > 0)
-        });
-        env.unwrap_or_else(|| auto_rhs_tile_for::<E>(&comm.model(), m, r))
-    }
-
-    /// Fresh `M x R` output panels matching a right-hand-side batch.
-    fn alloc_out(y_local: &[Mat<E>]) -> Vec<Mat<E>> {
-        y_local
-            .iter()
-            .map(|p| Mat::zeros(p.rows(), p.cols()))
-            .collect()
-    }
-
-    /// Solves one right-hand-side batch by **replaying** the recorded
-    /// scans — the accelerated path, `O(M^2 R (N/P + log P))`.
-    ///
-    /// `y_local[k]` is the `M x R` panel of global row `lo + k`. Returns
-    /// the solution panels in the same layout. Collective.
+    /// Solves one right-hand-side batch by replaying the recorded scans:
+    /// copies `y_local` (the `M x R` panel of global row `lo + k` at
+    /// index `k`) and runs [`ReplayFactors::solve_in_place`] on the
+    /// copy. Collective.
     ///
     /// # Panics
     ///
     /// Panics if setup was run with `record_traces = false`, or on panel
     /// shape mismatch.
-    pub fn solve_replay<C: CommBackend>(&self, comm: &mut C, y_local: &[Mat<E>]) -> Vec<Mat<E>> {
-        let mut out = Self::alloc_out(y_local);
-        self.solve_replay_into(comm, y_local, &mut out);
-        out
+    pub fn solve_replay<C: CommBackend>(&self, comm: &mut C, y_local: &[Mat]) -> Vec<Mat> {
+        let mut x = y_local.to_vec();
+        self.solve_in_place(comm, &mut x);
+        x
     }
 
     /// [`ArdRankFactors::solve_replay`] writing into caller-provided
@@ -719,20 +885,19 @@ impl<E: Element> ArdRankFactors<E> {
     pub fn solve_replay_into<C: CommBackend>(
         &self,
         comm: &mut C,
-        y_local: &[Mat<E>],
-        out: &mut [Mat<E>],
+        y_local: &[Mat],
+        out: &mut [Mat],
     ) {
-        let r = y_local.first().map_or(0, |p| p.cols());
-        let tile = Self::resolve_rhs_tile(comm, self.m, r);
-        self.solve_replay_into_tiled(comm, y_local, out, tile);
+        copy_panels(y_local, out);
+        self.solve_in_place(comm, out);
     }
 
     /// [`ArdRankFactors::solve_replay_into`] with an explicit RHS tile
     /// width for the scan pipeline (see
-    /// [`affine_exscan_replay_tiled`]); output is bitwise identical for
-    /// every `tile`. Exposed for benches and tile-sweep tests — normal
-    /// callers should use [`ArdRankFactors::solve_replay_into`], which
-    /// resolves the tile from `BT_ARD_RHS_TILE` or the cost model.
+    /// [`ReplayFactors::solve_in_place_tiled`]); output is bitwise
+    /// identical for every `tile`. Exposed for benches and tile-sweep
+    /// tests — normal callers should use
+    /// [`ArdRankFactors::solve_replay_into`].
     ///
     /// # Panics
     ///
@@ -740,406 +905,75 @@ impl<E: Element> ArdRankFactors<E> {
     pub fn solve_replay_into_tiled<C: CommBackend>(
         &self,
         comm: &mut C,
-        y_local: &[Mat<E>],
-        out: &mut [Mat<E>],
+        y_local: &[Mat],
+        out: &mut [Mat],
         tile: usize,
     ) {
-        assert!(
-            self.recorded,
-            "solve_replay requires setup(record_traces = true)"
-        );
-        self.solve_into_impl(comm, y_local, out, true, tile);
+        copy_panels(y_local, out);
+        self.solve_in_place_tiled(comm, out, tile);
     }
 
-    /// Solves one batch with **fresh** scans (classic recursive
+    /// Solves one batch in place with **fresh** scans (classic recursive
     /// doubling's per-solve Phase 2/3): full pairs travel and every scan
     /// combine pays the `O(M^3)` product. Collective.
-    pub fn solve_fresh<C: CommBackend>(&self, comm: &mut C, y_local: &[Mat<E>]) -> Vec<Mat<E>> {
-        let mut out = Self::alloc_out(y_local);
-        let r = y_local.first().map_or(0, |p| p.cols());
-        self.solve_into_impl(comm, y_local, &mut out, false, r.max(1));
-        out
-    }
-
-    /// Memory-lean replay: identical flop count and message pattern to
-    /// [`ArdRankFactors::solve_replay`], but instead of fixing each row up
-    /// with a stored prefix matrix (`z_i = M_i v_excl + v_i`), it exploits
-    /// the fact that the scan's exclusive vector *is* the boundary value
-    /// (`v_excl = z_{lo-1}`) and re-runs the plain first-order recurrence
-    /// from it. The per-row prefix matrices are therefore never touched
-    /// and can be freed with [`ArdRankFactors::shed_prefixes`].
     ///
     /// # Panics
     ///
-    /// Panics if setup was run with `record_traces = false`, or on panel
+    /// Panics if setup was run with `record_traces = true`, or on panel
     /// shape mismatch.
-    pub fn solve_replay_lean<C: CommBackend>(
-        &self,
-        comm: &mut C,
-        y_local: &[Mat<E>],
-    ) -> Vec<Mat<E>> {
-        let mut out = Self::alloc_out(y_local);
-        self.solve_replay_lean_into(comm, y_local, &mut out);
-        out
-    }
-
-    /// [`ArdRankFactors::solve_replay_lean`] writing into caller-provided
-    /// panels; allocation-free once warm, like
-    /// [`ArdRankFactors::solve_replay_into`].
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`ArdRankFactors::solve_replay_lean`], plus
-    /// `out` shape mismatch.
-    pub fn solve_replay_lean_into<C: CommBackend>(
-        &self,
-        comm: &mut C,
-        y_local: &[Mat<E>],
-        out: &mut [Mat<E>],
-    ) {
-        let r = y_local.first().map_or(0, |p| p.cols());
-        let tile = Self::resolve_rhs_tile(comm, self.m, r);
-        self.solve_replay_lean_into_tiled(comm, y_local, out, tile);
-    }
-
-    /// [`ArdRankFactors::solve_replay_lean_into`] with an explicit RHS
-    /// tile width for the scan pipeline; output is bitwise identical
-    /// for every `tile`. See
-    /// [`ArdRankFactors::solve_replay_into_tiled`].
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`ArdRankFactors::solve_replay_lean_into`].
-    pub fn solve_replay_lean_into_tiled<C: CommBackend>(
-        &self,
-        comm: &mut C,
-        y_local: &[Mat<E>],
-        out: &mut [Mat<E>],
-        tile: usize,
-    ) {
-        assert!(
-            self.recorded,
-            "solve_replay_lean requires setup(record_traces = true)"
+    pub fn solve_fresh<C: CommBackend>(&self, comm: &mut C, x: &mut [Mat]) {
+        let (fwd_total, bwd_total) = self
+            .fresh_totals
+            .as_ref()
+            .expect("solve_fresh requires setup(record_traces = false)");
+        solve_in_place_with(
+            self,
+            comm,
+            x,
+            Scans::Fresh {
+                fwd_total,
+                bwd_total,
+            },
         );
-        let m = self.m;
-        let nl = self.local_len();
-        let r = Self::check_panels(m, nl, y_local, out);
-        let mut ws = self.ws.borrow_mut();
+    }
+}
 
-        // ---- Phase 2. On the logical-first rank the exclusive value is
-        // empty, so z is computable before the scan and doubles as the
-        // scan total; elsewhere, fold a total, scan, then run the
-        // recurrence from the boundary value z_{lo-1} = v_excl. `out`
-        // carries z (then h, then x) in place.
-        let fwd_first = comm.rank() == 0;
-        let span_fwd = bt_obs::span("solver", "solve.forward");
-        if fwd_first {
-            out[0].as_mut().copy_from(y_local[0].as_ref());
-            for k in 1..nl {
-                let (done, rest) = out.split_at_mut(k);
-                let zk = &mut rest[0];
-                zk.as_mut().copy_from(y_local[k].as_ref());
-                gemm(
-                    E::ONE,
-                    &self.f[k],
-                    Trans::No,
-                    &done[k - 1],
-                    Trans::No,
-                    E::ONE,
-                    zk,
-                );
-                comm.compute(gemm_flops(m, m, r));
-            }
-            let total = ws.take_copy(out[nl - 1].as_ref());
-            let none = affine_exscan_replay_tiled(
-                comm,
-                Direction::Forward,
-                tags::FWD_SOLVE,
-                total,
-                &self.fwd_trace,
-                &mut ws,
-                tile,
-            );
-            debug_assert!(none.is_none());
-        } else {
-            let mut total = ws.take_copy(y_local[0].as_ref());
-            for (yk, fk) in y_local.iter().zip(&self.f).skip(1) {
-                let mut v = ws.take_copy(yk.as_ref());
-                gemm(E::ONE, fk, Trans::No, &total, Trans::No, E::ONE, &mut v);
-                comm.compute(gemm_flops(m, m, r));
-                ws.put(std::mem::replace(&mut total, v));
-            }
-            let v_excl = affine_exscan_replay_tiled(
-                comm,
-                Direction::Forward,
-                tags::FWD_SOLVE,
-                total,
-                &self.fwd_trace,
-                &mut ws,
-                tile,
-            )
-            .expect("non-first rank always has an exclusive value");
-            for k in 0..nl {
-                let (done, rest) = out.split_at_mut(k);
-                let zk = &mut rest[0];
-                let prev = if k == 0 { &v_excl } else { &done[k - 1] };
-                zk.as_mut().copy_from(y_local[k].as_ref());
-                gemm(E::ONE, &self.f[k], Trans::No, prev, Trans::No, E::ONE, zk);
-                comm.compute(gemm_flops(m, m, r));
-            }
-            ws.put(v_excl);
-        }
-
-        drop(span_fwd);
-
-        // ---- h_i = D_i^{-1} z_i, in place.
-        {
-            let _span = bt_obs::span("solver", "solve.diag");
-            for (k, zk) in out.iter_mut().enumerate() {
-                self.d_lu[k].solve_in_place(&mut *zk);
-                comm.compute(lu_solve_flops(m, r));
-            }
-        }
-
-        // ---- Phase 3: mirror image of Phase 2.
-        let _span_bwd = bt_obs::span("solver", "solve.backward");
-        let bwd_first = comm.rank() == comm.size() - 1;
-        if bwd_first {
-            for k in (0..nl - 1).rev() {
-                let (head, tail) = out.split_at_mut(k + 1);
-                gemm(
-                    E::ONE,
-                    &self.g[k],
-                    Trans::No,
-                    &tail[0],
-                    Trans::No,
-                    E::ONE,
-                    &mut head[k],
-                );
-                comm.compute(gemm_flops(m, m, r));
-            }
-            let total = ws.take_copy(out[0].as_ref());
-            let none = affine_exscan_replay_tiled(
-                comm,
-                Direction::Backward,
-                tags::BWD_SOLVE,
-                total,
-                &self.bwd_trace,
-                &mut ws,
-                tile,
-            );
-            debug_assert!(none.is_none());
-        } else {
-            let mut total = ws.take_copy(out[nl - 1].as_ref());
-            for k in (0..nl - 1).rev() {
-                let mut v = ws.take_copy(out[k].as_ref());
-                gemm(
-                    E::ONE,
-                    &self.g[k],
-                    Trans::No,
-                    &total,
-                    Trans::No,
-                    E::ONE,
-                    &mut v,
-                );
-                comm.compute(gemm_flops(m, m, r));
-                ws.put(std::mem::replace(&mut total, v));
-            }
-            let w_excl = affine_exscan_replay_tiled(
-                comm,
-                Direction::Backward,
-                tags::BWD_SOLVE,
-                total,
-                &self.bwd_trace,
-                &mut ws,
-                tile,
-            )
-            .expect("non-last rank always has a backward exclusive value");
-            for k in (0..nl).rev() {
-                if k == nl - 1 {
-                    gemm(
-                        E::ONE,
-                        &self.g[k],
-                        Trans::No,
-                        &w_excl,
-                        Trans::No,
-                        E::ONE,
-                        &mut out[k],
-                    );
-                } else {
-                    let (head, tail) = out.split_at_mut(k + 1);
-                    gemm(
-                        E::ONE,
-                        &self.g[k],
-                        Trans::No,
-                        &tail[0],
-                        Trans::No,
-                        E::ONE,
-                        &mut head[k],
-                    );
-                }
-                comm.compute(gemm_flops(m, m, r));
-            }
-            ws.put(w_excl);
-        }
+impl ReplayFactors for ArdRankFactors {
+    fn rows(&self) -> usize {
+        self.local_len()
     }
 
-    /// Shared shape validation for the `_into` solves; returns `R`.
-    fn check_panels(m: usize, nl: usize, y_local: &[Mat<E>], out: &[Mat<E>]) -> usize {
-        assert_eq!(y_local.len(), nl, "rhs panel count mismatch");
-        assert_eq!(out.len(), nl, "output panel count mismatch");
-        let r = y_local[0].cols();
-        for (k, p) in y_local.iter().enumerate() {
-            assert_eq!(p.shape(), (m, r), "rhs panel {k} shape mismatch");
-        }
-        for (k, p) in out.iter().enumerate() {
-            assert_eq!(p.shape(), (m, r), "output panel {k} shape mismatch");
-        }
-        r
+    fn d_lu(&self, k: usize) -> &LuFactors {
+        &self.d_lu[k]
     }
 
-    /// Shared body of [`ArdRankFactors::solve_replay_into`] and
-    /// [`ArdRankFactors::solve_fresh`]. `out` carries the working panels
-    /// through every stage (v_hat -> z -> h -> w_hat -> x in place); all
-    /// other temporaries cycle through the rank workspace.
-    fn solve_into_impl<C: CommBackend>(
-        &self,
-        comm: &mut C,
-        y_local: &[Mat<E>],
-        out: &mut [Mat<E>],
-        replay: bool,
-        tile: usize,
-    ) {
-        let m = self.m;
-        let nl = self.local_len();
-        let r = Self::check_panels(m, nl, y_local, out);
-        let fwd_first = comm.rank() == 0;
-        let bwd_first = comm.rank() == comm.size() - 1;
-        let mut ws = self.ws.borrow_mut();
+    fn f(&self, k: usize) -> &Mat {
+        &self.f[k]
+    }
 
-        // ---- Phase 2: forward substitution z_i = F_i z_{i-1} + y_i. -----
-        let span_fwd = bt_obs::span("solver", "solve.forward");
-        // Local vector recurrence, v_hat built in `out`.
-        out[0].as_mut().copy_from(y_local[0].as_ref());
-        for k in 1..nl {
-            let (done, rest) = out.split_at_mut(k);
-            let vk = &mut rest[0];
-            vk.as_mut().copy_from(y_local[k].as_ref());
-            gemm(
-                E::ONE,
-                &self.f[k],
-                Trans::No,
-                &done[k - 1],
-                Trans::No,
-                E::ONE,
-                vk,
-            );
-            comm.compute(gemm_flops(m, m, r));
-        }
-        // Cross-rank scan.
-        let v_excl = if replay {
-            let total = ws.take_copy(out[nl - 1].as_ref());
-            affine_exscan_replay_tiled(
-                comm,
-                Direction::Forward,
-                tags::FWD_SOLVE,
-                total,
-                &self.fwd_trace,
-                &mut ws,
-                tile,
-            )
-        } else {
-            let total = AffinePair {
-                mat: self.fwd_prefix[nl - 1].clone(),
-                vec: out[nl - 1].clone(),
-            };
-            affine_exscan_fresh(comm, Direction::Forward, tags::FWD_SOLVE, total, None)
-        };
-        // Fixup: z_i = fwd_prefix_i * v_excl + v_hat_i, in place.
-        match v_excl {
-            None => debug_assert!(fwd_first),
-            Some(vin) => {
-                for (k, zk) in out.iter_mut().enumerate() {
-                    gemm(
-                        E::ONE,
-                        &self.fwd_prefix[k],
-                        Trans::No,
-                        &vin,
-                        Trans::No,
-                        E::ONE,
-                        zk,
-                    );
-                    comm.compute(gemm_flops(m, m, r));
-                }
-                if replay {
-                    ws.put(vin);
-                }
-            }
-        }
+    fn g(&self, k: usize) -> &Mat {
+        &self.g[k]
+    }
 
-        drop(span_fwd);
+    fn traces(&self) -> (&ScanTrace, &ScanTrace) {
+        assert!(
+            self.fresh_totals.is_none(),
+            "solve_replay requires setup(record_traces = true)"
+        );
+        (&self.fwd_trace, &self.bwd_trace)
+    }
 
-        // ---- h_i = D_i^{-1} z_i, in place. ------------------------------
-        let span_diag = bt_obs::span("solver", "solve.diag");
-        for (k, zk) in out.iter_mut().enumerate() {
-            self.d_lu[k].solve_in_place(&mut *zk);
-            comm.compute(lu_solve_flops(m, r));
-        }
-        drop(span_diag);
+    fn workspace(&self) -> &RefCell<Workspace> {
+        &self.ws
+    }
+}
 
-        // ---- Phase 3: backward substitution x_i = G_i x_{i+1} + h_i. ----
-        let _span_bwd = bt_obs::span("solver", "solve.backward");
-        for k in (0..nl - 1).rev() {
-            let (head, tail) = out.split_at_mut(k + 1);
-            gemm(
-                E::ONE,
-                &self.g[k],
-                Trans::No,
-                &tail[0],
-                Trans::No,
-                E::ONE,
-                &mut head[k],
-            );
-            comm.compute(gemm_flops(m, m, r));
-        }
-        let w_excl = if replay {
-            let total = ws.take_copy(out[0].as_ref());
-            affine_exscan_replay_tiled(
-                comm,
-                Direction::Backward,
-                tags::BWD_SOLVE,
-                total,
-                &self.bwd_trace,
-                &mut ws,
-                tile,
-            )
-        } else {
-            let total = AffinePair {
-                mat: self.bwd_prefix[0].clone(),
-                vec: out[0].clone(),
-            };
-            affine_exscan_fresh(comm, Direction::Backward, tags::BWD_SOLVE, total, None)
-        };
-        match w_excl {
-            None => debug_assert!(bwd_first),
-            Some(win) => {
-                for (k, xk) in out.iter_mut().enumerate() {
-                    gemm(
-                        E::ONE,
-                        &self.bwd_prefix[k],
-                        Trans::No,
-                        &win,
-                        Trans::No,
-                        E::ONE,
-                        xk,
-                    );
-                    comm.compute(gemm_flops(m, m, r));
-                }
-                if replay {
-                    ws.put(win);
-                }
-            }
-        }
+/// Copies right-hand-side panels into same-shaped output panels: the
+/// copy half of the copy-then-in-place replay wrappers.
+fn copy_panels(y_local: &[Mat], out: &mut [Mat]) {
+    assert_eq!(out.len(), y_local.len(), "output panel count mismatch");
+    for (o, y) in out.iter_mut().zip(y_local) {
+        o.as_mut().copy_from(y.as_ref());
     }
 }
 
@@ -1150,11 +984,13 @@ impl<E: Element> ArdRankFactors<E> {
 /// # Errors
 ///
 /// [`FactorError`] (on every rank) if a block diagonal is singular.
-pub fn rd_solve_rank<C: CommBackend, E: Element>(
+pub fn rd_solve_rank<C: CommBackend>(
     comm: &mut C,
     sys: &RankSystem,
-    y_local: &[Mat<E>],
-) -> Result<Vec<Mat<E>>, FactorError> {
-    let factors = ArdRankFactors::<E>::setup(comm, sys, false)?;
-    Ok(factors.solve_fresh(comm, y_local))
+    y_local: &[Mat],
+) -> Result<Vec<Mat>, FactorError> {
+    let factors = ArdRankFactors::setup(comm, sys, false)?;
+    let mut x = y_local.to_vec();
+    factors.solve_fresh(comm, &mut x);
+    Ok(x)
 }

@@ -5,8 +5,8 @@
 //! uniform grids, so every interior block row carries the *same* three
 //! blocks `(A, B, C)`. The general [`crate::state::ArdRankFactors`]
 //! setup ignores that: it applies `N/P` distinct companion matrices in
-//! Phase 1a and stores five `M x M` matrices per owned row
-//! (`LU(D_i)`, `F_i`, `G_i` and two prefix panels).
+//! Phase 1a and stores three `M x M` matrices per owned row
+//! (`LU(D_i)`, `F_i`, `G_i`).
 //!
 //! With constant blocks, both costs collapse:
 //!
@@ -20,14 +20,16 @@
 //!   exact scan handles. After a short *head* (a few dozen rows at
 //!   machine precision), `D_i`, `F_i = -A D_{i-1}^{-1}` and
 //!   `G_i = -D_i^{-1} C` are constant: one shared *tail* triple serves
-//!   every remaining row, so factor storage drops from `5 * N/P`
+//!   every remaining row, so factor storage drops from `3 * N/P`
 //!   matrices to `3 * head + 3` — and the replay's working set fits in
 //!   cache instead of streaming `O(N/P)` matrices from memory per
 //!   solve. The local prefix totals the cross-rank scans need become
 //!   head products times `tail^t` powers, again by repeated squaring.
 //!
-//! The replay pipeline (tiled scan replay, workspace reuse, tags) is
-//! the general path's unchanged; only the factor lookup differs.
+//! The head plus shared tail is a factor layout, nothing more:
+//! [`ToeplitzRankFactors`] implements [`ReplayFactors`], so solves run
+//! the general path's replay body (tiled scan replay, workspace reuse,
+//! tags, refinement) with only the factor lookup differing.
 //! Detection ([`detect_toeplitz`]) is exact block equality, so the fast
 //! path is never entered on a system it would silently approximate
 //! beyond the head-convergence tolerance (a few hundred ulps, the same
@@ -37,29 +39,13 @@ use std::cell::RefCell;
 
 use bt_blocktri::{BlockRowSource, FactorError};
 use bt_comm::CommBackend;
-use bt_dense::{
-    gemm, gemm_flops, lu_flops, lu_solve_flops, Element, LuFactors, Mat, Trans, Workspace,
-};
+use bt_dense::{gemm, gemm_flops, lu_flops, lu_solve_flops, LuFactors, Mat, Trans, Workspace};
 
 use crate::companion::{CompanionProduct, CompanionState, CompanionW};
 use crate::pairs::AffinePair;
-use crate::refine::{halo_exchange_into, local_residual_into, sq_norm, RefinedSolve, REFINE_ITERS};
-use crate::scans::{
-    affine_exscan_fresh, affine_exscan_replay_tiled, auto_rhs_tile_for, companion_exscan,
-    Direction, ScanTrace,
-};
+use crate::scans::{affine_exscan_fresh, companion_exscan, Direction, ScanTrace};
 use crate::solver::{RankSolver, Session};
-use crate::state::RankSystem;
-
-/// Tag bases, identical to the general path's (`crate::state`): a world
-/// runs one solver family, so the spaces never collide.
-mod tags {
-    pub const PHASE1: u64 = 0;
-    pub const FWD_SETUP: u64 = 64;
-    pub const BWD_SETUP: u64 = 128;
-    pub const FWD_SOLVE: u64 = 192;
-    pub const BWD_SOLVE: u64 = 256;
-}
+use crate::state::{tags, RankSystem, ReplayFactors};
 
 /// Head-convergence tolerance, relative to `max_abs(D)`: the recurrence
 /// is declared stationary once consecutive diagonals agree to a few
@@ -103,7 +89,7 @@ pub fn detect_toeplitz(src: &dyn BlockRowSource) -> bool {
 /// shared tail triple for the stationary remainder, and the recorded
 /// cross-rank scan traces (identical wire format to the general path).
 #[derive(Debug)]
-pub struct ToeplitzRankFactors<E: Element = f64> {
+pub struct ToeplitzRankFactors {
     /// Global block-row count.
     pub n: usize,
     /// Block order.
@@ -114,35 +100,35 @@ pub struct ToeplitzRankFactors<E: Element = f64> {
     pub hi: usize,
     /// Per-row `LU(D_i)` for the pre-convergence head (local rows
     /// `0..head_len`).
-    head_d_lu: Vec<LuFactors<E>>,
+    head_d_lu: Vec<LuFactors>,
     /// Per-row `F_i` for the head (`F_0 = 0` on rank 0).
-    head_f: Vec<Mat<E>>,
+    head_f: Vec<Mat>,
     /// Per-row `G_i` for the head.
-    head_g: Vec<Mat<E>>,
+    head_g: Vec<Mat>,
     /// Shared `LU(D)` for local rows `head_len..`.
-    tail_d_lu: LuFactors<E>,
+    tail_d_lu: LuFactors,
     /// Shared `F` for the tail.
-    tail_f: Mat<E>,
+    tail_f: Mat,
     /// Shared `G` for the tail.
-    tail_g: Mat<E>,
+    tail_g: Mat,
     /// `G_{N-1} = 0` override, present only on the rank owning the last
     /// global row.
-    g_zero: Option<Mat<E>>,
+    g_zero: Option<Mat>,
     /// Recorded forward cross-rank scan matrices.
-    fwd_trace: ScanTrace<E>,
+    fwd_trace: ScanTrace,
     /// Recorded backward cross-rank scan matrices.
-    bwd_trace: ScanTrace<E>,
+    bwd_trace: ScanTrace,
     /// Worst boundary-extraction condition estimate across ranks.
     boundary_cond: f64,
-    /// Rank-owned buffer pool (see [`crate::state::ArdRankFactors`]).
-    ws: RefCell<Workspace<E>>,
+    /// Rank-owned solve buffer pool (see [`ReplayFactors::workspace`]).
+    ws: RefCell<Workspace>,
 }
 
 /// `out = a * b` for square factors, charging the cost model.
-fn matmul_sq<C: CommBackend, E: Element>(comm: &mut C, a: &Mat<E>, b: &Mat<E>) -> Mat<E> {
+fn matmul_sq<C: CommBackend>(comm: &mut C, a: &Mat, b: &Mat) -> Mat {
     let m = a.rows();
     let mut p = Mat::zeros(m, m);
-    gemm(E::ONE, a, Trans::No, b, Trans::No, E::ZERO, &mut p);
+    gemm(1.0, a, Trans::No, b, Trans::No, 0.0, &mut p);
     comm.compute(gemm_flops(m, m, m));
     p
 }
@@ -150,12 +136,7 @@ fn matmul_sq<C: CommBackend, E: Element>(comm: &mut C, a: &Mat<E>, b: &Mat<E>) -
 /// `base^t * acc` by repeated squaring: `O(log t)` square-matrix
 /// products. Powers of one matrix commute, so left-application order is
 /// immaterial.
-fn pow_mul_left<C: CommBackend, E: Element>(
-    comm: &mut C,
-    base: &Mat<E>,
-    mut t: usize,
-    acc: Mat<E>,
-) -> Mat<E> {
+fn pow_mul_left<C: CommBackend>(comm: &mut C, base: &Mat, mut t: usize, acc: Mat) -> Mat {
     let mut result = acc;
     let mut sq = base.clone();
     while t > 0 {
@@ -171,12 +152,7 @@ fn pow_mul_left<C: CommBackend, E: Element>(
 }
 
 /// `acc * base^t`, the right-sided mirror of [`pow_mul_left`].
-fn pow_mul_right<C: CommBackend, E: Element>(
-    comm: &mut C,
-    acc: Mat<E>,
-    base: &Mat<E>,
-    mut t: usize,
-) -> Mat<E> {
+fn pow_mul_right<C: CommBackend>(comm: &mut C, acc: Mat, base: &Mat, mut t: usize) -> Mat {
     let mut result = acc;
     let mut sq = base.clone();
     while t > 0 {
@@ -191,7 +167,7 @@ fn pow_mul_right<C: CommBackend, E: Element>(
     result
 }
 
-impl<E: Element> ToeplitzRankFactors<E> {
+impl ToeplitzRankFactors {
     /// Runs the structure-exploiting setup. Collective; every rank must
     /// call it together, and the global system **must** satisfy
     /// [`detect_toeplitz`] — callers gate on detection, this only
@@ -335,8 +311,8 @@ impl<E: Element> ToeplitzRankFactors<E> {
 
         // ---- Record the cross-rank scan traces (wire-identical to the
         // general path: zero-width vectors, same tags). -------------------
-        let mut fwd_trace: ScanTrace<E> = ScanTrace::default();
-        let mut bwd_trace: ScanTrace<E> = ScanTrace::default();
+        let mut fwd_trace = ScanTrace::default();
+        let mut bwd_trace = ScanTrace::default();
         {
             let _span = bt_obs::span("solver", "setup.record_scans");
             let _ = affine_exscan_fresh(
@@ -391,21 +367,10 @@ impl<E: Element> ToeplitzRankFactors<E> {
         sys: &RankSystem,
         excl: Option<&CompanionProduct>,
         ws: &mut Workspace,
-    ) -> Result<
-        (
-            Vec<LuFactors<E>>,
-            Vec<Mat<E>>,
-            Vec<Mat<E>>,
-            LuFactors<E>,
-            Mat<E>,
-            Mat<E>,
-            f64,
-        ),
-        FactorError,
-    > {
+    ) -> Result<(Vec<LuFactors>, Vec<Mat>, Vec<Mat>, LuFactors, Mat, Mat, f64), FactorError> {
         let m = sys.m;
         let nl = sys.local_len();
-        let tol = HEAD_TOL_ULPS * E::EPSILON.to_f64();
+        let tol = HEAD_TOL_ULPS * f64::EPSILON;
         let mut boundary_cond = 1.0f64;
 
         let boundary_diag = if sys.lo == 0 {
@@ -428,28 +393,28 @@ impl<E: Element> ToeplitzRankFactors<E> {
             comm.compute(CompanionState::extract_flops(m));
             d
         };
-        let boundary_diag: Mat<E> = boundary_diag.convert::<E>();
-        // The interior blocks at factor precision, converted once — the
-        // general path converts them per row.
-        let a_tpl: Mat<E> = if sys.lo == 0 {
+        // The interior blocks every row shares.
+        let no_interior;
+        let a_tpl: &Mat = if sys.lo == 0 {
             if nl > 1 {
-                sys.rows[1].a.convert::<E>()
+                &sys.rows[1].a
             } else {
-                Mat::zeros(m, m)
+                no_interior = Mat::zeros(m, m);
+                &no_interior
             }
         } else {
-            sys.rows[0].a.convert::<E>()
+            &sys.rows[0].a
         };
-        let c_tpl: Mat<E> = sys.row0.c.convert::<E>();
+        let c_tpl: &Mat = &sys.row0.c;
 
-        let mut head_d_lu: Vec<LuFactors<E>> = Vec::new();
-        let mut head_f: Vec<Mat<E>> = Vec::new();
-        let mut prev_lu: LuFactors<E>;
+        let mut head_d_lu: Vec<LuFactors> = Vec::new();
+        let mut head_f: Vec<Mat> = Vec::new();
+        let mut prev_lu: LuFactors;
         // The diagonal the stationarity test compares against: the
         // boundary diagonal continues the same recurrence, so on
         // non-first ranks row `lo` can converge immediately (it usually
         // does — convergence happened inside rank 0's head).
-        let mut prev_d: Option<Mat<E>>;
+        let mut prev_d: Option<Mat>;
         let start_k;
         if sys.lo == 0 {
             let lu = LuFactors::factor(&boundary_diag)
@@ -473,11 +438,11 @@ impl<E: Element> ToeplitzRankFactors<E> {
         for k in start_k..nl {
             let i = sys.lo + k;
             // F_i = -A D_{i-1}^{-1}; D_i = B + F_i C.
-            let mut f_i = prev_lu.solve_transposed_system(&a_tpl);
+            let mut f_i = prev_lu.solve_transposed_system(a_tpl);
             f_i.negate();
             comm.compute(lu_solve_flops(m, m));
-            let mut d_i = sys.rows[k].b.convert::<E>();
-            gemm(E::ONE, &f_i, Trans::No, &c_tpl, Trans::No, E::ONE, &mut d_i);
+            let mut d_i = sys.rows[k].b.clone();
+            gemm(1.0, &f_i, Trans::No, c_tpl, Trans::No, 1.0, &mut d_i);
             comm.compute(gemm_flops(m, m, m));
             let lu = LuFactors::factor(&d_i).map_err(|source| FactorError { row: i, source })?;
             comm.compute(lu_flops(m));
@@ -486,9 +451,9 @@ impl<E: Element> ToeplitzRankFactors<E> {
                 .is_some_and(|pd| d_i.sub(pd).max_abs() <= tol * d_i.max_abs());
             if stationary {
                 // Row k (and everything after) uses the shared tail.
-                let mut tail_f = lu.solve_transposed_system(&a_tpl);
+                let mut tail_f = lu.solve_transposed_system(a_tpl);
                 tail_f.negate();
-                let mut tail_g = lu.solve(&c_tpl);
+                let mut tail_g = lu.solve(c_tpl);
                 tail_g.negate();
                 comm.compute(2 * lu_solve_flops(m, m));
                 let head_g = Self::head_g_pass(comm, sys, &head_d_lu);
@@ -503,9 +468,9 @@ impl<E: Element> ToeplitzRankFactors<E> {
         // whole slice is head, and the tail triple — built from the last
         // diagonal, exponent zero in every power — is dead weight kept
         // for struct uniformity.
-        let mut tail_f = prev_lu.solve_transposed_system(&a_tpl);
+        let mut tail_f = prev_lu.solve_transposed_system(a_tpl);
         tail_f.negate();
-        let mut tail_g = prev_lu.solve(&c_tpl);
+        let mut tail_g = prev_lu.solve(c_tpl);
         tail_g.negate();
         comm.compute(2 * lu_solve_flops(m, m));
         let head_g = Self::head_g_pass(comm, sys, &head_d_lu);
@@ -526,14 +491,14 @@ impl<E: Element> ToeplitzRankFactors<E> {
     fn head_g_pass<C: CommBackend>(
         comm: &mut C,
         sys: &RankSystem,
-        head_d_lu: &[LuFactors<E>],
-    ) -> Vec<Mat<E>> {
+        head_d_lu: &[LuFactors],
+    ) -> Vec<Mat> {
         let m = sys.m;
         head_d_lu
             .iter()
             .zip(&sys.rows)
             .map(|(lu, row)| {
-                let mut g_i = lu.solve(&row.c.convert::<E>());
+                let mut g_i = lu.solve(&row.c);
                 g_i.negate();
                 comm.compute(lu_solve_flops(m, m));
                 g_i
@@ -558,366 +523,43 @@ impl<E: Element> ToeplitzRankFactors<E> {
     }
 
     /// Bytes of factor state: `3 * head + 3` matrices plus the recorded
-    /// scan traces — versus the general path's `5 * N/P` matrices.
+    /// scan traces — versus the general path's `3 * N/P` matrices.
     pub fn storage_bytes(&self) -> u64 {
-        let mat_bytes = (self.m * self.m * std::mem::size_of::<E>()) as u64;
+        let mat_bytes = (self.m * self.m * std::mem::size_of::<f64>()) as u64;
         (3 * self.head_len() as u64 + 3) * mat_bytes
             + self.fwd_trace.storage_bytes()
             + self.bwd_trace.storage_bytes()
     }
-
-    /// Cumulative solve-workspace counters (see
-    /// [`crate::state::ArdRankFactors::workspace_stats`]).
-    pub fn workspace_stats(&self) -> bt_dense::WorkspaceStats {
-        self.ws.borrow().stats()
-    }
-
-    /// Shrinks the pooled solve workspace to `max_pooled_bytes` of idle
-    /// capacity, returning bytes released.
-    pub fn trim_workspace(&self, max_pooled_bytes: u64) -> u64 {
-        self.ws.borrow_mut().trim_to(max_pooled_bytes)
-    }
-
-    /// `F_i` for local row `k`.
-    fn f_at(&self, k: usize) -> &Mat<E> {
-        if k < self.head_f.len() {
-            &self.head_f[k]
-        } else {
-            &self.tail_f
-        }
-    }
-
-    /// `G_i` for local row `k` (zero at the last global row).
-    fn g_at(&self, k: usize) -> &Mat<E> {
-        if self.lo + k == self.n - 1 {
-            self.g_zero.as_ref().expect("last rank stores g_zero")
-        } else if k < self.head_g.len() {
-            &self.head_g[k]
-        } else {
-            &self.tail_g
-        }
-    }
-
-    /// `LU(D_i)` for local row `k`.
-    fn d_lu_at(&self, k: usize) -> &LuFactors<E> {
-        if k < self.head_d_lu.len() {
-            &self.head_d_lu[k]
-        } else {
-            &self.tail_d_lu
-        }
-    }
-
-    /// Same policy as the general path: `BT_ARD_RHS_TILE` override, else
-    /// the cost-model calibration.
-    fn resolve_rhs_tile<C: CommBackend>(comm: &C, m: usize, r: usize) -> usize {
-        static ENV_TILE: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
-        let env = *ENV_TILE.get_or_init(|| {
-            std::env::var("BT_ARD_RHS_TILE")
-                .ok()
-                .and_then(|v| v.trim().parse::<usize>().ok())
-                .filter(|&t| t > 0)
-        });
-        env.unwrap_or_else(|| auto_rhs_tile_for::<E>(&comm.model(), m, r))
-    }
-
-    /// Replays the recorded scans for one right-hand-side batch —
-    /// `y_local[k]` is the `M x R` panel of global row `lo + k`.
-    /// Collective; same pipeline as the general lean replay, with the
-    /// head/tail factor lookup.
-    ///
-    /// # Panics
-    ///
-    /// Panics on panel shape mismatch.
-    pub fn solve_replay<C: CommBackend>(&self, comm: &mut C, y_local: &[Mat<E>]) -> Vec<Mat<E>> {
-        let mut out: Vec<Mat<E>> = y_local
-            .iter()
-            .map(|p| Mat::zeros(p.rows(), p.cols()))
-            .collect();
-        self.solve_replay_into(comm, y_local, &mut out);
-        out
-    }
-
-    /// [`ToeplitzRankFactors::solve_replay`] into caller-provided
-    /// panels; allocation-free once warm.
-    ///
-    /// # Panics
-    ///
-    /// Panics on panel shape mismatch.
-    pub fn solve_replay_into<C: CommBackend>(
-        &self,
-        comm: &mut C,
-        y_local: &[Mat<E>],
-        out: &mut [Mat<E>],
-    ) {
-        let r = y_local.first().map_or(0, |p| p.cols());
-        let tile = Self::resolve_rhs_tile(comm, self.m, r);
-        self.solve_replay_into_tiled(comm, y_local, out, tile);
-    }
-
-    /// [`ToeplitzRankFactors::solve_replay_into`] with an explicit RHS
-    /// tile width; output is bitwise identical for every `tile`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on panel shape mismatch.
-    pub fn solve_replay_into_tiled<C: CommBackend>(
-        &self,
-        comm: &mut C,
-        y_local: &[Mat<E>],
-        out: &mut [Mat<E>],
-        tile: usize,
-    ) {
-        let m = self.m;
-        let nl = self.local_len();
-        assert_eq!(y_local.len(), nl, "rhs panel count mismatch");
-        assert_eq!(out.len(), nl, "output panel count mismatch");
-        let r = y_local[0].cols();
-        for (k, p) in y_local.iter().enumerate() {
-            assert_eq!(p.shape(), (m, r), "rhs panel {k} shape mismatch");
-        }
-        for (k, p) in out.iter().enumerate() {
-            assert_eq!(p.shape(), (m, r), "output panel {k} shape mismatch");
-        }
-        let mut ws = self.ws.borrow_mut();
-
-        // ---- Phase 2 (forward), boundary-value recurrence form. ---------
-        let fwd_first = comm.rank() == 0;
-        let span_fwd = bt_obs::span("solver", "solve.forward");
-        if fwd_first {
-            out[0].as_mut().copy_from(y_local[0].as_ref());
-            for k in 1..nl {
-                let (done, rest) = out.split_at_mut(k);
-                let zk = &mut rest[0];
-                zk.as_mut().copy_from(y_local[k].as_ref());
-                gemm(
-                    E::ONE,
-                    self.f_at(k),
-                    Trans::No,
-                    &done[k - 1],
-                    Trans::No,
-                    E::ONE,
-                    zk,
-                );
-                comm.compute(gemm_flops(m, m, r));
-            }
-            let total = ws.take_copy(out[nl - 1].as_ref());
-            let none = affine_exscan_replay_tiled(
-                comm,
-                Direction::Forward,
-                tags::FWD_SOLVE,
-                total,
-                &self.fwd_trace,
-                &mut ws,
-                tile,
-            );
-            debug_assert!(none.is_none());
-        } else {
-            let mut total = ws.take_copy(y_local[0].as_ref());
-            for (k, yk) in y_local.iter().enumerate().skip(1) {
-                let mut v = ws.take_copy(yk.as_ref());
-                gemm(
-                    E::ONE,
-                    self.f_at(k),
-                    Trans::No,
-                    &total,
-                    Trans::No,
-                    E::ONE,
-                    &mut v,
-                );
-                comm.compute(gemm_flops(m, m, r));
-                ws.put(std::mem::replace(&mut total, v));
-            }
-            let v_excl = affine_exscan_replay_tiled(
-                comm,
-                Direction::Forward,
-                tags::FWD_SOLVE,
-                total,
-                &self.fwd_trace,
-                &mut ws,
-                tile,
-            )
-            .expect("non-first rank always has an exclusive value");
-            for k in 0..nl {
-                let (done, rest) = out.split_at_mut(k);
-                let zk = &mut rest[0];
-                let prev = if k == 0 { &v_excl } else { &done[k - 1] };
-                zk.as_mut().copy_from(y_local[k].as_ref());
-                gemm(E::ONE, self.f_at(k), Trans::No, prev, Trans::No, E::ONE, zk);
-                comm.compute(gemm_flops(m, m, r));
-            }
-            ws.put(v_excl);
-        }
-        drop(span_fwd);
-
-        // ---- Diagonal solves, in place. ---------------------------------
-        {
-            let _span = bt_obs::span("solver", "solve.diag");
-            for (k, zk) in out.iter_mut().enumerate() {
-                self.d_lu_at(k).solve_in_place(&mut *zk);
-                comm.compute(lu_solve_flops(m, r));
-            }
-        }
-
-        // ---- Phase 3 (backward), mirror image. --------------------------
-        let _span_bwd = bt_obs::span("solver", "solve.backward");
-        let bwd_first = comm.rank() == comm.size() - 1;
-        if bwd_first {
-            for k in (0..nl - 1).rev() {
-                let (head, tail) = out.split_at_mut(k + 1);
-                gemm(
-                    E::ONE,
-                    self.g_at(k),
-                    Trans::No,
-                    &tail[0],
-                    Trans::No,
-                    E::ONE,
-                    &mut head[k],
-                );
-                comm.compute(gemm_flops(m, m, r));
-            }
-            let total = ws.take_copy(out[0].as_ref());
-            let none = affine_exscan_replay_tiled(
-                comm,
-                Direction::Backward,
-                tags::BWD_SOLVE,
-                total,
-                &self.bwd_trace,
-                &mut ws,
-                tile,
-            );
-            debug_assert!(none.is_none());
-        } else {
-            let mut total = ws.take_copy(out[nl - 1].as_ref());
-            for k in (0..nl - 1).rev() {
-                let mut v = ws.take_copy(out[k].as_ref());
-                gemm(
-                    E::ONE,
-                    self.g_at(k),
-                    Trans::No,
-                    &total,
-                    Trans::No,
-                    E::ONE,
-                    &mut v,
-                );
-                comm.compute(gemm_flops(m, m, r));
-                ws.put(std::mem::replace(&mut total, v));
-            }
-            let w_excl = affine_exscan_replay_tiled(
-                comm,
-                Direction::Backward,
-                tags::BWD_SOLVE,
-                total,
-                &self.bwd_trace,
-                &mut ws,
-                tile,
-            )
-            .expect("non-last rank always has a backward exclusive value");
-            for k in (0..nl).rev() {
-                if k == nl - 1 {
-                    gemm(
-                        E::ONE,
-                        self.g_at(k),
-                        Trans::No,
-                        &w_excl,
-                        Trans::No,
-                        E::ONE,
-                        &mut out[k],
-                    );
-                } else {
-                    let (head, tail) = out.split_at_mut(k + 1);
-                    gemm(
-                        E::ONE,
-                        self.g_at(k),
-                        Trans::No,
-                        &tail[0],
-                        Trans::No,
-                        E::ONE,
-                        &mut head[k],
-                    );
-                }
-                comm.compute(gemm_flops(m, m, r));
-            }
-            ws.put(w_excl);
-        }
-    }
 }
 
-impl ToeplitzRankFactors {
-    /// Replay solve followed by up to `max_sweeps` iterative-refinement
-    /// sweeps — the Toeplitz twin of
-    /// [`crate::state::ArdRankFactors::solve_replay_refined`].
-    /// Collective; all ranks receive the same `history`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn solve_replay_refined<C: CommBackend>(
-        &self,
-        comm: &mut C,
-        sys: &RankSystem,
-        y_local: &[Mat],
-        max_sweeps: usize,
-        tol: f64,
-    ) -> RefinedSolve {
-        let mut x = self.solve_replay(comm, y_local);
-        let y_norm2 = comm
-            .allreduce(sq_norm(y_local), |a, b| a + b)
-            .max(f64::MIN_POSITIVE);
-        let nl = x.len();
-        let (m, r) = x[0].shape();
-        let mut res: Vec<Mat> = (0..nl).map(|_| Mat::zeros(m, r)).collect();
-        let mut dx: Vec<Mat> = (0..nl).map(|_| Mat::zeros(m, r)).collect();
-        let mut halo_l = Mat::zeros(m, r);
-        let mut halo_r = Mat::zeros(m, r);
-        let mut history = Vec::with_capacity(max_sweeps + 1);
+impl ReplayFactors for ToeplitzRankFactors {
+    fn rows(&self) -> usize {
+        self.local_len()
+    }
 
-        let mut residual = |comm: &mut C, x: &[Mat], res: &mut [Mat]| -> f64 {
-            halo_exchange_into(
-                comm,
-                x[0].as_ref(),
-                x[nl - 1].as_ref(),
-                halo_l.as_mut(),
-                halo_r.as_mut(),
-            );
-            local_residual_into(
-                comm,
-                sys,
-                x,
-                (halo_l.as_ref(), halo_r.as_ref()),
-                y_local,
-                res,
-            );
-            (comm.allreduce(sq_norm(res), |a, b| a + b) / y_norm2).sqrt()
-        };
+    fn d_lu(&self, k: usize) -> &LuFactors {
+        self.head_d_lu.get(k).unwrap_or(&self.tail_d_lu)
+    }
 
-        let mut rel = residual(comm, &x, &mut res);
-        history.push(rel);
-        for sweep in 0..max_sweeps {
-            if rel <= tol {
-                break;
-            }
-            let _span = bt_obs::span_with("solver", "refine.sweep", || {
-                format!("{{\"sweep\":{sweep},\"rel_residual\":{rel:e}}}")
-            });
-            self.solve_replay_into(comm, &res, &mut dx);
-            for (xk, dk) in x.iter_mut().zip(&dx) {
-                xk.add_assign(dk);
-            }
-            let new_rel = residual(comm, &x, &mut res);
-            if !new_rel.is_finite() || new_rel >= rel {
-                for (xk, dk) in x.iter_mut().zip(&dx) {
-                    xk.sub_assign(dk);
-                }
-                break;
-            }
-            rel = new_rel;
-            history.push(rel);
+    fn f(&self, k: usize) -> &Mat {
+        self.head_f.get(k).unwrap_or(&self.tail_f)
+    }
+
+    /// Zero at the last global row.
+    fn g(&self, k: usize) -> &Mat {
+        if self.lo + k == self.n - 1 {
+            self.g_zero.as_ref().expect("last rank stores g_zero")
+        } else {
+            self.head_g.get(k).unwrap_or(&self.tail_g)
         }
-        REFINE_ITERS.record((history.len() - 1) as u64);
-        RefinedSolve {
-            x_local: x,
-            history,
-        }
+    }
+
+    fn traces(&self) -> (&ScanTrace, &ScanTrace) {
+        (&self.fwd_trace, &self.bwd_trace)
+    }
+
+    fn workspace(&self) -> &RefCell<Workspace> {
+        &self.ws
     }
 }
 
@@ -929,7 +571,9 @@ impl RankSolver for ToeplitzRankFactors {
     }
 
     fn solve<C: CommBackend>(&self, comm: &mut C, y_local: &[Mat]) -> Vec<Mat> {
-        self.solve_replay(comm, y_local)
+        let mut x = y_local.to_vec();
+        self.solve_in_place(comm, &mut x);
+        x
     }
 
     fn storage_bytes(&self) -> u64 {

@@ -68,14 +68,14 @@ fn ard_driver_agrees_across_backends() {
 }
 
 #[test]
-fn lean_replay_agrees_across_backends() {
-    // The memory-lean boundary-recurrence replay exercises a different
-    // message schedule (recomputed prefixes) than the stored-factor path.
+fn replay_agrees_across_backends_at_eight_ranks() {
+    // Eight ranks of six rows each: every rank but the logically first
+    // in each direction folds a local total, scans, and re-runs the
+    // boundary-value recurrence.
     let src = ClusteredToeplitz::standard(48, 4, 11);
     let batches = vec![random_rhs(48, 4, 3, 5)];
     let cfg = DriverConfig::new(8)
         .with_model(ZERO)
-        .with_lean()
         .with_threads_per_rank(1);
     assert_ard_agreement(&cfg, &src, &batches);
 }
@@ -140,21 +140,17 @@ proptest! {
         m in 2usize..5,
         r in 1usize..5,
         salt in 0u64..1000,
-        lean in proptest::bool::ANY,
     ) {
         let n = 8 * p.max(2); // a few rows per rank at every world size
         let src = ClusteredToeplitz::standard(n, m, salt);
         let batches = vec![random_rhs(n, m, r, salt ^ 0x5a5a)];
-        let mut cfg = DriverConfig::new(p).with_model(ZERO).with_threads_per_rank(1);
-        if lean {
-            cfg = cfg.with_lean();
-        }
+        let cfg = DriverConfig::new(p).with_model(ZERO).with_threads_per_rank(1);
         let sim = ard_solve_cfg_on::<SimBackend, _>(&cfg, &src, &batches).unwrap();
         let shm = ard_solve_cfg_on::<ShmBackend, _>(&cfg, &src, &batches).unwrap();
         prop_assert_eq!(
             bits_of_blockvecs(&sim.x),
             bits_of_blockvecs(&shm.x),
-            "p={} m={} r={} salt={} lean={}", p, m, r, salt, lean
+            "p={} m={} r={} salt={}", p, m, r, salt
         );
     }
 }

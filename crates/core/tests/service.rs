@@ -1,13 +1,16 @@
 //! Integration tests for the [`bt_ard::SolverService`] layer: cache
-//! hit/miss/eviction semantics, batching triggers (width and deadline),
-//! shape rejection, eviction racing in-flight solves, and panic
-//! containment in the dispatcher.
+//! hit/miss/eviction semantics, fingerprint sensitivity, batching
+//! triggers (width and deadline), shape rejection, eviction racing
+//! in-flight solves, panic containment in the dispatcher, and bitwise
+//! agreement of service answers with direct session solves.
 
+use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
-use bt_ard::{MatrixKey, ServiceConfig, ServiceError, SolverService};
-use bt_blocktri::gen::{materialize, random_rhs, ClusteredToeplitz};
-use bt_blocktri::BlockVec;
+use bt_ard::{ArdSession, MatrixKey, ServiceConfig, ServiceError, SolverService};
+use bt_blocktri::gen::{materialize, random_rhs, ClusteredToeplitz, RandomDominant};
+use bt_blocktri::{BlockRow, BlockRowSource, BlockVec};
+use bt_dense::Mat;
 use bt_mpsim::CostModel;
 
 const N: usize = 24;
@@ -383,66 +386,207 @@ fn toeplitz_registration_routes_to_fast_path() {
     assert_eq!(svc.stats().toeplitz_registrations, 1);
 }
 
-#[test]
-fn f32_and_f64_registrations_are_independent_entries() {
-    use bt_ard::Precision;
+/// A matrix served from one flat word stream: row `i` is the `3 M^2`
+/// words from `i * 3 M^2`, as `A`, `B`, `C` in column-major order — the
+/// order the fingerprint reads entries in. Lets a test edit single
+/// entries, swap rows or reshape `(N, M)` over the same words.
+struct Flat {
+    n: usize,
+    m: usize,
+    words: Vec<f64>,
+}
 
-    let svc = SolverService::start(ServiceConfig {
-        max_delay: Duration::from_millis(5),
-        ..cfg()
-    });
-    let a = src(91);
-    let k64 = svc.register(&a).unwrap();
-    let k32 = svc.register_with_precision(&a, Precision::F32).unwrap();
-    assert_ne!(k64, k32, "precisions must key distinct cache entries");
-    assert!(svc.contains(k64) && svc.contains(k32));
-    assert_eq!(svc.stats().cached_entries, 2);
+impl Flat {
+    fn of(src: &dyn BlockRowSource) -> Self {
+        let words = (0..src.n())
+            .flat_map(|i| {
+                let row = src.row(i);
+                [row.a, row.b, row.c]
+                    .into_iter()
+                    .flat_map(|blk| blk.as_slice().to_vec())
+            })
+            .collect();
+        Self {
+            n: src.n(),
+            m: src.m(),
+            words,
+        }
+    }
 
-    // Both entries serve their own replays.
-    let t = materialize(&a);
-    let y = random_rhs(N, M, 2, 9);
-    let r64 = svc.solve(k64, &y).unwrap();
-    let r32 = svc.solve(k32, &y).unwrap();
-    assert!(t.rel_residual(&r64.x, &y) < 1e-10);
-    assert!(t.rel_residual(&r32.x, &y) < 1e-10);
+    /// Index of entry `(0, 0)` of block `blk` (0 = A, 1 = B, 2 = C) of
+    /// row `i`, plus `offset` entries.
+    fn at(&self, i: usize, blk: usize, offset: usize) -> usize {
+        (3 * i + blk) * self.m * self.m + offset
+    }
 
-    // Re-registering either precision hits its own entry, not the
-    // sibling's.
-    let hits_before = svc.stats().cache_hits;
-    svc.register(&a).unwrap();
-    svc.register_with_precision(&a, Precision::F32).unwrap();
-    assert_eq!(svc.stats().cache_hits, hits_before + 2);
-    assert_eq!(svc.stats().cached_entries, 2);
+    fn with(&self, edit: impl FnOnce(&mut Vec<f64>)) -> Self {
+        let mut words = self.words.clone();
+        edit(&mut words);
+        Self {
+            n: self.n,
+            m: self.m,
+            words,
+        }
+    }
+}
+
+impl BlockRowSource for Flat {
+    fn n(&self) -> usize {
+        self.n
+    }
+
+    fn m(&self) -> usize {
+        self.m
+    }
+
+    fn row(&self, i: usize) -> BlockRow {
+        let mm = self.m * self.m;
+        let blk = |b: usize| {
+            let start = (3 * i + b) * mm;
+            Mat::from_col_major(self.m, self.m, self.words[start..start + mm].to_vec())
+        };
+        BlockRow {
+            a: blk(0),
+            b: blk(1),
+            c: blk(2),
+        }
+    }
 }
 
 #[test]
-fn precision_entries_evict_independently() {
-    use bt_ard::Precision;
+fn fingerprint_separates_near_identical_matrices() {
+    let base = Flat::of(&RandomDominant::new(12, 4, 1.5, 3));
+    let mid = base.n / 2;
+    let mut variants = vec![Flat::of(&base)];
+    // Single-bit flips of one entry in the first row's B, a middle
+    // row's A and the last row's C.
+    for (i, blk) in [(0, 1), (mid, 0), (base.n - 1, 2)] {
+        let at = base.at(i, blk, 5);
+        for bit in [0, 31, 52, 63] {
+            variants.push(base.with(|w| w[at] = f64::from_bits(w[at].to_bits() ^ (1 << bit))));
+        }
+    }
+    // Two distinct rows swapped.
+    let row_words = 3 * base.m * base.m;
+    variants.push(base.with(|w| {
+        let (lo, hi) = w.split_at_mut(base.at(mid, 0, 0));
+        lo[base.at(mid - 1, 0, 0)..].swap_with_slice(&mut hi[..row_words]);
+    }));
+    // One entry at +0.0 versus -0.0.
+    let at = base.at(mid, 1, 3);
+    variants.push(base.with(|w| w[at] = 0.0));
+    variants.push(base.with(|w| w[at] = -0.0));
+    // Same words, reshaped: (N, M) = (12, 4) and (48, 2) both hold 576.
+    variants.push(Flat {
+        n: 48,
+        m: 2,
+        words: base.words.clone(),
+    });
 
-    // One-byte budget: every insert evicts the LRU sibling, so the two
-    // precision entries of the same matrix displace each other — proof
-    // they live (and die) independently.
+    let keys: Vec<MatrixKey> = variants.iter().map(MatrixKey::fingerprint).collect();
+    let distinct: HashSet<MatrixKey> = keys.iter().copied().collect();
+    assert_eq!(distinct.len(), keys.len(), "colliding keys: {keys:?}");
+    // Identical contents through a different source type: same key.
+    assert_eq!(
+        MatrixKey::fingerprint(&RandomDominant::new(12, 4, 1.5, 3)),
+        keys[0]
+    );
+}
+
+#[test]
+fn failed_solve_with_trim_budget_keeps_the_dispatcher_alive() {
+    // A lost session fails its request. With a trim budget set, the
+    // post-dispatch trim must then skip the lost store: checking it out
+    // panics outside the solve's containment and would kill the
+    // dispatcher, leaving every later request unanswered.
     let svc = SolverService::start(ServiceConfig {
-        cache_bytes: 1,
         max_delay: Duration::from_millis(5),
+        ws_trim_bytes: Some(0),
         ..cfg()
     });
-    let a = src(92);
-    let k64 = svc.register(&a).unwrap();
-    let k32 = svc.register_with_precision(&a, Precision::F32).unwrap();
-    assert!(
-        !svc.contains(k64),
-        "f64 entry should be evicted by the f32 registration"
-    );
-    assert!(svc.contains(k32));
+    let a = src(71);
+    let b = src(72);
+    let ka = svc.register(&a).unwrap();
+    let kb = svc.register(&b).unwrap();
+    assert!(svc.lose_factors_for_test(ka));
 
-    // The surviving f32 entry still solves; the evicted key is refused
-    // rather than silently served from the sibling.
-    let y = random_rhs(N, M, 1, 10);
-    let resp = svc.solve(k32, &y).unwrap();
-    assert!(materialize(&a).rel_residual(&resp.x, &y) < 1e-10);
+    let y = random_rhs(N, M, 1, 3);
     assert!(matches!(
-        svc.submit(k64, &y),
-        Err(ServiceError::UnknownKey(_))
+        svc.solve(ka, &y),
+        Err(ServiceError::SolveFailed(_))
     ));
+
+    let ticket = svc.submit(kb, &y).unwrap();
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(ticket.wait());
+    });
+    let resp = rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("dispatcher died: request on an unrelated key never answered")
+        .unwrap();
+    assert!(materialize(&b).rel_residual(&resp.x, &y) < 1e-10);
+}
+
+/// Stacks block vectors column-wise, in order (the coalescer's layout).
+fn hstack(ys: &[BlockVec]) -> BlockVec {
+    let blocks = (0..ys[0].n())
+        .map(|i| {
+            let mut panel = Mat::zeros(ys[0].m(), ys.iter().map(BlockVec::r).sum());
+            let mut c0 = 0;
+            for y in ys {
+                panel.set_block(0, c0, &y.blocks[i]);
+                c0 += y.r();
+            }
+            panel
+        })
+        .collect();
+    BlockVec::from_blocks(blocks)
+}
+
+/// Columns `c0..c0 + w` of a block vector.
+fn columns(x: &BlockVec, c0: usize, w: usize) -> BlockVec {
+    BlockVec::from_blocks(x.blocks.iter().map(|p| p.block(0, c0, x.m(), w)).collect())
+}
+
+/// Service answers against a direct session over the same matrix, bit
+/// for bit: one wide request (its own panels, solved in place), then a
+/// width-triggered batch of narrow ones (one stacked panel).
+fn assert_service_matches_session<S: BlockRowSource + Sync>(src: &S, direct: &ArdSession) {
+    const K: usize = 5;
+    let (n, m) = (src.n(), src.m());
+    let svc = SolverService::start(ServiceConfig {
+        max_batch: K,
+        max_delay: Duration::from_secs(10),
+        ..cfg()
+    });
+    let key = svc.register(src).unwrap();
+
+    let wide = random_rhs(n, m, 2 * K, 404);
+    let resp = svc.solve(key, &wide).unwrap();
+    assert_eq!(resp.batch_width, 2 * K);
+    assert_eq!(resp.x, direct.solve(&wide).unwrap(), "wide request");
+
+    let narrow: Vec<BlockVec> = (0..K as u64)
+        .map(|s| random_rhs(n, m, 1, 500 + s))
+        .collect();
+    let tickets: Vec<_> = narrow.iter().map(|y| svc.submit(key, y).unwrap()).collect();
+    let expect = direct.solve(&hstack(&narrow)).unwrap();
+    for (c, ticket) in tickets.into_iter().enumerate() {
+        let resp = ticket.wait().unwrap();
+        assert_eq!(resp.batch_width, K, "narrow requests must coalesce");
+        assert_eq!(resp.x, columns(&expect, c, 1), "narrow request {c}");
+    }
+}
+
+#[test]
+fn service_answers_match_direct_session_bit_for_bit() {
+    let general = src(81);
+    let direct = ArdSession::create(P, cfg().model, &general).unwrap();
+    assert_service_matches_session(&general, &direct);
+
+    // >= 32 rows per rank of constant blocks: the Toeplitz path.
+    let toeplitz = ClusteredToeplitz::standard(32 * P, M, 82);
+    let direct = ArdSession::create_toeplitz(P, cfg().model, &toeplitz).unwrap();
+    assert_service_matches_session(&toeplitz, &direct);
 }

@@ -9,8 +9,8 @@ use bt_ard::state::BoundaryMode;
 use bt_blocktri::gen::{
     materialize, random_rhs, ClusteredToeplitz, ConvectionDiffusion, Poisson2D, RandomDominant,
 };
-use bt_blocktri::thomas::thomas_solve;
-use bt_blocktri::BlockRowSource;
+use bt_blocktri::thomas::{thomas_solve, ThomasFactors};
+use bt_blocktri::{BlockRowSource, RowPartition};
 use bt_mpsim::{CostModel, SimBackend};
 
 const ZERO: CostModel = CostModel {
@@ -346,43 +346,53 @@ fn deterministic_across_runs() {
     assert_eq!(a.stats, b.stats, "counters must be deterministic");
 }
 
+/// Receive events of a Kogge-Stone exclusive scan at logical index
+/// `logical` of `p`: one per doubling distance it reaches back over.
+/// Each records one `M x M` trace matrix.
+fn scan_receives(logical: usize, p: usize) -> usize {
+    (0..usize::BITS)
+        .map(|s| 1usize << s)
+        .take_while(|&d| d < p)
+        .filter(|&d| logical >= d)
+        .count()
+}
+
 #[test]
-fn lean_replay_matches_standard_replay() {
-    let src = ClusteredToeplitz::standard(96, 5, 12);
-    let batches: Vec<_> = (0..3).map(|s| random_rhs(96, 5, 3, s)).collect();
+fn replay_matches_thomas_and_stores_three_blocks_per_row() {
+    let (n, m) = (96, 5);
+    let src = ClusteredToeplitz::standard(n, m, 12);
+    let t = materialize(&src);
+    let thomas = ThomasFactors::factor(&t).unwrap();
+    let batches: Vec<_> = (0..3).map(|s| random_rhs(n, m, 3, s)).collect();
     for p in [1, 2, 4, 7] {
-        let full = ard_solve_dist(p, ZERO, &src, &batches).unwrap();
-        let cfg = DriverConfig::new(p).with_model(ZERO).with_lean();
-        let lean = ard_solve_cfg(&cfg, &src, &batches).unwrap();
-        for b in 0..batches.len() {
-            let d = lean.x[b].rel_diff(&full.x[b]);
+        let out = ard_solve_dist(p, ZERO, &src, &batches).unwrap();
+        for (b, y) in batches.iter().enumerate() {
+            let d = out.x[b].rel_diff(&thomas.solve(y));
             assert!(d < 1e-12, "p={p} batch={b}: {d}");
         }
-        // Identical message pattern and flop count...
-        assert_eq!(
-            lean.stats.total().msgs_sent,
-            full.stats.total().msgs_sent,
-            "p={p}"
-        );
-        assert_eq!(
-            lean.stats.total().bytes_sent,
-            full.stats.total().bytes_sent,
-            "p={p}"
-        );
-        assert_eq!(lean.stats.total().flops, full.stats.total().flops, "p={p}");
-        // ...but strictly less stored factor memory (for multi-row ranks).
-        assert!(lean.factor_bytes < full.factor_bytes, "p={p}");
+        // The store is LU(D_i), F_i and G_i per owned row plus the two
+        // recorded scan traces — nothing else.
+        let part = RowPartition::new(n, p);
+        let expect = (0..p)
+            .map(|rank| {
+                let blocks = 3 * part.range(rank).len()
+                    + scan_receives(rank, p)
+                    + scan_receives(p - 1 - rank, p);
+                (blocks * m * m * std::mem::size_of::<f64>()) as u64
+            })
+            .max()
+            .unwrap();
+        assert_eq!(out.factor_bytes, expect, "p={p}");
     }
 }
 
 #[test]
-fn lean_replay_single_row_per_rank() {
+fn replay_single_row_per_rank() {
     let src = ClusteredToeplitz::standard(6, 4, 2);
     let batches = vec![random_rhs(6, 4, 2, 1)];
-    let cfg = DriverConfig::new(6).with_model(ZERO).with_lean();
-    let lean = ard_solve_cfg(&cfg, &src, &batches).unwrap();
+    let out = ard_solve_cfg(&DriverConfig::new(6).with_model(ZERO), &src, &batches).unwrap();
     let t = materialize(&src);
-    assert!(t.rel_residual(&lean.x[0], &batches[0]) < 1e-12);
+    assert!(t.rel_residual(&out.x[0], &batches[0]) < 1e-12);
 }
 
 #[test]

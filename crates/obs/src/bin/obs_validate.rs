@@ -16,8 +16,7 @@
 //! checked against the schema it self-identifies as: `bt-obs-metrics-v1`
 //! via [`bt_obs::json::validate_metrics`], `bt-bench-service-v1` via
 //! [`bt_obs::json::validate_bench_service`], `bt-bench-shm-v1` via
-//! [`bt_obs::json::validate_bench_shm`], `bt-bench-mixed-v1` via
-//! [`bt_obs::json::validate_bench_mixed`], `bt-bench-structured-v1` via
+//! [`bt_obs::json::validate_bench_shm`], `bt-bench-structured-v1` via
 //! [`bt_obs::json::validate_bench_structured`], `bt-bench-pipeline-v1`
 //! via [`bt_obs::json::bench_headline`], `bt-obs-flight-v1` via
 //! [`bt_obs::json::validate_flight`], `bt-obs-snapshot-v1` via
@@ -46,13 +45,6 @@ fn validate_file(path: &str) -> Result<String, String> {
             s.cells,
             s.headline,
             s.fit_error * 1e2
-        ));
-    }
-    if schema.starts_with("bt-bench-mixed") {
-        let s = json::validate_bench_mixed(&doc)?;
-        return Ok(format!(
-            "mixed bench ok: {} cells ({} fell back), headline warm-replay speedup {:.2}x",
-            s.cells, s.fallback_cells, s.headline
         ));
     }
     if schema.starts_with("bt-bench-structured") {

@@ -811,185 +811,6 @@ pub fn validate_bench_shm(doc: &Json) -> Result<BenchShmSummary, String> {
     })
 }
 
-/// What [`validate_bench_mixed`] found.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct BenchMixedSummary {
-    /// Sweep cells (one per `(generator, r)` pair, plus fallback cells).
-    pub cells: usize,
-    /// Cells where the gray-zone gate forced the `f64` fallback.
-    pub fallback_cells: usize,
-    /// Best warm-replay speedup (`f64_replay_ns / f32_replay_ns`) over
-    /// the `f32` cells.
-    pub headline: f64,
-}
-
-/// Gray-zone gate mirrored from `bt_ard::MIXED_COND_MAX` (`bt-obs`
-/// cannot depend on `bt-ard`): every `f32` cell of a mixed bench must
-/// sit at or below this boundary condition estimate.
-const MIXED_GATE_COND: f64 = 1e6;
-
-/// Speedup claim a full-scale SIMD `bt-bench-mixed-v1` document must
-/// back: the half-width replay path is only worth shipping if the warm
-/// replay is at least this much faster somewhere in the sweep.
-pub const MIXED_CLAIM_MIN_SPEEDUP: f64 = 1.6;
-
-/// Validates a `bt-bench-mixed-v1` document (`bench_mixed` output):
-/// schema tag, run parameters, per-cell consistency of
-/// `replay_speedup = f64_replay_ns / f32_replay_ns`, fallback cells
-/// shaped as fallbacks (`precision = "f64"`, `fell_back = true`,
-/// `f32_replay_ns = null`, at least one present so the gate is
-/// exercised), `f32` cells inside the gray-zone gate, the equal-quality
-/// residual claim (`mixed_residual <= max(1e-12, 4 * f64_residual)`),
-/// and a headline consistent with the best `f32` cell. Full-scale
-/// documents generated on a SIMD dispatch path must also back the
-/// [`MIXED_CLAIM_MIN_SPEEDUP`] claim (smoke and scalar runs are only
-/// checked for internal consistency).
-///
-/// # Errors
-///
-/// The first violated rule, naming the offending cell.
-pub fn validate_bench_mixed(doc: &Json) -> Result<BenchMixedSummary, String> {
-    match doc.get("schema").and_then(Json::as_str) {
-        Some("bt-bench-mixed-v1") => {}
-        Some(other) => return Err(format!("unknown mixed bench schema '{other}'")),
-        None => return Err("mixed bench document lacks a schema tag".to_string()),
-    }
-    for key in ["m", "p", "reps", "cores"] {
-        match doc.get(key).and_then(Json::as_f64) {
-            Some(v) if v >= 1.0 => {}
-            _ => return Err(format!("'{key}' is missing or not a positive number")),
-        }
-    }
-    let smoke = match doc.get("smoke") {
-        Some(Json::Bool(b)) => *b,
-        _ => return Err("mixed bench document lacks a boolean 'smoke'".to_string()),
-    };
-    let simd = doc
-        .get("simd")
-        .and_then(Json::as_str)
-        .ok_or("mixed bench document lacks a simd tag")?;
-    let results = doc
-        .get("results")
-        .and_then(Json::as_arr)
-        .ok_or("mixed bench document lacks a results array")?;
-    if results.is_empty() {
-        return Err("results array is empty".to_string());
-    }
-    let mut fallback_cells = 0usize;
-    let mut best = 0.0f64;
-    for (i, rec) in results.iter().enumerate() {
-        let num = |key: &str| {
-            rec.get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("results[{i}] lacks numeric {key}"))
-        };
-        let label = rec
-            .get("label")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("results[{i}] lacks a label"))?;
-        let fell_back = match rec.get("fell_back") {
-            Some(Json::Bool(b)) => *b,
-            _ => return Err(format!("results[{i}] ({label}) lacks boolean fell_back")),
-        };
-        let precision = rec
-            .get("precision")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("results[{i}] ({label}) lacks a precision"))?;
-        let cond = num("boundary_cond")?;
-        if !cond.is_finite() || cond <= 0.0 {
-            return Err(format!(
-                "results[{i}] ({label}): boundary_cond {cond} is not a positive finite number"
-            ));
-        }
-        let f64_ns = num("f64_replay_ns")?;
-        if f64_ns <= 0.0 || num("refined_ns")? <= 0.0 {
-            return Err(format!(
-                "results[{i}] ({label}): replay/refined timings must be positive"
-            ));
-        }
-        let speedup = num("replay_speedup")?;
-        match precision {
-            "f32" => {
-                if fell_back {
-                    return Err(format!("results[{i}] ({label}): f32 cell claims fell_back"));
-                }
-                if cond > MIXED_GATE_COND {
-                    return Err(format!(
-                        "results[{i}] ({label}): f32 cell outside the gray-zone gate \
-                         (cond {cond:.1e} > {MIXED_GATE_COND:.0e})"
-                    ));
-                }
-                let f32_ns = num("f32_replay_ns")?;
-                if f32_ns <= 0.0 {
-                    return Err(format!(
-                        "results[{i}] ({label}): f32_replay_ns {f32_ns} not positive"
-                    ));
-                }
-                let expect = f64_ns / f32_ns;
-                if (speedup - expect).abs() > 0.01 * expect {
-                    return Err(format!(
-                        "results[{i}] ({label}): replay_speedup {speedup:.4} inconsistent \
-                         with f64/f32 {expect:.4}"
-                    ));
-                }
-                best = best.max(speedup);
-            }
-            "f64" => {
-                if !fell_back {
-                    return Err(format!(
-                        "results[{i}] ({label}): f64 cell without fell_back — the sweep \
-                         only records f64 when the gate trips"
-                    ));
-                }
-                if !matches!(rec.get("f32_replay_ns"), Some(Json::Null)) {
-                    return Err(format!(
-                        "results[{i}] ({label}): fallback cell must carry f32_replay_ns = null"
-                    ));
-                }
-                fallback_cells += 1;
-            }
-            other => {
-                return Err(format!(
-                    "results[{i}] ({label}): unknown precision '{other}'"
-                ))
-            }
-        }
-        let (f64_res, mixed_res) = (num("f64_residual")?, num("mixed_residual")?);
-        if mixed_res > 1e-12f64.max(f64_res * 4.0) {
-            return Err(format!(
-                "results[{i}] ({label}): mixed residual {mixed_res:.2e} vs f64's \
-                 {f64_res:.2e} breaks the equal-quality claim"
-            ));
-        }
-    }
-    if fallback_cells == 0 {
-        return Err("no fallback cell — the gray-zone gate was never exercised".to_string());
-    }
-    if fallback_cells == results.len() {
-        return Err("every cell fell back — no f32 cell to support the headline".to_string());
-    }
-    let headline = doc
-        .get("headline_replay_speedup")
-        .and_then(Json::as_f64)
-        .ok_or("mixed bench document lacks numeric headline_replay_speedup")?;
-    if headline <= 0.0 || (headline - best).abs() > 0.01 * best {
-        return Err(format!(
-            "headline {headline:.4} inconsistent with best f32 cell's {best:.4}"
-        ));
-    }
-    if !smoke && simd != "scalar" && headline < MIXED_CLAIM_MIN_SPEEDUP {
-        return Err(format!(
-            "full-scale SIMD headline {headline:.2}x is below the {MIXED_CLAIM_MIN_SPEEDUP}x \
-             mixed-precision claim"
-        ));
-    }
-    Ok(BenchMixedSummary {
-        cells: results.len(),
-        fallback_cells,
-        headline,
-    })
-}
-
 /// What [`validate_bench_structured`] found.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct BenchStructuredSummary {
@@ -1211,8 +1032,7 @@ pub struct BaselineSummary {
 /// throughput at the top rate for `bt-bench-service-v1`, best modeled
 /// pipeline speedup vs unpiped for `bt-bench-pipeline-v1`, RHS columns
 /// solved per wall second at the biggest cell for `bt-bench-shm-v1`,
-/// best warm-replay speedup over the `f32` cells for
-/// `bt-bench-mixed-v1`, best batched-over-looped throughput for
+/// best batched-over-looped throughput for
 /// `bt-bench-structured-v1` (the batched figure gates rather than the
 /// Toeplitz one because it exercises the dense kernels end to end and
 /// is the steadier of the structured headlines).
@@ -1232,10 +1052,6 @@ pub fn bench_headline(doc: &Json) -> Result<(String, f64), String> {
         }
         "bt-bench-shm-v1" => {
             let summary = validate_bench_shm(doc)?;
-            Ok((schema.to_string(), summary.headline))
-        }
-        "bt-bench-mixed-v1" => {
-            let summary = validate_bench_mixed(doc)?;
             Ok((schema.to_string(), summary.headline))
         }
         "bt-bench-structured-v1" => {
@@ -1543,69 +1359,6 @@ mod tests {
         assert!(err.contains("headline_rhs_cols_per_s"), "{err}");
     }
 
-    fn mixed_doc(f32_ns: f64) -> String {
-        let speedup = 4.0e6 / f32_ns;
-        format!(
-            r#"{{"schema": "bt-bench-mixed-v1", "m": 8, "p": 4, "reps": 5, "cores": 4,
-                "simd": "avx2+fma", "smoke": false,
-                "headline_replay_speedup": {speedup},
-                "results": [
-                  {{"label": "clustered", "n": 256, "m": 8, "p": 4, "r": 64,
-                    "boundary_cond": 1.3, "precision": "f32", "fell_back": false,
-                    "f64_replay_ns": 4e6, "f32_replay_ns": {f32_ns},
-                    "replay_speedup": {speedup}, "refined_ns": 9e6, "sweeps": 1,
-                    "refined_speedup": 0.45, "f64_residual": 4.2e-16,
-                    "mixed_residual": 2.7e-14}},
-                  {{"label": "poisson-32", "n": 32, "m": 6, "p": 4, "r": 16,
-                    "boundary_cond": 6.3e12, "precision": "f64", "fell_back": true,
-                    "f64_replay_ns": 1.3e5, "f32_replay_ns": null,
-                    "replay_speedup": 1.0, "refined_ns": 6.7e5, "sweeps": 2,
-                    "refined_speedup": 0.2, "f64_residual": 3.7e-5,
-                    "mixed_residual": 6.7e-14}}
-                ]}}"#
-        )
-    }
-
-    #[test]
-    fn mixed_bench_schema_validates_and_catches_inconsistency() {
-        let good = mixed_doc(2.0e6);
-        let s = validate_bench_mixed(&parse(&good).unwrap()).unwrap();
-        assert_eq!((s.cells, s.fallback_cells), (2, 1));
-        assert!((s.headline - 2.0).abs() < 1e-9);
-
-        let bad_speedup = good.replace("\"f32_replay_ns\": 2000000", "\"f32_replay_ns\": 3000000");
-        let err = validate_bench_mixed(&parse(&bad_speedup).unwrap()).unwrap_err();
-        assert!(err.contains("inconsistent with f64/f32"), "{err}");
-
-        // An f32 cell past the gray-zone gate is a contradiction: setup
-        // would have fallen back.
-        let bad_gate = good.replace("\"boundary_cond\": 1.3,", "\"boundary_cond\": 2e7,");
-        let err = validate_bench_mixed(&parse(&bad_gate).unwrap()).unwrap_err();
-        assert!(err.contains("gray-zone gate"), "{err}");
-
-        let bad_quality = good.replace("\"mixed_residual\": 2.7e-14", "\"mixed_residual\": 3e-9");
-        let err = validate_bench_mixed(&parse(&bad_quality).unwrap()).unwrap_err();
-        assert!(err.contains("equal-quality"), "{err}");
-
-        let no_fallback = good.replace("\"fell_back\": true", "\"fell_back\": false");
-        let err = validate_bench_mixed(&parse(&no_fallback).unwrap()).unwrap_err();
-        assert!(err.contains("f64 cell without fell_back"), "{err}");
-    }
-
-    #[test]
-    fn mixed_bench_full_scale_simd_run_must_back_the_claim() {
-        // Headline 1.25x: internally consistent, but below the 1.6x
-        // claim a full-scale SIMD document must back.
-        let slow = mixed_doc(3.2e6);
-        let err = validate_bench_mixed(&parse(&slow).unwrap()).unwrap_err();
-        assert!(err.contains("below the 1.6x"), "{err}");
-        // The same figures pass as a smoke run or on the scalar path.
-        let smoke = slow.replace("\"smoke\": false", "\"smoke\": true");
-        assert!(validate_bench_mixed(&parse(&smoke).unwrap()).is_ok());
-        let scalar = slow.replace("\"simd\": \"avx2+fma\"", "\"simd\": \"scalar\"");
-        assert!(validate_bench_mixed(&parse(&scalar).unwrap()).is_ok());
-    }
-
     fn structured_doc(batched_ns: f64) -> String {
         let batched_speedup = 9.0e7 / batched_ns;
         format!(
@@ -1701,15 +1454,6 @@ mod tests {
         let summary = validate_baseline(&committed, &fresh, 0.5).unwrap();
         assert_eq!(summary.schema, "bt-bench-structured-v1");
         assert!((summary.ratio - 4.0e7 / 4.4e7).abs() < 1e-9);
-    }
-
-    #[test]
-    fn mixed_bench_baseline_tracks_headline() {
-        let committed = parse(&mixed_doc(2.0e6)).unwrap();
-        let fresh = parse(&mixed_doc(2.2e6)).unwrap();
-        let summary = validate_baseline(&committed, &fresh, 0.5).unwrap();
-        assert_eq!(summary.schema, "bt-bench-mixed-v1");
-        assert!((summary.ratio - 2.0e6 / 2.2e6).abs() < 1e-9);
     }
 
     #[test]

@@ -80,14 +80,6 @@ fn main() {
             &batches,
         ),
     );
-    report(
-        "ARD (windowed, lean)",
-        ard_solve_cfg(
-            &base.with_boundary(BoundaryMode::Windowed(64)).with_lean(),
-            &src,
-            &batches,
-        ),
-    );
     report("SPIKE partitioned", spike_solve_cfg(&base, &src, &batches));
 
     println!(
