@@ -242,6 +242,14 @@ impl<A: Payload, B: Payload, C: Payload, D: Payload> Payload for (A, B, C, D) {
 mod tests {
     use super::*;
 
+    /// Serializes the tests that pack panels. The pool is process-global,
+    /// so without this one test's pack or drain can empty it between
+    /// another test's release of a buffer and its assertion on the pool.
+    fn pool_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn scalar_sizes() {
         assert_eq!(1.0f64.byte_size(), 8);
@@ -276,6 +284,7 @@ mod tests {
 
     #[test]
     fn panel_buf_roundtrip_and_byte_size() {
+        let _pool = pool_lock();
         let src = Mat::from_fn(3, 4, |i, j| (i * 4 + j) as f64);
         let p = PanelBuf::pack(src.as_ref());
         assert_eq!(p.shape(), (3, 4));
@@ -287,6 +296,7 @@ mod tests {
 
     #[test]
     fn f32_panels_are_half_the_bytes_of_f64() {
+        let _pool = pool_lock();
         // The satellite fix this PR pins down: wire accounting derives
         // from the element size instead of hardcoding `f64`.
         let src64: Mat = Mat::from_fn(6, 7, |i, j| (i * 7 + j) as f64);
@@ -305,6 +315,7 @@ mod tests {
 
     #[test]
     fn pool_does_not_mix_precisions() {
+        let _pool = pool_lock();
         panel_pool_drain();
         // Release an f64 buffer of ample capacity into the pool...
         let big: Mat = Mat::from_fn(8, 8, |i, j| (i + j) as f64);
@@ -325,12 +336,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "unpack_into precision mismatch")]
     fn unpack_precision_mismatch_panics() {
+        let _pool = pool_lock();
         let p = PanelBuf::pack(Mat::<f32>::zeros(2, 2).as_ref());
         p.unpack_into(Mat::<f64>::zeros(2, 2).as_mut());
     }
 
     #[test]
     fn panel_buf_strided_pack_and_unpack() {
+        let _pool = pool_lock();
         let big = Mat::from_fn(6, 6, |i, j| (10 * i + j) as f64);
         let p = PanelBuf::pack(big.submatrix(1, 2, 3, 2));
         let mut dst = Mat::filled(5, 4, -1.0);
@@ -341,14 +354,14 @@ mod tests {
 
     #[test]
     fn panel_buf_pool_recycles() {
+        let _pool = pool_lock();
         panel_pool_drain();
         let src = Mat::from_fn(4, 4, |i, j| (i + j) as f64);
         let mut out: Mat = Mat::zeros(4, 4);
         PanelBuf::pack(src.as_ref()).unpack_into(out.as_mut());
         // Buffer returned to the pool; the next pack of a fitting shape
-        // must recycle it rather than allocate.
-        // (>= comparisons: the pool is process-global and other tests in
-        // this binary may be using it concurrently.)
+        // must recycle it rather than allocate. (`pool_lock` keeps the
+        // other packing tests in this binary off the pool meanwhile.)
         assert!(!panel_pool().lock().unwrap().is_empty());
         PanelBuf::pack(src.submatrix(0, 0, 2, 2)).unpack_into(out.submatrix_mut(0, 0, 2, 2));
         assert!(panel_pool_drain() >= 1, "pool should hold the buffer");
@@ -357,6 +370,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "unpack_into shape mismatch")]
     fn panel_buf_shape_mismatch_panics() {
+        let _pool = pool_lock();
         let p = PanelBuf::pack(Mat::<f64>::zeros(2, 3).as_ref());
         let mut out: Mat = Mat::zeros(3, 2);
         p.unpack_into(out.as_mut());

@@ -56,28 +56,34 @@ const fn cube(m: usize) -> f64 {
 /// classic-RD solve).
 ///
 /// Leading terms per local row: companion `W_i` construction (LU + two
-/// solves, ~4.7M^3) + companion total update (8M^3) + Thomas pass
-/// (LU 2/3 M^3 + two triangular stages 2M^3 each + GEMM 2M^3) + `G`
-/// (2M^3) + two prefix products (2M^3 each). Per scan round: one
-/// companion compose (16M^3) + two affine matrix composes (2M^3 each).
+/// solves, ~4.7M^3) + companion total update (8M^3) + the local pass
+/// (LU of `D_i` 2/3 M^3, its inverse `E_i` 2M^3, and three GEMMs of
+/// 2M^3 each: `F_i = -A_i E_{i-1}`, the `D_i` update and
+/// `G_i = -E_i C_i`) + two prefix products (2M^3 each). Per scan round:
+/// one companion compose (16M^3) + two affine matrix composes (2M^3
+/// each).
 pub fn setup_flops(c: &Config) -> f64 {
     let m = c.m;
     let per_row = (2.0 / 3.0 + 4.0) * cube(m) // building W_i (LU(C) + 2 solves)
         + 8.0 * cube(m)                  // companion total apply_left
         + (2.0 / 3.0) * cube(m)          // LU(D_i)
-        + 2.0 * cube(m)                  // F_i right division
+        + 2.0 * cube(m)                  // E_i = D_i^{-1} from the LU
+        + 2.0 * cube(m)                  // F_i GEMM
         + 2.0 * cube(m)                  // D_i update GEMM
-        + 2.0 * cube(m)                  // G_i solve
+        + 2.0 * cube(m)                  // G_i GEMM
         + 4.0 * cube(m); // two local prefix products
     let per_round = 16.0 * cube(m)       // companion compose
         + 2.0 * 2.0 * cube(m); // two affine matrix composes
     per_row * c.nl() as f64 + per_round * c.rounds() as f64
 }
 
-/// Flops of one accelerated solve (vector work only). Per local row:
-/// forward recurrence (2M^2 R) + forward fixup (2M^2 R) + `h` solve
-/// (2M^2 R) + backward recurrence (2M^2 R) + backward fixup (2M^2 R);
-/// per scan round: two panel combines (2M^2 R each).
+/// Flops of one accelerated solve (vector work only), on a rank with
+/// neighbours on both sides (the critical path). Per local row: the
+/// forward local total from a zero boundary (2M^2 R), the forward
+/// boundary-value recurrence from the scanned `z_{lo-1}` (2M^2 R), the
+/// diagonal GEMM `h_i = E_i z_i` (2M^2 R), and the backward local total
+/// and boundary-value recurrence (2M^2 R each); per scan round: two
+/// panel combines (2M^2 R each).
 pub fn ard_solve_flops(c: &Config) -> f64 {
     let m2r = (c.m * c.m * c.r) as f64;
     let per_row = 10.0 * m2r;
@@ -116,8 +122,8 @@ pub fn rd_solve_bytes_per_rank(c: &Config) -> f64 {
 }
 
 /// Bytes of stored factors per rank (ARD's memory price): three `M x M`
-/// matrices per local row (`LU(D_i)`, `F_i`, `G_i`) plus the recorded
-/// scan traces.
+/// matrices per local row (`E_i = D_i^{-1}`, `F_i`, `G_i`) plus the
+/// recorded scan traces.
 pub fn ard_storage_bytes(c: &Config) -> f64 {
     let m2 = (c.m * c.m * 8) as f64;
     3.0 * m2 * c.nl() as f64 + 2.0 * m2 * c.rounds() as f64
@@ -252,7 +258,7 @@ mod tests {
         assert!(s8 > 4.0 && s8 < 9.0, "R=8 speedup ~R, got {s8}");
         assert!(s64 > 20.0, "R=64 speedup substantial, got {s64}");
         // Saturation: bounded by an O(M) constant (ratio of the setup and
-        // per-RHS flop constants is ~2.3).
+        // per-RHS flop constants is ~2.5).
         assert!(s4096 < 3.0 * c.m as f64, "saturates near O(M), got {s4096}");
         assert!(s4096 > s64);
     }

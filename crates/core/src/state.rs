@@ -11,8 +11,9 @@
 //! only `M x R` panels.
 //!
 //! Every replay runs one in-place body over the [`ReplayFactors`]
-//! accessor: a rank's `LU(D_i)`, `F_i` and `G_i` by local row, plus the
-//! recorded scan traces. [`ArdRankFactors`] stores them per row;
+//! accessor: a rank's `E_i = D_i^{-1}`, `F_i` and `G_i` by local row,
+//! plus the recorded scan traces, so every per-row step of a replay is a
+//! small-block GEMM. [`ArdRankFactors`] stores them per row;
 //! [`crate::toeplitz::ToeplitzRankFactors`] stores a short head plus one
 //! shared tail triple.
 //!
@@ -164,13 +165,13 @@ pub trait ReplayFactors {
     /// Number of owned rows.
     fn rows(&self) -> usize;
 
-    /// `LU(D_i)` of local row `k` (global row `lo + k`).
-    fn d_lu(&self, k: usize) -> &LuFactors;
+    /// `E_i = D_i^{-1}` of local row `k` (global row `lo + k`).
+    fn d_inv(&self, k: usize) -> &Mat;
 
-    /// `F_i = -A_i D_{i-1}^{-1}` of local row `k` (`F_0 = 0`).
+    /// `F_i = -A_i E_{i-1}` of local row `k` (`F_0 = 0`).
     fn f(&self, k: usize) -> &Mat;
 
-    /// `G_i = -D_i^{-1} C_i` of local row `k` (`G_{N-1} = 0`).
+    /// `G_i = -E_i C_i` of local row `k` (`G_{N-1} = 0`).
     fn g(&self, k: usize) -> &Mat;
 
     /// The recorded forward and backward cross-rank scan traces.
@@ -237,18 +238,23 @@ pub trait ReplayFactors {
     }
 }
 
-/// Replay-pipeline RHS tile width for an `M x R` batch: the
-/// `BT_ARD_RHS_TILE` override when set (`0`/unset means auto), else the
-/// cost-model calibration in [`auto_rhs_tile`].
-fn resolve_rhs_tile<C: CommBackend>(comm: &C, m: usize, r: usize) -> usize {
+/// The `BT_ARD_RHS_TILE` replay tile override, read once per process:
+/// `None` when unset, `0` or unparsable (auto tile).
+pub fn rhs_tile_override() -> Option<usize> {
     static ENV_TILE: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
-    let env = *ENV_TILE.get_or_init(|| {
+    *ENV_TILE.get_or_init(|| {
         std::env::var("BT_ARD_RHS_TILE")
             .ok()
             .and_then(|v| v.trim().parse::<usize>().ok())
             .filter(|&t| t > 0)
-    });
-    env.unwrap_or_else(|| auto_rhs_tile(&comm.model(), m, r))
+    })
+}
+
+/// Replay-pipeline RHS tile width for an `M x R` batch: the
+/// [`rhs_tile_override`] when set, else the cost-model calibration in
+/// [`auto_rhs_tile`].
+fn resolve_rhs_tile<C: CommBackend>(comm: &C, m: usize, r: usize) -> usize {
+    rhs_tile_override().unwrap_or_else(|| auto_rhs_tile(&comm.model(), m, r))
 }
 
 /// The cross-rank scans one solve runs.
@@ -305,7 +311,7 @@ impl Scans<'_> {
 }
 
 /// The one solve body: forward substitution `z_i = F_i z_{i-1} + y_i`,
-/// diagonal solves `h_i = D_i^{-1} z_i`, backward substitution
+/// the diagonal step `h_i = E_i z_i`, backward substitution
 /// `x_i = G_i x_{i+1} + h_i`, all in place in `x` (`y -> z -> h -> x`).
 ///
 /// Each substitution is the boundary-value recurrence. The logically
@@ -314,8 +320,8 @@ impl Scans<'_> {
 /// zero boundary) through workspace buffers, scans, and runs the
 /// recurrence from the scanned boundary value — the scan's exclusive
 /// vector *is* `z_{lo-1}` (`x_hi` backward). So the only per-row factors
-/// are `LU(D_i)`, `F_i` and `G_i`, and every temporary cycles through
-/// the rank workspace.
+/// are `E_i`, `F_i` and `G_i`, every per-row step is one `M x M · M x R`
+/// GEMM, and every temporary cycles through the rank workspace.
 fn solve_in_place_with<C: CommBackend, L: ReplayFactors + ?Sized>(
     factors: &L,
     comm: &mut C,
@@ -378,12 +384,23 @@ fn solve_in_place_with<C: CommBackend, L: ReplayFactors + ?Sized>(
     }
     drop(span_fwd);
 
-    // ---- h_i = D_i^{-1} z_i. --------------------------------------------
+    // ---- h_i = E_i z_i: the product lands in a pooled panel that is
+    // swapped into `x`, and the replaced panel goes back to the pool. -----
     {
         let _span = bt_obs::span("solver", "solve.diag");
         for (k, xk) in x.iter_mut().enumerate() {
-            factors.d_lu(k).solve_in_place(&mut *xk);
+            let mut h = ws.take(m, r);
+            gemm(
+                1.0,
+                factors.d_inv(k),
+                Trans::No,
+                &*xk,
+                Trans::No,
+                0.0,
+                &mut h,
+            );
             comm.compute(lu_solve_flops(m, r));
+            ws.put(std::mem::replace(xk, h));
         }
     }
 
@@ -452,7 +469,7 @@ fn left_product<'a, C: CommBackend>(comm: &mut C, mut chain: impl Iterator<Item 
 }
 
 /// Matrix-dependent state produced by setup and reused across solves:
-/// per owned row `LU(D_i)`, `F_i` and `G_i`, plus the recorded
+/// per owned row `E_i = D_i^{-1}`, `F_i` and `G_i`, plus the recorded
 /// cross-rank scan traces. The source system, Phase 1's companion scan
 /// and the boundary extraction, and every factor are `f64`.
 #[derive(Debug)]
@@ -465,11 +482,11 @@ pub struct ArdRankFactors {
     pub lo: usize,
     /// One past the last owned global row.
     pub hi: usize,
-    /// LU of `D_i` for each owned row.
-    d_lu: Vec<LuFactors>,
-    /// `F_i = -A_i D_{i-1}^{-1}` for each owned row (`F_0 = 0`).
+    /// `E_i = D_i^{-1}` for each owned row.
+    d_inv: Vec<Mat>,
+    /// `F_i = -A_i E_{i-1}` for each owned row (`F_0 = 0`).
     f: Vec<Mat>,
-    /// `G_i = -D_i^{-1} C_i` for each owned row (`G_{N-1} = 0`).
+    /// `G_i = -E_i C_i` for each owned row (`G_{N-1} = 0`).
     g: Vec<Mat>,
     /// Classic recursive doubling only: the local prefix totals
     /// `(F_{hi-1} ... F_lo, G_lo ... G_{hi-1})` every fresh scan starts
@@ -591,7 +608,7 @@ impl ArdRankFactors {
                 },
             });
         }
-        let (d_lu, f, g, my_cond) = local.expect("checked above");
+        let (d_inv, f, g, my_cond) = local.expect("checked above");
         // Agree on the worst boundary-extraction conditioning: the suite's
         // self-diagnostic for the prefix method's accuracy envelope.
         let boundary_cond = comm.allreduce(
@@ -645,7 +662,7 @@ impl ArdRankFactors {
             m,
             lo: sys.lo,
             hi: sys.hi,
-            d_lu,
+            d_inv,
             f,
             g,
             fresh_totals,
@@ -671,7 +688,7 @@ impl ArdRankFactors {
 
     /// Phase 1c/1d: recover the boundary diagonal `D_{lo-1}` from the
     /// scanned companion product, then run the local Thomas-style pass.
-    /// Produces, per owned row, `LU(D_i)`, `F_i` and `G_i`, plus a
+    /// Produces, per owned row, `E_i = D_i^{-1}`, `F_i` and `G_i`, plus a
     /// conditioning estimate of the boundary extraction (1.0 where no
     /// extraction happened).
     #[allow(clippy::type_complexity)]
@@ -681,12 +698,11 @@ impl ArdRankFactors {
         excl: Option<&CompanionProduct>,
         mode: BoundaryMode,
         ws: &mut Workspace,
-    ) -> Result<(Vec<LuFactors>, Vec<Mat>, Vec<Mat>, f64), FactorError> {
+    ) -> Result<(Vec<Mat>, Vec<Mat>, Vec<Mat>, f64), FactorError> {
         let m = sys.m;
         let nl = sys.local_len();
-        let mut d_lu: Vec<LuFactors> = Vec::with_capacity(nl);
+        let mut d_inv: Vec<Mat> = Vec::with_capacity(nl);
         let mut f: Vec<Mat> = Vec::with_capacity(nl);
-        let mut g: Vec<Mat> = Vec::with_capacity(nl);
         let mut boundary_cond = 1.0f64;
 
         // Rank 0 owns row 0: D_0 = B_0 directly, no companion needed.
@@ -721,36 +737,27 @@ impl ArdRankFactors {
             }
         };
 
-        // The LU used to form F for the first owned row.
-        let mut prev_lu: LuFactors;
-        let start_k;
-        if sys.lo == 0 {
-            // boundary_diag IS D_0 = B_0.
-            let lu = LuFactors::factor(&boundary_diag)
-                .map_err(|source| FactorError { row: 0, source })?;
-            comm.compute(lu_flops(m));
-            d_lu.push(lu.clone());
-            f.push(Mat::zeros(m, m)); // F_0 = 0 (A_0 = 0)
-            prev_lu = lu;
-            start_k = 1;
-        } else {
-            // boundary_diag is D_{lo-1}, owned by the left neighbour; we
-            // only need its LU to start the recurrence.
-            prev_lu = LuFactors::factor(&boundary_diag).map_err(|source| FactorError {
-                row: sys.lo - 1,
-                source,
-            })?;
-            comm.compute(lu_flops(m));
-            start_k = 0;
-        }
-
-        for k in start_k..nl {
+        // E_{lo-1}, the left neighbour's inverse: needed only to form
+        // F_lo on ranks that do not own row 0.
+        let e_before = match sys.lo {
+            0 => None,
+            lo => Some(invert_diag(comm, &boundary_diag, lo - 1)?),
+        };
+        for k in 0..nl {
             let i = sys.lo + k;
             let row = &sys.rows[k];
-            // F_i = -A_i D_{i-1}^{-1}  (right division).
-            let mut f_i = prev_lu.solve_transposed_system(&row.a);
-            f_i.negate();
-            comm.compute(lu_solve_flops(m, m));
+            if i == 0 {
+                // boundary_diag IS D_0 = B_0, and F_0 = 0 (A_0 = 0).
+                d_inv.push(invert_diag(comm, &boundary_diag, 0)?);
+                f.push(Mat::zeros(m, m));
+                continue;
+            }
+            let e_prev = d_inv
+                .last()
+                .or(e_before.as_ref())
+                .expect("row 0 or the boundary was inverted above");
+            // F_i = -A_i E_{i-1}.
+            let f_i = neg_product(comm, &row.a, e_prev);
             // D_i = B_i + F_i C_{i-1}.
             let mut d_i = row.b.clone();
             gemm(
@@ -763,22 +770,18 @@ impl ArdRankFactors {
                 &mut d_i,
             );
             comm.compute(gemm_flops(m, m, m));
-            let lu = LuFactors::factor(&d_i).map_err(|source| FactorError { row: i, source })?;
-            comm.compute(lu_flops(m));
-            d_lu.push(lu.clone());
+            d_inv.push(invert_diag(comm, &d_i, i)?);
             f.push(f_i);
-            prev_lu = lu;
         }
 
-        // G_i = -D_i^{-1} C_i (automatically zero at i = N-1).
-        for (lu, row) in d_lu.iter().zip(&sys.rows) {
-            let mut g_i = lu.solve(&row.c);
-            g_i.negate();
-            comm.compute(lu_solve_flops(m, m));
-            g.push(g_i);
-        }
+        // G_i = -E_i C_i (automatically zero at i = N-1).
+        let g = d_inv
+            .iter()
+            .zip(&sys.rows)
+            .map(|(e, row)| neg_product(comm, e, &row.c))
+            .collect();
 
-        Ok((d_lu, f, g, boundary_cond))
+        Ok((d_inv, f, g, boundary_cond))
     }
 
     /// Windowed boundary recovery: runs the plain block-LU diagonal
@@ -830,7 +833,7 @@ impl ArdRankFactors {
     }
 
     /// Bytes of matrix-dependent state stored on this rank (the memory
-    /// price of acceleration; Table II): `LU(D_i)`, `F_i` and `G_i` per
+    /// price of acceleration; Table II): `E_i = D_i^{-1}`, `F_i` and `G_i` per
     /// owned row plus the recorded scan traces (classic-RD factors hold
     /// the two fresh-scan prefix totals instead of traces).
     pub fn storage_bytes(&self) -> u64 {
@@ -943,8 +946,8 @@ impl ReplayFactors for ArdRankFactors {
         self.local_len()
     }
 
-    fn d_lu(&self, k: usize) -> &LuFactors {
-        &self.d_lu[k]
+    fn d_inv(&self, k: usize) -> &Mat {
+        &self.d_inv[k]
     }
 
     fn f(&self, k: usize) -> &Mat {
@@ -966,6 +969,33 @@ impl ReplayFactors for ArdRankFactors {
     fn workspace(&self) -> &RefCell<Workspace> {
         &self.ws
     }
+}
+
+/// `D^{-1}` of block diagonal `d` (global row `row`): factored once with
+/// partial pivoting, so a singular `D_i` fails with the same
+/// [`FactorError`] the factorization reports, then inverted. Charges the
+/// factorization plus the inverse's `M`-column panel solve.
+pub(crate) fn invert_diag<C: CommBackend>(
+    comm: &mut C,
+    d: &Mat,
+    row: usize,
+) -> Result<Mat, FactorError> {
+    let m = d.rows();
+    let lu = LuFactors::factor(d).map_err(|source| FactorError { row, source })?;
+    comm.compute(lu_flops(m));
+    let inv = lu.inverse();
+    comm.compute(lu_solve_flops(m, m));
+    Ok(inv)
+}
+
+/// `-a b` for square `M x M` factors, charging the cost model: how setup
+/// forms `F_i = -A_i E_{i-1}` and `G_i = -E_i C_i`.
+pub(crate) fn neg_product<C: CommBackend>(comm: &mut C, a: &Mat, b: &Mat) -> Mat {
+    let m = a.rows();
+    let mut p = Mat::zeros(m, m);
+    gemm(-1.0, a, Trans::No, b, Trans::No, 0.0, &mut p);
+    comm.compute(gemm_flops(m, m, m));
+    p
 }
 
 /// Copies right-hand-side panels into same-shaped output panels: the

@@ -6,7 +6,7 @@
 //! blocks `(A, B, C)`. The general [`crate::state::ArdRankFactors`]
 //! setup ignores that: it applies `N/P` distinct companion matrices in
 //! Phase 1a and stores three `M x M` matrices per owned row
-//! (`LU(D_i)`, `F_i`, `G_i`).
+//! (`E_i = D_i^{-1}`, `F_i`, `G_i`).
 //!
 //! With constant blocks, both costs collapse:
 //!
@@ -18,8 +18,8 @@
 //!   `D_i = B - A D_{i-1}^{-1} C` is a fixed-point iteration that
 //!   contracts geometrically for the diagonally dominant systems the
 //!   exact scan handles. After a short *head* (a few dozen rows at
-//!   machine precision), `D_i`, `F_i = -A D_{i-1}^{-1}` and
-//!   `G_i = -D_i^{-1} C` are constant: one shared *tail* triple serves
+//!   machine precision), `E_i = D_i^{-1}`, `F_i = -A E_{i-1}` and
+//!   `G_i = -E_i C` are constant: one shared *tail* triple serves
 //!   every remaining row, so factor storage drops from `3 * N/P`
 //!   matrices to `3 * head + 3` — and the replay's working set fits in
 //!   cache instead of streaming `O(N/P)` matrices from memory per
@@ -39,13 +39,13 @@ use std::cell::RefCell;
 
 use bt_blocktri::{BlockRowSource, FactorError};
 use bt_comm::CommBackend;
-use bt_dense::{gemm, gemm_flops, lu_flops, lu_solve_flops, LuFactors, Mat, Trans, Workspace};
+use bt_dense::{gemm, gemm_flops, Mat, Trans, Workspace};
 
 use crate::companion::{CompanionProduct, CompanionState, CompanionW};
 use crate::pairs::AffinePair;
 use crate::scans::{affine_exscan_fresh, companion_exscan, Direction, ScanTrace};
 use crate::solver::{RankSolver, Session};
-use crate::state::{tags, RankSystem, ReplayFactors};
+use crate::state::{invert_diag, neg_product, tags, RankSystem, ReplayFactors};
 
 /// Head-convergence tolerance, relative to `max_abs(D)`: the recurrence
 /// is declared stationary once consecutive diagonals agree to a few
@@ -98,15 +98,15 @@ pub struct ToeplitzRankFactors {
     pub lo: usize,
     /// One past the last owned global row.
     pub hi: usize,
-    /// Per-row `LU(D_i)` for the pre-convergence head (local rows
+    /// Per-row `E_i = D_i^{-1}` for the pre-convergence head (local rows
     /// `0..head_len`).
-    head_d_lu: Vec<LuFactors>,
+    head_d_inv: Vec<Mat>,
     /// Per-row `F_i` for the head (`F_0 = 0` on rank 0).
     head_f: Vec<Mat>,
     /// Per-row `G_i` for the head.
     head_g: Vec<Mat>,
-    /// Shared `LU(D)` for local rows `head_len..`.
-    tail_d_lu: LuFactors,
+    /// Shared `E = D^{-1}` for local rows `head_len..`.
+    tail_d_inv: Mat,
     /// Shared `F` for the tail.
     tail_f: Mat,
     /// Shared `G` for the tail.
@@ -263,7 +263,7 @@ impl ToeplitzRankFactors {
                 },
             });
         }
-        let (head_d_lu, head_f, head_g, tail_d_lu, tail_f, tail_g, my_cond) =
+        let (head_d_inv, head_f, head_g, tail_d_inv, tail_f, tail_g, my_cond) =
             local.expect("checked above");
         let boundary_cond = comm.allreduce(
             if my_cond.is_finite() {
@@ -279,7 +279,7 @@ impl ToeplitzRankFactors {
         // local indices, so the total is tail^t applied left of the head
         // product (new factors multiply on the LEFT as the index grows).
         let span_totals = bt_obs::span("solver", "setup.toeplitz_totals");
-        let head_len = head_d_lu.len();
+        let head_len = head_d_inv.len();
         let t = nl - head_len;
         let fwd_total = {
             let mut acc = if head_len == 0 {
@@ -342,10 +342,10 @@ impl ToeplitzRankFactors {
             m,
             lo: sys.lo,
             hi: sys.hi,
-            head_d_lu,
+            head_d_inv,
             head_f,
             head_g,
-            tail_d_lu,
+            tail_d_inv,
             tail_f,
             tail_g,
             g_zero: (sys.hi == sys.n).then(|| Mat::zeros(m, m)),
@@ -359,15 +359,15 @@ impl ToeplitzRankFactors {
     /// Boundary recovery (identical to the general exact scan) followed
     /// by the diagonal recurrence with stationarity detection: rows are
     /// stored per-row until consecutive diagonals agree to
-    /// [`HEAD_TOL_ULPS`], after which one shared tail triple is built
-    /// and the loop exits.
+    /// [`HEAD_TOL_ULPS`], after which the loop exits and one shared tail
+    /// triple is built from that row's inverse.
     #[allow(clippy::type_complexity)]
     fn local_factor_pass<C: CommBackend>(
         comm: &mut C,
         sys: &RankSystem,
         excl: Option<&CompanionProduct>,
         ws: &mut Workspace,
-    ) -> Result<(Vec<LuFactors>, Vec<Mat>, Vec<Mat>, LuFactors, Mat, Mat, f64), FactorError> {
+    ) -> Result<(Vec<Mat>, Vec<Mat>, Vec<Mat>, Mat, Mat, Mat, f64), FactorError> {
         let m = sys.m;
         let nl = sys.local_len();
         let tol = HEAD_TOL_ULPS * f64::EPSILON;
@@ -407,103 +407,77 @@ impl ToeplitzRankFactors {
         };
         let c_tpl: &Mat = &sys.row0.c;
 
-        let mut head_d_lu: Vec<LuFactors> = Vec::new();
+        let mut head_d_inv: Vec<Mat> = Vec::new();
         let mut head_f: Vec<Mat> = Vec::new();
-        let mut prev_lu: LuFactors;
+        // E_{lo-1}, the left neighbour's inverse: forms F_lo on ranks
+        // that do not own row 0.
+        let e_before = match sys.lo {
+            0 => None,
+            lo => Some(invert_diag(comm, &boundary_diag, lo - 1)?),
+        };
         // The diagonal the stationarity test compares against: the
         // boundary diagonal continues the same recurrence, so on
         // non-first ranks row `lo` can converge immediately (it usually
         // does — convergence happened inside rank 0's head).
-        let mut prev_d: Option<Mat>;
-        let start_k;
-        if sys.lo == 0 {
-            let lu = LuFactors::factor(&boundary_diag)
-                .map_err(|source| FactorError { row: 0, source })?;
-            comm.compute(lu_flops(m));
-            head_d_lu.push(lu.clone());
+        let mut prev_d = boundary_diag;
+        let start_k = if sys.lo == 0 {
+            head_d_inv.push(invert_diag(comm, &prev_d, 0)?);
             head_f.push(Mat::zeros(m, m)); // F_0 = 0
-            prev_lu = lu;
-            prev_d = Some(boundary_diag);
-            start_k = 1;
+            1
         } else {
-            prev_lu = LuFactors::factor(&boundary_diag).map_err(|source| FactorError {
-                row: sys.lo - 1,
-                source,
-            })?;
-            comm.compute(lu_flops(m));
-            prev_d = Some(boundary_diag);
-            start_k = 0;
-        }
+            0
+        };
 
+        let mut stationary_e = None;
         for k in start_k..nl {
             let i = sys.lo + k;
-            // F_i = -A D_{i-1}^{-1}; D_i = B + F_i C.
-            let mut f_i = prev_lu.solve_transposed_system(a_tpl);
-            f_i.negate();
-            comm.compute(lu_solve_flops(m, m));
+            let e_prev = head_d_inv
+                .last()
+                .or(e_before.as_ref())
+                .expect("row 0 or the boundary was inverted above");
+            // F_i = -A E_{i-1}; D_i = B + F_i C.
+            let f_i = neg_product(comm, a_tpl, e_prev);
             let mut d_i = sys.rows[k].b.clone();
             gemm(1.0, &f_i, Trans::No, c_tpl, Trans::No, 1.0, &mut d_i);
             comm.compute(gemm_flops(m, m, m));
-            let lu = LuFactors::factor(&d_i).map_err(|source| FactorError { row: i, source })?;
-            comm.compute(lu_flops(m));
-            let stationary = prev_d
-                .as_ref()
-                .is_some_and(|pd| d_i.sub(pd).max_abs() <= tol * d_i.max_abs());
-            if stationary {
+            let e_i = invert_diag(comm, &d_i, i)?;
+            if d_i.sub(&prev_d).max_abs() <= tol * d_i.max_abs() {
                 // Row k (and everything after) uses the shared tail.
-                let mut tail_f = lu.solve_transposed_system(a_tpl);
-                tail_f.negate();
-                let mut tail_g = lu.solve(c_tpl);
-                tail_g.negate();
-                comm.compute(2 * lu_solve_flops(m, m));
-                let head_g = Self::head_g_pass(comm, sys, &head_d_lu);
-                return Ok((head_d_lu, head_f, head_g, lu, tail_f, tail_g, boundary_cond));
+                stationary_e = Some(e_i);
+                break;
             }
-            head_d_lu.push(lu.clone());
+            head_d_inv.push(e_i);
             head_f.push(f_i);
-            prev_d = Some(d_i);
-            prev_lu = lu;
+            prev_d = d_i;
         }
         // Never went stationary (short slice or weak dominance): the
         // whole slice is head, and the tail triple — built from the last
         // diagonal, exponent zero in every power — is dead weight kept
         // for struct uniformity.
-        let mut tail_f = prev_lu.solve_transposed_system(a_tpl);
-        tail_f.negate();
-        let mut tail_g = prev_lu.solve(c_tpl);
-        tail_g.negate();
-        comm.compute(2 * lu_solve_flops(m, m));
-        let head_g = Self::head_g_pass(comm, sys, &head_d_lu);
+        let tail_e = stationary_e.unwrap_or_else(|| {
+            head_d_inv
+                .last()
+                .expect("a rank owns at least one row")
+                .clone()
+        });
+        let tail_f = neg_product(comm, a_tpl, &tail_e);
+        let tail_g = neg_product(comm, &tail_e, c_tpl);
+        // Head G_i from each row's actual superdiagonal, so the last
+        // global row's zero C yields G = 0 when it lands in the head.
+        let head_g = head_d_inv
+            .iter()
+            .zip(&sys.rows)
+            .map(|(e, row)| neg_product(comm, e, &row.c))
+            .collect();
         Ok((
-            head_d_lu,
+            head_d_inv,
             head_f,
             head_g,
-            prev_lu,
+            tail_e,
             tail_f,
             tail_g,
             boundary_cond,
         ))
-    }
-
-    /// `G_i = -D_i^{-1} C_i` for the head rows, from each row's actual
-    /// superdiagonal (so the last global row's zero `C` yields `G = 0`
-    /// automatically when it lands in the head).
-    fn head_g_pass<C: CommBackend>(
-        comm: &mut C,
-        sys: &RankSystem,
-        head_d_lu: &[LuFactors],
-    ) -> Vec<Mat> {
-        let m = sys.m;
-        head_d_lu
-            .iter()
-            .zip(&sys.rows)
-            .map(|(lu, row)| {
-                let mut g_i = lu.solve(&row.c);
-                g_i.negate();
-                comm.compute(lu_solve_flops(m, m));
-                g_i
-            })
-            .collect()
     }
 
     /// Number of owned rows.
@@ -513,7 +487,7 @@ impl ToeplitzRankFactors {
 
     /// Rows stored per-row before the recurrence went stationary.
     pub fn head_len(&self) -> usize {
-        self.head_d_lu.len()
+        self.head_d_inv.len()
     }
 
     /// Worst boundary-extraction condition estimate across ranks (see
@@ -537,8 +511,8 @@ impl ReplayFactors for ToeplitzRankFactors {
         self.local_len()
     }
 
-    fn d_lu(&self, k: usize) -> &LuFactors {
-        self.head_d_lu.get(k).unwrap_or(&self.tail_d_lu)
+    fn d_inv(&self, k: usize) -> &Mat {
+        self.head_d_inv.get(k).unwrap_or(&self.tail_d_inv)
     }
 
     fn f(&self, k: usize) -> &Mat {

@@ -370,8 +370,8 @@ fn replay_matches_thomas_and_stores_three_blocks_per_row() {
             let d = out.x[b].rel_diff(&thomas.solve(y));
             assert!(d < 1e-12, "p={p} batch={b}: {d}");
         }
-        // The store is LU(D_i), F_i and G_i per owned row plus the two
-        // recorded scan traces — nothing else.
+        // The store is E_i = D_i^{-1}, F_i and G_i per owned row plus the
+        // two recorded scan traces — nothing else.
         let part = RowPartition::new(n, p);
         let expect = (0..p)
             .map(|rank| {
@@ -383,6 +383,48 @@ fn replay_matches_thomas_and_stores_three_blocks_per_row() {
             .max()
             .unwrap();
         assert_eq!(out.factor_bytes, expect, "p={p}");
+    }
+}
+
+/// Table III's machine-precision cells: exact-scan ARD on clustered
+/// spectra and windowed-64 ARD on the other generators stay at
+/// roundoff, far below the looser tolerances above — so a replay that
+/// lost accuracy (say, from badly conditioned stored inverses) fails
+/// here. Generators, seed and right-hand side are `table3_accuracy`'s.
+#[test]
+fn table3_machine_precision_envelope() {
+    const SEED: u64 = 2014;
+    let (m, p, r) = (6, 8, 4);
+    for n in [64, 512] {
+        let y = random_rhs(n, m, r, SEED ^ 1);
+        let cells: [(&str, Box<dyn BlockRowSource + Sync>, BoundaryMode); 4] = [
+            (
+                "clustered",
+                Box::new(ClusteredToeplitz::standard(n, m, SEED)),
+                BoundaryMode::ExactScan,
+            ),
+            (
+                "poisson",
+                Box::new(Poisson2D::new(n, m)),
+                BoundaryMode::Windowed(64),
+            ),
+            (
+                "convdiff",
+                Box::new(ConvectionDiffusion::new(n, m, 0.5)),
+                BoundaryMode::Windowed(64),
+            ),
+            (
+                "random",
+                Box::new(RandomDominant::new(n, m, 1.5, SEED)),
+                BoundaryMode::Windowed(64),
+            ),
+        ];
+        for (name, src, mode) in cells {
+            let cfg = DriverConfig::new(p).with_model(ZERO).with_boundary(mode);
+            let out = ard_solve_cfg(&cfg, &src, std::slice::from_ref(&y)).unwrap();
+            let res = materialize(&src).rel_residual(&out.x[0], &y);
+            assert!(res <= 1e-15, "{name} N={n}: relative residual {res:.2e}");
+        }
     }
 }
 
