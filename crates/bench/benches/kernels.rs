@@ -58,14 +58,14 @@ const SWEEP_SIZES: [usize; 15] = [
 ];
 const SWEEP_THREADS: [usize; 3] = [1, 2, 4];
 
-/// One `m x m x m` sweep cell at one element type: times every kernel
-/// the dispatcher can pick (AXPY, packed at each thread budget,
-/// small-block) plus the dispatcher itself, prints the per-size line,
-/// and returns the JSON record row.
-fn sweep_cell<E: bt_dense::Element>(m: usize) -> String {
-    let a = uniform(m, m, &mut rng(11)).convert::<E>();
-    let b = uniform(m, m, &mut rng(12)).convert::<E>();
-    let mut out = Mat::<E>::zeros(m, m);
+/// One `m x m x m` sweep cell: times every kernel the dispatcher can
+/// pick (AXPY, packed at each thread budget, small-block) plus the
+/// dispatcher itself, prints the per-size line, and returns the JSON
+/// record row.
+fn sweep_cell(m: usize) -> String {
+    let a = uniform(m, m, &mut rng(11));
+    let b = uniform(m, m, &mut rng(12));
+    let mut out = Mat::zeros(m, m);
     let flops = 2 * m * m * m;
     // Batch tiny products so one timed sample is ~0.5 Mflop; the
     // kernels accumulate into C, which costs the same per call as a
@@ -79,24 +79,23 @@ fn sweep_cell<E: bt_dense::Element>(m: usize) -> String {
             }
         }) / inner as f64
     };
-    let axpy_s = timed(&mut || gemm_axpy(E::ONE, black_box(&a), black_box(&b), &mut out));
+    let axpy_s = timed(&mut || gemm_axpy(1.0, black_box(&a), black_box(&b), &mut out));
     let mut packed_s = [0.0f64; SWEEP_THREADS.len()];
     for (ti, &t) in SWEEP_THREADS.iter().enumerate() {
         packed_s[ti] = with_thread_budget(t, || {
-            timed(&mut || gemm_packed(E::ONE, black_box(&a), black_box(&b), &mut out))
+            timed(&mut || gemm_packed(1.0, black_box(&a), black_box(&b), &mut out))
         });
     }
-    let small_s = matches!(m, 4 | 8 | 16).then(|| {
-        timed(&mut || assert!(gemm_small(E::ONE, black_box(&a), black_box(&b), &mut out)))
-    });
+    let small_s = matches!(m, 4 | 8 | 16)
+        .then(|| timed(&mut || assert!(gemm_small(1.0, black_box(&a), black_box(&b), &mut out))));
     let dispatched_s = timed(&mut || {
         gemm(
-            E::ONE,
+            1.0,
             black_box(&a),
             Trans::No,
             black_box(&b),
             Trans::No,
-            E::ONE,
+            1.0,
             &mut out,
         );
     });
@@ -112,9 +111,8 @@ fn sweep_cell<E: bt_dense::Element>(m: usize) -> String {
         }
     }
     println!(
-        "bench: gemm/{}/{m:<4} axpy {:>9.4} ms  packed(t1) {:>9.4} ms  small {}  \
+        "bench: gemm/{m:<4} axpy {:>9.4} ms  packed(t1) {:>9.4} ms  small {}  \
          dispatched {:>9.4} ms -> {} ({:.2} Gflop/s best)",
-        E::NAME,
         axpy_s * 1e3,
         packed_s[0] * 1e3,
         small_s.map_or("      n/a".to_string(), |s| format!("{:>9.4} ms", s * 1e3)),
@@ -123,12 +121,11 @@ fn sweep_cell<E: bt_dense::Element>(m: usize) -> String {
         gflops(winner.1),
     );
     format!(
-        "    {{\"m\": {m}, \"elem\": \"{}\", \"axpy_s\": {axpy_s:.6e}, \"packed_t1_s\": {:.6e}, \
+        "    {{\"m\": {m}, \"axpy_s\": {axpy_s:.6e}, \"packed_t1_s\": {:.6e}, \
          \"packed_t2_s\": {:.6e}, \"packed_t4_s\": {:.6e}, \"small_s\": {}, \
          \"dispatched_s\": {dispatched_s:.6e}, \
          \"speedup_packed_vs_axpy\": {:.3}, \"gflops_packed_t1\": {:.3}, \
          \"gflops_best\": {:.3}, \"dispatch_winner\": \"{}\"}}",
-        E::NAME,
         packed_s[0],
         packed_s[1],
         packed_s[2],
@@ -143,20 +140,17 @@ fn sweep_cell<E: bt_dense::Element>(m: usize) -> String {
 /// Kernel sweep over block orders from the small-block specializations
 /// (m = 4, 8, 16, plus 17 and 32 to pin the crossover region) up through
 /// sizes straddling the NB = 64 and KC = 128 blocking boundaries, at
-/// thread budgets 1, 2 and 4, at **both element types** (the mixed
-/// -precision replay path runs these same kernels at `f32`). Prints
-/// per-size lines through the criterion harness and emits the raw
-/// numbers as `bt-bench-gemm-v3` JSON to `BENCH_gemm.json` at the
-/// workspace root — the data the `PACKED_MIN_FLOPS_*` crossover
-/// constants in `bt_dense` are derived from, and the measured side of
-/// the "f32 GEMM ~ doubles the SIMD throughput" claim.
+/// thread budgets 1, 2 and 4. Prints per-size lines through the
+/// criterion harness and emits the raw numbers as `bt-bench-gemm-v4`
+/// JSON to `BENCH_gemm.json` at the workspace root — the data the
+/// `PACKED_MIN_FLOPS_*` crossover constants in `bt_dense` are derived
+/// from.
 fn bench_gemm_packed_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("gemm_packed");
     group.sample_size(10);
     let mut records = Vec::new();
     for &m in &SWEEP_SIZES {
-        records.push(sweep_cell::<f64>(m));
-        records.push(sweep_cell::<f32>(m));
+        records.push(sweep_cell(m));
         // Keep a criterion-visible entry for the packed kernel too.
         let a = uniform(m, m, &mut rng(11));
         let b = uniform(m, m, &mut rng(12));
@@ -181,17 +175,15 @@ fn bench_gemm_packed_sweep(c: &mut Criterion) {
     let simd = bt_dense::simd::active().name();
     let sizes_json = SWEEP_SIZES.map(|m| m.to_string()).join(", ");
     let json = format!(
-        "{{\n  \"bench\": \"gemm_packed_vs_axpy\",\n  \"schema\": \"bt-bench-gemm-v3\",\n  \
+        "{{\n  \"bench\": \"gemm_packed_vs_axpy\",\n  \"schema\": \"bt-bench-gemm-v4\",\n  \
          \"generated_unix_s\": {generated_unix_s},\n  \
          \"host_cores\": {host_cores},\n  \"bt_dense_threads\": {env_threads},\n  \
-         \"simd\": \"{simd}\",\n  \"elems\": [\"f64\", \"f32\"],\n  \
+         \"simd\": \"{simd}\",\n  \
          \"thread_budgets\": [1, 2, 4],\n  \"sizes\": [{sizes_json}],\n  \
          \"size_bounds\": {{\"min\": {}, \"max\": {}}},\n  \
          \"note\": \"best-of-N wall clock; m=4/8/16 hit the small-block kernels, \
          17/32 pin the crossover, larger sizes straddle NB=64 and KC=128 blocking \
-         boundaries; every size is swept at f64 and f32 (elem field) — the f32 rows \
-         are the measured side of the mixed-precision path's doubled-SIMD-width \
-         claim\",\n  \"results\": [\n{}\n  ]\n}}\n",
+         boundaries\",\n  \"results\": [\n{}\n  ]\n}}\n",
         SWEEP_SIZES[0],
         SWEEP_SIZES[SWEEP_SIZES.len() - 1],
         records.join(",\n")

@@ -318,7 +318,7 @@ fn run_batched_cell(n: usize, m: usize, k: usize, r: usize, reps: usize) -> Batc
     let y_refs: Vec<&BlockVec> = ys.iter().collect();
     let mut batched: Vec<BlockVec> = Vec::new();
     let t_batched = time_best_serial(reps, || {
-        let systems = BatchedSystems::<f64>::from_row_sets(&row_refs);
+        let systems = BatchedSystems::from_row_sets(&row_refs);
         let factors = systems.factor().expect("batched factor");
         batched = factors.solve_blockvecs(&y_refs);
     });

@@ -30,7 +30,7 @@
 //! same seam keeps call sites backend-agnostic without threading unused
 //! state anywhere.
 
-use bt_dense::{Element, Mat, MatMut, MatRef};
+use bt_dense::{Mat, MatMut, MatRef};
 
 use crate::model::CostModel;
 use crate::payload::{PanelBuf, Payload};
@@ -126,34 +126,26 @@ pub trait CommBackend {
     /// provided collectives add (multiples of `1 << 56`) rely on it.
     fn next_collective_tag(&mut self) -> u64;
 
-    /// Nonblocking panel send of a (possibly strided) view at either
-    /// element width, packed into a pooled [`PanelBuf`]. Complete via
-    /// [`CommBackend::send_wait`].
+    /// Nonblocking panel send of a (possibly strided) view, packed into
+    /// a pooled [`PanelBuf`]. Complete via [`CommBackend::send_wait`].
     ///
     /// # Panics
     ///
     /// Same conditions as [`CommBackend::send`].
-    fn isend_panel<E: Element>(
-        &mut self,
-        dest: usize,
-        tag: u64,
-        panel: MatRef<'_, E>,
-    ) -> Self::SendReq;
+    fn isend_panel(&mut self, dest: usize, tag: u64, panel: MatRef<'_>) -> Self::SendReq;
 
     /// Posts a nonblocking receive of a panel from `src` with `tag`,
     /// taking ownership of the destination buffer `out` (typically a
     /// [`bt_dense::Workspace`] checkout). Completion —
     /// [`CommBackend::recv_wait`] — blocks for the message, unpacks it
     /// into the buffer and hands the buffer back. Requests on the same
-    /// `(src, tag)` complete in post order. The buffer's element type is
-    /// part of the message contract: the sender must have packed the
-    /// panel at the same precision.
+    /// `(src, tag)` complete in post order.
     ///
     /// # Panics
     ///
     /// Panics if `src >= size()` or `tag` is in the collective-reserved
     /// range.
-    fn irecv_panel_into<E: Element>(&mut self, src: usize, tag: u64, out: Mat<E>) -> Self::RecvReq;
+    fn irecv_panel_into(&mut self, src: usize, tag: u64, out: Mat) -> Self::RecvReq;
 
     /// True when the posted send has completed (backends with buffered
     /// sends complete at post time).
@@ -175,9 +167,8 @@ pub trait CommBackend {
     /// # Panics
     ///
     /// Panics on the same conditions as [`CommBackend::recv`], plus a
-    /// shape or precision mismatch between the sent panel and the posted
-    /// buffer.
-    fn recv_wait<E: Element>(&mut self, req: Self::RecvReq) -> Mat<E>;
+    /// shape mismatch between the sent panel and the posted buffer.
+    fn recv_wait(&mut self, req: Self::RecvReq) -> Mat;
 
     /// Sends `value` to `dest` with `tag`. Non-blocking.
     ///
@@ -223,7 +214,7 @@ pub trait CommBackend {
     /// # Panics
     ///
     /// Same conditions as [`CommBackend::send`].
-    fn send_panel<E: Element>(&mut self, dest: usize, tag: u64, panel: MatRef<'_, E>) {
+    fn send_panel(&mut self, dest: usize, tag: u64, panel: MatRef<'_>) {
         self.send(dest, tag, PanelBuf::pack(panel));
     }
 
@@ -233,9 +224,9 @@ pub trait CommBackend {
     ///
     /// # Panics
     ///
-    /// Same conditions as [`CommBackend::recv`], plus a shape or
-    /// precision mismatch between the sent panel and `out`.
-    fn recv_panel_into<E: Element>(&mut self, src: usize, tag: u64, out: MatMut<'_, E>) {
+    /// Same conditions as [`CommBackend::recv`], plus a shape mismatch
+    /// between the sent panel and `out`.
+    fn recv_panel_into(&mut self, src: usize, tag: u64, out: MatMut<'_>) {
         self.recv::<PanelBuf>(src, tag).unpack_into(out);
     }
 
@@ -250,11 +241,11 @@ pub trait CommBackend {
     ///
     /// Same conditions as [`CommBackend::send_panel`] /
     /// [`CommBackend::recv_panel_into`].
-    fn exchange_panel<E: Element>(
+    fn exchange_panel(
         &mut self,
         tag: u64,
-        send_to: Option<(usize, MatRef<'_, E>)>,
-        recv_from: Option<(usize, MatMut<'_, E>)>,
+        send_to: Option<(usize, MatRef<'_>)>,
+        recv_from: Option<(usize, MatMut<'_>)>,
     ) {
         if let Some((dst, panel)) = send_to {
             self.send_panel(dst, tag, panel);

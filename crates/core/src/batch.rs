@@ -13,7 +13,7 @@
 //! Thomas elimination whose innermost loops are lanes across the batch
 //! (see `bt_dense::batch`): the SIMD width comes from the *batch*
 //! dimension, so `M = 4` no longer wastes three quarters of an AVX2
-//! vector, and the `f32` element path doubles the lane count again.
+//! vector.
 //! The sequential-in-`N` dependency of Thomas elimination is harmless
 //! here — each row step still executes `K` systems' worth of
 //! independent arithmetic.
@@ -33,7 +33,7 @@
 //! used as the crossover baseline in `bench_structured`.
 
 use bt_blocktri::{thomas_solve, BlockRow, BlockRowSource, BlockTridiag, BlockVec, FactorError};
-use bt_dense::{batch_gemm, batch_lu_factor, batch_lu_solve, BatchMat, Element, Mat};
+use bt_dense::{batch_gemm, batch_lu_factor, batch_lu_solve, BatchMat, Mat};
 
 /// Batched solves completed through [`BatchedFactors::solve`] (counts
 /// calls, not member systems). Unconditional, like the service counters.
@@ -72,40 +72,38 @@ impl std::error::Error for BatchFactorError {}
 /// dispatch overhead than it gains in locality, a 128 KiB target
 /// thrashes L2). `M = 4 -> 256` (clamp), `M = 8 -> 128`, `M = 16 -> 32`
 /// lanes per chunk.
-fn lane_chunk<E: Element>(m: usize) -> usize {
-    let target = 64 * 1024 / (m * m * std::mem::size_of::<E>());
+fn lane_chunk(m: usize) -> usize {
+    let target = 64 * 1024 / (m * m * std::mem::size_of::<f64>());
     (target / 8 * 8).clamp(8, 256)
 }
 
 /// One lane chunk of the batch: `kc <= lane_chunk(m)` systems
 /// interleaved per block row.
 #[derive(Debug, Clone)]
-struct SystemsChunk<E: Element> {
+struct SystemsChunk {
     /// First global lane of this chunk.
     k0: usize,
     /// Per row `i`: the chunk's subdiagonal blocks `A_i` (zero lane
     /// content at `i = 0`), diagonals `B_i`, superdiagonals `C_i` (zero
     /// at `i = N-1`).
-    a: Vec<BatchMat<E>>,
-    b: Vec<BatchMat<E>>,
-    c: Vec<BatchMat<E>>,
+    a: Vec<BatchMat>,
+    b: Vec<BatchMat>,
+    c: Vec<BatchMat>,
 }
 
 /// `K` independent block tridiagonal systems with identical shape
 /// `(N, M)`, stored row-by-row as interleaved block batches, split into
 /// cache-sized lane chunks (see `lane_chunk`).
 #[derive(Debug, Clone)]
-pub struct BatchedSystems<E: Element = f64> {
+pub struct BatchedSystems {
     n: usize,
     m: usize,
     k: usize,
-    chunks: Vec<SystemsChunk<E>>,
+    chunks: Vec<SystemsChunk>,
 }
 
-impl<E: Element> BatchedSystems<E> {
-    /// Interleaves `K` same-shaped sources. Blocks are converted from
-    /// `f64` to `E` on load (exact for `E = f64`, the single rounding
-    /// step for `E = f32`).
+impl BatchedSystems {
+    /// Interleaves `K` same-shaped sources.
     ///
     /// # Panics
     ///
@@ -136,17 +134,17 @@ impl<E: Element> BatchedSystems<E> {
             assert_eq!(rows.len(), n, "system {s} row count mismatch");
             assert_eq!(rows[0].order(), m, "system {s} block order mismatch");
         }
-        let ck = lane_chunk::<E>(m);
+        let ck = lane_chunk(m);
         let chunks = sets
             .chunks(ck)
             .enumerate()
             .map(|(ci, chunk_sets)| {
-                let load = |pick: fn(&BlockRow) -> &Mat| -> Vec<BatchMat<E>> {
+                let load = |pick: fn(&BlockRow) -> &Mat| -> Vec<BatchMat> {
                     (0..n)
                         .map(|i| {
                             let srcs: Vec<&Mat> =
                                 chunk_sets.iter().map(|rows| pick(&rows[i])).collect();
-                            BatchMat::interleaved_f64(m, m, &srcs)
+                            BatchMat::interleaved(m, m, &srcs)
                         })
                         .collect()
                 };
@@ -185,19 +183,19 @@ impl<E: Element> BatchedSystems<E> {
     ///
     /// [`BatchFactorError`] naming the first system whose unpivoted LU
     /// breaks down; retry that workload through [`solve_single`].
-    pub fn factor(&self) -> Result<BatchedFactors<E>, BatchFactorError> {
+    pub fn factor(&self) -> Result<BatchedFactors, BatchFactorError> {
         let n = self.n;
         let chunks = self
             .chunks
             .iter()
             .map(|chunk| {
-                let mut d_lu: Vec<BatchMat<E>> = Vec::with_capacity(n);
-                let mut w: Vec<BatchMat<E>> = Vec::with_capacity(n.saturating_sub(1));
+                let mut d_lu: Vec<BatchMat> = Vec::with_capacity(n);
+                let mut w: Vec<BatchMat> = Vec::with_capacity(n.saturating_sub(1));
                 for i in 0..n {
                     let mut d = chunk.b[i].clone();
                     if i > 0 {
                         // D_i = B_i - A_i W_{i-1}.
-                        batch_gemm(-E::ONE, &chunk.a[i], &w[i - 1], E::ONE, &mut d);
+                        batch_gemm(-1.0, &chunk.a[i], &w[i - 1], 1.0, &mut d);
                     }
                     batch_lu_factor(&mut d).map_err(|e| BatchFactorError {
                         row: i,
@@ -230,28 +228,28 @@ impl<E: Element> BatchedSystems<E> {
 
 /// One lane chunk's worth of batched Thomas factors.
 #[derive(Debug, Clone)]
-struct FactorChunk<E: Element> {
+struct FactorChunk {
     /// First global lane of this chunk.
     k0: usize,
     /// Interleaved `LU(D_i)` per row.
-    d_lu: Vec<BatchMat<E>>,
+    d_lu: Vec<BatchMat>,
     /// Interleaved `W_i = D_i^{-1} C_i` for `i < N-1`.
-    w: Vec<BatchMat<E>>,
+    w: Vec<BatchMat>,
     /// Interleaved `A_i` (forward elimination operand).
-    a: Vec<BatchMat<E>>,
+    a: Vec<BatchMat>,
 }
 
 /// Reusable batched Thomas factors: solve any number of right-hand-side
 /// batches against the same `K` systems.
 #[derive(Debug, Clone)]
-pub struct BatchedFactors<E: Element = f64> {
+pub struct BatchedFactors {
     n: usize,
     m: usize,
     k: usize,
-    chunks: Vec<FactorChunk<E>>,
+    chunks: Vec<FactorChunk>,
 }
 
-impl<E: Element> BatchedFactors<E> {
+impl BatchedFactors {
     /// Block rows per system.
     pub fn n(&self) -> usize {
         self.n
@@ -279,17 +277,17 @@ impl<E: Element> BatchedFactors<E> {
     /// One chunk's forward/backward sweep, `kc` lanes wide per step:
     /// forward `h_i = D_i^{-1} (y_i - A_i h_{i-1})`, backward
     /// `x_i = h_i - W_i x_{i+1}`, in place over the interleaved rhs.
-    fn sweep_chunk(&self, chunk: &FactorChunk<E>, h: &mut [BatchMat<E>]) {
+    fn sweep_chunk(&self, chunk: &FactorChunk, h: &mut [BatchMat]) {
         for i in 0..self.n {
             if i > 0 {
                 let (done, rest) = h.split_at_mut(i);
-                batch_gemm(-E::ONE, &chunk.a[i], &done[i - 1], E::ONE, &mut rest[0]);
+                batch_gemm(-1.0, &chunk.a[i], &done[i - 1], 1.0, &mut rest[0]);
             }
             batch_lu_solve(&chunk.d_lu[i], &mut h[i]);
         }
         for i in (0..self.n.saturating_sub(1)).rev() {
             let (head, tail) = h.split_at_mut(i + 1);
-            batch_gemm(-E::ONE, &chunk.w[i], &tail[0], E::ONE, &mut head[i]);
+            batch_gemm(-1.0, &chunk.w[i], &tail[0], 1.0, &mut head[i]);
         }
     }
 
@@ -314,10 +312,10 @@ impl<E: Element> BatchedFactors<E> {
         for chunk in &self.chunks {
             let kc = chunk.d_lu[0].k();
             let lanes = &ys[chunk.k0..chunk.k0 + kc];
-            let mut h: Vec<BatchMat<E>> = (0..self.n)
+            let mut h: Vec<BatchMat> = (0..self.n)
                 .map(|i| {
                     let srcs: Vec<&Mat> = lanes.iter().map(|y| &y.blocks[i]).collect();
-                    BatchMat::interleaved_f64(self.m, r, &srcs)
+                    BatchMat::interleaved(self.m, r, &srcs)
                 })
                 .collect();
             self.sweep_chunk(chunk, &mut h);
@@ -326,7 +324,7 @@ impl<E: Element> BatchedFactors<E> {
                 .collect();
             for (i, p) in h.iter().enumerate() {
                 let mut dsts: Vec<&mut Mat> = xs.iter_mut().map(|bv| &mut bv.blocks[i]).collect();
-                p.extract_all_f64(&mut dsts);
+                p.extract_all(&mut dsts);
             }
             out.extend(xs);
         }
@@ -373,7 +371,7 @@ mod tests {
         let ys: Vec<BlockVec> = (0..k as u64).map(|s| random_rhs(n, m, r, 50 + s)).collect();
         let yrefs: Vec<&BlockVec> = ys.iter().collect();
 
-        let batch = BatchedSystems::<f64>::from_sources(&srcs);
+        let batch = BatchedSystems::from_sources(&srcs);
         assert_eq!((batch.n(), batch.m(), batch.k()), (n, m, k));
         let factors = batch.factor().unwrap();
         assert!(factors.storage_bytes() > 0);
@@ -397,21 +395,6 @@ mod tests {
     }
 
     #[test]
-    fn f32_element_path_solves_the_batch() {
-        let (k, n, m) = (5, 10, 8);
-        let srcs = sources(k, n, m);
-        let ys: Vec<BlockVec> = (0..k as u64).map(|s| random_rhs(n, m, 1, 70 + s)).collect();
-        let yrefs: Vec<&BlockVec> = ys.iter().collect();
-        let factors = BatchedSystems::<f32>::from_sources(&srcs).factor().unwrap();
-        let xs = factors.solve_blockvecs(&yrefs);
-        for s in 0..k {
-            let t = materialize(&srcs[s]);
-            let res = t.rel_residual(&xs[s], &ys[s]);
-            assert!(res < 1e-4, "system {s} f32 residual {res}");
-        }
-    }
-
-    #[test]
     fn toeplitz_members_are_fine_batch_citizens() {
         // The batched path doesn't care about per-system structure.
         let srcs: Vec<ClusteredToeplitz> = (0..4u64)
@@ -419,7 +402,7 @@ mod tests {
             .collect();
         let ys: Vec<BlockVec> = (0..4u64).map(|s| random_rhs(16, 4, 3, s)).collect();
         let yrefs: Vec<&BlockVec> = ys.iter().collect();
-        let factors = BatchedSystems::<f64>::from_sources(&srcs).factor().unwrap();
+        let factors = BatchedSystems::from_sources(&srcs).factor().unwrap();
         let xs = factors.solve_blockvecs(&yrefs);
         for s in 0..4 {
             let t = materialize(&srcs[s]);
@@ -438,9 +421,7 @@ mod tests {
         rows[0] = BlockRow::new(rows[0].a.clone(), b, rows[0].c.clone());
         let good_rows: Vec<BlockRow> = (0..4).map(|i| good.row(i)).collect();
         let sets: Vec<&[BlockRow]> = vec![&good_rows, &rows];
-        let err = BatchedSystems::<f64>::from_row_sets(&sets)
-            .factor()
-            .unwrap_err();
+        let err = BatchedSystems::from_row_sets(&sets).factor().unwrap_err();
         assert_eq!(err.system, 1);
         assert_eq!(err.row, 0);
         // The pivoted single-system path handles the same system.
@@ -456,7 +437,7 @@ mod tests {
         let srcs = sources(3, 1, 4);
         let ys: Vec<BlockVec> = (0..3u64).map(|s| random_rhs(1, 4, 2, s)).collect();
         let yrefs: Vec<&BlockVec> = ys.iter().collect();
-        let factors = BatchedSystems::<f64>::from_sources(&srcs).factor().unwrap();
+        let factors = BatchedSystems::from_sources(&srcs).factor().unwrap();
         let xs = factors.solve_blockvecs(&yrefs);
         for s in 0..3 {
             let t = materialize(&srcs[s]);

@@ -17,21 +17,19 @@
 //! matrix ([`AffinePair::compose`] in setup) and replayed against fresh
 //! vectors ([`AffinePair::apply_to_vec`] per right-hand-side batch).
 
-use bt_dense::{gemm, gemm_flops, Element, Mat, Trans};
+use bt_dense::{gemm, gemm_flops, Mat, Trans};
 
 /// An affine map `t -> mat * t + vec`, with `mat` of shape `M x M` and
 /// `vec` of shape `M x R` (`R` = number of simultaneous right-hand sides).
-/// Generic over the element type (`f64` by default); the scan algebra
-/// is identical at any width.
 #[derive(Debug, Clone, PartialEq)]
-pub struct AffinePair<E: Element = f64> {
+pub struct AffinePair {
     /// The linear part.
-    pub mat: Mat<E>,
+    pub mat: Mat,
     /// The offset panel.
-    pub vec: Mat<E>,
+    pub vec: Mat,
 }
 
-impl<E: Element> AffinePair<E> {
+impl AffinePair {
     /// The identity map with an `M x R` zero offset.
     pub fn identity(m: usize, r: usize) -> Self {
         Self {
@@ -54,26 +52,26 @@ impl<E: Element> AffinePair<E> {
     /// `(M_o M_i, M_o v_i + v_o)`.
     ///
     /// Costs `gemm(M,M,M) + gemm(M,M,R)` flops.
-    pub fn compose(outer: &AffinePair<E>, inner: &AffinePair<E>) -> AffinePair<E> {
+    pub fn compose(outer: &AffinePair, inner: &AffinePair) -> AffinePair {
         let m = outer.m();
         let mut mat = Mat::zeros(m, m);
         gemm(
-            E::ONE,
+            1.0,
             &outer.mat,
             Trans::No,
             &inner.mat,
             Trans::No,
-            E::ZERO,
+            0.0,
             &mut mat,
         );
         let mut vec = outer.vec.clone();
         gemm(
-            E::ONE,
+            1.0,
             &outer.mat,
             Trans::No,
             &inner.vec,
             Trans::No,
-            E::ONE,
+            1.0,
             &mut vec,
         );
         AffinePair { mat, vec }
@@ -83,15 +81,15 @@ impl<E: Element> AffinePair<E> {
     /// given this pair's stored matrix and vector, computes the composed
     /// vector `mat * inner_vec + vec` — the `O(M^2 R)` part of
     /// [`AffinePair::compose`], skipping the `O(M^3)` matrix product.
-    pub fn apply_to_vec(&self, inner_vec: &Mat<E>) -> Mat<E> {
+    pub fn apply_to_vec(&self, inner_vec: &Mat) -> Mat {
         let mut out = self.vec.clone();
         gemm(
-            E::ONE,
+            1.0,
             &self.mat,
             Trans::No,
             inner_vec,
             Trans::No,
-            E::ONE,
+            1.0,
             &mut out,
         );
         out
@@ -186,7 +184,7 @@ mod tests {
 
     #[test]
     fn flop_counts() {
-        assert_eq!(AffinePair::<f64>::compose_flops(4, 2), 128 + 64);
-        assert_eq!(AffinePair::<f64>::apply_flops(4, 2), 64);
+        assert_eq!(AffinePair::compose_flops(4, 2), 128 + 64);
+        assert_eq!(AffinePair::apply_flops(4, 2), 64);
     }
 }

@@ -21,7 +21,7 @@
 //! identical algorithm on reversed logical ranks.
 
 use bt_comm::{CommBackend, CostModel};
-use bt_dense::{colsplit_plan_for, Element, Mat, Workspace};
+use bt_dense::{colsplit_plan, Mat, Workspace};
 
 use crate::companion::CompanionProduct;
 use crate::pairs::AffinePair;
@@ -60,27 +60,16 @@ impl Direction {
 /// `mats[k]` is the accumulator's matrix component *before* the `k`-th
 /// receive-combine of the scan (in receive order). These depend only on
 /// the coefficient matrix, never on right-hand sides.
-#[derive(Debug, Clone)]
-pub struct ScanTrace<E: Element = f64> {
+#[derive(Debug, Clone, Default)]
+pub struct ScanTrace {
     /// Pre-combine accumulator matrices, one per receive event.
-    pub mats: Vec<Mat<E>>,
+    pub mats: Vec<Mat>,
 }
 
-// Manual impl: `derive(Default)` would needlessly require `E: Default`'s
-// interaction with the defaulted type parameter at every `::default()`
-// call site to resolve; an empty trace is precision-free.
-impl<E: Element> Default for ScanTrace<E> {
-    fn default() -> Self {
-        Self { mats: Vec::new() }
-    }
-}
-
-impl<E: Element> ScanTrace<E> {
-    /// Bytes of storage held by the trace (element bytes follow the
-    /// trace's own precision: an `f32` trace holds half the bytes of the
-    /// equivalent `f64` one).
+impl ScanTrace {
+    /// Bytes of storage held by the trace.
     pub fn storage_bytes(&self) -> u64 {
-        let elem = std::mem::size_of::<E>() as u64;
+        let elem = std::mem::size_of::<f64>() as u64;
         self.mats
             .iter()
             .map(|m| (m.rows() * m.cols()) as u64 * elem)
@@ -143,13 +132,13 @@ pub fn companion_exscan<C: CommBackend>(
 /// composition — the only part the per-row fixup needs — or `None` on the
 /// logically first rank. If `record` is given, the accumulator matrices
 /// are pushed for later [`affine_exscan_replay`] calls.
-pub fn affine_exscan_fresh<C: CommBackend, E: Element>(
+pub fn affine_exscan_fresh<C: CommBackend>(
     comm: &mut C,
     dir: Direction,
     tag_base: u64,
-    total: AffinePair<E>,
-    mut record: Option<&mut ScanTrace<E>>,
-) -> Option<Mat<E>> {
+    total: AffinePair,
+    mut record: Option<&mut ScanTrace>,
+) -> Option<Mat> {
     let p = comm.size();
     let me = dir.logical(comm.rank(), p);
     let m = total.m();
@@ -170,12 +159,12 @@ pub fn affine_exscan_fresh<C: CommBackend, E: Element>(
             );
         }
         if me >= dist {
-            let (mat, vec): (Mat<E>, Mat<E>) = comm.recv(dir.physical(me - dist, p), tag);
+            let (mat, vec): (Mat, Mat) = comm.recv(dir.physical(me - dist, p), tag);
             if let Some(trace) = record.as_deref_mut() {
                 trace.mats.push(acc.mat.clone());
             }
             acc = AffinePair::compose(&acc, &AffinePair { mat, vec });
-            comm.compute(AffinePair::<E>::compose_flops(m, r));
+            comm.compute(AffinePair::compose_flops(m, r));
         }
         dist <<= 1;
         step += 1;
@@ -202,14 +191,14 @@ pub fn affine_exscan_fresh<C: CommBackend, E: Element>(
 /// This is the per-solve hot path, so every temporary comes from `ws`
 /// and messages travel as pooled [`bt_mpsim::PanelBuf`]s: once `ws` and
 /// the panel pool are warm, a replay performs zero heap allocations.
-pub fn affine_exscan_replay<C: CommBackend, E: Element>(
+pub fn affine_exscan_replay<C: CommBackend>(
     comm: &mut C,
     dir: Direction,
     tag_base: u64,
-    total_vec: Mat<E>,
-    trace: &ScanTrace<E>,
-    ws: &mut Workspace<E>,
-) -> Option<Mat<E>> {
+    total_vec: Mat,
+    trace: &ScanTrace,
+    ws: &mut Workspace,
+) -> Option<Mat> {
     let r = total_vec.cols();
     affine_exscan_replay_tiled(comm, dir, tag_base, total_vec, trace, ws, r)
 }
@@ -245,15 +234,15 @@ fn tile_bounds(r: usize, tile: usize, t: usize) -> (usize, usize) {
 /// # Panics
 ///
 /// Panics if `tile == 0` and `total_vec` has columns.
-pub fn affine_exscan_replay_tiled<C: CommBackend, E: Element>(
+pub fn affine_exscan_replay_tiled<C: CommBackend>(
     comm: &mut C,
     dir: Direction,
     tag_base: u64,
-    total_vec: Mat<E>,
-    trace: &ScanTrace<E>,
-    ws: &mut Workspace<E>,
+    total_vec: Mat,
+    trace: &ScanTrace,
+    ws: &mut Workspace,
     tile: usize,
-) -> Option<Mat<E>> {
+) -> Option<Mat> {
     let p = comm.size();
     let me = dir.logical(comm.rank(), p);
     let m = total_vec.rows();
@@ -261,7 +250,7 @@ pub fn affine_exscan_replay_tiled<C: CommBackend, E: Element>(
     // A zero-width batch still takes part in every round as one empty
     // panel, keeping the message pattern identical to the unpiped path.
     let n_tiles = if r == 0 { 1 } else { r.div_ceil(tile) };
-    let plan = colsplit_plan_for::<E>(m, m, r);
+    let plan = colsplit_plan(m, m, r);
     let overlap_before = comm.overlap_seconds();
     let mut v_acc = total_vec;
     let mut dist = 1usize;
@@ -309,13 +298,13 @@ pub fn affine_exscan_replay_tiled<C: CommBackend, E: Element>(
                 // v_acc[:, t0..t0+w] += m_acc * v_in (the O(M^2 R)
                 // combine, one column tile at a time).
                 plan.apply(
-                    E::ONE,
+                    1.0,
                     m_acc,
                     v_in.as_ref(),
                     v_acc.as_mut().submatrix_mut(0, t0, m, w),
                 );
                 ws.put(v_in);
-                comm.compute(AffinePair::<E>::apply_flops(m, w));
+                comm.compute(AffinePair::apply_flops(m, w));
             }
         }
         dist <<= 1;
@@ -350,13 +339,6 @@ pub fn affine_exscan_replay_tiled<C: CommBackend, E: Element>(
 /// itself, capped at 64 tiles per round so per-message book-keeping
 /// stays negligible.
 pub fn auto_rhs_tile(model: &CostModel, m: usize, r: usize) -> usize {
-    auto_rhs_tile_for::<f64>(model, m, r)
-}
-
-/// [`auto_rhs_tile`] at an explicit element width: `f32` panels put half
-/// the bytes on the wire per tile, which can shift the modeled optimum
-/// toward wider tiles.
-pub fn auto_rhs_tile_for<E: Element>(model: &CostModel, m: usize, r: usize) -> usize {
     // One round from the receiver's perspective: the sender injects
     // tiles back to back (link serialization), the receiver combines
     // each tile as it lands.
@@ -366,10 +348,10 @@ pub fn auto_rhs_tile_for<E: Element>(model: &CostModel, m: usize, r: usize) -> u
         let mut clock = 0.0f64;
         for t in 0..n_tiles {
             let (_, w) = tile_bounds(r, tile, t);
-            let bytes = (m * w * std::mem::size_of::<E>()) as u64;
+            let bytes = (m * w * std::mem::size_of::<f64>()) as u64;
             let avail = link_busy + model.msg_time(bytes);
             link_busy += model.per_byte_s * bytes as f64;
-            clock = clock.max(avail) + model.compute_time(AffinePair::<E>::apply_flops(m, w));
+            clock = clock.max(avail) + model.compute_time(AffinePair::apply_flops(m, w));
         }
         clock
     };
@@ -704,7 +686,7 @@ mod tests {
 
     #[test]
     fn trace_storage_accounting() {
-        let mut t: ScanTrace = ScanTrace::default();
+        let mut t = ScanTrace::default();
         t.mats.push(Mat::zeros(4, 4));
         t.mats.push(Mat::zeros(4, 4));
         // Cross-check against the element type's actual size rather than

@@ -1161,7 +1161,7 @@ fn dispatch_small<B: SpmdBackend>(inner: &Inner<B>, batch: Vec<Pending<B>>) {
             Backing::Spmd(_) => unreachable!("small dispatch over spmd entry"),
         })
         .collect();
-    let systems = BatchedSystems::<f64>::from_row_sets(&row_sets);
+    let systems = BatchedSystems::from_row_sets(&row_sets);
     drop(assemble_span);
     LAT_BATCH_ASSEMBLE.record_duration(assemble_start.elapsed());
 

@@ -9,6 +9,10 @@
 //! scalar/NEON paths — so they are asserted only when that ISA is the
 //! active dispatch target.
 //!
+//! The scalar fallback (`BT_DENSE_SIMD=0`, CI's scalar leg) has solution
+//! pins of its own, captured on that path and asserted when it is the
+//! active one. NEON has none.
+//!
 //! The ARD, tiled and Toeplitz solution hashes are those of the replay
 //! over stored inverses `E_i = D_i^{-1}`, whose diagonal step is a
 //! small-block GEMM. They were captured when the factor store moved from
@@ -20,9 +24,11 @@
 //! include setup and the flop counters grew by the inverses' `2 M^3`
 //! per inverted block.
 
+use bt_ard::batch::BatchedSystems;
 use bt_ard::driver::{ard_solve_cfg_on, pcr_solve_cfg_on, DriverConfig};
 use bt_ard::state::{ArdRankFactors, RankSystem, ReplayFactors};
 use bt_ard::toeplitz::ToeplitzRankFactors;
+use bt_blocktri::gen::RandomDominant;
 use bt_blocktri::gen::{random_rhs, rhs_panel, ClusteredToeplitz};
 use bt_blocktri::BlockVec;
 use bt_dense::simd::{active, Isa};
@@ -33,6 +39,12 @@ use bt_mpsim::{run_spmd, CommBackend, CostModel, SimBackend};
 /// pins were captured on.
 fn pinned_isa() -> bool {
     active() == Isa::Avx2Fma
+}
+
+/// True when the kernels run the portable scalar fallback, the path the
+/// scalar solution-byte pins were captured on.
+fn scalar_isa() -> bool {
+    active() == Isa::Scalar
 }
 
 fn hash_mat(h: &mut u64, m: &Mat) {
@@ -118,6 +130,12 @@ fn ard_driver_is_bitwise_pinned() {
     if pinned_isa() {
         assert_eq!(x_hash, 0xdc9f_393c_4f73_3256, "ARD solution bytes drifted");
     }
+    if scalar_isa() {
+        assert_eq!(
+            x_hash, 0xe177_4a71_f1f2_7016,
+            "scalar ARD solution bytes drifted"
+        );
+    }
     assert_eq!(setup_bits, pins.setup, "modeled setup clock drifted");
     assert_eq!(
         solve_bits,
@@ -160,6 +178,12 @@ fn tiled_replay_is_bitwise_pinned() {
         assert_eq!(
             h, 0x5805_3f39_164b_0291,
             "tiled replay solution bytes drifted"
+        );
+    }
+    if scalar_isa() {
+        assert_eq!(
+            h, 0x3bf0_7260_b195_6cfd,
+            "scalar tiled replay solution bytes drifted"
         );
     }
     assert_eq!(
@@ -224,6 +248,26 @@ fn toeplitz_replay_is_bitwise_pinned() {
         );
         assert_eq!(total.flops, 99306, "Toeplitz flop counter drifted");
     }
+    if scalar_isa() {
+        let heads: Vec<usize> = out.results.iter().map(|(h, _)| *h).collect();
+        assert_eq!(heads, vec![8, 0, 0, 0], "scalar head/tail split drifted");
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for (_, panels) in &out.results {
+            for panel in panels {
+                hash_mat(&mut h, panel);
+            }
+        }
+        assert_eq!(
+            h, 0x2807_4a91_4f71_aa07,
+            "scalar Toeplitz replay solution bytes drifted"
+        );
+        assert_eq!(
+            out.modeled_seconds.to_bits(),
+            0x3f04_f5b3_e067_9556,
+            "scalar modeled Toeplitz clock drifted"
+        );
+        assert_eq!(total.flops, 99306, "scalar Toeplitz flop counter drifted");
+    }
 }
 
 /// The PCR comparator (halo exchanges + allreduce coordination).
@@ -243,6 +287,13 @@ fn pcr_driver_is_bitwise_pinned() {
             "PCR solution bytes drifted"
         );
     }
+    if scalar_isa() {
+        assert_eq!(
+            hash_blockvecs(&out.x),
+            0x1ed2_8227_45a2_2c05,
+            "scalar PCR solution bytes drifted"
+        );
+    }
     assert_eq!(
         out.timings.solve_modeled[0].to_bits(),
         0x3ef0_20c0_871c_a8ff,
@@ -254,6 +305,44 @@ fn pcr_driver_is_bitwise_pinned() {
         (98, 14448),
         "PCR counters drifted"
     );
+}
+
+/// The batched-small path: `K = 300` independent systems interleaved
+/// across the lane kernels. The lane chunk is 256 systems at `M = 4` and
+/// 128 at `M = 8`, so both orders end in a partial tail chunk (2 and 3
+/// chunks). The factor store's size holds on every path; the solution
+/// bytes are pinned per ISA.
+#[test]
+fn batched_small_is_bitwise_pinned() {
+    let (k, n, r) = (300u64, 6, 2);
+    for (m, avx2_hash, scalar_hash, storage) in [
+        (4, 0x9ec4_726f_7815_bf99, 0x845f_7da0_6ad8_cf36, 652_800),
+        (8, 0x7b22_9de5_b594_328e, 0x4b4d_d88a_b95d_c6e5, 2_611_200),
+    ] {
+        let srcs: Vec<RandomDominant> = (0..k)
+            .map(|s| RandomDominant::new(n, m, 1.5, 1000 + s))
+            .collect();
+        let ys: Vec<BlockVec> = (0..k).map(|s| random_rhs(n, m, r, 50 + s)).collect();
+        let yrefs: Vec<&BlockVec> = ys.iter().collect();
+        let factors = BatchedSystems::from_sources(&srcs)
+            .factor()
+            .expect("batched factor");
+        assert_eq!(
+            factors.storage_bytes(),
+            storage,
+            "M={m} batched factor bytes drifted"
+        );
+        let h = hash_blockvecs(&factors.solve_blockvecs(&yrefs));
+        if pinned_isa() {
+            assert_eq!(h, avx2_hash, "M={m} batched solution bytes drifted");
+        }
+        if scalar_isa() {
+            assert_eq!(
+                h, scalar_hash,
+                "M={m} scalar batched solution bytes drifted"
+            );
+        }
+    }
 }
 
 /// Collective tag/clock sequences: a mixed collective workload on the

@@ -11,9 +11,8 @@
 //! lane `s` with unit stride and no cross-lane dependencies, routed
 //! through the runtime-dispatched lane kernels in [`crate::simd`]
 //! (`lane_fma` / `lane_fnma` / `lane_mul`) for full-width FMA streams
-//! at either element width (4 `f64` / 8 `f32` lanes per AVX2 vector) —
-//! the batch dimension supplies the SIMD parallelism the block
-//! dimension cannot.
+//! (4 `f64` lanes per AVX2 vector) — the batch dimension supplies the
+//! SIMD parallelism the block dimension cannot.
 //!
 //! The LU kernel deliberately does **not** pivot: per-system pivot
 //! choices would diverge the lanes and serialize the batch. Instead
@@ -23,17 +22,17 @@
 //! per-system (pivoted) path. The intended operands — diagonal blocks
 //! of diagonally dominant tridiagonal systems — never trip it.
 
-use crate::element::Element;
 use crate::mat::Mat;
+use crate::simd;
 
 /// `K` same-shaped matrices in an interleaved SoA layout: lane `s` of
 /// entry `(r, c)` lives at `data[(r * cols + c) * k + s]`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct BatchMat<E: Element = f64> {
+pub struct BatchMat {
     rows: usize,
     cols: usize,
     k: usize,
-    data: Vec<E>,
+    data: Vec<f64>,
 }
 
 /// A batched pivot breakdown: system `system` hit a pivot below the
@@ -58,14 +57,14 @@ impl std::fmt::Display for BatchSingularError {
 
 impl std::error::Error for BatchSingularError {}
 
-impl<E: Element> BatchMat<E> {
+impl BatchMat {
     /// A zero-filled batch of `k` `rows x cols` matrices.
     pub fn zeros(rows: usize, cols: usize, k: usize) -> Self {
         Self {
             rows,
             cols,
             k,
-            data: vec![E::ZERO; rows * cols * k],
+            data: vec![0.0; rows * cols * k],
         }
     }
 
@@ -74,7 +73,7 @@ impl<E: Element> BatchMat<E> {
     /// # Panics
     ///
     /// Panics on an empty slice or mismatched shapes.
-    pub fn from_mats(mats: &[Mat<E>]) -> Self {
+    pub fn from_mats(mats: &[Mat]) -> Self {
         assert!(!mats.is_empty(), "empty batch");
         let (rows, cols) = mats[0].shape();
         let mut out = Self::zeros(rows, cols, mats.len());
@@ -101,26 +100,26 @@ impl<E: Element> BatchMat<E> {
 
     /// Entry `(r, c)` of system `s`.
     #[inline]
-    pub fn get(&self, r: usize, c: usize, s: usize) -> E {
+    pub fn get(&self, r: usize, c: usize, s: usize) -> f64 {
         self.data[(r * self.cols + c) * self.k + s]
     }
 
     /// Sets entry `(r, c)` of system `s`.
     #[inline]
-    pub fn set(&mut self, r: usize, c: usize, s: usize, v: E) {
+    pub fn set(&mut self, r: usize, c: usize, s: usize, v: f64) {
         self.data[(r * self.cols + c) * self.k + s] = v;
     }
 
     /// The contiguous `K`-wide lane of entry `(r, c)`.
     #[inline]
-    pub fn lane(&self, r: usize, c: usize) -> &[E] {
+    pub fn lane(&self, r: usize, c: usize) -> &[f64] {
         let at = (r * self.cols + c) * self.k;
         &self.data[at..at + self.k]
     }
 
     /// Mutable lane of entry `(r, c)`.
     #[inline]
-    pub fn lane_mut(&mut self, r: usize, c: usize) -> &mut [E] {
+    pub fn lane_mut(&mut self, r: usize, c: usize) -> &mut [f64] {
         let at = (r * self.cols + c) * self.k;
         &mut self.data[at..at + self.k]
     }
@@ -130,7 +129,7 @@ impl<E: Element> BatchMat<E> {
     /// # Panics
     ///
     /// Panics on shape mismatch or `s >= k`.
-    pub fn load_system(&mut self, s: usize, m: &Mat<E>) {
+    pub fn load_system(&mut self, s: usize, m: &Mat) {
         assert_eq!(m.shape(), (self.rows, self.cols), "batch member shape");
         assert!(s < self.k, "lane out of range");
         for r in 0..self.rows {
@@ -141,21 +140,20 @@ impl<E: Element> BatchMat<E> {
     }
 
     /// Gathers lane `s` back into a dense matrix.
-    pub fn extract_system(&self, s: usize) -> Mat<E> {
+    pub fn extract_system(&self, s: usize) -> Mat {
         assert!(s < self.k, "lane out of range");
         Mat::from_fn(self.rows, self.cols, |r, c| self.get(r, c, s))
     }
 
-    /// Interleaves `k` same-shaped `f64` matrices in one sequential
-    /// write pass (converting to `E` on load): the bulk-load path of
-    /// the batched solver, where `k` strided [`Self::load_system`]
-    /// scatters — or even a zero-fill before an in-place load — would
-    /// dominate the solve.
+    /// Interleaves `k` same-shaped matrices in one sequential write
+    /// pass: the bulk-load path of the batched solver, where `k` strided
+    /// [`Self::load_system`] scatters — or even a zero-fill before an
+    /// in-place load — would dominate the solve.
     ///
     /// # Panics
     ///
     /// Panics on an empty slice or shape mismatch.
-    pub fn interleaved_f64(rows: usize, cols: usize, srcs: &[&Mat<f64>]) -> Self {
+    pub fn interleaved(rows: usize, cols: usize, srcs: &[&Mat]) -> Self {
         let k = srcs.len();
         assert!(k > 0, "empty batch");
         let slices: Vec<&[f64]> = srcs
@@ -169,7 +167,7 @@ impl<E: Element> BatchMat<E> {
         for r in 0..rows {
             for c in 0..cols {
                 let at = c * rows + r; // Mat is column-major
-                data.extend(slices.iter().map(|src| E::from_f64(src[at])));
+                data.extend(slices.iter().map(|src| src[at]));
             }
         }
         Self {
@@ -180,13 +178,13 @@ impl<E: Element> BatchMat<E> {
         }
     }
 
-    /// Gathers all `k` lanes back into same-shaped `f64` matrices in one
-    /// sequential pass (the inverse of [`Self::interleaved_f64`]).
+    /// Gathers all `k` lanes back into same-shaped matrices in one
+    /// sequential pass (the inverse of [`Self::interleaved`]).
     ///
     /// # Panics
     ///
     /// Panics on lane-count or shape mismatch.
-    pub fn extract_all_f64(&self, dsts: &mut [&mut Mat<f64>]) {
+    pub fn extract_all(&self, dsts: &mut [&mut Mat]) {
         assert_eq!(dsts.len(), self.k, "lane count mismatch");
         let mut slices: Vec<&mut [f64]> = dsts
             .iter_mut()
@@ -201,7 +199,7 @@ impl<E: Element> BatchMat<E> {
                 let lane = lanes.next().expect("lane per entry");
                 let at = c * self.rows + r; // Mat is column-major
                 for (v, dst) in lane.iter().zip(&mut slices) {
-                    dst[at] = v.to_f64();
+                    dst[at] = *v;
                 }
             }
         }
@@ -209,25 +207,19 @@ impl<E: Element> BatchMat<E> {
 
     /// Bytes of interleaved storage.
     pub fn storage_bytes(&self) -> u64 {
-        (self.data.len() * std::mem::size_of::<E>()) as u64
+        (self.data.len() * std::mem::size_of::<f64>()) as u64
     }
 }
 
 /// Batched GEMM `C <- alpha * A . B + beta * C`, elementwise across the
 /// batch lane: each system's product is independent, so the inner loop
 /// runs over `K` contiguous lanes (`c[s] += a[s] * b[s]`) and
-/// autovectorizes to full-width FMA at either precision.
+/// autovectorizes to full-width FMA.
 ///
 /// # Panics
 ///
 /// Panics on shape or batch-width mismatch.
-pub fn batch_gemm<E: Element>(
-    alpha: E,
-    a: &BatchMat<E>,
-    b: &BatchMat<E>,
-    beta: E,
-    c: &mut BatchMat<E>,
-) {
+pub fn batch_gemm(alpha: f64, a: &BatchMat, b: &BatchMat, beta: f64, c: &mut BatchMat) {
     let (m, p) = (a.rows(), a.cols());
     let n = b.cols();
     assert_eq!(b.rows(), p, "inner dimension mismatch");
@@ -238,12 +230,12 @@ pub fn batch_gemm<E: Element>(
     // Thomas coupling update; fuse each output lane's whole inner
     // product so the partial sums stay in registers instead of
     // re-streaming `c` once per inner-dimension term.
-    if alpha == -E::ONE && beta == E::ONE {
+    if alpha == -1.0 && beta == 1.0 {
         for i in 0..m {
             let arow = &a.data[i * p * k..(i * p + p) * k];
             for j in 0..n {
                 let cl = c.lane_mut(i, j);
-                E::simd_lane_dot_sub(arow, &b.data[j * k..], n * k, cl);
+                simd::lane_dot_sub(arow, &b.data[j * k..], n * k, cl);
             }
         }
         return;
@@ -251,9 +243,9 @@ pub fn batch_gemm<E: Element>(
     for i in 0..m {
         for j in 0..n {
             let cl = c.lane_mut(i, j);
-            if beta == E::ZERO {
-                cl.fill(E::ZERO);
-            } else if beta != E::ONE {
+            if beta == 0.0 {
+                cl.fill(0.0);
+            } else if beta != 1.0 {
                 for v in cl.iter_mut() {
                     *v *= beta;
                 }
@@ -266,10 +258,10 @@ pub fn batch_gemm<E: Element>(
                 // full-width lane FMA kernels. `alpha` is almost always
                 // ±1 in the block Thomas sweeps — peel those so the hot
                 // loop is a single fused multiply-add per lane.
-                if alpha == E::ONE {
-                    E::simd_lane_fma(al, bl, cl);
-                } else if alpha == -E::ONE {
-                    E::simd_lane_fnma(al, bl, cl);
+                if alpha == 1.0 {
+                    simd::lane_fma(al, bl, cl);
+                } else if alpha == -1.0 {
+                    simd::lane_fnma(al, bl, cl);
                 } else {
                     for ((cv, &av), &bv) in cl.iter_mut().zip(al).zip(bl) {
                         *cv += alpha * av * bv;
@@ -295,13 +287,13 @@ pub fn batch_gemm<E: Element>(
 /// # Panics
 ///
 /// Panics if `a` is not square.
-pub fn batch_lu_factor<E: Element>(a: &mut BatchMat<E>) -> Result<(), BatchSingularError> {
+pub fn batch_lu_factor(a: &mut BatchMat) -> Result<(), BatchSingularError> {
     let m = a.rows();
     assert_eq!(a.cols(), m, "batched LU needs square matrices");
     let k = a.k();
 
     // Per-system magnitude scale for the relative pivot threshold.
-    let mut scale = vec![E::ZERO; k];
+    let mut scale = vec![0.0; k];
     for r in 0..m {
         for c in 0..m {
             let lane = a.lane(r, c);
@@ -313,7 +305,7 @@ pub fn batch_lu_factor<E: Element>(a: &mut BatchMat<E>) -> Result<(), BatchSingu
             }
         }
     }
-    let eps = E::from_f64(m as f64) * E::EPSILON;
+    let eps = m as f64 * f64::EPSILON;
 
     for step in 0..m {
         // Lane-wise pivot check, then store the pivot's *reciprocal* in
@@ -332,7 +324,7 @@ pub fn batch_lu_factor<E: Element>(a: &mut BatchMat<E>) -> Result<(), BatchSingu
                 if !ok {
                     return Err(BatchSingularError { system: s, step });
                 }
-                *v = E::ONE / *v;
+                *v = 1.0 / *v;
             }
         }
         // L column: a[r][step] *= 1/pivot, for r > step.
@@ -344,7 +336,7 @@ pub fn batch_lu_factor<E: Element>(a: &mut BatchMat<E>) -> Result<(), BatchSingu
             let (head, tail) = a.data.split_at_mut(at_l);
             let piv = &head[at_piv..at_piv + k];
             let dst = &mut tail[..k];
-            E::simd_lane_mul(piv, dst);
+            simd::lane_mul(piv, dst);
         }
         // Trailing update: a[r][c] -= a[r][step] * a[step][c].
         for r in step + 1..m {
@@ -359,7 +351,7 @@ pub fn batch_lu_factor<E: Element>(a: &mut BatchMat<E>) -> Result<(), BatchSingu
                 let t = &mut tail[..k];
                 let lcol = &head[at_l..at_l + k];
                 let urow = &head[at_u..at_u + k];
-                E::simd_lane_fnma(lcol, urow, t);
+                simd::lane_fnma(lcol, urow, t);
             }
         }
     }
@@ -373,7 +365,7 @@ pub fn batch_lu_factor<E: Element>(a: &mut BatchMat<E>) -> Result<(), BatchSingu
 /// # Panics
 ///
 /// Panics on shape or batch-width mismatch.
-pub fn batch_lu_solve<E: Element>(lu: &BatchMat<E>, x: &mut BatchMat<E>) {
+pub fn batch_lu_solve(lu: &BatchMat, x: &mut BatchMat) {
     let m = lu.rows();
     assert_eq!(lu.cols(), m, "LU batch must be square");
     assert_eq!(x.rows(), m, "rhs row count mismatch");
@@ -391,7 +383,7 @@ pub fn batch_lu_solve<E: Element>(lu: &BatchMat<E>, x: &mut BatchMat<E>) {
             let at_dst = (row * r + j) * k;
             let (head, tail) = x.data.split_at_mut(at_dst);
             let dst = &mut tail[..k];
-            E::simd_lane_dot_sub(lrow, &head[j * k..], r * k, dst);
+            simd::lane_dot_sub(lrow, &head[j * k..], r * k, dst);
         }
     }
     // Backward: U x = y, the same fused reduction over the columns
@@ -404,13 +396,13 @@ pub fn batch_lu_solve<E: Element>(lu: &BatchMat<E>, x: &mut BatchMat<E>) {
             for j in 0..r {
                 let at_dst = (row * r + j) * k;
                 let dst = &mut head[at_dst..at_dst + k];
-                E::simd_lane_dot_sub(urow, &tail[j * k..], r * k, dst);
+                simd::lane_dot_sub(urow, &tail[j * k..], r * k, dst);
             }
         }
         let d = lu.lane(row, row);
         for j in 0..r {
             let dst = x.lane_mut(row, j);
-            E::simd_lane_mul(d, dst);
+            simd::lane_mul(d, dst);
         }
     }
 }
@@ -479,32 +471,6 @@ mod tests {
                 "lane {s}: {}",
                 rel_diff(&xb.extract_system(s), &want)
             );
-        }
-    }
-
-    #[test]
-    fn batch_lu_works_at_f32() {
-        let mats: Vec<Mat<f32>> = (0..4)
-            .map(|s| {
-                let mut rng = StdRng::seed_from_u64(77 + s as u64);
-                diag_dominant(6, 1.5, &mut rng).convert::<f32>()
-            })
-            .collect();
-        let mut lu = BatchMat::from_mats(&mats);
-        batch_lu_factor(&mut lu).unwrap();
-        let rhs: Vec<Mat<f32>> = (0..4)
-            .map(|s| Mat::from_fn(6, 1, |r, _| ((r + s) as f32).cos()))
-            .collect();
-        let mut xb = BatchMat::from_mats(&rhs);
-        batch_lu_solve(&lu, &mut xb);
-        for s in 0..4 {
-            // Residual check in f64.
-            let a = mats[s].convert::<f64>();
-            let x = xb.extract_system(s).convert::<f64>();
-            let y = rhs[s].convert::<f64>();
-            let mut res = y.clone();
-            gemm(-1.0, &a, Trans::No, &x, Trans::No, 1.0, &mut res);
-            assert!(res.max_abs() < 1e-4, "lane {s} residual {}", res.max_abs());
         }
     }
 

@@ -5,13 +5,10 @@
 //! pivoting. The block diagonals `D_i` of an SPD block tridiagonal
 //! matrix are themselves SPD (Schur complements), so the SPD Thomas
 //! variant in `bt-blocktri` uses this factorization throughout.
-//!
-//! Like LU, the factorization is generic over the element type (`f64` by
-//! default; `f32` for the mixed-precision solve path).
 
-use crate::element::Element;
 use crate::lu::SingularError;
 use crate::mat::Mat;
+use crate::simd;
 use crate::view::{MatMut, MatRef};
 
 /// Observability instruments for the multi-RHS panel solves (no-ops
@@ -23,11 +20,11 @@ static OBS_CHOL_PANEL_NS: bt_obs::Histogram =
 /// Packed Cholesky factor `L` (lower triangle; the strict upper triangle
 /// of the storage is unused).
 #[derive(Debug, Clone)]
-pub struct CholFactors<E: Element = f64> {
-    l: Mat<E>,
+pub struct CholFactors {
+    l: Mat,
 }
 
-impl<E: Element> CholFactors<E> {
+impl CholFactors {
     /// Factors an SPD matrix.
     ///
     /// # Errors
@@ -40,11 +37,11 @@ impl<E: Element> CholFactors<E> {
     /// # Panics
     ///
     /// Panics if `a` is not square.
-    pub fn factor(a: &Mat<E>) -> Result<Self, SingularError> {
+    pub fn factor(a: &Mat) -> Result<Self, SingularError> {
         assert!(a.is_square(), "Cholesky of non-square matrix");
         let n = a.rows();
         let mut l = a.clone();
-        let tiny = E::from_f64(n as f64) * E::EPSILON * E::from_f64(a.max_abs());
+        let tiny = n as f64 * f64::EPSILON * a.max_abs();
 
         for k in 0..n {
             // Left-looking column update, diagonal included: subtract the
@@ -59,18 +56,15 @@ impl<E: Element> CholFactors<E> {
             let colk = &mut tail[k..n];
             for j in 0..k {
                 let colj = &head[j * n + k..j * n + n];
-                E::simd_axpy(-colj[0], colj, colk);
+                simd::axpy(-colj[0], colj, colk);
             }
             let d = colk[0];
             if d <= tiny || !d.is_finite() {
-                return Err(SingularError {
-                    step: k,
-                    pivot: d.to_f64(),
-                });
+                return Err(SingularError { step: k, pivot: d });
             }
             let lkk = d.sqrt();
             colk[0] = lkk;
-            let inv = E::ONE / lkk;
+            let inv = 1.0 / lkk;
             // Column k below the diagonal.
             for v in &mut colk[1..] {
                 *v *= inv;
@@ -79,7 +73,7 @@ impl<E: Element> CholFactors<E> {
         // Zero the strict upper triangle so `factor_matrix` is clean.
         for j in 1..n {
             for i in 0..j {
-                l.set(i, j, E::ZERO);
+                l.set(i, j, 0.0);
             }
         }
         Ok(Self { l })
@@ -91,16 +85,15 @@ impl<E: Element> CholFactors<E> {
     }
 
     /// The lower-triangular factor `L`.
-    pub fn factor_matrix(&self) -> &Mat<E> {
+    pub fn factor_matrix(&self) -> &Mat {
         &self.l
     }
 
     /// `log(det A) = 2 sum log l_kk` (computed in log space to avoid
-    /// overflow for large, strongly dominant blocks; accumulated in
-    /// `f64` at either working precision).
+    /// overflow for large, strongly dominant blocks).
     pub fn log_det(&self) -> f64 {
         (0..self.order())
-            .map(|k| self.l.get(k, k).to_f64().ln())
+            .map(|k| self.l.get(k, k).ln())
             .sum::<f64>()
             * 2.0
     }
@@ -112,7 +105,7 @@ impl<E: Element> CholFactors<E> {
     /// # Panics
     ///
     /// Panics if `b.rows() != order()`.
-    pub fn solve_in_place<'b>(&self, b: impl Into<MatMut<'b, E>>) {
+    pub fn solve_in_place<'b>(&self, b: impl Into<MatMut<'b>>) {
         let b = b.into();
         let n = self.order();
         assert_eq!(b.rows(), n, "solve rhs row count mismatch");
@@ -131,7 +124,7 @@ impl<E: Element> CholFactors<E> {
     /// # Panics
     ///
     /// Panics if shapes mismatch.
-    pub fn solve_into<'b, 'o>(&self, b: impl Into<MatRef<'b, E>>, out: impl Into<MatMut<'o, E>>) {
+    pub fn solve_into<'b, 'o>(&self, b: impl Into<MatRef<'b>>, out: impl Into<MatMut<'o>>) {
         let mut out = out.into();
         out.copy_from(b.into());
         self.solve_in_place(out);
@@ -140,27 +133,27 @@ impl<E: Element> CholFactors<E> {
     /// Forward (`L`) then backward (`L^T`) sweep on a single RHS column.
     /// The forward sweep is a column AXPY, the backward sweep a dot
     /// product — both on the SIMD dispatch path ([`crate::simd`]).
-    fn solve_column(&self, x: &mut [E]) {
+    fn solve_column(&self, x: &mut [f64]) {
         let n = self.order();
         // L w = b
         for k in 0..n {
             let lcol = self.l.col(k);
             let xk = x[k] / lcol[k];
             x[k] = xk;
-            if xk != E::ZERO {
-                E::simd_axpy(-xk, &lcol[k + 1..], &mut x[k + 1..]);
+            if xk != 0.0 {
+                simd::axpy(-xk, &lcol[k + 1..], &mut x[k + 1..]);
             }
         }
         // L^T x = w
         for k in (0..n).rev() {
             let lcol = self.l.col(k);
-            let s = x[k] - E::simd_dot(&x[k + 1..], &lcol[k + 1..]);
+            let s = x[k] - simd::dot(&x[k + 1..], &lcol[k + 1..]);
             x[k] = s / lcol[k];
         }
     }
 
     /// Solves `A X = B`, returning `X`.
-    pub fn solve(&self, b: &Mat<E>) -> Mat<E> {
+    pub fn solve(&self, b: &Mat) -> Mat {
         let mut x = b.clone();
         self.solve_in_place(&mut x);
         x
@@ -168,7 +161,7 @@ impl<E: Element> CholFactors<E> {
 
     /// Solves `X A = B` (right division; `A` is symmetric so this is
     /// `(A X^T = B^T)^T`).
-    pub fn solve_transposed_system(&self, b: &Mat<E>) -> Mat<E> {
+    pub fn solve_transposed_system(&self, b: &Mat) -> Mat {
         let mut xt = b.transpose();
         self.solve_in_place(&mut xt);
         xt.transpose()
@@ -205,22 +198,6 @@ mod tests {
         let b = Mat::from_fn(10, 3, |i, j| ((i + j) as f64).sin());
         let x = ch.solve(&b);
         assert!(matmul(&a, &x).sub(&b).max_abs() < 1e-10);
-    }
-
-    #[test]
-    fn f32_factor_and_solve() {
-        // The same sweeps at f32, at single-precision tolerance.
-        let a = spd(12, &mut rng(21));
-        let a32 = a.convert::<f32>();
-        let ch = CholFactors::factor(&a32).unwrap();
-        let b = Mat::from_fn(12, 3, |i, j| ((i + j) as f64).sin());
-        let x = ch.solve(&b.convert::<f32>());
-        let r = matmul(&a, &x.convert::<f64>()).sub(&b);
-        assert!(r.max_abs() < 1e-3, "f32 residual {}", r.max_abs());
-        // Reconstruction too.
-        let l = ch.factor_matrix();
-        let rec = matmul(&l.convert::<f64>(), &l.convert::<f64>().transpose());
-        assert!(rec.sub(&a).max_abs() < 1e-4 * a.max_abs());
     }
 
     #[test]
@@ -270,12 +247,12 @@ mod tests {
         let a = Mat::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]); // eigenvalues 3, -1
         let err = CholFactors::factor(&a).unwrap_err();
         assert_eq!(err.step, 1);
-        assert!(CholFactors::factor(&Mat::<f64>::zeros(3, 3)).is_err());
+        assert!(CholFactors::factor(&Mat::zeros(3, 3)).is_err());
     }
 
     #[test]
     fn identity_factors_to_identity() {
-        let ch = CholFactors::factor(&Mat::<f64>::identity(5)).unwrap();
+        let ch = CholFactors::factor(&Mat::identity(5)).unwrap();
         assert!(ch.factor_matrix().sub(&Mat::identity(5)).max_abs() < 1e-15);
         assert!((ch.log_det() - 0.0).abs() < 1e-15);
     }

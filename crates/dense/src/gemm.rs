@@ -3,7 +3,7 @@
 //! The workhorse is [`gemm`], a BLAS-3-style update
 //! `C <- alpha * op(A) * op(B) + beta * C` with optional transposition of
 //! either operand, dispatched over three kernels by measured crossover
-//! (see the [`Element`] crossover constants):
+//! (see `PACKED_MIN_FLOPS_*`):
 //!
 //! * [`gemm_small`] — unrolled small-block panel kernels for
 //!   `M x M · M x R` products with `M` in {4, 8, 16} and any `R`, the
@@ -13,25 +13,20 @@
 //!   loops go through the runtime-dispatched SIMD primitives
 //!   ([`crate::simd`]).
 //! * [`gemm_packed`] — a BLIS-style packed kernel: operand panels are
-//!   repacked into contiguous `E::MR`-tall / `E::NR`-wide micro-panels
+//!   repacked into contiguous `MR`-tall / `NR`-wide micro-panels
 //!   and multiplied by a register-tiled microkernel (in [`crate::simd`],
 //!   FMA-vectorized where the CPU allows), with the `jc` (column-block)
 //!   and `ic` (row-block) macro-loops parallelized over the intra-rank
 //!   thread budget ([`crate::threading`]).
 //!
-//! Every kernel is generic over the element type (`f64` by default,
-//! `f32` for the mixed-precision solve path); the tile shape and the
-//! packed-vs-AXPY crossover come from the [`Element`] impl, and the
-//! per-type SIMD kernels are reached through its dispatch hooks. The
-//! crossover only decides between packed and AXPY for `A` operands that
-//! are not small blocks.
+//! The packed-vs-AXPY crossover only decides between packed and AXPY for
+//! `A` operands that are not small blocks.
 //!
 //! Every public kernel accepts `impl Into<MatRef>` / `impl Into<MatMut>`
 //! operands, so both owned matrices (`&Mat` / `&mut Mat`) and borrowed
 //! [`MatRef`]/[`MatMut`] views (including strided submatrix windows)
-//! work without copies. Packing scratch lives in per-type thread-local
-//! buffers ([`Element::with_pack_bufs`]), so warm calls on a given
-//! thread allocate nothing.
+//! work without copies. Packing scratch lives in thread-local buffers
+//! (`with_pack_bufs`), so warm calls on a given thread allocate nothing.
 //!
 //! Every kernel accumulates every term unconditionally (no zero
 //! short-circuits), so non-finite inputs propagate into the output as
@@ -43,19 +38,17 @@
 //! then add `alpha` times the sum into C), so at `alpha = ±1` they agree
 //! bit for bit.
 
-use crate::element::Element;
 use crate::mat::Mat;
-use crate::simd::{self, Isa};
+use crate::simd::{self, Isa, MR, NR};
 use crate::threading;
 use crate::view::{MatMut, MatRef};
+use std::cell::RefCell;
 
 /// Observability counters (no-ops unless `BT_OBS` is on): dispatch counts
 /// for the small/packed/AXPY split, how many dispatches ran on a SIMD
 /// instruction set, total flops issued through this module, and
 /// nanoseconds spent repacking operand panels — the raw inputs for
 /// checking the CostModel's compute term against real kernel behaviour.
-/// Counters aggregate over both element types; the per-call precision is
-/// visible in the bench schemas instead.
 static OBS_PACKED_CALLS: bt_obs::Counter = bt_obs::Counter::new("bt_dense.gemm.packed_calls");
 static OBS_AXPY_CALLS: bt_obs::Counter = bt_obs::Counter::new("bt_dense.gemm.axpy_calls");
 static OBS_SMALL_CALLS: bt_obs::Counter = bt_obs::Counter::new("bt_dense.gemm.small_calls");
@@ -78,7 +71,7 @@ pub enum Trans {
 
 impl Trans {
     /// Effective `(rows, cols)` of `op(m)`.
-    fn dims<E: Element>(self, m: MatRef<'_, E>) -> (usize, usize) {
+    fn dims(self, m: MatRef<'_>) -> (usize, usize) {
         match self {
             Trans::No => (m.rows(), m.cols()),
             Trans::Yes => (m.cols(), m.rows()),
@@ -92,15 +85,25 @@ const NB: usize = 64;
 /// Inner (k) blocking depth (`KC`).
 const KC: usize = 128;
 /// Row block height of the packed kernel's `ic` macro-loop (`MC`): one
-/// packed `MC x KC` A-panel is 256 KiB at f64 (sized for outer-cache
-/// residency), 128 KiB at f32.
+/// packed `MC x KC` A-panel is 256 KiB (sized for outer-cache
+/// residency).
 const MC: usize = 256;
 
-/// Upper bound of `E::MR * E::NR` over the implemented element types
-/// (f32's 16 x 4 tile): the microkernel accumulator is a fixed-size
-/// stack array of this size, sliced down per type, because stable Rust
-/// cannot size an array by an associated const.
-const ACC_MAX: usize = 64;
+/// Packed-vs-AXPY crossover on SIMD dispatch paths, in flops (`2 m k n`).
+/// Measured on the AVX2+FMA reference host (`cargo bench -p bt-bench
+/// --bench kernels`, see `BENCH_gemm.json`): the FMA microkernel beats
+/// the (also FMA-vectorized) AXPY kernel at every swept size from
+/// m = k = n = 8 (1 kflop, 1.08x) through m = 256 (3.7x), while AXPY
+/// wins at m = 4 (128 flop, 2.2x — the pack pass dominates). 512 flops
+/// splits that gap. Only `A` operands outside the small-block orders
+/// {4, 8, 16} consult it: those always take the panel kernel.
+const PACKED_MIN_FLOPS_SIMD: usize = 512;
+
+/// Packed-vs-AXPY crossover on the scalar fallback path. The same sweep
+/// under `BT_DENSE_SIMD=0` shows the autovectorized AXPY loop winning
+/// through m = 48 and the scalar microkernel taking over from m = 63;
+/// the crossover sits right at `2 * 63^3`.
+const PACKED_MIN_FLOPS_SCALAR: usize = 500_000;
 
 /// Minimum rows per intra-rank thread for the `ic`-parallel path.
 const IC_MIN_ROWS: usize = 64;
@@ -108,8 +111,7 @@ const IC_MIN_ROWS: usize = 64;
 /// `C <- alpha * op(A) * op(B) + beta * C`.
 ///
 /// Operands may be `&Mat`, `&mut Mat`, or borrowed views
-/// ([`MatRef`]/[`MatMut`], including strided submatrix windows), at
-/// either element type (all operands must agree).
+/// ([`MatRef`]/[`MatMut`], including strided submatrix windows).
 ///
 /// # Panics
 ///
@@ -126,26 +128,26 @@ const IC_MIN_ROWS: usize = 64;
 /// gemm(1.0, &a, Trans::No, &b, Trans::No, 0.0, &mut c);
 /// assert_eq!(c, a);
 /// ```
-pub fn gemm<'a, 'b, 'c, E: Element>(
-    alpha: E,
-    a: impl Into<MatRef<'a, E>>,
+pub fn gemm<'a, 'b, 'c>(
+    alpha: f64,
+    a: impl Into<MatRef<'a>>,
     ta: Trans,
-    b: impl Into<MatRef<'b, E>>,
+    b: impl Into<MatRef<'b>>,
     tb: Trans,
-    beta: E,
-    c: impl Into<MatMut<'c, E>>,
+    beta: f64,
+    c: impl Into<MatMut<'c>>,
 ) {
     gemm_ref(alpha, a.into(), ta, b.into(), tb, beta, c.into());
 }
 
-fn gemm_ref<E: Element>(
-    alpha: E,
-    a: MatRef<'_, E>,
+fn gemm_ref(
+    alpha: f64,
+    a: MatRef<'_>,
     ta: Trans,
-    b: MatRef<'_, E>,
+    b: MatRef<'_>,
     tb: Trans,
-    beta: E,
-    mut c: MatMut<'_, E>,
+    beta: f64,
+    mut c: MatMut<'_>,
 ) {
     let (m, ka) = ta.dims(a);
     let (kb, n) = tb.dims(b);
@@ -160,12 +162,12 @@ fn gemm_ref<E: Element>(
     let k = ka;
 
     // Scale C by beta once up front.
-    if beta == E::ZERO {
+    if beta == 0.0 {
         c.fill_zero();
-    } else if beta != E::ONE {
+    } else if beta != 1.0 {
         c.scale(beta);
     }
-    if alpha == E::ZERO || m == 0 || n == 0 || k == 0 {
+    if alpha == 0.0 || m == 0 || n == 0 || k == 0 {
         return;
     }
 
@@ -197,8 +199,8 @@ fn gemm_ref<E: Element>(
 }
 
 /// Materializes the transpose of a view (for the `Trans::Yes` paths).
-fn transpose_of<E: Element>(v: MatRef<'_, E>) -> Mat<E> {
-    let mut t = Mat::<E>::zeros(v.cols(), v.rows());
+fn transpose_of(v: MatRef<'_>) -> Mat {
+    let mut t = Mat::zeros(v.cols(), v.rows());
     for j in 0..v.cols() {
         for i in 0..v.rows() {
             t.set(j, i, v.get(i, j));
@@ -209,9 +211,9 @@ fn transpose_of<E: Element>(v: MatRef<'_, E>) -> Mat<E> {
 
 /// `C += alpha * A * B` for plain column-major operands: small-block
 /// `A` operands take the panel kernel at any width; everything else
-/// picks packed vs. AXPY by size (measured crossover — see the
-/// `Element` crossover consts).
-fn gemm_nn<E: Element>(alpha: E, a: MatRef<'_, E>, b: MatRef<'_, E>, c: MatMut<'_, E>) {
+/// picks packed vs. AXPY by size (measured crossover — see
+/// `PACKED_MIN_FLOPS_*`).
+fn gemm_nn(alpha: f64, a: MatRef<'_>, b: MatRef<'_>, c: MatMut<'_>) {
     if bt_obs::enabled() {
         let isa = simd::active();
         OBS_DISPATCH_ISA.set(f64::from(isa.index()));
@@ -219,7 +221,7 @@ fn gemm_nn<E: Element>(alpha: E, a: MatRef<'_, E>, b: MatRef<'_, E>, c: MatMut<'
             OBS_SIMD_CALLS.incr();
         }
     }
-    colsplit_plan_for::<E>(a.rows(), a.cols(), b.cols()).apply_ref(alpha, a, b, c);
+    colsplit_plan(a.rows(), a.cols(), b.cols()).apply_ref(alpha, a, b, c);
 }
 
 /// Small-block panel `C += alpha * A * B`: `A` is `M x M` with `M` in
@@ -230,14 +232,14 @@ fn gemm_nn<E: Element>(alpha: E, a: MatRef<'_, E>, b: MatRef<'_, E>, c: MatMut<'
 /// agree bit for bit. [`gemm`] and [`ColsplitPlan`] route every such
 /// shape here. Returns `false` without touching `C` for any other shape;
 /// exposed so benches can time it against the other kernels directly.
-pub fn gemm_small<'a, 'b, 'c, E: Element>(
-    alpha: E,
-    a: impl Into<MatRef<'a, E>>,
-    b: impl Into<MatRef<'b, E>>,
-    c: impl Into<MatMut<'c, E>>,
+pub fn gemm_small<'a, 'b, 'c>(
+    alpha: f64,
+    a: impl Into<MatRef<'a>>,
+    b: impl Into<MatRef<'b>>,
+    c: impl Into<MatMut<'c>>,
 ) -> bool {
     let (a, b, mut c) = (a.into(), b.into(), c.into());
-    let hit = E::simd_gemm_small(alpha, a, b, &mut c);
+    let hit = simd::gemm_small(alpha, a, b, &mut c);
     if hit {
         OBS_SMALL_CALLS.incr();
         OBS_GEMM_FLOPS.add(gemm_flops(a.rows(), a.rows(), b.cols()));
@@ -274,21 +276,13 @@ enum Kernel {
     Axpy,
 }
 
-/// Freezes the kernel choice for the full `(m, k, n)` problem at the
-/// default `f64` element type, for column-tiled application via
-/// [`ColsplitPlan::apply`].
+/// Freezes the kernel choice for the full `(m, k, n)` problem, for
+/// column-tiled application via [`ColsplitPlan::apply`].
 pub fn colsplit_plan(m: usize, k: usize, n: usize) -> ColsplitPlan {
-    colsplit_plan_for::<f64>(m, k, n)
-}
-
-/// [`colsplit_plan`] at an explicit element type — the crossover
-/// constants are per-precision, so a plan frozen for `f32` tiles must be
-/// frozen with `f32`'s thresholds.
-pub fn colsplit_plan_for<E: Element>(m: usize, k: usize, n: usize) -> ColsplitPlan {
     let packed_min = if simd::active() == Isa::Scalar {
-        E::PACKED_MIN_FLOPS_SCALAR
+        PACKED_MIN_FLOPS_SCALAR
     } else {
-        E::PACKED_MIN_FLOPS_SIMD
+        PACKED_MIN_FLOPS_SIMD
     };
     let kernel = if simd::is_small_block(m, k) {
         Kernel::Small
@@ -307,23 +301,17 @@ impl ColsplitPlan {
     /// # Panics
     ///
     /// Panics if shapes are not conformable.
-    pub fn apply<'a, 'b, 'c, E: Element>(
+    pub fn apply<'a, 'b, 'c>(
         &self,
-        alpha: E,
-        a: impl Into<MatRef<'a, E>>,
-        b: impl Into<MatRef<'b, E>>,
-        c: impl Into<MatMut<'c, E>>,
+        alpha: f64,
+        a: impl Into<MatRef<'a>>,
+        b: impl Into<MatRef<'b>>,
+        c: impl Into<MatMut<'c>>,
     ) {
         self.apply_ref(alpha, a.into(), b.into(), c.into());
     }
 
-    fn apply_ref<E: Element>(
-        &self,
-        alpha: E,
-        a: MatRef<'_, E>,
-        b: MatRef<'_, E>,
-        mut c: MatMut<'_, E>,
-    ) {
+    fn apply_ref(&self, alpha: f64, a: MatRef<'_>, b: MatRef<'_>, mut c: MatMut<'_>) {
         match self.kernel {
             Kernel::Small => {
                 let shapes = (a.shape(), b.shape(), c.shape());
@@ -348,16 +336,16 @@ impl ColsplitPlan {
 /// # Panics
 ///
 /// Panics if shapes are not conformable.
-pub fn gemm_axpy<'a, 'b, 'c, E: Element>(
-    alpha: E,
-    a: impl Into<MatRef<'a, E>>,
-    b: impl Into<MatRef<'b, E>>,
-    c: impl Into<MatMut<'c, E>>,
+pub fn gemm_axpy<'a, 'b, 'c>(
+    alpha: f64,
+    a: impl Into<MatRef<'a>>,
+    b: impl Into<MatRef<'b>>,
+    c: impl Into<MatMut<'c>>,
 ) {
     gemm_axpy_ref(alpha, a.into(), b.into(), c.into());
 }
 
-fn gemm_axpy_ref<E: Element>(alpha: E, a: MatRef<'_, E>, b: MatRef<'_, E>, mut c: MatMut<'_, E>) {
+fn gemm_axpy_ref(alpha: f64, a: MatRef<'_>, b: MatRef<'_>, mut c: MatMut<'_>) {
     let m = a.rows();
     let k = a.cols();
     let n = b.cols();
@@ -381,7 +369,7 @@ fn gemm_axpy_ref<E: Element>(alpha: E, a: MatRef<'_, E>, b: MatRef<'_, E>, mut c
                     // AXPY: c_col += w * a_col — contiguous columns through
                     // the runtime-dispatched SIMD primitive (FMA per
                     // element where the CPU allows).
-                    E::simd_axpy(w, a.col(kk), c_col);
+                    simd::axpy(w, a.col(kk), c_col);
                 }
             }
         }
@@ -391,10 +379,10 @@ fn gemm_axpy_ref<E: Element>(alpha: E, a: MatRef<'_, E>, b: MatRef<'_, E>, mut c
 /// BLIS-style packed `C += alpha * A * B` for plain column-major
 /// operands.
 ///
-/// A and B panels are repacked into contiguous `E::MR x KC` /
-/// `KC x E::NR` micro-panels (zero-padded at the edges) and combined by
+/// A and B panels are repacked into contiguous `MR x KC` /
+/// `KC x NR` micro-panels (zero-padded at the edges) and combined by
 /// a register-tiled microkernel. Packing scratch is checked out of
-/// per-type thread-local buffers, so warm calls allocate nothing. When
+/// thread-local buffers, so warm calls allocate nothing. When
 /// the calling thread's budget ([`threading::current_threads`]) exceeds
 /// 1, the `jc` macro-loop (column blocks) — or, for single-column-block
 /// shapes, the `ic` macro-loop (row blocks) — is distributed across
@@ -405,16 +393,16 @@ fn gemm_axpy_ref<E: Element>(alpha: E, a: MatRef<'_, E>, b: MatRef<'_, E>, mut c
 /// # Panics
 ///
 /// Panics if shapes are not conformable.
-pub fn gemm_packed<'a, 'b, 'c, E: Element>(
-    alpha: E,
-    a: impl Into<MatRef<'a, E>>,
-    b: impl Into<MatRef<'b, E>>,
-    c: impl Into<MatMut<'c, E>>,
+pub fn gemm_packed<'a, 'b, 'c>(
+    alpha: f64,
+    a: impl Into<MatRef<'a>>,
+    b: impl Into<MatRef<'b>>,
+    c: impl Into<MatMut<'c>>,
 ) {
     gemm_packed_ref(alpha, a.into(), b.into(), c.into());
 }
 
-fn gemm_packed_ref<E: Element>(alpha: E, a: MatRef<'_, E>, b: MatRef<'_, E>, mut c: MatMut<'_, E>) {
+fn gemm_packed_ref(alpha: f64, a: MatRef<'_>, b: MatRef<'_>, mut c: MatMut<'_>) {
     let m = a.rows();
     let k = a.cols();
     let n = b.cols();
@@ -471,15 +459,15 @@ fn gemm_packed_ref<E: Element>(alpha: E, a: MatRef<'_, E>, b: MatRef<'_, E>, mut
         // runs under a multi-thread budget, never on the zero-alloc
         // replay path.)
         let t = threads.min(m / IC_MIN_ROWS).max(1);
-        let rows_per = m.div_ceil(t).next_multiple_of(E::MR);
+        let rows_per = m.div_ceil(t).next_multiple_of(MR);
         let ranges: Vec<(usize, usize)> = (0..m)
             .step_by(rows_per)
             .map(|r0| (r0, rows_per.min(m - r0)))
             .collect();
-        let mut stripes: Vec<Vec<E>> = ranges
+        let mut stripes: Vec<Vec<f64>> = ranges
             .iter()
             .map(|&(r0, mb)| {
-                let mut s = vec![E::ZERO; mb * n];
+                let mut s = vec![0.0; mb * n];
                 for j in 0..n {
                     s[j * mb..(j + 1) * mb].copy_from_slice(&c.col(j)[r0..r0 + mb]);
                 }
@@ -503,29 +491,47 @@ fn gemm_packed_ref<E: Element>(alpha: E, a: MatRef<'_, E>, b: MatRef<'_, E>, mut
     }
 }
 
+/// Hands the caller this thread's kernel scratch `(packed_a, packed_b)`:
+/// the packing panels of [`gemm_packed`], whose first buffer doubles as
+/// the row-major transpose of [`crate::LuFactors`]'s wide panel solve
+/// (the two never nest).
+pub(crate) fn with_pack_bufs<R>(f: impl FnOnce(&mut Vec<f64>, &mut Vec<f64>) -> R) -> R {
+    thread_local! {
+        /// Per-thread packing scratch `(packed_a, packed_b)`: warm
+        /// `gemm_packed` calls on a given OS thread reuse these instead
+        /// of allocating.
+        static PACK_BUFS: RefCell<(Vec<f64>, Vec<f64>)> =
+            const { RefCell::new((Vec::new(), Vec::new())) };
+    }
+    PACK_BUFS.with(|bufs| {
+        let mut bufs = bufs.borrow_mut();
+        let (pa, pb) = &mut *bufs;
+        f(pa, pb)
+    })
+}
+
 /// Sequential packed kernel over one stripe: rows `[row0, row0 + mb)` of
 /// A against all `ncols` columns of the B stripe, accumulating into `c`
 /// (leading dimension `ldc`, stripe rows starting at index 0).
 #[allow(clippy::too_many_arguments)]
-fn packed_stripe<E: Element>(
-    alpha: E,
-    a: &[E],
+fn packed_stripe(
+    alpha: f64,
+    a: &[f64],
     lda: usize,
     row0: usize,
     mb_total: usize,
     k: usize,
-    b: &[E],
+    b: &[f64],
     ldb: usize,
     ncols: usize,
-    c: &mut [E],
+    c: &mut [f64],
     ldc: usize,
 ) {
-    let (mr, nr) = (E::MR, E::NR);
-    E::with_pack_bufs(|packed_a, packed_b| {
+    with_pack_bufs(|packed_a, packed_b| {
         packed_b.clear();
-        packed_b.resize(KC * ncols.next_multiple_of(nr), E::ZERO);
+        packed_b.resize(KC * ncols.next_multiple_of(NR), 0.0);
         packed_a.clear();
-        packed_a.resize(MC.min(mb_total).next_multiple_of(mr) * KC, E::ZERO);
+        packed_a.resize(MC.min(mb_total).next_multiple_of(MR) * KC, 0.0);
         // Pack-time accounting: accumulate locally, publish once per stripe
         // so the hot loop touches no shared state.
         let obs = bt_obs::enabled();
@@ -546,23 +552,20 @@ fn packed_stripe<E: Element>(
             for ic in (0..mb_total).step_by(MC) {
                 let mbb = MC.min(mb_total - ic);
                 timed(&mut || pack_a(a, lda, row0 + ic, mbb, pc, kb, packed_a));
-                let n_jr = ncols.div_ceil(nr);
-                let n_ir = mbb.div_ceil(mr);
+                let n_jr = ncols.div_ceil(NR);
+                let n_ir = mbb.div_ceil(MR);
                 for jr in 0..n_jr {
-                    let jb = nr.min(ncols - jr * nr);
-                    let pb = &packed_b[jr * kb * nr..][..kb * nr];
+                    let jb = NR.min(ncols - jr * NR);
+                    let pb = &packed_b[jr * kb * NR..][..kb * NR];
                     for ir in 0..n_ir {
-                        let ib = mr.min(mbb - ir * mr);
-                        let pa = &packed_a[ir * kb * mr..][..kb * mr];
-                        // Fixed-size stack tile sliced to this type's
-                        // MR * NR (stable Rust cannot size an array by an
-                        // associated const).
-                        let mut acc = [E::ZERO; ACC_MAX];
-                        E::simd_microkernel(kb, pa, pb, &mut acc);
+                        let ib = MR.min(mbb - ir * MR);
+                        let pa = &packed_a[ir * kb * MR..][..kb * MR];
+                        let mut acc = [0.0; MR * NR];
+                        simd::microkernel(kb, pa, pb, &mut acc);
                         // Writeback the valid ib x jb corner of the tile.
                         for jj in 0..jb {
-                            let dst = &mut c[(jr * nr + jj) * ldc + ic + ir * mr..][..ib];
-                            let src = &acc[jj * mr..jj * mr + ib];
+                            let dst = &mut c[(jr * NR + jj) * ldc + ic + ir * MR..][..ib];
+                            let src = &acc[jj * MR..jj * MR + ib];
                             for (ci, &av) in dst.iter_mut().zip(src) {
                                 *ci += alpha * av;
                             }
@@ -578,43 +581,33 @@ fn packed_stripe<E: Element>(
 }
 
 /// Packs rows `[row0, row0 + mb)` of the `KC`-deep A panel at `pc` into
-/// `E::MR`-tall micro-panels: `out[ir * kb * MR + p * MR + ii]`,
+/// `MR`-tall micro-panels: `out[ir * kb * MR + p * MR + ii]`,
 /// zero-padded to full MR height.
-fn pack_a<E: Element>(
-    a: &[E],
-    lda: usize,
-    row0: usize,
-    mb: usize,
-    pc: usize,
-    kb: usize,
-    out: &mut [E],
-) {
-    let mr = E::MR;
-    let n_ir = mb.div_ceil(mr);
-    out[..n_ir * kb * mr].fill(E::ZERO);
+fn pack_a(a: &[f64], lda: usize, row0: usize, mb: usize, pc: usize, kb: usize, out: &mut [f64]) {
+    let n_ir = mb.div_ceil(MR);
+    out[..n_ir * kb * MR].fill(0.0);
     for ir in 0..n_ir {
-        let ib = mr.min(mb - ir * mr);
-        let dst_base = ir * kb * mr;
+        let ib = MR.min(mb - ir * MR);
+        let dst_base = ir * kb * MR;
         for p in 0..kb {
-            let src = &a[(pc + p) * lda + row0 + ir * mr..][..ib];
-            out[dst_base + p * mr..dst_base + p * mr + ib].copy_from_slice(src);
+            let src = &a[(pc + p) * lda + row0 + ir * MR..][..ib];
+            out[dst_base + p * MR..dst_base + p * MR + ib].copy_from_slice(src);
         }
     }
 }
 
-/// Packs the `KC`-deep B panel at `pc` into `E::NR`-wide micro-panels:
+/// Packs the `KC`-deep B panel at `pc` into `NR`-wide micro-panels:
 /// `out[jr * kb * NR + p * NR + jj]`, zero-padded to full NR width.
-fn pack_b<E: Element>(b: &[E], ldb: usize, pc: usize, kb: usize, ncols: usize, out: &mut [E]) {
-    let nr = E::NR;
-    let n_jr = ncols.div_ceil(nr);
-    out[..n_jr * kb * nr].fill(E::ZERO);
+fn pack_b(b: &[f64], ldb: usize, pc: usize, kb: usize, ncols: usize, out: &mut [f64]) {
+    let n_jr = ncols.div_ceil(NR);
+    out[..n_jr * kb * NR].fill(0.0);
     for jr in 0..n_jr {
-        let jb = nr.min(ncols - jr * nr);
-        let dst_base = jr * kb * nr;
+        let jb = NR.min(ncols - jr * NR);
+        let dst_base = jr * kb * NR;
         for jj in 0..jb {
-            let src = &b[(jr * nr + jj) * ldb + pc..][..kb];
+            let src = &b[(jr * NR + jj) * ldb + pc..][..kb];
             for (p, &v) in src.iter().enumerate() {
-                out[dst_base + p * nr + jj] = v;
+                out[dst_base + p * NR + jj] = v;
             }
         }
     }
@@ -625,9 +618,9 @@ fn pack_b<E: Element>(b: &[E], ldb: usize, pc: usize, kb: usize, ncols: usize, o
 /// # Panics
 ///
 /// Panics if `a.cols() != b.rows()`.
-pub fn matmul<E: Element>(a: &Mat<E>, b: &Mat<E>) -> Mat<E> {
-    let mut c = Mat::<E>::zeros(a.rows(), b.cols());
-    gemm(E::ONE, a, Trans::No, b, Trans::No, E::ZERO, &mut c);
+pub fn matmul(a: &Mat, b: &Mat) -> Mat {
+    let mut c = Mat::zeros(a.rows(), b.cols());
+    gemm(1.0, a, Trans::No, b, Trans::No, 0.0, &mut c);
     c
 }
 
@@ -636,15 +629,15 @@ pub fn matmul<E: Element>(a: &Mat<E>, b: &Mat<E>) -> Mat<E> {
 /// # Panics
 ///
 /// Panics if `x.len() != a.cols()` or `y.len() != a.rows()`.
-pub fn gemv<'a, E: Element>(alpha: E, a: impl Into<MatRef<'a, E>>, x: &[E], beta: E, y: &mut [E]) {
+pub fn gemv<'a>(alpha: f64, a: impl Into<MatRef<'a>>, x: &[f64], beta: f64, y: &mut [f64]) {
     let a = a.into();
     assert_eq!(x.len(), a.cols(), "gemv x length mismatch");
     assert_eq!(y.len(), a.rows(), "gemv y length mismatch");
     OBS_GEMV_CALLS.incr();
     OBS_GEMM_FLOPS.add(gemm_flops(a.rows(), a.cols(), 1));
-    if beta == E::ZERO {
-        y.fill(E::ZERO);
-    } else if beta != E::ONE {
+    if beta == 0.0 {
+        y.fill(0.0);
+    } else if beta != 1.0 {
         for v in y.iter_mut() {
             *v *= beta;
         }
@@ -653,14 +646,14 @@ pub fn gemv<'a, E: Element>(alpha: E, a: impl Into<MatRef<'a, E>>, x: &[E], beta
         // No skip on zero weights (see gemm_axpy): non-finite entries of
         // A must propagate even when the matching x entry is zero.
         let w = alpha * xj;
-        E::simd_axpy(w, a.col(j), y);
+        simd::axpy(w, a.col(j), y);
     }
 }
 
 /// Returns `a * x` for a vector `x`.
-pub fn matvec<E: Element>(a: &Mat<E>, x: &[E]) -> Vec<E> {
-    let mut y = vec![E::ZERO; a.rows()];
-    gemv(E::ONE, a, x, E::ZERO, &mut y);
+pub fn matvec(a: &Mat, x: &[f64]) -> Vec<f64> {
+    let mut y = vec![0.0; a.rows()];
+    gemv(1.0, a, x, 0.0, &mut y);
     y
 }
 
@@ -746,49 +739,6 @@ mod tests {
     }
 
     #[test]
-    fn packed_f32_matches_f64_reference() {
-        // The f32 packed kernel (16 x 4 microkernel, f32 packing) against
-        // the f64 naive product, at single-precision tolerance. Sizes
-        // straddle the f32 tile edges (MR = 16) and the KC boundary.
-        for &(m, k, n) in &[(17, 33, 5), (48, 128, 31), (130, 129, 40), (1, 257, 1)] {
-            let a = seq_mat(m, k, 0.21);
-            let b = seq_mat(k, n, 0.83);
-            let a32 = a.convert::<f32>();
-            let b32 = b.convert::<f32>();
-            let mut c32 = Mat::<f32>::zeros(m, n);
-            gemm_packed(1.0f32, &a32, &b32, &mut c32);
-            let expect = naive_matmul(&a, &b);
-            let diff = c32.convert::<f64>().sub(&expect).max_abs();
-            assert!(
-                diff <= 1e-5 * (k as f64),
-                "f32 packed mismatch for {m}x{k}x{n}: {diff:e}"
-            );
-        }
-    }
-
-    #[test]
-    fn axpy_and_small_f32_match_f64_reference() {
-        // The f32 AXPY kernel and the f32 small-block kernels against the
-        // f64 naive product.
-        for &(m, k, n) in &[(4, 4, 4), (8, 8, 8), (16, 16, 16), (7, 9, 5)] {
-            let a = seq_mat(m, k, 0.4);
-            let b = seq_mat(k, n, 0.6);
-            let mut c32 = Mat::<f32>::zeros(m, n);
-            gemm(
-                1.0f32,
-                &a.convert::<f32>(),
-                Trans::No,
-                &b.convert::<f32>(),
-                Trans::No,
-                0.0,
-                &mut c32,
-            );
-            let diff = c32.convert::<f64>().sub(&naive_matmul(&a, &b)).max_abs();
-            assert!(diff <= 1e-5 * (k as f64), "f32 mismatch for {m}x{k}x{n}");
-        }
-    }
-
-    #[test]
     fn packed_accumulates_with_alpha() {
         let a = seq_mat(70, 40, 0.5);
         let b = seq_mat(40, 70, 0.6);
@@ -812,23 +762,6 @@ mod tests {
                 let mut ct = Mat::zeros(m, n);
                 with_thread_budget(t, || gemm_packed(1.0, &a, &b, &mut ct));
                 assert_eq!(c1, ct, "budget {t} changed bits for {m}x{k}x{n}");
-            }
-        }
-    }
-
-    #[test]
-    fn packed_f32_bitwise_identical_across_thread_budgets() {
-        // The ic-parallel row split aligns stripes to E::MR — exercise it
-        // at the f32 tile height too.
-        for &(m, k, n) in &[(96, 300, 200), (400, 150, 40)] {
-            let a = seq_mat(m, k, 0.11).convert::<f32>();
-            let b = seq_mat(k, n, 0.91).convert::<f32>();
-            let mut c1 = Mat::<f32>::zeros(m, n);
-            with_thread_budget(1, || gemm_packed(1.0f32, &a, &b, &mut c1));
-            for t in [2, 5] {
-                let mut ct = Mat::<f32>::zeros(m, n);
-                with_thread_budget(t, || gemm_packed(1.0f32, &a, &b, &mut ct));
-                assert_eq!(c1, ct, "budget {t} changed f32 bits for {m}x{k}x{n}");
             }
         }
     }
@@ -1080,34 +1013,6 @@ mod tests {
                     c0 += w;
                 }
                 assert_eq!(full, tiled, "{m}x{k}x{n} tile={tile}");
-            }
-        }
-    }
-
-    #[test]
-    fn colsplit_plan_f32_tiled_is_bitwise_identical() {
-        // The same tiling invariant holds for plans frozen and applied at
-        // f32 — the mixed-precision replay pipeline depends on it.
-        for &(m, k, n) in &[(8, 8, 8), (16, 16, 64), (32, 32, 33)] {
-            let a = seq_mat(m, k, 0.3).convert::<f32>();
-            let b = seq_mat(k, n, 0.7).convert::<f32>();
-            let plan = colsplit_plan_for::<f32>(m, k, n);
-            let mut full = Mat::<f32>::zeros(m, n);
-            plan.apply(1.5f32, &a, &b, &mut full);
-            for tile in [1, 3, n] {
-                let mut tiled = Mat::<f32>::zeros(m, n);
-                let mut c0 = 0;
-                while c0 < n {
-                    let w = tile.min(n - c0);
-                    plan.apply(
-                        1.5f32,
-                        &a,
-                        b.as_ref().submatrix(0, c0, k, w),
-                        tiled.as_mut().submatrix_mut(0, c0, m, w),
-                    );
-                    c0 += w;
-                }
-                assert_eq!(full, tiled, "f32 {m}x{k}x{n} tile={tile}");
             }
         }
     }

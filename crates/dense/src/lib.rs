@@ -1,15 +1,10 @@
 //! # bt-dense: dense linear algebra kernels for the block tridiagonal suite
 //!
-//! Self-contained dense linear algebra — the BLAS/LAPACK substitute this
-//! reproduction builds on (see DESIGN.md §3), generic over the scalar
-//! type ([`Element`]: `f64` by default, `f32` for the mixed-precision
-//! solve path). Provides:
+//! Self-contained `f64` dense linear algebra — the BLAS/LAPACK substitute
+//! this reproduction builds on (see DESIGN.md §3). Provides:
 //!
 //! * [`Mat`] — owned column-major matrix ([`mat`]);
 //! * [`MatRef`]/[`MatMut`] — borrowed column-major views ([`view`]);
-//! * [`Element`] — the scalar-type trait, plus the precision-erased
-//!   [`AnyVec`]/[`AnyMat`] carriers the comm layer ships panels with
-//!   ([`element`]);
 //! * [`Workspace`] — reusable buffer pool for allocation-free hot paths
 //!   ([`workspace`]);
 //! * [`gemm()`]/[`matmul`]/[`gemv`] — blocked matrix multiply (module [`mod@gemm`]),
@@ -24,9 +19,8 @@
 //! the crate is the explicit-SIMD kernel layer ([`simd`]): runtime
 //! CPU-feature dispatch (AVX2+FMA on x86_64, NEON on aarch64, portable
 //! scalar fallback, `BT_DENSE_SIMD=0` override) behind length-checked
-//! safe wrappers, at both element widths. Flop-count helpers
-//! (`gemm_flops`, `lu_flops`, ...) feed the virtual-time cost model in
-//! `bt-mpsim`.
+//! safe wrappers. Flop-count helpers (`gemm_flops`, `lu_flops`, ...)
+//! feed the virtual-time cost model in `bt-mpsim`.
 //!
 //! ## Quick example
 //!
@@ -41,7 +35,6 @@
 
 pub mod batch;
 pub mod cholesky;
-pub mod element;
 pub mod gemm;
 pub mod lu;
 pub mod mat;
@@ -54,10 +47,9 @@ pub mod workspace;
 
 pub use batch::{batch_gemm, batch_lu_factor, batch_lu_solve, BatchMat, BatchSingularError};
 pub use cholesky::{cholesky_flops, CholFactors};
-pub use element::{AnyMat, AnyVec, Element};
 pub use gemm::{
-    colsplit_plan, colsplit_plan_for, gemm, gemm_axpy, gemm_flops, gemm_packed, gemm_small, gemv,
-    matmul, matvec, ColsplitPlan, Trans,
+    colsplit_plan, gemm, gemm_axpy, gemm_flops, gemm_packed, gemm_small, gemv, matmul, matvec,
+    ColsplitPlan, Trans,
 };
 pub use lu::{invert, lu_flops, lu_solve_flops, solve, LuFactors, SingularError};
 pub use mat::Mat;

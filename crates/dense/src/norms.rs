@@ -1,41 +1,27 @@
 //! Matrix and vector norms, and relative-error helpers used by the
 //! accuracy experiments (Table III) and the test suites.
-//!
-//! Norms accept matrices of either element type and always accumulate
-//! and report in `f64` (for `E = f64` the operations are identical to
-//! the pre-generic code, bit for bit; for `E = f32` the widened
-//! accumulation avoids compounding single-precision rounding into the
-//! diagnostic itself).
 
-use crate::element::Element;
 use crate::lu::LuFactors;
 use crate::mat::Mat;
 
 /// Frobenius norm `sqrt(sum a_ij^2)`.
-pub fn fro_norm<E: Element>(a: &Mat<E>) -> f64 {
-    a.as_slice()
-        .iter()
-        .map(|v| {
-            let v = v.to_f64();
-            v * v
-        })
-        .sum::<f64>()
-        .sqrt()
+pub fn fro_norm(a: &Mat) -> f64 {
+    a.as_slice().iter().map(|v| v * v).sum::<f64>().sqrt()
 }
 
 /// 1-norm: maximum absolute column sum.
-pub fn one_norm<E: Element>(a: &Mat<E>) -> f64 {
+pub fn one_norm(a: &Mat) -> f64 {
     (0..a.cols())
-        .map(|j| a.col(j).iter().map(|v| v.to_f64().abs()).sum::<f64>())
+        .map(|j| a.col(j).iter().map(|v| v.abs()).sum::<f64>())
         .fold(0.0, f64::max)
 }
 
 /// Infinity norm: maximum absolute row sum.
-pub fn inf_norm<E: Element>(a: &Mat<E>) -> f64 {
+pub fn inf_norm(a: &Mat) -> f64 {
     let mut sums = vec![0.0; a.rows()];
     for j in 0..a.cols() {
         for (s, v) in sums.iter_mut().zip(a.col(j)) {
-            *s += v.to_f64().abs();
+            *s += v.abs();
         }
     }
     sums.into_iter().fold(0.0, f64::max)
@@ -48,7 +34,7 @@ pub fn vec_norm2(x: &[f64]) -> f64 {
 
 /// `||a - b||_F / max(||b||_F, floor)` — relative difference with a floor
 /// that avoids division by zero for zero references.
-pub fn rel_diff<E: Element>(a: &Mat<E>, b: &Mat<E>) -> f64 {
+pub fn rel_diff(a: &Mat, b: &Mat) -> f64 {
     let denom = fro_norm(b).max(f64::MIN_POSITIVE.sqrt());
     fro_norm(&a.sub(b)) / denom
 }
@@ -59,7 +45,7 @@ pub fn rel_diff<E: Element>(a: &Mat<E>, b: &Mat<E>) -> f64 {
 /// to a few hundred) this suite works with, where the `O(M^3)` inverse is
 /// cheap. Returns `f64::INFINITY` for singular matrices. The inverse is
 /// computed at the matrix's own precision.
-pub fn cond_1<E: Element>(a: &Mat<E>) -> f64 {
+pub fn cond_1(a: &Mat) -> f64 {
     match LuFactors::factor(a) {
         Ok(lu) => one_norm(a) * one_norm(&lu.inverse()),
         Err(_) => f64::INFINITY,
@@ -74,7 +60,7 @@ mod tests {
     fn fro_norm_known() {
         let a = Mat::from_rows(&[&[3.0, 0.0], &[0.0, 4.0]]);
         assert!((fro_norm(&a) - 5.0).abs() < 1e-14);
-        assert_eq!(fro_norm(&Mat::<f64>::zeros(3, 3)), 0.0);
+        assert_eq!(fro_norm(&Mat::zeros(3, 3)), 0.0);
     }
 
     #[test]
@@ -82,14 +68,6 @@ mod tests {
         let a = Mat::from_rows(&[&[1.0, -2.0], &[-3.0, 4.0]]);
         assert_eq!(one_norm(&a), 6.0); // col 1: |−2|+|4| = 6
         assert_eq!(inf_norm(&a), 7.0); // row 1: |−3|+|4| = 7
-    }
-
-    #[test]
-    fn norms_accept_f32_matrices() {
-        let a = Mat::<f32>::from_fn(2, 2, |i, j| if i == j { 3.0 + j as f32 } else { 0.0 });
-        assert!((fro_norm(&a) - 5.0).abs() < 1e-6);
-        assert!((one_norm(&a) - 4.0).abs() < 1e-6);
-        assert!((cond_1(&a) - 4.0 / 3.0).abs() < 1e-5);
     }
 
     #[test]
@@ -120,7 +98,7 @@ mod tests {
 
     #[test]
     fn cond_identity_is_one() {
-        assert!((cond_1(&Mat::<f64>::identity(7)) - 1.0).abs() < 1e-12);
+        assert!((cond_1(&Mat::identity(7)) - 1.0).abs() < 1e-12);
     }
 
     #[test]

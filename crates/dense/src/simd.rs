@@ -5,26 +5,19 @@
 //! `gemm_axpy`/`gemv`/the LU and Cholesky sweeps, the dot product of the
 //! transpose/backward sweeps, the left-looking row update of the LU
 //! panel sweep (`fma_rows`), and the small-block panel GEMM
-//! (`M x M · M x R`, `M` in {4, 8, 16}). This module provides one explicitly vectorized
-//! implementation of each — at **both element widths**, `f64` and `f32`
-//! — selected **at runtime** from the CPU:
+//! (`M x M · M x R`, `M` in {4, 8, 16}). This module provides one
+//! explicitly vectorized `f64` implementation of each, selected **at
+//! runtime** from the CPU:
 //!
-//! * **x86_64** — AVX2 + FMA (`_mm256_fmadd_pd`, 4 lanes of `f64`;
-//!   `_mm256_fmadd_ps`, 8 lanes of `f32`), detected with
-//!   `is_x86_feature_detected!`;
-//! * **aarch64** — NEON (`vfmaq_f64`, 2 lanes; `vfmaq_f32`, 4 lanes),
-//!   always present on aarch64 but still routed through the same
-//!   dispatch point;
+//! * **x86_64** — AVX2 + FMA (`_mm256_fmadd_pd`, 4 lanes of `f64`),
+//!   detected with `is_x86_feature_detected!`;
+//! * **aarch64** — NEON (`vfmaq_f64`, 2 lanes), always present on
+//!   aarch64 but still routed through the same dispatch point;
 //! * **fallback** — portable scalar loops with hoisted bounds checks,
 //!   identical in summation order to the pre-SIMD kernels.
 //!
-//! The f32 kernels are the flop half of the mixed-precision solve path:
-//! twice the lanes per vector means the 16 x 4 f32 microkernel tile
-//! retires twice the flops per FMA of the 8 x 4 f64 tile, using the same
-//! register budget (two vectors of A per column). Both widths share one
-//! dispatch decision — a thread runs exactly one [`active`] ISA at a
-//! time, and `BT_DENSE_SIMD=0` forces the scalar path for every element
-//! type.
+//! A thread runs exactly one [`active`] ISA at a time, and
+//! `BT_DENSE_SIMD=0` forces the scalar path.
 //!
 //! The decision is made once, cached in an atomic, and exposed as
 //! [`detected`]. The `BT_DENSE_SIMD` environment variable overrides it:
@@ -64,18 +57,14 @@
 //! fixed, so results remain bitwise deterministic across repeat runs and
 //! thread budgets.
 
-use crate::element::Element;
 use crate::view::{MatMut, MatRef};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU8, Ordering::Relaxed};
 
-/// f64 microkernel tile height/width — `<f64 as Element>::MR` / `NR`.
+/// Microkernel tile height/width: one cache line of C per register
+/// column (8 `f64`, two AVX2 vectors) by four columns.
 pub(crate) const MR: usize = 8;
 pub(crate) const NR: usize = 4;
-/// f32 microkernel tile height/width — `<f32 as Element>::MR` / `NR`.
-/// Same two-vectors-of-A register plan as f64, at 8 lanes per vector.
-pub(crate) const MR32: usize = 16;
-pub(crate) const NR32: usize = 4;
 
 /// Instruction set the dense kernels dispatch to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,9 +72,9 @@ pub(crate) const NR32: usize = 4;
 pub enum Isa {
     /// Portable scalar loops (also the `BT_DENSE_SIMD=0` path).
     Scalar = 0,
-    /// AVX2 + FMA on x86_64 (4 x f64 / 8 x f32 per vector).
+    /// AVX2 + FMA on x86_64 (4 x f64 per vector).
     Avx2Fma = 1,
-    /// NEON on aarch64 (2 x f64 / 4 x f32 per vector).
+    /// NEON on aarch64 (2 x f64 per vector).
     Neon = 2,
 }
 
@@ -245,45 +234,9 @@ pub fn axpy(w: f64, x: &[f64], y: &mut [f64]) {
     }
 }
 
-/// `y += w * x` over `f32` slices — the 8-lane AVX2 / 4-lane NEON
-/// counterpart of [`axpy`], same dispatch point and same non-finite
-/// propagation contract.
-///
-/// # Panics
-///
-/// Panics if `x.len() != y.len()`.
-#[inline]
-pub(crate) fn axpy_f32(w: f32, x: &[f32], y: &mut [f32]) {
-    assert_eq!(x.len(), y.len(), "axpy length mismatch");
-    match active() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: Avx2Fma implies runtime-detected AVX2+FMA; lengths equal.
-        Isa::Avx2Fma => unsafe { x86::axpy_f32(w, x, y) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: Neon implies runtime-detected NEON; lengths equal.
-        Isa::Neon => unsafe { neon::axpy_f32(w, x, y) },
-        _ => {
-            for (yi, xi) in y.iter_mut().zip(x) {
-                *yi += w * *xi;
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
 // ROW UPDATE: acc += sum_q w[q] * rows[q], one AXPY chain in registers
 // ---------------------------------------------------------------------
-
-/// Checks the [`fma_rows`] layout contract; returns the term count.
-fn fma_rows_terms<E>(w: &[E], rows: &[E], stride: usize, acc: &[E]) -> usize {
-    let nt = w.len();
-    assert!(acc.len() <= stride, "fma_rows: row longer than its stride");
-    assert!(
-        nt == 0 || rows.len() >= (nt - 1) * stride + acc.len(),
-        "fma_rows: rows too short for {nt} terms"
-    );
-    nt
-}
 
 /// Left-looking row update of the row-oriented triangular sweep:
 /// `acc[j] += w[q] * rows[q * stride + j]` for every term `q` — in
@@ -311,7 +264,12 @@ pub(crate) fn fma_rows(
     d: Option<f64>,
     acc: &mut [f64],
 ) {
-    let nt = fma_rows_terms(w, rows, stride, acc);
+    let nt = w.len();
+    assert!(acc.len() <= stride, "fma_rows: row longer than its stride");
+    assert!(
+        nt == 0 || rows.len() >= (nt - 1) * stride + acc.len(),
+        "fma_rows: rows too short for {nt} terms"
+    );
     match active() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: Avx2Fma implies runtime-detected AVX2+FMA; the layout
@@ -323,43 +281,6 @@ pub(crate) fn fma_rows(
                 let q = if rev { nt - 1 - t } else { t };
                 if w[q] != 0.0 {
                     axpy(w[q], &rows[q * stride..q * stride + n], acc);
-                }
-            }
-            if let Some(d) = d {
-                for v in acc.iter_mut() {
-                    *v /= d;
-                }
-            }
-        }
-    }
-}
-
-/// `f32` counterpart of [`fma_rows`].
-///
-/// # Panics
-///
-/// As [`fma_rows`].
-#[inline]
-pub(crate) fn fma_rows_f32(
-    w: &[f32],
-    rows: &[f32],
-    stride: usize,
-    rev: bool,
-    d: Option<f32>,
-    acc: &mut [f32],
-) {
-    let nt = fma_rows_terms(w, rows, stride, acc);
-    match active() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: Avx2Fma implies runtime-detected AVX2+FMA; the layout
-        // contract was just asserted.
-        Isa::Avx2Fma => unsafe { x86::fma_rows_f32(w, rows, stride, rev, d, acc) },
-        _ => {
-            let n = acc.len();
-            for t in 0..nt {
-                let q = if rev { nt - 1 - t } else { t };
-                if w[q] != 0.0 {
-                    axpy_f32(w[q], &rows[q * stride..q * stride + n], acc);
                 }
             }
             if let Some(d) = d {
@@ -396,26 +317,6 @@ pub fn dot(x: &[f64], y: &[f64]) -> f64 {
         #[cfg(target_arch = "aarch64")]
         // SAFETY: Neon implies runtime-detected NEON; lengths equal.
         Isa::Neon => unsafe { neon::dot(x, y) },
-        _ => x.iter().zip(y).map(|(a, b)| a * b).sum(),
-    }
-}
-
-/// Dot product over `f32` slices (see [`dot`] for the reassociation
-/// contract).
-///
-/// # Panics
-///
-/// Panics if `x.len() != y.len()`.
-#[inline]
-pub(crate) fn dot_f32(x: &[f32], y: &[f32]) -> f32 {
-    assert_eq!(x.len(), y.len(), "dot length mismatch");
-    match active() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: Avx2Fma implies runtime-detected AVX2+FMA; lengths equal.
-        Isa::Avx2Fma => unsafe { x86::dot_f32(x, y) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: Neon implies runtime-detected NEON; lengths equal.
-        Isa::Neon => unsafe { neon::dot_f32(x, y) },
         _ => x.iter().zip(y).map(|(a, b)| a * b).sum(),
     }
 }
@@ -560,118 +461,6 @@ pub fn lane_dot_sub(a: &[f64], b: &[f64], bstride: usize, c: &mut [f64]) {
     }
 }
 
-/// `f32` counterpart of [`lane_dot_sub`].
-///
-/// # Panics
-///
-/// Panics if `a.len()` is not a multiple of `k`, or `b` is too short
-/// for `p` strided lanes.
-#[inline]
-pub(crate) fn lane_dot_sub_f32(a: &[f32], b: &[f32], bstride: usize, c: &mut [f32]) {
-    let k = c.len();
-    if k == 0 {
-        return;
-    }
-    assert_eq!(a.len() % k, 0, "lane_dot_sub: a must hold whole lanes");
-    let p = a.len() / k;
-    if p == 0 {
-        return;
-    }
-    assert!(
-        b.len() >= (p - 1) * bstride + k,
-        "lane_dot_sub: b too short for {p} strided lanes"
-    );
-    match active() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: Avx2Fma implies runtime-detected AVX2+FMA; lane
-        // bounds were just asserted.
-        Isa::Avx2Fma => unsafe { x86::lane_dot_sub_f32(p, a, b, bstride, c) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: Neon implies runtime-detected NEON; bounds asserted.
-        Isa::Neon => unsafe { neon::lane_dot_sub_f32(p, a, b, bstride, c) },
-        _ => {
-            for (i, cv) in c.iter_mut().enumerate() {
-                let mut s = 0.0;
-                for l in 0..p {
-                    s += a[l * k + i] * b[l * bstride + i];
-                }
-                *cv -= s;
-            }
-        }
-    }
-}
-
-/// `y[i] += a[i] * b[i]` over `f32` lanes (see [`lane_fma`]).
-///
-/// # Panics
-///
-/// Panics if the slice lengths differ.
-#[inline]
-pub(crate) fn lane_fma_f32(a: &[f32], b: &[f32], y: &mut [f32]) {
-    assert_eq!(a.len(), y.len(), "lane_fma length mismatch");
-    assert_eq!(b.len(), y.len(), "lane_fma length mismatch");
-    match active() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: Avx2Fma implies runtime-detected AVX2+FMA; lengths equal.
-        Isa::Avx2Fma => unsafe { x86::lane_fma_f32(a, b, y) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: Neon implies runtime-detected NEON; lengths equal.
-        Isa::Neon => unsafe { neon::lane_fma_f32(a, b, y) },
-        _ => {
-            for ((yv, av), bv) in y.iter_mut().zip(a).zip(b) {
-                *yv += *av * *bv;
-            }
-        }
-    }
-}
-
-/// `y[i] -= a[i] * b[i]` over `f32` lanes (see [`lane_fnma`]).
-///
-/// # Panics
-///
-/// Panics if the slice lengths differ.
-#[inline]
-pub(crate) fn lane_fnma_f32(a: &[f32], b: &[f32], y: &mut [f32]) {
-    assert_eq!(a.len(), y.len(), "lane_fnma length mismatch");
-    assert_eq!(b.len(), y.len(), "lane_fnma length mismatch");
-    match active() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: Avx2Fma implies runtime-detected AVX2+FMA; lengths equal.
-        Isa::Avx2Fma => unsafe { x86::lane_fnma_f32(a, b, y) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: Neon implies runtime-detected NEON; lengths equal.
-        Isa::Neon => unsafe { neon::lane_fnma_f32(a, b, y) },
-        _ => {
-            for ((yv, av), bv) in y.iter_mut().zip(a).zip(b) {
-                *yv -= *av * *bv;
-            }
-        }
-    }
-}
-
-/// `y[i] *= a[i]` over `f32` lanes (see [`lane_mul`]).
-///
-/// # Panics
-///
-/// Panics if the slice lengths differ.
-#[inline]
-pub(crate) fn lane_mul_f32(a: &[f32], y: &mut [f32]) {
-    assert_eq!(a.len(), y.len(), "lane_mul length mismatch");
-    match active() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: Avx2Fma implies runtime-detected AVX2+FMA; lengths equal.
-        Isa::Avx2Fma => unsafe { x86::lane_mul_f32(a, y) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: Neon implies runtime-detected NEON; lengths equal.
-        Isa::Neon => unsafe { neon::lane_mul_f32(a, y) },
-        _ => {
-            for (yv, av) in y.iter_mut().zip(a) {
-                *yv *= *av;
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
 // Packed MR x NR microkernel
 // ---------------------------------------------------------------------
@@ -700,53 +489,24 @@ pub(crate) fn microkernel(kb: usize, pa: &[f64], pb: &[f64], acc: &mut [f64]) {
         #[cfg(target_arch = "aarch64")]
         // SAFETY: Neon implies runtime-detected NEON; lengths asserted.
         Isa::Neon => unsafe { neon::microkernel(kb, pa, pb, acc) },
-        _ => microkernel_scalar::<f64, MR, NR>(kb, pa, pb, acc),
+        _ => microkernel_scalar(kb, pa, pb, acc),
     }
 }
 
-/// The `MR32 x NR32` packed `f32` microkernel (see [`microkernel`]).
-///
-/// # Panics
-///
-/// Panics if a panel is shorter than `kb` full micro-rows or `acc` is
-/// smaller than the `MR32 * NR32` tile.
-#[inline]
-pub(crate) fn microkernel_f32(kb: usize, pa: &[f32], pb: &[f32], acc: &mut [f32]) {
-    assert!(pa.len() >= kb * MR32, "packed A panel too short");
-    assert!(pb.len() >= kb * NR32, "packed B panel too short");
-    assert!(acc.len() >= MR32 * NR32, "accumulator tile too short");
-    match active() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: Avx2Fma implies runtime-detected AVX2+FMA; lengths
-        // asserted above.
-        Isa::Avx2Fma => unsafe { x86::microkernel_f32(kb, pa, pb, acc) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: Neon implies runtime-detected NEON; lengths asserted.
-        Isa::Neon => unsafe { neon::microkernel_f32(kb, pa, pb, acc) },
-        _ => microkernel_scalar::<f32, MR32, NR32>(kb, pa, pb, acc),
-    }
-}
-
-/// Portable microkernel, generic over the element type and tile shape:
-/// same summation order as the SIMD tiles, array conversions hoisted out
-/// of the inner loops (`chunks_exact` hands the compiler fixed-length
-/// panels, so the `jj`/`ii` loops are bounds-check-free and
-/// autovectorize).
-fn microkernel_scalar<E: Element, const MRC: usize, const NRC: usize>(
-    kb: usize,
-    pa: &[E],
-    pb: &[E],
-    acc: &mut [E],
-) {
-    let pa = &pa[..kb * MRC];
-    let pb = &pb[..kb * NRC];
-    for (ap, bp) in pa.chunks_exact(MRC).zip(pb.chunks_exact(NRC)) {
-        let ap: &[E; MRC] = ap.try_into().expect("MR panel stripe");
-        let bp: &[E; NRC] = bp.try_into().expect("NR panel stripe");
-        for jj in 0..NRC {
+/// Portable microkernel: same summation order as the SIMD tiles, array
+/// conversions hoisted out of the inner loops (`chunks_exact` hands the
+/// compiler fixed-length panels, so the `jj`/`ii` loops are
+/// bounds-check-free and autovectorize).
+fn microkernel_scalar(kb: usize, pa: &[f64], pb: &[f64], acc: &mut [f64]) {
+    let pa = &pa[..kb * MR];
+    let pb = &pb[..kb * NR];
+    for (ap, bp) in pa.chunks_exact(MR).zip(pb.chunks_exact(NR)) {
+        let ap: &[f64; MR] = ap.try_into().expect("MR panel stripe");
+        let bp: &[f64; NR] = bp.try_into().expect("NR panel stripe");
+        for jj in 0..NR {
             let bv = bp[jj];
-            for ii in 0..MRC {
-                acc[jj * MRC + ii] += ap[ii] * bv;
+            for ii in 0..MR {
+                acc[jj * MR + ii] += ap[ii] * bv;
             }
         }
     }
@@ -771,13 +531,6 @@ pub(crate) fn is_small_block(m: usize, k: usize) -> bool {
     m == k && SMALL_DIMS.contains(&m)
 }
 
-/// Shape gate shared by both element types: `A` is a small block and `B`
-/// and `C` are `M x R` panels of one width `R`.
-fn is_small_panel<E: Element>(a: MatRef<'_, E>, b: MatRef<'_, E>, c: &MatMut<'_, E>) -> bool {
-    let m = a.rows();
-    is_small_block(m, a.cols()) && b.rows() == m && c.shape() == (m, b.cols())
-}
-
 /// Small-block panel `C += alpha * A * B` for an `M x M` block `A` with
 /// `M` in [`SMALL_DIMS`] and `M x R` panels `B`, `C` of any width `R`.
 /// Returns `false` (computing nothing) for any other shape. Operands may
@@ -790,7 +543,8 @@ fn is_small_panel<E: Element>(a: MatRef<'_, E>, b: MatRef<'_, E>, c: &MatMut<'_,
 /// once. For `alpha = ±1` the final scaling is exact, so the result is
 /// bit-identical to `gemm_packed` on the same ISA.
 pub(crate) fn gemm_small(alpha: f64, a: MatRef<'_>, b: MatRef<'_>, c: &mut MatMut<'_>) -> bool {
-    if !is_small_panel(a, b, c) {
+    let m = a.rows();
+    if !(is_small_block(m, a.cols()) && b.rows() == m && c.shape() == (m, b.cols())) {
         return false;
     }
     match active() {
@@ -814,51 +568,9 @@ pub(crate) fn gemm_small(alpha: f64, a: MatRef<'_>, b: MatRef<'_>, c: &mut MatMu
             }
         },
         _ => match a.rows() {
-            4 => small_scalar::<f64, 4>(alpha, a, b, c),
-            8 => small_scalar::<f64, 8>(alpha, a, b, c),
-            _ => small_scalar::<f64, 16>(alpha, a, b, c),
-        },
-    }
-    true
-}
-
-/// The `f32` small-block panel dispatcher (see [`gemm_small`]). The
-/// `M = 4` block fits a single SSE vector on x86, so it gets a dedicated
-/// 128-bit kernel; 8 and 16 use full-width AVX2 vectors.
-pub(crate) fn gemm_small_f32(
-    alpha: f32,
-    a: MatRef<'_, f32>,
-    b: MatRef<'_, f32>,
-    c: &mut MatMut<'_, f32>,
-) -> bool {
-    if !is_small_panel(a, b, c) {
-        return false;
-    }
-    match active() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: Avx2Fma implies runtime-detected AVX2+FMA (which
-        // subsumes the SSE + FMA used by the M = 4 kernel); the shape
-        // gate guarantees M-long columns with M = 8 * NV (or exactly 4).
-        Isa::Avx2Fma => unsafe {
-            match a.rows() {
-                4 => x86::small4_f32::<8>(alpha, a, b, c),
-                8 => x86::small_f32::<8, 1, 8>(alpha, a, b, c),
-                _ => x86::small_f32::<16, 2, 4>(alpha, a, b, c),
-            }
-        },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: Neon implies runtime-detected NEON; M = 4 * NV.
-        Isa::Neon => unsafe {
-            match a.rows() {
-                4 => neon::small_f32::<4, 1, 8>(alpha, a, b, c),
-                8 => neon::small_f32::<8, 2, 4>(alpha, a, b, c),
-                _ => neon::small_f32::<16, 4, 4>(alpha, a, b, c),
-            }
-        },
-        _ => match a.rows() {
-            4 => small_scalar::<f32, 4>(alpha, a, b, c),
-            8 => small_scalar::<f32, 8>(alpha, a, b, c),
-            _ => small_scalar::<f32, 16>(alpha, a, b, c),
+            4 => small_scalar::<4>(alpha, a, b, c),
+            8 => small_scalar::<8>(alpha, a, b, c),
+            _ => small_scalar::<16>(alpha, a, b, c),
         },
     }
     true
@@ -869,22 +581,17 @@ pub(crate) fn gemm_small_f32(
 /// fully unrolls and autovectorizes without bounds checks. Same
 /// separate-rounding multiply-add chain as the scalar packed
 /// microkernel.
-fn small_scalar<E: Element, const M: usize>(
-    alpha: E,
-    a: MatRef<'_, E>,
-    b: MatRef<'_, E>,
-    c: &mut MatMut<'_, E>,
-) {
-    let acols: [&[E; M]; M] = std::array::from_fn(|k| a.col(k).try_into().expect("A column"));
+fn small_scalar<const M: usize>(alpha: f64, a: MatRef<'_>, b: MatRef<'_>, c: &mut MatMut<'_>) {
+    let acols: [&[f64; M]; M] = std::array::from_fn(|k| a.col(k).try_into().expect("A column"));
     for j in 0..b.cols() {
-        let bcol: &[E; M] = b.col(j).try_into().expect("B column");
-        let mut acc = [E::ZERO; M];
+        let bcol: &[f64; M] = b.col(j).try_into().expect("B column");
+        let mut acc = [0.0; M];
         for (acol, &bkj) in acols.iter().zip(bcol) {
             for i in 0..M {
                 acc[i] += acol[i] * bkj;
             }
         }
-        let ccol: &mut [E; M] = c.col_mut(j).try_into().expect("C column");
+        let ccol: &mut [f64; M] = c.col_mut(j).try_into().expect("C column");
         for i in 0..M {
             ccol[i] += alpha * acc[i];
         }
@@ -897,19 +604,14 @@ fn small_scalar<E: Element, const M: usize>(
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{MatMut, MatRef, MR, MR32, NR, NR32};
+    use super::{MatMut, MatRef, MR, NR};
     use core::arch::x86_64::{
-        __m256, __m256d, _mm256_add_pd, _mm256_add_ps, _mm256_div_pd, _mm256_div_ps,
-        _mm256_fmadd_pd, _mm256_fmadd_ps, _mm256_fnmadd_pd, _mm256_fnmadd_ps, _mm256_loadu_pd,
-        _mm256_loadu_ps, _mm256_mul_pd, _mm256_mul_ps, _mm256_set1_pd, _mm256_set1_ps,
-        _mm256_setzero_pd, _mm256_setzero_ps, _mm256_storeu_pd, _mm256_storeu_ps, _mm256_sub_pd,
-        _mm256_sub_ps, _mm_fmadd_ps, _mm_loadu_ps, _mm_set1_ps, _mm_setzero_ps, _mm_storeu_ps,
+        __m256d, _mm256_add_pd, _mm256_div_pd, _mm256_fmadd_pd, _mm256_fnmadd_pd, _mm256_loadu_pd,
+        _mm256_mul_pd, _mm256_set1_pd, _mm256_setzero_pd, _mm256_storeu_pd, _mm256_sub_pd,
     };
 
     /// f64 lanes per vector.
     const V: usize = 4;
-    /// f32 lanes per vector.
-    const VS: usize = 8;
 
     /// `MR x NR` packed microkernel: the 8 x 4 accumulator tile lives in
     /// eight YMM registers (two per output column), fed by two A loads
@@ -962,57 +664,6 @@ mod x86 {
         _mm256_storeu_pd(out.add(3 * MR + V), c13);
     }
 
-    /// `MR32 x NR32` packed `f32` microkernel: the same two-A-loads /
-    /// four-B-broadcasts register plan as the f64 tile, but each of the
-    /// eight YMM accumulators now holds 8 single-precision lanes — 64
-    /// flops per `kb` step, double the f64 rate.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2 + FMA, `pa.len() >= kb * MR32`, `pb.len() >= kb *
-    /// NR32` and `acc.len() >= MR32 * NR32`.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn microkernel_f32(kb: usize, pa: &[f32], pb: &[f32], acc: &mut [f32]) {
-        debug_assert!(pa.len() >= kb * MR32 && pb.len() >= kb * NR32 && acc.len() >= MR32 * NR32);
-        let mut c00 = _mm256_setzero_ps();
-        let mut c10 = _mm256_setzero_ps();
-        let mut c01 = _mm256_setzero_ps();
-        let mut c11 = _mm256_setzero_ps();
-        let mut c02 = _mm256_setzero_ps();
-        let mut c12 = _mm256_setzero_ps();
-        let mut c03 = _mm256_setzero_ps();
-        let mut c13 = _mm256_setzero_ps();
-        let mut ap = pa.as_ptr();
-        let mut bp = pb.as_ptr();
-        for _ in 0..kb {
-            let a0 = _mm256_loadu_ps(ap);
-            let a1 = _mm256_loadu_ps(ap.add(VS));
-            let b0 = _mm256_set1_ps(*bp);
-            c00 = _mm256_fmadd_ps(a0, b0, c00);
-            c10 = _mm256_fmadd_ps(a1, b0, c10);
-            let b1 = _mm256_set1_ps(*bp.add(1));
-            c01 = _mm256_fmadd_ps(a0, b1, c01);
-            c11 = _mm256_fmadd_ps(a1, b1, c11);
-            let b2 = _mm256_set1_ps(*bp.add(2));
-            c02 = _mm256_fmadd_ps(a0, b2, c02);
-            c12 = _mm256_fmadd_ps(a1, b2, c12);
-            let b3 = _mm256_set1_ps(*bp.add(3));
-            c03 = _mm256_fmadd_ps(a0, b3, c03);
-            c13 = _mm256_fmadd_ps(a1, b3, c13);
-            ap = ap.add(MR32);
-            bp = bp.add(NR32);
-        }
-        let out = acc.as_mut_ptr();
-        _mm256_storeu_ps(out, c00);
-        _mm256_storeu_ps(out.add(VS), c10);
-        _mm256_storeu_ps(out.add(MR32), c01);
-        _mm256_storeu_ps(out.add(MR32 + VS), c11);
-        _mm256_storeu_ps(out.add(2 * MR32), c02);
-        _mm256_storeu_ps(out.add(2 * MR32 + VS), c12);
-        _mm256_storeu_ps(out.add(3 * MR32), c03);
-        _mm256_storeu_ps(out.add(3 * MR32 + VS), c13);
-    }
-
     /// `y += w * x` with one fused multiply-add per element.
     ///
     /// # Safety
@@ -1041,42 +692,6 @@ mod x86 {
             let y0 = _mm256_fmadd_pd(wv, _mm256_loadu_pd(xp.add(i)), _mm256_loadu_pd(yp.add(i)));
             _mm256_storeu_pd(yp.add(i), y0);
             i += V;
-        }
-        while i < n {
-            // Scalar fused tail: same one-rounding semantics as the lanes.
-            *yp.add(i) = w.mul_add(*xp.add(i), *yp.add(i));
-            i += 1;
-        }
-    }
-
-    /// `y += w * x` over `f32`, 8 lanes per fused multiply-add.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2 + FMA and `x.len() == y.len()`.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn axpy_f32(w: f32, x: &[f32], y: &mut [f32]) {
-        debug_assert_eq!(x.len(), y.len());
-        let n = y.len();
-        let wv = _mm256_set1_ps(w);
-        let xp = x.as_ptr();
-        let yp = y.as_mut_ptr();
-        let mut i = 0;
-        while i + 2 * VS <= n {
-            let y0 = _mm256_fmadd_ps(wv, _mm256_loadu_ps(xp.add(i)), _mm256_loadu_ps(yp.add(i)));
-            let y1 = _mm256_fmadd_ps(
-                wv,
-                _mm256_loadu_ps(xp.add(i + VS)),
-                _mm256_loadu_ps(yp.add(i + VS)),
-            );
-            _mm256_storeu_ps(yp.add(i), y0);
-            _mm256_storeu_ps(yp.add(i + VS), y1);
-            i += 2 * VS;
-        }
-        if i + VS <= n {
-            let y0 = _mm256_fmadd_ps(wv, _mm256_loadu_ps(xp.add(i)), _mm256_loadu_ps(yp.add(i)));
-            _mm256_storeu_ps(yp.add(i), y0);
-            i += VS;
         }
         while i < n {
             // Scalar fused tail: same one-rounding semantics as the lanes.
@@ -1227,67 +842,6 @@ mod x86 {
         }
     }
 
-    /// `f32` counterpart of [`lane_dot_sub`].
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2 + FMA; same layout contract as [`lane_dot_sub`].
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn lane_dot_sub_f32(
-        p: usize,
-        a: &[f32],
-        b: &[f32],
-        bs: usize,
-        c: &mut [f32],
-    ) {
-        let k = c.len();
-        debug_assert!(a.len() >= p * k && b.len() >= (p - 1) * bs + k);
-        let ap = a.as_ptr();
-        let bp = b.as_ptr();
-        let cp = c.as_mut_ptr();
-        let mut i = 0;
-        while i + 2 * VS <= k {
-            let mut acc0 = _mm256_setzero_ps();
-            let mut acc1 = _mm256_setzero_ps();
-            for l in 0..p {
-                let la = ap.add(l * k + i);
-                let lb = bp.add(l * bs + i);
-                acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(la), _mm256_loadu_ps(lb), acc0);
-                acc1 = _mm256_fmadd_ps(
-                    _mm256_loadu_ps(la.add(VS)),
-                    _mm256_loadu_ps(lb.add(VS)),
-                    acc1,
-                );
-            }
-            _mm256_storeu_ps(cp.add(i), _mm256_sub_ps(_mm256_loadu_ps(cp.add(i)), acc0));
-            _mm256_storeu_ps(
-                cp.add(i + VS),
-                _mm256_sub_ps(_mm256_loadu_ps(cp.add(i + VS)), acc1),
-            );
-            i += 2 * VS;
-        }
-        if i + VS <= k {
-            let mut acc0 = _mm256_setzero_ps();
-            for l in 0..p {
-                acc0 = _mm256_fmadd_ps(
-                    _mm256_loadu_ps(ap.add(l * k + i)),
-                    _mm256_loadu_ps(bp.add(l * bs + i)),
-                    acc0,
-                );
-            }
-            _mm256_storeu_ps(cp.add(i), _mm256_sub_ps(_mm256_loadu_ps(cp.add(i)), acc0));
-            i += VS;
-        }
-        while i < k {
-            let mut s = 0.0f32;
-            for l in 0..p {
-                s = (*ap.add(l * k + i)).mul_add(*bp.add(l * bs + i), s);
-            }
-            *cp.add(i) -= s;
-            i += 1;
-        }
-    }
-
     /// `y *= a` elementwise.
     ///
     /// # Safety
@@ -1315,125 +869,6 @@ mod x86 {
             let y0 = _mm256_mul_pd(_mm256_loadu_pd(ap.add(i)), _mm256_loadu_pd(yp.add(i)));
             _mm256_storeu_pd(yp.add(i), y0);
             i += V;
-        }
-        while i < n {
-            *yp.add(i) *= *ap.add(i);
-            i += 1;
-        }
-    }
-
-    /// `y += a * b` over `f32` lanes (see [`lane_fma`]).
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2 + FMA and equal slice lengths.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn lane_fma_f32(a: &[f32], b: &[f32], y: &mut [f32]) {
-        debug_assert!(a.len() == y.len() && b.len() == y.len());
-        let n = y.len();
-        let ap = a.as_ptr();
-        let bp = b.as_ptr();
-        let yp = y.as_mut_ptr();
-        let mut i = 0;
-        while i + 2 * VS <= n {
-            let y0 = _mm256_fmadd_ps(
-                _mm256_loadu_ps(ap.add(i)),
-                _mm256_loadu_ps(bp.add(i)),
-                _mm256_loadu_ps(yp.add(i)),
-            );
-            let y1 = _mm256_fmadd_ps(
-                _mm256_loadu_ps(ap.add(i + VS)),
-                _mm256_loadu_ps(bp.add(i + VS)),
-                _mm256_loadu_ps(yp.add(i + VS)),
-            );
-            _mm256_storeu_ps(yp.add(i), y0);
-            _mm256_storeu_ps(yp.add(i + VS), y1);
-            i += 2 * VS;
-        }
-        if i + VS <= n {
-            let y0 = _mm256_fmadd_ps(
-                _mm256_loadu_ps(ap.add(i)),
-                _mm256_loadu_ps(bp.add(i)),
-                _mm256_loadu_ps(yp.add(i)),
-            );
-            _mm256_storeu_ps(yp.add(i), y0);
-            i += VS;
-        }
-        while i < n {
-            *yp.add(i) = (*ap.add(i)).mul_add(*bp.add(i), *yp.add(i));
-            i += 1;
-        }
-    }
-
-    /// `y -= a * b` over `f32` lanes (see [`lane_fnma`]).
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2 + FMA and equal slice lengths.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn lane_fnma_f32(a: &[f32], b: &[f32], y: &mut [f32]) {
-        debug_assert!(a.len() == y.len() && b.len() == y.len());
-        let n = y.len();
-        let ap = a.as_ptr();
-        let bp = b.as_ptr();
-        let yp = y.as_mut_ptr();
-        let mut i = 0;
-        while i + 2 * VS <= n {
-            let y0 = _mm256_fnmadd_ps(
-                _mm256_loadu_ps(ap.add(i)),
-                _mm256_loadu_ps(bp.add(i)),
-                _mm256_loadu_ps(yp.add(i)),
-            );
-            let y1 = _mm256_fnmadd_ps(
-                _mm256_loadu_ps(ap.add(i + VS)),
-                _mm256_loadu_ps(bp.add(i + VS)),
-                _mm256_loadu_ps(yp.add(i + VS)),
-            );
-            _mm256_storeu_ps(yp.add(i), y0);
-            _mm256_storeu_ps(yp.add(i + VS), y1);
-            i += 2 * VS;
-        }
-        if i + VS <= n {
-            let y0 = _mm256_fnmadd_ps(
-                _mm256_loadu_ps(ap.add(i)),
-                _mm256_loadu_ps(bp.add(i)),
-                _mm256_loadu_ps(yp.add(i)),
-            );
-            _mm256_storeu_ps(yp.add(i), y0);
-            i += VS;
-        }
-        while i < n {
-            *yp.add(i) = (-*ap.add(i)).mul_add(*bp.add(i), *yp.add(i));
-            i += 1;
-        }
-    }
-
-    /// `y *= a` over `f32` lanes (see [`lane_mul`]).
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2 and equal slice lengths.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn lane_mul_f32(a: &[f32], y: &mut [f32]) {
-        debug_assert_eq!(a.len(), y.len());
-        let n = y.len();
-        let ap = a.as_ptr();
-        let yp = y.as_mut_ptr();
-        let mut i = 0;
-        while i + 2 * VS <= n {
-            let y0 = _mm256_mul_ps(_mm256_loadu_ps(ap.add(i)), _mm256_loadu_ps(yp.add(i)));
-            let y1 = _mm256_mul_ps(
-                _mm256_loadu_ps(ap.add(i + VS)),
-                _mm256_loadu_ps(yp.add(i + VS)),
-            );
-            _mm256_storeu_ps(yp.add(i), y0);
-            _mm256_storeu_ps(yp.add(i + VS), y1);
-            i += 2 * VS;
-        }
-        if i + VS <= n {
-            let y0 = _mm256_mul_ps(_mm256_loadu_ps(ap.add(i)), _mm256_loadu_ps(yp.add(i)));
-            _mm256_storeu_ps(yp.add(i), y0);
-            i += VS;
         }
         while i < n {
             *yp.add(i) *= *ap.add(i);
@@ -1526,88 +961,6 @@ mod x86 {
         }
     }
 
-    /// `f32` counterpart of [`fma_rows`] (`4 * VS`-column strips).
-    ///
-    /// # Safety
-    ///
-    /// As [`fma_rows`].
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn fma_rows_f32(
-        w: &[f32],
-        rows: &[f32],
-        stride: usize,
-        rev: bool,
-        d: Option<f32>,
-        acc: &mut [f32],
-    ) {
-        let n = acc.len();
-        let mut j = 0;
-        while j + 4 * VS <= n {
-            fma_rows_strip_f32::<4>(w, rows, stride, rev, d, acc, j);
-            j += 4 * VS;
-        }
-        while j + VS <= n {
-            fma_rows_strip_f32::<1>(w, rows, stride, rev, d, acc, j);
-            j += VS;
-        }
-        let nt = w.len();
-        for (jj, x) in acc.iter_mut().enumerate().skip(j) {
-            let mut s = *x;
-            for t in 0..nt {
-                let q = if rev { nt - 1 - t } else { t };
-                if w[q] != 0.0 {
-                    s = w[q].mul_add(rows[q * stride + jj], s);
-                }
-            }
-            *x = d.map_or(s, |d| s / d);
-        }
-    }
-
-    /// Columns `j0..j0 + NV * VS` of [`fma_rows_f32`].
-    ///
-    /// # Safety
-    ///
-    /// As [`fma_rows`], plus `j0 + NV * VS <= acc.len()`.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    #[inline]
-    unsafe fn fma_rows_strip_f32<const NV: usize>(
-        w: &[f32],
-        rows: &[f32],
-        stride: usize,
-        rev: bool,
-        d: Option<f32>,
-        acc: &mut [f32],
-        j0: usize,
-    ) {
-        let nt = w.len();
-        let (rp, cp) = (rows.as_ptr(), acc.as_mut_ptr().add(j0));
-        let mut a = [_mm256_setzero_ps(); NV];
-        for (v, x) in a.iter_mut().enumerate() {
-            *x = _mm256_loadu_ps(cp.add(VS * v));
-        }
-        for t in 0..nt {
-            let q = if rev { nt - 1 - t } else { t };
-            let wq = w[q];
-            if wq == 0.0 {
-                continue;
-            }
-            let wv = _mm256_set1_ps(wq);
-            let row = rp.add(q * stride + j0);
-            for (v, x) in a.iter_mut().enumerate() {
-                *x = _mm256_fmadd_ps(wv, _mm256_loadu_ps(row.add(VS * v)), *x);
-            }
-        }
-        if let Some(d) = d {
-            let dv = _mm256_set1_ps(d);
-            for x in a.iter_mut() {
-                *x = _mm256_div_ps(*x, dv);
-            }
-        }
-        for (v, &x) in a.iter().enumerate() {
-            _mm256_storeu_ps(cp.add(VS * v), x);
-        }
-    }
-
     /// Dot product with two independent lane accumulators.
     ///
     /// # Safety
@@ -1639,44 +992,6 @@ mod x86 {
         let mut lanes = [0.0f64; V];
         _mm256_storeu_pd(lanes.as_mut_ptr(), acc);
         let mut s = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-        while i < n {
-            s = (*xp.add(i)).mul_add(*yp.add(i), s);
-            i += 1;
-        }
-        s
-    }
-
-    /// `f32` dot product with two independent lane accumulators.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2 + FMA and `x.len() == y.len()`.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn dot_f32(x: &[f32], y: &[f32]) -> f32 {
-        debug_assert_eq!(x.len(), y.len());
-        let n = x.len();
-        let xp = x.as_ptr();
-        let yp = y.as_ptr();
-        let mut acc0 = _mm256_setzero_ps();
-        let mut acc1 = _mm256_setzero_ps();
-        let mut i = 0;
-        while i + 2 * VS <= n {
-            acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(xp.add(i)), _mm256_loadu_ps(yp.add(i)), acc0);
-            acc1 = _mm256_fmadd_ps(
-                _mm256_loadu_ps(xp.add(i + VS)),
-                _mm256_loadu_ps(yp.add(i + VS)),
-                acc1,
-            );
-            i += 2 * VS;
-        }
-        if i + VS <= n {
-            acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(xp.add(i)), _mm256_loadu_ps(yp.add(i)), acc0);
-            i += VS;
-        }
-        let mut lanes = [0.0f32; VS];
-        _mm256_storeu_ps(lanes.as_mut_ptr(), _mm256_add_ps(acc0, acc1));
-        let mut s = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
-            + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
         while i < n {
             s = (*xp.add(i)).mul_add(*yp.add(i), s);
             i += 1;
@@ -1761,139 +1076,6 @@ mod x86 {
             }
         }
     }
-
-    /// `f32` small-block panel kernel for `M = 8 * NV` (M = 8 and 16;
-    /// M = 4 has its own 128-bit kernel below), `JB` columns at a time.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2 + FMA; `a` must be `M x M` and `b`, `c` `M x n`
-    /// views.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn small_f32<const M: usize, const NV: usize, const JB: usize>(
-        alpha: f32,
-        a: MatRef<'_, f32>,
-        b: MatRef<'_, f32>,
-        c: &mut MatMut<'_, f32>,
-    ) {
-        debug_assert!(M == 8 * NV && a.shape() == (M, M) && b.rows() == M);
-        debug_assert!(c.shape() == b.shape());
-        let n = b.cols();
-        let mut j = 0;
-        while j + JB <= n {
-            small_cols_f32::<M, NV, JB>(alpha, a, b, c, j);
-            j += JB;
-        }
-        while j < n {
-            small_cols_f32::<M, NV, 1>(alpha, a, b, c, j);
-            j += 1;
-        }
-    }
-
-    /// Output columns `j0..j0 + JB` of [`small_f32`].
-    ///
-    /// # Safety
-    ///
-    /// As [`small_f32`], plus `j0 + JB <= b.cols()`.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    #[inline]
-    unsafe fn small_cols_f32<const M: usize, const NV: usize, const JB: usize>(
-        alpha: f32,
-        a: MatRef<'_, f32>,
-        b: MatRef<'_, f32>,
-        c: &mut MatMut<'_, f32>,
-        j0: usize,
-    ) {
-        let (ap, lda) = (a.data.as_ptr(), a.col_stride());
-        let mut bp = [b.data.as_ptr(); JB];
-        for (jj, p) in bp.iter_mut().enumerate() {
-            *p = p.add((j0 + jj) * b.col_stride());
-        }
-        let mut acc = [[_mm256_setzero_ps(); NV]; JB];
-        for k in 0..M {
-            let acol = ap.add(k * lda);
-            let mut av = [_mm256_setzero_ps(); NV];
-            for (v, x) in av.iter_mut().enumerate() {
-                *x = _mm256_loadu_ps(acol.add(VS * v));
-            }
-            for (accj, p) in acc.iter_mut().zip(&bp) {
-                let bv = _mm256_set1_ps(*p.add(k));
-                for (accv, &x) in accj.iter_mut().zip(&av) {
-                    *accv = _mm256_fmadd_ps(x, bv, *accv);
-                }
-            }
-        }
-        let alphav = _mm256_set1_ps(alpha);
-        for (jj, accj) in acc.iter().enumerate() {
-            let cp = c.col_mut(j0 + jj).as_mut_ptr();
-            for (v, &accv) in accj.iter().enumerate() {
-                let cv: __m256 = _mm256_loadu_ps(cp.add(VS * v));
-                _mm256_storeu_ps(cp.add(VS * v), _mm256_fmadd_ps(alphav, accv, cv));
-            }
-        }
-    }
-
-    /// `f32` small-block panel kernel for `M = 4`: one 128-bit vector
-    /// holds a full column, so each of the `JB` columns in flight is a
-    /// single XMM accumulator.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2 + FMA (FMA covers the 128-bit `_mm_fmadd_ps`);
-    /// `a` must be a `4 x 4` view and `b`, `c` `4 x n` views.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn small4_f32<const JB: usize>(
-        alpha: f32,
-        a: MatRef<'_, f32>,
-        b: MatRef<'_, f32>,
-        c: &mut MatMut<'_, f32>,
-    ) {
-        debug_assert!(a.shape() == (4, 4) && b.rows() == 4 && c.shape() == b.shape());
-        let n = b.cols();
-        let mut j = 0;
-        while j + JB <= n {
-            small4_cols_f32::<JB>(alpha, a, b, c, j);
-            j += JB;
-        }
-        while j < n {
-            small4_cols_f32::<1>(alpha, a, b, c, j);
-            j += 1;
-        }
-    }
-
-    /// Output columns `j0..j0 + JB` of [`small4_f32`].
-    ///
-    /// # Safety
-    ///
-    /// As [`small4_f32`], plus `j0 + JB <= b.cols()`.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    #[inline]
-    unsafe fn small4_cols_f32<const JB: usize>(
-        alpha: f32,
-        a: MatRef<'_, f32>,
-        b: MatRef<'_, f32>,
-        c: &mut MatMut<'_, f32>,
-        j0: usize,
-    ) {
-        let (ap, lda) = (a.data.as_ptr(), a.col_stride());
-        let mut bp = [b.data.as_ptr(); JB];
-        for (jj, p) in bp.iter_mut().enumerate() {
-            *p = p.add((j0 + jj) * b.col_stride());
-        }
-        let mut acc = [_mm_setzero_ps(); JB];
-        for k in 0..4 {
-            let av = _mm_loadu_ps(ap.add(k * lda));
-            for (accj, p) in acc.iter_mut().zip(&bp) {
-                *accj = _mm_fmadd_ps(av, _mm_set1_ps(*p.add(k)), *accj);
-            }
-        }
-        let alphav = _mm_set1_ps(alpha);
-        for (jj, &accj) in acc.iter().enumerate() {
-            let cp = c.col_mut(j0 + jj).as_mut_ptr();
-            let cv = _mm_loadu_ps(cp);
-            _mm_storeu_ps(cp, _mm_fmadd_ps(alphav, accj, cv));
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -1902,16 +1084,13 @@ mod x86 {
 
 #[cfg(target_arch = "aarch64")]
 mod neon {
-    use super::{MatMut, MatRef, MR, MR32, NR, NR32};
+    use super::{MatMut, MatRef, MR, NR};
     use core::arch::aarch64::{
-        vaddq_f32, vaddq_f64, vdupq_n_f32, vdupq_n_f64, vfmaq_f32, vfmaq_f64, vfmsq_f32, vfmsq_f64,
-        vld1q_f32, vld1q_f64, vmulq_f32, vmulq_f64, vst1q_f32, vst1q_f64, vsubq_f32, vsubq_f64,
+        vaddq_f64, vdupq_n_f64, vfmaq_f64, vfmsq_f64, vld1q_f64, vmulq_f64, vst1q_f64, vsubq_f64,
     };
 
     /// f64 lanes per vector.
     const V: usize = 2;
-    /// f32 lanes per vector.
-    const VS: usize = 4;
 
     /// `MR x NR` packed microkernel: 16 two-lane accumulators (four per
     /// output column).
@@ -1950,45 +1129,6 @@ mod neon {
         }
     }
 
-    /// `MR32 x NR32` packed `f32` microkernel: 16 four-lane accumulators
-    /// (four per output column), the register plan of the f64 tile at
-    /// twice the lanes. aarch64's 32 vector registers hold the tile, the
-    /// four A vectors and the B broadcast without spilling.
-    ///
-    /// # Safety
-    ///
-    /// Requires NEON, `pa.len() >= kb * MR32`, `pb.len() >= kb * NR32`
-    /// and `acc.len() >= MR32 * NR32`.
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn microkernel_f32(kb: usize, pa: &[f32], pb: &[f32], acc: &mut [f32]) {
-        debug_assert!(pa.len() >= kb * MR32 && pb.len() >= kb * NR32 && acc.len() >= MR32 * NR32);
-        let mut tile = [[vdupq_n_f32(0.0); MR32 / VS]; NR32];
-        let mut ap = pa.as_ptr();
-        let mut bp = pb.as_ptr();
-        for _ in 0..kb {
-            let a = [
-                vld1q_f32(ap),
-                vld1q_f32(ap.add(VS)),
-                vld1q_f32(ap.add(2 * VS)),
-                vld1q_f32(ap.add(3 * VS)),
-            ];
-            for (jj, col) in tile.iter_mut().enumerate() {
-                let bv = vdupq_n_f32(*bp.add(jj));
-                for (v, accv) in col.iter_mut().enumerate() {
-                    *accv = vfmaq_f32(*accv, a[v], bv);
-                }
-            }
-            ap = ap.add(MR32);
-            bp = bp.add(NR32);
-        }
-        let out = acc.as_mut_ptr();
-        for (jj, col) in tile.iter().enumerate() {
-            for (v, &accv) in col.iter().enumerate() {
-                vst1q_f32(out.add(jj * MR32 + v * VS), accv);
-            }
-        }
-    }
-
     /// `y += w * x` with one fused multiply-add per element.
     ///
     /// # Safety
@@ -2013,37 +1153,6 @@ mod neon {
             let y0 = vfmaq_f64(vld1q_f64(yp.add(i)), vld1q_f64(xp.add(i)), wv);
             vst1q_f64(yp.add(i), y0);
             i += V;
-        }
-        while i < n {
-            *yp.add(i) = w.mul_add(*xp.add(i), *yp.add(i));
-            i += 1;
-        }
-    }
-
-    /// `y += w * x` over `f32`, 4 lanes per fused multiply-add.
-    ///
-    /// # Safety
-    ///
-    /// Requires NEON and `x.len() == y.len()`.
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn axpy_f32(w: f32, x: &[f32], y: &mut [f32]) {
-        debug_assert_eq!(x.len(), y.len());
-        let n = y.len();
-        let wv = vdupq_n_f32(w);
-        let xp = x.as_ptr();
-        let yp = y.as_mut_ptr();
-        let mut i = 0;
-        while i + 2 * VS <= n {
-            let y0 = vfmaq_f32(vld1q_f32(yp.add(i)), vld1q_f32(xp.add(i)), wv);
-            let y1 = vfmaq_f32(vld1q_f32(yp.add(i + VS)), vld1q_f32(xp.add(i + VS)), wv);
-            vst1q_f32(yp.add(i), y0);
-            vst1q_f32(yp.add(i + VS), y1);
-            i += 2 * VS;
-        }
-        if i + VS <= n {
-            let y0 = vfmaq_f32(vld1q_f32(yp.add(i)), vld1q_f32(xp.add(i)), wv);
-            vst1q_f32(yp.add(i), y0);
-            i += VS;
         }
         while i < n {
             *yp.add(i) = w.mul_add(*xp.add(i), *yp.add(i));
@@ -2157,47 +1266,6 @@ mod neon {
         }
     }
 
-    /// `f32` counterpart of [`lane_dot_sub`].
-    ///
-    /// # Safety
-    ///
-    /// Requires NEON; same layout contract as [`lane_dot_sub`].
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn lane_dot_sub_f32(
-        p: usize,
-        a: &[f32],
-        b: &[f32],
-        bs: usize,
-        c: &mut [f32],
-    ) {
-        let k = c.len();
-        debug_assert!(a.len() >= p * k && b.len() >= (p - 1) * bs + k);
-        let ap = a.as_ptr();
-        let bp = b.as_ptr();
-        let cp = c.as_mut_ptr();
-        let mut i = 0;
-        while i + VS <= k {
-            let mut acc0 = vdupq_n_f32(0.0);
-            for l in 0..p {
-                acc0 = vfmaq_f32(
-                    acc0,
-                    vld1q_f32(ap.add(l * k + i)),
-                    vld1q_f32(bp.add(l * bs + i)),
-                );
-            }
-            vst1q_f32(cp.add(i), vsubq_f32(vld1q_f32(cp.add(i)), acc0));
-            i += VS;
-        }
-        while i < k {
-            let mut s = 0.0f32;
-            for l in 0..p {
-                s = (*ap.add(l * k + i)).mul_add(*bp.add(l * bs + i), s);
-            }
-            *cp.add(i) -= s;
-            i += 1;
-        }
-    }
-
     /// `y *= a` elementwise.
     ///
     /// # Safety
@@ -2214,85 +1282,6 @@ mod neon {
             let y0 = vmulq_f64(vld1q_f64(ap.add(i)), vld1q_f64(yp.add(i)));
             vst1q_f64(yp.add(i), y0);
             i += V;
-        }
-        while i < n {
-            *yp.add(i) *= *ap.add(i);
-            i += 1;
-        }
-    }
-
-    /// `y += a * b` over `f32` lanes (see [`lane_fma`]).
-    ///
-    /// # Safety
-    ///
-    /// Requires NEON and equal slice lengths.
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn lane_fma_f32(a: &[f32], b: &[f32], y: &mut [f32]) {
-        debug_assert!(a.len() == y.len() && b.len() == y.len());
-        let n = y.len();
-        let ap = a.as_ptr();
-        let bp = b.as_ptr();
-        let yp = y.as_mut_ptr();
-        let mut i = 0;
-        while i + VS <= n {
-            let y0 = vfmaq_f32(
-                vld1q_f32(yp.add(i)),
-                vld1q_f32(ap.add(i)),
-                vld1q_f32(bp.add(i)),
-            );
-            vst1q_f32(yp.add(i), y0);
-            i += VS;
-        }
-        while i < n {
-            *yp.add(i) = (*ap.add(i)).mul_add(*bp.add(i), *yp.add(i));
-            i += 1;
-        }
-    }
-
-    /// `y -= a * b` over `f32` lanes (see [`lane_fnma`]).
-    ///
-    /// # Safety
-    ///
-    /// Requires NEON and equal slice lengths.
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn lane_fnma_f32(a: &[f32], b: &[f32], y: &mut [f32]) {
-        debug_assert!(a.len() == y.len() && b.len() == y.len());
-        let n = y.len();
-        let ap = a.as_ptr();
-        let bp = b.as_ptr();
-        let yp = y.as_mut_ptr();
-        let mut i = 0;
-        while i + VS <= n {
-            let y0 = vfmsq_f32(
-                vld1q_f32(yp.add(i)),
-                vld1q_f32(ap.add(i)),
-                vld1q_f32(bp.add(i)),
-            );
-            vst1q_f32(yp.add(i), y0);
-            i += VS;
-        }
-        while i < n {
-            *yp.add(i) = (-*ap.add(i)).mul_add(*bp.add(i), *yp.add(i));
-            i += 1;
-        }
-    }
-
-    /// `y *= a` over `f32` lanes (see [`lane_mul`]).
-    ///
-    /// # Safety
-    ///
-    /// Requires NEON and equal slice lengths.
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn lane_mul_f32(a: &[f32], y: &mut [f32]) {
-        debug_assert_eq!(a.len(), y.len());
-        let n = y.len();
-        let ap = a.as_ptr();
-        let yp = y.as_mut_ptr();
-        let mut i = 0;
-        while i + VS <= n {
-            let y0 = vmulq_f32(vld1q_f32(ap.add(i)), vld1q_f32(yp.add(i)));
-            vst1q_f32(yp.add(i), y0);
-            i += VS;
         }
         while i < n {
             *yp.add(i) *= *ap.add(i);
@@ -2327,39 +1316,6 @@ mod neon {
         let mut lanes = [0.0f64; V];
         vst1q_f64(lanes.as_mut_ptr(), acc);
         let mut s = lanes[0] + lanes[1];
-        while i < n {
-            s = (*xp.add(i)).mul_add(*yp.add(i), s);
-            i += 1;
-        }
-        s
-    }
-
-    /// `f32` dot product with two independent lane accumulators.
-    ///
-    /// # Safety
-    ///
-    /// Requires NEON and `x.len() == y.len()`.
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn dot_f32(x: &[f32], y: &[f32]) -> f32 {
-        debug_assert_eq!(x.len(), y.len());
-        let n = x.len();
-        let xp = x.as_ptr();
-        let yp = y.as_ptr();
-        let mut acc0 = vdupq_n_f32(0.0);
-        let mut acc1 = vdupq_n_f32(0.0);
-        let mut i = 0;
-        while i + 2 * VS <= n {
-            acc0 = vfmaq_f32(acc0, vld1q_f32(xp.add(i)), vld1q_f32(yp.add(i)));
-            acc1 = vfmaq_f32(acc1, vld1q_f32(xp.add(i + VS)), vld1q_f32(yp.add(i + VS)));
-            i += 2 * VS;
-        }
-        if i + VS <= n {
-            acc0 = vfmaq_f32(acc0, vld1q_f32(xp.add(i)), vld1q_f32(yp.add(i)));
-            i += VS;
-        }
-        let mut lanes = [0.0f32; VS];
-        vst1q_f32(lanes.as_mut_ptr(), vaddq_f32(acc0, acc1));
-        let mut s = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
         while i < n {
             s = (*xp.add(i)).mul_add(*yp.add(i), s);
             i += 1;
@@ -2438,90 +1394,12 @@ mod neon {
             }
         }
     }
-
-    /// `f32` small-block panel kernel for `M = 4 * NV`, `JB` columns at a
-    /// time.
-    ///
-    /// # Safety
-    ///
-    /// Requires NEON; `a` must be `M x M` and `b`, `c` `M x n` views.
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn small_f32<const M: usize, const NV: usize, const JB: usize>(
-        alpha: f32,
-        a: MatRef<'_, f32>,
-        b: MatRef<'_, f32>,
-        c: &mut MatMut<'_, f32>,
-    ) {
-        debug_assert!(M == 4 * NV && a.shape() == (M, M) && b.rows() == M);
-        debug_assert!(c.shape() == b.shape());
-        let n = b.cols();
-        let mut j = 0;
-        while j + JB <= n {
-            small_cols_f32::<M, NV, JB>(alpha, a, b, c, j);
-            j += JB;
-        }
-        while j < n {
-            small_cols_f32::<M, NV, 1>(alpha, a, b, c, j);
-            j += 1;
-        }
-    }
-
-    /// Output columns `j0..j0 + JB` of [`small_f32`].
-    ///
-    /// # Safety
-    ///
-    /// As [`small_f32`], plus `j0 + JB <= b.cols()`.
-    #[target_feature(enable = "neon")]
-    #[inline]
-    unsafe fn small_cols_f32<const M: usize, const NV: usize, const JB: usize>(
-        alpha: f32,
-        a: MatRef<'_, f32>,
-        b: MatRef<'_, f32>,
-        c: &mut MatMut<'_, f32>,
-        j0: usize,
-    ) {
-        let (ap, lda) = (a.data.as_ptr(), a.col_stride());
-        let mut bp = [b.data.as_ptr(); JB];
-        for (jj, p) in bp.iter_mut().enumerate() {
-            *p = p.add((j0 + jj) * b.col_stride());
-        }
-        let mut acc = [[vdupq_n_f32(0.0); NV]; JB];
-        for k in 0..M {
-            let acol = ap.add(k * lda);
-            let mut av = [vdupq_n_f32(0.0); NV];
-            for (v, x) in av.iter_mut().enumerate() {
-                *x = vld1q_f32(acol.add(VS * v));
-            }
-            for (accj, p) in acc.iter_mut().zip(&bp) {
-                let bv = vdupq_n_f32(*p.add(k));
-                for (accv, &x) in accj.iter_mut().zip(&av) {
-                    *accv = vfmaq_f32(*accv, x, bv);
-                }
-            }
-        }
-        let alphav = vdupq_n_f32(alpha);
-        for (jj, accj) in acc.iter().enumerate() {
-            let cp = c.col_mut(j0 + jj).as_mut_ptr();
-            for (v, &accv) in accj.iter().enumerate() {
-                let cv = vld1q_f32(cp.add(VS * v));
-                vst1q_f32(cp.add(VS * v), vfmaq_f32(cv, alphav, accv));
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::mat::Mat;
-
-    #[test]
-    fn tile_constants_match_the_element_trait() {
-        assert_eq!(MR, <f64 as Element>::MR);
-        assert_eq!(NR, <f64 as Element>::NR);
-        assert_eq!(MR32, <f32 as Element>::MR);
-        assert_eq!(NR32, <f32 as Element>::NR);
-    }
 
     #[test]
     fn scoped_override_is_thread_local_and_restored() {
@@ -2628,55 +1506,26 @@ mod tests {
                     w[1] = 0.0;
                 }
                 let acc0: Vec<f64> = (0..n).map(|j| (j as f64 * 0.11).cos()).collect();
-                let rows32: Vec<f32> = rows.iter().map(|&v| v as f32).collect();
-                let w32: Vec<f32> = w.iter().map(|&v| v as f32).collect();
-                let acc32: Vec<f32> = acc0.iter().map(|&v| v as f32).collect();
                 for rev in [false, true] {
                     for d in [None, Some(1.7)] {
                         let mut expect = acc0.clone();
-                        let mut expect32 = acc32.clone();
                         for t in 0..nt {
                             let q = if rev { nt - 1 - t } else { t };
                             if w[q] != 0.0 {
                                 let row = &rows[q * stride..q * stride + n];
                                 axpy(w[q], row, &mut expect);
-                                let row32 = &rows32[q * stride..q * stride + n];
-                                axpy_f32(w32[q], row32, &mut expect32);
                             }
                         }
                         if let Some(d) = d {
                             expect.iter_mut().for_each(|v| *v /= d);
-                            expect32.iter_mut().for_each(|v| *v /= d as f32);
                         }
                         let mut got = acc0.clone();
                         fma_rows(&w, &rows, stride, rev, d, &mut got);
-                        let mut got32 = acc32.clone();
-                        fma_rows_f32(&w32, &rows32, stride, rev, d.map(|d| d as f32), &mut got32);
                         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                        let bits32 = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                         let case = format!("n={n} nt={nt} rev={rev} d={d:?}");
-                        assert_eq!(bits(&got), bits(&expect), "f64 {case}");
-                        assert_eq!(bits32(&got32), bits32(&expect32), "f32 {case}");
+                        assert_eq!(bits(&got), bits(&expect), "{case}");
                     }
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn axpy_f32_matches_scalar_reference() {
-        for n in [0usize, 1, 3, 7, 8, 15, 16, 17, 31, 64, 100] {
-            let x: Vec<f32> = (0..n).map(|i| (i as f32 * 0.7).sin()).collect();
-            let y0: Vec<f32> = (0..n).map(|i| (i as f32 * 0.3).cos()).collect();
-            let w = -1.75f32;
-            let mut expect = y0.clone();
-            for (e, xv) in expect.iter_mut().zip(&x) {
-                *e += w * xv;
-            }
-            let mut got = y0.clone();
-            axpy_f32(w, &x, &mut got);
-            for (g, e) in got.iter().zip(&expect) {
-                assert!((g - e).abs() <= 1e-6 * e.abs().max(1.0), "n={n}");
             }
         }
     }
@@ -2686,15 +1535,6 @@ mod tests {
         let x = [f64::NAN, f64::INFINITY, 1.0];
         let mut y = [0.0; 3];
         axpy(0.0, &x, &mut y);
-        assert!(y[0].is_nan() && y[1].is_nan());
-        assert_eq!(y[2], 0.0);
-    }
-
-    #[test]
-    fn axpy_f32_propagates_zero_times_nan() {
-        let x = [f32::NAN, f32::INFINITY, 1.0];
-        let mut y = [0.0f32; 3];
-        axpy_f32(0.0, &x, &mut y);
         assert!(y[0].is_nan() && y[1].is_nan());
         assert_eq!(y[2], 0.0);
     }
@@ -2750,41 +1590,6 @@ mod tests {
                         "k={k} p={p} i={i}"
                     );
                 }
-                let af: Vec<f32> = a.iter().map(|&v| v as f32).collect();
-                let bf: Vec<f32> = b.iter().map(|&v| v as f32).collect();
-                let mut gotf: Vec<f32> = c0.iter().map(|&v| v as f32).collect();
-                lane_dot_sub_f32(&af, &bf, bs, &mut gotf);
-                for i in 0..k {
-                    let mut e = c0[i] as f32;
-                    for l in 0..p {
-                        e -= af[l * k + i] * bf[l * bs + i];
-                    }
-                    assert!(
-                        (gotf[i] - e).abs() <= 1e-5 * e.abs().max(1.0),
-                        "f32 k={k} p={p} i={i}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn lane_kernels_f32_match_scalar_reference() {
-        for n in [0usize, 1, 3, 7, 8, 15, 16, 17, 31, 64, 100] {
-            let a: Vec<f32> = (0..n).map(|i| (i as f32 * 0.7).sin()).collect();
-            let b: Vec<f32> = (0..n).map(|i| (i as f32 * 0.5).cos() + 0.1).collect();
-            let y0: Vec<f32> = (0..n).map(|i| (i as f32 * 0.3).cos()).collect();
-            let mut fma = y0.clone();
-            lane_fma_f32(&a, &b, &mut fma);
-            let mut fnma = y0.clone();
-            lane_fnma_f32(&a, &b, &mut fnma);
-            let mut mul = y0.clone();
-            lane_mul_f32(&a, &mut mul);
-            for i in 0..n {
-                let tol = 1e-6f32;
-                assert!((fma[i] - (y0[i] + a[i] * b[i])).abs() <= tol, "fma n={n}");
-                assert!((fnma[i] - (y0[i] - a[i] * b[i])).abs() <= tol, "fnma n={n}");
-                assert!((mul[i] - y0[i] * a[i]).abs() <= tol, "mul n={n}");
             }
         }
     }
@@ -2804,21 +1609,6 @@ mod tests {
     }
 
     #[test]
-    fn dot_f32_matches_scalar_reference() {
-        for n in [0usize, 1, 2, 5, 8, 15, 16, 17, 33, 100] {
-            let x: Vec<f32> = (0..n).map(|i| (i as f32 * 0.11).sin()).collect();
-            let y: Vec<f32> = (0..n).map(|i| (i as f32 * 0.23).cos()).collect();
-            let expect: f32 = x.iter().zip(&y).map(|(a, b)| a * b).sum();
-            let got = dot_f32(&x, &y);
-            // f32 reassociation error grows with n; scale the tolerance.
-            assert!(
-                (got - expect).abs() <= 1e-6 * (n as f32 + 1.0),
-                "n={n}: {got} vs {expect}"
-            );
-        }
-    }
-
-    #[test]
     fn microkernel_paths_agree() {
         let kb = 37;
         let pa: Vec<f64> = (0..kb * MR).map(|i| (i as f64 * 0.17).sin()).collect();
@@ -2829,20 +1619,6 @@ mod tests {
         microkernel(kb, &pa, &pb, &mut active_path);
         for (s, v) in scalar.iter().zip(&active_path) {
             assert!((s - v).abs() <= 1e-13 * s.abs().max(1.0));
-        }
-    }
-
-    #[test]
-    fn microkernel_f32_paths_agree() {
-        let kb = 37;
-        let pa: Vec<f32> = (0..kb * MR32).map(|i| (i as f32 * 0.17).sin()).collect();
-        let pb: Vec<f32> = (0..kb * NR32).map(|i| (i as f32 * 0.29).cos()).collect();
-        let mut scalar = [0.0f32; MR32 * NR32];
-        with_isa(Isa::Scalar, || microkernel_f32(kb, &pa, &pb, &mut scalar));
-        let mut active_path = [0.0f32; MR32 * NR32];
-        microkernel_f32(kb, &pa, &pb, &mut active_path);
-        for (s, v) in scalar.iter().zip(&active_path) {
-            assert!((s - v).abs() <= 1e-6 * (kb as f32), "{s} vs {v}");
         }
     }
 
@@ -2878,37 +1654,6 @@ mod tests {
     }
 
     #[test]
-    fn small_f32_kernel_paths_agree_and_respect_alpha() {
-        for m in SMALL_DIMS {
-            for r in [1, 3, m, 2 * m + 5] {
-                let a = Mat::<f32>::from_fn(m, m, |i, j| ((i * m + j) as f32 * 0.31).sin());
-                let b = Mat::<f32>::from_fn(m, r, |i, j| ((i + 2 * j) as f32 * 0.17).cos());
-                let c0 = Mat::<f32>::from_fn(m, r, |i, j| (i as f32 - j as f32) * 0.05);
-                let mut scalar = c0.clone();
-                with_isa(Isa::Scalar, || {
-                    assert!(gemm_small_f32(
-                        -1.5,
-                        a.as_ref(),
-                        b.as_ref(),
-                        &mut scalar.as_mut()
-                    ));
-                });
-                let mut active_path = c0.clone();
-                assert!(gemm_small_f32(
-                    -1.5,
-                    a.as_ref(),
-                    b.as_ref(),
-                    &mut active_path.as_mut()
-                ));
-                assert!(
-                    scalar.sub(&active_path).max_abs() <= 1e-5 * m as f64,
-                    "m={m} r={r}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn small_kernel_rejects_unsupported_shapes() {
         fn accepts(a: (usize, usize), b: (usize, usize), c: (usize, usize)) -> bool {
             let (a, b, mut c) = (
@@ -2916,12 +1661,7 @@ mod tests {
                 Mat::zeros(b.0, b.1),
                 Mat::zeros(c.0, c.1),
             );
-            let hit = gemm_small(1.0, a.as_ref(), b.as_ref(), &mut c.as_mut());
-            let (a32, b32) = (a.convert::<f32>(), b.convert::<f32>());
-            let mut c32 = c.convert::<f32>();
-            let hit32 = gemm_small_f32(1.0, a32.as_ref(), b32.as_ref(), &mut c32.as_mut());
-            assert_eq!(hit, hit32, "precisions disagree on {a:?} {b:?}");
-            hit
+            gemm_small(1.0, a.as_ref(), b.as_ref(), &mut c.as_mut())
         }
         // M x M · M x R panels of any width are the supported case.
         assert!(accepts((8, 8), (8, 4), (8, 4)));

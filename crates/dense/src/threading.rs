@@ -98,10 +98,10 @@ const PANEL_PAR_MIN_FLOPS: usize = 50_000;
 /// multi-column and `flops_per_col * cols` clears the spawn-overhead
 /// threshold. Columns are fully independent, so the result is identical
 /// (bitwise) to the sequential sweep for any thread count.
-pub(crate) fn for_each_column_parallel<E: crate::element::Element>(
-    mut b: MatMut<'_, E>,
+pub(crate) fn for_each_column_parallel(
+    mut b: MatMut<'_>,
     flops_per_col: usize,
-    f: impl Fn(&mut [E]) + Sync,
+    f: impl Fn(&mut [f64]) + Sync,
 ) {
     let n = b.rows();
     let r = b.cols();
@@ -138,10 +138,10 @@ pub(crate) fn for_each_column_parallel<E: crate::element::Element>(
 /// [`for_each_column_parallel`], `f`'s per-element arithmetic must not
 /// depend on the block width, so results stay bitwise identical for any
 /// thread count.
-pub(crate) fn for_each_column_block_parallel<E: crate::element::Element>(
-    b: MatMut<'_, E>,
+pub(crate) fn for_each_column_block_parallel(
+    b: MatMut<'_>,
     flops_per_col: usize,
-    f: impl Fn(&mut [E], usize) + Sync,
+    f: impl Fn(&mut [f64], usize) + Sync,
 ) {
     let n = b.rows();
     let r = b.cols();

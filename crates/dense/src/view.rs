@@ -8,10 +8,6 @@
 //! either way, which is the access pattern every kernel in this crate
 //! relies on.
 //!
-//! Like [`Mat`], views are generic over the scalar type with `f64` as
-//! the default: `MatRef<'a>` means `MatRef<'a, f64>`, and `MatRef<'a,
-//! f32>` is the half-width view used by the mixed-precision path.
-//!
 //! Views exist so hot paths can operate on submatrices and
 //! [`crate::workspace::Workspace`]-pooled buffers without materializing
 //! temporaries: the GEMM/GEMV kernels and the LU/Cholesky panel solves
@@ -19,7 +15,6 @@
 //! `&mut Mat` callers keep working unchanged while allocation-free
 //! callers pass views (DESIGN.md §"Memory model").
 
-use crate::element::Element;
 use crate::mat::Mat;
 use std::fmt;
 
@@ -35,21 +30,21 @@ pub(crate) fn required_len(rows: usize, cols: usize, col_stride: usize) -> usize
 
 /// Immutable borrowed view of a column-major matrix.
 #[derive(Clone, Copy)]
-pub struct MatRef<'a, E: Element = f64> {
-    pub(crate) data: &'a [E],
+pub struct MatRef<'a> {
+    pub(crate) data: &'a [f64],
     pub(crate) rows: usize,
     pub(crate) cols: usize,
     pub(crate) col_stride: usize,
 }
 
-impl<'a, E: Element> MatRef<'a, E> {
+impl<'a> MatRef<'a> {
     /// Builds a view over `data` with an explicit column stride.
     ///
     /// # Panics
     ///
     /// Panics if `col_stride < rows` or `data` is too short for the
     /// requested shape.
-    pub fn from_parts(data: &'a [E], rows: usize, cols: usize, col_stride: usize) -> Self {
+    pub fn from_parts(data: &'a [f64], rows: usize, cols: usize, col_stride: usize) -> Self {
         assert!(col_stride >= rows, "col_stride {col_stride} < rows {rows}");
         assert!(
             data.len() >= required_len(rows, cols, col_stride),
@@ -97,14 +92,14 @@ impl<'a, E: Element> MatRef<'a, E> {
     /// Column `j` as a contiguous slice (borrowing the backing buffer,
     /// not the view).
     #[inline]
-    pub fn col(&self, j: usize) -> &'a [E] {
+    pub fn col(&self, j: usize) -> &'a [f64] {
         debug_assert!(j < self.cols);
         &self.data[j * self.col_stride..j * self.col_stride + self.rows]
     }
 
     /// Element read (bounds checked in debug builds).
     #[inline(always)]
-    pub fn get(&self, i: usize, j: usize) -> E {
+    pub fn get(&self, i: usize, j: usize) -> f64 {
         debug_assert!(i < self.rows && j < self.cols);
         self.data[i + j * self.col_stride]
     }
@@ -114,7 +109,7 @@ impl<'a, E: Element> MatRef<'a, E> {
     /// # Panics
     ///
     /// Panics if the window exceeds the view bounds.
-    pub fn submatrix(&self, r0: usize, c0: usize, br: usize, bc: usize) -> MatRef<'a, E> {
+    pub fn submatrix(&self, r0: usize, c0: usize, br: usize, bc: usize) -> MatRef<'a> {
         assert!(
             r0 + br <= self.rows && c0 + bc <= self.cols,
             "submatrix out of bounds"
@@ -130,7 +125,7 @@ impl<'a, E: Element> MatRef<'a, E> {
     }
 
     /// Copies the view into a freshly allocated [`Mat`].
-    pub fn to_mat(&self) -> Mat<E> {
+    pub fn to_mat(&self) -> Mat {
         let mut out = Mat::zeros(self.rows, self.cols);
         for j in 0..self.cols {
             out.col_mut(j).copy_from_slice(self.col(j));
@@ -140,21 +135,21 @@ impl<'a, E: Element> MatRef<'a, E> {
 }
 
 /// Mutable borrowed view of a column-major matrix.
-pub struct MatMut<'a, E: Element = f64> {
-    pub(crate) data: &'a mut [E],
+pub struct MatMut<'a> {
+    pub(crate) data: &'a mut [f64],
     pub(crate) rows: usize,
     pub(crate) cols: usize,
     pub(crate) col_stride: usize,
 }
 
-impl<'a, E: Element> MatMut<'a, E> {
+impl<'a> MatMut<'a> {
     /// Builds a mutable view over `data` with an explicit column stride.
     ///
     /// # Panics
     ///
     /// Panics if `col_stride < rows` or `data` is too short for the
     /// requested shape.
-    pub fn from_parts(data: &'a mut [E], rows: usize, cols: usize, col_stride: usize) -> Self {
+    pub fn from_parts(data: &'a mut [f64], rows: usize, cols: usize, col_stride: usize) -> Self {
         assert!(col_stride >= rows, "col_stride {col_stride} < rows {rows}");
         assert!(
             data.len() >= required_len(rows, cols, col_stride),
@@ -201,7 +196,7 @@ impl<'a, E: Element> MatMut<'a, E> {
 
     /// Immutable reborrow of this view.
     #[inline]
-    pub fn rb(&self) -> MatRef<'_, E> {
+    pub fn rb(&self) -> MatRef<'_> {
         MatRef {
             data: self.data,
             rows: self.rows,
@@ -213,7 +208,7 @@ impl<'a, E: Element> MatMut<'a, E> {
     /// Mutable reborrow: a shorter-lived `MatMut` over the same window,
     /// so a view can be passed to a consuming kernel and used again.
     #[inline]
-    pub fn rb_mut(&mut self) -> MatMut<'_, E> {
+    pub fn rb_mut(&mut self) -> MatMut<'_> {
         MatMut {
             data: self.data,
             rows: self.rows,
@@ -224,28 +219,28 @@ impl<'a, E: Element> MatMut<'a, E> {
 
     /// Column `j` as a contiguous slice.
     #[inline]
-    pub fn col(&self, j: usize) -> &[E] {
+    pub fn col(&self, j: usize) -> &[f64] {
         debug_assert!(j < self.cols);
         &self.data[j * self.col_stride..j * self.col_stride + self.rows]
     }
 
     /// Mutable column `j`.
     #[inline]
-    pub fn col_mut(&mut self, j: usize) -> &mut [E] {
+    pub fn col_mut(&mut self, j: usize) -> &mut [f64] {
         debug_assert!(j < self.cols);
         &mut self.data[j * self.col_stride..j * self.col_stride + self.rows]
     }
 
     /// Element read (bounds checked in debug builds).
     #[inline(always)]
-    pub fn get(&self, i: usize, j: usize) -> E {
+    pub fn get(&self, i: usize, j: usize) -> f64 {
         debug_assert!(i < self.rows && j < self.cols);
         self.data[i + j * self.col_stride]
     }
 
     /// Element write (bounds checked in debug builds).
     #[inline(always)]
-    pub fn set(&mut self, i: usize, j: usize, v: E) {
+    pub fn set(&mut self, i: usize, j: usize, v: f64) {
         debug_assert!(i < self.rows && j < self.cols);
         self.data[i + j * self.col_stride] = v;
     }
@@ -254,19 +249,19 @@ impl<'a, E: Element> MatMut<'a, E> {
     /// backing buffer are untouched).
     pub fn fill_zero(&mut self) {
         for j in 0..self.cols {
-            self.col_mut(j).fill(E::ZERO);
+            self.col_mut(j).fill(0.0);
         }
     }
 
     /// Sets every element of the window to `v`.
-    pub fn fill(&mut self, v: E) {
+    pub fn fill(&mut self, v: f64) {
         for j in 0..self.cols {
             self.col_mut(j).fill(v);
         }
     }
 
     /// Scales every element of the window by `s`.
-    pub fn scale(&mut self, s: E) {
+    pub fn scale(&mut self, s: f64) {
         for j in 0..self.cols {
             for v in self.col_mut(j) {
                 *v *= s;
@@ -279,7 +274,7 @@ impl<'a, E: Element> MatMut<'a, E> {
     /// # Panics
     ///
     /// Panics on shape mismatch.
-    pub fn copy_from(&mut self, src: MatRef<'_, E>) {
+    pub fn copy_from(&mut self, src: MatRef<'_>) {
         assert_eq!(self.shape(), src.shape(), "copy_from shape mismatch");
         if self.is_contiguous() && src.is_contiguous() {
             let len = self.rows * self.cols;
@@ -297,7 +292,7 @@ impl<'a, E: Element> MatMut<'a, E> {
     /// # Panics
     ///
     /// Panics if the window exceeds the view bounds.
-    pub fn submatrix_mut(self, r0: usize, c0: usize, br: usize, bc: usize) -> MatMut<'a, E> {
+    pub fn submatrix_mut(self, r0: usize, c0: usize, br: usize, bc: usize) -> MatMut<'a> {
         assert!(
             r0 + br <= self.rows && c0 + bc <= self.cols,
             "submatrix out of bounds"
@@ -313,60 +308,54 @@ impl<'a, E: Element> MatMut<'a, E> {
     }
 }
 
-impl<'a, E: Element> From<&'a Mat<E>> for MatRef<'a, E> {
-    fn from(m: &'a Mat<E>) -> Self {
+impl<'a> From<&'a Mat> for MatRef<'a> {
+    fn from(m: &'a Mat) -> Self {
         m.as_ref()
     }
 }
 
-impl<'a, E: Element> From<&'a mut Mat<E>> for MatRef<'a, E> {
-    fn from(m: &'a mut Mat<E>) -> Self {
+impl<'a> From<&'a mut Mat> for MatRef<'a> {
+    fn from(m: &'a mut Mat) -> Self {
         m.as_ref()
     }
 }
 
-impl<'a, E: Element> From<&'a mut Mat<E>> for MatMut<'a, E> {
-    fn from(m: &'a mut Mat<E>) -> Self {
+impl<'a> From<&'a mut Mat> for MatMut<'a> {
+    fn from(m: &'a mut Mat) -> Self {
         m.as_mut()
     }
 }
 
-impl<'short, 'long: 'short, E: Element> From<&'short MatMut<'long, E>> for MatRef<'short, E> {
-    fn from(m: &'short MatMut<'long, E>) -> Self {
+impl<'short, 'long: 'short> From<&'short MatMut<'long>> for MatRef<'short> {
+    fn from(m: &'short MatMut<'long>) -> Self {
         m.rb()
     }
 }
 
-impl<'short, 'long: 'short, E: Element> From<&'short mut MatMut<'long, E>> for MatMut<'short, E> {
-    fn from(m: &'short mut MatMut<'long, E>) -> Self {
+impl<'short, 'long: 'short> From<&'short mut MatMut<'long>> for MatMut<'short> {
+    fn from(m: &'short mut MatMut<'long>) -> Self {
         m.rb_mut()
     }
 }
 
 // Debug prints shape + stride, not contents — views over large
 // workspaces would otherwise dump megabytes.
-impl<E: Element> fmt::Debug for MatRef<'_, E> {
+impl fmt::Debug for MatRef<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "MatRef<{}> {}x{} (col_stride {})",
-            E::NAME,
-            self.rows,
-            self.cols,
-            self.col_stride
+            "MatRef {}x{} (col_stride {})",
+            self.rows, self.cols, self.col_stride
         )
     }
 }
 
-impl<E: Element> fmt::Debug for MatMut<'_, E> {
+impl fmt::Debug for MatMut<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "MatMut<{}> {}x{} (col_stride {})",
-            E::NAME,
-            self.rows,
-            self.cols,
-            self.col_stride
+            "MatMut {}x{} (col_stride {})",
+            self.rows, self.cols, self.col_stride
         )
     }
 }
@@ -444,15 +433,6 @@ mod tests {
         assert_eq!(v.rb().get(2, 2), 1.0);
         v.set(0, 0, 9.0);
         assert_eq!(m.get(0, 0), 9.0);
-    }
-
-    #[test]
-    fn f32_views_share_the_kernel_access_pattern() {
-        let m = Mat::<f32>::from_fn(4, 4, |i, j| (i * 100 + j) as f32);
-        let v = m.submatrix(1, 1, 2, 2);
-        assert_eq!(v.get(1, 1), 202.0f32);
-        assert_eq!(v.col_stride(), 4);
-        assert_eq!(v.to_mat(), m.block(1, 1, 2, 2));
     }
 
     #[test]

@@ -10,11 +10,6 @@
 //! allocate nothing — the invariant `tests/workspace.rs` asserts via
 //! [`WorkspaceStats::checkouts`] deltas.
 //!
-//! Like [`Mat`], the pool is generic over the element type with `f64`
-//! as the default; byte accounting follows `size_of::<E>()`, so an
-//! `f32` workspace reports half the bytes of an `f64` one for the same
-//! shapes. A pool only ever holds buffers of its own element type.
-//!
 //! A `Workspace` is deliberately *not* thread-safe: each rank (and each
 //! worker thread that wants reuse) owns its own. `checkouts` counts
 //! pool *misses* (a fresh heap allocation was required), `reuses`
@@ -23,7 +18,6 @@
 //! outstanding+pooled footprint on the `bt_dense.ws.bytes_high_water`
 //! gauge.
 
-use crate::element::Element;
 use crate::mat::Mat;
 use crate::view::MatRef;
 
@@ -60,16 +54,16 @@ pub struct WorkspaceStats {
 /// fits. Buffers are matched on *capacity*, not shape, so one pool
 /// serves temporaries of mixed sizes.
 #[derive(Debug, Default)]
-pub struct Workspace<E: Element = f64> {
-    free: Vec<Vec<E>>,
+pub struct Workspace {
+    free: Vec<Vec<f64>>,
     bytes_out: u64,
     bytes_pooled: u64,
     stats: WorkspaceStats,
 }
 
-impl<E: Element> Workspace<E> {
+impl Workspace {
     /// Bytes per pooled element.
-    const ELEM_BYTES: u64 = std::mem::size_of::<E>() as u64;
+    const ELEM_BYTES: u64 = std::mem::size_of::<f64>() as u64;
 
     /// An empty pool. The first pass through a hot path populates it.
     pub fn new() -> Self {
@@ -83,18 +77,18 @@ impl<E: Element> Workspace<E> {
 
     /// Checks out a zeroed `rows x cols` matrix, recycling a pooled
     /// buffer when one is large enough.
-    pub fn take(&mut self, rows: usize, cols: usize) -> Mat<E> {
+    pub fn take(&mut self, rows: usize, cols: usize) -> Mat {
         let need = rows * cols;
         let mut buf = self.pick(need);
         buf.clear();
-        buf.resize(need, E::ZERO);
+        buf.resize(need, 0.0);
         self.note_out(buf.capacity() as u64 * Self::ELEM_BYTES);
         Mat::from_col_major(rows, cols, buf)
     }
 
     /// Checks out a copy of `src` (same recycling as [`Workspace::take`],
     /// but filled by copying columns instead of a zero pass).
-    pub fn take_copy(&mut self, src: MatRef<'_, E>) -> Mat<E> {
+    pub fn take_copy(&mut self, src: MatRef<'_>) -> Mat {
         let (rows, cols) = src.shape();
         let mut buf = self.pick(rows * cols);
         buf.clear();
@@ -110,7 +104,7 @@ impl<E: Element> Workspace<E> {
     /// Accepts any `Mat`, including ones this workspace never handed
     /// out — "foreign" buffers are simply adopted, which lets a caller
     /// seed the pool. Zero-capacity buffers are dropped.
-    pub fn put(&mut self, m: Mat<E>) {
+    pub fn put(&mut self, m: Mat) {
         let buf = m.into_vec();
         let cap_bytes = buf.capacity() as u64 * Self::ELEM_BYTES;
         self.bytes_out = self.bytes_out.saturating_sub(cap_bytes);
@@ -179,7 +173,7 @@ impl<E: Element> Workspace<E> {
 
     /// Smallest pooled buffer with capacity >= `need`, else a fresh
     /// allocation. Linear scan: pools hold a handful of buffers.
-    fn pick(&mut self, need: usize) -> Vec<E> {
+    fn pick(&mut self, need: usize) -> Vec<f64> {
         let mut best: Option<usize> = None;
         for (i, buf) in self.free.iter().enumerate() {
             if buf.capacity() >= need
@@ -399,21 +393,5 @@ mod tests {
         }
         assert_eq!(ws.stats().checkouts, cold);
         assert_eq!(ws.stats().reuses, 200);
-    }
-
-    #[test]
-    fn f32_pool_charges_half_the_bytes() {
-        let mut w64: Workspace<f64> = Workspace::new();
-        let mut w32: Workspace<f32> = Workspace::new();
-        let a = w64.take(6, 2);
-        let b = w32.take(6, 2);
-        w64.put(a);
-        w32.put(b);
-        assert_eq!(w64.pooled_bytes(), 12 * 8);
-        assert_eq!(w32.pooled_bytes(), 12 * 4);
-        assert_eq!(
-            w32.stats().bytes_high_water * 2,
-            w64.stats().bytes_high_water
-        );
     }
 }

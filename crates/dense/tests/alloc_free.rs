@@ -3,11 +3,11 @@
 //!
 //! Replay runs three `M x M · M x R` GEMMs and one `M x R` LU panel
 //! solve per block row; once a thread has warmed its kernel scratch,
-//! none of them may touch the heap, at either precision. The counter is
+//! none of them may touch the heap. The counter is
 //! per thread, so tests running concurrently in this binary cannot
 //! charge each other's allocations.
 
-use bt_dense::{gemm, gemm_packed, Element, LuFactors, Mat, Trans};
+use bt_dense::{gemm, gemm_packed, LuFactors, Mat, Trans};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -49,31 +49,36 @@ fn allocations_in(f: impl FnOnce()) -> u64 {
     ALLOCS.with(Cell::get) - before
 }
 
-fn seq_mat<E: Element>(rows: usize, cols: usize, seed: f64) -> Mat<E> {
+fn seq_mat(rows: usize, cols: usize, seed: f64) -> Mat {
     Mat::from_fn(rows, cols, |i, j| {
-        E::from_f64(((i * cols + j) as f64 * 0.37 + seed).sin())
+        ((i * cols + j) as f64 * 0.37 + seed).sin()
     })
 }
 
 /// Diagonally dominant, so the LU factorization is well conditioned.
-fn dominant<E: Element>(n: usize) -> Mat<E> {
+fn dominant(n: usize) -> Mat {
     Mat::from_fn(n, n, |i, j| {
         let v = ((i * n + j) as f64 * 0.71).sin();
-        E::from_f64(if i == j { v + 2.0 * n as f64 } else { v })
+        if i == j {
+            v + 2.0 * n as f64
+        } else {
+            v
+        }
     })
 }
 
 /// Warm `gemm` at replay shapes: `M = 16, R = 64` (small-block panel
 /// kernel) and `M = 5, R = 64` (packed kernel on SIMD hosts, AXPY on the
 /// scalar leg), plus `gemm_packed` itself at the second shape.
-fn warm_gemm_allocates_nothing<E: Element>() {
+#[test]
+fn warm_gemm_at_replay_shapes_is_allocation_free() {
     for m in [16, 5] {
-        let a = seq_mat::<E>(m, m, 0.3);
-        let b = seq_mat::<E>(m, 64, 0.7);
-        let mut c = seq_mat::<E>(m, 64, 0.1);
+        let a = seq_mat(m, m, 0.3);
+        let b = seq_mat(m, 64, 0.7);
+        let mut c = seq_mat(m, 64, 0.1);
         let mut run = || {
-            gemm(E::ONE, &a, Trans::No, &b, Trans::No, E::ONE, &mut c);
-            gemm_packed(-E::ONE, &a, &b, &mut c);
+            gemm(1.0, &a, Trans::No, &b, Trans::No, 1.0, &mut c);
+            gemm_packed(-1.0, &a, &b, &mut c);
         };
         run();
         let n = allocations_in(|| {
@@ -81,20 +86,16 @@ fn warm_gemm_allocates_nothing<E: Element>() {
                 run();
             }
         });
-        assert_eq!(
-            n,
-            0,
-            "warm {} gemm at M={m}, R=64 allocated {n} times",
-            E::NAME
-        );
+        assert_eq!(n, 0, "warm gemm at M={m}, R=64 allocated {n} times");
     }
 }
 
 /// Warm `solve_in_place` on a contiguous `16 x 64` panel (the
 /// row-oriented sweep).
-fn warm_wide_solve_allocates_nothing<E: Element>() {
-    let lu = LuFactors::factor(&dominant::<E>(16)).expect("factor");
-    let b = seq_mat::<E>(16, 64, 0.5);
+#[test]
+fn warm_wide_panel_solve_is_allocation_free() {
+    let lu = LuFactors::factor(&dominant(16)).expect("factor");
+    let b = seq_mat(16, 64, 0.5);
     let mut x = b.clone();
     lu.solve_in_place(&mut x);
     let n = allocations_in(|| {
@@ -103,24 +104,7 @@ fn warm_wide_solve_allocates_nothing<E: Element>() {
             lu.solve_in_place(&mut x);
         }
     });
-    assert_eq!(
-        n,
-        0,
-        "warm {} 16x64 panel solve allocated {n} times",
-        E::NAME
-    );
-}
-
-#[test]
-fn warm_gemm_at_replay_shapes_is_allocation_free() {
-    warm_gemm_allocates_nothing::<f64>();
-    warm_gemm_allocates_nothing::<f32>();
-}
-
-#[test]
-fn warm_wide_panel_solve_is_allocation_free() {
-    warm_wide_solve_allocates_nothing::<f64>();
-    warm_wide_solve_allocates_nothing::<f32>();
+    assert_eq!(n, 0, "warm 16x64 panel solve allocated {n} times");
 }
 
 #[test]

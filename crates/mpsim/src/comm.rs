@@ -61,8 +61,8 @@ pub struct RecvRequest {
     pub(crate) tag: u64,
     /// Virtual time the receive was posted.
     pub(crate) posted_at: f64,
-    /// Destination buffer (at either precision); `None` once waited.
-    pub(crate) out: Option<bt_dense::AnyMat>,
+    /// Destination buffer; `None` once waited.
+    pub(crate) out: Option<bt_dense::Mat>,
 }
 
 impl RecvRequest {
@@ -242,11 +242,7 @@ impl Comm {
     }
 
     /// Shared completion path for [`CommBackend::recv_wait`].
-    pub(crate) fn complete_irecv<E: bt_dense::Element>(
-        &mut self,
-        req: &RecvRequest,
-        out: bt_dense::MatMut<'_, E>,
-    ) {
+    pub(crate) fn complete_irecv(&mut self, req: &RecvRequest, out: bt_dense::MatMut<'_>) {
         let start = self.clock;
         let env = self.wait_for(req.src, req.tag);
         self.stats.msgs_recv += 1;
@@ -457,12 +453,7 @@ impl CommBackend for Comm {
     /// immediately and the returned request is already complete. The
     /// handle exists for MPI-call symmetry; the crossed-isend deadlock
     /// freedom MPI only *allows* is guaranteed here.
-    fn isend_panel<E: bt_dense::Element>(
-        &mut self,
-        dest: usize,
-        tag: u64,
-        panel: bt_dense::MatRef<'_, E>,
-    ) -> SendRequest {
+    fn isend_panel(&mut self, dest: usize, tag: u64, panel: bt_dense::MatRef<'_>) -> SendRequest {
         self.send_panel(dest, tag, panel);
         SendRequest { _private: () }
     }
@@ -471,12 +462,7 @@ impl CommBackend for Comm {
     /// completion is `max(now, avail_at)`, so message transfer time that
     /// elapsed under compute issued between post and wait is charged as
     /// `max(compute, comm)` rather than `compute + comm`.
-    fn irecv_panel_into<E: bt_dense::Element>(
-        &mut self,
-        src: usize,
-        tag: u64,
-        out: bt_dense::Mat<E>,
-    ) -> RecvRequest {
+    fn irecv_panel_into(&mut self, src: usize, tag: u64, out: bt_dense::Mat) -> RecvRequest {
         assert!(
             tag < USER_TAG_LIMIT,
             "tag {tag} is reserved for collectives"
@@ -501,7 +487,7 @@ impl CommBackend for Comm {
             src,
             tag,
             posted_at: self.clock,
-            out: Some(E::mat_into_any(out)),
+            out: Some(out),
         }
     }
 
@@ -525,15 +511,8 @@ impl CommBackend for Comm {
         self.probe(req.src, req.tag)
     }
 
-    fn recv_wait<E: bt_dense::Element>(&mut self, mut req: RecvRequest) -> bt_dense::Mat<E> {
-        let out = req.out.take().expect("request not yet waited");
-        let mut out = E::mat_from_any(out).unwrap_or_else(|| {
-            panic!(
-                "rank {}: recv_wait precision mismatch: posted buffer is not {}",
-                self.rank,
-                E::NAME
-            )
-        });
+    fn recv_wait(&mut self, mut req: RecvRequest) -> bt_dense::Mat {
+        let mut out = req.out.take().expect("request not yet waited");
         self.complete_irecv(&req, out.as_mut());
         out
     }

@@ -95,7 +95,7 @@ fn sendrecv_exchanges_with_peer() {
 fn matrices_travel_between_ranks() {
     let out = run_spmd(2, M, |comm| {
         if comm.rank() == 0 {
-            comm.send(1, 5, Mat::<f64>::identity(4));
+            comm.send(1, 5, Mat::identity(4));
             Mat::zeros(1, 1)
         } else {
             comm.recv::<Mat>(0, 5)
@@ -485,7 +485,7 @@ fn irecv_delivers_panel_and_counts_nb_stats() {
             comm.send_wait(req);
             Mat::empty()
         } else {
-            let buf = Mat::<f64>::zeros(3, 5);
+            let buf = Mat::zeros(3, 5);
             let req = comm.irecv_panel_into(0, 4, buf);
             comm.recv_wait(req)
         }
@@ -509,7 +509,7 @@ fn crossed_isends_do_not_deadlock() {
         let peer = 1 - comm.rank();
         let mine = Mat::from_fn(4, 4, |i, j| (comm.rank() * 100 + i * 4 + j) as f64);
         let s = comm.isend_panel(peer, 2, mine.as_ref());
-        let r = comm.irecv_panel_into(peer, 2, Mat::<f64>::zeros(4, 4));
+        let r = comm.irecv_panel_into(peer, 2, Mat::zeros(4, 4));
         comm.send_wait(s);
         comm.recv_wait(r)
     });
@@ -539,11 +539,11 @@ fn irecv_overlap_charges_max_of_compute_and_comm() {
     let body = |pipelined: bool| {
         move |comm: &mut bt_mpsim::Comm| {
             if comm.rank() == 0 {
-                let s = comm.isend_panel(1, 1, Mat::<f64>::zeros(10, 10).as_ref());
+                let s = comm.isend_panel(1, 1, Mat::zeros(10, 10).as_ref());
                 comm.send_wait(s);
                 comm.virtual_time()
             } else if pipelined {
-                let req = comm.irecv_panel_into(0, 1, Mat::<f64>::zeros(10, 10));
+                let req = comm.irecv_panel_into(0, 1, Mat::zeros(10, 10));
                 comm.compute(300); // 3 s
                 let _: Mat = comm.recv_wait(req);
                 comm.virtual_time()
@@ -583,7 +583,7 @@ fn tiled_sends_cost_no_more_than_one_big_message() {
     };
     let whole = run_spmd(2, model, |comm| {
         if comm.rank() == 0 {
-            comm.send_panel(1, 1, Mat::<f64>::zeros(10, 40).as_ref());
+            comm.send_panel(1, 1, Mat::zeros(10, 40).as_ref());
         } else {
             let mut buf: Mat = Mat::zeros(10, 40);
             comm.recv_panel_into(0, 1, buf.as_mut());
@@ -593,7 +593,7 @@ fn tiled_sends_cost_no_more_than_one_big_message() {
     let tiled = run_spmd(2, model, |comm| {
         if comm.rank() == 0 {
             for _ in 0..4 {
-                comm.send_panel(1, 1, Mat::<f64>::zeros(10, 10).as_ref());
+                comm.send_panel(1, 1, Mat::zeros(10, 10).as_ref());
             }
         } else {
             let mut buf: Mat = Mat::zeros(10, 10);
@@ -617,11 +617,11 @@ fn tiled_sends_cost_no_more_than_one_big_message() {
 fn request_test_reports_arrival() {
     let out = run_spmd(2, M, |comm| {
         if comm.rank() == 0 {
-            comm.send_panel(1, 3, Mat::<f64>::identity(2).as_ref());
+            comm.send_panel(1, 3, Mat::identity(2).as_ref());
             comm.barrier();
             true
         } else {
-            let req = comm.irecv_panel_into(0, 3, Mat::<f64>::zeros(2, 2));
+            let req = comm.irecv_panel_into(0, 3, Mat::zeros(2, 2));
             // After the barrier the message has physically arrived and
             // (zero-cost model) is virtually available.
             comm.barrier();
@@ -767,11 +767,11 @@ fn midsolve_panic_with_inflight_irecv_is_catchable() {
     let caught = std::panic::catch_unwind(|| {
         run_spmd(2, M, |comm| {
             if comm.rank() == 0 {
-                comm.send_panel(1, 2, Mat::<f64>::identity(3).as_ref());
+                comm.send_panel(1, 2, Mat::identity(3).as_ref());
                 // Stay alive until peer death cuts the channel.
                 let _: u64 = comm.recv(1, 9);
             } else {
-                let _req = comm.irecv_panel_into(0, 2, Mat::<f64>::zeros(3, 3));
+                let _req = comm.irecv_panel_into(0, 2, Mat::zeros(3, 3));
                 panic!("mid-solve failure with a request in flight");
             }
         })

@@ -62,8 +62,8 @@ pub struct ShmRecvRequest {
     pub(crate) tag: u64,
     /// Wall-clock instant the receive was posted.
     pub(crate) posted_at: Instant,
-    /// Destination buffer (at either precision); `None` once waited.
-    pub(crate) out: Option<bt_dense::AnyMat>,
+    /// Destination buffer; `None` once waited.
+    pub(crate) out: Option<bt_dense::Mat>,
 }
 
 impl Drop for ShmRecvRequest {
@@ -289,22 +289,17 @@ impl CommBackend for ShmComm {
     /// Nonblocking panel send: packed into a pooled [`PanelBuf`] and
     /// enqueued immediately, so the returned request is already complete
     /// (the unbounded channel is the eager buffer).
-    fn isend_panel<E: bt_dense::Element>(
+    fn isend_panel(
         &mut self,
         dest: usize,
         tag: u64,
-        panel: bt_dense::MatRef<'_, E>,
+        panel: bt_dense::MatRef<'_>,
     ) -> ShmSendRequest {
         self.send_panel(dest, tag, panel);
         ShmSendRequest { _private: () }
     }
 
-    fn irecv_panel_into<E: bt_dense::Element>(
-        &mut self,
-        src: usize,
-        tag: u64,
-        out: bt_dense::Mat<E>,
-    ) -> ShmRecvRequest {
+    fn irecv_panel_into(&mut self, src: usize, tag: u64, out: bt_dense::Mat) -> ShmRecvRequest {
         assert!(
             tag < USER_TAG_LIMIT,
             "tag {tag} is reserved for collectives"
@@ -322,7 +317,7 @@ impl CommBackend for ShmComm {
             src,
             tag,
             posted_at: Instant::now(),
-            out: Some(E::mat_into_any(out)),
+            out: Some(out),
         }
     }
 
@@ -340,15 +335,8 @@ impl CommBackend for ShmComm {
         self.probe(req.src, req.tag)
     }
 
-    fn recv_wait<E: bt_dense::Element>(&mut self, mut req: ShmRecvRequest) -> bt_dense::Mat<E> {
-        let out = req.out.take().expect("request not yet waited");
-        let mut out = E::mat_from_any(out).unwrap_or_else(|| {
-            panic!(
-                "rank {}: recv_wait precision mismatch: posted buffer is not {}",
-                self.rank,
-                E::NAME
-            )
-        });
+    fn recv_wait(&mut self, mut req: ShmRecvRequest) -> bt_dense::Mat {
+        let mut out = req.out.take().expect("request not yet waited");
         let wait_start = Instant::now();
         let env = self.wait_for(req.src, req.tag);
         let done = Instant::now();

@@ -28,7 +28,7 @@ fn crossed_isends_do_not_deadlock() {
         for round in 0..200 {
             let mine = Mat::from_fn(4, 4, |i, j| (comm.rank() * 100 + round + i * 4 + j) as f64);
             let s = comm.isend_panel(peer, 2, mine.as_ref());
-            let r = comm.irecv_panel_into(peer, 2, Mat::<f64>::zeros(4, 4));
+            let r = comm.irecv_panel_into(peer, 2, Mat::zeros(4, 4));
             comm.send_wait(s);
             let got = comm.recv_wait(r);
             let want = Mat::from_fn(4, 4, |i, j| (peer * 100 + round + i * 4 + j) as f64);
@@ -58,7 +58,7 @@ fn all_pairs_crossed_sends_complete() {
             .collect();
         let recvs: Vec<_> = (0..p)
             .filter(|&src| src != me)
-            .map(|src| comm.irecv_panel_into(src, 7, Mat::<f64>::zeros(3, 3)))
+            .map(|src| comm.irecv_panel_into(src, 7, Mat::zeros(3, 3)))
             .collect();
         for s in sends {
             comm.send_wait(s);
@@ -118,7 +118,7 @@ fn recv_test_polls_without_losing_the_request() {
             comm.send_wait(s);
             0.0
         } else {
-            let req = comm.irecv_panel_into(0, 3, Mat::<f64>::zeros(2, 2));
+            let req = comm.irecv_panel_into(0, 3, Mat::zeros(2, 2));
             while !comm.recv_test(&req) {
                 std::hint::spin_loop();
             }

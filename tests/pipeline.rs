@@ -89,7 +89,7 @@ fn crossed_isends_between_two_ranks_complete() {
         let peer = 1 - me;
         let mine = Mat::from_fn(m, m, |i, j| (me * 100 + i * m + j) as f64);
         let send = comm.isend_panel(peer, 3, mine.as_ref());
-        let recv = comm.irecv_panel_into(peer, 3, Mat::<f64>::zeros(m, m));
+        let recv = comm.irecv_panel_into(peer, 3, Mat::zeros(m, m));
         comm.send_wait(send);
         let got = comm.recv_wait(recv);
         let want = Mat::from_fn(m, m, |i, j| (peer * 100 + i * m + j) as f64);
