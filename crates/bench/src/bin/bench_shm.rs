@@ -1,13 +1,13 @@
 //! Measured-vs-modeled benchmark of the shared-memory backend: the full
-//! ARD replay pipeline (setup + RHS-tiled pipelined solves) runs on real
-//! rank threads (`bt-shm`) for wall-clock time, and on the virtual-clock
-//! simulator (`bt-mpsim`) under a [`bt_comm::CostModel`] calibrated against the
+//! ARD replay (setup + replay solves) runs on real rank threads
+//! (`bt-shm`) for wall-clock time, and on the virtual-clock simulator
+//! (`bt-mpsim`) under a [`bt_comm::CostModel`] calibrated against the
 //! same SPSC transport ([`bt_shm::calibrate_shm`]) for the predicted
 //! time. The sweep covers world sizes and batch widths; each cell
 //! reports:
 //!
 //! * `wall_ns` — best-of-N rank-synchronized wall clock of one solve on
-//!   the shm backend (real threads, real channels, real overlap).
+//!   the shm backend (real threads, real channels).
 //! * `modeled_ns` — the slowest rank's virtual-clock delta for the same
 //!   solve on the simulator under the calibrated model.
 //! * `ratio` — `wall / modeled`: how far reality lands from the model.
@@ -28,7 +28,6 @@
 
 use std::time::Instant;
 
-use bt_ard::scans::auto_rhs_tile;
 use bt_ard::state::{ArdRankFactors, RankSystem};
 use bt_bench::Args;
 use bt_blocktri::gen::{rhs_panel, ClusteredToeplitz};
@@ -41,7 +40,6 @@ use bt_shm::{calibrate_shm, run_shm};
 struct Record {
     p: usize,
     r: usize,
-    tile: usize,
     wall_ns: f64,
     modeled_ns: f64,
 }
@@ -58,14 +56,13 @@ impl Record {
 
 /// One rank's share of a (p, r) cell, backend-generic: setup once, warm
 /// up, then take the best-of-`reps` rank-synchronized clock of a single
-/// pipelined replay solve. On shm the per-rank clock is wall time; on
+/// replay solve. On shm the per-rank clock is wall time; on
 /// the simulator it is the (deterministic) virtual delta.
 fn solve_cell<C: CommBackend>(
     comm: &mut C,
     src: &ClusteredToeplitz,
     p: usize,
     r: usize,
-    tile: usize,
     reps: usize,
 ) -> (f64, Vec<Mat>) {
     let m = src.m();
@@ -76,14 +73,14 @@ fn solve_cell<C: CommBackend>(
         .iter()
         .map(|yp| Mat::zeros(yp.rows(), yp.cols()))
         .collect();
-    factors.solve_replay_into_tiled(comm, &y, &mut x, tile); // warm-up
+    factors.solve_replay_into(comm, &y, &mut x); // warm-up
 
     let mut best = f64::INFINITY;
     for _ in 0..reps {
         let _ = comm.allreduce(0u64, |a, b| (*a).max(*b)); // sync ranks
         let v0 = comm.virtual_time();
         let t0 = Instant::now();
-        factors.solve_replay_into_tiled(comm, &y, &mut x, tile);
+        factors.solve_replay_into(comm, &y, &mut x);
         let dv = comm.virtual_time() - v0;
         let dt = t0.elapsed().as_secs_f64();
         let d = if dv > 0.0 { dv } else { dt };
@@ -131,21 +128,19 @@ fn main() {
             continue;
         }
         for &r in &rs {
-            let tile = auto_rhs_tile(&model, m, r);
             let (wall_s, x_shm) =
-                split(run_shm(p, model, |comm| solve_cell(comm, &src, p, r, tile, reps)).results);
+                split(run_shm(p, model, |comm| solve_cell(comm, &src, p, r, reps)).results);
             let (modeled_s, x_sim) =
-                split(run_spmd(p, model, |comm| solve_cell(comm, &src, p, r, tile, reps)).results);
+                split(run_spmd(p, model, |comm| solve_cell(comm, &src, p, r, reps)).results);
             assert_eq!(x_shm, x_sim, "P={p} R={r}: shm and sim solutions diverged");
             let rec = Record {
                 p,
                 r,
-                tile,
                 wall_ns: wall_s * 1e9,
                 modeled_ns: modeled_s * 1e9,
             };
             println!(
-                "bench_shm: P={p:<3} R={r:<5} tile={tile:<4} wall {:>9.3} ms  \
+                "bench_shm: P={p:<3} R={r:<5} wall {:>9.3} ms  \
                  modeled {:>9.3} ms  ratio {:.2}x",
                 wall_s * 1e3,
                 modeled_s * 1e3,
@@ -174,11 +169,10 @@ fn main() {
         .iter()
         .map(|rec| {
             format!(
-                "    {{\"p\": {}, \"r\": {}, \"tile\": {}, \"wall_ns\": {:.0}, \
+                "    {{\"p\": {}, \"r\": {}, \"wall_ns\": {:.0}, \
                  \"modeled_ns\": {:.0}, \"ratio\": {:.4}}}",
                 rec.p,
                 rec.r,
-                rec.tile,
                 rec.wall_ns,
                 rec.modeled_ns,
                 rec.ratio(),
@@ -191,7 +185,7 @@ fn main() {
     let simd = bt_dense::simd::active().name();
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let json = format!(
-        "{{\n  \"bench\": \"shm_replay_pipeline\",\n  \"schema\": \"bt-bench-shm-v1\",\n  \
+        "{{\n  \"bench\": \"shm_replay\",\n  \"schema\": \"bt-bench-shm-v1\",\n  \
          \"generated_unix_s\": {generated_unix_s},\n  \
          \"simd\": \"{simd}\",\n  \"cores\": {cores},\n  \
          \"n\": {n},\n  \"m\": {m},\n  \"reps\": {reps},\n  \"smoke\": {smoke},\n  \
@@ -199,7 +193,7 @@ fn main() {
          \"flop_rate\": {:e}, \"fit_error\": {:.6}}},\n  \
          \"headline_rhs_cols_per_s\": {headline:.1},\n  \
          \"note\": \"wall_ns is best-of-{reps} rank-synchronized wall clock of one \
-         pipelined replay solve on the shm backend; modeled_ns is the simulator's \
+         replay solve on the shm backend; modeled_ns is the simulator's \
          virtual-clock prediction under the calibrated model; ratio = wall/modeled \
          (> 1 under thread oversubscription: {cores} core(s) here); solutions \
          verified bitwise-identical across backends per cell\",\n  \

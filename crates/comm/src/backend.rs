@@ -1,11 +1,11 @@
 //! The [`CommBackend`] trait: the communication surface every solver in
 //! this workspace is written against.
 //!
-//! A backend provides point-to-point messaging (blocking and
-//! nonblocking), panel transport over the pooled [`PanelBuf`] wire
-//! format, accounting hooks (`compute`, `stats`, a per-rank clock), and
-//! — as provided methods layered on the raw point-to-point layer — the
-//! full collective suite. Two implementations ship in-tree:
+//! A backend provides point-to-point messaging, panel transport over
+//! the pooled [`PanelBuf`] wire format, accounting hooks (`compute`,
+//! `stats`, a per-rank clock), and — as provided methods layered on the
+//! raw point-to-point layer — the full collective suite. Two
+//! implementations ship in-tree:
 //!
 //! * `bt-mpsim`'s `Comm`: the virtual-clock **simulator**. Its clock is
 //!   modeled time under a [`CostModel`]; `compute` advances the clock
@@ -21,16 +21,8 @@
 //! expressed over [`CommBackend::send_raw`]/[`CommBackend::recv_raw`] —
 //! the un-asserted point-to-point layer that is allowed to use the
 //! reserved collective tag space above [`USER_TAG_LIMIT`].
-//!
-//! Nonblocking completion goes through the communicator
-//! (`comm.send_wait(req)` / `comm.recv_wait(req)`) rather than through
-//! methods on the request handles: a backend whose requests complete
-//! off-thread needs the communicator at completion time, while the
-//! simulator's buffered-eager sends do not — routing both through the
-//! same seam keeps call sites backend-agnostic without threading unused
-//! state anywhere.
 
-use bt_dense::{Mat, MatMut, MatRef};
+use bt_dense::{MatMut, MatRef};
 
 use crate::model::CostModel;
 use crate::payload::{PanelBuf, Payload};
@@ -51,13 +43,6 @@ pub const USER_TAG_LIMIT: u64 = 1 << 48;
 /// (`op(lower_ranks_result, higher_ranks_result)`), which is what the
 /// matrix-product scans of recursive doubling require.
 pub trait CommBackend {
-    /// Handle for a posted [`CommBackend::isend_panel`], completed via
-    /// [`CommBackend::send_wait`].
-    type SendReq;
-    /// Handle for a posted [`CommBackend::irecv_panel_into`], completed
-    /// via [`CommBackend::recv_wait`].
-    type RecvReq;
-
     /// This rank's id, `0 <= rank() < size()`.
     fn rank(&self) -> usize;
 
@@ -76,17 +61,6 @@ pub trait CommBackend {
     /// job) started: virtual time on the simulator, wall time on real
     /// backends.
     fn virtual_time(&self) -> f64;
-
-    /// Virtual/wall seconds nonblocking receives spent in flight between
-    /// post and completion (the overlap ratio's denominator).
-    fn inflight_seconds(&self) -> f64;
-
-    /// Seconds of in-flight communication hidden behind compute — time
-    /// this rank did **not** spend blocked in a wait.
-    /// `overlap_seconds() / inflight_seconds()` is the run's overlap
-    /// ratio: 0 for post-then-immediately-wait, approaching 1 for a
-    /// perfectly hidden pipeline.
-    fn overlap_seconds(&self) -> f64;
 
     /// Records `flops` floating point operations of local computation,
     /// advancing this backend's clock accordingly (the simulator charges
@@ -125,50 +99,6 @@ pub trait CommBackend {
     /// sequence `seq` starting at 0 — the reserved per-round offsets the
     /// provided collectives add (multiples of `1 << 56`) rely on it.
     fn next_collective_tag(&mut self) -> u64;
-
-    /// Nonblocking panel send of a (possibly strided) view, packed into
-    /// a pooled [`PanelBuf`]. Complete via [`CommBackend::send_wait`].
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`CommBackend::send`].
-    fn isend_panel(&mut self, dest: usize, tag: u64, panel: MatRef<'_>) -> Self::SendReq;
-
-    /// Posts a nonblocking receive of a panel from `src` with `tag`,
-    /// taking ownership of the destination buffer `out` (typically a
-    /// [`bt_dense::Workspace`] checkout). Completion —
-    /// [`CommBackend::recv_wait`] — blocks for the message, unpacks it
-    /// into the buffer and hands the buffer back. Requests on the same
-    /// `(src, tag)` complete in post order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src >= size()` or `tag` is in the collective-reserved
-    /// range.
-    fn irecv_panel_into(&mut self, src: usize, tag: u64, out: Mat) -> Self::RecvReq;
-
-    /// True when the posted send has completed (backends with buffered
-    /// sends complete at post time).
-    fn send_test(&mut self, req: &Self::SendReq) -> bool;
-
-    /// Completes a posted send, blocking if the backend requires it.
-    fn send_wait(&mut self, req: Self::SendReq);
-
-    /// True when the message matching a posted receive is available for
-    /// completion without blocking. Use it to opportunistically drain,
-    /// not to synchronize — that is [`CommBackend::recv_wait`]'s job.
-    fn recv_test(&mut self, req: &Self::RecvReq) -> bool;
-
-    /// Completes a posted receive: blocks until the matching message
-    /// arrives, unpacks the panel into the owned buffer and returns it.
-    /// On the simulator the clock charge is `max(now, avail_at)` — the
-    /// overlap accounting; real backends record measured wait time.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the same conditions as [`CommBackend::recv`], plus a
-    /// shape mismatch between the sent panel and the posted buffer.
-    fn recv_wait(&mut self, req: Self::RecvReq) -> Mat;
 
     /// Sends `value` to `dest` with `tag`. Non-blocking.
     ///

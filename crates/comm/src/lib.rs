@@ -4,10 +4,9 @@
 //! any SPMD backend lives here:
 //!
 //! * [`CommBackend`] — the per-rank communicator trait: point-to-point
-//!   sends/receives, pooled panel transport, nonblocking requests
-//!   completed through the communicator, accounting hooks, and the full
-//!   collective suite as provided methods (identical message patterns
-//!   and tag sequences on every backend).
+//!   sends/receives, pooled panel transport, accounting hooks, and the
+//!   full collective suite as provided methods (identical message
+//!   patterns and tag sequences on every backend).
 //! * [`SpmdBackend`] / [`PersistentWorld`] — how to launch rank
 //!   programs: one-shot scoped runs and reusable persistent worlds.
 //! * [`Payload`] / [`PanelBuf`] — the wire format, with a process-wide

@@ -9,23 +9,13 @@
 //!   used throughout the parallel algorithms literature — including the
 //!   complexity analysis reproduced here).
 //!
-//! Two refinements make the model honest about *pipelined* traffic:
-//!
-//! * **Link serialization.** A sender's injections toward one
-//!   destination serialize on the outgoing link: the injection time of a
-//!   message is `max(clock, link_busy[dest])` and the link stays busy for
-//!   `beta * b` after it. Alpha overlaps with the predecessor's transfer
-//!   (pipelined-rendezvous semantics), so splitting a panel into `T`
-//!   back-to-back tiles delivers the last byte at exactly the same time
-//!   as one combined message — tiling by itself is modeled as free, and
-//!   any win must come from overlap.
-//! * **Overlap accounting.** A blocking receive charges the receiver
-//!   `max(clock, avail_at)` at the call; a nonblocking receive
-//!   ([`crate::CommBackend::irecv_panel_into`]) posts without advancing the
-//!   clock and charges the same `max` only at `wait`, so message
-//!   transfer hidden under compute issued between post and wait costs
-//!   `max(compute, comm)` rather than `compute + comm`. The hidden
-//!   seconds are reported per rank as `RankStats::overlap_ns`.
+//! A receive charges the receiver `max(clock, avail_at)`. One refinement
+//! covers back-to-back traffic: a sender's injections toward one
+//! destination serialize on the outgoing link. The injection time of a
+//! message is `max(clock, link_busy[dest])` and the link stays busy for
+//! `beta * b` after it. Alpha overlaps with the predecessor's transfer
+//! (pipelined-rendezvous semantics), so `T` back-to-back messages
+//! deliver their last byte exactly when one combined message would.
 //!
 //! The modeled parallel runtime of an SPMD program is the maximum final
 //! clock over all ranks. This lets the suite explore processor counts far

@@ -29,30 +29,6 @@ pub struct SpmdOutput<T> {
     pub modeled_seconds: f64,
 }
 
-impl<T> SpmdOutput<T> {
-    /// Total seconds of nonblocking-receive transfer time hidden behind
-    /// compute, summed over ranks (from `RankStats::overlap_ns`). Zero
-    /// for programs using only blocking receives; the numerator of a
-    /// pipeline's overlap ratio.
-    pub fn overlap_seconds(&self) -> f64 {
-        self.stats
-            .per_rank
-            .iter()
-            .map(|r| r.overlap_ns as f64 * 1e-9)
-            .sum()
-    }
-
-    /// Maximum overlap seconds achieved by any single rank — the
-    /// critical-path counterpart of [`SpmdOutput::overlap_seconds`].
-    pub fn max_rank_overlap_seconds(&self) -> f64 {
-        self.stats
-            .per_rank
-            .iter()
-            .map(|r| r.overlap_ns as f64 * 1e-9)
-            .fold(0.0, f64::max)
-    }
-}
-
 /// A **reusable** SPMD world: `P` rank threads spawned once, each
 /// running jobs dispatched through [`PersistentWorld::run`] with the
 /// same semantics as the backend's one-shot runner (per-rank state is

@@ -17,14 +17,6 @@ pub struct RankStats {
     pub bytes_recv: u64,
     /// Floating point operations reported via `Comm::compute`.
     pub flops: u64,
-    /// Messages received through the nonblocking path
-    /// (`Comm::irecv_panel_into` + `RecvRequest::wait`); a subset of
-    /// `msgs_recv`.
-    pub nb_recvs: u64,
-    /// Virtual nanoseconds of in-flight communication hidden behind
-    /// compute between an irecv post and its completion — the per-rank
-    /// numerator of the pipeline overlap ratio.
-    pub overlap_ns: u64,
 }
 
 impl RankStats {
@@ -36,8 +28,6 @@ impl RankStats {
             msgs_recv: self.msgs_recv + other.msgs_recv,
             bytes_recv: self.bytes_recv + other.bytes_recv,
             flops: self.flops + other.flops,
-            nb_recvs: self.nb_recvs + other.nb_recvs,
-            overlap_ns: self.overlap_ns + other.overlap_ns,
         }
     }
 }
@@ -90,8 +80,6 @@ mod tests {
             msgs_recv: r,
             bytes_recv: br,
             flops: f,
-            nb_recvs: 0,
-            overlap_ns: 0,
         }
     }
 
@@ -100,23 +88,6 @@ mod tests {
         let a = rs(1, 10, 2, 20, 100);
         let b = rs(3, 30, 4, 40, 200);
         assert_eq!(a.merged(b), rs(4, 40, 6, 60, 300));
-    }
-
-    #[test]
-    fn merged_adds_overlap_fields() {
-        let a = RankStats {
-            nb_recvs: 2,
-            overlap_ns: 1_500,
-            ..RankStats::default()
-        };
-        let b = RankStats {
-            nb_recvs: 3,
-            overlap_ns: 500,
-            ..RankStats::default()
-        };
-        let m = a.merged(b);
-        assert_eq!(m.nb_recvs, 5);
-        assert_eq!(m.overlap_ns, 2_000);
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //! Scans support both directions; the *backward* scan (Phase 3) runs the
 //! identical algorithm on reversed logical ranks.
 
-use bt_comm::{CommBackend, CostModel};
-use bt_dense::{colsplit_plan, Mat, Workspace};
+use bt_comm::CommBackend;
+use bt_dense::{gemm, Mat, Trans, Workspace};
 
 use crate::companion::CompanionProduct;
 use crate::pairs::AffinePair;
@@ -185,8 +185,8 @@ pub fn affine_exscan_fresh<C: CommBackend>(
 /// `total_vec` is the vector component of this rank's local composition
 /// for the current right-hand-side batch; `trace` must come from an
 /// [`affine_exscan_fresh`] run on the same world size, direction, and
-/// coefficient matrix. Only `M x R` panels travel; combines cost
-/// `O(M^2 R)`.
+/// coefficient matrix. Only `M x R` panels travel, one per round (a
+/// zero-width batch sends one empty panel); combines cost `O(M^2 R)`.
 ///
 /// This is the per-solve hot path, so every temporary comes from `ws`
 /// and messages travel as pooled [`bt_mpsim::PanelBuf`]s: once `ws` and
@@ -199,120 +199,38 @@ pub fn affine_exscan_replay<C: CommBackend>(
     trace: &ScanTrace,
     ws: &mut Workspace,
 ) -> Option<Mat> {
-    let r = total_vec.cols();
-    affine_exscan_replay_tiled(comm, dir, tag_base, total_vec, trace, ws, r)
-}
-
-/// Wall counter mirroring the virtual seconds of replay-pipeline
-/// communication hidden behind combine GEMMs (from
-/// `bt_mpsim::RankStats::overlap_ns` deltas), summed over ranks.
-static OBS_PIPELINE_OVERLAP_NS: bt_obs::Counter =
-    bt_obs::Counter::new("bt_ard.pipeline.overlap_ns");
-
-/// Number of columns in the `t`-th of the `ceil(r / tile)` column tiles,
-/// together with its starting column.
-#[inline]
-fn tile_bounds(r: usize, tile: usize, t: usize) -> (usize, usize) {
-    let t0 = t * tile;
-    (t0, tile.min(r - t0))
-}
-
-/// [`affine_exscan_replay`] with an explicit RHS tile width: the `R`
-/// columns travel as `ceil(R / tile)` back-to-back panels per round and
-/// the combine for tile `j - 1` runs while tile `j` is on the wire (one
-/// nonblocking receive in flight; the pipeline drains inside each round,
-/// so rounds never reorder across the round boundary).
-///
-/// Numerics are **bitwise identical** for every `tile` (including
-/// `tile >= R`, which is the unpiped schedule [`affine_exscan_replay`]
-/// delegates to): the combine kernel is frozen from the full panel shape
-/// via [`bt_dense::colsplit_plan`], whose per-column accumulation makes
-/// column-tiled application exact, and message payloads concatenate to
-/// the identical byte stream (per-`(src, dst, tag)` FIFO keeps tiles in
-/// column order).
-///
-/// # Panics
-///
-/// Panics if `tile == 0` and `total_vec` has columns.
-pub fn affine_exscan_replay_tiled<C: CommBackend>(
-    comm: &mut C,
-    dir: Direction,
-    tag_base: u64,
-    total_vec: Mat,
-    trace: &ScanTrace,
-    ws: &mut Workspace,
-    tile: usize,
-) -> Option<Mat> {
     let p = comm.size();
     let me = dir.logical(comm.rank(), p);
-    let m = total_vec.rows();
-    let r = total_vec.cols();
-    // A zero-width batch still takes part in every round as one empty
-    // panel, keeping the message pattern identical to the unpiped path.
-    let n_tiles = if r == 0 { 1 } else { r.div_ceil(tile) };
-    let plan = colsplit_plan(m, m, r);
-    let overlap_before = comm.overlap_seconds();
+    let (m, r) = total_vec.shape();
     let mut v_acc = total_vec;
     let mut dist = 1usize;
     let mut step = 0u64;
     let mut combine_idx = 0usize;
     while dist < p {
         let _round = bt_obs::span_with("scan", "affine_replay.round", || {
-            format!("{{\"step\":{step},\"dist\":{dist},\"tiles\":{n_tiles}}}")
+            format!("{{\"step\":{step},\"dist\":{dist}}}")
         });
         let tag = tag_base + step;
         if me + dist < p {
             // Eager-buffered sends snapshot the payload at the call, so
-            // all of this round's tiles can be injected up front even
-            // when the combines below mutate v_acc in place.
-            let dst = dir.physical(me + dist, p);
-            for t in 0..n_tiles {
-                let (t0, w) = tile_bounds(r, tile, t);
-                let req = comm.isend_panel(dst, tag, v_acc.as_ref().submatrix(0, t0, m, w));
-                comm.send_wait(req);
-            }
+            // the combine below may update v_acc in place.
+            comm.send_panel(dir.physical(me + dist, p), tag, v_acc.as_ref());
         }
         if me >= dist {
-            let src = dir.physical(me - dist, p);
             let m_acc = trace
                 .mats
                 .get(combine_idx)
                 .unwrap_or_else(|| panic!("scan trace too short at combine {combine_idx}"));
             combine_idx += 1;
-            // Software pipeline: tile j is in flight while tile j - 1
-            // is combined; the round boundary drains it (pending == None
-            // after the loop).
-            let (_, w0) = tile_bounds(r, tile, 0);
-            let mut pending = Some(comm.irecv_panel_into(src, tag, ws.take(m, w0)));
-            for t in 0..n_tiles {
-                let (t0, w) = tile_bounds(r, tile, t);
-                let req = pending.take().expect("pipeline primed");
-                if t + 1 < n_tiles {
-                    let (_, w_next) = tile_bounds(r, tile, t + 1);
-                    pending = Some(comm.irecv_panel_into(src, tag, ws.take(m, w_next)));
-                }
-                let v_in = comm.recv_wait(req);
-                let _tile_span = bt_obs::span_with("scan", "affine_replay.tile", || {
-                    format!("{{\"step\":{step},\"tile\":{t},\"cols\":{w}}}")
-                });
-                // v_acc[:, t0..t0+w] += m_acc * v_in (the O(M^2 R)
-                // combine, one column tile at a time).
-                plan.apply(
-                    1.0,
-                    m_acc,
-                    v_in.as_ref(),
-                    v_acc.as_mut().submatrix_mut(0, t0, m, w),
-                );
-                ws.put(v_in);
-                comm.compute(AffinePair::apply_flops(m, w));
-            }
+            let mut v_in = ws.take(m, r);
+            comm.recv_panel_into(dir.physical(me - dist, p), tag, v_in.as_mut());
+            // v_acc += m_acc * v_in: the O(M^2 R) combine.
+            gemm(1.0, m_acc, Trans::No, &v_in, Trans::No, 1.0, &mut v_acc);
+            ws.put(v_in);
+            comm.compute(AffinePair::apply_flops(m, r));
         }
         dist <<= 1;
         step += 1;
-    }
-    if bt_obs::enabled() {
-        let hidden = comm.overlap_seconds() - overlap_before;
-        OBS_PIPELINE_OVERLAP_NS.add((hidden * 1e9).round() as u64);
     }
     // Exclusive shift: one paired exchange with the logical neighbours.
     let tag = tag_base + step;
@@ -327,53 +245,6 @@ pub fn affine_exscan_replay_tiled<C: CommBackend>(
     };
     ws.put(v_acc);
     result
-}
-
-/// Picks the default RHS tile width for the replay pipeline by
-/// simulating one scan round's receiver clock under `model` for each
-/// candidate width and keeping the fastest (the largest on ties, so a
-/// free model degenerates to the unpiped `tile = r`).
-///
-/// Candidates are powers of two from 16 columns up (narrower tiles are
-/// latency-dominated for any realistic model) plus the unpiped `r`
-/// itself, capped at 64 tiles per round so per-message book-keeping
-/// stays negligible.
-pub fn auto_rhs_tile(model: &CostModel, m: usize, r: usize) -> usize {
-    // One round from the receiver's perspective: the sender injects
-    // tiles back to back (link serialization), the receiver combines
-    // each tile as it lands.
-    let round_clock = |tile: usize| -> f64 {
-        let n_tiles = r.div_ceil(tile);
-        let mut link_busy = 0.0f64;
-        let mut clock = 0.0f64;
-        for t in 0..n_tiles {
-            let (_, w) = tile_bounds(r, tile, t);
-            let bytes = (m * w * std::mem::size_of::<f64>()) as u64;
-            let avail = link_busy + model.msg_time(bytes);
-            link_busy += model.per_byte_s * bytes as f64;
-            clock = clock.max(avail) + model.compute_time(AffinePair::apply_flops(m, w));
-        }
-        clock
-    };
-    if r <= 16 {
-        return r.max(1);
-    }
-    let mut best_tile = r;
-    let mut best_clock = round_clock(r);
-    // Descending candidates + strict-improvement test = larger tile on
-    // ties.
-    let mut cand = (r - 1).next_power_of_two() / 2;
-    while cand >= 16 {
-        if r.div_ceil(cand) <= 64 {
-            let clock = round_clock(cand);
-            if clock < best_clock {
-                best_clock = clock;
-                best_tile = cand;
-            }
-        }
-        cand /= 2;
-    }
-    best_tile
 }
 
 #[cfg(test)]
@@ -556,121 +427,6 @@ mod tests {
             replay_bytes * 2 < fresh_bytes,
             "replay {replay_bytes} vs fresh {fresh_bytes}"
         );
-    }
-
-    #[test]
-    fn tiled_replay_is_bitwise_identical_to_unpiped() {
-        // Every tile width — including tile = 1, tile > r, and r not
-        // divisible by tile — must reproduce the unpiped replay bit for
-        // bit (same kernel plan, same column partitions, same FIFO tile
-        // order on the wire).
-        let (m, r) = (3, 5);
-        for p in [2, 4, 7] {
-            let out = run_spmd(p, ZERO, move |comm| {
-                let rk = comm.rank();
-                let mut trace = ScanTrace::default();
-                let pair = rank_pair(rk, m, r);
-                let setup = AffinePair {
-                    mat: pair.mat.clone(),
-                    vec: Mat::zero_width(m),
-                };
-                let _ = affine_exscan_fresh(comm, Direction::Forward, 0, setup, Some(&mut trace));
-                let mut ws = Workspace::new();
-                let base = affine_exscan_replay(
-                    comm,
-                    Direction::Forward,
-                    1000,
-                    pair.vec.clone(),
-                    &trace,
-                    &mut ws,
-                );
-                let tiled: Vec<Option<Mat>> = [1usize, 2, 3, 5, 9]
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &tile)| {
-                        affine_exscan_replay_tiled(
-                            comm,
-                            Direction::Forward,
-                            2000 + 100 * i as u64,
-                            pair.vec.clone(),
-                            &trace,
-                            &mut ws,
-                            tile,
-                        )
-                    })
-                    .collect();
-                (base, tiled)
-            });
-            for (rk, (base, tiled)) in out.results.iter().enumerate() {
-                for (i, t) in tiled.iter().enumerate() {
-                    assert_eq!(base, t, "p={p} rank={rk} tile case {i}");
-                }
-            }
-            assert!(out.stats.is_balanced());
-        }
-    }
-
-    #[test]
-    fn tiled_replay_moves_same_bytes_as_unpiped() {
-        let (m, r, p) = (4, 6, 4);
-        let out = run_spmd(p, ZERO, move |comm| {
-            let mut trace = ScanTrace::default();
-            let pair = rank_pair(comm.rank(), m, r);
-            let setup = AffinePair {
-                mat: pair.mat.clone(),
-                vec: Mat::zero_width(m),
-            };
-            let _ = affine_exscan_fresh(comm, Direction::Forward, 0, setup, Some(&mut trace));
-            let mut ws = Workspace::new();
-            let before = comm.stats().bytes_sent;
-            let _ = affine_exscan_replay(
-                comm,
-                Direction::Forward,
-                1000,
-                pair.vec.clone(),
-                &trace,
-                &mut ws,
-            );
-            let unpiped = comm.stats().bytes_sent - before;
-            let before = comm.stats().bytes_sent;
-            let _ = affine_exscan_replay_tiled(
-                comm,
-                Direction::Forward,
-                2000,
-                pair.vec.clone(),
-                &trace,
-                &mut ws,
-                2,
-            );
-            (unpiped, comm.stats().bytes_sent - before)
-        });
-        for (unpiped, tiled) in &out.results {
-            assert_eq!(unpiped, tiled);
-        }
-    }
-
-    #[test]
-    fn auto_tile_degenerates_to_unpiped_on_free_model() {
-        assert_eq!(auto_rhs_tile(&CostModel::zero(), 8, 4096), 4096);
-        // Narrow batches never tile.
-        assert_eq!(auto_rhs_tile(&CostModel::cluster(), 8, 16), 16);
-        assert_eq!(auto_rhs_tile(&CostModel::cluster(), 8, 1), 1);
-        assert_eq!(auto_rhs_tile(&CostModel::cluster(), 8, 0), 1);
-    }
-
-    #[test]
-    fn auto_tile_splits_wide_batches_under_real_models() {
-        // With small blocks the combine is bandwidth-bound (comm/compute
-        // per round = 4/M under both presets), so a wide panel must be
-        // pipelined in tiles.
-        for model in [CostModel::cluster(), CostModel::hpc()] {
-            let tile = auto_rhs_tile(&model, 8, 4096);
-            assert!(
-                (16..4096).contains(&tile) && tile.is_power_of_two(),
-                "tile = {tile}"
-            );
-            assert!(4096usize.div_ceil(tile) <= 64);
-        }
     }
 
     #[test]

@@ -34,8 +34,7 @@ use crate::companion::{CompanionProduct, CompanionState, CompanionW};
 use crate::pairs::AffinePair;
 use crate::refine::RefinedSolve;
 use crate::scans::{
-    affine_exscan_fresh, affine_exscan_replay_tiled, auto_rhs_tile, companion_exscan, Direction,
-    ScanTrace,
+    affine_exscan_fresh, affine_exscan_replay, companion_exscan, Direction, ScanTrace,
 };
 
 /// Tag bases for the point-to-point scans (each scan uses `base + step`);
@@ -186,29 +185,15 @@ pub trait ReplayFactors {
     /// Solves one right-hand-side batch in place by **replaying** the
     /// recorded scans — the accelerated path, `O(M^2 R (N/P + log P))`.
     /// `x[k]` holds the `M x R` right-hand-side panel of global row
-    /// `lo + k` on entry and its solution on return. The scan pipeline's
-    /// RHS tile is the `BT_ARD_RHS_TILE` override when set, else the
-    /// cost-model calibration ([`auto_rhs_tile`]). Collective.
+    /// `lo + k` on entry and its solution on return. Each scan round
+    /// sends one `M x R` panel. Collective.
     ///
     /// # Panics
     ///
     /// Panics on panel count or shape mismatch.
     fn solve_in_place<C: CommBackend>(&self, comm: &mut C, x: &mut [Mat]) {
-        let (m, r) = x.first().map_or((0, 0), Mat::shape);
-        let tile = resolve_rhs_tile(comm, m, r);
-        self.solve_in_place_tiled(comm, x, tile);
-    }
-
-    /// [`ReplayFactors::solve_in_place`] with an explicit RHS tile width
-    /// for the scan pipeline (see [`affine_exscan_replay_tiled`]); the
-    /// output is bitwise identical for every `tile`.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`ReplayFactors::solve_in_place`].
-    fn solve_in_place_tiled<C: CommBackend>(&self, comm: &mut C, x: &mut [Mat], tile: usize) {
         let (fwd, bwd) = self.traces();
-        solve_in_place_with(self, comm, x, Scans::Replay { fwd, bwd, tile });
+        solve_in_place_with(self, comm, x, Scans::Replay { fwd, bwd });
     }
 
     /// Replay solve followed by up to `max_sweeps` iterative-refinement
@@ -238,35 +223,14 @@ pub trait ReplayFactors {
     }
 }
 
-/// The `BT_ARD_RHS_TILE` replay tile override, read once per process:
-/// `None` when unset, `0` or unparsable (auto tile).
-pub fn rhs_tile_override() -> Option<usize> {
-    static ENV_TILE: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
-    *ENV_TILE.get_or_init(|| {
-        std::env::var("BT_ARD_RHS_TILE")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&t| t > 0)
-    })
-}
-
-/// Replay-pipeline RHS tile width for an `M x R` batch: the
-/// [`rhs_tile_override`] when set, else the cost-model calibration in
-/// [`auto_rhs_tile`].
-fn resolve_rhs_tile<C: CommBackend>(comm: &C, m: usize, r: usize) -> usize {
-    rhs_tile_override().unwrap_or_else(|| auto_rhs_tile(&comm.model(), m, r))
-}
-
 /// The cross-rank scans one solve runs.
 #[derive(Clone, Copy)]
 enum Scans<'a> {
     /// The accelerated replay: only `M x R` panels travel, combined
-    /// against the recorded traces and pipelined over RHS tiles of
-    /// `tile` columns.
+    /// against the recorded traces.
     Replay {
         fwd: &'a ScanTrace,
         bwd: &'a ScanTrace,
-        tile: usize,
     },
     /// Classic recursive doubling: fresh affine pairs travel, built
     /// from the local prefix totals `F_{hi-1} ... F_lo` and
@@ -295,9 +259,9 @@ impl Scans<'_> {
             tags::BWD_SOLVE
         };
         match self {
-            Scans::Replay { fwd, bwd, tile } => {
+            Scans::Replay { fwd, bwd } => {
                 let trace = if forward { fwd } else { bwd };
-                affine_exscan_replay_tiled(comm, dir, tag, total, trace, ws, tile)
+                affine_exscan_replay(comm, dir, tag, total, trace, ws)
             }
             Scans::Fresh {
                 fwd_total,
@@ -893,27 +857,6 @@ impl ArdRankFactors {
     ) {
         copy_panels(y_local, out);
         self.solve_in_place(comm, out);
-    }
-
-    /// [`ArdRankFactors::solve_replay_into`] with an explicit RHS tile
-    /// width for the scan pipeline (see
-    /// [`ReplayFactors::solve_in_place_tiled`]); output is bitwise
-    /// identical for every `tile`. Exposed for benches and tile-sweep
-    /// tests — normal callers should use
-    /// [`ArdRankFactors::solve_replay_into`].
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`ArdRankFactors::solve_replay_into`].
-    pub fn solve_replay_into_tiled<C: CommBackend>(
-        &self,
-        comm: &mut C,
-        y_local: &[Mat],
-        out: &mut [Mat],
-        tile: usize,
-    ) {
-        copy_panels(y_local, out);
-        self.solve_in_place_tiled(comm, out, tile);
     }
 
     /// Solves one batch in place with **fresh** scans (classic recursive

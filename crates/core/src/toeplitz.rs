@@ -28,7 +28,7 @@
 //!
 //! The head plus shared tail is a factor layout, nothing more:
 //! [`ToeplitzRankFactors`] implements [`ReplayFactors`], so solves run
-//! the general path's replay body (tiled scan replay, workspace reuse,
+//! the general path's replay body (scan replay, workspace reuse,
 //! tags, refinement) with only the factor lookup differing.
 //! Detection ([`detect_toeplitz`]) is exact block equality, so the fast
 //! path is never entered on a system it would silently approximate

@@ -37,7 +37,7 @@ fn bits_of_blockvecs(xs: &[BlockVec]) -> Vec<u64> {
 }
 
 /// Runs the full ARD driver on both backends and asserts bitwise-equal
-/// solutions for every batch.
+/// solutions for every batch and equal per-rank counters.
 fn assert_ard_agreement<S: BlockRowSource + Sync>(
     cfg: &DriverConfig,
     src: &S,
@@ -51,8 +51,13 @@ fn assert_ard_agreement<S: BlockRowSource + Sync>(
         "sim and shm ARD solutions diverged (p={})",
         cfg.p
     );
-    // Exact flop counts are clock-independent and must match too.
-    assert_eq!(sim.stats.total().flops, shm.stats.total().flops);
+    // Every counter (messages, bytes, flops) is clock-independent, so
+    // the whole per-rank record must match.
+    assert_eq!(
+        sim.stats, shm.stats,
+        "sim and shm ARD counters diverged (p={})",
+        cfg.p
+    );
 }
 
 #[test]
@@ -81,18 +86,17 @@ fn replay_agrees_across_backends_at_eight_ranks() {
 }
 
 #[test]
-fn tiled_replay_agrees_across_backends() {
-    // The PR 5 pipelined path: RHS-tiled replay with nonblocking
-    // receives posted a tile ahead. On shm the posts are genuinely
-    // concurrent, so this doubles as an ordering test for the SPSC wire.
-    let (n, m, p, r, tile) = (16, 3, 4, 12, 4);
+fn raw_world_replay_agrees_across_backends() {
+    // A 12-column replay on raw worlds: solution bits and per-rank
+    // counters must match across backends.
+    let (n, m, p, r) = (16, 3, 4, 12);
     let src = ClusteredToeplitz::standard(n, m, 1);
     let sim = run_spmd(p, ZERO, |comm| {
         let sys = RankSystem::from_source(&src, p, comm.rank());
         let factors = ArdRankFactors::setup(comm, &sys, true).expect("setup");
         let y: Vec<Mat> = (sys.lo..sys.hi).map(|i| rhs_panel(m, r, 3, i)).collect();
         let mut x: Vec<Mat> = y.iter().map(|p| Mat::zeros(p.rows(), p.cols())).collect();
-        factors.solve_replay_into_tiled(comm, &y, &mut x, tile);
+        factors.solve_replay_into(comm, &y, &mut x);
         x.iter().flat_map(bits_of_mat).collect::<Vec<u64>>()
     });
     let shm = run_shm(p, ZERO, |comm| {
@@ -100,12 +104,13 @@ fn tiled_replay_agrees_across_backends() {
         let factors = ArdRankFactors::setup(comm, &sys, true).expect("setup");
         let y: Vec<Mat> = (sys.lo..sys.hi).map(|i| rhs_panel(m, r, 3, i)).collect();
         let mut x: Vec<Mat> = y.iter().map(|p| Mat::zeros(p.rows(), p.cols())).collect();
-        factors.solve_replay_into_tiled(comm, &y, &mut x, tile);
+        factors.solve_replay_into(comm, &y, &mut x);
         x.iter().flat_map(bits_of_mat).collect::<Vec<u64>>()
     });
+    assert_eq!(sim.results, shm.results, "replay diverged across backends");
     assert_eq!(
-        sim.results, shm.results,
-        "tiled replay diverged across backends"
+        sim.stats, shm.stats,
+        "replay counters diverged across backends"
     );
 }
 

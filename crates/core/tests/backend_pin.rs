@@ -13,16 +13,21 @@
 //! pins of its own, captured on that path and asserted when it is the
 //! active one. NEON has none.
 //!
-//! The ARD, tiled and Toeplitz solution hashes are those of the replay
-//! over stored inverses `E_i = D_i^{-1}`, whose diagonal step is a
-//! small-block GEMM. They were captured when the factor store moved from
-//! `LU(D_i)` to `E_i`. On the same inputs each pinned solution agrees
-//! with the `LU(D_i)` replay's solution and with block Thomas
-//! (`ThomasFactors`) to a relative difference of at most `1e-13`
+//! The ARD, raw-world replay and Toeplitz solution hashes are those of
+//! the replay over stored inverses `E_i = D_i^{-1}`, whose diagonal
+//! step is a small-block GEMM. They were captured when the factor store
+//! moved from `LU(D_i)` to `E_i`. On the same inputs each pinned
+//! solution agrees with the `LU(D_i)` replay's solution and with block
+//! Thomas (`ThomasFactors`) to a relative difference of at most `1e-13`
 //! (measured: at most 1.4e-16 and 1.8e-16). That move left every
 //! solve-only clock and message counter as it was; the clocks that
 //! include setup and the flop counters grew by the inverses' `2 M^3`
 //! per inverted block.
+//!
+//! Every replay scan round sends one `M x R` panel. The raw-world and
+//! Toeplitz pins were re-taken when the RHS-tiled scan was removed: their
+//! solution bytes did not move, and their clocks and message counts are
+//! those the tiled scan gave with one tile per round.
 
 use bt_ard::batch::BatchedSystems;
 use bt_ard::driver::{ard_solve_cfg_on, pcr_solve_cfg_on, DriverConfig};
@@ -70,46 +75,10 @@ fn hash_blockvecs(xs: &[BlockVec]) -> u64 {
     h
 }
 
-/// Exact values of [`ard_driver_is_bitwise_pinned`] for one replay RHS
-/// tile. The tile sets how many pipelined messages the scans send and so
-/// the modeled solve clock; it never changes the solution bytes.
-struct ArdPins {
-    setup: u64,
-    solve: u64,
-    msgs: u64,
-    bytes: u64,
-    flops: u64,
-}
-
-/// The pins for the tile the replay runs with, read from the override
-/// the same way the solver reads it.
-fn ard_pins_for_tile() -> ArdPins {
-    match bt_ard::state::rhs_tile_override() {
-        // Auto tile: the cluster model's calibration runs one tile.
-        None => ArdPins {
-            setup: 0x3f00_8b52_28f8_b9e9,
-            solve: 0x3eea_ea33_8763_5870,
-            msgs: 100,
-            bytes: 6960,
-            flops: 48708,
-        },
-        // Fully serialized: five one-column tiles per scan message.
-        Some(1) => ArdPins {
-            setup: 0x3f00_8b52_28f8_b9e9,
-            solve: 0x3eea_d302_2a83_8a54,
-            msgs: 180,
-            bytes: 6960,
-            flops: 48708,
-        },
-        Some(tile) => panic!("no ard_driver pins captured for BT_ARD_RHS_TILE={tile}"),
-    }
-}
-
 /// The full ARD driver path (setup + replay solves) under the cluster
 /// model: modeled clocks, solution bytes, and world counters.
 #[test]
 fn ard_driver_is_bitwise_pinned() {
-    let pins = ard_pins_for_tile();
     let src = ClusteredToeplitz::standard(32, 3, 7);
     let batches: Vec<BlockVec> = (0..2).map(|s| random_rhs(32, 3, 5, 40 + s)).collect();
     let cfg = DriverConfig::new(4)
@@ -136,25 +105,28 @@ fn ard_driver_is_bitwise_pinned() {
             "scalar ARD solution bytes drifted"
         );
     }
-    assert_eq!(setup_bits, pins.setup, "modeled setup clock drifted");
+    assert_eq!(
+        setup_bits, 0x3f00_8b52_28f8_b9e9,
+        "modeled setup clock drifted"
+    );
     assert_eq!(
         solve_bits,
-        vec![pins.solve, pins.solve],
+        vec![0x3eea_ea33_8763_5870, 0x3eea_ea33_8763_5870],
         "modeled solve clocks drifted"
     );
     assert_eq!(
         (total.msgs_sent, total.bytes_sent),
-        (pins.msgs, pins.bytes),
+        (100, 6960),
         "message/byte counters drifted"
     );
-    assert_eq!(total.flops, pins.flops, "flop counter drifted");
+    assert_eq!(total.flops, 48708, "flop counter drifted");
 }
 
-/// The PR 5 pipelined path: tiled replay with nonblocking receives,
-/// including the overlap accounting, on a raw `run_spmd` world.
+/// A 12-column replay on a raw `run_spmd` world: one panel per scan
+/// round.
 #[test]
-fn tiled_replay_is_bitwise_pinned() {
-    let (n, m, p, r, tile) = (16, 3, 4, 12, 4);
+fn raw_world_replay_is_bitwise_pinned() {
+    let (n, m, p, r) = (16, 3, 4, 12);
     let src = ClusteredToeplitz::standard(n, m, 1);
     let out = run_spmd(p, CostModel::cluster(), |comm| {
         let sys = RankSystem::from_source(&src, p, comm.rank());
@@ -164,7 +136,7 @@ fn tiled_replay_is_bitwise_pinned() {
             .iter()
             .map(|p| Mat::zeros(p.rows(), p.cols()))
             .collect();
-        factors.solve_replay_into_tiled(comm, &y_local, &mut x, tile);
+        factors.solve_replay_into(comm, &y_local, &mut x);
         x
     });
 
@@ -177,30 +149,25 @@ fn tiled_replay_is_bitwise_pinned() {
     if pinned_isa() {
         assert_eq!(
             h, 0x5805_3f39_164b_0291,
-            "tiled replay solution bytes drifted"
+            "raw-world replay solution bytes drifted"
         );
     }
     if scalar_isa() {
         assert_eq!(
             h, 0x3bf0_7260_b195_6cfd,
-            "scalar tiled replay solution bytes drifted"
+            "scalar raw-world replay solution bytes drifted"
         );
     }
     assert_eq!(
         out.modeled_seconds.to_bits(),
-        0x3f02_ebb3_fb6c_32de,
+        0x3f02_f93b_7199_6b0d,
         "modeled wall clock drifted"
-    );
-    assert_eq!(
-        out.overlap_seconds().to_bits(),
-        0x3efe_40a1_9f91_4425,
-        "overlap accounting drifted"
     );
     let total = out.stats.total();
     assert_eq!(
-        (total.msgs_sent, total.bytes_sent, total.nb_recvs),
-        (72, 7728, 30),
-        "pipelined counters drifted"
+        (total.msgs_sent, total.bytes_sent),
+        (52, 7728),
+        "replay counters drifted"
     );
 }
 
@@ -212,20 +179,20 @@ fn tiled_replay_is_bitwise_pinned() {
 /// holds everywhere.
 #[test]
 fn toeplitz_replay_is_bitwise_pinned() {
-    let (n, m, p, r, tile) = (160, 3, 4, 6, 4);
+    let (n, m, p, r) = (160, 3, 4, 6);
     let src = ClusteredToeplitz::standard(n, m, 5);
     let out = run_spmd(p, CostModel::cluster(), |comm| {
         let sys = RankSystem::from_source(&src, p, comm.rank());
         let factors = ToeplitzRankFactors::setup(comm, &sys).expect("setup");
         let mut x: Vec<Mat> = (sys.lo..sys.hi).map(|i| rhs_panel(m, r, 9, i)).collect();
-        factors.solve_in_place_tiled(comm, &mut x, tile);
+        factors.solve_in_place(comm, &mut x);
         (factors.head_len(), x)
     });
 
     let total = out.stats.total();
     assert_eq!(
         (total.msgs_sent, total.bytes_sent),
-        (62, 5424),
+        (52, 5424),
         "Toeplitz message/byte counters drifted"
     );
     if pinned_isa() {
@@ -243,7 +210,7 @@ fn toeplitz_replay_is_bitwise_pinned() {
         );
         assert_eq!(
             out.modeled_seconds.to_bits(),
-            0x3f04_f5b3_e067_9556,
+            0x3f04_fadb_4a60_6dc9,
             "modeled Toeplitz clock drifted"
         );
         assert_eq!(total.flops, 99306, "Toeplitz flop counter drifted");
@@ -263,7 +230,7 @@ fn toeplitz_replay_is_bitwise_pinned() {
         );
         assert_eq!(
             out.modeled_seconds.to_bits(),
-            0x3f04_f5b3_e067_9556,
+            0x3f04_fadb_4a60_6dc9,
             "scalar modeled Toeplitz clock drifted"
         );
         assert_eq!(total.flops, 99306, "scalar Toeplitz flop counter drifted");

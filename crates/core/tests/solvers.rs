@@ -331,12 +331,12 @@ fn companion_exscan_minimal_shrink_case() {
 fn deterministic_across_runs() {
     let src = ClusteredToeplitz::standard(64, 4, 9);
     let batches = vec![random_rhs(64, 4, 2, 7)];
-    // The solution must be deterministic on any backend; the full
-    // counter set (overlap_ns is measured wall time on shm) only on the
-    // simulator, so that half is pinned to SimBackend explicitly.
+    // Solution and counters must be deterministic on the env-selected
+    // backend and on the simulator pinned explicitly.
     let a = ard_solve_dist(4, ZERO, &src, &batches).unwrap();
     let b = ard_solve_dist(4, ZERO, &src, &batches).unwrap();
     assert_eq!(a.x[0], b.x[0], "solver must be run-to-run deterministic");
+    assert_eq!(a.stats, b.stats, "counters must be deterministic");
     let cfg = DriverConfig::new(4)
         .with_model(ZERO)
         .with_threads_per_rank(1);

@@ -221,7 +221,20 @@ fn gemm_nn(alpha: f64, a: MatRef<'_>, b: MatRef<'_>, c: MatMut<'_>) {
             OBS_SIMD_CALLS.incr();
         }
     }
-    colsplit_plan(a.rows(), a.cols(), b.cols()).apply_ref(alpha, a, b, c);
+    match choose_kernel(a.rows(), a.cols(), b.cols()) {
+        Kernel::Small => {
+            let shapes = (a.shape(), b.shape(), c.shape());
+            assert!(
+                gemm_small(alpha, a, b, c),
+                "gemm shape mismatch: {:?} x {:?} into {:?}",
+                shapes.0,
+                shapes.1,
+                shapes.2
+            );
+        }
+        Kernel::Packed => gemm_packed_ref(alpha, a, b, c),
+        Kernel::Axpy => gemm_axpy_ref(alpha, a, b, c),
+    }
 }
 
 /// Small-block panel `C += alpha * A * B`: `A` is `M x M` with `M` in
@@ -229,9 +242,9 @@ fn gemm_nn(alpha: f64, a: MatRef<'_>, b: MatRef<'_>, c: MatMut<'_>) {
 /// welcome). Output columns are produced a few at a time straight from
 /// the operands — no packing, no scratch — with one FMA chain per
 /// element that matches [`gemm_packed`]'s, so at `alpha = ±1` the two
-/// agree bit for bit. [`gemm`] and [`ColsplitPlan`] route every such
-/// shape here. Returns `false` without touching `C` for any other shape;
-/// exposed so benches can time it against the other kernels directly.
+/// agree bit for bit. [`gemm`] routes every such shape here. Returns
+/// `false` without touching `C` for any other shape; exposed so benches
+/// can time it against the other kernels directly.
 pub fn gemm_small<'a, 'b, 'c>(
     alpha: f64,
     a: impl Into<MatRef<'a>>,
@@ -247,28 +260,7 @@ pub fn gemm_small<'a, 'b, 'c>(
     hit
 }
 
-/// A kernel choice frozen from a *full* problem shape, applicable to
-/// any column slice of that problem.
-///
-/// The packed-vs-AXPY crossover depends on `2*m*k*n`, so naively calling
-/// `gemm` per column-tile of a wide panel can cross the threshold and
-/// change the kernel — and with it the bitwise result — as a function
-/// of the tile width. `ColsplitPlan` freezes the decision once, from the
-/// full `(m, k, n)`: every selectable kernel accumulates each output
-/// column independently in fixed `k`-order (the small-block kernel
-/// computes columns independently, packed's NR zero-padding is inert,
-/// AXPY's column loop is outermost), so applying the same plan
-/// tile-by-tile is bitwise identical to one full-width call. Used by
-/// [`gemm`] itself and by the RHS-tiled replay pipeline in bt-ard.
-///
-/// The small-block panel kernel is chosen from `(m, k)` alone (square
-/// `A` of order 4, 8 or 16), so it serves every tile of such a product.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ColsplitPlan {
-    kernel: Kernel,
-}
-
-/// The kernels a [`ColsplitPlan`] can freeze.
+/// The kernels [`gemm`] dispatches between.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Kernel {
     Small,
@@ -276,56 +268,21 @@ enum Kernel {
     Axpy,
 }
 
-/// Freezes the kernel choice for the full `(m, k, n)` problem, for
-/// column-tiled application via [`ColsplitPlan::apply`].
-pub fn colsplit_plan(m: usize, k: usize, n: usize) -> ColsplitPlan {
+/// The kernel for an `(m, k, n)` product: the small-block panel kernel
+/// for square `A` of order 4, 8 or 16 at any `n`, else packed vs. AXPY
+/// by the measured crossover for the active ISA.
+fn choose_kernel(m: usize, k: usize, n: usize) -> Kernel {
     let packed_min = if simd::active() == Isa::Scalar {
         PACKED_MIN_FLOPS_SCALAR
     } else {
         PACKED_MIN_FLOPS_SIMD
     };
-    let kernel = if simd::is_small_block(m, k) {
+    if simd::is_small_block(m, k) {
         Kernel::Small
     } else if 2 * m * k * n >= packed_min {
         Kernel::Packed
     } else {
         Kernel::Axpy
-    };
-    ColsplitPlan { kernel }
-}
-
-impl ColsplitPlan {
-    /// `C += alpha * A * B` with the frozen kernel. `b`/`c` may be any
-    /// column slice of the planned problem (same `m` and `k`, any `n`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes are not conformable.
-    pub fn apply<'a, 'b, 'c>(
-        &self,
-        alpha: f64,
-        a: impl Into<MatRef<'a>>,
-        b: impl Into<MatRef<'b>>,
-        c: impl Into<MatMut<'c>>,
-    ) {
-        self.apply_ref(alpha, a.into(), b.into(), c.into());
-    }
-
-    fn apply_ref(&self, alpha: f64, a: MatRef<'_>, b: MatRef<'_>, mut c: MatMut<'_>) {
-        match self.kernel {
-            Kernel::Small => {
-                let shapes = (a.shape(), b.shape(), c.shape());
-                assert!(
-                    gemm_small(alpha, a, b, c.rb_mut()),
-                    "gemm shape mismatch: {:?} x {:?} into {:?}",
-                    shapes.0,
-                    shapes.1,
-                    shapes.2
-                );
-            }
-            Kernel::Packed => gemm_packed_ref(alpha, a, b, c),
-            Kernel::Axpy => gemm_axpy_ref(alpha, a, b, c),
-        }
     }
 }
 
@@ -988,50 +945,19 @@ mod tests {
     }
 
     #[test]
-    fn colsplit_plan_tiled_is_bitwise_identical() {
-        // Column-tiled application of a frozen plan must reproduce the
-        // full-width product bit for bit, for every tile width — the
-        // invariant the RHS-tiled replay pipeline rests on. Shapes span
-        // the small-block plan and both sides of the packed crossover.
-        for &(m, k, n) in &[(4, 4, 4), (8, 8, 8), (5, 7, 23), (16, 16, 64), (32, 32, 33)] {
-            let a = seq_mat(m, k, 0.3);
-            let b = seq_mat(k, n, 0.7);
-            let plan = colsplit_plan(m, k, n);
-            let mut full = Mat::zeros(m, n);
-            plan.apply(1.5, &a, &b, &mut full);
-            for tile in [1, 2, 3, n.div_ceil(2), n, n + 5] {
-                let mut tiled = Mat::zeros(m, n);
-                let mut c0 = 0;
-                while c0 < n {
-                    let w = tile.min(n - c0);
-                    plan.apply(
-                        1.5,
-                        &a,
-                        b.as_ref().submatrix(0, c0, k, w),
-                        tiled.as_mut().submatrix_mut(0, c0, m, w),
-                    );
-                    c0 += w;
-                }
-                assert_eq!(full, tiled, "{m}x{k}x{n} tile={tile}");
-            }
-        }
-    }
-
-    #[test]
-    fn colsplit_plan_matches_dispatch_threshold() {
-        let plan = |kernel| ColsplitPlan { kernel };
+    fn kernel_choice_matches_dispatch_threshold() {
         // Tiny problem: AXPY side of the crossover on every ISA.
-        assert_eq!(colsplit_plan(2, 2, 2), plan(Kernel::Axpy));
+        assert_eq!(choose_kernel(2, 2, 2), Kernel::Axpy);
         // Huge problem: packed on every ISA (2 * 128^3 > 500k).
-        assert_eq!(colsplit_plan(128, 128, 128), plan(Kernel::Packed));
+        assert_eq!(choose_kernel(128, 128, 128), Kernel::Packed);
         // Small blocks take the panel kernel at every width, on every ISA.
         for m in [4, 8, 16] {
             for n in [1, 3, 64, 4096] {
-                assert_eq!(colsplit_plan(m, m, n), plan(Kernel::Small), "{m}x{m}x{n}");
+                assert_eq!(choose_kernel(m, m, n), Kernel::Small, "{m}x{m}x{n}");
             }
         }
         // Non-square or other orders never do.
-        assert_ne!(colsplit_plan(8, 4, 64), plan(Kernel::Small));
-        assert_ne!(colsplit_plan(5, 5, 64), plan(Kernel::Small));
+        assert_ne!(choose_kernel(8, 4, 64), Kernel::Small);
+        assert_ne!(choose_kernel(5, 5, 64), Kernel::Small);
     }
 }

@@ -47,10 +47,7 @@ pub mod workspace;
 
 pub use batch::{batch_gemm, batch_lu_factor, batch_lu_solve, BatchMat, BatchSingularError};
 pub use cholesky::{cholesky_flops, CholFactors};
-pub use gemm::{
-    colsplit_plan, gemm, gemm_axpy, gemm_flops, gemm_packed, gemm_small, gemv, matmul, matvec,
-    ColsplitPlan, Trans,
-};
+pub use gemm::{gemm, gemm_axpy, gemm_flops, gemm_packed, gemm_small, gemv, matmul, matvec, Trans};
 pub use lu::{invert, lu_flops, lu_solve_flops, solve, LuFactors, SingularError};
 pub use mat::Mat;
 pub use norms::{cond_1, fro_norm, inf_norm, one_norm, rel_diff, vec_norm2};

@@ -16,9 +16,7 @@
 
 use bt_dense::random::{rng, uniform};
 use bt_dense::simd::{self, with_isa};
-use bt_dense::{
-    colsplit_plan, gemm, gemm_axpy, gemm_packed, gemm_small, Isa, Mat, MatMut, MatRef, Trans,
-};
+use bt_dense::{gemm, gemm_axpy, gemm_packed, gemm_small, Isa, Mat, MatMut, MatRef, Trans};
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -232,7 +230,6 @@ fn window_of(c: &mut Mat, m: usize, r: usize) -> MatMut<'_> {
 /// width `1..=70`, `beta` in {0, 1} and strided in/out views, the
 /// dispatched `gemm` (which takes the panel kernel) and `gemm_small`
 /// equal `gemm_packed` bit for bit, on the scalar and the detected ISA.
-/// Column tiles of a frozen `ColsplitPlan` equal the full-width call.
 #[test]
 fn panel_kernel_matches_packed_bit_for_bit() {
     let _g = lock();
@@ -275,26 +272,6 @@ fn panel_kernel_matches_packed_bit_for_bit() {
                             );
                             assert_same_bits(small.as_ref(), packed.as_ref(), &what);
                         }
-                    }
-                    // Tiles of widths 1, 3, 16 and R through one frozen plan.
-                    let plan = colsplit_plan(m, m, r);
-                    let mut full = Mat::zeros(m, r);
-                    plan.apply(1.0, a, b, &mut full);
-                    for tile in [1, 3, 16, r] {
-                        let mut tiled = Mat::zeros(m, r);
-                        let mut c0 = 0;
-                        while c0 < r {
-                            let w = tile.min(r - c0);
-                            plan.apply(
-                                1.0,
-                                a,
-                                b.submatrix(0, c0, m, w),
-                                tiled.as_mut().submatrix_mut(0, c0, m, w),
-                            );
-                            c0 += w;
-                        }
-                        let what = format!("{} m={m} r={r} tile={tile}", isa.name());
-                        assert_same_bits(tiled.as_ref(), full.as_ref(), &what);
                     }
                 }
             }

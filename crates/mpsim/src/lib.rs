@@ -43,6 +43,6 @@ pub use bt_comm::{
     SpmdBackend, SpmdOutput, WorldStats, MAX_RANKS, USER_TAG_LIMIT,
 };
 pub use calibrate::calibrate;
-pub use comm::{Comm, RecvRequest, SendRequest};
+pub use comm::Comm;
 pub use runner::{run_spmd, run_spmd_default, run_spmd_traced, SimBackend, SpmdWorld};
 pub use trace::{Trace, TraceEvent};

@@ -47,37 +47,6 @@ pub enum TraceEvent {
         /// Payload bytes.
         bytes: u64,
     },
-    /// A nonblocking receive was posted (instantaneous, no clock cost).
-    /// Completion is a separate [`TraceEvent::IrecvWait`]; keeping two
-    /// events preserves per-rank timestamp monotonicity when compute
-    /// spans land between post and wait.
-    IrecvPost {
-        /// Virtual time of the post.
-        at: f64,
-        /// Source rank.
-        src: usize,
-        /// Message tag.
-        tag: u64,
-    },
-    /// Completion of a nonblocking receive: blocked in `wait` from
-    /// `start` to `start + wait`; the overlapped in-flight span ran from
-    /// `posted` (`posted <= start`). The flow arrow from the matching
-    /// send lands on this event, so overlapped messages render as arrows
-    /// crossing the compute spans that hid them.
-    IrecvWait {
-        /// Virtual time the irecv was posted.
-        posted: f64,
-        /// Virtual time `wait` was called.
-        start: f64,
-        /// Time spent blocked in `wait`.
-        wait: f64,
-        /// Source rank.
-        src: usize,
-        /// Message tag.
-        tag: u64,
-        /// Payload bytes.
-        bytes: u64,
-    },
 }
 
 impl TraceEvent {
@@ -91,11 +60,7 @@ impl TraceEvent {
         let mut ev = self.clone();
         match &mut ev {
             Self::Compute { start, .. } | Self::Recv { start, .. } => *start += dt,
-            Self::Send { at, .. } | Self::IrecvPost { at, .. } => *at += dt,
-            Self::IrecvWait { posted, start, .. } => {
-                *posted += dt;
-                *start += dt;
-            }
+            Self::Send { at, .. } => *at += dt,
         }
         ev
     }
@@ -217,42 +182,6 @@ impl Trace {
                             );
                         }
                     }
-                    TraceEvent::IrecvPost { at, src, tag } => {
-                        let _ = write!(
-                            out,
-                            ",\n  {{\"name\":\"irecv-post\",\"ph\":\"i\",\"ts\":{:.3},\"pid\":0,\"tid\":{rank},\"s\":\"t\",\"args\":{{\"src\":{src},\"tag\":{tag}}}}}",
-                            at * 1e6
-                        );
-                    }
-                    TraceEvent::IrecvWait {
-                        posted,
-                        start,
-                        wait,
-                        src,
-                        tag,
-                        bytes,
-                    } => {
-                        let ts = start * 1e6;
-                        let end = (start + wait) * 1e6;
-                        let _ = write!(
-                            out,
-                            ",\n  {{\"name\":\"irecv-wait\",\"ph\":\"X\",\"ts\":{ts:.3},\"dur\":{:.3},\"pid\":0,\"tid\":{rank},\"args\":{{\"src\":{src},\"tag\":{tag},\"bytes\":{bytes},\"posted_us\":{:.3}}}}}",
-                            wait * 1e6,
-                            posted * 1e6
-                        );
-                        // Nonblocking receives consume the same per-triple
-                        // FIFO sequence as blocking ones: the n-th receive
-                        // of (src, dst, tag) — of either kind — pairs with
-                        // the n-th send.
-                        let seq = recv_seq.entry((*src, rank, *tag)).or_insert(0);
-                        if let Some(id) = flow_ids.get(&(*src, rank, *tag, *seq)) {
-                            *seq += 1;
-                            let _ = write!(
-                                out,
-                                ",\n  {{\"name\":\"msg\",\"cat\":\"flow\",\"ph\":\"f\",\"bp\":\"e\",\"id\":{id},\"ts\":{end:.3},\"pid\":0,\"tid\":{rank}}}"
-                            );
-                        }
-                    }
                 };
             }
         }
@@ -281,7 +210,7 @@ impl Trace {
         let waited: f64 = events
             .iter()
             .map(|e| match e {
-                TraceEvent::Recv { wait, .. } | TraceEvent::IrecvWait { wait, .. } => *wait,
+                TraceEvent::Recv { wait, .. } => *wait,
                 _ => 0.0,
             })
             .sum();
@@ -289,9 +218,8 @@ impl Trace {
             .iter()
             .map(|e| match e {
                 TraceEvent::Compute { start, dur, .. } => start + dur,
-                TraceEvent::Send { at, .. } | TraceEvent::IrecvPost { at, .. } => *at,
-                TraceEvent::Recv { start, wait, .. }
-                | TraceEvent::IrecvWait { start, wait, .. } => start + wait,
+                TraceEvent::Send { at, .. } => *at,
+                TraceEvent::Recv { start, wait, .. } => start + wait,
             })
             .fold(0.0, f64::max);
         if end > 0.0 {
@@ -447,104 +375,5 @@ mod tests {
         let t = sample();
         assert_eq!(t.wait_fraction(0), 0.0);
         assert!((t.wait_fraction(1) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn irecv_events_validate_and_pair_flows() {
-        // Post at t=0, compute until t=2, wait completes at t=2 with no
-        // blocking (message arrived at t=1.5 under the compute span).
-        // Timestamps stay non-decreasing per tid and the flow finish
-        // lands on the irecv-wait completion.
-        let t = Trace {
-            events: vec![
-                vec![TraceEvent::Send {
-                    at: 0.5,
-                    dst: 1,
-                    tag: 11,
-                    bytes: 128,
-                }],
-                vec![
-                    TraceEvent::IrecvPost {
-                        at: 0.0,
-                        src: 0,
-                        tag: 11,
-                    },
-                    TraceEvent::Compute {
-                        start: 0.0,
-                        dur: 2.0,
-                        flops: 500,
-                    },
-                    TraceEvent::IrecvWait {
-                        posted: 0.0,
-                        start: 2.0,
-                        wait: 0.0,
-                        src: 0,
-                        tag: 11,
-                        bytes: 128,
-                    },
-                ],
-            ],
-        };
-        let json = t.to_chrome_json();
-        assert!(json.contains(r#""name":"irecv-post""#));
-        assert!(json.contains(r#""name":"irecv-wait""#));
-        assert!(json.contains(r#""posted_us":0.000"#));
-        let doc = bt_obs::json::parse(&json).expect("valid JSON");
-        let summary = bt_obs::json::validate_chrome_trace(&doc).expect("valid trace");
-        assert_eq!(summary.flow_starts, 1);
-        assert_eq!(summary.flow_finishes, 1);
-        // Fully-hidden wait: rank 1 never blocked.
-        assert_eq!(t.wait_fraction(1), 0.0);
-    }
-
-    #[test]
-    fn mixed_recv_and_irecv_share_fifo_sequence() {
-        // Blocking recv then nonblocking wait on the same (src, tag):
-        // ids must follow send order 0 then 1.
-        let t = Trace {
-            events: vec![
-                vec![
-                    TraceEvent::Send {
-                        at: 0.0,
-                        dst: 1,
-                        tag: 5,
-                        bytes: 8,
-                    },
-                    TraceEvent::Send {
-                        at: 1.0,
-                        dst: 1,
-                        tag: 5,
-                        bytes: 8,
-                    },
-                ],
-                vec![
-                    TraceEvent::Recv {
-                        start: 0.0,
-                        wait: 0.5,
-                        src: 0,
-                        tag: 5,
-                        bytes: 8,
-                    },
-                    TraceEvent::IrecvPost {
-                        at: 0.5,
-                        src: 0,
-                        tag: 5,
-                    },
-                    TraceEvent::IrecvWait {
-                        posted: 0.5,
-                        start: 1.0,
-                        wait: 0.5,
-                        src: 0,
-                        tag: 5,
-                        bytes: 8,
-                    },
-                ],
-            ],
-        };
-        let json = t.to_chrome_json();
-        let doc = bt_obs::json::parse(&json).expect("valid JSON");
-        let summary = bt_obs::json::validate_chrome_trace(&doc).expect("valid trace");
-        assert_eq!(summary.flow_starts, 2);
-        assert_eq!(summary.flow_finishes, 2);
     }
 }

@@ -253,8 +253,6 @@ fn stats_count_bytes_and_flops() {
             msgs_recv: 0,
             bytes_recv: 0,
             flops: 12345,
-            nb_recvs: 0,
-            overlap_ns: 0,
         }
     );
     assert_eq!(out.stats.per_rank[1].bytes_recv, 800);
@@ -473,45 +471,21 @@ fn scatter_length_checked() {
 }
 
 // ---------------------------------------------------------------------
-// Nonblocking point-to-point
+// Panel point-to-point
 // ---------------------------------------------------------------------
 
 #[test]
-fn irecv_delivers_panel_and_counts_nb_stats() {
-    let out = run_spmd(2, M, |comm| {
-        if comm.rank() == 0 {
-            let p = Mat::from_fn(3, 5, |i, j| (i * 10 + j) as f64);
-            let req = comm.isend_panel(1, 4, p.as_ref());
-            comm.send_wait(req);
-            Mat::empty()
-        } else {
-            let buf = Mat::zeros(3, 5);
-            let req = comm.irecv_panel_into(0, 4, buf);
-            comm.recv_wait(req)
-        }
-    });
-    assert_eq!(
-        out.results[1],
-        Mat::from_fn(3, 5, |i, j| (i * 10 + j) as f64)
-    );
-    assert_eq!(out.stats.per_rank[1].nb_recvs, 1);
-    assert_eq!(out.stats.per_rank[1].msgs_recv, 1);
-    assert_eq!(out.stats.per_rank[1].bytes_recv, 3 * 5 * 8);
-    assert!(out.stats.is_balanced());
-}
-
-#[test]
-fn crossed_isends_do_not_deadlock() {
-    // Both ranks post their sends before either receives — the pattern
-    // that deadlocks under synchronous MPI sends. Buffered-eager isend
+fn crossed_sends_do_not_deadlock() {
+    // Both ranks send before either receives — the pattern that
+    // deadlocks under synchronous MPI sends. Buffered-eager panel sends
     // must complete it regardless of ordering.
     let out = run_spmd(2, M, |comm| {
         let peer = 1 - comm.rank();
         let mine = Mat::from_fn(4, 4, |i, j| (comm.rank() * 100 + i * 4 + j) as f64);
-        let s = comm.isend_panel(peer, 2, mine.as_ref());
-        let r = comm.irecv_panel_into(peer, 2, Mat::zeros(4, 4));
-        comm.send_wait(s);
-        comm.recv_wait(r)
+        comm.send_panel(peer, 2, mine.as_ref());
+        let mut got = Mat::zeros(4, 4);
+        comm.recv_panel_into(peer, 2, got.as_mut());
+        got
     });
     for rank in 0..2 {
         let from = 1 - rank;
@@ -525,54 +499,9 @@ fn crossed_isends_do_not_deadlock() {
 }
 
 #[test]
-fn irecv_overlap_charges_max_of_compute_and_comm() {
-    // Message costs 1.8s on the wire (latency 1 + 800 B * 1e-3); the
-    // receiver's compute costs 3s. Blocking order (recv, then compute)
-    // serializes: ~1.8 + 3. Pipelined order (post, compute, wait)
-    // charges max(3, 1.8) = 3 and reports the hidden 1.8s as overlap.
-    let model = CostModel {
-        latency_s: 1.0,
-        per_byte_s: 1e-3,
-        flop_rate: 100.0,
-        threads_per_rank: 1,
-    };
-    let body = |pipelined: bool| {
-        move |comm: &mut bt_mpsim::Comm| {
-            if comm.rank() == 0 {
-                let s = comm.isend_panel(1, 1, Mat::zeros(10, 10).as_ref());
-                comm.send_wait(s);
-                comm.virtual_time()
-            } else if pipelined {
-                let req = comm.irecv_panel_into(0, 1, Mat::zeros(10, 10));
-                comm.compute(300); // 3 s
-                let _: Mat = comm.recv_wait(req);
-                comm.virtual_time()
-            } else {
-                let mut buf: Mat = Mat::zeros(10, 10);
-                comm.recv_panel_into(0, 1, buf.as_mut());
-                comm.compute(300);
-                comm.virtual_time()
-            }
-        }
-    };
-    let serial = run_spmd(2, model, body(false));
-    let piped = run_spmd(2, model, body(true));
-    assert_eq!(serial.results[1], 1.8 + 3.0);
-    assert_eq!(piped.results[1], 3.0);
-    // The 1.8s in flight was fully hidden behind the 3s of compute.
-    let ns = piped.stats.per_rank[1].overlap_ns;
-    assert!(
-        (1_700_000_000..=1_900_000_000).contains(&ns),
-        "overlap_ns = {ns}"
-    );
-    assert_eq!(serial.stats.per_rank[1].overlap_ns, 0);
-    assert_eq!(serial.stats.per_rank[1].nb_recvs, 0);
-}
-
-#[test]
-fn tiled_sends_cost_no_more_than_one_big_message() {
+fn back_to_back_sends_cost_no_more_than_one_big_message() {
     // Link serialization with pipelined-rendezvous latency overlap: T
-    // back-to-back tile sends to one destination deliver the last byte
+    // back-to-back sends to one destination deliver the last byte
     // at the same virtual time as a single message of the combined
     // size (latency hides under the predecessor's transfer).
     let model = CostModel {
@@ -590,7 +519,7 @@ fn tiled_sends_cost_no_more_than_one_big_message() {
         }
         comm.virtual_time()
     });
-    let tiled = run_spmd(2, model, |comm| {
+    let split = run_spmd(2, model, |comm| {
         if comm.rank() == 0 {
             for _ in 0..4 {
                 comm.send_panel(1, 1, Mat::zeros(10, 10).as_ref());
@@ -603,34 +532,15 @@ fn tiled_sends_cost_no_more_than_one_big_message() {
         }
         comm.virtual_time()
     });
-    // whole: 1 + 3200 B * 1e-3 = 4.2 s; tiled last tile: injections
-    // serialize at 0.8 s spacing, last avail = 3*0.8 + 1 + 0.8 = 4.2 s.
+    // whole: 1 + 3200 B * 1e-3 = 4.2 s; split, the last message:
+    // injections serialize at 0.8 s spacing, last avail = 3*0.8 + 1 +
+    // 0.8 = 4.2 s.
     assert_eq!(whole.results[1], 4.2);
-    assert_eq!(tiled.results[1], 4.2);
+    assert_eq!(split.results[1], 4.2);
     assert_eq!(
         whole.stats.total().bytes_sent,
-        tiled.stats.total().bytes_sent
+        split.stats.total().bytes_sent
     );
-}
-
-#[test]
-fn request_test_reports_arrival() {
-    let out = run_spmd(2, M, |comm| {
-        if comm.rank() == 0 {
-            comm.send_panel(1, 3, Mat::identity(2).as_ref());
-            comm.barrier();
-            true
-        } else {
-            let req = comm.irecv_panel_into(0, 3, Mat::zeros(2, 2));
-            // After the barrier the message has physically arrived and
-            // (zero-cost model) is virtually available.
-            comm.barrier();
-            let ready = comm.recv_test(&req);
-            let _: Mat = comm.recv_wait(req);
-            ready
-        }
-    });
-    assert!(out.results[1]);
 }
 
 #[test]
@@ -757,29 +667,4 @@ fn persistent_world_panic_is_catchable_and_kills_world() {
         world.run(|comm| comm.rank())
     }));
     assert!(again.is_err(), "dead world must refuse jobs");
-}
-
-#[test]
-fn midsolve_panic_with_inflight_irecv_is_catchable() {
-    // A rank that panics while holding a posted-but-unwaited RecvRequest
-    // must surface as one catchable panic, not a double-panic abort:
-    // RecvRequest::drop suppresses its own panic during unwind.
-    let caught = std::panic::catch_unwind(|| {
-        run_spmd(2, M, |comm| {
-            if comm.rank() == 0 {
-                comm.send_panel(1, 2, Mat::identity(3).as_ref());
-                // Stay alive until peer death cuts the channel.
-                let _: u64 = comm.recv(1, 9);
-            } else {
-                let _req = comm.irecv_panel_into(0, 2, Mat::zeros(3, 3));
-                panic!("mid-solve failure with a request in flight");
-            }
-        })
-    });
-    let msg = caught.expect_err("panic must propagate, not abort");
-    let msg = msg.downcast_ref::<String>().expect("string payload");
-    assert!(
-        msg.contains("mid-solve failure") || msg.contains("terminated"),
-        "got: {msg}"
-    );
 }

@@ -17,8 +17,7 @@
 //! via [`bt_obs::json::validate_metrics`], `bt-bench-service-v1` via
 //! [`bt_obs::json::validate_bench_service`], `bt-bench-shm-v1` via
 //! [`bt_obs::json::validate_bench_shm`], `bt-bench-structured-v1` via
-//! [`bt_obs::json::validate_bench_structured`], `bt-bench-pipeline-v1`
-//! via [`bt_obs::json::bench_headline`], `bt-obs-flight-v1` via
+//! [`bt_obs::json::validate_bench_structured`], `bt-obs-flight-v1` via
 //! [`bt_obs::json::validate_flight`], `bt-obs-snapshot-v1` via
 //! [`bt_obs::json::validate_snapshot`], anything shaped like Chrome
 //! trace-event JSON (bare array or `{"traceEvents": [...]}`) via
@@ -57,12 +56,6 @@ fn validate_file(path: &str) -> Result<String, String> {
             s.headline_toeplitz,
             s.headline_mem,
             s.headline_batched
-        ));
-    }
-    if schema.starts_with("bt-bench-pipeline") {
-        let (_, headline) = json::bench_headline(&doc)?;
-        return Ok(format!(
-            "pipeline bench ok: best modeled speedup {headline:.2}x vs unpiped"
         ));
     }
     if schema.starts_with("bt-obs-flight") {

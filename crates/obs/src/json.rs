@@ -775,7 +775,6 @@ pub fn validate_bench_shm(doc: &Json) -> Result<BenchShmSummary, String> {
         if p < 1.0 || r < 1.0 {
             return Err(format!("results[{i}] has non-positive p or r"));
         }
-        num("tile")?;
         let (wall, modeled, ratio) = (num("wall_ns")?, num("modeled_ns")?, num("ratio")?);
         if wall <= 0.0 || modeled <= 0.0 {
             return Err(format!(
@@ -1029,8 +1028,7 @@ pub struct BaselineSummary {
 }
 
 /// Headline figure of a bench document: batched-over-unbatched
-/// throughput at the top rate for `bt-bench-service-v1`, best modeled
-/// pipeline speedup vs unpiped for `bt-bench-pipeline-v1`, RHS columns
+/// throughput at the top rate for `bt-bench-service-v1`, RHS columns
 /// solved per wall second at the biggest cell for `bt-bench-shm-v1`,
 /// best batched-over-looped throughput for
 /// `bt-bench-structured-v1` (the batched figure gates rather than the
@@ -1057,27 +1055,6 @@ pub fn bench_headline(doc: &Json) -> Result<(String, f64), String> {
         "bt-bench-structured-v1" => {
             let summary = validate_bench_structured(doc)?;
             Ok((schema.to_string(), summary.headline_batched))
-        }
-        "bt-bench-pipeline-v1" => {
-            let results = doc
-                .get("results")
-                .and_then(Json::as_arr)
-                .ok_or("pipeline bench document lacks a results array")?;
-            // Unpiped records trivially carry speedup 1.0; the headline
-            // is the best actually-pipelined variant.
-            let best = results
-                .iter()
-                .filter(|rec| {
-                    rec.get("variant")
-                        .and_then(Json::as_str)
-                        .is_some_and(|v| v != "unpiped")
-                })
-                .filter_map(|rec| rec.get("modeled_speedup_vs_unpiped").and_then(Json::as_f64))
-                .fold(f64::NEG_INFINITY, f64::max);
-            if !best.is_finite() {
-                return Err("pipeline bench has no modeled_speedup_vs_unpiped figures".to_string());
-            }
-            Ok((schema.to_string(), best))
         }
         other => Err(format!("no baseline rule for schema '{other}'")),
     }
@@ -1312,15 +1289,6 @@ mod tests {
         assert!(err.contains("not ordered"), "{err}");
     }
 
-    fn pipeline_doc(speedup: f64) -> String {
-        format!(
-            r#"{{"schema": "bt-bench-pipeline-v1", "results": [
-                {{"r": 16, "variant": "unpiped", "modeled_speedup_vs_unpiped": 1.0}},
-                {{"r": 16, "variant": "auto", "modeled_speedup_vs_unpiped": {speedup}}}
-            ]}}"#
-        )
-    }
-
     fn shm_doc(wall_ns: f64) -> String {
         let ratio = wall_ns / 1.0e6;
         let headline = 256.0 / (wall_ns * 1e-9);
@@ -1330,9 +1298,9 @@ mod tests {
                            "flop_rate": 2e10, "fit_error": 0.3}},
                 "headline_rhs_cols_per_s": {headline},
                 "results": [
-                  {{"p": 2, "r": 16, "tile": 16, "wall_ns": 5e5,
+                  {{"p": 2, "r": 16, "wall_ns": 5e5,
                     "modeled_ns": 2.5e5, "ratio": 2.0}},
-                  {{"p": 4, "r": 256, "tile": 64, "wall_ns": {wall_ns},
+                  {{"p": 4, "r": 256, "wall_ns": {wall_ns},
                     "modeled_ns": 1e6, "ratio": {ratio}}}
                 ]}}"#
         )
@@ -1469,22 +1437,10 @@ mod tests {
     }
 
     #[test]
-    fn baseline_gate_passes_within_band_and_fails_below() {
-        let committed = parse(&pipeline_doc(1.30)).unwrap();
-        let fresh_ok = parse(&pipeline_doc(1.10)).unwrap();
-        let summary = validate_baseline(&committed, &fresh_ok, 0.5).unwrap();
-        assert!((summary.ratio - 1.10 / 1.30).abs() < 1e-9);
-
-        let fresh_bad = parse(&pipeline_doc(0.40)).unwrap();
-        let err = validate_baseline(&committed, &fresh_bad, 0.5).unwrap_err();
-        assert!(err.contains("perf regression"), "{err}");
-    }
-
-    #[test]
     fn baseline_gate_rejects_schema_mismatch() {
         let service = parse(&service_bench_doc()).unwrap();
-        let pipeline = parse(&pipeline_doc(1.2)).unwrap();
-        let err = validate_baseline(&service, &pipeline, 0.5).unwrap_err();
+        let shm = parse(&shm_doc(1.0e6)).unwrap();
+        let err = validate_baseline(&service, &shm, 0.5).unwrap_err();
         assert!(err.contains("schema mismatch"), "{err}");
         // Service-vs-service compares batched speedups.
         let summary = validate_baseline(&service, &service, 0.5).unwrap();

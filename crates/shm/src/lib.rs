@@ -7,8 +7,7 @@
 //! the same MPI-flavoured surface and the same pooled
 //! [`bt_comm::PanelBuf`] wire format as the virtual-clock simulator
 //! (`bt-mpsim`). Where the simulator *models* time, this backend
-//! *measures* it: per-rank clocks are real elapsed seconds, the overlap
-//! accounting reports real hidden communication, and an
+//! *measures* it: per-rank clocks are real elapsed seconds, and an
 //! [`SpmdOutput`](bt_comm::SpmdOutput) from [`run_shm`] carries
 //! measured solve times directly comparable against the simulator's
 //! predictions under a calibrated model ([`calibrate_shm`]).
@@ -35,5 +34,5 @@ pub mod runner;
 pub mod spsc;
 
 pub use calibrate::{calibrate_shm, measure_transport_shm, ShmCalibration};
-pub use comm::{ShmComm, ShmRecvRequest, ShmSendRequest};
+pub use comm::ShmComm;
 pub use runner::{run_shm, ShmBackend, ShmWorld};

@@ -106,8 +106,8 @@ fn build_comms(p: usize, model: CostModel) -> Vec<ShmComm> {
 /// Same contract as `bt_mpsim::run_spmd`, with measured time: each rank
 /// gets its own [`ShmComm`], `modeled_seconds` is the maximum per-rank
 /// wall clock. `model` is attached to the communicators (for
-/// model-consulting call sites such as RHS-tile auto-selection) but
-/// never advances any clock.
+/// model-consulting call sites and modeled comparisons) but never
+/// advances any clock.
 ///
 /// # Panics
 ///

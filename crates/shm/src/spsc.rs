@@ -7,8 +7,8 @@
 //! `tail` with one `Release` store, the consumer advances `head` after
 //! one `Acquire` load — no CAS loops, no locks, no shared counters on
 //! the fast path. Being unbounded makes every send *eager*: a push can
-//! never block on the consumer, which is what guarantees crossed
-//! `isend`s cannot deadlock (the regression the simulator backend pins).
+//! never block on the consumer, which is what guarantees crossed sends
+//! cannot deadlock (the regression the simulator backend pins).
 
 use std::ptr;
 use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};

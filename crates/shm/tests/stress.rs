@@ -1,8 +1,8 @@
-//! Deadlock and ordering stress for the shared-memory backend: the
-//! crossed-isend regression from the pipelined-replay work (both sides
-//! post sends before either receives), all-pairs exchanges, and FIFO
-//! ordering under sustained pressure — all on real threads, where a
-//! genuine deadlock hangs the test rather than merely mis-modeling time.
+//! Deadlock and ordering stress for the shared-memory backend: crossed
+//! panel sends (both sides send before either receives, as every scan's
+//! `exchange_panel` does), all-pairs exchanges, and FIFO ordering under
+//! sustained pressure — all on real threads, where a genuine deadlock
+//! hangs the test rather than merely mis-modeling time.
 
 use bt_comm::{CommBackend, CostModel};
 use bt_dense::Mat;
@@ -15,22 +15,20 @@ const ZERO: CostModel = CostModel {
     threads_per_rank: 1,
 };
 
-/// Both ranks post their sends before either receives — the pattern that
-/// deadlocks under synchronous (rendezvous) sends. The unbounded SPSC
-/// wire makes every send eager, so this must complete regardless of
-/// scheduling; repeated to give the thread scheduler chances to
-/// interleave badly.
+/// Both ranks send before either receives — the pattern that deadlocks
+/// under synchronous (rendezvous) sends. The unbounded SPSC wire makes
+/// every send eager, so this must complete regardless of scheduling;
+/// repeated to give the thread scheduler chances to interleave badly.
 #[test]
-fn crossed_isends_do_not_deadlock() {
+fn crossed_sends_do_not_deadlock() {
     let out = run_shm(2, ZERO, |comm| {
         let peer = 1 - comm.rank();
         let mut ok = 0usize;
         for round in 0..200 {
             let mine = Mat::from_fn(4, 4, |i, j| (comm.rank() * 100 + round + i * 4 + j) as f64);
-            let s = comm.isend_panel(peer, 2, mine.as_ref());
-            let r = comm.irecv_panel_into(peer, 2, Mat::zeros(4, 4));
-            comm.send_wait(s);
-            let got = comm.recv_wait(r);
+            comm.send_panel(peer, 2, mine.as_ref());
+            let mut got = Mat::zeros(4, 4);
+            comm.recv_panel_into(peer, 2, got.as_mut());
             let want = Mat::from_fn(4, 4, |i, j| (peer * 100 + round + i * 4 + j) as f64);
             assert_eq!(got, want, "round {round}");
             ok += 1;
@@ -49,23 +47,14 @@ fn all_pairs_crossed_sends_complete() {
     let p = 8;
     let out = run_shm(p, ZERO, move |comm| {
         let me = comm.rank();
-        let sends: Vec<_> = (0..p)
-            .filter(|&dst| dst != me)
-            .map(|dst| {
-                let panel = Mat::from_fn(3, 3, |i, j| (me * 9 + i * 3 + j) as f64);
-                comm.isend_panel(dst, 7, panel.as_ref())
-            })
-            .collect();
-        let recvs: Vec<_> = (0..p)
-            .filter(|&src| src != me)
-            .map(|src| comm.irecv_panel_into(src, 7, Mat::zeros(3, 3)))
-            .collect();
-        for s in sends {
-            comm.send_wait(s);
+        let panel = Mat::from_fn(3, 3, |i, j| (me * 9 + i * 3 + j) as f64);
+        for dst in (0..p).filter(|&dst| dst != me) {
+            comm.send_panel(dst, 7, panel.as_ref());
         }
+        let mut got = Mat::zeros(3, 3);
         let mut sum = 0.0;
-        for r in recvs {
-            let got: Mat = comm.recv_wait(r);
+        for src in (0..p).filter(|&src| src != me) {
+            comm.recv_panel_into(src, 7, got.as_mut());
             sum += got.col(0)[0];
         }
         sum
@@ -102,31 +91,4 @@ fn message_order_holds_under_pressure() {
         }
     });
     assert_eq!(out.results[1], 999);
-}
-
-/// Nonblocking receives tested (not waited) while the sender is slow:
-/// `recv_test` must return the request intact until the message lands,
-/// then complete exactly once.
-#[test]
-fn recv_test_polls_without_losing_the_request() {
-    let out = run_shm(2, ZERO, |comm| {
-        if comm.rank() == 0 {
-            // Give rank 1 time to poll a few empty tests first.
-            std::thread::sleep(std::time::Duration::from_millis(5));
-            let panel = Mat::from_fn(2, 2, |i, j| (i * 2 + j) as f64);
-            let s = comm.isend_panel(1, 3, panel.as_ref());
-            comm.send_wait(s);
-            0.0
-        } else {
-            let req = comm.irecv_panel_into(0, 3, Mat::zeros(2, 2));
-            while !comm.recv_test(&req) {
-                std::hint::spin_loop();
-            }
-            let got = comm.recv_wait(req);
-            assert_eq!(got, Mat::from_fn(2, 2, |i, j| (i * 2 + j) as f64));
-            1.0
-        }
-    });
-    assert!(out.stats.is_balanced());
-    drop(out);
 }

@@ -1,100 +1,84 @@
-//! Pipeline-correctness tests for the RHS-tiled replay solve.
+//! Message pattern of the replay solve's cross-rank scans.
 //!
-//! The software pipeline (DESIGN.md §6.9) reorders *communication* —
-//! panels travel in column tiles behind nonblocking receives — but must
-//! never reorder *arithmetic*: `solve_replay_into_tiled` is required to
-//! be bitwise identical to `solve_replay_into` for every tile size,
-//! including degenerate ones (`tile = 1`, `tile > R`, `R % tile != 0`).
-//! `Mat` equality is element-exact, so `assert_eq!` pins that.
+//! Each scan round of a replay sends exactly one `M x R` panel
+//! (DESIGN.md §6.9), so the number of messages a replay sends does not
+//! depend on the batch width `R`, and its bytes are exactly `R` times
+//! those of a one-column replay. A zero-width batch still takes part in
+//! every round with one empty panel.
 //!
-//! A two-rank crossed-isend test guards the nonblocking layer's
-//! deadlock-freedom: both ranks post their sends before either waits.
+//! A two-rank crossed-send test guards the panel transport's
+//! deadlock-freedom: both ranks send before either receives, which is
+//! what every scan's exclusive-shift `exchange_panel` relies on.
 
 use block_tridiag_suite::ard::state::{ArdRankFactors, RankSystem};
 use block_tridiag_suite::blocktri::gen::{rhs_panel, ClusteredToeplitz};
 use block_tridiag_suite::blocktri::BlockRowSource;
 use block_tridiag_suite::dense::Mat;
 use block_tridiag_suite::mpsim::{run_spmd, CommBackend, CostModel};
-use proptest::prelude::*;
 
-/// Solves one batch with the given tile width on every rank and returns
-/// the per-rank solution panels. A nonzero cost model so the virtual
-/// clock actually gates `avail_at` and the nonblocking receive paths
-/// (post / wait / overlap accounting) are exercised for real.
-fn solve_tiled(src: &ClusteredToeplitz, p: usize, r: usize, tile: Option<usize>) -> Vec<Vec<Mat>> {
+/// Messages and bytes the replay solve alone (not the setup) sends,
+/// summed over the ranks of a `p`-rank simulator world.
+fn replay_traffic(src: &ClusteredToeplitz, p: usize, r: usize) -> (u64, u64) {
     let m = src.m();
     let out = run_spmd(p, CostModel::cluster(), |comm| {
         let sys = RankSystem::from_source(src, p, comm.rank());
         let factors = ArdRankFactors::setup(comm, &sys, true).expect("setup");
         let y: Vec<Mat> = (sys.lo..sys.hi).map(|i| rhs_panel(m, r, 7, i)).collect();
         let mut x: Vec<Mat> = y.iter().map(|p| Mat::zeros(p.rows(), p.cols())).collect();
-        match tile {
-            Some(t) => factors.solve_replay_into_tiled(comm, &y, &mut x, t),
-            None => factors.solve_replay_into(comm, &y, &mut x),
-        }
-        x
+        let before = comm.stats();
+        factors.solve_replay_into(comm, &y, &mut x);
+        let after = comm.stats();
+        (
+            after.msgs_sent - before.msgs_sent,
+            after.bytes_sent - before.bytes_sent,
+        )
     });
+    assert!(out.stats.is_balanced());
     out.results
-}
-
-/// The tile widths every shape is checked against: fully serialized
-/// columns, a non-divisor, the exact width (unpiped) and an
-/// over-wide tile (single-tile pipeline, `tile > R`).
-fn tile_sweep(r: usize) -> Vec<usize> {
-    let mut tiles = vec![1, 2, 3, r.max(1), r + 5];
-    tiles.retain(|&t| t >= 1);
-    tiles.dedup();
-    tiles
+        .iter()
+        .fold((0, 0), |(msgs, bytes), (dm, db)| (msgs + dm, bytes + db))
 }
 
 #[test]
-fn tiled_replay_bitwise_identical_across_tile_sweep() {
-    let (n, m, p, r) = (24, 3, 5, 7);
-    let src = ClusteredToeplitz::standard(n, m, 11);
-    let base = solve_tiled(&src, p, r, None);
-    for tile in tile_sweep(r) {
-        let tiled = solve_tiled(&src, p, r, Some(tile));
-        assert_eq!(tiled, base, "tile={tile} diverged from solve_replay_into");
+fn replay_sends_one_panel_per_scan_round() {
+    let m = 8;
+    for p in [2, 3, 4, 7] {
+        let src = ClusteredToeplitz::standard(4 * p, m, 11);
+        let (msgs_1, bytes_1) = replay_traffic(&src, p, 1);
+        assert!(msgs_1 > 0, "p={p}: the replay sent nothing");
+        assert_eq!(
+            bytes_1,
+            msgs_1 * (m * 8) as u64,
+            "p={p}: one column per panel"
+        );
+        for r in [0usize, 1, 17, 64, 300] {
+            let (msgs, bytes) = replay_traffic(&src, p, r);
+            assert_eq!(msgs, msgs_1, "p={p} r={r}: message count depends on R");
+            assert_eq!(
+                bytes,
+                r as u64 * bytes_1,
+                "p={p} r={r}: bytes are not R panels"
+            );
+        }
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// For arbitrary shapes and arbitrary tile widths — degenerate ones
-    /// included — the pipelined replay reproduces the unpiped panels
-    /// bit for bit.
-    #[test]
-    fn tiled_replay_bitwise_identical_for_any_shape(
-        (n, m, p, r, tile, seed) in (4usize..28, 1usize..5, 1usize..6, 1usize..9, 1usize..12, 0u64..500)
-    ) {
-        let p = p.min(n);
-        let src = ClusteredToeplitz::standard(n, m, seed);
-        let base = solve_tiled(&src, p, r, None);
-        let tiled = solve_tiled(&src, p, r, Some(tile));
-        prop_assert_eq!(tiled, base, "n={} m={} p={} r={} tile={}", n, m, p, r, tile);
-    }
-}
-
-/// Deadlock regression for the nonblocking layer: two ranks post
-/// *crossed* isends (each sends to the other before either receives).
-/// Eager buffered sends mean neither blocks; the posted receives then
-/// complete in either order. A blocking sendrecv ordered naively would
-/// hang here — this pins that the isend/irecv path cannot.
+/// Deadlock regression for the panel transport: two ranks send to each
+/// other before either receives. Eager buffered sends mean neither
+/// blocks; a synchronous send ordered naively would hang here.
 #[test]
-fn crossed_isends_between_two_ranks_complete() {
+fn crossed_sends_between_two_ranks_complete() {
     let m = 4;
     let out = run_spmd(2, CostModel::cluster(), |comm| {
         let me = comm.rank();
         let peer = 1 - me;
         let mine = Mat::from_fn(m, m, |i, j| (me * 100 + i * m + j) as f64);
-        let send = comm.isend_panel(peer, 3, mine.as_ref());
-        let recv = comm.irecv_panel_into(peer, 3, Mat::zeros(m, m));
-        comm.send_wait(send);
-        let got = comm.recv_wait(recv);
+        comm.send_panel(peer, 3, mine.as_ref());
+        let mut got = Mat::zeros(m, m);
+        comm.recv_panel_into(peer, 3, got.as_mut());
         let want = Mat::from_fn(m, m, |i, j| (peer * 100 + i * m + j) as f64);
         assert_eq!(got, want);
-        comm.stats().nb_recvs
+        comm.stats().msgs_recv
     });
     assert_eq!(out.results, vec![1, 1]);
 }
