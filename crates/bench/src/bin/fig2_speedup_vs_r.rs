@@ -55,7 +55,10 @@ fn main() {
                 r_total.to_string(),
                 format!("{:.2}", rd.wall / ard.wall),
                 format!("{:.2}", rd.modeled / ard.modeled),
-                format!("{:.2}", predicted_speedup(&c, r_total, 1)),
+                format!(
+                    "{:.2}",
+                    predicted_speedup(&c, ard.correction_window, r_total, 1)
+                ),
                 r_total.to_string(),
             ]);
         }

@@ -53,7 +53,8 @@ fn main() {
             f64::INFINITY
         };
         let c = cfg.complexity();
-        let model_gain = rd_solve_flops(&c) - ard_solve_flops(&c);
+        let w = ard.correction_window;
+        let model_gain = rd_solve_flops(&c, w) - ard_solve_flops(&c, w);
         let rstar_model = (setup_flops(&c) / model_gain).ceil();
         table.row(&[
             m.to_string(),

@@ -77,10 +77,13 @@ fn main() {
     emit(&args, &table);
     println!(
         "Expected shape: both residual columns at machine precision; PCR's\n\
-         per-solve cost exceeds ARD's by ~0.4 * log2(N) (its 4 M^2 R flops\n\
-         per row PER LEVEL vs ARD's 10 M^2 R per row once), growing from\n\
-         ~1.9 at N=128 to ~4.2 at N=2048; PCR setup pays the full log2(N)\n\
-         multiplier (~11x at N=2048) — the work/robustness trade-off\n\
-         between cyclic-reduction and prefix-computation methods."
+         per-solve cost exceeds ARD's by ~0.4 * log2(N) while ARD's\n\
+         correction windows span whole slices (PCR's 4 M^2 R flops per row\n\
+         PER LEVEL vs ARD's 10 M^2 R per row once) and by up to\n\
+         ~0.67 * log2(N) once they are short against N/P (6 M^2 R per\n\
+         row), growing from ~2.5 at N=128 to ~6 at N=2048; PCR setup pays\n\
+         the full log2(N) multiplier (~11x at N=2048) — the\n\
+         work/robustness trade-off between cyclic-reduction and\n\
+         prefix-computation methods."
     );
 }

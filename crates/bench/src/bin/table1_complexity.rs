@@ -7,7 +7,12 @@
 //! against the runtime's *measured* flop and byte counters over an
 //! (N, M, P, R) grid. Ratios near 1.0 mean the model captures the
 //! implementation (small excess comes from boundary work the leading
-//! terms ignore).
+//! terms ignore). The solve model takes the run's correction window `w`
+//! (the widest any rank replays, reported in its own column), which
+//! setup derives from the matrix.
+//!
+//! The table is a gate: the binary exits nonzero when a flop ratio
+//! leaves `[0.95, 1.05]`.
 //!
 //! ```text
 //! cargo run --release -p bt-bench --bin table1_complexity [--csv out.csv]
@@ -19,6 +24,10 @@ use bt_ard::complexity::{
 use bt_ard::driver::{ard_solve_cfg, DriverConfig};
 use bt_bench::{emit, make_batches, Args, ExpConfig, GenKind, Table};
 use bt_mpsim::CostModel;
+
+/// Flop ratios outside this band mean the model no longer describes the
+/// implementation.
+const FLOP_RATIO_BAND: std::ops::RangeInclusive<f64> = 0.95..=1.05;
 
 fn main() {
     let args = Args::from_env();
@@ -38,6 +47,7 @@ fn main() {
             "M",
             "P",
             "R",
+            "w",
             "setup_flops_ratio",
             "solve_flops_ratio",
             "setup_bytes_ratio",
@@ -45,6 +55,7 @@ fn main() {
         ],
     );
 
+    let mut outside = Vec::new();
     for (n, m, p, r) in grid {
         let mut cfg = ExpConfig::default_point();
         cfg.n = n;
@@ -74,13 +85,24 @@ fn main() {
         let setup_bytes_meas = max_bytes_1 - solve_bytes_meas;
 
         let c = cfg.complexity();
+        let w = out1.correction_window;
+        let setup_ratio = setup_flops_meas / setup_flops(&c);
+        let solve_ratio = solve_flops_meas / ard_solve_flops(&c, w);
+        for (what, ratio) in [("setup", setup_ratio), ("solve", solve_ratio)] {
+            if !FLOP_RATIO_BAND.contains(&ratio) {
+                outside.push(format!(
+                    "N={n} M={m} P={p} R={r}: {what} flop ratio {ratio:.3}"
+                ));
+            }
+        }
         table.row(&[
             n.to_string(),
             m.to_string(),
             p.to_string(),
             r.to_string(),
-            format!("{:.2}", setup_flops_meas / setup_flops(&c)),
-            format!("{:.2}", solve_flops_meas / ard_solve_flops(&c)),
+            w.to_string(),
+            format!("{setup_ratio:.2}"),
+            format!("{solve_ratio:.2}"),
             format!("{:.2}", setup_bytes_meas / setup_bytes_per_rank(&c)),
             format!("{:.2}", solve_bytes_meas / ard_solve_bytes_per_rank(&c)),
         ]);
@@ -92,4 +114,14 @@ fn main() {
          counts a maximal sender participating in every round of every scan,\n\
          while no single rank sends maximally in both scan directions."
     );
+    if !outside.is_empty() {
+        for line in &outside {
+            eprintln!(
+                "table1_complexity: {line} is outside [{}, {}]",
+                FLOP_RATIO_BAND.start(),
+                FLOP_RATIO_BAND.end()
+            );
+        }
+        std::process::exit(1);
+    }
 }

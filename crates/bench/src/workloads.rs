@@ -160,6 +160,8 @@ pub struct Measured {
     pub residual: f64,
     /// Peak per-rank stored factor bytes.
     pub factor_bytes: u64,
+    /// Widest correction window any rank replays (rows; 0 for Thomas).
+    pub correction_window: usize,
 }
 
 fn summarize(
@@ -195,6 +197,7 @@ fn summarize(
         bytes: out.stats.total().bytes_sent,
         residual,
         factor_bytes: out.factor_bytes,
+        correction_window: out.correction_window,
     }
 }
 
@@ -255,6 +258,7 @@ pub fn run_thomas(cfg: &ExpConfig, batches: &[BlockVec], check: bool) -> Measure
         bytes: 0,
         residual,
         factor_bytes: 0,
+        correction_window: 0,
     }
 }
 

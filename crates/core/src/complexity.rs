@@ -78,23 +78,30 @@ pub fn setup_flops(c: &Config) -> f64 {
 }
 
 /// Flops of one accelerated solve (vector work only), on a rank with
-/// neighbours on both sides (the critical path). Per local row: the
-/// forward local total from a zero boundary (2M^2 R), the forward
-/// boundary-value recurrence from the scanned `z_{lo-1}` (2M^2 R), the
-/// diagonal GEMM `h_i = E_i z_i` (2M^2 R), and the backward local total
-/// and boundary-value recurrence (2M^2 R each); per scan round: two
-/// panel combines (2M^2 R each).
-pub fn ard_solve_flops(c: &Config) -> f64 {
+/// neighbours on both sides (the critical path) whose two correction
+/// windows span `w` rows each (`w <= N/P`; setup derives it from the
+/// matrix, see `ReplayFactors::windows`). Per local row: the forward
+/// sweep from a zero boundary (2M^2 R), the diagonal GEMM `h_i = E_i z_i`
+/// (2M^2 R) and the backward sweep (2M^2 R); per window row, in each
+/// direction: the boundary correction's GEMM (2M^2 R) and its panel add
+/// (M R); per scan round: two panel combines (2M^2 R each). Products
+/// that never decay give `w = N/P`, i.e. `10 M^2 R` per row plus the
+/// adds: the cost of re-running both recurrences from the scanned
+/// boundary values.
+pub fn ard_solve_flops(c: &Config, w: usize) -> f64 {
     let m2r = (c.m * c.m * c.r) as f64;
-    let per_row = 10.0 * m2r;
+    let per_row = 6.0 * m2r;
+    let per_window_row = 2.0 * (2.0 * m2r + (c.m * c.r) as f64);
     let per_round = 2.0 * 2.0 * m2r;
-    per_row * c.nl() as f64 + per_round * c.rounds() as f64
+    per_row * c.nl() as f64 + per_window_row * w as f64 + per_round * c.rounds() as f64
 }
 
 /// Flops of one classic recursive doubling solve: the full setup plus the
-/// vector work, with the affine scans paying matrix composes per round.
-pub fn rd_solve_flops(c: &Config) -> f64 {
-    setup_flops(c) + ard_solve_flops(c)
+/// vector work (correction windows of `w` rows, as in
+/// [`ard_solve_flops`]), with the affine scans paying matrix composes
+/// per round.
+pub fn rd_solve_flops(c: &Config, w: usize) -> f64 {
+    setup_flops(c) + ard_solve_flops(c, w)
 }
 
 /// Payload bytes sent per rank during setup / one classic RD solve's
@@ -145,22 +152,23 @@ pub fn predicted_setup_seconds(c: &Config, model: &bt_mpsim::CostModel) -> f64 {
     model.compute_time(setup_flops(c) as u64) + msg
 }
 
-/// Predicted modeled time of one accelerated solve: critical-path flops
-/// plus two `M x R` panels per round.
-pub fn predicted_ard_solve_seconds(c: &Config, model: &bt_mpsim::CostModel) -> f64 {
+/// Predicted modeled time of one accelerated solve with correction
+/// windows of `w` rows: critical-path flops plus two `M x R` panels per
+/// round.
+pub fn predicted_ard_solve_seconds(c: &Config, w: usize, model: &bt_mpsim::CostModel) -> f64 {
     let mrb = (c.m * c.r * 8) as u64;
     let rounds = c.rounds() as f64 + 1.0;
-    model.compute_time(ard_solve_flops(c) as u64) + rounds * 2.0 * model.msg_time(mrb)
+    model.compute_time(ard_solve_flops(c, w) as u64) + rounds * 2.0 * model.msg_time(mrb)
 }
 
 /// Predicted speedup of ARD over classic RD for solving `r` right-hand
 /// sides (in `ceil(r / batch)` batches of `batch` columns each), by the
-/// flop model.
-pub fn predicted_speedup(c: &Config, total_rhs: usize, batch: usize) -> f64 {
+/// flop model, with correction windows of `w` rows.
+pub fn predicted_speedup(c: &Config, w: usize, total_rhs: usize, batch: usize) -> f64 {
     let batches = total_rhs.div_ceil(batch);
     let per_batch = Config { r: batch, ..*c };
-    let rd = rd_solve_flops(&per_batch) * batches as f64;
-    let ard = setup_flops(&per_batch) + ard_solve_flops(&per_batch) * batches as f64;
+    let rd = rd_solve_flops(&per_batch, w) * batches as f64;
+    let ard = setup_flops(&per_batch) + ard_solve_flops(&per_batch, w) * batches as f64;
     rd / ard
 }
 
@@ -183,14 +191,14 @@ mod tests {
         let t1 = predicted_setup_seconds(&c, &m1);
         let t4 = predicted_setup_seconds(&c, &m4);
         assert!(t4 < t1 && t4 > t1 / 4.0, "t1={t1} t4={t4}");
-        let s1 = predicted_ard_solve_seconds(&c, &m1);
-        let s4 = predicted_ard_solve_seconds(&c, &m4);
+        let s1 = predicted_ard_solve_seconds(&c, 16, &m1);
+        let s4 = predicted_ard_solve_seconds(&c, 16, &m4);
         assert!(s4 < s1 && s4 > s1 / 4.0, "s1={s1} s4={s4}");
         // The flop *counts* feeding Table I never see the thread knob:
         // setup_flops & co. are pure functions of the problem Config, and
         // predicted_speedup is a ratio of them, so both stay exact.
         assert!(setup_flops(&c) > 0.0);
-        assert!(predicted_speedup(&c, 64, 4) > 1.0);
+        assert!(predicted_speedup(&c, 16, 64, 4) > 1.0);
     }
 
     #[test]
@@ -223,7 +231,7 @@ mod tests {
             p: 8,
             r: 1,
         };
-        assert!(setup_flops(&c) > 10.0 * ard_solve_flops(&c));
+        assert!(setup_flops(&c) > 10.0 * ard_solve_flops(&c, c.nl()));
     }
 
     #[test]
@@ -236,9 +244,9 @@ mod tests {
         };
         let big = Config { r: 16, ..base };
         // RD per-solve barely grows with R (matrix work dominates)...
-        assert!(rd_solve_flops(&big) < 1.6 * rd_solve_flops(&base));
+        assert!(rd_solve_flops(&big, 16) < 1.6 * rd_solve_flops(&base, 16));
         // ...while ARD's per-solve cost is proportional to R.
-        let ratio = ard_solve_flops(&big) / ard_solve_flops(&base);
+        let ratio = ard_solve_flops(&big, 16) / ard_solve_flops(&base, 16);
         assert!((ratio - 16.0).abs() < 1e-9);
     }
 
@@ -250,10 +258,11 @@ mod tests {
             p: 16,
             r: 1,
         };
-        let s1 = predicted_speedup(&c, 1, 1);
-        let s8 = predicted_speedup(&c, 8, 1);
-        let s64 = predicted_speedup(&c, 64, 1);
-        let s4096 = predicted_speedup(&c, 4096, 1);
+        let w = c.nl();
+        let s1 = predicted_speedup(&c, w, 1, 1);
+        let s8 = predicted_speedup(&c, w, 8, 1);
+        let s64 = predicted_speedup(&c, w, 64, 1);
+        let s4096 = predicted_speedup(&c, w, 4096, 1);
         assert!(s1 < 1.05, "single RHS: no speedup, got {s1}");
         assert!(s8 > 4.0 && s8 < 9.0, "R=8 speedup ~R, got {s8}");
         assert!(s64 > 20.0, "R=64 speedup substantial, got {s64}");

@@ -56,6 +56,10 @@ pub struct DistOutcome {
     /// Worst boundary-extraction condition estimate (ARD exact-scan runs
     /// only; 1.0 otherwise). See `ArdRankFactors::boundary_condition`.
     pub boundary_condition: f64,
+    /// Widest correction window any rank replays, in rows, over both
+    /// directions (accelerated and classic RD runs; 0 otherwise). See
+    /// [`ReplayFactors::windows`].
+    pub correction_window: usize,
     /// Kernel/solver counter deltas attributable to this run (counter
     /// name -> increment), captured from the `bt-obs` metrics registry.
     /// `None` when observability is off (`BT_OBS` unset); zero-delta
@@ -66,6 +70,7 @@ pub struct DistOutcome {
 /// Per-rank raw output carried back from the SPMD closure.
 struct RankOutput {
     boundary_condition: f64,
+    correction_window: usize,
     x_local: Vec<Vec<Mat>>, // [batch][local row]
     setup_wall: Duration,
     setup_vt: f64,
@@ -76,12 +81,13 @@ struct RankOutput {
 
 /// Gathers the per-rank outputs (in rank order, so each batch's panels
 /// concatenate in row order) into solutions and max-over-ranks timings,
-/// moving every solution panel.
+/// factor bytes, boundary condition and correction window, moving every
+/// solution panel.
 fn assemble(
     n: usize,
     batches: usize,
     outputs: Vec<Result<RankOutput, FactorError>>,
-) -> Result<(Vec<BlockVec>, PhaseTimings, u64, f64), FactorError> {
+) -> Result<(Vec<BlockVec>, PhaseTimings, u64, f64, usize), FactorError> {
     // Surface the first error (all ranks agree on it).
     let outputs: Vec<RankOutput> = outputs.into_iter().collect::<Result<_, _>>()?;
 
@@ -94,6 +100,7 @@ fn assemble(
     };
     let mut factor_bytes = 0u64;
     let mut boundary_condition = 1.0f64;
+    let mut correction_window = 0usize;
     for out in outputs {
         t.setup_wall = t.setup_wall.max(out.setup_wall);
         t.setup_modeled = t.setup_modeled.max(out.setup_vt);
@@ -103,12 +110,13 @@ fn assemble(
         }
         factor_bytes = factor_bytes.max(out.factor_bytes);
         boundary_condition = boundary_condition.max(out.boundary_condition);
+        correction_window = correction_window.max(out.correction_window);
         for (batch, panels) in blocks.iter_mut().zip(out.x_local) {
             batch.extend(panels);
         }
     }
     let xs = blocks.into_iter().map(BlockVec::from_blocks).collect();
-    Ok((xs, t, factor_bytes, boundary_condition))
+    Ok((xs, t, factor_bytes, boundary_condition, correction_window))
 }
 
 /// Copies rank `rank`'s local panels of a global block vector.
@@ -426,6 +434,7 @@ fn run_driver_cfg_on<B: SpmdBackend, S: BlockRowSource + Sync>(
 
             let mut out = RankOutput {
                 boundary_condition: 1.0,
+                correction_window: 0,
                 x_local: Vec::with_capacity(batches.len()),
                 setup_wall: Duration::ZERO,
                 setup_vt: 0.0,
@@ -448,6 +457,7 @@ fn run_driver_cfg_on<B: SpmdBackend, S: BlockRowSource + Sync>(
                     out.setup_vt = comm.virtual_time() - vt0;
                     out.factor_bytes = factors.storage_bytes();
                     out.boundary_condition = factors.boundary_condition();
+                    out.correction_window = widest(factors.windows());
                     for (bi, mut x) in y_locals.into_iter().enumerate() {
                         let vt0 = comm.virtual_time();
                         let t0 = Instant::now();
@@ -510,6 +520,7 @@ fn run_driver_cfg_on<B: SpmdBackend, S: BlockRowSource + Sync>(
                             format!("{{\"algo\":\"rd\",\"batch\":{bi}}}")
                         });
                         let factors = ArdRankFactors::setup_with(comm, &sys, false, cfg.boundary)?;
+                        out.correction_window = widest(factors.windows());
                         factors.solve_fresh(comm, &mut x);
                         comm.barrier();
                         out.solve_wall.push(t0.elapsed());
@@ -523,15 +534,22 @@ fn run_driver_cfg_on<B: SpmdBackend, S: BlockRowSource + Sync>(
     );
 
     let obs_counters = counters_before.map(|before| bt_obs::counters_diff(&before));
-    let (x, timings, factor_bytes, boundary_condition) = assemble(n, batches.len(), spmd.results)?;
+    let (x, timings, factor_bytes, boundary_condition, correction_window) =
+        assemble(n, batches.len(), spmd.results)?;
     Ok(DistOutcome {
         x,
         stats: spmd.stats,
         timings,
         factor_bytes,
         boundary_condition,
+        correction_window,
         obs_counters,
     })
+}
+
+/// The wider of a rank's two correction windows.
+fn widest((fwd, bwd): (usize, usize)) -> usize {
+    fwd.max(bwd)
 }
 
 #[cfg(test)]

@@ -27,7 +27,8 @@ use std::cell::RefCell;
 use bt_blocktri::{BlockRow, BlockRowSource, FactorError, RowPartition};
 use bt_comm::CommBackend;
 use bt_dense::{
-    gemm, gemm_flops, lu_flops, lu_solve_flops, LuFactors, Mat, Trans, Workspace, WorkspaceStats,
+    gemm, gemm_flops, lu_flops, lu_solve_flops, one_norm, LuFactors, Mat, Trans, Workspace,
+    WorkspaceStats,
 };
 
 use crate::companion::{CompanionProduct, CompanionState, CompanionW};
@@ -176,6 +177,17 @@ pub trait ReplayFactors {
     /// The recorded forward and backward cross-rank scan traces.
     fn traces(&self) -> (&ScanTrace, &ScanTrace);
 
+    /// The `(forward, backward)` correction windows: how many owned rows
+    /// nearest each boundary the scanned boundary value still reaches
+    /// above unit roundoff. The forward window counts rows from `lo`,
+    /// the backward one rows back from `hi - 1`. Setup derives both from
+    /// the 1-norms of the prefix products `F_k ... F_lo` and
+    /// `G_k ... G_{hi-1}`, never from a right-hand side, so every backend
+    /// and every batch replays the same arithmetic. A window is 0 on the
+    /// rank that has no boundary on that side, and `rows()` for products
+    /// that never fall to unit roundoff.
+    fn windows(&self) -> (usize, usize);
+
     /// The rank-owned buffer pool every replay temporary cycles through,
     /// so a warm replay allocates nothing (see DESIGN.md "Memory
     /// model"). `RefCell` keeps the `&self` solve signatures; factors
@@ -274,18 +286,66 @@ impl Scans<'_> {
     }
 }
 
+/// Unit roundoff `u` of `f64`: the correction window ends where the
+/// boundary's influence falls to this relative size.
+pub(crate) const UNIT_ROUNDOFF: f64 = f64::EPSILON / 2.0;
+
+/// True when `norm` exceeds `limit` or is NaN, so a non-finite factor
+/// keeps its rows in the window (and its propagation).
+pub(crate) fn exceeds(norm: f64, limit: f64) -> bool {
+    norm > limit || norm.is_nan()
+}
+
+/// True while a product of transfer factors can still move a solution
+/// row by more than `u` times the boundary value: its 1-norm exceeds
+/// [`UNIT_ROUNDOFF`].
+pub(crate) fn exceeds_roundoff(product: &Mat) -> bool {
+    exceeds(one_norm(product), UNIT_ROUNDOFF)
+}
+
+/// One boundary correction pass: `δ_k = T_k δ_{k-1}` from `δ = boundary`,
+/// added into `x[k]` for each row `rows` yields (nearest the boundary
+/// first), with `T_k` from `factor`. Each row costs one
+/// `M x M · M x R` GEMM plus an `M x R` add; the two `δ` panels cycle
+/// through the workspace.
+fn correct<'a, C: CommBackend>(
+    comm: &mut C,
+    ws: &mut Workspace,
+    x: &mut [Mat],
+    rows: impl Iterator<Item = usize>,
+    factor: impl Fn(usize) -> &'a Mat,
+    boundary: Mat,
+) {
+    let (m, r) = boundary.shape();
+    let mut delta = boundary;
+    let mut next = ws.take(m, r);
+    for k in rows {
+        gemm(1.0, factor(k), Trans::No, &delta, Trans::No, 0.0, &mut next);
+        x[k].add_assign(&next);
+        comm.compute(gemm_flops(m, m, r) + (m * r) as u64);
+        std::mem::swap(&mut delta, &mut next);
+    }
+    ws.put(delta);
+    ws.put(next);
+}
+
 /// The one solve body: forward substitution `z_i = F_i z_{i-1} + y_i`,
 /// the diagonal step `h_i = E_i z_i`, backward substitution
 /// `x_i = G_i x_{i+1} + h_i`, all in place in `x` (`y -> z -> h -> x`).
 ///
-/// Each substitution is the boundary-value recurrence. The logically
-/// first rank runs it directly, and its last value doubles as the scan
-/// total. Every other rank folds its local total (the recurrence from a
-/// zero boundary) through workspace buffers, scans, and runs the
-/// recurrence from the scanned boundary value — the scan's exclusive
-/// vector *is* `z_{lo-1}` (`x_hi` backward). So the only per-row factors
-/// are `E_i`, `F_i` and `G_i`, every per-row step is one `M x M · M x R`
-/// GEMM, and every temporary cycles through the rank workspace.
+/// Each substitution makes one in-place sweep, then a truncated
+/// boundary correction. Every rank runs the recurrence from a zero
+/// boundary directly in `x`; its last value is the local total the
+/// cross-rank scan combines. The scan's exclusive vector *is* the
+/// boundary value `z_{lo-1}` (`x_hi` backward), and its influence on row
+/// `k` is `(F_k ... F_lo) z_{lo-1}`. So a non-first rank adds
+/// `δ_k = F_k δ_{k-1}` (with `δ_{lo-1} = z_{lo-1}`) over the forward
+/// window only, and a non-last rank mirrors it with `G_k` over the
+/// backward window ([`ReplayFactors::windows`]). Beyond a window every
+/// product has 1-norm at most `u`, so each dropped term is at most
+/// `u ||z_{lo-1}||` per column. The only per-row factors are `E_i`,
+/// `F_i` and `G_i`, every per-row step is one `M x M · M x R` GEMM, and
+/// every temporary cycles through the rank workspace.
 fn solve_in_place_with<C: CommBackend, L: ReplayFactors + ?Sized>(
     factors: &L,
     comm: &mut C,
@@ -298,53 +358,27 @@ fn solve_in_place_with<C: CommBackend, L: ReplayFactors + ?Sized>(
     for (k, p) in x.iter().enumerate() {
         assert_eq!(p.shape(), (m, r), "rhs panel {k} shape mismatch");
     }
+    let (w_fwd, w_bwd) = factors.windows();
     let mut ws = factors.workspace().borrow_mut();
 
     // ---- Phase 2: forward substitution. ---------------------------------
     let span_fwd = bt_obs::span("solver", "solve.forward");
-    if comm.rank() == 0 {
-        for k in 1..nl {
-            let (done, rest) = x.split_at_mut(k);
-            gemm(
-                1.0,
-                factors.f(k),
-                Trans::No,
-                &done[k - 1],
-                Trans::No,
-                1.0,
-                &mut rest[0],
-            );
-            comm.compute(gemm_flops(m, m, r));
-        }
-        let total = ws.take_copy(x[nl - 1].as_ref());
-        let none = scans.exclusive(comm, Direction::Forward, total, &mut ws);
-        debug_assert!(none.is_none());
-    } else {
-        let mut total = ws.take_copy(x[0].as_ref());
-        for (k, yk) in x.iter().enumerate().skip(1) {
-            let mut v = ws.take_copy(yk.as_ref());
-            gemm(1.0, factors.f(k), Trans::No, &total, Trans::No, 1.0, &mut v);
-            comm.compute(gemm_flops(m, m, r));
-            ws.put(std::mem::replace(&mut total, v));
-        }
-        let z_before = scans
-            .exclusive(comm, Direction::Forward, total, &mut ws)
-            .expect("non-first rank always has an exclusive value");
-        for k in 0..nl {
-            let (done, rest) = x.split_at_mut(k);
-            let prev = if k == 0 { &z_before } else { &done[k - 1] };
-            gemm(
-                1.0,
-                factors.f(k),
-                Trans::No,
-                prev,
-                Trans::No,
-                1.0,
-                &mut rest[0],
-            );
-            comm.compute(gemm_flops(m, m, r));
-        }
-        ws.put(z_before);
+    for k in 1..nl {
+        let (done, rest) = x.split_at_mut(k);
+        gemm(
+            1.0,
+            factors.f(k),
+            Trans::No,
+            &done[k - 1],
+            Trans::No,
+            1.0,
+            &mut rest[0],
+        );
+        comm.compute(gemm_flops(m, m, r));
+    }
+    let total = ws.take_copy(x[nl - 1].as_ref());
+    if let Some(z_before) = scans.exclusive(comm, Direction::Forward, total, &mut ws) {
+        correct(comm, &mut ws, x, 0..w_fwd, |k| factors.f(k), z_before);
     }
     drop(span_fwd);
 
@@ -370,49 +404,23 @@ fn solve_in_place_with<C: CommBackend, L: ReplayFactors + ?Sized>(
 
     // ---- Phase 3: backward substitution, the mirror image. --------------
     let _span_bwd = bt_obs::span("solver", "solve.backward");
-    if comm.rank() + 1 == comm.size() {
-        for k in (0..nl - 1).rev() {
-            let (head, tail) = x.split_at_mut(k + 1);
-            gemm(
-                1.0,
-                factors.g(k),
-                Trans::No,
-                &tail[0],
-                Trans::No,
-                1.0,
-                &mut head[k],
-            );
-            comm.compute(gemm_flops(m, m, r));
-        }
-        let total = ws.take_copy(x[0].as_ref());
-        let none = scans.exclusive(comm, Direction::Backward, total, &mut ws);
-        debug_assert!(none.is_none());
-    } else {
-        let mut total = ws.take_copy(x[nl - 1].as_ref());
-        for k in (0..nl - 1).rev() {
-            let mut v = ws.take_copy(x[k].as_ref());
-            gemm(1.0, factors.g(k), Trans::No, &total, Trans::No, 1.0, &mut v);
-            comm.compute(gemm_flops(m, m, r));
-            ws.put(std::mem::replace(&mut total, v));
-        }
-        let x_after = scans
-            .exclusive(comm, Direction::Backward, total, &mut ws)
-            .expect("non-last rank always has a backward exclusive value");
-        for k in (0..nl).rev() {
-            let (head, tail) = x.split_at_mut(k + 1);
-            let next = if k + 1 == nl { &x_after } else { &tail[0] };
-            gemm(
-                1.0,
-                factors.g(k),
-                Trans::No,
-                next,
-                Trans::No,
-                1.0,
-                &mut head[k],
-            );
-            comm.compute(gemm_flops(m, m, r));
-        }
-        ws.put(x_after);
+    for k in (0..nl - 1).rev() {
+        let (head, tail) = x.split_at_mut(k + 1);
+        gemm(
+            1.0,
+            factors.g(k),
+            Trans::No,
+            &tail[0],
+            Trans::No,
+            1.0,
+            &mut head[k],
+        );
+        comm.compute(gemm_flops(m, m, r));
+    }
+    let total = ws.take_copy(x[0].as_ref());
+    if let Some(x_after) = scans.exclusive(comm, Direction::Backward, total, &mut ws) {
+        let rows = (nl - w_bwd..nl).rev();
+        correct(comm, &mut ws, x, rows, |k| factors.g(k), x_after);
     }
 }
 
@@ -420,16 +428,27 @@ fn solve_in_place_with<C: CommBackend, L: ReplayFactors + ?Sized>(
 /// running product on the left, charging the cost model per product.
 /// Setup folds the two local prefix totals the cross-rank scans need
 /// with it, `F_{hi-1} ... F_lo` and `G_lo ... G_{hi-1}`.
-fn left_product<'a, C: CommBackend>(comm: &mut C, mut chain: impl Iterator<Item = &'a Mat>) -> Mat {
+///
+/// Also returns the chain's correction window: one past the last prefix
+/// product `chain[k] ... chain[0]` whose 1-norm exceeds unit roundoff
+/// (0 if none does). It costs one 1-norm per product and no GEMM.
+fn left_product<'a, C: CommBackend>(
+    comm: &mut C,
+    mut chain: impl Iterator<Item = &'a Mat>,
+) -> (Mat, usize) {
     let mut acc = chain.next().expect("a rank owns at least one row").clone();
     let m = acc.rows();
     let mut next = Mat::zeros(m, m);
-    for factor in chain {
+    let mut window = usize::from(exceeds_roundoff(&acc));
+    for (k, factor) in chain.enumerate() {
         gemm(1.0, factor, Trans::No, &acc, Trans::No, 0.0, &mut next);
         comm.compute(gemm_flops(m, m, m));
         std::mem::swap(&mut acc, &mut next);
+        if exceeds_roundoff(&acc) {
+            window = k + 2;
+        }
     }
-    acc
+    (acc, window)
 }
 
 /// Matrix-dependent state produced by setup and reused across solves:
@@ -461,6 +480,9 @@ pub struct ArdRankFactors {
     fwd_trace: ScanTrace,
     /// Backward counterpart of `fwd_trace`.
     bwd_trace: ScanTrace,
+    /// `(forward, backward)` correction windows (see
+    /// [`ReplayFactors::windows`]).
+    windows: (usize, usize),
     /// Worst boundary-extraction 1-norm condition estimate across ranks
     /// (1.0 for windowed mode / single-rank worlds).
     boundary_cond: f64,
@@ -586,8 +608,8 @@ impl ArdRankFactors {
 
         // ---- Phase 2/3 matrix components: the local prefix totals. ------
         let span_prefixes = bt_obs::span("solver", "setup.local_prefixes");
-        let fwd_total = left_product(comm, f.iter());
-        let bwd_total = left_product(comm, g.iter().rev());
+        let (fwd_total, w_fwd) = left_product(comm, f.iter());
+        let (bwd_total, w_bwd) = left_product(comm, g.iter().rev());
         drop(span_prefixes);
 
         let mut fwd_trace = ScanTrace::default();
@@ -632,6 +654,7 @@ impl ArdRankFactors {
             fresh_totals,
             fwd_trace,
             bwd_trace,
+            windows: (w_fwd, w_bwd),
             boundary_cond,
             ws: RefCell::new(Workspace::new()),
         })
@@ -907,6 +930,10 @@ impl ReplayFactors for ArdRankFactors {
             "solve_replay requires setup(record_traces = true)"
         );
         (&self.fwd_trace, &self.bwd_trace)
+    }
+
+    fn windows(&self) -> (usize, usize) {
+        self.windows
     }
 
     fn workspace(&self) -> &RefCell<Workspace> {

@@ -39,13 +39,16 @@ use std::cell::RefCell;
 
 use bt_blocktri::{BlockRowSource, FactorError};
 use bt_comm::CommBackend;
-use bt_dense::{gemm, gemm_flops, Mat, Trans, Workspace};
+use bt_dense::{gemm, gemm_flops, one_norm, Mat, Trans, Workspace};
 
 use crate::companion::{CompanionProduct, CompanionState, CompanionW};
 use crate::pairs::AffinePair;
 use crate::scans::{affine_exscan_fresh, companion_exscan, Direction, ScanTrace};
 use crate::solver::{RankSolver, Session};
-use crate::state::{invert_diag, neg_product, tags, RankSystem, ReplayFactors};
+use crate::state::{
+    exceeds, exceeds_roundoff, invert_diag, neg_product, tags, RankSystem, ReplayFactors,
+    UNIT_ROUNDOFF,
+};
 
 /// Head-convergence tolerance, relative to `max_abs(D)`: the recurrence
 /// is declared stationary once consecutive diagonals agree to a few
@@ -118,6 +121,9 @@ pub struct ToeplitzRankFactors {
     fwd_trace: ScanTrace,
     /// Recorded backward cross-rank scan matrices.
     bwd_trace: ScanTrace,
+    /// `(forward, backward)` correction windows (see
+    /// [`ReplayFactors::windows`]).
+    windows: (usize, usize),
     /// Worst boundary-extraction condition estimate across ranks.
     boundary_cond: f64,
     /// Rank-owned solve buffer pool (see [`ReplayFactors::workspace`]).
@@ -165,6 +171,100 @@ fn pow_mul_right<C: CommBackend>(comm: &mut C, acc: Mat, base: &Mat, mut t: usiz
         }
     }
     result
+}
+
+/// Forward correction window once the head's prefix products are known:
+/// `head_window` covers the head rows, and the tail rows `from..nl`
+/// continue the product `F_k ... F_lo` with the shared tail factor, one
+/// charged product per row, until it falls to unit roundoff
+/// (`head_product` is `None` for an empty head). Every later power is no
+/// larger when `||tail||_1 <= 1`. Otherwise the products need not decay,
+/// and the window is `nl`.
+fn fwd_tail_window<C: CommBackend>(
+    comm: &mut C,
+    tail: &Mat,
+    head_product: Option<&Mat>,
+    head_window: usize,
+    from: usize,
+    nl: usize,
+) -> usize {
+    if from == nl {
+        return head_window;
+    }
+    if exceeds(one_norm(tail), 1.0) {
+        return nl;
+    }
+    let mut window = head_window;
+    let mut acc = head_product.cloned();
+    for k in from..nl {
+        if acc.as_ref().is_some_and(|p| !exceeds_roundoff(p)) {
+            break;
+        }
+        let next = match &acc {
+            Some(p) => matmul_sq(comm, tail, p),
+            None => tail.clone(),
+        };
+        if exceeds_roundoff(&next) {
+            window = k + 1;
+        }
+        acc = Some(next);
+    }
+    window
+}
+
+/// Backward correction window of a non-last rank, counted back from its
+/// last row. The suffix products `G_k ... G_{hi-1}` begin with powers of
+/// the shared tail factor (the tail holds the rows nearest `hi`), stepped
+/// as in [`fwd_tail_window`]. Once a power falls to unit roundoff, each
+/// head row is bounded by that power's 1-norm, times `||tail||_1` for
+/// every tail row still ahead, times the head factors' 1-norms: one norm
+/// per head row, no product. Without such a power (an all-head slice, or
+/// a tail that never decays that far) the head products are formed
+/// exactly.
+fn bwd_window<C: CommBackend>(comm: &mut C, head_g: &[Mat], tail_g: &Mat, nl: usize) -> usize {
+    let head_len = head_g.len();
+    let t = nl - head_len;
+    let tail_norm = one_norm(tail_g);
+    if t > 0 && exceeds(tail_norm, 1.0) {
+        return nl;
+    }
+    let mut window = 0;
+    let mut acc: Option<Mat> = None;
+    let mut bound: Option<f64> = None;
+    for j in 1..=t {
+        let next = match &acc {
+            Some(p) => matmul_sq(comm, tail_g, p),
+            None => tail_g.clone(),
+        };
+        if !exceeds_roundoff(&next) {
+            let ahead = i32::try_from(t - j).unwrap_or(i32::MAX);
+            bound = Some(one_norm(&next) * tail_norm.powi(ahead));
+            break;
+        }
+        window = j;
+        acc = Some(next);
+    }
+    for (k, gk) in head_g.iter().enumerate().rev() {
+        let above = match &mut bound {
+            Some(b) => {
+                *b *= one_norm(gk);
+                exceeds(*b, UNIT_ROUNDOFF)
+            }
+            None => {
+                let next = match &acc {
+                    Some(p) => matmul_sq(comm, gk, p),
+                    None => gk.clone(),
+                };
+                let above = exceeds_roundoff(&next);
+                acc = Some(next);
+                above
+            }
+        };
+        if above {
+            window = nl - k;
+        }
+    }
+    window
 }
 
 impl ToeplitzRankFactors {
@@ -278,24 +378,34 @@ impl ToeplitzRankFactors {
         // Forward total F_{hi-1} ... F_lo: head factors occupy the low
         // local indices, so the total is tail^t applied left of the head
         // product (new factors multiply on the LEFT as the index grows).
+        // The correction windows come with them: the head's prefix
+        // products are formed here anyway, and the stationary tail needs
+        // only the few powers of its shared factor that stay above `u`.
         let span_totals = bt_obs::span("solver", "setup.toeplitz_totals");
         let head_len = head_d_inv.len();
         let t = nl - head_len;
-        let fwd_total = {
+        let (fwd_total, w_fwd) = {
             let mut acc = if head_len == 0 {
                 Mat::identity(m)
             } else {
                 head_f[0].clone()
             };
-            for fk in head_f.iter().skip(1) {
+            let mut window = usize::from(head_len > 0 && exceeds_roundoff(&acc));
+            for (k, fk) in head_f.iter().enumerate().skip(1) {
                 acc = matmul_sq(comm, fk, &acc);
+                if exceeds_roundoff(&acc) {
+                    window = k + 1;
+                }
             }
-            pow_mul_left(comm, &tail_f, t, acc)
+            let head_product = (head_len > 0).then_some(&acc);
+            let window = fwd_tail_window(comm, &tail_f, head_product, window, head_len, nl);
+            (pow_mul_left(comm, &tail_f, t, acc), window)
         };
         // Backward total G_lo ... G_{hi-1}: on the last rank the final
-        // factor G_{N-1} is zero, so the whole product is zero.
-        let bwd_total = if sys.hi == sys.n {
-            Mat::zeros(m, m)
+        // factor G_{N-1} is zero, so the whole product is zero, and so is
+        // every product the window would correct with.
+        let (bwd_total, w_bwd) = if sys.hi == sys.n {
+            (Mat::zeros(m, m), 0)
         } else {
             let mut acc = if head_len == 0 {
                 Mat::identity(m)
@@ -305,7 +415,8 @@ impl ToeplitzRankFactors {
             for gk in head_g.iter().skip(1) {
                 acc = matmul_sq(comm, &acc, gk);
             }
-            pow_mul_right(comm, acc, &tail_g, t)
+            let window = bwd_window(comm, &head_g, &tail_g, nl);
+            (pow_mul_right(comm, acc, &tail_g, t), window)
         };
         drop(span_totals);
 
@@ -351,6 +462,7 @@ impl ToeplitzRankFactors {
             g_zero: (sys.hi == sys.n).then(|| Mat::zeros(m, m)),
             fwd_trace,
             bwd_trace,
+            windows: (w_fwd, w_bwd),
             boundary_cond,
             ws: RefCell::new(Workspace::new()),
         })
@@ -532,6 +644,10 @@ impl ReplayFactors for ToeplitzRankFactors {
         (&self.fwd_trace, &self.bwd_trace)
     }
 
+    fn windows(&self) -> (usize, usize) {
+        self.windows
+    }
+
     fn workspace(&self) -> &RefCell<Workspace> {
         &self.ws
     }
@@ -608,6 +724,42 @@ mod tests {
                 xf.rel_diff(&xg)
             );
         }
+    }
+
+    /// The layout sizes its windows from head products and tail powers,
+    /// the general layout from every row's exact prefix product. Where
+    /// products contract, the two agree to a row; where they never fall
+    /// to `u` (weak dominance on short slices) both cover whole slices.
+    #[test]
+    fn windows_match_the_general_layout() {
+        let windows = |src: &ClusteredToeplitz, p: usize| {
+            let out = bt_mpsim::run_spmd(p, ZERO, |comm| {
+                let sys = RankSystem::from_source(src, p, comm.rank());
+                let fast = ToeplitzRankFactors::setup(comm, &sys).unwrap();
+                let general = crate::state::ArdRankFactors::setup(comm, &sys, true).unwrap();
+                (fast.windows(), general.windows())
+            });
+            out.results
+        };
+        for (rank, (fast, general)) in windows(&ClusteredToeplitz::standard(512, 4, 1), 4)
+            .into_iter()
+            .enumerate()
+        {
+            assert!(
+                fast.0.abs_diff(general.0) <= 1 && fast.1.abs_diff(general.1) <= 1,
+                "rank {rank}: toeplitz {fast:?} vs general {general:?}"
+            );
+            assert!(fast.0 < 128 && fast.1 < 128, "rank {rank}: {fast:?}");
+        }
+        let weak = windows(&ClusteredToeplitz::new(64, 6, 2.1, 0.01, 9), 4);
+        assert_eq!(
+            weak.iter().map(|w| w.0).collect::<Vec<_>>(),
+            vec![(0, 16), (16, 16), (16, 16), (16, 0)]
+        );
+        assert_eq!(
+            weak.iter().map(|w| w.1).collect::<Vec<_>>(),
+            vec![(0, 16), (16, 16), (16, 16), (16, 0)]
+        );
     }
 
     #[test]

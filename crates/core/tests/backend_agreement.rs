@@ -7,7 +7,7 @@
 //! by one — shows up as a differing bit pattern, not a tolerance miss.
 
 use bt_ard::driver::{ard_solve_cfg_on, pcr_solve_cfg_on, DriverConfig};
-use bt_ard::state::{ArdRankFactors, RankSystem};
+use bt_ard::state::{ArdRankFactors, RankSystem, ReplayFactors};
 use bt_blocktri::gen::{random_rhs, rhs_panel, ClusteredToeplitz};
 use bt_blocktri::{BlockRowSource, BlockVec};
 use bt_dense::Mat;
@@ -58,6 +58,12 @@ fn assert_ard_agreement<S: BlockRowSource + Sync>(
         "sim and shm ARD counters diverged (p={})",
         cfg.p
     );
+    // Setup derives the correction windows from the matrix alone.
+    assert_eq!(
+        sim.correction_window, shm.correction_window,
+        "sim and shm correction windows diverged (p={})",
+        cfg.p
+    );
 }
 
 #[test]
@@ -75,8 +81,8 @@ fn ard_driver_agrees_across_backends() {
 #[test]
 fn replay_agrees_across_backends_at_eight_ranks() {
     // Eight ranks of six rows each: every rank but the logically first
-    // in each direction folds a local total, scans, and re-runs the
-    // boundary-value recurrence.
+    // in each direction sweeps from a zero boundary, scans, and corrects
+    // its window with the scanned boundary value.
     let src = ClusteredToeplitz::standard(48, 4, 11);
     let batches = vec![random_rhs(48, 4, 3, 5)];
     let cfg = DriverConfig::new(8)
@@ -87,8 +93,9 @@ fn replay_agrees_across_backends_at_eight_ranks() {
 
 #[test]
 fn raw_world_replay_agrees_across_backends() {
-    // A 12-column replay on raw worlds: solution bits and per-rank
-    // counters must match across backends.
+    // A 12-column replay on raw worlds: solution bits, per-rank
+    // correction windows and per-rank counters must match across
+    // backends.
     let (n, m, p, r) = (16, 3, 4, 12);
     let src = ClusteredToeplitz::standard(n, m, 1);
     let sim = run_spmd(p, ZERO, |comm| {
@@ -97,7 +104,8 @@ fn raw_world_replay_agrees_across_backends() {
         let y: Vec<Mat> = (sys.lo..sys.hi).map(|i| rhs_panel(m, r, 3, i)).collect();
         let mut x: Vec<Mat> = y.iter().map(|p| Mat::zeros(p.rows(), p.cols())).collect();
         factors.solve_replay_into(comm, &y, &mut x);
-        x.iter().flat_map(bits_of_mat).collect::<Vec<u64>>()
+        let bits = x.iter().flat_map(bits_of_mat).collect::<Vec<u64>>();
+        (factors.windows(), bits)
     });
     let shm = run_shm(p, ZERO, |comm| {
         let sys = RankSystem::from_source(&src, p, comm.rank());
@@ -105,7 +113,8 @@ fn raw_world_replay_agrees_across_backends() {
         let y: Vec<Mat> = (sys.lo..sys.hi).map(|i| rhs_panel(m, r, 3, i)).collect();
         let mut x: Vec<Mat> = y.iter().map(|p| Mat::zeros(p.rows(), p.cols())).collect();
         factors.solve_replay_into(comm, &y, &mut x);
-        x.iter().flat_map(bits_of_mat).collect::<Vec<u64>>()
+        let bits = x.iter().flat_map(bits_of_mat).collect::<Vec<u64>>();
+        (factors.windows(), bits)
     });
     assert_eq!(sim.results, shm.results, "replay diverged across backends");
     assert_eq!(

@@ -13,21 +13,23 @@
 //! pins of its own, captured on that path and asserted when it is the
 //! active one. NEON has none.
 //!
-//! The ARD, raw-world replay and Toeplitz solution hashes are those of
-//! the replay over stored inverses `E_i = D_i^{-1}`, whose diagonal
-//! step is a small-block GEMM. They were captured when the factor store
-//! moved from `LU(D_i)` to `E_i`. On the same inputs each pinned
-//! solution agrees with the `LU(D_i)` replay's solution and with block
-//! Thomas (`ThomasFactors`) to a relative difference of at most `1e-13`
-//! (measured: at most 1.4e-16 and 1.8e-16). That move left every
-//! solve-only clock and message counter as it was; the clocks that
-//! include setup and the flop counters grew by the inverses' `2 M^3`
-//! per inverted block.
+//! The ARD, raw-world replay and Toeplitz solution hashes, solve clocks
+//! and flop counts are those of the work-efficient replay: one in-place
+//! sweep per direction, then a boundary correction over the window setup
+//! derives from the matrix. They were re-taken when it replaced
+//! re-running each recurrence from the scanned boundary value. On the
+//! same inputs each new solution agrees with the previous replay's to a
+//! relative difference of at most 1.5e-16, and with block Thomas
+//! (`ThomasFactors`) to at most 2.1e-16, on the AVX2 and scalar paths
+//! alike. The ARD pin's setup clock and every message and byte count did
+//! not move. The ARD pin's windows span every rank's 8 rows, so it runs
+//! the same GEMMs as before plus one panel add per corrected row. The
+//! Toeplitz pin's windows are short, so its clock fell, though its setup
+//! now also pays the tail powers that size them.
 //!
-//! Every replay scan round sends one `M x R` panel. The raw-world and
-//! Toeplitz pins were re-taken when the RHS-tiled scan was removed: their
-//! solution bytes did not move, and their clocks and message counts are
-//! those the tiled scan gave with one tile per round.
+//! The replay's diagonal step is a small-block GEMM over stored
+//! inverses `E_i = D_i^{-1}`, and every replay scan round sends one
+//! `M x R` panel.
 
 use bt_ard::batch::BatchedSystems;
 use bt_ard::driver::{ard_solve_cfg_on, pcr_solve_cfg_on, DriverConfig};
@@ -97,11 +99,11 @@ fn ard_driver_is_bitwise_pinned() {
     let total = out.stats.total();
 
     if pinned_isa() {
-        assert_eq!(x_hash, 0xdc9f_393c_4f73_3256, "ARD solution bytes drifted");
+        assert_eq!(x_hash, 0x6916_c5df_6325_9ee7, "ARD solution bytes drifted");
     }
     if scalar_isa() {
         assert_eq!(
-            x_hash, 0xe177_4a71_f1f2_7016,
+            x_hash, 0x7c5a_b9bf_42de_4750,
             "scalar ARD solution bytes drifted"
         );
     }
@@ -111,7 +113,7 @@ fn ard_driver_is_bitwise_pinned() {
     );
     assert_eq!(
         solve_bits,
-        vec![0x3eea_ea33_8763_5870, 0x3eea_ea33_8763_5870],
+        vec![0x3eeb_03f8_993f_92b0, 0x3eeb_03f8_993f_92b0],
         "modeled solve clocks drifted"
     );
     assert_eq!(
@@ -119,7 +121,7 @@ fn ard_driver_is_bitwise_pinned() {
         (100, 6960),
         "message/byte counters drifted"
     );
-    assert_eq!(total.flops, 48708, "flop counter drifted");
+    assert_eq!(total.flops, 50148, "flop counter drifted");
 }
 
 /// A 12-column replay on a raw `run_spmd` world: one panel per scan
@@ -148,19 +150,19 @@ fn raw_world_replay_is_bitwise_pinned() {
     }
     if pinned_isa() {
         assert_eq!(
-            h, 0x5805_3f39_164b_0291,
+            h, 0x2569_3b50_5897_dd95,
             "raw-world replay solution bytes drifted"
         );
     }
     if scalar_isa() {
         assert_eq!(
-            h, 0x3bf0_7260_b195_6cfd,
+            h, 0x16b8_fba1_e67d_5f10,
             "scalar raw-world replay solution bytes drifted"
         );
     }
     assert_eq!(
         out.modeled_seconds.to_bits(),
-        0x3f02_f93b_7199_6b0d,
+        0x3f03_00f6_908e_afbd,
         "modeled wall clock drifted"
     );
     let total = out.stats.total();
@@ -174,9 +176,9 @@ fn raw_world_replay_is_bitwise_pinned() {
 /// The Toeplitz factor layout (head on rank 0, shared tail elsewhere)
 /// through the shared replay body. Where the head ends depends on
 /// rounding (the stationarity test compares consecutive diagonals), so
-/// the split, the setup's flop count and the modeled clock are pinned
-/// with the solution bytes on the capture ISA only; the message pattern
-/// holds everywhere.
+/// the split, the correction windows, the setup's flop count and the
+/// modeled clock are pinned with the solution bytes on the capture ISA
+/// only; the message pattern holds everywhere.
 #[test]
 fn toeplitz_replay_is_bitwise_pinned() {
     let (n, m, p, r) = (160, 3, 4, 6);
@@ -186,7 +188,7 @@ fn toeplitz_replay_is_bitwise_pinned() {
         let factors = ToeplitzRankFactors::setup(comm, &sys).expect("setup");
         let mut x: Vec<Mat> = (sys.lo..sys.hi).map(|i| rhs_panel(m, r, 9, i)).collect();
         factors.solve_in_place(comm, &mut x);
-        (factors.head_len(), x)
+        (factors.head_len(), factors.windows(), x)
     });
 
     let total = out.stats.total();
@@ -196,44 +198,56 @@ fn toeplitz_replay_is_bitwise_pinned() {
         "Toeplitz message/byte counters drifted"
     );
     if pinned_isa() {
-        let heads: Vec<usize> = out.results.iter().map(|(h, _)| *h).collect();
+        let heads: Vec<usize> = out.results.iter().map(|(h, _, _)| *h).collect();
         assert_eq!(heads, vec![8, 0, 0, 0], "head/tail split drifted");
+        let windows: Vec<(usize, usize)> = out.results.iter().map(|(_, w, _)| *w).collect();
+        assert_eq!(
+            windows,
+            vec![(0, 17), (17, 17), (17, 17), (17, 0)],
+            "correction windows drifted"
+        );
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for (_, panels) in &out.results {
+        for (_, _, panels) in &out.results {
             for panel in panels {
                 hash_mat(&mut h, panel);
             }
         }
         assert_eq!(
-            h, 0xbbd3_90dd_74cd_66c1,
+            h, 0xce74_02d0_2be0_b191,
             "Toeplitz replay solution bytes drifted"
         );
         assert_eq!(
             out.modeled_seconds.to_bits(),
-            0x3f04_fadb_4a60_6dc9,
+            0x3f04_b735_fb7e_54e1,
             "modeled Toeplitz clock drifted"
         );
-        assert_eq!(total.flops, 99306, "Toeplitz flop counter drifted");
+        assert_eq!(total.flops, 91746, "Toeplitz flop counter drifted");
     }
     if scalar_isa() {
-        let heads: Vec<usize> = out.results.iter().map(|(h, _)| *h).collect();
+        let heads: Vec<usize> = out.results.iter().map(|(h, _, _)| *h).collect();
         assert_eq!(heads, vec![8, 0, 0, 0], "scalar head/tail split drifted");
+        let windows: Vec<(usize, usize)> = out.results.iter().map(|(_, w, _)| *w).collect();
+        assert_eq!(
+            windows,
+            vec![(0, 17), (17, 17), (17, 17), (17, 0)],
+            "scalar correction windows drifted"
+        );
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for (_, panels) in &out.results {
+        for (_, _, panels) in &out.results {
             for panel in panels {
                 hash_mat(&mut h, panel);
             }
         }
         assert_eq!(
-            h, 0x2807_4a91_4f71_aa07,
+            h, 0x7508_704a_39da_092f,
             "scalar Toeplitz replay solution bytes drifted"
         );
         assert_eq!(
             out.modeled_seconds.to_bits(),
-            0x3f04_fadb_4a60_6dc9,
+            0x3f04_b735_fb7e_54e1,
             "scalar modeled Toeplitz clock drifted"
         );
-        assert_eq!(total.flops, 99306, "scalar Toeplitz flop counter drifted");
+        assert_eq!(total.flops, 91746, "scalar Toeplitz flop counter drifted");
     }
 }
 

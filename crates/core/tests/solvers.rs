@@ -5,13 +5,14 @@
 use bt_ard::driver::{
     ard_solve_cfg, ard_solve_cfg_on, ard_solve_dist, rd_solve_cfg, rd_solve_dist, DriverConfig,
 };
-use bt_ard::state::BoundaryMode;
+use bt_ard::state::{ArdRankFactors, BoundaryMode, RankSystem, ReplayFactors};
 use bt_blocktri::gen::{
     materialize, random_rhs, ClusteredToeplitz, ConvectionDiffusion, Poisson2D, RandomDominant,
 };
 use bt_blocktri::thomas::{thomas_solve, ThomasFactors};
 use bt_blocktri::{BlockRowSource, RowPartition};
-use bt_mpsim::{CostModel, SimBackend};
+use bt_dense::{gemm_flops, Mat};
+use bt_mpsim::{run_spmd, CostModel, SimBackend};
 
 const ZERO: CostModel = CostModel {
     latency_s: 0.0,
@@ -386,6 +387,120 @@ fn replay_matches_thomas_and_stores_three_blocks_per_row() {
     }
 }
 
+/// The replay is work-efficient: every rank runs exactly three
+/// `M x M · M x R` passes over its rows (the forward sweep, the diagonal
+/// step and the backward sweep), plus one GEMM and one `M x R` add per
+/// row of each correction window it has a boundary for, plus one panel
+/// combine per scan receive. A rank that re-ran a recurrence from its
+/// scanned boundary value would pay up to two more passes. Clustered
+/// spectra contract fast, so both windows stay short.
+#[test]
+fn replay_is_work_efficient() {
+    let (n, m, r) = (256, 8, 4);
+    let src = ClusteredToeplitz::standard(n, m, 3);
+    let y = random_rhs(n, m, r, 9);
+    let gemm = gemm_flops(m, m, r);
+    for p in [2, 4] {
+        let out = run_spmd(p, ZERO, |comm| {
+            let sys = RankSystem::from_source(&src, p, comm.rank());
+            let factors = ArdRankFactors::setup(comm, &sys, true).unwrap();
+            let y_local: Vec<Mat> = (sys.lo..sys.hi).map(|i| y.blocks[i].clone()).collect();
+            let mut x = y_local.clone();
+            let before = comm.stats().flops;
+            factors.solve_replay_into(comm, &y_local, &mut x);
+            (
+                sys.local_len() as u64,
+                factors.windows(),
+                comm.stats().flops - before,
+            )
+        });
+        for (rank, &(nl, (w_fwd, w_bwd), flops)) in out.results.iter().enumerate() {
+            let (first, last) = (rank == 0, rank + 1 == p);
+            // No boundary on a side, no influence to correct: F_0 = 0 and
+            // G_{N-1} = 0 zero every product.
+            assert_eq!(
+                first,
+                w_fwd == 0,
+                "p={p} rank={rank}: forward window {w_fwd}"
+            );
+            assert_eq!(
+                last,
+                w_bwd == 0,
+                "p={p} rank={rank}: backward window {w_bwd}"
+            );
+            assert!(
+                w_fwd <= 32 && w_bwd <= 32,
+                "p={p} rank={rank}: windows ({w_fwd}, {w_bwd})"
+            );
+            let passes = (3 * nl - 2) * gemm;
+            let windows = (w_fwd + w_bwd) as u64 * (gemm + (m * r) as u64);
+            let combines = (scan_receives(rank, p) + scan_receives(p - 1 - rank, p)) as u64 * gemm;
+            assert_eq!(
+                flops,
+                passes + windows + combines,
+                "p={p} rank={rank}: windows ({w_fwd}, {w_bwd})"
+            );
+        }
+    }
+}
+
+/// Right-hand sides whose scale jumps by 1e8 between neighbouring rank
+/// blocks. Each term the correction window drops is at most `u` times
+/// the *boundary* value, which here can be 1e8 times the rank's own
+/// data, so the guarantee is normwise: the normwise residual stays at
+/// roundoff whether the window is short (clustered spectra, exact scan)
+/// or the whole slice (windowed Poisson, whose products decay too slowly
+/// to truncate). The worst blockwise error is printed, not bounded.
+#[test]
+fn rhs_scale_jumps_across_ranks_keep_normwise_residual_at_roundoff() {
+    let (m, r) = (6, 3);
+    // Poisson's products need ~80 rows to fall to `u` at M = 6, so its
+    // 112 rows keep every rank's window at N/P.
+    let cells: [(&str, Box<dyn BlockRowSource + Sync>, BoundaryMode); 2] = [
+        (
+            "clustered",
+            Box::new(ClusteredToeplitz::standard(224, m, 2014)),
+            BoundaryMode::ExactScan,
+        ),
+        (
+            "poisson",
+            Box::new(Poisson2D::new(112, m)),
+            BoundaryMode::Windowed(64),
+        ),
+    ];
+    for (name, src, mode) in cells {
+        let n = src.n();
+        let t = materialize(&src);
+        let thomas = ThomasFactors::factor(&t).unwrap();
+        for p in [2, 4, 7] {
+            let part = RowPartition::new(n, p);
+            let mut y = random_rhs(n, m, r, 77);
+            for rank in (0..p).step_by(2) {
+                for i in part.range(rank) {
+                    y.blocks[i].scale(1e8);
+                }
+            }
+            let cfg = DriverConfig::new(p).with_model(ZERO).with_boundary(mode);
+            let out = ard_solve_cfg(&cfg, &src, std::slice::from_ref(&y)).unwrap();
+            if name == "poisson" {
+                assert_eq!(out.correction_window, n / p, "{name} p={p}");
+            } else {
+                assert!(out.correction_window < n / p, "{name} p={p}");
+            }
+            let res = t.rel_residual(&out.x[0], &y);
+            assert!(res <= 1e-15, "{name} p={p}: relative residual {res:.2e}");
+            let x_ref = thomas.solve(&y);
+            let worst_block = (0..n)
+                .map(|i| bt_dense::rel_diff(&out.x[0].blocks[i], &x_ref.blocks[i]))
+                .fold(0.0, f64::max);
+            println!(
+                "{name} p={p} window={}: residual {res:.2e}, worst blockwise relative error {worst_block:.2e}",
+                out.correction_window
+            );
+        }
+    }
+}
+
 /// Table III's machine-precision cells: exact-scan ARD on clustered
 /// spectra and windowed-64 ARD on the other generators stay at
 /// roundoff, far below the looser tolerances above — so a replay that
@@ -491,7 +606,7 @@ fn modeled_times_match_analytic_prediction() {
             "setup n={n} m={m} p={p}: measured {setup_meas:.2e} vs predicted {setup_pred:.2e}"
         );
 
-        let solve_pred = predicted_ard_solve_seconds(&c, &model);
+        let solve_pred = predicted_ard_solve_seconds(&c, out.correction_window, &model);
         let solve_meas = out.timings.solve_modeled[1];
         let ratio = solve_meas / solve_pred;
         assert!(
