@@ -28,7 +28,7 @@
 
 use std::time::Instant;
 
-use bt_ard::state::{ArdRankFactors, RankSystem};
+use bt_ard::state::{ArdRankFactors, RankSystem, ReplayFactors};
 use bt_bench::Args;
 use bt_blocktri::gen::{rhs_panel, ClusteredToeplitz};
 use bt_blocktri::BlockRowSource;
@@ -69,18 +69,18 @@ fn solve_cell<C: CommBackend>(
     let sys = RankSystem::from_source(src, p, comm.rank());
     let factors = ArdRankFactors::setup(comm, &sys, true).expect("setup");
     let y: Vec<Mat> = (sys.lo..sys.hi).map(|i| rhs_panel(m, r, 0, i)).collect();
-    let mut x: Vec<Mat> = y
-        .iter()
-        .map(|yp| Mat::zeros(yp.rows(), yp.cols()))
-        .collect();
-    factors.solve_replay_into(comm, &y, &mut x); // warm-up
+    let mut x = y.clone();
+    factors.solve_in_place(comm, &mut x); // warm-up
 
     let mut best = f64::INFINITY;
     for _ in 0..reps {
         let _ = comm.allreduce(0u64, |a, b| (*a).max(*b)); // sync ranks
         let v0 = comm.virtual_time();
         let t0 = Instant::now();
-        factors.solve_replay_into(comm, &y, &mut x);
+        for (xk, yk) in x.iter_mut().zip(&y) {
+            xk.as_mut().copy_from(yk.as_ref());
+        }
+        factors.solve_in_place(comm, &mut x);
         let dv = comm.virtual_time() - v0;
         let dt = t0.elapsed().as_secs_f64();
         let d = if dv > 0.0 { dv } else { dt };

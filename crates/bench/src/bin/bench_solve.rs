@@ -4,9 +4,10 @@
 //! The cold baseline re-runs each solve after draining the rank
 //! workspace and the message-panel pool, which reproduces the
 //! pre-workspace behaviour (every temporary and every message payload
-//! heap-allocated per call). The warm path reuses caller-held output
-//! panels via [`ArdRankFactors::solve_replay_into`] with the pools left
-//! warm — the allocation-free hot path `tests/workspace.rs` pins.
+//! heap-allocated per call). The warm path copies each batch into
+//! caller-held panels and solves them with
+//! [`ReplayFactors::solve_in_place`], with the pools left warm — the
+//! allocation-free hot path `tests/workspace.rs` pins.
 //!
 //! Emits `BENCH_solve.json` at the workspace root (override with
 //! `--out`): per-`R` setup time, cold/warm best-of-N solve wall times,
@@ -20,7 +21,7 @@
 
 use std::time::Instant;
 
-use bt_ard::state::{ArdRankFactors, RankSystem};
+use bt_ard::state::{ArdRankFactors, RankSystem, ReplayFactors};
 use bt_bench::Args;
 use bt_blocktri::gen::{rhs_panel, ClusteredToeplitz};
 use bt_dense::Mat;
@@ -80,22 +81,22 @@ fn main() {
 
             // Cold baseline: drain both pools before every call so each
             // solve re-allocates everything, as the pre-workspace code
-            // did (outputs included — `solve_replay` allocates them).
+            // did (outputs included — a fresh copy of the batch).
             let cold_solve_s = time_collective(comm, reps, |comm| {
                 factors.reset_workspace();
                 panel_pool_drain();
-                let x = factors.solve_replay(comm, &y_local);
-                assert_eq!(x.len(), y_local.len());
+                let mut x = y_local.clone();
+                factors.solve_in_place(comm, &mut x);
             });
 
             // Warm path: pools stay warm, outputs are reused.
-            let mut x: Vec<Mat> = y_local
-                .iter()
-                .map(|p| Mat::zeros(p.rows(), p.cols()))
-                .collect();
-            factors.solve_replay_into(comm, &y_local, &mut x); // warm-up
+            let mut x = y_local.clone();
+            factors.solve_in_place(comm, &mut x); // warm-up
             let warm_solve_s = time_collective(comm, reps, |comm| {
-                factors.solve_replay_into(comm, &y_local, &mut x);
+                for (xk, yk) in x.iter_mut().zip(&y_local) {
+                    xk.as_mut().copy_from(yk.as_ref());
+                }
+                factors.solve_in_place(comm, &mut x);
             });
 
             (

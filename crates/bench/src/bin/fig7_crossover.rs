@@ -6,15 +6,13 @@
 //! essentially immediately, and everything beyond `R*` is pure gain.
 //!
 //! `R*` is derived from measured modeled times
-//! (`R* = ceil(setup / (rd_batch - ard_batch))`) and cross-checked
-//! against the flop model.
+//! (`R* = ceil(setup / (rd_batch - ard_batch))`).
 //!
 //! ```text
 //! cargo run --release -p bt-bench --bin fig7_crossover -- \
 //!     --n 512 --p 8 --ms 4,8,16,32,64 [--csv out.csv]
 //! ```
 
-use bt_ard::complexity::{ard_solve_flops, rd_solve_flops, setup_flops};
 use bt_bench::{emit, fmt_secs, make_batches, run_ard, run_rd, Args, ExpConfig, GenKind, Table};
 
 fn main() {
@@ -31,14 +29,7 @@ fn main() {
             "Figure 7: crossover R* vs M (N={}, P={}, R={}/batch)",
             cfg.n, cfg.p, cfg.r
         ),
-        &[
-            "M",
-            "ard_setup",
-            "ard_batch",
-            "rd_batch",
-            "Rstar_measured",
-            "Rstar_flop_model",
-        ],
+        &["M", "ard_setup", "ard_batch", "rd_batch", "Rstar_measured"],
     );
 
     for &m in &ms {
@@ -52,17 +43,12 @@ fn main() {
         } else {
             f64::INFINITY
         };
-        let c = cfg.complexity();
-        let w = ard.correction_window;
-        let model_gain = rd_solve_flops(&c, w) - ard_solve_flops(&c, w);
-        let rstar_model = (setup_flops(&c) / model_gain).ceil();
         table.row(&[
             m.to_string(),
             fmt_secs(ard.setup_modeled),
             fmt_secs(ard.solve_modeled_mean),
             fmt_secs(rd.solve_modeled_mean),
             format!("{rstar:.0}"),
-            format!("{rstar_model:.0}"),
         ]);
     }
     emit(&args, &table);

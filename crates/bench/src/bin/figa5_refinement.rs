@@ -12,8 +12,7 @@
 //!     --m 6 --p 8 --ns 8,16,24,32,40,48,64 [--csv out.csv]
 //! ```
 
-use bt_ard::refine::ard_solve_refined;
-use bt_ard::state::BoundaryMode;
+use bt_ard::session::ArdSession;
 use bt_bench::{emit, Args, ExpConfig, GenKind, Table};
 use bt_blocktri::gen::random_rhs;
 use bt_blocktri::BlockTridiag;
@@ -45,15 +44,10 @@ fn main() {
         let src = cfg.source();
         let t = BlockTridiag::from_source(&src);
         let y = random_rhs(n, m, 2, 3);
-        match ard_solve_refined(
-            cfg.p,
-            CostModel::zero(),
-            BoundaryMode::ExactScan,
-            &src,
-            &y,
-            max_sweeps,
-            1e-14,
-        ) {
+        // A breakdown surfaces as the session's create error.
+        let refined = ArdSession::create(cfg.p, CostModel::zero(), &src)
+            .and_then(|session| session.solve_refined(&y, max_sweeps, 1e-14));
+        match refined {
             Ok((x, history)) => {
                 table.row(&[
                     n.to_string(),

@@ -13,9 +13,8 @@ use bt_dense::Mat;
 use bt_mpsim::SimBackend;
 use bt_shm::ShmBackend;
 
-use crate::pcr::PcrRankFactors;
-use crate::spike::SpikeRankFactors;
-use crate::state::{ArdRankFactors, BoundaryMode, RankSystem, ReplayFactors};
+use crate::session::{FactorKind, RankFactors};
+use crate::state::{ArdRankFactors, BoundaryMode, ReplayFactors};
 
 /// Per-phase timing of one run, aggregated over ranks (maximum).
 #[derive(Debug, Clone, Default)]
@@ -141,7 +140,7 @@ pub fn rd_solve_dist<S: BlockRowSource + Sync>(
     src: &S,
     batches: &[BlockVec],
 ) -> Result<DistOutcome, FactorError> {
-    run_driver(p, model, src, batches, Mode::ClassicRd)
+    rd_solve_cfg(&DriverConfig::new(p).with_model(model), src, batches)
 }
 
 /// Solves every batch with the **accelerated recursive doubling**
@@ -161,27 +160,17 @@ pub fn ard_solve_dist<S: BlockRowSource + Sync>(
     src: &S,
     batches: &[BlockVec],
 ) -> Result<DistOutcome, FactorError> {
-    run_driver(p, model, src, batches, Mode::Accelerated)
+    ard_solve_cfg(&DriverConfig::new(p).with_model(model), src, batches)
 }
 
-#[derive(Clone, Copy, PartialEq)]
-enum Mode {
-    ClassicRd,
-    Accelerated,
-    Spike,
-    Pcr,
-}
-
-impl Mode {
-    /// Short algorithm label used in trace span arguments.
-    fn name(self) -> &'static str {
-        match self {
-            Mode::ClassicRd => "rd",
-            Mode::Accelerated => "ard",
-            Mode::Spike => "spike",
-            Mode::Pcr => "pcr",
-        }
-    }
+/// What a driver run does on each rank.
+#[derive(Clone, Copy)]
+pub(crate) enum Mode {
+    /// Classic recursive doubling, with the boundary recovered in the
+    /// given mode: re-factors for every batch, by design.
+    ClassicRd(BoundaryMode),
+    /// Factor once, then solve every batch with the stored factors.
+    Factored(FactorKind),
 }
 
 /// Full driver configuration; the `*_solve_dist` helpers use
@@ -247,7 +236,7 @@ pub fn spike_solve_cfg<S: BlockRowSource + Sync>(
     src: &S,
     batches: &[BlockVec],
 ) -> Result<DistOutcome, FactorError> {
-    run_driver_cfg(cfg, src, batches, Mode::Spike)
+    run_driver_cfg(cfg, src, batches, Mode::Factored(FactorKind::Spike))
 }
 
 /// Amortized parallel cyclic reduction under an explicit
@@ -263,7 +252,7 @@ pub fn pcr_solve_cfg<S: BlockRowSource + Sync>(
     src: &S,
     batches: &[BlockVec],
 ) -> Result<DistOutcome, FactorError> {
-    run_driver_cfg(cfg, src, batches, Mode::Pcr)
+    run_driver_cfg(cfg, src, batches, Mode::Factored(FactorKind::Pcr))
 }
 
 /// Classic recursive doubling under an explicit [`DriverConfig`].
@@ -277,7 +266,7 @@ pub fn rd_solve_cfg<S: BlockRowSource + Sync>(
     src: &S,
     batches: &[BlockVec],
 ) -> Result<DistOutcome, FactorError> {
-    run_driver_cfg(cfg, src, batches, Mode::ClassicRd)
+    run_driver_cfg(cfg, src, batches, Mode::ClassicRd(cfg.boundary))
 }
 
 /// Accelerated recursive doubling under an explicit [`DriverConfig`].
@@ -291,7 +280,8 @@ pub fn ard_solve_cfg<S: BlockRowSource + Sync>(
     src: &S,
     batches: &[BlockVec],
 ) -> Result<DistOutcome, FactorError> {
-    run_driver_cfg(cfg, src, batches, Mode::Accelerated)
+    let kind = FactorKind::General(cfg.boundary);
+    run_driver_cfg(cfg, src, batches, Mode::Factored(kind))
 }
 
 /// Which [`SpmdBackend`] the environment selects for driver-level entry
@@ -343,7 +333,8 @@ pub fn ard_solve_cfg_on<B: SpmdBackend, S: BlockRowSource + Sync>(
     src: &S,
     batches: &[BlockVec],
 ) -> Result<DistOutcome, FactorError> {
-    run_driver_cfg_on::<B, S>(cfg, src, batches, Mode::Accelerated)
+    let kind = FactorKind::General(cfg.boundary);
+    run_driver_cfg_on::<B, S>(cfg, src, batches, Mode::Factored(kind))
 }
 
 /// [`pcr_solve_cfg`] on an explicitly chosen backend `B` (see
@@ -358,18 +349,7 @@ pub fn pcr_solve_cfg_on<B: SpmdBackend, S: BlockRowSource + Sync>(
     src: &S,
     batches: &[BlockVec],
 ) -> Result<DistOutcome, FactorError> {
-    run_driver_cfg_on::<B, S>(cfg, src, batches, Mode::Pcr)
-}
-
-fn run_driver<S: BlockRowSource + Sync>(
-    p: usize,
-    model: CostModel,
-    src: &S,
-    batches: &[BlockVec],
-    mode: Mode,
-) -> Result<DistOutcome, FactorError> {
-    let cfg = DriverConfig::new(p).with_model(model);
-    run_driver_cfg(&cfg, src, batches, mode)
+    run_driver_cfg_on::<B, S>(cfg, src, batches, Mode::Factored(FactorKind::Pcr))
 }
 
 /// Dispatches to the `BT_BACKEND`-selected backend (monomorphized per
@@ -386,7 +366,9 @@ fn run_driver_cfg<S: BlockRowSource + Sync>(
     }
 }
 
-fn run_driver_cfg_on<B: SpmdBackend, S: BlockRowSource + Sync>(
+/// One driver run on backend `B`: every rank builds its slice, then runs
+/// `mode`'s setup and solves over all `batches`.
+pub(crate) fn run_driver_cfg_on<B: SpmdBackend, S: BlockRowSource + Sync>(
     cfg: &DriverConfig,
     src: &S,
     batches: &[BlockVec],
@@ -423,10 +405,11 @@ fn run_driver_cfg_on<B: SpmdBackend, S: BlockRowSource + Sync>(
         model,
         |comm: &mut B::Comm| -> Result<RankOutput, FactorError> {
             let rank = comm.rank();
-            let sys = match cfg.boundary {
-                BoundaryMode::ExactScan => RankSystem::from_source(src, p, rank),
-                BoundaryMode::Windowed(w) => RankSystem::from_source_windowed(src, p, rank, w),
-            };
+            let sys = match mode {
+                Mode::ClassicRd(boundary) => FactorKind::General(boundary),
+                Mode::Factored(kind) => kind,
+            }
+            .rank_system(src, p, rank);
             let y_locals: Vec<Vec<Mat>> = batches
                 .iter()
                 .map(|y| local_panels(&part, rank, y))
@@ -444,13 +427,14 @@ fn run_driver_cfg_on<B: SpmdBackend, S: BlockRowSource + Sync>(
             };
 
             match mode {
-                Mode::Accelerated => {
+                Mode::Factored(kind) => {
                     comm.barrier();
                     let vt0 = comm.virtual_time();
                     let t0 = Instant::now();
+                    let algo = kind.name();
                     let span_setup =
-                        bt_obs::span_with("solver", "setup", || r#"{"algo":"ard"}"#.to_string());
-                    let factors = ArdRankFactors::setup_with(comm, &sys, true, cfg.boundary)?;
+                        bt_obs::span_with("solver", "setup", || format!("{{\"algo\":\"{algo}\"}}"));
+                    let factors = RankFactors::setup(comm, &sys, kind)?;
                     comm.barrier();
                     drop(span_setup);
                     out.setup_wall = t0.elapsed();
@@ -462,7 +446,7 @@ fn run_driver_cfg_on<B: SpmdBackend, S: BlockRowSource + Sync>(
                         let vt0 = comm.virtual_time();
                         let t0 = Instant::now();
                         let _span = bt_obs::span_with("solver", "solve_batch", || {
-                            format!("{{\"algo\":\"ard\",\"batch\":{bi}}}")
+                            format!("{{\"algo\":\"{algo}\",\"batch\":{bi}}}")
                         });
                         factors.solve_in_place(comm, &mut x);
                         comm.barrier();
@@ -471,47 +455,7 @@ fn run_driver_cfg_on<B: SpmdBackend, S: BlockRowSource + Sync>(
                         out.x_local.push(x);
                     }
                 }
-                Mode::Pcr | Mode::Spike => {
-                    comm.barrier();
-                    let vt0 = comm.virtual_time();
-                    let t0 = Instant::now();
-                    let algo = mode.name();
-                    let span_setup =
-                        bt_obs::span_with("solver", "setup", || format!("{{\"algo\":\"{algo}\"}}"));
-                    enum Either {
-                        Pcr(PcrRankFactors),
-                        Spike(SpikeRankFactors),
-                    }
-                    let factors = if mode == Mode::Pcr {
-                        Either::Pcr(PcrRankFactors::setup(comm, &sys)?)
-                    } else {
-                        Either::Spike(SpikeRankFactors::setup(comm, &sys)?)
-                    };
-                    comm.barrier();
-                    drop(span_setup);
-                    out.setup_wall = t0.elapsed();
-                    out.setup_vt = comm.virtual_time() - vt0;
-                    out.factor_bytes = match &factors {
-                        Either::Pcr(f) => f.storage_bytes(),
-                        Either::Spike(f) => f.storage_bytes(),
-                    };
-                    for (bi, y_local) in y_locals.iter().enumerate() {
-                        let vt0 = comm.virtual_time();
-                        let t0 = Instant::now();
-                        let _span = bt_obs::span_with("solver", "solve_batch", || {
-                            format!("{{\"algo\":\"{algo}\",\"batch\":{bi}}}")
-                        });
-                        let x = match &factors {
-                            Either::Pcr(f) => f.solve(comm, y_local),
-                            Either::Spike(f) => f.solve(comm, y_local),
-                        };
-                        comm.barrier();
-                        out.solve_wall.push(t0.elapsed());
-                        out.solve_vt.push(comm.virtual_time() - vt0);
-                        out.x_local.push(x);
-                    }
-                }
-                Mode::ClassicRd => {
+                Mode::ClassicRd(_) => {
                     comm.barrier();
                     for (bi, mut x) in y_locals.into_iter().enumerate() {
                         let vt0 = comm.virtual_time();
@@ -519,7 +463,7 @@ fn run_driver_cfg_on<B: SpmdBackend, S: BlockRowSource + Sync>(
                         let _span = bt_obs::span_with("solver", "solve_batch", || {
                             format!("{{\"algo\":\"rd\",\"batch\":{bi}}}")
                         });
-                        let factors = ArdRankFactors::setup_with(comm, &sys, false, cfg.boundary)?;
+                        let factors = ArdRankFactors::setup(comm, &sys, false)?;
                         out.correction_window = widest(factors.windows());
                         factors.solve_fresh(comm, &mut x);
                         comm.barrier();

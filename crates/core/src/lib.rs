@@ -26,6 +26,8 @@
 //! * [`pairs`] — the affine scan element of Phases 2/3;
 //! * [`scans`] — cross-rank Kogge-Stone scans (fresh / recorded / replay);
 //! * [`state`] — rank-level setup/solve (the library's core API);
+//! * [`session`] — [`RankFactors`], one rank's factors of any
+//!   [`FactorKind`], and the session that keeps them between solves;
 //! * [`driver`] — whole-run drivers over the `bt-mpsim` runtime;
 //! * [`complexity`] — the paper's cost model with this implementation's
 //!   constants, validated against measured counters.
@@ -58,7 +60,6 @@ pub mod refine;
 pub mod scans;
 pub mod service;
 pub mod session;
-pub mod solver;
 pub mod spike;
 pub mod state;
 pub mod toeplitz;
@@ -70,13 +71,12 @@ pub use driver::{
     rd_solve_dist, spike_solve_cfg, BackendKind, DistOutcome, DriverConfig, PhaseTimings,
 };
 pub use pcr::PcrRankFactors;
-pub use refine::{ard_solve_refined, RefinedSolve};
+pub use refine::RefinedSolve;
 pub use service::{
     MatrixKey, ServiceConfig, ServiceError, ServiceOn, ServiceStats, SolveResponse, SolveTicket,
     SolverService,
 };
-pub use session::{ArdSession, ArdSessionOn};
-pub use solver::{PcrSession, RankSolver, Session, SpikeSession};
+pub use session::{ArdSession, ArdSessionOn, FactorKind, RankFactors};
 pub use spike::SpikeRankFactors;
-pub use state::{rd_solve_rank, ArdRankFactors, BoundaryMode, RankSystem, ReplayFactors};
-pub use toeplitz::{detect_toeplitz, ToeplitzRankFactors, ToeplitzSession};
+pub use state::{ArdRankFactors, BoundaryMode, RankSystem, ReplayFactors};
+pub use toeplitz::{detect_toeplitz, ToeplitzRankFactors};

@@ -20,8 +20,8 @@
 //! Like the accelerated recursive doubling algorithm, all matrix work is
 //! right-hand-side independent. [`PcrRankFactors::setup`] stores the
 //! per-level elimination coefficients (`alpha`, `gamma`) and the final
-//! diagonal factorizations; each [`PcrRankFactors::solve`] then only
-//! updates right-hand-side panels. The costs tell the trade-off story
+//! diagonal factorizations; each [`PcrRankFactors::solve_in_place`] then
+//! only updates right-hand-side panels. The costs tell the trade-off story
 //! (Figure A6):
 //!
 //! |  | setup flops | per-solve flops | per-solve words |
@@ -36,7 +36,7 @@ use bt_blocktri::{FactorError, RowPartition};
 use bt_comm::CommBackend;
 use bt_dense::{gemm, gemm_flops, lu_flops, lu_solve_flops, LuFactors, Mat, Trans};
 
-use crate::state::RankSystem;
+use crate::state::{agree_on_setup, RankSystem};
 
 /// Tag bases for the per-level halo exchanges.
 mod tags {
@@ -306,23 +306,7 @@ impl PcrRankFactors {
                 })
                 .collect(),
         };
-        let my_err = match &final_lu {
-            Ok(_) => u64::MAX,
-            Err(e) => e.row as u64,
-        };
-        let first_err = comm.allreduce(my_err, |a, b| (*a).min(*b));
-        if first_err != u64::MAX {
-            return Err(match final_lu {
-                Err(e) if e.row as u64 == first_err => e,
-                _ => FactorError {
-                    row: first_err as usize,
-                    source: bt_dense::SingularError {
-                        step: 0,
-                        pivot: 0.0,
-                    },
-                },
-            });
-        }
+        let final_lu = agree_on_setup(comm, final_lu)?;
 
         Ok(Self {
             n,
@@ -331,7 +315,7 @@ impl PcrRankFactors {
             hi: sys.hi,
             part,
             levels,
-            final_lu: final_lu.expect("checked above"),
+            final_lu,
         })
     }
 
@@ -357,19 +341,24 @@ impl PcrRankFactors {
         coef + self.local_len() as u64 * mat_bytes
     }
 
-    /// Solves one right-hand-side batch (collective): per level, a halo
-    /// exchange of `M x R` panels and two GEMM updates per row; then the
-    /// independent diagonal solves.
+    /// Solves one right-hand-side batch in place (collective): `x[k]`
+    /// holds the `M x R` panel of global row `lo + k` on entry and its
+    /// solution on return. Per level, a halo exchange of `M x R` panels
+    /// and two GEMM updates per row; then the independent diagonal
+    /// solves.
     ///
     /// # Panics
     ///
     /// Panics on panel shape mismatch.
-    pub fn solve<C: CommBackend>(&self, comm: &mut C, y_local: &[Mat]) -> Vec<Mat> {
+    pub fn solve_in_place<C: CommBackend>(&self, comm: &mut C, x: &mut [Mat]) {
         let nl = self.local_len();
         let m = self.m;
-        assert_eq!(y_local.len(), nl, "rhs panel count mismatch");
-        let r = y_local[0].cols();
-        let mut y: Vec<Mat> = y_local.to_vec();
+        assert_eq!(x.len(), nl, "rhs panel count mismatch");
+        let r = x[0].cols();
+        let mut y: Vec<Mat> = x
+            .iter_mut()
+            .map(|p| std::mem::replace(p, Mat::empty()))
+            .collect();
 
         let mut s = 1usize;
         for (level_idx, coef) in self.levels.iter().enumerate() {
@@ -426,14 +415,10 @@ impl PcrRankFactors {
         }
 
         // Decoupled: x_i = B_i^{-1} y_i.
-        y.iter()
-            .zip(&self.final_lu)
-            .map(|(v, lu)| {
-                let x = lu.solve(v);
-                comm.compute(lu_solve_flops(m, r));
-                x
-            })
-            .collect()
+        for ((xk, v), lu) in x.iter_mut().zip(&y).zip(&self.final_lu) {
+            *xk = lu.solve(v);
+            comm.compute(lu_solve_flops(m, r));
+        }
     }
 }
 
@@ -461,11 +446,12 @@ mod tests {
         let out = run_spmd(p, ZERO, |comm| {
             let sys = RankSystem::from_source(src, p, comm.rank());
             let factors = PcrRankFactors::setup(comm, &sys).expect("setup");
-            let y_local: Vec<Mat> = part
+            let mut x: Vec<Mat> = part
                 .range(comm.rank())
                 .map(|i| y.blocks[i].clone())
                 .collect();
-            (sys.lo, factors.solve(comm, &y_local))
+            factors.solve_in_place(comm, &mut x);
+            (sys.lo, x)
         });
         let mut x = BlockVec::zeros(n, m, y.r());
         for (lo, panels) in out.results {
@@ -575,11 +561,12 @@ mod tests {
             let mut results = Vec::new();
             let before_solves = comm.stats().flops;
             for y in ys_ref {
-                let y_local: Vec<Mat> = part
+                let mut x: Vec<Mat> = part
                     .range(comm.rank())
                     .map(|i| y.blocks[i].clone())
                     .collect();
-                results.push((sys.lo, factors.solve(comm, &y_local)));
+                factors.solve_in_place(comm, &mut x);
+                results.push((sys.lo, x));
             }
             let solve_flops = comm.stats().flops - before_solves;
             assert!(factors.storage_bytes() > 0);

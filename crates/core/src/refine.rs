@@ -1,10 +1,12 @@
-//! Iterative refinement on top of the accelerated replay path.
+//! Iterative refinement on top of any rank factors' solve.
 //!
 //! Refinement is the classic production technique: with any factorization
 //! `T ≈ F`, iterate `x <- x + F^{-1}(y - T x)`. Each sweep costs one
 //! distributed residual (a halo exchange plus three GEMMs per row) and
-//! one replay solve — both `O(M^2 R)` per row — and contracts the error
-//! by the factorization's relative accuracy.
+//! one solve with the stored factors — for the replay, both `O(M^2 R)`
+//! per row — and contracts the error by the factorization's relative
+//! accuracy. [`crate::session::RankFactors::solve_refined`] runs it on a
+//! rank; [`crate::session::ArdSessionOn::solve_refined`] on a session.
 //!
 //! For this suite it has a special role (Figure A5): the exact-scan
 //! boundary recovery degrades gracefully before it breaks down
@@ -13,11 +15,11 @@
 //! back to machine precision, extending the paper's algorithm's usable
 //! range at pure `O(M^2 R)` per-solve cost.
 
-use bt_blocktri::FactorError;
 use bt_comm::CommBackend;
 use bt_dense::{gemm, gemm_flops, Mat, MatMut, MatRef, Trans};
 
-use crate::state::{ArdRankFactors, BoundaryMode, RankSystem, ReplayFactors};
+use crate::session::RankFactors;
+use crate::state::RankSystem;
 
 /// Tags for the residual halo exchange.
 mod tags {
@@ -164,13 +166,12 @@ pub struct RefinedSolve {
     pub history: Vec<f64>,
 }
 
-/// Body of [`ReplayFactors::solve_replay_refined`] for every factor
-/// layout: replay solve, then up to `max_sweeps` iterative-refinement
-/// sweeps. Stops early once the global relative residual drops below
-/// `tol` or stops improving. Collective; all ranks receive the same
-/// `history`.
-pub(crate) fn replay_refined<C: CommBackend, L: ReplayFactors + ?Sized>(
-    factors: &L,
+/// Body of [`RankFactors::solve_refined`] for every factor kind: one
+/// solve, then up to `max_sweeps` iterative-refinement sweeps. Stops
+/// early once the global relative residual drops below `tol` or stops
+/// improving. Collective; all ranks receive the same `history`.
+pub(crate) fn solve_refined<C: CommBackend>(
+    factors: &RankFactors,
     comm: &mut C,
     sys: &RankSystem,
     y_local: &[Mat],
@@ -249,58 +250,12 @@ pub(crate) fn replay_refined<C: CommBackend, L: ReplayFactors + ?Sized>(
     }
 }
 
-/// Convenience driver: accelerated solve with refinement over one batch,
-/// returning the assembled solution and the residual history.
-///
-/// # Errors
-///
-/// [`FactorError`] if setup breaks down.
-///
-/// # Panics
-///
-/// Panics if `n < p` or on shape mismatch.
-pub fn ard_solve_refined<S: bt_blocktri::BlockRowSource + Sync>(
-    p: usize,
-    model: bt_mpsim::CostModel,
-    boundary: BoundaryMode,
-    src: &S,
-    y: &bt_blocktri::BlockVec,
-    max_sweeps: usize,
-    tol: f64,
-) -> Result<(bt_blocktri::BlockVec, Vec<f64>), FactorError> {
-    let n = src.n();
-    let m = src.m();
-    assert!(n >= p, "need at least one block row per rank");
-    let part = bt_blocktri::RowPartition::new(n, p);
-    let out = bt_mpsim::run_spmd(p, model, |comm| -> Result<_, FactorError> {
-        let sys = match boundary {
-            BoundaryMode::ExactScan => RankSystem::from_source(src, p, comm.rank()),
-            BoundaryMode::Windowed(w) => RankSystem::from_source_windowed(src, p, comm.rank(), w),
-        };
-        let factors = ArdRankFactors::setup_with(comm, &sys, true, boundary)?;
-        let y_local: Vec<Mat> = part
-            .range(comm.rank())
-            .map(|i| y.blocks[i].clone())
-            .collect();
-        let refined = factors.solve_replay_refined(comm, &sys, &y_local, max_sweeps, tol);
-        Ok((sys.lo, refined))
-    });
-    let mut x = bt_blocktri::BlockVec::zeros(n, m, y.r());
-    let mut history = Vec::new();
-    for res in out.results {
-        let (lo, refined) = res?;
-        for (k, panel) in refined.x_local.into_iter().enumerate() {
-            x.blocks[lo + k] = panel;
-        }
-        history = refined.history;
-    }
-    Ok((x, history))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::ArdSession;
     use bt_blocktri::gen::{materialize, random_rhs, ClusteredToeplitz, Poisson2D};
+    use bt_blocktri::{BlockRowSource, BlockVec};
     use bt_mpsim::CostModel;
 
     const ZERO: CostModel = CostModel {
@@ -310,13 +265,24 @@ mod tests {
         threads_per_rank: 1,
     };
 
+    /// An exact-scan session's refined solve of `y`.
+    fn refined(
+        p: usize,
+        src: &(impl BlockRowSource + Sync),
+        y: &BlockVec,
+        max_sweeps: usize,
+        tol: f64,
+    ) -> (BlockVec, Vec<f64>) {
+        let session = ArdSession::create(p, ZERO, src).unwrap();
+        session.solve_refined(y, max_sweeps, tol).unwrap()
+    }
+
     #[test]
     fn refinement_keeps_good_solutions_good() {
         let src = ClusteredToeplitz::standard(64, 4, 3);
         let t = materialize(&src);
         let y = random_rhs(64, 4, 3, 1);
-        let (x, history) =
-            ard_solve_refined(4, ZERO, BoundaryMode::ExactScan, &src, &y, 3, 1e-14).unwrap();
+        let (x, history) = refined(4, &src, &y, 3, 1e-14);
         assert!(t.rel_residual(&x, &y) < 1e-12);
         // Already at machine precision: at most one sweep recorded.
         assert!(history[0] < 1e-12, "history {history:?}");
@@ -335,8 +301,7 @@ mod tests {
         let src = Poisson2D::new(32, 6);
         let t = materialize(&src);
         let y = random_rhs(32, 6, 2, 5);
-        let (x, history) =
-            ard_solve_refined(8, ZERO, BoundaryMode::ExactScan, &src, &y, 11, 1e-13).unwrap();
+        let (x, history) = refined(8, &src, &y, 11, 1e-13);
         assert!(
             history[0] > 1e-8,
             "premise: unrefined solve is degraded, got {:.1e}",
@@ -371,8 +336,7 @@ mod tests {
     fn residual_history_is_monotone() {
         let src = Poisson2D::new(24, 4);
         let y = random_rhs(24, 4, 2, 7);
-        let (_, history) =
-            ard_solve_refined(4, ZERO, BoundaryMode::ExactScan, &src, &y, 6, 0.0).unwrap();
+        let (_, history) = refined(4, &src, &y, 6, 0.0);
         for w in history.windows(2) {
             assert!(w[1] <= w[0], "history not monotone: {history:?}");
         }

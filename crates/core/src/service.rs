@@ -77,7 +77,8 @@ use bt_mpsim::SimBackend;
 
 use crate::auto::{choose_strategy, Strategy};
 use crate::batch::{solve_single, BatchedSystems};
-use crate::session::ArdSessionOn;
+use crate::session::{ArdSessionOn, FactorKind};
+use crate::state::BoundaryMode;
 
 static OBS_CACHE_HIT: bt_obs::Counter = bt_obs::Counter::new("bt_service.cache.hit");
 static OBS_CACHE_MISS: bt_obs::Counter = bt_obs::Counter::new("bt_service.cache.miss");
@@ -605,17 +606,19 @@ impl<B: SpmdBackend> ServiceOn<B> {
             });
         }
         let factor_start = Instant::now();
-        let session = if strategy == Strategy::Toeplitz {
+        let kind = if strategy == Strategy::Toeplitz {
             self.inner
                 .counters
                 .toeplitz_registrations
                 .fetch_add(1, Relaxed);
             OBS_TOEPLITZ_REG.incr();
-            ArdSessionOn::<B>::create_toeplitz(self.inner.cfg.ranks, self.inner.cfg.model, src)
+            FactorKind::Toeplitz
         } else {
-            ArdSessionOn::<B>::create(self.inner.cfg.ranks, self.inner.cfg.model, src)
-        }
-        .map_err(ServiceError::Factorization)?;
+            FactorKind::General(BoundaryMode::ExactScan)
+        };
+        let (ranks, model) = (self.inner.cfg.ranks, self.inner.cfg.model);
+        let session = ArdSessionOn::<B>::create_with(ranks, model, kind, src)
+            .map_err(ServiceError::Factorization)?;
         LAT_FACTOR.record_duration(factor_start.elapsed());
         session.set_world_reuse(self.inner.cfg.world_reuse);
         let bytes = session.factor_bytes();

@@ -10,6 +10,16 @@
 //! factors — `O(M^2 R (N/P + log P))` per call, no matrix work ever
 //! again.
 //!
+//! ## One factor type
+//!
+//! Every parallel solver in the suite splits the same way: a
+//! right-hand-side-independent setup, then cheap solves. [`RankFactors`]
+//! holds one rank's factors of any [`FactorKind`] — the paper's general
+//! layout in either boundary mode, the constant-block Toeplitz layout,
+//! PCR or SPIKE — so the drivers, a session
+//! ([`ArdSession::create_with`]) and refinement each run one code path
+//! for all of them.
+//!
 //! ## Concurrency semantics
 //!
 //! A session is `Sync`; any number of threads may call
@@ -46,58 +56,181 @@ use bt_mpsim::SimBackend;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+use crate::pcr::PcrRankFactors;
+use crate::refine::RefinedSolve;
+use crate::spike::SpikeRankFactors;
 use crate::state::{ArdRankFactors, BoundaryMode, RankSystem, ReplayFactors};
 use crate::toeplitz::ToeplitzRankFactors;
 
-/// A rank's factor state: the general per-row store or the
-/// constant-block Toeplitz layout (head plus shared tail). Both feed the
-/// same replay body.
-enum SessionFactors {
-    Plain(ArdRankFactors),
+/// Which factorization [`RankFactors::setup`] builds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FactorKind {
+    /// The paper's accelerated recursive doubling with per-row factors
+    /// ([`ArdRankFactors`]), recovering Phase 1's boundary in the given
+    /// mode.
+    General(BoundaryMode),
+    /// The constant-block layout ([`ToeplitzRankFactors`]): a short head
+    /// plus one shared tail, so factor storage is `O(head)` instead of
+    /// `O(N/P)` per rank. Only for sources that pass
+    /// [`crate::detect_toeplitz`]: setup debug-asserts constancy but does
+    /// not re-verify it in release builds.
+    Toeplitz,
+    /// Amortized parallel cyclic reduction ([`PcrRankFactors`]).
+    Pcr,
+    /// SPIKE partitioning ([`SpikeRankFactors`]).
+    Spike,
+}
+
+impl FactorKind {
+    /// Short algorithm label for trace span arguments.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            FactorKind::General(_) => "ard",
+            FactorKind::Toeplitz => "toeplitz",
+            FactorKind::Pcr => "pcr",
+            FactorKind::Spike => "spike",
+        }
+    }
+
+    /// Rank `rank`-of-`p`'s slice of `src`, with the window rows a
+    /// windowed general kind recovers its boundary from.
+    pub(crate) fn rank_system(self, src: &dyn BlockRowSource, p: usize, rank: usize) -> RankSystem {
+        match self {
+            FactorKind::General(BoundaryMode::Windowed(w)) => {
+                RankSystem::from_source_windowed(src, p, rank, w)
+            }
+            _ => RankSystem::from_source(src, p, rank),
+        }
+    }
+}
+
+/// One rank's factors of any [`FactorKind`]: what the drivers, a session
+/// and refinement set up once and then solve with. The general and
+/// Toeplitz layouts run the one replay body ([`ReplayFactors`]); PCR and
+/// SPIKE run their own solves.
+#[derive(Debug)]
+pub enum RankFactors {
+    /// [`FactorKind::General`].
+    General(ArdRankFactors),
+    /// [`FactorKind::Toeplitz`].
     Toeplitz(ToeplitzRankFactors),
+    /// [`FactorKind::Pcr`].
+    Pcr(PcrRankFactors),
+    /// [`FactorKind::Spike`].
+    Spike(SpikeRankFactors),
 }
 
-impl SessionFactors {
-    fn storage_bytes(&self) -> u64 {
+impl RankFactors {
+    /// Runs `kind`'s collective setup on this rank's slice.
+    ///
+    /// # Errors
+    ///
+    /// [`FactorError`], agreed on by every rank, when the matrix violates
+    /// the kind's requirements.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a general kind's boundary mode is not the one `sys` was
+    /// built for: [`BoundaryMode::ExactScan`] by
+    /// [`RankSystem::from_source`], [`BoundaryMode::Windowed`]`(w)` by
+    /// [`RankSystem::from_source_windowed`]`(.., w)`.
+    pub fn setup<C: CommBackend>(
+        comm: &mut C,
+        sys: &RankSystem,
+        kind: FactorKind,
+    ) -> Result<Self, FactorError> {
+        Ok(match kind {
+            FactorKind::General(mode) => {
+                assert_eq!(sys.boundary, mode, "slice built for another boundary mode");
+                RankFactors::General(ArdRankFactors::setup(comm, sys, true)?)
+            }
+            FactorKind::Toeplitz => RankFactors::Toeplitz(ToeplitzRankFactors::setup(comm, sys)?),
+            FactorKind::Pcr => RankFactors::Pcr(PcrRankFactors::setup(comm, sys)?),
+            FactorKind::Spike => RankFactors::Spike(SpikeRankFactors::setup(comm, sys)?),
+        })
+    }
+
+    /// Solves one right-hand-side batch in place: `x[k]` holds the
+    /// `M x R` panel of global row `lo + k` on entry and its solution on
+    /// return. Collective.
+    ///
+    /// # Panics
+    ///
+    /// Panics on panel count or shape mismatch.
+    pub fn solve_in_place<C: CommBackend>(&self, comm: &mut C, x: &mut [Mat]) {
         match self {
-            SessionFactors::Plain(f) => f.storage_bytes(),
-            SessionFactors::Toeplitz(f) => f.storage_bytes(),
+            RankFactors::General(f) => f.solve_in_place(comm, x),
+            RankFactors::Toeplitz(f) => f.solve_in_place(comm, x),
+            RankFactors::Pcr(f) => f.solve_in_place(comm, x),
+            RankFactors::Spike(f) => f.solve_in_place(comm, x),
         }
     }
 
-    fn trim_workspace(&self, max_pooled_bytes: u64) -> u64 {
+    /// Solves `y_local` followed by up to `max_sweeps`
+    /// iterative-refinement sweeps against `sys`, stopping at relative
+    /// residual `tol`; see [`crate::refine`]. Collective; all ranks
+    /// receive the same `history`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on shape mismatch.
+    pub fn solve_refined<C: CommBackend>(
+        &self,
+        comm: &mut C,
+        sys: &RankSystem,
+        y_local: &[Mat],
+        max_sweeps: usize,
+        tol: f64,
+    ) -> RefinedSolve {
+        crate::refine::solve_refined(self, comm, sys, y_local, max_sweeps, tol)
+    }
+
+    /// Bytes of factor state stored on this rank.
+    pub fn storage_bytes(&self) -> u64 {
         match self {
-            SessionFactors::Plain(f) => f.trim_workspace(max_pooled_bytes),
-            SessionFactors::Toeplitz(f) => f.trim_workspace(max_pooled_bytes),
+            RankFactors::General(f) => f.storage_bytes(),
+            RankFactors::Toeplitz(f) => f.storage_bytes(),
+            RankFactors::Pcr(f) => f.storage_bytes(),
+            RankFactors::Spike(f) => f.storage_bytes(),
         }
     }
-}
 
-/// One rank's share of a session solve: the replay runs in place in the
-/// rank's own right-hand-side panels when `max_sweeps == 0`; refinement
-/// keeps `y_local` for its residuals and returns fresh panels. Returns
-/// the solution panels and the residual history (empty without
-/// refinement).
-fn solve_rank<L: ReplayFactors, C: CommBackend>(
-    factors: &L,
-    comm: &mut C,
-    sys: &RankSystem,
-    mut y_local: Vec<Mat>,
-    max_sweeps: usize,
-    tol: f64,
-) -> (Vec<Mat>, Vec<f64>) {
-    if max_sweeps == 0 {
-        factors.solve_in_place(comm, &mut y_local);
-        (y_local, Vec::new())
-    } else {
-        let refined = factors.solve_replay_refined(comm, sys, &y_local, max_sweeps, tol);
-        (refined.x_local, refined.history)
+    /// Shrinks the pooled replay workspace to at most `max_pooled_bytes`,
+    /// returning the bytes released (0 for PCR and SPIKE, which pool
+    /// nothing). See [`ReplayFactors::trim_workspace`].
+    pub fn trim_workspace(&self, max_pooled_bytes: u64) -> u64 {
+        match self {
+            RankFactors::General(f) => f.trim_workspace(max_pooled_bytes),
+            RankFactors::Toeplitz(f) => f.trim_workspace(max_pooled_bytes),
+            RankFactors::Pcr(_) | RankFactors::Spike(_) => 0,
+        }
+    }
+
+    /// Worst boundary-extraction condition estimate across ranks (see
+    /// [`ArdRankFactors::boundary_condition`]); 1.0 for PCR and SPIKE,
+    /// which extract no boundary.
+    pub fn boundary_condition(&self) -> f64 {
+        match self {
+            RankFactors::General(f) => f.boundary_condition(),
+            RankFactors::Toeplitz(f) => f.boundary_condition(),
+            RankFactors::Pcr(_) | RankFactors::Spike(_) => 1.0,
+        }
+    }
+
+    /// The replay's `(forward, backward)` correction windows (see
+    /// [`ReplayFactors::windows`]); `(0, 0)` for PCR and SPIKE.
+    pub fn windows(&self) -> (usize, usize) {
+        match self {
+            RankFactors::General(f) => f.windows(),
+            RankFactors::Toeplitz(f) => f.windows(),
+            RankFactors::Pcr(_) | RankFactors::Spike(_) => (0, 0),
+        }
     }
 }
 
 /// Per-rank state checked out by a solve: the rank's system slice and
-/// its recorded factors.
-type RankState = (RankSystem, SessionFactors);
+/// its factors.
+type RankState = (RankSystem, RankFactors);
 
 /// The factor store a session guards.
 enum FactorStore {
@@ -244,7 +377,8 @@ impl<B: SpmdBackend> Drop for FactorLease<'_, B> {
 }
 
 impl<B: SpmdBackend> ArdSessionOn<B> {
-    /// Runs the collective setup on `p` ranks and captures the factors.
+    /// Runs the collective exact-scan setup of the paper's algorithm on
+    /// `p` ranks and captures the factors.
     ///
     /// # Errors
     ///
@@ -258,35 +392,11 @@ impl<B: SpmdBackend> ArdSessionOn<B> {
         model: CostModel,
         src: &S,
     ) -> Result<Self, FactorError> {
-        Self::create_with(p, model, BoundaryMode::ExactScan, src)
+        Self::create_with(p, model, FactorKind::General(BoundaryMode::ExactScan), src)
     }
 
-    /// [`ArdSession::create`] with an explicit Phase 1 boundary mode.
-    ///
-    /// # Errors
-    ///
-    /// [`FactorError`] if setup breaks down.
-    pub fn create_with<S: BlockRowSource + Sync>(
-        p: usize,
-        model: CostModel,
-        boundary: BoundaryMode,
-        src: &S,
-    ) -> Result<Self, FactorError> {
-        Self::create_impl(p, model, boundary, src, move |comm, sys| {
-            Ok(SessionFactors::Plain(ArdRankFactors::setup_with(
-                comm, sys, true, boundary,
-            )?))
-        })
-    }
-
-    /// [`ArdSession::create`] through the constant-block Toeplitz fast
-    /// path: per-row factors are replaced by a short head plus one
-    /// shared tail triple and the cross-rank scan runs over repeated
-    /// squaring, so factor storage is `O(head)` instead of `O(N/P)` per
-    /// rank (see [`crate::toeplitz`]). Solves run the same replay body
-    /// as the general session. Only call this for sources that pass
-    /// [`crate::detect_toeplitz`] — the setup debug-asserts constancy
-    /// but does not re-verify it in release builds.
+    /// [`ArdSession::create`] with factors of any [`FactorKind`]. Every
+    /// kind solves through the same lease, worlds and refinement.
     ///
     /// # Errors
     ///
@@ -295,29 +405,12 @@ impl<B: SpmdBackend> ArdSessionOn<B> {
     /// # Panics
     ///
     /// Panics if `src.n() < p`.
-    pub fn create_toeplitz<S: BlockRowSource + Sync>(
+    pub fn create_with<S: BlockRowSource + Sync>(
         p: usize,
         model: CostModel,
+        kind: FactorKind,
         src: &S,
     ) -> Result<Self, FactorError> {
-        Self::create_impl(p, model, BoundaryMode::ExactScan, src, |comm, sys| {
-            Ok(SessionFactors::Toeplitz(ToeplitzRankFactors::setup(
-                comm, sys,
-            )?))
-        })
-    }
-
-    fn create_impl<S, F>(
-        p: usize,
-        model: CostModel,
-        boundary: BoundaryMode,
-        src: &S,
-        factor: F,
-    ) -> Result<Self, FactorError>
-    where
-        S: BlockRowSource + Sync,
-        F: Fn(&mut B::Comm, &RankSystem) -> Result<SessionFactors, FactorError> + Send + Sync,
-    {
         let n = src.n();
         let m = src.m();
         assert!(
@@ -325,13 +418,8 @@ impl<B: SpmdBackend> ArdSessionOn<B> {
             "need at least one block row per rank (N={n}, P={p})"
         );
         let out = B::run(p, model, |comm| -> Result<RankState, FactorError> {
-            let sys = match boundary {
-                BoundaryMode::ExactScan => RankSystem::from_source(src, p, comm.rank()),
-                BoundaryMode::Windowed(w) => {
-                    RankSystem::from_source_windowed(src, p, comm.rank(), w)
-                }
-            };
-            let factors = factor(comm, &sys)?;
+            let sys = kind.rank_system(src, p, comm.rank());
+            let factors = RankFactors::setup(comm, &sys, kind)?;
             Ok((sys, factors))
         });
         let state: Vec<RankState> = out.results.into_iter().collect::<Result<_, _>>()?;
@@ -502,13 +590,18 @@ impl<B: SpmdBackend> ArdSessionOn<B> {
             let _ctx_guard = ctx.clone().map(bt_obs::ctx::enter);
             let _span = bt_obs::span("session", "replay.solve");
             let (sys, factors) = slots[comm.rank()].lock().take().expect("state present");
-            let y_local = y_slices[comm.rank()]
+            let mut y_local = y_slices[comm.rank()]
                 .lock()
                 .take()
                 .expect("rhs slice present");
-            let solved = match &factors {
-                SessionFactors::Plain(f) => solve_rank(f, comm, &sys, y_local, max_sweeps, tol),
-                SessionFactors::Toeplitz(f) => solve_rank(f, comm, &sys, y_local, max_sweeps, tol),
+            // The replay runs in place in the rank's own panels;
+            // refinement keeps `y_local` for its residuals.
+            let solved = if max_sweeps == 0 {
+                factors.solve_in_place(comm, &mut y_local);
+                (y_local, Vec::new())
+            } else {
+                let refined = factors.solve_refined(comm, &sys, &y_local, max_sweeps, tol);
+                (refined.x_local, refined.history)
             };
             *slots[comm.rank()].lock() = Some((sys, factors));
             solved
@@ -587,16 +680,6 @@ mod tests {
     }
 
     #[test]
-    fn session_matches_driver() {
-        let src = ClusteredToeplitz::standard(40, 3, 7);
-        let y = vec![random_rhs(40, 3, 2, 1)];
-        let driver = crate::driver::ard_solve_dist(4, ZERO, &src, &y).unwrap();
-        let session = ArdSession::create(4, ZERO, &src).unwrap();
-        let x = session.solve(&y[0]).unwrap();
-        assert!(x.rel_diff(&driver.x[0]) < 1e-13);
-    }
-
-    #[test]
     fn session_feedback_loop() {
         // Solutions feed back as right-hand sides — impossible with the
         // batch drivers, natural with a session.
@@ -623,35 +706,96 @@ mod tests {
     }
 
     #[test]
-    fn toeplitz_session_variant() {
-        let src = ClusteredToeplitz::standard(128, 4, 6);
-        let t = materialize(&src);
-        let fast = ArdSession::create_toeplitz(4, ZERO, &src).unwrap();
-        let general = ArdSession::create(4, ZERO, &src).unwrap();
-        assert!(
-            fast.factor_bytes() < general.factor_bytes(),
-            "toeplitz store ({}) must undercut the general store ({})",
-            fast.factor_bytes(),
-            general.factor_bytes()
-        );
-        let y = random_rhs(128, 4, 3, 2);
-        let x = fast.solve(&y).unwrap();
-        assert!(t.rel_residual(&x, &y) < 1e-11);
-        assert!(x.rel_diff(&general.solve(&y).unwrap()) < 1e-10);
-        // The refined entry point works through the variant too.
-        let (xr, history) = fast.solve_refined(&y, 4, 1e-13).unwrap();
-        assert!(t.rel_residual(&xr, &y) < 1e-12);
-        assert!(!history.is_empty());
-    }
-
-    #[test]
     fn windowed_session() {
         let src = Poisson2D::new(200, 4);
         let t = materialize(&src);
-        let session = ArdSession::create_with(4, ZERO, BoundaryMode::Windowed(64), &src).unwrap();
+        let kind = FactorKind::General(BoundaryMode::Windowed(64));
+        let session = ArdSession::create_with(4, ZERO, kind, &src).unwrap();
         let y = random_rhs(200, 4, 2, 8);
         let x = session.solve(&y).unwrap();
         assert!(t.rel_residual(&x, &y) < 1e-11);
+    }
+
+    /// Every kind, one per row.
+    const KINDS: [FactorKind; 5] = [
+        FactorKind::General(BoundaryMode::ExactScan),
+        FactorKind::General(BoundaryMode::Windowed(16)),
+        FactorKind::Toeplitz,
+        FactorKind::Pcr,
+        FactorKind::Spike,
+    ];
+
+    #[test]
+    fn every_kind_solves_and_agrees() {
+        let src = ClusteredToeplitz::standard(48, 4, 5);
+        let t = materialize(&src);
+        let y = random_rhs(48, 4, 3, 2);
+        let reference = ArdSession::create(4, ZERO, &src)
+            .unwrap()
+            .solve(&y)
+            .unwrap();
+        assert!(t.rel_residual(&reference, &y) < 1e-11);
+        for kind in KINDS {
+            let session = ArdSession::create_with(4, ZERO, kind, &src).unwrap();
+            let x = session.solve(&y).unwrap();
+            assert!(x.rel_diff(&reference) < 1e-10, "{kind:?}");
+            // Same batch, same factors, same answer.
+            assert_eq!(session.solve(&y).unwrap(), x, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn pcr_session_on_wide_spectrum() {
+        // PCR sessions work where ARD's exact scan cannot.
+        let src = Poisson2D::new(200, 5);
+        let t = materialize(&src);
+        let session = ArdSession::create_with(4, ZERO, FactorKind::Pcr, &src).unwrap();
+        for seed in 0..3 {
+            let y = random_rhs(200, 5, 2, seed);
+            let x = session.solve(&y).unwrap();
+            assert!(t.rel_residual(&x, &y) < 1e-11, "seed {seed}");
+        }
+        assert!(session.factor_bytes() > 0);
+        assert_eq!(session.ranks(), 4);
+    }
+
+    /// A session and the driver run the same setup and solve for every
+    /// kind, so their solutions agree bit for bit. The driver reports
+    /// the largest rank's factor bytes, the session the sum over ranks.
+    #[test]
+    fn session_matches_driver() {
+        use crate::driver::{run_driver_cfg_on, DriverConfig, Mode};
+        let (n, m) = (64, 3);
+        let src = ClusteredToeplitz::standard(n, m, 12);
+        let batches = vec![random_rhs(n, m, 2, 1), random_rhs(n, m, 5, 2)];
+        for p in [1, 3, 4] {
+            let cfg = DriverConfig::new(p)
+                .with_model(ZERO)
+                .with_threads_per_rank(1);
+            for kind in KINDS {
+                let driver =
+                    run_driver_cfg_on::<SimBackend, _>(&cfg, &src, &batches, Mode::Factored(kind))
+                        .unwrap();
+                let session = ArdSession::create_with(p, ZERO, kind, &src).unwrap();
+                for (y, x) in batches.iter().zip(&driver.x) {
+                    assert_eq!(&session.solve(y).unwrap(), x, "P={p} {kind:?}");
+                }
+                let per_rank = SimBackend::run(p, ZERO, |comm| {
+                    let sys = kind.rank_system(&src, p, comm.rank());
+                    RankFactors::setup(comm, &sys, kind)
+                        .unwrap()
+                        .storage_bytes()
+                })
+                .results;
+                let widest = per_rank.iter().copied().max().unwrap();
+                assert_eq!(driver.factor_bytes, widest, "P={p} {kind:?}");
+                assert_eq!(
+                    session.factor_bytes(),
+                    per_rank.iter().sum::<u64>(),
+                    "P={p} {kind:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -34,7 +34,7 @@ use bt_blocktri::{BlockRow, BlockTridiag, BlockVec, FactorError, ThomasFactors};
 use bt_comm::CommBackend;
 use bt_dense::{gemm, gemm_flops, Mat, Trans};
 
-use crate::state::RankSystem;
+use crate::state::{agree_on_row, agree_on_setup, RankSystem};
 
 /// Tag for the per-solve tip scatter (below `USER_TAG_LIMIT`).
 mod tags {
@@ -94,26 +94,11 @@ impl SpikeRankFactors {
             })
             .collect();
         let local_t = BlockTridiag::new(local_rows);
-        let local = match ThomasFactors::factor(&local_t) {
-            Ok(f) => Some(f),
-            Err(mut e) => {
-                e.row += sys.lo; // report in global numbering
-                comm.allreduce(e.row as u64, |a, b| (*a).min(*b));
-                return Err(e);
-            }
-        };
-        // Coordinated success signal (peers may have failed).
-        let first_err = comm.allreduce(u64::MAX, |a, b| (*a).min(*b));
-        if first_err != u64::MAX {
-            return Err(FactorError {
-                row: first_err as usize,
-                source: bt_dense::SingularError {
-                    step: 0,
-                    pivot: 0.0,
-                },
-            });
-        }
-        let local = local.expect("set above");
+        let local = ThomasFactors::factor(&local_t).map_err(|mut e| {
+            e.row += sys.lo; // report in global numbering
+            e
+        });
+        let local = agree_on_setup(comm, local)?;
         comm.compute(bt_blocktri::thomas_factor_flops(nl, m));
 
         // Spikes: W = T^{-1} e_first A_lo, V = T^{-1} e_last C_{hi-1}.
@@ -189,19 +174,7 @@ impl SpikeRankFactors {
                 Err(e) => e.row as u64,
             }),
         );
-        if err_row != u64::MAX {
-            return Err(match reduced_result {
-                Err(e) => e,
-                Ok(_) => FactorError {
-                    row: err_row as usize,
-                    source: bt_dense::SingularError {
-                        step: 0,
-                        pivot: 0.0,
-                    },
-                },
-            });
-        }
-        let reduced = reduced_result.expect("checked above");
+        let reduced = agree_on_row(comm, reduced_result, err_row)?;
 
         Ok(Self {
             m,
@@ -232,23 +205,24 @@ impl SpikeRankFactors {
         local + spikes + reduced
     }
 
-    /// Solves one right-hand-side batch (collective).
-    ///
-    /// `y_local[k]` is the `M x R` panel of global row `lo + k`.
+    /// Solves one right-hand-side batch in place (collective): `x[k]`
+    /// holds the `M x R` panel of global row `lo + k` on entry and its
+    /// solution on return.
     ///
     /// # Panics
     ///
     /// Panics on panel shape mismatch.
-    pub fn solve<C: CommBackend>(&self, comm: &mut C, y_local: &[Mat]) -> Vec<Mat> {
+    pub fn solve_in_place<C: CommBackend>(&self, comm: &mut C, x: &mut [Mat]) {
         let m = self.m;
         let nl = self.local_len();
         let p = comm.size();
         let rank = comm.rank();
-        assert_eq!(y_local.len(), nl, "rhs panel count mismatch");
-        let r = y_local[0].cols();
+        assert_eq!(x.len(), nl, "rhs panel count mismatch");
+        let r = x[0].cols();
 
         // Local solve x_hat = T_p^{-1} y_p.
-        let x_hat = self.local.solve(&BlockVec::from_blocks(y_local.to_vec()));
+        let y = x.iter_mut().map(|p| std::mem::replace(p, Mat::empty()));
+        let x_hat = self.local.solve(&BlockVec::from_blocks(y.collect()));
         comm.compute(bt_blocktri::thomas_solve_flops(nl, m, r));
 
         // Send tips to rank 0; receive back the neighbour tips.
@@ -294,7 +268,9 @@ impl SpikeRankFactors {
         };
 
         // Correction: x = x_hat - W * bot_prev - V * top_next.
-        let mut x = x_hat.blocks;
+        for (xk, v) in x.iter_mut().zip(x_hat.blocks) {
+            *xk = v;
+        }
         if !self.w_spike.is_empty() {
             for (xk, wk) in x.iter_mut().zip(&self.w_spike) {
                 gemm(-1.0, wk, Trans::No, &bot_prev, Trans::No, 1.0, xk);
@@ -307,7 +283,6 @@ impl SpikeRankFactors {
                 comm.compute(gemm_flops(m, m, r));
             }
         }
-        x
     }
 }
 
@@ -334,11 +309,12 @@ mod tests {
         let out = run_spmd(p, ZERO, |comm| {
             let sys = RankSystem::from_source(src, p, comm.rank());
             let factors = SpikeRankFactors::setup(comm, &sys).expect("setup");
-            let y_local: Vec<Mat> = part
+            let mut x: Vec<Mat> = part
                 .range(comm.rank())
                 .map(|i| y.blocks[i].clone())
                 .collect();
-            (sys.lo, factors.solve(comm, &y_local))
+            factors.solve_in_place(comm, &mut x);
+            (sys.lo, x)
         });
         let mut x = BlockVec::zeros(n, m, y.r());
         for (lo, panels) in out.results {
@@ -412,11 +388,12 @@ mod tests {
             ys_ref
                 .iter()
                 .map(|y| {
-                    let y_local: Vec<Mat> = part_ref
+                    let mut x: Vec<Mat> = part_ref
                         .range(comm.rank())
                         .map(|i| y.blocks[i].clone())
                         .collect();
-                    (sys.lo, factors.solve(comm, &y_local))
+                    factors.solve_in_place(comm, &mut x);
+                    (sys.lo, x)
                 })
                 .collect::<Vec<_>>()
         });

@@ -17,23 +17,22 @@
 //! [`crate::toeplitz::ToeplitzRankFactors`] stores a short head plus one
 //! shared tail triple.
 //!
-//! Classic recursive doubling is the same machinery without reuse:
-//! [`rd_solve_rank`] rebuilds the factors and runs the fresh-scan solve
-//! for every call, which is what makes it `O(R)` slower over `R`
-//! right-hand sides.
+//! Classic recursive doubling is the same machinery without reuse: it
+//! builds the factors with `record_traces = false` and runs
+//! [`ArdRankFactors::solve_fresh`] for every batch, which is what makes
+//! it `O(R)` slower over `R` right-hand sides.
 
 use std::cell::RefCell;
 
 use bt_blocktri::{BlockRow, BlockRowSource, FactorError, RowPartition};
 use bt_comm::CommBackend;
 use bt_dense::{
-    gemm, gemm_flops, lu_flops, lu_solve_flops, one_norm, LuFactors, Mat, Trans, Workspace,
-    WorkspaceStats,
+    gemm, gemm_flops, lu_flops, lu_solve_flops, one_norm, LuFactors, Mat, SingularError, Trans,
+    Workspace, WorkspaceStats,
 };
 
 use crate::companion::{CompanionProduct, CompanionState, CompanionW};
 use crate::pairs::AffinePair;
-use crate::refine::RefinedSolve;
 use crate::scans::{
     affine_exscan_fresh, affine_exscan_replay, companion_exscan, Direction, ScanTrace,
 };
@@ -91,6 +90,12 @@ pub struct RankSystem {
     /// Rows `lo - w .. lo` for [`BoundaryMode::Windowed`] (empty unless
     /// built by [`RankSystem::from_source_windowed`]).
     pub window_rows: Vec<BlockRow>,
+    /// The Phase 1 boundary mode this slice was built for, and the one
+    /// [`ArdRankFactors::setup`] runs: [`BoundaryMode::ExactScan`] from
+    /// [`RankSystem::from_source`], [`BoundaryMode::Windowed`] from
+    /// [`RankSystem::from_source_windowed`]. Private, so a slice is only
+    /// ever built by those two, with the rows its mode needs.
+    pub(crate) boundary: BoundaryMode,
 }
 
 impl RankSystem {
@@ -126,14 +131,17 @@ impl RankSystem {
             c_prev,
             row0,
             window_rows: Vec::new(),
+            boundary: BoundaryMode::ExactScan,
         }
     }
 
     /// Like [`RankSystem::from_source`], additionally materializing the
     /// `min(w, lo)` rows preceding the owned range for
-    /// [`BoundaryMode::Windowed`] boundary recovery.
+    /// [`BoundaryMode::Windowed`]`(w)` boundary recovery, the mode it
+    /// records.
     pub fn from_source_windowed(src: &dyn BlockRowSource, p: usize, rank: usize, w: usize) -> Self {
         let mut sys = Self::from_source(src, p, rank);
+        sys.boundary = BoundaryMode::Windowed(w);
         let w = w.min(sys.lo);
         sys.window_rows = (sys.lo - w..sys.lo).map(|i| src.row(i)).collect();
         sys
@@ -206,24 +214,6 @@ pub trait ReplayFactors {
     fn solve_in_place<C: CommBackend>(&self, comm: &mut C, x: &mut [Mat]) {
         let (fwd, bwd) = self.traces();
         solve_in_place_with(self, comm, x, Scans::Replay { fwd, bwd });
-    }
-
-    /// Replay solve followed by up to `max_sweeps` iterative-refinement
-    /// sweeps; see [`crate::refine`]. Collective; all ranks receive the
-    /// same `history`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    fn solve_replay_refined<C: CommBackend>(
-        &self,
-        comm: &mut C,
-        sys: &RankSystem,
-        y_local: &[Mat],
-        max_sweeps: usize,
-        tol: f64,
-    ) -> RefinedSolve {
-        crate::refine::replay_refined(self, comm, sys, y_local, max_sweeps, tol)
     }
 
     /// Shrinks the pooled solve workspace to at most `max_pooled_bytes`
@@ -495,10 +485,13 @@ impl ArdRankFactors {
     /// components of the Phase 2/3 scans. Collective: every rank must
     /// call it together.
     ///
-    /// `record_traces = true` (the accelerated algorithm) additionally
-    /// records the cross-rank scan matrices so later solves can replay
-    /// them; `false` builds the transient state classic recursive
-    /// doubling computes per solve.
+    /// Phase 1 recovers the boundary diagonal in the mode the slice was
+    /// built for ([`RankSystem::from_source`] or
+    /// [`RankSystem::from_source_windowed`]); every rank's slice must be
+    /// built the same way. `record_traces = true` (the accelerated
+    /// algorithm) additionally records the cross-rank scan matrices so
+    /// later solves can replay them; `false` builds the transient state
+    /// classic recursive doubling computes per solve.
     ///
     /// # Errors
     ///
@@ -509,17 +502,6 @@ impl ArdRankFactors {
         comm: &mut C,
         sys: &RankSystem,
         record_traces: bool,
-    ) -> Result<Self, FactorError> {
-        Self::setup_with(comm, sys, record_traces, BoundaryMode::ExactScan)
-    }
-
-    /// [`ArdRankFactors::setup`] with an explicit Phase 1 boundary mode.
-    /// All ranks must pass the same `mode`.
-    pub fn setup_with<C: CommBackend>(
-        comm: &mut C,
-        sys: &RankSystem,
-        record_traces: bool,
-        mode: BoundaryMode,
     ) -> Result<Self, FactorError> {
         let m = sys.m;
 
@@ -532,7 +514,7 @@ impl ArdRankFactors {
         // deadlocks mid-scan.
         let mut pending_err: Option<FactorError> = None;
         let mut total = CompanionProduct::identity(m);
-        let scanning = mode == BoundaryMode::ExactScan;
+        let scanning = sys.boundary == BoundaryMode::ExactScan;
         let mut ws_p1: Workspace = Workspace::new();
         let span_companion = bt_obs::span("solver", "phase1.local_companion");
         if scanning && comm.rank() + 1 < comm.size() {
@@ -570,31 +552,13 @@ impl ArdRankFactors {
         let span_factor = bt_obs::span("solver", "phase1.local_factor");
         let local = match pending_err {
             Some(e) => Err(e),
-            None => Self::local_factor_pass(comm, sys, excl.as_ref(), mode, &mut ws_p1),
+            None => Self::local_factor_pass(comm, sys, excl.as_ref(), &mut ws_p1),
         };
         drop(span_factor);
 
-        // ---- Coordinated error check: all ranks agree before the next
-        // collective phase, so a singular diagonal cannot deadlock peers
-        // blocked in a scan. -------------------------------------------
-        let my_err: u64 = match &local {
-            Ok(_) => u64::MAX,
-            Err(e) => e.row as u64,
-        };
-        let first_err = comm.allreduce(my_err, |a, b| (*a).min(*b));
-        if first_err != u64::MAX {
-            return Err(match local {
-                Err(e) if e.row as u64 == first_err => e,
-                _ => FactorError {
-                    row: first_err as usize,
-                    source: bt_dense::SingularError {
-                        step: 0,
-                        pivot: 0.0,
-                    },
-                },
-            });
-        }
-        let (d_inv, f, g, my_cond) = local.expect("checked above");
+        // ---- All ranks agree before the next collective phase, so a
+        // singular diagonal cannot deadlock peers blocked in a scan. ----
+        let (d_inv, f, g, my_cond) = agree_on_setup(comm, local)?;
         // Agree on the worst boundary-extraction conditioning: the suite's
         // self-diagnostic for the prefix method's accuracy envelope.
         let boundary_cond = comm.allreduce(
@@ -683,7 +647,6 @@ impl ArdRankFactors {
         comm: &mut C,
         sys: &RankSystem,
         excl: Option<&CompanionProduct>,
-        mode: BoundaryMode,
         ws: &mut Workspace,
     ) -> Result<(Vec<Mat>, Vec<Mat>, Vec<Mat>, f64), FactorError> {
         let m = sys.m;
@@ -698,7 +661,7 @@ impl ArdRankFactors {
         let boundary_diag = if sys.lo == 0 {
             sys.rows[0].b.clone()
         } else {
-            match mode {
+            match sys.boundary {
                 BoundaryMode::ExactScan => {
                     let mut state = CompanionState::initial(&sys.row0)
                         .map_err(|source| FactorError { row: 0, source })?;
@@ -781,7 +744,7 @@ impl ArdRankFactors {
     ) -> Result<Mat, FactorError> {
         assert!(
             !sys.window_rows.is_empty(),
-            "BoundaryMode::Windowed requires RankSystem::from_source_windowed"
+            "BoundaryMode::Windowed needs a window of at least one row"
         );
         let m = sys.m;
         let w = sys.window_rows.len();
@@ -832,7 +795,7 @@ impl ArdRankFactors {
     }
 
     /// Cumulative counters of the rank-owned solve workspace. The
-    /// checkouts delta across a warm [`ArdRankFactors::solve_replay_into`]
+    /// checkouts delta across a warm [`ReplayFactors::solve_in_place`]
     /// call is the zero-allocation invariant `tests/workspace.rs` pins.
     pub fn workspace_stats(&self) -> WorkspaceStats {
         self.ws.borrow().stats()
@@ -844,42 +807,6 @@ impl ArdRankFactors {
     /// that want a cold baseline.
     pub fn reset_workspace(&self) {
         self.ws.borrow_mut().reset();
-    }
-
-    /// Solves one right-hand-side batch by replaying the recorded scans:
-    /// copies `y_local` (the `M x R` panel of global row `lo + k` at
-    /// index `k`) and runs [`ReplayFactors::solve_in_place`] on the
-    /// copy. Collective.
-    ///
-    /// # Panics
-    ///
-    /// Panics if setup was run with `record_traces = false`, or on panel
-    /// shape mismatch.
-    pub fn solve_replay<C: CommBackend>(&self, comm: &mut C, y_local: &[Mat]) -> Vec<Mat> {
-        let mut x = y_local.to_vec();
-        self.solve_in_place(comm, &mut x);
-        x
-    }
-
-    /// [`ArdRankFactors::solve_replay`] writing into caller-provided
-    /// panels: `out[k]` must be shaped like `y_local[k]`. With reused
-    /// `out` buffers and a warm workspace, a call performs **zero** heap
-    /// allocations — every temporary (including scan receive buffers)
-    /// recycles through the rank-owned [`Workspace`] and the
-    /// [`bt_mpsim::PanelBuf`] pool.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`ArdRankFactors::solve_replay`], plus `out`
-    /// shape mismatch.
-    pub fn solve_replay_into<C: CommBackend>(
-        &self,
-        comm: &mut C,
-        y_local: &[Mat],
-        out: &mut [Mat],
-    ) {
-        copy_panels(y_local, out);
-        self.solve_in_place(comm, out);
     }
 
     /// Solves one batch in place with **fresh** scans (classic recursive
@@ -927,7 +854,7 @@ impl ReplayFactors for ArdRankFactors {
     fn traces(&self) -> (&ScanTrace, &ScanTrace) {
         assert!(
             self.fresh_totals.is_none(),
-            "solve_replay requires setup(record_traces = true)"
+            "a replay requires setup(record_traces = true)"
         );
         (&self.fwd_trace, &self.bwd_trace)
     }
@@ -968,29 +895,45 @@ pub(crate) fn neg_product<C: CommBackend>(comm: &mut C, a: &Mat, b: &Mat) -> Mat
     p
 }
 
-/// Copies right-hand-side panels into same-shaped output panels: the
-/// copy half of the copy-then-in-place replay wrappers.
-fn copy_panels(y_local: &[Mat], out: &mut [Mat]) {
-    assert_eq!(out.len(), y_local.len(), "output panel count mismatch");
-    for (o, y) in out.iter_mut().zip(y_local) {
-        o.as_mut().copy_from(y.as_ref());
-    }
+/// Agrees on one setup outcome across ranks before the next collective,
+/// so no rank deadlocks waiting on a peer that failed. A success costs
+/// one `u64` allreduce of each rank's failing row (`u64::MAX` for none).
+/// On failure every rank returns the lowest failing row, with the
+/// elimination step and pivot of the rank that detected it.
+pub(crate) fn agree_on_setup<T, C: CommBackend>(
+    comm: &mut C,
+    local: Result<T, FactorError>,
+) -> Result<T, FactorError> {
+    let mine = local.as_ref().err().map_or(u64::MAX, |e| e.row as u64);
+    let first = comm.allreduce(mine, |a, b| (*a).min(*b));
+    agree_on_row(comm, local, first)
 }
 
-/// Classic recursive doubling: rebuilds all matrix-dependent state and
-/// runs a fresh-scan solve, every call. `O(M^3 (N/P + log P))` per batch
-/// regardless of `R` (for `R <= M`). Collective.
-///
-/// # Errors
-///
-/// [`FactorError`] (on every rank) if a block diagonal is singular.
-pub fn rd_solve_rank<C: CommBackend>(
+/// [`agree_on_setup`] once every rank knows the first failing row
+/// `first` (`u64::MAX` for none). Only a failure pays a collective here:
+/// one allreduce carries the lowest detecting rank's step and pivot to
+/// everyone. Owning the row does not identify that rank, since rank `r`
+/// extracts row `lo - 1` from its own scan.
+pub(crate) fn agree_on_row<T, C: CommBackend>(
     comm: &mut C,
-    sys: &RankSystem,
-    y_local: &[Mat],
-) -> Result<Vec<Mat>, FactorError> {
-    let factors = ArdRankFactors::setup(comm, sys, false)?;
-    let mut x = y_local.to_vec();
-    factors.solve_fresh(comm, &mut x);
-    Ok(x)
+    local: Result<T, FactorError>,
+    first: u64,
+) -> Result<T, FactorError> {
+    if first == u64::MAX {
+        return local;
+    }
+    let mine = match &local {
+        Err(e) if e.row as u64 == first => {
+            (comm.rank() as u64, e.source.step as u64, e.source.pivot)
+        }
+        _ => (u64::MAX, 0, 0.0),
+    };
+    let (_, step, pivot) = comm.allreduce(mine, |a, b| if b.0 < a.0 { *b } else { *a });
+    Err(FactorError {
+        row: first as usize,
+        source: SingularError {
+            step: step as usize,
+            pivot,
+        },
+    })
 }

@@ -44,10 +44,9 @@ use bt_dense::{gemm, gemm_flops, one_norm, Mat, Trans, Workspace};
 use crate::companion::{CompanionProduct, CompanionState, CompanionW};
 use crate::pairs::AffinePair;
 use crate::scans::{affine_exscan_fresh, companion_exscan, Direction, ScanTrace};
-use crate::solver::{RankSolver, Session};
 use crate::state::{
-    exceeds, exceeds_roundoff, invert_diag, neg_product, tags, RankSystem, ReplayFactors,
-    UNIT_ROUNDOFF,
+    agree_on_setup, exceeds, exceeds_roundoff, invert_diag, neg_product, tags, RankSystem,
+    ReplayFactors, UNIT_ROUNDOFF,
 };
 
 /// Head-convergence tolerance, relative to `max_abs(D)`: the recurrence
@@ -344,27 +343,10 @@ impl ToeplitzRankFactors {
         };
         drop(span_factor);
 
-        // Coordinated error check, exactly like the general path: ranks
-        // agree before the next collective so nobody deadlocks in a scan.
-        let my_err: u64 = match &local {
-            Ok(_) => u64::MAX,
-            Err(e) => e.row as u64,
-        };
-        let first_err = comm.allreduce(my_err, |a, b| (*a).min(*b));
-        if first_err != u64::MAX {
-            return Err(match local {
-                Err(e) if e.row as u64 == first_err => e,
-                _ => FactorError {
-                    row: first_err as usize,
-                    source: bt_dense::SingularError {
-                        step: 0,
-                        pivot: 0.0,
-                    },
-                },
-            });
-        }
+        // Ranks agree before the next collective, exactly like the general
+        // path, so nobody deadlocks in a scan.
         let (head_d_inv, head_f, head_g, tail_d_inv, tail_f, tail_g, my_cond) =
-            local.expect("checked above");
+            agree_on_setup(comm, local)?;
         let boundary_cond = comm.allreduce(
             if my_cond.is_finite() {
                 my_cond
@@ -653,32 +635,11 @@ impl ReplayFactors for ToeplitzRankFactors {
     }
 }
 
-impl RankSolver for ToeplitzRankFactors {
-    const NAME: &'static str = "toeplitz-recursive-doubling";
-
-    fn setup<C: CommBackend>(comm: &mut C, sys: &RankSystem) -> Result<Self, FactorError> {
-        ToeplitzRankFactors::setup(comm, sys)
-    }
-
-    fn solve<C: CommBackend>(&self, comm: &mut C, y_local: &[Mat]) -> Vec<Mat> {
-        let mut x = y_local.to_vec();
-        self.solve_in_place(comm, &mut x);
-        x
-    }
-
-    fn storage_bytes(&self) -> u64 {
-        ToeplitzRankFactors::storage_bytes(self)
-    }
-}
-
-/// Session over the Toeplitz fast path. Only create it for sources that
-/// pass [`detect_toeplitz`].
-pub type ToeplitzSession = Session<ToeplitzRankFactors>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::ArdGenericSession;
+    use crate::session::{ArdSession, FactorKind};
+    use crate::state::BoundaryMode;
     use bt_blocktri::gen::{materialize, random_rhs, BlockToeplitz, ClusteredToeplitz, Poisson2D};
     use bt_comm::CostModel;
 
@@ -688,6 +649,15 @@ mod tests {
         flop_rate: f64::INFINITY,
         threads_per_rank: 1,
     };
+
+    fn toeplitz_session(p: usize, src: &ClusteredToeplitz) -> ArdSession {
+        ArdSession::create_with(p, ZERO, FactorKind::Toeplitz, src).unwrap()
+    }
+
+    fn general_session(p: usize, src: &ClusteredToeplitz) -> ArdSession {
+        let kind = FactorKind::General(BoundaryMode::ExactScan);
+        ArdSession::create_with(p, ZERO, kind, src).unwrap()
+    }
 
     #[test]
     fn detection_accepts_constant_blocks_only() {
@@ -710,13 +680,12 @@ mod tests {
         let src = ClusteredToeplitz::standard(96, 4, 3);
         assert!(detect_toeplitz(&src));
         let t = materialize(&src);
-        let fast = ToeplitzSession::create(4, ZERO, &src).unwrap();
-        let general = ArdGenericSession::create(4, ZERO, &src).unwrap();
-        assert_eq!(fast.solver_name(), "toeplitz-recursive-doubling");
+        let fast = toeplitz_session(4, &src);
+        let general = general_session(4, &src);
         for seed in 0..3 {
             let y = random_rhs(96, 4, 3, seed);
-            let xf = fast.solve(&y);
-            let xg = general.solve(&y);
+            let xf = fast.solve(&y).unwrap();
+            let xg = general.solve(&y).unwrap();
             assert!(t.rel_residual(&xf, &y) < 1e-11, "seed {seed}");
             assert!(
                 xf.rel_diff(&xg) < 1e-10,
@@ -767,8 +736,8 @@ mod tests {
         // n/p = 128 rows per rank: the head is a few dozen rows, so the
         // Toeplitz store must be several times smaller.
         let src = ClusteredToeplitz::standard(512, 4, 1);
-        let fast = ToeplitzSession::create(4, ZERO, &src).unwrap();
-        let general = ArdGenericSession::create(4, ZERO, &src).unwrap();
+        let fast = toeplitz_session(4, &src);
+        let general = general_session(4, &src);
         let reduction = general.factor_bytes() as f64 / fast.factor_bytes() as f64;
         assert!(
             reduction >= 3.0,
@@ -785,9 +754,9 @@ mod tests {
         // on the head terminating early.
         let src = ClusteredToeplitz::new(64, 6, 2.1, 0.01, 9);
         let t = materialize(&src);
-        let session = ToeplitzSession::create(4, ZERO, &src).unwrap();
+        let session = toeplitz_session(4, &src);
         let y = random_rhs(64, 6, 2, 4);
-        let x = session.solve(&y);
+        let x = session.solve(&y).unwrap();
         assert!(t.rel_residual(&x, &y) < 1e-10);
     }
 
@@ -795,9 +764,9 @@ mod tests {
     fn single_rank_world_works() {
         let src = ClusteredToeplitz::standard(32, 4, 5);
         let t = materialize(&src);
-        let session = ToeplitzSession::create(1, ZERO, &src).unwrap();
+        let session = toeplitz_session(1, &src);
         let y = random_rhs(32, 4, 2, 1);
-        let x = session.solve(&y);
+        let x = session.solve(&y).unwrap();
         assert!(t.rel_residual(&x, &y) < 1e-11);
     }
 
@@ -806,26 +775,9 @@ mod tests {
         let src = ClusteredToeplitz::standard(80, 4, 2);
         let t = materialize(&src);
         let y = random_rhs(80, 4, 2, 6);
-        let p = 4;
-        let part = bt_blocktri::RowPartition::new(80, p);
-        let out = bt_mpsim::run_spmd(p, ZERO, |comm| {
-            let sys = RankSystem::from_source(&src, p, comm.rank());
-            let factors = ToeplitzRankFactors::setup(comm, &sys).unwrap();
-            let y_local: Vec<Mat> = part
-                .range(comm.rank())
-                .map(|i| y.blocks[i].clone())
-                .collect();
-            let refined = factors.solve_replay_refined(comm, &sys, &y_local, 4, 1e-14);
-            (sys.lo, refined)
-        });
-        let mut x = bt_blocktri::BlockVec::zeros(80, 4, 2);
-        let mut history = Vec::new();
-        for (lo, refined) in out.results {
-            for (k, panel) in refined.x_local.into_iter().enumerate() {
-                x.blocks[lo + k] = panel;
-            }
-            history = refined.history;
-        }
+        let (x, history) = toeplitz_session(4, &src)
+            .solve_refined(&y, 4, 1e-14)
+            .unwrap();
         assert!(t.rel_residual(&x, &y) < 1e-13, "history {history:?}");
         assert!(!history.is_empty());
     }

@@ -101,18 +101,16 @@ fn raw_world_replay_agrees_across_backends() {
     let sim = run_spmd(p, ZERO, |comm| {
         let sys = RankSystem::from_source(&src, p, comm.rank());
         let factors = ArdRankFactors::setup(comm, &sys, true).expect("setup");
-        let y: Vec<Mat> = (sys.lo..sys.hi).map(|i| rhs_panel(m, r, 3, i)).collect();
-        let mut x: Vec<Mat> = y.iter().map(|p| Mat::zeros(p.rows(), p.cols())).collect();
-        factors.solve_replay_into(comm, &y, &mut x);
+        let mut x: Vec<Mat> = (sys.lo..sys.hi).map(|i| rhs_panel(m, r, 3, i)).collect();
+        factors.solve_in_place(comm, &mut x);
         let bits = x.iter().flat_map(bits_of_mat).collect::<Vec<u64>>();
         (factors.windows(), bits)
     });
     let shm = run_shm(p, ZERO, |comm| {
         let sys = RankSystem::from_source(&src, p, comm.rank());
         let factors = ArdRankFactors::setup(comm, &sys, true).expect("setup");
-        let y: Vec<Mat> = (sys.lo..sys.hi).map(|i| rhs_panel(m, r, 3, i)).collect();
-        let mut x: Vec<Mat> = y.iter().map(|p| Mat::zeros(p.rows(), p.cols())).collect();
-        factors.solve_replay_into(comm, &y, &mut x);
+        let mut x: Vec<Mat> = (sys.lo..sys.hi).map(|i| rhs_panel(m, r, 3, i)).collect();
+        factors.solve_in_place(comm, &mut x);
         let bits = x.iter().flat_map(bits_of_mat).collect::<Vec<u64>>();
         (factors.windows(), bits)
     });

@@ -133,12 +133,8 @@ fn raw_world_replay_is_bitwise_pinned() {
     let out = run_spmd(p, CostModel::cluster(), |comm| {
         let sys = RankSystem::from_source(&src, p, comm.rank());
         let factors = ArdRankFactors::setup(comm, &sys, true).expect("setup");
-        let y_local: Vec<Mat> = (sys.lo..sys.hi).map(|i| rhs_panel(m, r, 3, i)).collect();
-        let mut x: Vec<Mat> = y_local
-            .iter()
-            .map(|p| Mat::zeros(p.rows(), p.cols()))
-            .collect();
-        factors.solve_replay_into(comm, &y_local, &mut x);
+        let mut x: Vec<Mat> = (sys.lo..sys.hi).map(|i| rhs_panel(m, r, 3, i)).collect();
+        factors.solve_in_place(comm, &mut x);
         x
     });
 

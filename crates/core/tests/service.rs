@@ -7,7 +7,7 @@
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
-use bt_ard::{ArdSession, MatrixKey, ServiceConfig, ServiceError, SolverService};
+use bt_ard::{ArdSession, FactorKind, MatrixKey, ServiceConfig, ServiceError, SolverService};
 use bt_blocktri::gen::{materialize, random_rhs, ClusteredToeplitz, RandomDominant};
 use bt_blocktri::{BlockRow, BlockRowSource, BlockVec};
 use bt_dense::Mat;
@@ -587,6 +587,6 @@ fn service_answers_match_direct_session_bit_for_bit() {
 
     // >= 32 rows per rank of constant blocks: the Toeplitz path.
     let toeplitz = ClusteredToeplitz::standard(32 * P, M, 82);
-    let direct = ArdSession::create_toeplitz(P, cfg().model, &toeplitz).unwrap();
+    let direct = ArdSession::create_with(P, cfg().model, FactorKind::Toeplitz, &toeplitz).unwrap();
     assert_service_matches_session(&toeplitz, &direct);
 }

@@ -266,6 +266,61 @@ fn singular_superdiagonal_surfaces_as_error() {
     assert_eq!(err.row, 1);
 }
 
+/// A singular `D_i` detected on rank 1, at LU elimination step 1: every
+/// entry point reports the row, step and pivot `LuFactors::factor` gives
+/// on that block, not a placeholder from a rank that did not see it.
+#[test]
+fn singular_diagonal_reports_the_detecting_ranks_pivot() {
+    use bt_ard::{ArdSession, ServiceConfig, ServiceError, SolverService};
+    use bt_blocktri::BlockRow;
+    use bt_dense::LuFactors;
+
+    const BAD: usize = 21; // rank 1 of 4 owns rows 16..32
+    struct SingularRow(ClusteredToeplitz);
+    impl BlockRowSource for SingularRow {
+        fn n(&self) -> usize {
+            self.0.n()
+        }
+        fn m(&self) -> usize {
+            self.0.m()
+        }
+        fn row(&self, i: usize) -> BlockRow {
+            let mut row = self.0.row(i);
+            if i == BAD {
+                // A zero sub-diagonal makes D_i = B_i, and B_i's second
+                // pivot is 2^-52, below LU's singularity threshold.
+                row.a = Mat::zeros(3, 3);
+                row.b = Mat::from_fn(3, 3, |r, c| match (r, c) {
+                    (0, 0) | (0, 1) | (1, 0) | (2, 2) => 1.0,
+                    (1, 1) => 1.0 + f64::EPSILON,
+                    _ => 0.0,
+                });
+            }
+            row
+        }
+    }
+    let src = SingularRow(ClusteredToeplitz::standard(64, 3, 4));
+    let expected = LuFactors::factor(&src.row(BAD).b).unwrap_err();
+    assert!(expected.step >= 1 && expected.pivot > 0.0, "{expected:?}");
+    let p = 4;
+    let check = |err: bt_blocktri::FactorError, path: &str| {
+        assert_eq!(err.row, BAD, "{path}");
+        assert_eq!(err.source, expected, "{path}");
+    };
+
+    let y = random_rhs(64, 3, 2, 1);
+    check(ard_solve_dist(p, ZERO, &src, &[y]).unwrap_err(), "driver");
+    check(
+        ArdSession::create(p, ZERO, &src).err().expect("singular"),
+        "session",
+    );
+    let svc = SolverService::start(ServiceConfig::new(p, ZERO));
+    match svc.register(&src) {
+        Err(ServiceError::Factorization(err)) => check(err, "service"),
+        other => panic!("service: expected a factorization error, got {other:?}"),
+    }
+}
+
 #[test]
 fn companion_exscan_minimal_shrink_case() {
     // Pinned from crates/core/tests/proptests.proptest-regressions: the
@@ -404,10 +459,9 @@ fn replay_is_work_efficient() {
         let out = run_spmd(p, ZERO, |comm| {
             let sys = RankSystem::from_source(&src, p, comm.rank());
             let factors = ArdRankFactors::setup(comm, &sys, true).unwrap();
-            let y_local: Vec<Mat> = (sys.lo..sys.hi).map(|i| y.blocks[i].clone()).collect();
-            let mut x = y_local.clone();
+            let mut x: Vec<Mat> = (sys.lo..sys.hi).map(|i| y.blocks[i].clone()).collect();
             let before = comm.stats().flops;
-            factors.solve_replay_into(comm, &y_local, &mut x);
+            factors.solve_in_place(comm, &mut x);
             (
                 sys.local_len() as u64,
                 factors.windows(),

@@ -16,7 +16,7 @@
 //! cargo run --release --example embedded_spmd
 //! ```
 
-use block_tridiag_suite::ard::{ArdRankFactors, RankSystem};
+use block_tridiag_suite::ard::{ArdRankFactors, RankSystem, ReplayFactors};
 use block_tridiag_suite::blocktri::gen::{rhs_panel, ClusteredToeplitz};
 use block_tridiag_suite::mpsim::{run_spmd, CommBackend, CostModel};
 
@@ -35,10 +35,11 @@ fn main() {
         // checksum and reduce it at the end.
         let mut local_sum = 0.0f64;
         for batch in 0..nbatches {
-            let y_local: Vec<_> = (sys.lo..sys.hi)
+            // Each rank's panels are solved in place: y in, x out.
+            let mut x_local: Vec<_> = (sys.lo..sys.hi)
                 .map(|i| rhs_panel(m, r, 1000 + batch, i))
                 .collect();
-            let x_local = factors.solve_replay(comm, &y_local);
+            factors.solve_in_place(comm, &mut x_local);
             local_sum += x_local
                 .iter()
                 .map(|panel| panel.as_slice().iter().sum::<f64>())

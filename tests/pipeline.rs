@@ -10,7 +10,7 @@
 //! deadlock-freedom: both ranks send before either receives, which is
 //! what every scan's exclusive-shift `exchange_panel` relies on.
 
-use block_tridiag_suite::ard::state::{ArdRankFactors, RankSystem};
+use block_tridiag_suite::ard::state::{ArdRankFactors, RankSystem, ReplayFactors};
 use block_tridiag_suite::blocktri::gen::{rhs_panel, ClusteredToeplitz};
 use block_tridiag_suite::blocktri::BlockRowSource;
 use block_tridiag_suite::dense::Mat;
@@ -23,10 +23,9 @@ fn replay_traffic(src: &ClusteredToeplitz, p: usize, r: usize) -> (u64, u64) {
     let out = run_spmd(p, CostModel::cluster(), |comm| {
         let sys = RankSystem::from_source(src, p, comm.rank());
         let factors = ArdRankFactors::setup(comm, &sys, true).expect("setup");
-        let y: Vec<Mat> = (sys.lo..sys.hi).map(|i| rhs_panel(m, r, 7, i)).collect();
-        let mut x: Vec<Mat> = y.iter().map(|p| Mat::zeros(p.rows(), p.cols())).collect();
+        let mut x: Vec<Mat> = (sys.lo..sys.hi).map(|i| rhs_panel(m, r, 7, i)).collect();
         let before = comm.stats();
-        factors.solve_replay_into(comm, &y, &mut x);
+        factors.solve_in_place(comm, &mut x);
         let after = comm.stats();
         (
             after.msgs_sent - before.msgs_sent,
