@@ -35,7 +35,7 @@ use bt_blocktri::BlockRowSource;
 use bt_comm::CommBackend;
 use bt_dense::Mat;
 use bt_mpsim::run_spmd;
-use bt_shm::{calibrate_shm, run_shm};
+use bt_shm::{calibrate_shm, ShmBackend, SpmdBackend};
 
 struct Record {
     p: usize,
@@ -129,7 +129,7 @@ fn main() {
         }
         for &r in &rs {
             let (wall_s, x_shm) =
-                split(run_shm(p, model, |comm| solve_cell(comm, &src, p, r, reps)).results);
+                split(ShmBackend::run(p, model, |comm| solve_cell(comm, &src, p, r, reps)).results);
             let (modeled_s, x_sim) =
                 split(run_spmd(p, model, |comm| solve_cell(comm, &src, p, r, reps)).results);
             assert_eq!(x_shm, x_sim, "P={p} R={r}: shm and sim solutions diverged");

@@ -45,7 +45,7 @@ use bt_blocktri::gen::{random_rhs, rhs_panel, ClusteredToeplitz};
 use bt_blocktri::{BlockRow, BlockRowSource, BlockVec, FactorError};
 use bt_comm::CommBackend;
 use bt_dense::{gemm, Mat, Trans};
-use bt_shm::run_shm;
+use bt_shm::{ShmBackend, SpmdBackend};
 
 struct ToeplitzRecord {
     label: String,
@@ -208,7 +208,7 @@ fn run_toeplitz_cell(
     r: usize,
     reps: usize,
 ) -> ToeplitzRecord {
-    let out = run_shm(p, bt_comm::CostModel::zero(), |comm| {
+    let out = ShmBackend::run(p, bt_comm::CostModel::zero(), |comm| {
         toeplitz_cell(comm, src, p, r, reps)
     });
     let mut rows = out.results.into_iter().map(|res| res.expect("setup"));

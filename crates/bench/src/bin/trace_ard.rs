@@ -15,7 +15,7 @@ use bt_bench::Args;
 use bt_blocktri::gen::rhs_panel;
 use bt_blocktri::gen::ClusteredToeplitz;
 use bt_dense::Mat;
-use bt_mpsim::{run_spmd_traced, CostModel};
+use bt_mpsim::{run_spmd_traced, CommBackend, CostModel};
 
 fn main() {
     let args = Args::from_env();

@@ -4,19 +4,16 @@
 //! A backend provides point-to-point messaging, panel transport over
 //! the pooled [`PanelBuf`] wire format, accounting hooks (`compute`,
 //! `stats`, a per-rank clock), and — as provided methods layered on the
-//! raw point-to-point layer — the full collective suite. Two
-//! implementations ship in-tree:
-//!
-//! * `bt-mpsim`'s `Comm`: the virtual-clock **simulator**. Its clock is
-//!   modeled time under a [`CostModel`]; `compute` advances the clock
-//!   without burning cycles, so world sizes far beyond the host's cores
-//!   still produce faithful modeled runtimes.
-//! * `bt-shm`'s `ShmComm`: a **real shared-memory SPMD backend**. P rank
-//!   threads exchange panels over lock-free SPSC channels; the clock is
-//!   wall time and `compute` only counts flops.
+//! raw point-to-point layer — the full collective suite. The one
+//! implementation in-tree is the runtime's [`crate::Comm`]: rank threads
+//! over SPSC channels, charging a modeled clock under a [`CostModel`]
+//! (`compute` advances it without burning cycles, so world sizes far
+//! beyond the host's cores still produce faithful modeled runtimes). Its
+//! world decides whether `virtual_time` reports that modeled clock
+//! ([`crate::SimBackend`]) or wall time ([`crate::ShmBackend`]).
 //!
 //! The collective algorithms live here as provided methods so every
-//! backend exhibits the same message pattern, tag sequence and
+//! implementation exhibits the same message pattern, tag sequence and
 //! (rank-ordered, non-commutative-safe) reduction semantics. They are
 //! expressed over [`CommBackend::send_raw`]/[`CommBackend::recv_raw`] —
 //! the un-asserted point-to-point layer that is allowed to use the
@@ -49,37 +46,34 @@ pub trait CommBackend {
     /// Number of ranks in the world.
     fn size(&self) -> usize;
 
-    /// The cost model attached to this world. For the simulator this
-    /// *defines* the clock; for real backends it is the calibrated
-    /// reference that modeled figures are compared against.
+    /// The cost model attached to this world: it defines the modeled
+    /// clock, which wall-clock worlds keep too but do not report.
     fn model(&self) -> CostModel;
 
     /// This rank's counters so far.
     fn stats(&self) -> RankStats;
 
-    /// Seconds elapsed on this backend's clock since the program (or
-    /// job) started: virtual time on the simulator, wall time on real
-    /// backends.
+    /// Seconds elapsed on this world's clock since the program (or
+    /// job) started: modeled time, or wall time on wall-clock worlds.
     fn virtual_time(&self) -> f64;
 
     /// Records `flops` floating point operations of local computation,
-    /// advancing this backend's clock accordingly (the simulator charges
-    /// modeled time; real backends only count, their clock is wall time).
+    /// charging their modeled time to the modeled clock.
     fn compute(&mut self, flops: u64);
 
-    /// Advances the backend clock by `seconds` without counting flops
-    /// (for modeling non-flop work such as data movement). Real-clock
-    /// backends may treat this as a no-op.
+    /// Advances the modeled clock by `seconds` without counting flops
+    /// (for modeling non-flop work such as data movement).
     fn advance_time(&mut self, seconds: f64);
 
     /// Sends `value` to `dest` with `tag`, without the user-tag range
     /// check — the building block collectives use for tags above
     /// [`USER_TAG_LIMIT`]. Non-blocking (buffered-eager): never waits
-    /// for the receiver, so crossed sends cannot deadlock.
+    /// for the receiver, so crossed sends cannot deadlock. A send to a
+    /// rank that already terminated is dropped, not reported.
     ///
     /// # Panics
     ///
-    /// Panics if `dest >= size()` or the destination rank terminated.
+    /// Panics if `dest >= size()`.
     fn send_raw<T: Payload>(&mut self, dest: usize, tag: u64, value: T);
 
     /// Receives a `T` from `src` with matching `tag`, blocking until it
@@ -104,8 +98,8 @@ pub trait CommBackend {
     ///
     /// # Panics
     ///
-    /// Panics if `dest >= size()`, if `tag >= USER_TAG_LIMIT` (reserved
-    /// for collectives), or if the destination rank has terminated.
+    /// Panics if `dest >= size()` or if `tag >= USER_TAG_LIMIT`
+    /// (reserved for collectives).
     fn send<T: Payload>(&mut self, dest: usize, tag: u64, value: T) {
         assert!(
             tag < USER_TAG_LIMIT,

@@ -1,32 +1,47 @@
-//! Backend-neutral communication layer for the block tridiagonal suite.
+//! The SPMD runtime of the block tridiagonal suite.
 //!
-//! Everything a distributed solver needs to be written once and run on
-//! any SPMD backend lives here:
+//! Everything a distributed solver needs to be written once and run
+//! lives here:
 //!
 //! * [`CommBackend`] — the per-rank communicator trait: point-to-point
 //!   sends/receives, pooled panel transport, accounting hooks, and the
-//!   full collective suite as provided methods (identical message
-//!   patterns and tag sequences on every backend).
-//! * [`SpmdBackend`] / [`PersistentWorld`] — how to launch rank
-//!   programs: one-shot scoped runs and reusable persistent worlds.
+//!   full collective suite as provided methods.
+//! * [`Comm`], [`run_spmd`], [`SpmdWorld`] — the one runtime: `P` rank
+//!   threads over a lock-free SPSC mesh ([`spsc`]), one-shot or
+//!   persistent. Every envelope carries its modeled arrival time, so the
+//!   modeled clock always runs; a world's clock decides only what
+//!   [`CommBackend::virtual_time`] reports.
+//! * [`SpmdBackend`] — the two clock selectors session/service layers
+//!   are generic over: [`SimBackend`] reports the modeled clock,
+//!   [`ShmBackend`] wall seconds.
 //! * [`Payload`] / [`PanelBuf`] — the wire format, with a process-wide
-//!   buffer pool shared by all backends.
-//! * [`CostModel`] — the alpha-beta/flop-rate model: the simulator's
-//!   clock, and the calibrated reference real backends compare against.
-//! * [`RankStats`] / [`WorldStats`] — per-rank counters.
+//!   buffer pool.
+//! * [`CostModel`] — the alpha-beta/flop-rate model that defines the
+//!   modeled clock, and [`calibrate_shm`], which fits it to this host.
+//! * [`RankStats`] / [`WorldStats`] — per-rank counters, and [`Trace`],
+//!   the modeled-clock event timeline.
 //!
-//! Implementations in-tree: `bt-mpsim` (virtual-clock simulator) and
-//! `bt-shm` (real shared-memory threads). The trait seam is also where a
-//! future MPI/RDMA backend would plug in.
+//! `bt-mpsim` and `bt-shm` re-export the names their callers use. The
+//! trait seam is also where a future MPI/RDMA backend would plug in.
 
 pub mod backend;
+pub mod calibrate;
+pub mod comm;
 pub mod model;
 pub mod payload;
-pub mod spmd;
+pub mod runner;
+pub mod spsc;
 pub mod stats;
+pub mod trace;
 
 pub use backend::{CommBackend, USER_TAG_LIMIT};
+pub use calibrate::{calibrate_shm, measure_transport_shm, ShmCalibration};
+pub use comm::Comm;
 pub use model::CostModel;
 pub use payload::{panel_pool_drain, PanelBuf, Payload};
-pub use spmd::{PersistentWorld, SpmdBackend, SpmdOutput, MAX_RANKS};
+pub use runner::{
+    run_spmd, run_spmd_traced, ShmBackend, SimBackend, SpmdBackend, SpmdOutput, SpmdWorld,
+    MAX_RANKS,
+};
 pub use stats::{RankStats, WorldStats};
+pub use trace::{Trace, TraceEvent};

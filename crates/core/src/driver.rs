@@ -2,16 +2,17 @@
 //! solvers, gather solutions and per-phase timings.
 //!
 //! These are the entry points the examples, tests and the experiment
-//! harness use. For embedding in an existing SPMD program, use the
-//! rank-level API ([`crate::state`]) directly.
+//! harness use. The `*_solve_dist` and `*_solve_cfg` drivers report the
+//! modeled clock (`SimBackend`); [`ard_solve_cfg_on`] and
+//! [`pcr_solve_cfg_on`] take the clock as a type argument. For embedding
+//! in an existing SPMD program, use the rank-level API ([`crate::state`])
+//! directly.
 
 use std::time::{Duration, Instant};
 
 use bt_blocktri::{BlockRowSource, BlockVec, FactorError, RowPartition};
-use bt_comm::{CommBackend, CostModel, SpmdBackend, WorldStats};
+use bt_comm::{Comm, CommBackend, CostModel, SimBackend, SpmdBackend, WorldStats};
 use bt_dense::Mat;
-use bt_mpsim::SimBackend;
-use bt_shm::ShmBackend;
 
 use crate::session::{FactorKind, RankFactors};
 use crate::state::{ArdRankFactors, BoundaryMode, ReplayFactors};
@@ -236,7 +237,7 @@ pub fn spike_solve_cfg<S: BlockRowSource + Sync>(
     src: &S,
     batches: &[BlockVec],
 ) -> Result<DistOutcome, FactorError> {
-    run_driver_cfg(cfg, src, batches, Mode::Factored(FactorKind::Spike))
+    run_driver_cfg_on::<SimBackend, S>(cfg, src, batches, Mode::Factored(FactorKind::Spike))
 }
 
 /// Amortized parallel cyclic reduction under an explicit
@@ -252,7 +253,7 @@ pub fn pcr_solve_cfg<S: BlockRowSource + Sync>(
     src: &S,
     batches: &[BlockVec],
 ) -> Result<DistOutcome, FactorError> {
-    run_driver_cfg(cfg, src, batches, Mode::Factored(FactorKind::Pcr))
+    pcr_solve_cfg_on::<SimBackend, S>(cfg, src, batches)
 }
 
 /// Classic recursive doubling under an explicit [`DriverConfig`].
@@ -266,7 +267,7 @@ pub fn rd_solve_cfg<S: BlockRowSource + Sync>(
     src: &S,
     batches: &[BlockVec],
 ) -> Result<DistOutcome, FactorError> {
-    run_driver_cfg(cfg, src, batches, Mode::ClassicRd(cfg.boundary))
+    run_driver_cfg_on::<SimBackend, S>(cfg, src, batches, Mode::ClassicRd(cfg.boundary))
 }
 
 /// Accelerated recursive doubling under an explicit [`DriverConfig`].
@@ -280,49 +281,12 @@ pub fn ard_solve_cfg<S: BlockRowSource + Sync>(
     src: &S,
     batches: &[BlockVec],
 ) -> Result<DistOutcome, FactorError> {
-    let kind = FactorKind::General(cfg.boundary);
-    run_driver_cfg(cfg, src, batches, Mode::Factored(kind))
+    ard_solve_cfg_on::<SimBackend, S>(cfg, src, batches)
 }
 
-/// Which [`SpmdBackend`] the environment selects for driver-level entry
-/// points (`BT_BACKEND`): the virtual-clock simulator (`sim`, default)
-/// or the real shared-memory runtime (`shm`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BackendKind {
-    /// `bt-mpsim`: modeled clocks, exact counters, deterministic.
-    Sim,
-    /// `bt-shm`: real rank threads, wall-clock timings.
-    Shm,
-}
-
-impl BackendKind {
-    /// Reads `BT_BACKEND` (`sim`/`shm`, unset means `sim`). Re-read on
-    /// every call so tests can flip the variable per-process-phase.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unknown value — a misspelled backend silently
-    /// falling back to the simulator would invalidate measurements.
-    pub fn from_env() -> Self {
-        match std::env::var("BT_BACKEND").as_deref() {
-            Err(_) | Ok("") | Ok("sim") => BackendKind::Sim,
-            Ok("shm") => BackendKind::Shm,
-            Ok(other) => panic!("BT_BACKEND={other:?}: expected \"sim\" or \"shm\""),
-        }
-    }
-
-    /// The backend's display name (matches [`SpmdBackend::name`]).
-    pub fn name(self) -> &'static str {
-        match self {
-            BackendKind::Sim => SimBackend::name(),
-            BackendKind::Shm => ShmBackend::name(),
-        }
-    }
-}
-
-/// [`ard_solve_cfg`] on an explicitly chosen backend `B`, bypassing the
-/// `BT_BACKEND` environment dispatch (benchmarks and cross-backend
-/// agreement tests pick both backends in one process this way).
+/// [`ard_solve_cfg`] on an explicitly chosen clock `B`: wall-clock
+/// callers pass `ShmBackend`, benchmarks and agreement tests pick both
+/// in one process this way.
 ///
 /// # Errors
 ///
@@ -352,22 +316,8 @@ pub fn pcr_solve_cfg_on<B: SpmdBackend, S: BlockRowSource + Sync>(
     run_driver_cfg_on::<B, S>(cfg, src, batches, Mode::Factored(FactorKind::Pcr))
 }
 
-/// Dispatches to the `BT_BACKEND`-selected backend (monomorphized per
-/// backend; no dynamic dispatch on the rank hot path).
-fn run_driver_cfg<S: BlockRowSource + Sync>(
-    cfg: &DriverConfig,
-    src: &S,
-    batches: &[BlockVec],
-    mode: Mode,
-) -> Result<DistOutcome, FactorError> {
-    match BackendKind::from_env() {
-        BackendKind::Sim => run_driver_cfg_on::<SimBackend, S>(cfg, src, batches, mode),
-        BackendKind::Shm => run_driver_cfg_on::<ShmBackend, S>(cfg, src, batches, mode),
-    }
-}
-
-/// One driver run on backend `B`: every rank builds its slice, then runs
-/// `mode`'s setup and solves over all `batches`.
+/// One driver run reporting clock `B`: every rank builds its slice, then
+/// runs `mode`'s setup and solves over all `batches`.
 pub(crate) fn run_driver_cfg_on<B: SpmdBackend, S: BlockRowSource + Sync>(
     cfg: &DriverConfig,
     src: &S,
@@ -403,7 +353,7 @@ pub(crate) fn run_driver_cfg_on<B: SpmdBackend, S: BlockRowSource + Sync>(
     let spmd = B::run(
         p,
         model,
-        |comm: &mut B::Comm| -> Result<RankOutput, FactorError> {
+        |comm: &mut Comm| -> Result<RankOutput, FactorError> {
             let rank = comm.rank();
             let sys = match mode {
                 Mode::ClassicRd(boundary) => FactorKind::General(boundary),

@@ -68,7 +68,7 @@ pub use auto::{auto_solve, choose_strategy, AutoOutcome, Chosen, Strategy};
 pub use batch::{solve_single, BatchFactorError, BatchedFactors, BatchedSystems};
 pub use driver::{
     ard_solve_cfg, ard_solve_cfg_on, ard_solve_dist, pcr_solve_cfg, pcr_solve_cfg_on, rd_solve_cfg,
-    rd_solve_dist, spike_solve_cfg, BackendKind, DistOutcome, DriverConfig, PhaseTimings,
+    rd_solve_dist, spike_solve_cfg, DistOutcome, DriverConfig, PhaseTimings,
 };
 pub use pcr::PcrRankFactors;
 pub use refine::RefinedSolve;

@@ -72,8 +72,7 @@ use bt_blocktri::{BlockRow, BlockRowSource, BlockVec, FactorError};
 use bt_mpsim::CostModel;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 
-use bt_comm::SpmdBackend;
-use bt_mpsim::SimBackend;
+use bt_comm::{SimBackend, SpmdBackend};
 
 use crate::auto::{choose_strategy, Strategy};
 use crate::batch::{solve_single, BatchedSystems};
@@ -239,7 +238,7 @@ pub struct ServiceConfig {
     /// long after it was submitted, batched with whatever same-matrix
     /// requests have accumulated behind it.
     pub max_delay: Duration,
-    /// Run cached sessions on persistent [`bt_mpsim::SpmdWorld`]s
+    /// Run cached sessions on persistent [`bt_comm::SpmdWorld`]s
     /// instead of spawning `ranks` threads per dispatch.
     pub world_reuse: bool,
     /// When set, trim each rank's pooled solve workspace back to this
@@ -435,7 +434,7 @@ struct AtomicCounters {
 /// systems are cheaper to re-factor per dispatch across the whole
 /// batch than to replay one at a time through an SPMD world.
 enum Backing<B: SpmdBackend> {
-    Spmd(ArdSessionOn<B>),
+    Spmd(Box<ArdSessionOn<B>>),
     Small(Vec<BlockRow>),
 }
 
@@ -508,9 +507,9 @@ pub struct ServiceOn<B: SpmdBackend> {
     dispatcher: Option<std::thread::JoinHandle<()>>,
 }
 
-/// The service on the default virtual-clock simulator backend — the
-/// spelling almost all code uses; the generic [`ServiceOn`] serves the
-/// same cache + coalescer over any [`SpmdBackend`] (e.g.
+/// The service reporting the modeled clock — the spelling almost all
+/// code uses; the generic [`ServiceOn`] serves the same cache +
+/// coalescer under either [`SpmdBackend`] clock (e.g.
 /// `bt_shm::ShmBackend` for wall-clock serving).
 pub type SolverService = ServiceOn<SimBackend>;
 
@@ -639,7 +638,7 @@ impl<B: SpmdBackend> ServiceOn<B> {
             key,
             n: src.n(),
             m: src.m(),
-            backing: Backing::Spmd(session),
+            backing: Backing::Spmd(Box::new(session)),
             bytes,
         });
         self.inner.insert(entry);

@@ -43,16 +43,16 @@
 //! microseconds of thread spawn per rank). For high-call-rate use —
 //! thousands of small replay solves per second through a
 //! [`crate::service::SolverService`] — [`ArdSession::set_world_reuse`]
-//! keeps a persistent [`bt_mpsim::SpmdWorld`] alive between calls, removing the
+//! keeps a persistent [`SpmdWorld`] alive between calls, removing the
 //! spawn cost from every solve. Results are identical either way.
 
+use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex};
 
 use bt_blocktri::{BlockRowSource, BlockVec, FactorError, RowPartition};
-use bt_comm::{CommBackend, CostModel, PersistentWorld, SpmdBackend, SpmdOutput};
+use bt_comm::{Comm, CommBackend, CostModel, SimBackend, SpmdBackend, SpmdOutput, SpmdWorld};
 use bt_dense::Mat;
-use bt_mpsim::SimBackend;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -280,14 +280,17 @@ pub struct ArdSessionOn<B: SpmdBackend> {
     /// Wakes solves queued behind a checked-out store.
     state_cv: Condvar,
     /// When world reuse is on, the persistent world (built lazily).
-    world: Mutex<Option<B::World>>,
+    world: Mutex<Option<SpmdWorld>>,
     world_reuse: AtomicBool,
+    /// The clock solves report (`fn() -> B` keeps the session `Send` and
+    /// `Sync` whatever the selector type).
+    clock: PhantomData<fn() -> B>,
 }
 
-/// The session on the default virtual-clock simulator backend — the
-/// spelling almost all code uses; the generic [`ArdSessionOn`] exists
-/// so the same factor-lease machinery can drive any [`SpmdBackend`]
-/// (e.g. `bt_shm::ShmBackend` for wall-clock serving).
+/// The session reporting the modeled clock — the spelling almost all
+/// code uses; the generic [`ArdSessionOn`] runs the same factor-lease
+/// machinery under either [`SpmdBackend`] clock (e.g.
+/// `bt_shm::ShmBackend` for wall-clock serving).
 pub type ArdSession = ArdSessionOn<SimBackend>;
 
 /// RAII checkout of a session's per-rank factors.
@@ -435,6 +438,7 @@ impl<B: SpmdBackend> ArdSessionOn<B> {
             state_cv: Condvar::new(),
             world: Mutex::new(None),
             world_reuse: AtomicBool::new(false),
+            clock: PhantomData,
         })
     }
 
@@ -464,7 +468,7 @@ impl<B: SpmdBackend> ArdSessionOn<B> {
     }
 
     /// Switches persistent-world reuse on or off. When on, solves run on
-    /// a lazily built, long-lived [`bt_mpsim::SpmdWorld`] instead of spawning `P`
+    /// a lazily built, long-lived [`SpmdWorld`] instead of spawning `P`
     /// threads per call; when switched off, any persistent world is torn
     /// down. Results are identical either way.
     pub fn set_world_reuse(&self, on: bool) {
@@ -586,7 +590,7 @@ impl<B: SpmdBackend> ArdSessionOn<B> {
         // carry it into each rank's closure so per-rank replay and scan
         // spans stay attributable to the requests they serve.
         let ctx = bt_obs::ctx::current();
-        let job = move |comm: &mut B::Comm| {
+        let job = move |comm: &mut Comm| {
             let _ctx_guard = ctx.clone().map(bt_obs::ctx::enter);
             let _span = bt_obs::span("session", "replay.solve");
             let (sys, factors) = slots[comm.rank()].lock().take().expect("state present");
@@ -626,7 +630,7 @@ impl<B: SpmdBackend> ArdSessionOn<B> {
     fn run_world<T, F>(&self, job: F) -> SpmdOutput<T>
     where
         T: Send + 'static,
-        F: Fn(&mut B::Comm) -> T + Send + Sync + 'static,
+        F: Fn(&mut Comm) -> T + Send + Sync + 'static,
     {
         if self.world_reuse.load(Ordering::Relaxed) {
             let mut wg = self

@@ -1,10 +1,11 @@
-//! Cross-backend agreement: the same solve on the virtual-clock
-//! simulator (`bt-mpsim`) and the real shared-memory runtime (`bt-shm`)
-//! must produce bitwise-identical solutions. Both backends share the
-//! trait-default collectives and the pooled panel wire format, and every
-//! point-to-point pattern in the solvers is deterministic, so any
-//! divergence — a reordered reduction, a truncated panel, a halo row off
-//! by one — shows up as a differing bit pattern, not a tolerance miss.
+//! The clock never feeds the arithmetic: the same solve reporting the
+//! modeled clock (`SimBackend`, `run_spmd`) and reporting wall seconds
+//! (`ShmBackend`) must produce bitwise-identical solutions and equal
+//! per-rank counters. Both run on the one runtime, so the message
+//! pattern, the collectives and the wire format are shared; what differs
+//! is only what `virtual_time` reports to the solvers, so any divergence
+//! — a branch on the clock, a reordered reduction, a truncated panel —
+//! shows up as a differing bit pattern, not a tolerance miss.
 
 use bt_ard::driver::{ard_solve_cfg_on, pcr_solve_cfg_on, DriverConfig};
 use bt_ard::state::{ArdRankFactors, RankSystem, ReplayFactors};
@@ -12,7 +13,7 @@ use bt_blocktri::gen::{random_rhs, rhs_panel, ClusteredToeplitz};
 use bt_blocktri::{BlockRowSource, BlockVec};
 use bt_dense::Mat;
 use bt_mpsim::{run_spmd, CommBackend, CostModel, SimBackend};
-use bt_shm::{run_shm, ShmBackend};
+use bt_shm::{ShmBackend, SpmdBackend};
 use proptest::prelude::*;
 
 const ZERO: CostModel = CostModel {
@@ -106,7 +107,7 @@ fn raw_world_replay_agrees_across_backends() {
         let bits = x.iter().flat_map(bits_of_mat).collect::<Vec<u64>>();
         (factors.windows(), bits)
     });
-    let shm = run_shm(p, ZERO, |comm| {
+    let shm = ShmBackend::run(p, ZERO, |comm| {
         let sys = RankSystem::from_source(&src, p, comm.rank());
         let factors = ArdRankFactors::setup(comm, &sys, true).expect("setup");
         let mut x: Vec<Mat> = (sys.lo..sys.hi).map(|i| rhs_panel(m, r, 3, i)).collect();

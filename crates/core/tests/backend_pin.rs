@@ -1,7 +1,7 @@
 //! Bitwise pin of the simulator backend: exact modeled clocks (as `f64`
 //! bit patterns), FNV hashes of the solution bytes, and the
-//! message/byte/flop counters of representative runs. Uses the explicit
-//! `SimBackend` entry points so the pins hold under any `BT_BACKEND`.
+//! message/byte/flop counters of representative runs, through the
+//! `SimBackend` entry points.
 //!
 //! Modeled clocks and counters depend only on problem shape, so those
 //! pins hold on every kernel path. The solution-byte hashes were

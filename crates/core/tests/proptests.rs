@@ -11,7 +11,7 @@ use bt_ard::scans::{
 use bt_blocktri::gen::{materialize, ClusteredToeplitz};
 use bt_blocktri::BlockRowSource;
 use bt_dense::{rel_diff, Mat, Workspace};
-use bt_mpsim::{run_spmd, CostModel};
+use bt_mpsim::{run_spmd, CommBackend, CostModel};
 use proptest::prelude::*;
 
 const ZERO: CostModel = CostModel {

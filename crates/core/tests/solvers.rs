@@ -12,7 +12,7 @@ use bt_blocktri::gen::{
 use bt_blocktri::thomas::{thomas_solve, ThomasFactors};
 use bt_blocktri::{BlockRowSource, RowPartition};
 use bt_dense::{gemm_flops, Mat};
-use bt_mpsim::{run_spmd, CostModel, SimBackend};
+use bt_mpsim::{run_spmd, CommBackend, CostModel, SimBackend};
 
 const ZERO: CostModel = CostModel {
     latency_s: 0.0,
@@ -387,8 +387,8 @@ fn companion_exscan_minimal_shrink_case() {
 fn deterministic_across_runs() {
     let src = ClusteredToeplitz::standard(64, 4, 9);
     let batches = vec![random_rhs(64, 4, 2, 7)];
-    // Solution and counters must be deterministic on the env-selected
-    // backend and on the simulator pinned explicitly.
+    // Solution and counters must be deterministic through the default
+    // drivers and through the explicitly chosen modeled clock.
     let a = ard_solve_dist(4, ZERO, &src, &batches).unwrap();
     let b = ard_solve_dist(4, ZERO, &src, &batches).unwrap();
     assert_eq!(a.x[0], b.x[0], "solver must be run-to-run deterministic");
@@ -618,7 +618,7 @@ fn threads_per_rank_speeds_model_without_changing_answer_or_counters() {
     let cfg4 = DriverConfig::new(p)
         .with_model(model)
         .with_threads_per_rank(4);
-    // Modeled-time claims are simulator semantics: pin the backend.
+    // Modeled-time claims read the modeled clock.
     let out1 = ard_solve_cfg_on::<SimBackend, _>(&cfg1, &src, &batches).unwrap();
     let out4 = ard_solve_cfg_on::<SimBackend, _>(&cfg4, &src, &batches).unwrap();
     // Same solution bits and identical exact counters (Table I is
@@ -648,7 +648,7 @@ fn modeled_times_match_analytic_prediction() {
         let src = ClusteredToeplitz::standard(n, m, 5);
         let batches = vec![random_rhs(n, m, r, 1); 2];
         let cfg = DriverConfig::new(p).with_model(model);
-        // Virtual clocks vs the analytic model: simulator-only semantics.
+        // Modeled clocks vs the analytic model.
         let out = ard_solve_cfg_on::<SimBackend, _>(&cfg, &src, &batches).unwrap();
         let c = Config { n, m, p, r };
 

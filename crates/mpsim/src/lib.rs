@@ -1,19 +1,18 @@
-//! # bt-mpsim: SPMD message-passing runtime (the simulator backend)
+//! # bt-mpsim: the simulator's names for the SPMD runtime
 //!
 //! The MPI substitute for this reproduction (DESIGN.md §3): the paper ran
-//! on a Cray XK7 under MPI; this crate provides the same programming model
-//! — rank-based SPMD with point-to-point messages and collectives — with
-//! ranks mapped to OS threads and messages to typed channels. It is the
-//! virtual-clock implementation of the backend-neutral
-//! [`bt_comm::CommBackend`] trait; the shared-memory `bt-shm` crate is
-//! the wall-clock one.
+//! on a Cray XK7 under MPI; the runtime in `bt-comm` provides the same
+//! programming model — rank-based SPMD with point-to-point messages and
+//! collectives — with ranks mapped to OS threads. This crate re-exports
+//! it under the names the simulator's callers use: [`run_spmd`],
+//! [`SpmdWorld::new`] and [`SimBackend`] report the modeled clock.
 //!
 //! Three things make it a *measurement* substrate rather than a toy:
 //!
 //! 1. **Counters** ([`RankStats`]/[`WorldStats`]): every payload byte,
 //!    message and reported flop is counted per rank, so analytic
 //!    communication-volume and work bounds can be validated exactly.
-//! 2. **Virtual time** ([`CostModel`]): each rank carries a clock advanced
+//! 2. **Modeled time** ([`CostModel`]): each rank carries a clock advanced
 //!    by an alpha-beta communication model and a flop-rate computation
 //!    model; the modeled parallel runtime (max final clock) reproduces
 //!    scaling behaviour for rank counts far beyond the host's cores.
@@ -33,16 +32,8 @@
 //! assert!(out.stats.is_balanced());
 //! ```
 
-pub mod calibrate;
-pub mod comm;
-pub mod runner;
-pub mod trace;
-
 pub use bt_comm::{
-    panel_pool_drain, CommBackend, CostModel, PanelBuf, Payload, PersistentWorld, RankStats,
-    SpmdBackend, SpmdOutput, WorldStats, MAX_RANKS, USER_TAG_LIMIT,
+    panel_pool_drain, run_spmd, run_spmd_traced, Comm, CommBackend, CostModel, PanelBuf, Payload,
+    RankStats, SimBackend, SpmdBackend, SpmdOutput, SpmdWorld, Trace, TraceEvent, WorldStats,
+    MAX_RANKS, USER_TAG_LIMIT,
 };
-pub use calibrate::calibrate;
-pub use comm::Comm;
-pub use runner::{run_spmd, run_spmd_default, run_spmd_traced, SimBackend, SpmdWorld};
-pub use trace::{Trace, TraceEvent};

@@ -342,9 +342,10 @@ fn virtual_time_scan_grows_logarithmically() {
 
 #[test]
 fn larger_worlds_than_cores() {
-    // 128 ranks on a small host: must still complete and be correct.
-    let out = run_spmd(128, M, |comm| comm.allreduce(1u64, |a, b| a + b));
-    assert!(out.results.iter().all(|&v| v == 128));
+    // 256 ranks, Fig 3's largest world, on a small host: must still
+    // complete and be correct.
+    let out = run_spmd(256, M, |comm| comm.allreduce(1u64, |a, b| a + b));
+    assert!(out.results.iter().all(|&v| v == 256));
 }
 
 #[test]
@@ -473,30 +474,6 @@ fn scatter_length_checked() {
 // ---------------------------------------------------------------------
 // Panel point-to-point
 // ---------------------------------------------------------------------
-
-#[test]
-fn crossed_sends_do_not_deadlock() {
-    // Both ranks send before either receives — the pattern that
-    // deadlocks under synchronous MPI sends. Buffered-eager panel sends
-    // must complete it regardless of ordering.
-    let out = run_spmd(2, M, |comm| {
-        let peer = 1 - comm.rank();
-        let mine = Mat::from_fn(4, 4, |i, j| (comm.rank() * 100 + i * 4 + j) as f64);
-        comm.send_panel(peer, 2, mine.as_ref());
-        let mut got = Mat::zeros(4, 4);
-        comm.recv_panel_into(peer, 2, got.as_mut());
-        got
-    });
-    for rank in 0..2 {
-        let from = 1 - rank;
-        assert_eq!(
-            out.results[rank],
-            Mat::from_fn(4, 4, |i, j| (from * 100 + i * 4 + j) as f64),
-            "rank {rank}"
-        );
-    }
-    assert!(out.stats.is_balanced());
-}
 
 #[test]
 fn back_to_back_sends_cost_no_more_than_one_big_message() {

@@ -1,12 +1,12 @@
-//! Deadlock and ordering stress for the shared-memory backend: crossed
-//! panel sends (both sides send before either receives, as every scan's
-//! `exchange_panel` does), all-pairs exchanges, and FIFO ordering under
-//! sustained pressure — all on real threads, where a genuine deadlock
+//! Deadlock and ordering stress for the runtime's SPSC transport:
+//! crossed panel sends (both sides send before either receives, as every
+//! scan's `exchange_panel` does), all-pairs exchanges, and FIFO ordering
+//! under sustained pressure — on real threads, where a genuine deadlock
 //! hangs the test rather than merely mis-modeling time.
 
 use bt_comm::{CommBackend, CostModel};
 use bt_dense::Mat;
-use bt_shm::run_shm;
+use bt_shm::{ShmBackend, SpmdBackend};
 
 const ZERO: CostModel = CostModel {
     latency_s: 0.0,
@@ -21,7 +21,7 @@ const ZERO: CostModel = CostModel {
 /// repeated to give the thread scheduler chances to interleave badly.
 #[test]
 fn crossed_sends_do_not_deadlock() {
-    let out = run_shm(2, ZERO, |comm| {
+    let out = ShmBackend::run(2, ZERO, |comm| {
         let peer = 1 - comm.rank();
         let mut ok = 0usize;
         for round in 0..200 {
@@ -45,7 +45,7 @@ fn crossed_sends_do_not_deadlock() {
 #[test]
 fn all_pairs_crossed_sends_complete() {
     let p = 8;
-    let out = run_shm(p, ZERO, move |comm| {
+    let out = ShmBackend::run(p, ZERO, move |comm| {
         let me = comm.rank();
         let panel = Mat::from_fn(3, 3, |i, j| (me * 9 + i * 3 + j) as f64);
         for dst in (0..p).filter(|&dst| dst != me) {
@@ -72,7 +72,7 @@ fn all_pairs_crossed_sends_complete() {
 /// the burst, then drains FIFO).
 #[test]
 fn message_order_holds_under_pressure() {
-    let out = run_shm(2, ZERO, |comm| {
+    let out = ShmBackend::run(2, ZERO, |comm| {
         if comm.rank() == 0 {
             for i in 0..1000u64 {
                 comm.send(1, 5, i);

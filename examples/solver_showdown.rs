@@ -17,7 +17,7 @@ use block_tridiag_suite::ard::driver::{
 };
 use block_tridiag_suite::ard::BoundaryMode;
 use block_tridiag_suite::blocktri::gen::{materialize, random_rhs, ConvectionDiffusion};
-use block_tridiag_suite::mpsim::calibrate;
+use block_tridiag_suite::shm::calibrate_shm;
 
 fn main() {
     let (n, m, p, r) = (768, 8, 8, 8);
@@ -26,7 +26,7 @@ fn main() {
     let batches: Vec<_> = (0..8).map(|s| random_rhs(n, m, r, s)).collect();
 
     println!("calibrating the cost model to this host...");
-    let model = calibrate();
+    let model = calibrate_shm().model;
     println!(
         "  latency {:.2} us | bandwidth {:.2} GB/s | {:.2} Gflop/s\n",
         model.latency_s * 1e6,

@@ -121,8 +121,8 @@ fn modeled_time_decreases_with_ranks_until_latency_bound() {
     let src = ClusteredToeplitz::standard(256, 8, 6);
     let y = vec![random_rhs(256, 8, 8, 1)];
     let model = CostModel::hpc();
-    // A virtual-clock scaling claim: pin to the simulator backend (on
-    // shm these are wall clocks and 16 ranks oversubscribe small hosts).
+    // A modeled-clock scaling claim: 16 ranks oversubscribe small hosts,
+    // so only the modeled clock can show it.
     let cfg2 = DriverConfig::new(2)
         .with_model(model)
         .with_threads_per_rank(1);

@@ -14,7 +14,7 @@ use block_tridiag_suite::ard::state::{ArdRankFactors, RankSystem, ReplayFactors}
 use block_tridiag_suite::blocktri::gen::{rhs_panel, ClusteredToeplitz, Poisson2D};
 use block_tridiag_suite::blocktri::BlockRowSource;
 use block_tridiag_suite::dense::{CholFactors, LuFactors, Mat, Workspace};
-use block_tridiag_suite::mpsim::{run_spmd, CostModel};
+use block_tridiag_suite::mpsim::{run_spmd, CommBackend, CostModel};
 
 const ZERO: CostModel = CostModel {
     latency_s: 0.0,
