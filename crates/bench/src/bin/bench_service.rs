@@ -96,7 +96,7 @@ fn run_leg(
     // path (and its counter) is exercised under load too.
     assert_eq!(svc.register(&srcs[0]).expect("re-register"), keys[0]);
 
-    // Warm each matrix's persistent world and workspace pools before
+    // Warm each matrix's persistent world and kernel scratch before
     // the clock starts, and spot-check correctness through the service.
     for (src, &key) in srcs.iter().zip(&keys) {
         let resp = svc.solve(key, &rhss[0]).expect("warm-up solve");

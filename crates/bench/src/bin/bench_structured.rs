@@ -92,7 +92,7 @@ impl BatchedRecord {
 
 /// Rank-synchronized best-of-`reps` wall seconds for one call of `f`.
 fn time_best<C: CommBackend>(comm: &mut C, reps: usize, mut f: impl FnMut(&mut C)) -> f64 {
-    f(comm); // warm-up: pool buffers, page-in
+    f(comm); // warm-up: kernel scratch, page-in
     let mut best = f64::INFINITY;
     for _ in 0..reps {
         let _ = comm.allreduce(0u64, |a, b| (*a).max(*b)); // sync ranks

@@ -1,8 +1,8 @@
 //! The [`CommBackend`] trait: the communication surface every solver in
 //! this workspace is written against.
 //!
-//! A backend provides point-to-point messaging, panel transport over
-//! the pooled [`PanelBuf`] wire format, accounting hooks (`compute`,
+//! A backend provides point-to-point messaging, panel transport (a
+//! panel travels as an owned [`Mat`]), accounting hooks (`compute`,
 //! `stats`, a per-rank clock), and — as provided methods layered on the
 //! raw point-to-point layer — the full collective suite. The one
 //! implementation in-tree is the runtime's [`crate::Comm`]: rank threads
@@ -19,10 +19,10 @@
 //! the un-asserted point-to-point layer that is allowed to use the
 //! reserved collective tag space above [`USER_TAG_LIMIT`].
 
-use bt_dense::{MatMut, MatRef};
+use bt_dense::{Mat, MatMut, MatRef};
 
 use crate::model::CostModel;
-use crate::payload::{PanelBuf, Payload};
+use crate::payload::Payload;
 use crate::stats::RankStats;
 
 /// First tag value reserved for collectives; user tags must be below this.
@@ -131,27 +131,30 @@ pub trait CommBackend {
         self.recv(peer, tag)
     }
 
-    /// Sends a (possibly strided) matrix view to `dest` with `tag` as a
-    /// pooled [`PanelBuf`] — no per-message allocation once the pool is
-    /// warm. Pairs with [`CommBackend::recv_panel_into`].
+    /// Sends a copy of a (possibly strided) matrix view to `dest` with
+    /// `tag`. The message is an owned [`Mat`] of the view's shape, so it
+    /// counts `rows * cols * 8` bytes. Pairs with
+    /// [`CommBackend::recv_panel_into`].
     ///
     /// # Panics
     ///
     /// Same conditions as [`CommBackend::send`].
     fn send_panel(&mut self, dest: usize, tag: u64, panel: MatRef<'_>) {
-        self.send(dest, tag, PanelBuf::pack(panel));
+        self.send(dest, tag, panel.to_mat());
     }
 
-    /// Receives a panel from `src` with matching `tag` directly into
-    /// caller-provided scratch, returning the backing buffer to the
-    /// [`PanelBuf`] pool. Pairs with [`CommBackend::send_panel`].
+    /// Receives a panel from `src` with matching `tag` and copies it
+    /// into caller-provided scratch (any window of a larger matrix).
+    /// Pairs with [`CommBackend::send_panel`].
     ///
     /// # Panics
     ///
     /// Same conditions as [`CommBackend::recv`], plus a shape mismatch
     /// between the sent panel and `out`.
-    fn recv_panel_into(&mut self, src: usize, tag: u64, out: MatMut<'_>) {
-        self.recv::<PanelBuf>(src, tag).unpack_into(out);
+    fn recv_panel_into(&mut self, src: usize, tag: u64, mut out: MatMut<'_>) {
+        let panel: Mat = self.recv(src, tag);
+        assert_eq!(out.shape(), panel.shape(), "recv_panel_into shape mismatch");
+        out.copy_from(panel.as_ref());
     }
 
     /// MPI_Sendrecv-style paired exchange of panels under one tag:

@@ -4,7 +4,7 @@
 //! lives here:
 //!
 //! * [`CommBackend`] — the per-rank communicator trait: point-to-point
-//!   sends/receives, pooled panel transport, accounting hooks, and the
+//!   sends/receives, panel transport, accounting hooks, and the
 //!   full collective suite as provided methods.
 //! * [`Comm`], [`run_spmd`], [`SpmdWorld`] — the one runtime: `P` rank
 //!   threads over a lock-free SPSC mesh ([`spsc`]), one-shot or
@@ -14,8 +14,8 @@
 //! * [`SpmdBackend`] — the two clock selectors session/service layers
 //!   are generic over: [`SimBackend`] reports the modeled clock,
 //!   [`ShmBackend`] wall seconds.
-//! * [`Payload`] / [`PanelBuf`] — the wire format, with a process-wide
-//!   buffer pool.
+//! * [`Payload`] — the wire format: any sendable value that reports its
+//!   byte size.
 //! * [`CostModel`] — the alpha-beta/flop-rate model that defines the
 //!   modeled clock, and [`calibrate_shm`], which fits it to this host.
 //! * [`RankStats`] / [`WorldStats`] — per-rank counters, and [`Trace`],
@@ -38,7 +38,7 @@ pub use backend::{CommBackend, USER_TAG_LIMIT};
 pub use calibrate::{calibrate_shm, measure_transport_shm, ShmCalibration};
 pub use comm::Comm;
 pub use model::CostModel;
-pub use payload::{panel_pool_drain, PanelBuf, Payload};
+pub use payload::Payload;
 pub use runner::{
     run_spmd, run_spmd_traced, ShmBackend, SimBackend, SpmdBackend, SpmdOutput, SpmdWorld,
     MAX_RANKS,

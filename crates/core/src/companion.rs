@@ -29,9 +29,7 @@
 //!    standard guard against the geometric growth of `U_i` overflowing.
 
 use bt_blocktri::BlockRow;
-use bt_dense::{
-    gemm, gemm_flops, lu_flops, lu_solve_flops, LuFactors, Mat, SingularError, Trans, Workspace,
-};
+use bt_dense::{gemm, gemm_flops, lu_flops, lu_solve_flops, LuFactors, Mat, SingularError, Trans};
 
 /// The top block row `[C_i^{-1} B_i, -C_i^{-1} A_i]` of a companion
 /// matrix `W_i`; the bottom block row is always `[I, 0]`.
@@ -110,13 +108,7 @@ impl CompanionProduct {
     ///
     /// Costs `2 * gemm(M, M, 2M)` = `8 M^3` flops.
     pub fn apply_left(&mut self, w: &CompanionW) {
-        self.apply_left_ws(w, &mut Workspace::new());
-    }
-
-    /// [`CompanionProduct::apply_left`] drawing its temporary from `ws`
-    /// — allocation-free when the workspace is warm.
-    pub fn apply_left_ws(&mut self, w: &CompanionW, ws: &mut Workspace) {
-        let mut new_top = ws.take(self.m(), 2 * self.m());
+        let mut new_top = Mat::zeros(self.m(), 2 * self.m());
         gemm(
             1.0,
             &w.p,
@@ -135,9 +127,8 @@ impl CompanionProduct {
             1.0,
             &mut new_top,
         );
-        // Rotate: bot <- old top, top <- new product, old bot -> pool.
-        std::mem::swap(&mut self.bot, &mut self.top);
-        ws.put(std::mem::replace(&mut self.top, new_top));
+        // Rotate: bot <- old top, top <- new product.
+        self.bot = std::mem::replace(&mut self.top, new_top);
         self.renormalize();
     }
 
@@ -217,40 +208,19 @@ impl CompanionState {
     /// Advances the state by one row: `S_i = W_i S_{i-1}`.
     /// Costs `2 * gemm(M, M, M)` = `4 M^3` flops.
     pub fn advance(&mut self, w: &CompanionW) {
-        self.advance_ws(w, &mut Workspace::new());
-    }
-
-    /// [`CompanionState::advance`] drawing its temporary from `ws` —
-    /// allocation-free when the workspace is warm.
-    pub fn advance_ws(&mut self, w: &CompanionW, ws: &mut Workspace) {
-        let mut new_u = ws.take(self.m(), self.m());
+        let mut new_u = Mat::zeros(self.m(), self.m());
         gemm(1.0, &w.p, Trans::No, &self.u, Trans::No, 0.0, &mut new_u);
         gemm(1.0, &w.q, Trans::No, &self.v, Trans::No, 1.0, &mut new_u);
-        std::mem::swap(&mut self.v, &mut self.u);
-        ws.put(std::mem::replace(&mut self.u, new_u));
+        self.v = std::mem::replace(&mut self.u, new_u);
         self.renormalize();
     }
 
     /// Applies an accumulated product: `S = G * S`. Costs
     /// `2 * gemm(M, 2M, M)` = `8 M^3` flops.
     pub fn apply_product(&mut self, g: &CompanionProduct) {
-        self.apply_product_ws(g, &mut Workspace::new());
-    }
-
-    /// [`CompanionState::apply_product`] drawing its temporaries from
-    /// `ws` — allocation-free when the workspace is warm.
-    pub fn apply_product_ws(&mut self, g: &CompanionProduct, ws: &mut Workspace) {
-        let m = self.m();
-        let mut full = ws.take(2 * m, m);
-        full.set_block(0, 0, &self.u);
-        full.set_block(m, 0, &self.v);
-        let mut u = ws.take(m, m);
-        let mut v = ws.take(m, m);
-        gemm(1.0, &g.top, Trans::No, &full, Trans::No, 0.0, &mut u);
-        gemm(1.0, &g.bot, Trans::No, &full, Trans::No, 0.0, &mut v);
-        ws.put(full);
-        ws.put(std::mem::replace(&mut self.u, u));
-        ws.put(std::mem::replace(&mut self.v, v));
+        let full = Mat::vstack(&self.u, &self.v);
+        gemm(1.0, &g.top, Trans::No, &full, Trans::No, 0.0, &mut self.u);
+        gemm(1.0, &g.bot, Trans::No, &full, Trans::No, 0.0, &mut self.v);
         self.renormalize();
     }
 

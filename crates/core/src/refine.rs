@@ -50,8 +50,8 @@ pub fn halo_exchange<C: CommBackend>(comm: &mut C, first: &Mat, last: &Mat) -> (
 }
 
 /// [`halo_exchange`] into caller-provided panels (zero-filled at the
-/// domain boundaries): panels travel as pooled [`bt_mpsim::PanelBuf`]s,
-/// so a warm exchange performs no heap allocation. Collective.
+/// domain boundaries), so a sweep loop can reuse its two halo panels.
+/// Each message is one panel copy. Collective.
 pub fn halo_exchange_into<C: CommBackend>(
     comm: &mut C,
     first: MatRef<'_>,
@@ -185,8 +185,7 @@ pub(crate) fn solve_refined<C: CommBackend>(
         .max(f64::MIN_POSITIVE);
 
     // One set of sweep buffers, reused every iteration: residual and
-    // correction panels plus the two halo panels. After the first
-    // sweep the refinement loop allocates nothing.
+    // correction panels plus the two halo panels.
     let nl = x.len();
     let (m, r) = x[0].shape();
     let mut res: Vec<Mat> = (0..nl).map(|_| Mat::zeros(m, r)).collect();

@@ -21,7 +21,7 @@
 //! identical algorithm on reversed logical ranks.
 
 use bt_comm::CommBackend;
-use bt_dense::{gemm, Mat, Trans, Workspace};
+use bt_dense::{gemm, Mat, Trans};
 
 use crate::companion::CompanionProduct;
 use crate::pairs::AffinePair;
@@ -188,21 +188,21 @@ pub fn affine_exscan_fresh<C: CommBackend>(
 /// coefficient matrix. Only `M x R` panels travel, one per round (a
 /// zero-width batch sends one empty panel); combines cost `O(M^2 R)`.
 ///
-/// This is the per-solve hot path, so every temporary comes from `ws`
-/// and messages travel as pooled [`bt_mpsim::PanelBuf`]s: once `ws` and
-/// the panel pool are warm, a replay performs zero heap allocations.
+/// This is the per-solve hot path. Besides one message per round, it
+/// allocates one `M x R` receive panel, which also receives the
+/// exclusive shift and is returned as the result.
 pub fn affine_exscan_replay<C: CommBackend>(
     comm: &mut C,
     dir: Direction,
     tag_base: u64,
     total_vec: Mat,
     trace: &ScanTrace,
-    ws: &mut Workspace,
 ) -> Option<Mat> {
     let p = comm.size();
     let me = dir.logical(comm.rank(), p);
     let (m, r) = total_vec.shape();
     let mut v_acc = total_vec;
+    let mut v_in = Mat::zeros(m, r);
     let mut dist = 1usize;
     let mut step = 0u64;
     let mut combine_idx = 0usize;
@@ -222,11 +222,9 @@ pub fn affine_exscan_replay<C: CommBackend>(
                 .get(combine_idx)
                 .unwrap_or_else(|| panic!("scan trace too short at combine {combine_idx}"));
             combine_idx += 1;
-            let mut v_in = ws.take(m, r);
             comm.recv_panel_into(dir.physical(me - dist, p), tag, v_in.as_mut());
             // v_acc += m_acc * v_in: the O(M^2 R) combine.
             gemm(1.0, m_acc, Trans::No, &v_in, Trans::No, 1.0, &mut v_acc);
-            ws.put(v_in);
             comm.compute(AffinePair::apply_flops(m, r));
         }
         dist <<= 1;
@@ -235,16 +233,9 @@ pub fn affine_exscan_replay<C: CommBackend>(
     // Exclusive shift: one paired exchange with the logical neighbours.
     let tag = tag_base + step;
     let send_to = (me + 1 < p).then(|| (dir.physical(me + 1, p), v_acc.as_ref()));
-    let result = if me > 0 {
-        let mut out = ws.take(m, r);
-        comm.exchange_panel(tag, send_to, Some((dir.physical(me - 1, p), out.as_mut())));
-        Some(out)
-    } else {
-        comm.exchange_panel(tag, send_to, None);
-        None
-    };
-    ws.put(v_acc);
-    result
+    let recv_from = (me > 0).then(|| (dir.physical(me - 1, p), v_in.as_mut()));
+    comm.exchange_panel(tag, send_to, recv_from);
+    (me > 0).then_some(v_in)
 }
 
 #[cfg(test)]
@@ -356,15 +347,8 @@ mod tests {
                     };
                     let _ = affine_exscan_fresh(comm, dir, 0, setup_pair, Some(&mut trace));
                     // Solve: replay with real vectors.
-                    let mut ws = Workspace::new();
-                    let replayed = affine_exscan_replay(
-                        comm,
-                        dir,
-                        100,
-                        pairs2[rk].vec.clone(),
-                        &trace,
-                        &mut ws,
-                    );
+                    let replayed =
+                        affine_exscan_replay(comm, dir, 100, pairs2[rk].vec.clone(), &trace);
                     // Reference: fresh scan with full pairs.
                     let fresh = affine_exscan_fresh(comm, dir, 200, pairs2[rk].clone(), None);
                     (replayed, fresh)
@@ -410,14 +394,7 @@ mod tests {
                 };
                 let _ = affine_exscan_fresh(comm, Direction::Forward, 0, setup, Some(&mut trace));
                 let before = comm.stats().bytes_sent;
-                let _ = affine_exscan_replay(
-                    comm,
-                    Direction::Forward,
-                    100,
-                    pair.vec,
-                    &trace,
-                    &mut Workspace::new(),
-                );
+                let _ = affine_exscan_replay(comm, Direction::Forward, 100, pair.vec, &trace);
                 comm.stats().bytes_sent - before
             });
             out.results.iter().sum::<u64>()

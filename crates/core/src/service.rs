@@ -31,8 +31,9 @@
 //!
 //! Metrics (under `BT_OBS=1`): `bt_service.cache.{hit,miss,evict}`,
 //! `bt_service.cache.bytes`, `bt_service.batch.dispatches`,
-//! `bt_service.batch.width`, `bt_service.queue.wait_ns`. Unconditional
-//! counters are available via [`SolverService::stats`].
+//! `bt_service.batch.width`. Queue waits go to the always-on
+//! `bt_service.queue_wait_ns` recorder below. Unconditional counters are
+//! available via [`SolverService::stats`].
 //!
 //! ## Telemetry (always on)
 //!
@@ -85,7 +86,6 @@ static OBS_CACHE_EVICT: bt_obs::Counter = bt_obs::Counter::new("bt_service.cache
 static OBS_CACHE_BYTES: bt_obs::Gauge = bt_obs::Gauge::new("bt_service.cache.bytes");
 static OBS_DISPATCHES: bt_obs::Counter = bt_obs::Counter::new("bt_service.batch.dispatches");
 static OBS_BATCH_WIDTH: bt_obs::Histogram = bt_obs::Histogram::new("bt_service.batch.width");
-static OBS_QUEUE_WAIT: bt_obs::Histogram = bt_obs::Histogram::new("bt_service.queue.wait_ns");
 
 // Structured fast-path metrics (see `crate::toeplitz` / `crate::batch`):
 // registrations routed onto each specialized path, and batched-small
@@ -238,16 +238,6 @@ pub struct ServiceConfig {
     /// long after it was submitted, batched with whatever same-matrix
     /// requests have accumulated behind it.
     pub max_delay: Duration,
-    /// Run cached sessions on persistent [`bt_comm::SpmdWorld`]s
-    /// instead of spawning `ranks` threads per dispatch.
-    pub world_reuse: bool,
-    /// When set, trim each rank's pooled solve workspace back to this
-    /// many bytes after every successful dispatch, so one oversized
-    /// batch does not pin its high-water allocation for the life of the
-    /// service. The trim runs before the batch's tickets resolve, so
-    /// [`ServiceStats::ws_trimmed_bytes`] already counts it when
-    /// [`SolveTicket::wait`] returns; a failed solve skips it.
-    pub ws_trim_bytes: Option<u64>,
     /// Directory the flight-recorder ring is dumped to when a dispatched
     /// solve panics (one `bt-flight-batch<id>.json` per panicked batch).
     /// `None` disables dumping; [`ServiceConfig::new`] seeds it from the
@@ -257,8 +247,7 @@ pub struct ServiceConfig {
 
 impl ServiceConfig {
     /// Defaults: 256 MiB factor cache, width-32 batches, 2 ms deadline,
-    /// persistent worlds on, no workspace trimming, flight dumps to
-    /// `$BT_FLIGHT_DIR` when that variable is set.
+    /// flight dumps to `$BT_FLIGHT_DIR` when that variable is set.
     pub fn new(ranks: usize, model: CostModel) -> Self {
         Self {
             ranks,
@@ -266,8 +255,6 @@ impl ServiceConfig {
             cache_bytes: 256 << 20,
             max_batch: 32,
             max_delay: Duration::from_millis(2),
-            world_reuse: true,
-            ws_trim_bytes: None,
             flight_dump_dir: std::env::var_os("BT_FLIGHT_DIR").map(std::path::PathBuf::from),
         }
     }
@@ -399,8 +386,6 @@ pub struct ServiceStats {
     pub dispatched_columns: u64,
     /// Widest batch dispatched so far.
     pub max_batch_width: u64,
-    /// Workspace bytes released by post-dispatch trims.
-    pub ws_trimmed_bytes: u64,
     /// Factor bytes currently cached.
     pub cache_bytes: u64,
     /// Entries currently cached.
@@ -422,7 +407,6 @@ struct AtomicCounters {
     dispatches: AtomicU64,
     dispatched_columns: AtomicU64,
     max_batch_width: AtomicU64,
-    ws_trimmed_bytes: AtomicU64,
     toeplitz_registrations: AtomicU64,
     batched_dispatches: AtomicU64,
     batched_systems: AtomicU64,
@@ -619,7 +603,9 @@ impl<B: SpmdBackend> ServiceOn<B> {
         let session = ArdSessionOn::<B>::create_with(ranks, model, kind, src)
             .map_err(ServiceError::Factorization)?;
         LAT_FACTOR.record_duration(factor_start.elapsed());
-        session.set_world_reuse(self.inner.cfg.world_reuse);
+        // Cached sessions keep persistent rank threads, so a dispatch
+        // never spawns a world.
+        session.set_world_reuse(true);
         let bytes = session.factor_bytes();
         bt_obs::flight::record(
             "register",
@@ -739,7 +725,6 @@ impl<B: SpmdBackend> ServiceOn<B> {
             dispatches: c.dispatches.load(Relaxed),
             dispatched_columns: c.dispatched_columns.load(Relaxed),
             max_batch_width: c.max_batch_width.load(Relaxed),
-            ws_trimmed_bytes: c.ws_trimmed_bytes.load(Relaxed),
             cache_bytes,
             cached_entries,
             toeplitz_registrations: c.toeplitz_registrations.load(Relaxed),
@@ -1005,7 +990,6 @@ fn dispatch_spmd<B: SpmdBackend>(inner: &Inner<B>, mut batch: Vec<Pending<B>>) {
     OBS_BATCH_WIDTH.record(total as u64);
     for p in &batch {
         let wait = dispatched_at.duration_since(p.enqueued);
-        OBS_QUEUE_WAIT.record_duration(wait);
         LAT_QUEUE_WAIT.record_duration(wait);
         // Retroactive span covering submit -> dispatch, tagged with the
         // waiting request's own id (not the whole batch).
@@ -1041,13 +1025,6 @@ fn dispatch_spmd<B: SpmdBackend>(inner: &Inner<B>, mut batch: Vec<Pending<B>>) {
     match result {
         Ok(Ok(x_wide)) => {
             bt_obs::flight::record("solve_ok", 0, batch_id, key, "");
-            // Trim before answering, so `ws_trimmed_bytes` counts it by
-            // the time any ticket's `wait` returns. Only a solve that
-            // succeeded trims: a panicked one may have lost the factors.
-            if let Some(budget) = inner.cfg.ws_trim_bytes {
-                let released = session.trim_workspaces(budget);
-                inner.counters.ws_trimmed_bytes.fetch_add(released, Relaxed);
-            }
             let mut parts = if widths.len() == 1 {
                 vec![x_wide]
             } else {
@@ -1139,7 +1116,6 @@ fn dispatch_small<B: SpmdBackend>(inner: &Inner<B>, batch: Vec<Pending<B>>) {
     OBS_BATCH_WIDTH.record(total as u64);
     for p in &batch {
         let wait = dispatched_at.duration_since(p.enqueued);
-        OBS_QUEUE_WAIT.record_duration(wait);
         LAT_QUEUE_WAIT.record_duration(wait);
         bt_obs::complete_span(
             "service",

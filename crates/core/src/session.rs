@@ -195,17 +195,6 @@ impl RankFactors {
         }
     }
 
-    /// Shrinks the pooled replay workspace to at most `max_pooled_bytes`,
-    /// returning the bytes released (0 for PCR and SPIKE, which pool
-    /// nothing). See [`ReplayFactors::trim_workspace`].
-    pub fn trim_workspace(&self, max_pooled_bytes: u64) -> u64 {
-        match self {
-            RankFactors::General(f) => f.trim_workspace(max_pooled_bytes),
-            RankFactors::Toeplitz(f) => f.trim_workspace(max_pooled_bytes),
-            RankFactors::Pcr(_) | RankFactors::Spike(_) => 0,
-        }
-    }
-
     /// Worst boundary-extraction condition estimate across ranks (see
     /// [`ArdRankFactors::boundary_condition`]); 1.0 for PCR and SPIKE,
     /// which extract no boundary.
@@ -281,7 +270,8 @@ pub struct ArdSessionOn<B: SpmdBackend> {
     state_cv: Condvar,
     /// When world reuse is on, the persistent world (built lazily).
     world: Mutex<Option<SpmdWorld>>,
-    world_reuse: AtomicBool,
+    /// Whether solves run on `world` (see [`ArdSessionOn::set_world_reuse`]).
+    reuse_world: AtomicBool,
     /// The clock solves report (`fn() -> B` keeps the session `Send` and
     /// `Sync` whatever the selector type).
     clock: PhantomData<fn() -> B>,
@@ -437,7 +427,7 @@ impl<B: SpmdBackend> ArdSessionOn<B> {
             state: Mutex::new(FactorStore::Available(state)),
             state_cv: Condvar::new(),
             world: Mutex::new(None),
-            world_reuse: AtomicBool::new(false),
+            reuse_world: AtomicBool::new(false),
             clock: PhantomData,
         })
     }
@@ -472,7 +462,7 @@ impl<B: SpmdBackend> ArdSessionOn<B> {
     /// threads per call; when switched off, any persistent world is torn
     /// down. Results are identical either way.
     pub fn set_world_reuse(&self, on: bool) {
-        self.world_reuse.store(on, Ordering::Relaxed);
+        self.reuse_world.store(on, Ordering::Relaxed);
         if !on {
             *self
                 .world
@@ -492,26 +482,6 @@ impl<B: SpmdBackend> ArdSessionOn<B> {
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner) = FactorStore::Lost;
         self.state_cv.notify_all();
-    }
-
-    /// Trims each rank's pooled solve workspace to at most
-    /// `per_rank_pooled_bytes` (largest buffers dropped first), returning
-    /// the total bytes released. Waits for any in-flight solve, so the
-    /// pool high-water mark of one oversized batch does not stay pinned
-    /// for the life of the session. See [`bt_dense::Workspace::trim_to`].
-    pub fn trim_workspaces(&self, per_rank_pooled_bytes: u64) -> u64 {
-        let lease = FactorLease::checkout(self);
-        let trimmed = lease
-            .slots()
-            .iter()
-            .map(|slot| {
-                slot.lock()
-                    .as_ref()
-                    .map_or(0, |(_, f)| f.trim_workspace(per_rank_pooled_bytes))
-            })
-            .sum();
-        drop(lease);
-        trimmed
     }
 
     /// Solves one right-hand-side batch with the stored factors. Costs
@@ -632,7 +602,7 @@ impl<B: SpmdBackend> ArdSessionOn<B> {
         T: Send + 'static,
         F: Fn(&mut Comm) -> T + Send + Sync + 'static,
     {
-        if self.world_reuse.load(Ordering::Relaxed) {
+        if self.reuse_world.load(Ordering::Relaxed) {
             let mut wg = self
                 .world
                 .lock()

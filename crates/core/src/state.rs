@@ -22,13 +22,10 @@
 //! [`ArdRankFactors::solve_fresh`] for every batch, which is what makes
 //! it `O(R)` slower over `R` right-hand sides.
 
-use std::cell::RefCell;
-
 use bt_blocktri::{BlockRow, BlockRowSource, FactorError, RowPartition};
 use bt_comm::CommBackend;
 use bt_dense::{
     gemm, gemm_flops, lu_flops, lu_solve_flops, one_norm, LuFactors, Mat, SingularError, Trans,
-    Workspace, WorkspaceStats,
 };
 
 use crate::companion::{CompanionProduct, CompanionState, CompanionW};
@@ -196,12 +193,6 @@ pub trait ReplayFactors {
     /// that never fall to unit roundoff.
     fn windows(&self) -> (usize, usize);
 
-    /// The rank-owned buffer pool every replay temporary cycles through,
-    /// so a warm replay allocates nothing (see DESIGN.md "Memory
-    /// model"). `RefCell` keeps the `&self` solve signatures; factors
-    /// are owned by one rank thread, never shared.
-    fn workspace(&self) -> &RefCell<Workspace>;
-
     /// Solves one right-hand-side batch in place by **replaying** the
     /// recorded scans — the accelerated path, `O(M^2 R (N/P + log P))`.
     /// `x[k]` holds the `M x R` right-hand-side panel of global row
@@ -214,14 +205,6 @@ pub trait ReplayFactors {
     fn solve_in_place<C: CommBackend>(&self, comm: &mut C, x: &mut [Mat]) {
         let (fwd, bwd) = self.traces();
         solve_in_place_with(self, comm, x, Scans::Replay { fwd, bwd });
-    }
-
-    /// Shrinks the pooled solve workspace to at most `max_pooled_bytes`
-    /// of idle capacity (largest buffers dropped first), returning the
-    /// bytes released. Bounds the memory a single oversized batch pins
-    /// for the session's lifetime — see [`Workspace::trim_to`].
-    fn trim_workspace(&self, max_pooled_bytes: u64) -> u64 {
-        self.workspace().borrow_mut().trim_to(max_pooled_bytes)
     }
 }
 
@@ -247,13 +230,7 @@ impl Scans<'_> {
     /// Exclusive scan of this rank's local total along `dir`: the
     /// boundary value `z_{lo-1}` (forward) or `x_hi` (backward), or
     /// `None` on the logically first rank.
-    fn exclusive<C: CommBackend>(
-        self,
-        comm: &mut C,
-        dir: Direction,
-        total: Mat,
-        ws: &mut Workspace,
-    ) -> Option<Mat> {
+    fn exclusive<C: CommBackend>(self, comm: &mut C, dir: Direction, total: Mat) -> Option<Mat> {
         let forward = dir == Direction::Forward;
         let tag = if forward {
             tags::FWD_SOLVE
@@ -263,7 +240,7 @@ impl Scans<'_> {
         match self {
             Scans::Replay { fwd, bwd } => {
                 let trace = if forward { fwd } else { bwd };
-                affine_exscan_replay(comm, dir, tag, total, trace, ws)
+                affine_exscan_replay(comm, dir, tag, total, trace)
             }
             Scans::Fresh {
                 fwd_total,
@@ -296,11 +273,10 @@ pub(crate) fn exceeds_roundoff(product: &Mat) -> bool {
 /// One boundary correction pass: `δ_k = T_k δ_{k-1}` from `δ = boundary`,
 /// added into `x[k]` for each row `rows` yields (nearest the boundary
 /// first), with `T_k` from `factor`. Each row costs one
-/// `M x M · M x R` GEMM plus an `M x R` add; the two `δ` panels cycle
-/// through the workspace.
+/// `M x M · M x R` GEMM plus an `M x R` add; the two `δ` panels (the
+/// boundary and one scratch) swap roles every row.
 fn correct<'a, C: CommBackend>(
     comm: &mut C,
-    ws: &mut Workspace,
     x: &mut [Mat],
     rows: impl Iterator<Item = usize>,
     factor: impl Fn(usize) -> &'a Mat,
@@ -308,15 +284,13 @@ fn correct<'a, C: CommBackend>(
 ) {
     let (m, r) = boundary.shape();
     let mut delta = boundary;
-    let mut next = ws.take(m, r);
+    let mut next = Mat::zeros(m, r);
     for k in rows {
         gemm(1.0, factor(k), Trans::No, &delta, Trans::No, 0.0, &mut next);
         x[k].add_assign(&next);
         comm.compute(gemm_flops(m, m, r) + (m * r) as u64);
         std::mem::swap(&mut delta, &mut next);
     }
-    ws.put(delta);
-    ws.put(next);
 }
 
 /// The one solve body: forward substitution `z_i = F_i z_{i-1} + y_i`,
@@ -334,8 +308,10 @@ fn correct<'a, C: CommBackend>(
 /// backward window ([`ReplayFactors::windows`]). Beyond a window every
 /// product has 1-norm at most `u`, so each dropped term is at most
 /// `u ||z_{lo-1}||` per column. The only per-row factors are `E_i`,
-/// `F_i` and `G_i`, every per-row step is one `M x M · M x R` GEMM, and
-/// every temporary cycles through the rank workspace.
+/// `F_i` and `G_i`, and every per-row step is one `M x M · M x R` GEMM.
+/// Besides the scans' panels, a solve allocates one diagonal scratch,
+/// the two local totals and one scratch per correction window, none of
+/// them per row.
 fn solve_in_place_with<C: CommBackend, L: ReplayFactors + ?Sized>(
     factors: &L,
     comm: &mut C,
@@ -349,7 +325,6 @@ fn solve_in_place_with<C: CommBackend, L: ReplayFactors + ?Sized>(
         assert_eq!(p.shape(), (m, r), "rhs panel {k} shape mismatch");
     }
     let (w_fwd, w_bwd) = factors.windows();
-    let mut ws = factors.workspace().borrow_mut();
 
     // ---- Phase 2: forward substitution. ---------------------------------
     let span_fwd = bt_obs::span("solver", "solve.forward");
@@ -366,18 +341,19 @@ fn solve_in_place_with<C: CommBackend, L: ReplayFactors + ?Sized>(
         );
         comm.compute(gemm_flops(m, m, r));
     }
-    let total = ws.take_copy(x[nl - 1].as_ref());
-    if let Some(z_before) = scans.exclusive(comm, Direction::Forward, total, &mut ws) {
-        correct(comm, &mut ws, x, 0..w_fwd, |k| factors.f(k), z_before);
+    let total = x[nl - 1].clone();
+    if let Some(z_before) = scans.exclusive(comm, Direction::Forward, total) {
+        correct(comm, x, 0..w_fwd, |k| factors.f(k), z_before);
     }
     drop(span_fwd);
 
-    // ---- h_i = E_i z_i: the product lands in a pooled panel that is
-    // swapped into `x`, and the replaced panel goes back to the pool. -----
+    // ---- h_i = E_i z_i: a GEMM may not write the panel it reads, so
+    // the product lands in one scratch panel that is swapped into `x`;
+    // the replaced panel is the next row's scratch. -------------------------
     {
         let _span = bt_obs::span("solver", "solve.diag");
+        let mut h = Mat::zeros(m, r);
         for (k, xk) in x.iter_mut().enumerate() {
-            let mut h = ws.take(m, r);
             gemm(
                 1.0,
                 factors.d_inv(k),
@@ -388,7 +364,7 @@ fn solve_in_place_with<C: CommBackend, L: ReplayFactors + ?Sized>(
                 &mut h,
             );
             comm.compute(lu_solve_flops(m, r));
-            ws.put(std::mem::replace(xk, h));
+            std::mem::swap(xk, &mut h);
         }
     }
 
@@ -407,10 +383,10 @@ fn solve_in_place_with<C: CommBackend, L: ReplayFactors + ?Sized>(
         );
         comm.compute(gemm_flops(m, m, r));
     }
-    let total = ws.take_copy(x[0].as_ref());
-    if let Some(x_after) = scans.exclusive(comm, Direction::Backward, total, &mut ws) {
+    let total = x[0].clone();
+    if let Some(x_after) = scans.exclusive(comm, Direction::Backward, total) {
         let rows = (nl - w_bwd..nl).rev();
-        correct(comm, &mut ws, x, rows, |k| factors.g(k), x_after);
+        correct(comm, x, rows, |k| factors.g(k), x_after);
     }
 }
 
@@ -476,8 +452,6 @@ pub struct ArdRankFactors {
     /// Worst boundary-extraction 1-norm condition estimate across ranks
     /// (1.0 for windowed mode / single-rank worlds).
     boundary_cond: f64,
-    /// Rank-owned solve buffer pool (see [`ReplayFactors::workspace`]).
-    ws: RefCell<Workspace>,
 }
 
 impl ArdRankFactors {
@@ -515,7 +489,6 @@ impl ArdRankFactors {
         let mut pending_err: Option<FactorError> = None;
         let mut total = CompanionProduct::identity(m);
         let scanning = sys.boundary == BoundaryMode::ExactScan;
-        let mut ws_p1: Workspace = Workspace::new();
         let span_companion = bt_obs::span("solver", "phase1.local_companion");
         if scanning && comm.rank() + 1 < comm.size() {
             for i in sys.lo.max(1)..sys.hi {
@@ -523,7 +496,7 @@ impl ArdRankFactors {
                 match CompanionW::from_row(row) {
                     Ok(w) => {
                         comm.compute(CompanionW::build_flops(m));
-                        total.apply_left_ws(&w, &mut ws_p1);
+                        total.apply_left(&w);
                         comm.compute(CompanionProduct::apply_left_flops(m));
                     }
                     Err(source) => {
@@ -552,7 +525,7 @@ impl ArdRankFactors {
         let span_factor = bt_obs::span("solver", "phase1.local_factor");
         let local = match pending_err {
             Some(e) => Err(e),
-            None => Self::local_factor_pass(comm, sys, excl.as_ref(), &mut ws_p1),
+            None => Self::local_factor_pass(comm, sys, excl.as_ref()),
         };
         drop(span_factor);
 
@@ -620,7 +593,6 @@ impl ArdRankFactors {
             bwd_trace,
             windows: (w_fwd, w_bwd),
             boundary_cond,
-            ws: RefCell::new(Workspace::new()),
         })
     }
 
@@ -647,7 +619,6 @@ impl ArdRankFactors {
         comm: &mut C,
         sys: &RankSystem,
         excl: Option<&CompanionProduct>,
-        ws: &mut Workspace,
     ) -> Result<(Vec<Mat>, Vec<Mat>, Vec<Mat>, f64), FactorError> {
         let m = sys.m;
         let nl = sys.local_len();
@@ -667,7 +638,7 @@ impl ArdRankFactors {
                         .map_err(|source| FactorError { row: 0, source })?;
                     comm.compute(CompanionState::initial_flops(m));
                     if let Some(g_excl) = excl {
-                        state.apply_product_ws(g_excl, ws);
+                        state.apply_product(g_excl);
                         comm.compute(CompanionState::apply_product_flops(m));
                     }
                     // Extraction error amplifies by cond(V): record it so
@@ -794,21 +765,6 @@ impl ArdRankFactors {
             + self.bwd_trace.storage_bytes()
     }
 
-    /// Cumulative counters of the rank-owned solve workspace. The
-    /// checkouts delta across a warm [`ReplayFactors::solve_in_place`]
-    /// call is the zero-allocation invariant `tests/workspace.rs` pins.
-    pub fn workspace_stats(&self) -> WorkspaceStats {
-        self.ws.borrow().stats()
-    }
-
-    /// Drops every pooled workspace buffer (cumulative stats are kept;
-    /// released bytes count into [`WorkspaceStats::trimmed_bytes`]), so
-    /// the next solve pays cold-allocation cost again. For benchmarks
-    /// that want a cold baseline.
-    pub fn reset_workspace(&self) {
-        self.ws.borrow_mut().reset();
-    }
-
     /// Solves one batch in place with **fresh** scans (classic recursive
     /// doubling's per-solve Phase 2/3): full pairs travel and every scan
     /// combine pays the `O(M^3)` product. Collective.
@@ -861,10 +817,6 @@ impl ReplayFactors for ArdRankFactors {
 
     fn windows(&self) -> (usize, usize) {
         self.windows
-    }
-
-    fn workspace(&self) -> &RefCell<Workspace> {
-        &self.ws
     }
 }
 

@@ -28,18 +28,16 @@
 //!
 //! The head plus shared tail is a factor layout, nothing more:
 //! [`ToeplitzRankFactors`] implements [`ReplayFactors`], so solves run
-//! the general path's replay body (scan replay, workspace reuse,
+//! the general path's replay body (scan replay, correction windows,
 //! tags, refinement) with only the factor lookup differing.
 //! Detection ([`detect_toeplitz`]) is exact block equality, so the fast
 //! path is never entered on a system it would silently approximate
 //! beyond the head-convergence tolerance (a few hundred ulps, the same
 //! envelope as the general path's accumulated roundoff).
 
-use std::cell::RefCell;
-
 use bt_blocktri::{BlockRowSource, FactorError};
 use bt_comm::CommBackend;
-use bt_dense::{gemm, gemm_flops, one_norm, Mat, Trans, Workspace};
+use bt_dense::{gemm, gemm_flops, one_norm, Mat, Trans};
 
 use crate::companion::{CompanionProduct, CompanionState, CompanionW};
 use crate::pairs::AffinePair;
@@ -125,8 +123,6 @@ pub struct ToeplitzRankFactors {
     windows: (usize, usize),
     /// Worst boundary-extraction condition estimate across ranks.
     boundary_cond: f64,
-    /// Rank-owned solve buffer pool (see [`ReplayFactors::workspace`]).
-    ws: RefCell<Workspace>,
 }
 
 /// `out = a * b` for square factors, charging the cost model.
@@ -294,7 +290,6 @@ impl ToeplitzRankFactors {
         // squaring replaces the general path's count applications.
         let mut pending_err: Option<FactorError> = None;
         let mut total = CompanionProduct::identity(m);
-        let mut ws_p1: Workspace = Workspace::new();
         let span_companion = bt_obs::span("solver", "phase1.toeplitz_power");
         if comm.rank() + 1 < comm.size() {
             let start = sys.lo.max(1);
@@ -304,7 +299,7 @@ impl ToeplitzRankFactors {
                     Ok(w) => {
                         comm.compute(CompanionW::build_flops(m));
                         let mut base = CompanionProduct::identity(m);
-                        base.apply_left_ws(&w, &mut ws_p1);
+                        base.apply_left(&w);
                         comm.compute(CompanionProduct::apply_left_flops(m));
                         let mut t = count;
                         let mut sq = base;
@@ -339,7 +334,7 @@ impl ToeplitzRankFactors {
         let span_factor = bt_obs::span("solver", "phase1.toeplitz_factor");
         let local = match pending_err {
             Some(e) => Err(e),
-            None => Self::local_factor_pass(comm, sys, excl.as_ref(), &mut ws_p1),
+            None => Self::local_factor_pass(comm, sys, excl.as_ref()),
         };
         drop(span_factor);
 
@@ -446,7 +441,6 @@ impl ToeplitzRankFactors {
             bwd_trace,
             windows: (w_fwd, w_bwd),
             boundary_cond,
-            ws: RefCell::new(Workspace::new()),
         })
     }
 
@@ -460,7 +454,6 @@ impl ToeplitzRankFactors {
         comm: &mut C,
         sys: &RankSystem,
         excl: Option<&CompanionProduct>,
-        ws: &mut Workspace,
     ) -> Result<(Vec<Mat>, Vec<Mat>, Vec<Mat>, Mat, Mat, Mat, f64), FactorError> {
         let m = sys.m;
         let nl = sys.local_len();
@@ -474,7 +467,7 @@ impl ToeplitzRankFactors {
                 .map_err(|source| FactorError { row: 0, source })?;
             comm.compute(CompanionState::initial_flops(m));
             if let Some(g_excl) = excl {
-                state.apply_product_ws(g_excl, ws);
+                state.apply_product(g_excl);
                 comm.compute(CompanionState::apply_product_flops(m));
             }
             boundary_cond = bt_dense::cond_1(&state.v);
@@ -628,10 +621,6 @@ impl ReplayFactors for ToeplitzRankFactors {
 
     fn windows(&self) -> (usize, usize) {
         self.windows
-    }
-
-    fn workspace(&self) -> &RefCell<Workspace> {
-        &self.ws
     }
 }
 

@@ -10,7 +10,7 @@ use bt_ard::scans::{
 };
 use bt_blocktri::gen::{materialize, ClusteredToeplitz};
 use bt_blocktri::BlockRowSource;
-use bt_dense::{rel_diff, Mat, Workspace};
+use bt_dense::{rel_diff, Mat};
 use bt_mpsim::{run_spmd, CommBackend, CostModel};
 use proptest::prelude::*;
 
@@ -95,9 +95,8 @@ proptest! {
             let mut trace = ScanTrace::default();
             let setup = AffinePair { mat: lp[rk].mat.clone(), vec: Mat::zero_width(m) };
             let _ = affine_exscan_fresh(comm, Direction::Forward, 0, setup, Some(&mut trace));
-            let replayed = affine_exscan_replay(
-                comm, Direction::Forward, 100, lp[rk].vec.clone(), &trace, &mut Workspace::new(),
-            );
+            let replayed =
+                affine_exscan_replay(comm, Direction::Forward, 100, lp[rk].vec.clone(), &trace);
             let fresh = affine_exscan_fresh(comm, Direction::Forward, 200, lp[rk].clone(), None);
             (replayed, fresh)
         });

@@ -291,24 +291,6 @@ fn drop_flushes_queued_requests_instead_of_abandoning_them() {
 }
 
 #[test]
-fn ws_trim_budget_is_applied_after_dispatch() {
-    let svc = SolverService::start(ServiceConfig {
-        max_delay: Duration::from_millis(5),
-        ws_trim_bytes: Some(0),
-        ..cfg()
-    });
-    let a = src(61);
-    let key = svc.register(&a).unwrap();
-    let y = random_rhs(N, M, 4, 8);
-    let resp = svc.solve(key, &y).unwrap();
-    assert!(materialize(&a).rel_residual(&resp.x, &y) < 1e-10);
-    assert!(
-        svc.stats().ws_trimmed_bytes > 0,
-        "a zero-byte budget must trim the workspace the solve just used"
-    );
-}
-
-#[test]
 fn small_systems_batch_across_matrices() {
     // K distinct small matrices (M = 4, N = 16 => the batched-small
     // strategy) each with one queued RHS of the same width: the
@@ -491,41 +473,6 @@ fn fingerprint_separates_near_identical_matrices() {
         MatrixKey::fingerprint(&RandomDominant::new(12, 4, 1.5, 3)),
         keys[0]
     );
-}
-
-#[test]
-fn failed_solve_with_trim_budget_keeps_the_dispatcher_alive() {
-    // A lost session fails its request. With a trim budget set, the
-    // post-dispatch trim must then skip the lost store: checking it out
-    // panics outside the solve's containment and would kill the
-    // dispatcher, leaving every later request unanswered.
-    let svc = SolverService::start(ServiceConfig {
-        max_delay: Duration::from_millis(5),
-        ws_trim_bytes: Some(0),
-        ..cfg()
-    });
-    let a = src(71);
-    let b = src(72);
-    let ka = svc.register(&a).unwrap();
-    let kb = svc.register(&b).unwrap();
-    assert!(svc.lose_factors_for_test(ka));
-
-    let y = random_rhs(N, M, 1, 3);
-    assert!(matches!(
-        svc.solve(ka, &y),
-        Err(ServiceError::SolveFailed(_))
-    ));
-
-    let ticket = svc.submit(kb, &y).unwrap();
-    let (tx, rx) = std::sync::mpsc::channel();
-    std::thread::spawn(move || {
-        let _ = tx.send(ticket.wait());
-    });
-    let resp = rx
-        .recv_timeout(Duration::from_secs(30))
-        .expect("dispatcher died: request on an unrelated key never answered")
-        .unwrap();
-    assert!(materialize(&b).rel_residual(&resp.x, &y) < 1e-10);
 }
 
 /// Stacks block vectors column-wise, in order (the coalescer's layout).

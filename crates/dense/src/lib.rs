@@ -5,8 +5,6 @@
 //!
 //! * [`Mat`] — owned column-major matrix ([`mat`]);
 //! * [`MatRef`]/[`MatMut`] — borrowed column-major views ([`view`]);
-//! * [`Workspace`] — reusable buffer pool for allocation-free hot paths
-//!   ([`workspace`]);
 //! * [`gemm()`]/[`matmul`]/[`gemv`] — blocked matrix multiply (module [`mod@gemm`]),
 //!   dispatched over runtime-detected SIMD kernels ([`simd`]);
 //! * [`LuFactors`] — partially pivoted LU with factor-once / solve-many
@@ -43,7 +41,6 @@ pub mod random;
 pub mod simd;
 pub mod threading;
 pub mod view;
-pub mod workspace;
 
 pub use batch::{batch_gemm, batch_lu_factor, batch_lu_solve, BatchMat, BatchSingularError};
 pub use cholesky::{cholesky_flops, CholFactors};
@@ -54,4 +51,3 @@ pub use norms::{cond_1, fro_norm, inf_norm, one_norm, rel_diff, vec_norm2};
 pub use simd::Isa;
 pub use threading::{current_threads, set_thread_budget, with_thread_budget};
 pub use view::{MatMut, MatRef};
-pub use workspace::{Workspace, WorkspaceStats};

@@ -8,12 +8,11 @@
 //! either way, which is the access pattern every kernel in this crate
 //! relies on.
 //!
-//! Views exist so hot paths can operate on submatrices and
-//! [`crate::workspace::Workspace`]-pooled buffers without materializing
-//! temporaries: the GEMM/GEMV kernels and the LU/Cholesky panel solves
-//! all accept `impl Into<MatRef>` / `impl Into<MatMut>`, so `&Mat` /
-//! `&mut Mat` callers keep working unchanged while allocation-free
-//! callers pass views (DESIGN.md §"Memory model").
+//! Views exist so hot paths can operate on submatrices without
+//! materializing temporaries: the GEMM/GEMV kernels and the LU/Cholesky
+//! panel solves all accept `impl Into<MatRef>` / `impl Into<MatMut>`, so
+//! `&Mat` / `&mut Mat` callers keep working unchanged while callers
+//! aiming a kernel at a window pass views (DESIGN.md §"Memory model").
 
 use crate::mat::Mat;
 use std::fmt;
@@ -126,11 +125,11 @@ impl<'a> MatRef<'a> {
 
     /// Copies the view into a freshly allocated [`Mat`].
     pub fn to_mat(&self) -> Mat {
-        let mut out = Mat::zeros(self.rows, self.cols);
+        let mut data = Vec::with_capacity(self.rows * self.cols);
         for j in 0..self.cols {
-            out.col_mut(j).copy_from_slice(self.col(j));
+            data.extend_from_slice(self.col(j));
         }
-        out
+        Mat::from_col_major(self.rows, self.cols, data)
     }
 }
 
@@ -339,7 +338,7 @@ impl<'short, 'long: 'short> From<&'short mut MatMut<'long>> for MatMut<'short> {
 }
 
 // Debug prints shape + stride, not contents — views over large
-// workspaces would otherwise dump megabytes.
+// matrices would otherwise dump megabytes.
 impl fmt::Debug for MatRef<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(

@@ -33,7 +33,6 @@
 //! ```
 
 pub use bt_comm::{
-    panel_pool_drain, run_spmd, run_spmd_traced, Comm, CommBackend, CostModel, PanelBuf, Payload,
-    RankStats, SimBackend, SpmdBackend, SpmdOutput, SpmdWorld, Trace, TraceEvent, WorldStats,
-    MAX_RANKS, USER_TAG_LIMIT,
+    run_spmd, run_spmd_traced, Comm, CommBackend, CostModel, Payload, RankStats, SimBackend,
+    SpmdBackend, SpmdOutput, SpmdWorld, Trace, TraceEvent, WorldStats, MAX_RANKS, USER_TAG_LIMIT,
 };

@@ -545,6 +545,43 @@ fn exchange_panel_swaps_between_peers() {
 }
 
 #[test]
+fn strided_panel_window_travels_into_a_window() {
+    // A window of a larger matrix travels as a copy of that window only
+    // and lands in a window of another: only its bytes are counted, and
+    // nothing outside the destination window changes.
+    let out = run_spmd(2, M, |comm| {
+        let big = Mat::from_fn(6, 6, |i, j| (10 * i + j) as f64);
+        let mut dst = Mat::filled(5, 4, -1.0);
+        if comm.rank() == 0 {
+            comm.send_panel(1, 3, big.submatrix(1, 2, 3, 2));
+        } else {
+            comm.recv_panel_into(0, 3, dst.submatrix_mut(1, 1, 3, 2));
+        }
+        (big, dst)
+    });
+    let (big, dst) = &out.results[1];
+    assert_eq!(dst.block(1, 1, 3, 2), big.block(1, 2, 3, 2));
+    let mut outside = dst.clone();
+    outside.set_block(1, 1, &Mat::filled(3, 2, -1.0));
+    assert_eq!(outside, Mat::filled(5, 4, -1.0), "wrote outside the window");
+    // 3x2 f64 = 48 bytes on the wire.
+    assert_eq!(out.stats.per_rank[0].bytes_sent, 48);
+}
+
+#[test]
+#[should_panic(expected = "recv_panel_into shape mismatch")]
+fn recv_panel_into_checks_the_shape() {
+    run_spmd(2, M, |comm| {
+        if comm.rank() == 0 {
+            comm.send_panel(1, 4, Mat::zeros(2, 3).as_ref());
+        } else {
+            let mut out = Mat::zeros(3, 2);
+            comm.recv_panel_into(0, 4, out.as_mut());
+        }
+    });
+}
+
+#[test]
 fn persistent_world_matches_fresh_world() {
     use bt_mpsim::SpmdWorld;
     let mut world = SpmdWorld::new(4, M.with_threads_per_rank(2));

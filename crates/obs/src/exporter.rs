@@ -260,7 +260,8 @@ pub struct PromSummary {
 /// emits): every line is a comment, a `# TYPE name
 /// counter|gauge|histogram|summary|untyped` header, or a
 /// `name{labels} value` sample with a well-formed name and a float
-/// value.
+/// value. A name may carry only one `# TYPE` header: two metric
+/// families under one name are rejected by a Prometheus scrape.
 ///
 /// # Errors
 ///
@@ -273,7 +274,7 @@ pub fn validate_prometheus_text(text: &str) -> Result<PromSummary, String> {
             })
     }
     let mut samples = 0usize;
-    let mut types = 0usize;
+    let mut typed = std::collections::HashSet::new();
     for (lineno, line) in text.lines().enumerate() {
         let lineno = lineno + 1;
         let line = line.trim_end();
@@ -293,7 +294,9 @@ pub fn validate_prometheus_text(text: &str) -> Result<PromSummary, String> {
             ) {
                 return Err(format!("line {lineno}: unknown metric type {kind:?}"));
             }
-            types += 1;
+            if !typed.insert(name) {
+                return Err(format!("line {lineno}: second TYPE header for {name:?}"));
+            }
             continue;
         }
         if line.starts_with('#') {
@@ -343,7 +346,10 @@ pub fn validate_prometheus_text(text: &str) -> Result<PromSummary, String> {
     if samples == 0 {
         return Err("no samples".to_string());
     }
-    Ok(PromSummary { samples, types })
+    Ok(PromSummary {
+        samples,
+        types: typed.len(),
+    })
 }
 
 #[cfg(test)]
@@ -411,6 +417,16 @@ mod tests {
         let s = validate_prometheus_text(ok).expect("valid");
         assert_eq!(s.samples, 3);
         assert_eq!(s.types, 1);
+    }
+
+    #[test]
+    fn validator_rejects_two_families_under_one_name() {
+        // What a histogram and a latency recorder whose names sanitize
+        // to the same string would emit.
+        let dup = "# TYPE q_wait_ns histogram\nq_wait_ns_count 1\n\
+                   # TYPE q_wait_ns summary\nq_wait_ns{quantile=\"0.5\"} 3\n";
+        let err = validate_prometheus_text(dup).expect_err("duplicate family");
+        assert!(err.contains("second TYPE header"), "{err}");
     }
 
     #[test]

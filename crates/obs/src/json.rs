@@ -98,7 +98,7 @@ impl<'a> Parser<'a> {
         format!("JSON parse error at byte {}: {msg}", self.pos)
     }
 
-    fn skip_ws(&mut self) {
+    fn skip_whitespace(&mut self) {
         while self
             .bytes
             .get(self.pos)
@@ -122,7 +122,7 @@ impl<'a> Parser<'a> {
     }
 
     fn value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
+        self.skip_whitespace();
         match self.peek() {
             Some(b'{') => self.object(),
             Some(b'[') => self.array(),
@@ -215,14 +215,14 @@ impl<'a> Parser<'a> {
     fn array(&mut self) -> Result<Json, String> {
         self.expect(b'[')?;
         let mut items = Vec::new();
-        self.skip_ws();
+        self.skip_whitespace();
         if self.peek() == Some(b']') {
             self.pos += 1;
             return Ok(Json::Arr(items));
         }
         loop {
             items.push(self.value()?);
-            self.skip_ws();
+            self.skip_whitespace();
             match self.peek() {
                 Some(b',') => {
                     self.pos += 1;
@@ -239,19 +239,19 @@ impl<'a> Parser<'a> {
     fn object(&mut self) -> Result<Json, String> {
         self.expect(b'{')?;
         let mut map = BTreeMap::new();
-        self.skip_ws();
+        self.skip_whitespace();
         if self.peek() == Some(b'}') {
             self.pos += 1;
             return Ok(Json::Obj(map));
         }
         loop {
-            self.skip_ws();
+            self.skip_whitespace();
             let key = self.string()?;
-            self.skip_ws();
+            self.skip_whitespace();
             self.expect(b':')?;
             let value = self.value()?;
             map.entry(key).or_insert(value);
-            self.skip_ws();
+            self.skip_whitespace();
             match self.peek() {
                 Some(b',') => {
                     self.pos += 1;
@@ -277,7 +277,7 @@ pub fn parse(text: &str) -> Result<Json, String> {
         pos: 0,
     };
     let v = p.value()?;
-    p.skip_ws();
+    p.skip_whitespace();
     if p.pos != p.bytes.len() {
         return Err(p.err("trailing garbage after document"));
     }
