@@ -46,7 +46,7 @@ fn main() {
         let y = random_rhs(n, m, 2, 3);
         // A breakdown surfaces as the session's create error.
         let refined = ArdSession::create(cfg.p, CostModel::zero(), &src)
-            .and_then(|session| session.solve_refined(&y, max_sweeps, 1e-14));
+            .and_then(|session| session.solve_refined(&src, &y, max_sweeps, 1e-14));
         match refined {
             Ok((x, history)) => {
                 table.row(&[

@@ -273,7 +273,7 @@ mod tests {
         tol: f64,
     ) -> (BlockVec, Vec<f64>) {
         let session = ArdSession::create(p, ZERO, src).unwrap();
-        session.solve_refined(y, max_sweeps, tol).unwrap()
+        session.solve_refined(src, y, max_sweeps, tol).unwrap()
     }
 
     #[test]

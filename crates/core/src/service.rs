@@ -58,13 +58,16 @@
 //!   [`ServiceConfig::flight_dump_dir`] (default from `BT_FLIGHT_DIR`),
 //!   so a `SolveFailed` ticket always has the events leading up to it.
 //!
-//! A solve that panics inside the SPMD world is contained: the batch's
-//! tickets all resolve to [`ServiceError::SolveFailed`], the dispatcher
-//! survives, and other cached matrices are unaffected (the panicked
-//! session's factors are lost, as documented in [`crate::session`]).
+//! A dispatch that panics anywhere past the queue (assembling the wide
+//! panel, the SPMD solve, splitting the answer, or a batched-small
+//! solve) is contained: the batch's tickets all resolve to
+//! [`ServiceError::SolveFailed`], the dispatcher survives, and every
+//! entry, the panicked one included, keeps serving (a panic cannot lose
+//! a session's factors; see [`crate::session`]).
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -283,8 +286,19 @@ pub enum ServiceError {
         /// `(N, M)` of the submitted right-hand side.
         got: (usize, usize),
     },
-    /// The SPMD solve panicked; the message is the panic payload. The
-    /// session's factors are lost — re-register the matrix to recover.
+    /// A panel of the right-hand side is not `M x R` like the block
+    /// vector claims (its `blocks` are public, so any shape can be put
+    /// there). Rejected at submit time, like [`Self::ShapeMismatch`].
+    RaggedRhs {
+        /// Block row of the first bad panel.
+        row: usize,
+        /// `(M, R)` of the submitted block vector.
+        expected: (usize, usize),
+        /// Shape of that panel.
+        got: (usize, usize),
+    },
+    /// The dispatch panicked; the message is the panic payload. The
+    /// matrix stays cached and its next request is served as usual.
     SolveFailed(String),
     /// The service dropped before this request completed.
     ShuttingDown,
@@ -305,6 +319,9 @@ impl fmt::Display for ServiceError {
                 f,
                 "rhs shape (N, M) = {got:?} does not match registered matrix {expected:?}"
             ),
+            Self::RaggedRhs { row, expected, got } => {
+                write!(f, "rhs panel {row} is {got:?}, not (M, R) = {expected:?}")
+            }
             Self::SolveFailed(msg) => write!(f, "solve failed: {msg}"),
             Self::ShuttingDown => write!(f, "service is shutting down"),
         }
@@ -333,7 +350,7 @@ pub struct SolveResponse {
     pub batch_width: usize,
     /// Time the request spent queued before its batch dispatched.
     pub queue_wait: Duration,
-    /// Wall time of the batched SPMD solve (shared by the whole batch).
+    /// Wall time of the batched solve (shared by the whole batch).
     pub solve_time: Duration,
 }
 
@@ -350,7 +367,7 @@ impl SolveTicket {
     ///
     /// # Errors
     ///
-    /// [`ServiceError::SolveFailed`] if the SPMD solve panicked,
+    /// [`ServiceError::SolveFailed`] if the dispatch panicked,
     /// [`ServiceError::ShuttingDown`] if the service dropped first.
     pub fn wait(self) -> Result<SolveResponse, ServiceError> {
         self.rx.recv().unwrap_or(Err(ServiceError::ShuttingDown))
@@ -639,29 +656,23 @@ impl<B: SpmdBackend> ServiceOn<B> {
     /// [`ServiceError::UnknownKey`] if `key` is not cached (never
     /// registered, or evicted — re-[`register`](Self::register)),
     /// [`ServiceError::ShapeMismatch`] if `y` does not match the
-    /// registered matrix (checked here, so a bad request can never
+    /// registered matrix and [`ServiceError::RaggedRhs`] if one of its
+    /// panels is not `M x R` (checked here, so a bad request can never
     /// corrupt a batch), [`ServiceError::ShuttingDown`] after drop began.
     pub fn submit(&self, key: MatrixKey, y: &BlockVec) -> Result<SolveTicket, ServiceError> {
         let request_id = bt_obs::ctx::next_request_id();
-        let entry = match self.inner.lookup(key) {
-            Some(entry) => entry,
-            None => {
-                bt_obs::flight::record("reject", request_id, 0, key.as_u64(), "unknown key");
-                return Err(ServiceError::UnknownKey(key));
+        let checked = self
+            .inner
+            .lookup(key)
+            .ok_or(ServiceError::UnknownKey(key))
+            .and_then(|entry| check_shape(&entry, y).map(|()| entry));
+        let entry = match checked {
+            Ok(entry) => entry,
+            Err(err) => {
+                bt_obs::flight::record("reject", request_id, 0, key.as_u64(), err.to_string());
+                return Err(err);
             }
         };
-        let expected = (entry.n, entry.m);
-        let got = (y.n(), y.m());
-        if expected != got {
-            bt_obs::flight::record(
-                "reject",
-                request_id,
-                0,
-                key.as_u64(),
-                format!("shape mismatch: expected {expected:?}, got {got:?}"),
-            );
-            return Err(ServiceError::ShapeMismatch { expected, got });
-        }
         let (tx, rx) = unbounded();
         let enqueued = Instant::now();
         let t_submit_ns = bt_obs::tracer::now_ns();
@@ -737,24 +748,6 @@ impl<B: SpmdBackend> ServiceOn<B> {
     pub fn config(&self) -> &ServiceConfig {
         &self.inner.cfg
     }
-
-    /// Test hook: marks `key`'s cached factors as lost so the next
-    /// dispatched solve against it panics inside the session layer
-    /// (exercising the dispatcher's containment path). Returns whether
-    /// the key was cached.
-    #[doc(hidden)]
-    pub fn lose_factors_for_test(&self, key: MatrixKey) -> bool {
-        match self.inner.lookup(key) {
-            Some(entry) => match &entry.backing {
-                Backing::Spmd(session) => {
-                    session.lose_factors_for_test();
-                    true
-                }
-                Backing::Small(_) => false,
-            },
-            None => false,
-        }
-    }
 }
 
 impl<B: SpmdBackend> Drop for ServiceOn<B> {
@@ -825,6 +818,29 @@ impl<B: SpmdBackend> Inner<B> {
             // freed when the last pending request against them drains.
         }
         OBS_CACHE_BYTES.set(cache.bytes as f64);
+    }
+}
+
+/// Rejects a right-hand side that is not `N` panels of `M x R` for
+/// `entry`'s matrix.
+fn check_shape<B: SpmdBackend>(entry: &CacheEntry<B>, y: &BlockVec) -> Result<(), ServiceError> {
+    if (entry.n, entry.m) != (y.n(), y.m()) {
+        return Err(ServiceError::ShapeMismatch {
+            expected: (entry.n, entry.m),
+            got: (y.n(), y.m()),
+        });
+    }
+    match y
+        .blocks
+        .iter()
+        .position(|panel| panel.shape() != (y.m(), y.r()))
+    {
+        Some(row) => Err(ServiceError::RaggedRhs {
+            row,
+            expected: (y.m(), y.r()),
+            got: y.blocks[row].shape(),
+        }),
+        None => Ok(()),
     }
 }
 
@@ -938,23 +954,15 @@ fn extract_group<B: SpmdBackend>(
     taken
 }
 
-/// Solves one coalesced batch and distributes results to its tickets.
-fn dispatch<B: SpmdBackend>(inner: &Inner<B>, batch: Vec<Pending<B>>) {
-    debug_assert!(!batch.is_empty());
-    match &batch[0].entry.backing {
-        Backing::Spmd(_) => dispatch_spmd(inner, batch),
-        Backing::Small(_) => dispatch_small(inner, batch),
-    }
-}
-
-/// Per-matrix dispatch over the cached SPMD session: stack the group's
-/// right-hand sides into one wide panel, replay once, split back.
-fn dispatch_spmd<B: SpmdBackend>(inner: &Inner<B>, mut batch: Vec<Pending<B>>) {
+/// Solves one coalesced batch and answers its tickets. Both backings
+/// share the prologue (ids, trace context, counters, queue waits) and
+/// the responses; their own work runs inside one `catch_unwind`, so a
+/// panic anywhere in it fails this batch's tickets and nothing else.
+fn dispatch<B: SpmdBackend>(inner: &Inner<B>, mut batch: Vec<Pending<B>>) {
     let entry = Arc::clone(&batch[0].entry);
-    let Backing::Spmd(session) = &entry.backing else {
-        unreachable!("spmd dispatch over non-spmd entry");
-    };
+    let small = matches!(entry.backing, Backing::Small(_));
     let key = entry.key.as_u64();
+    let k = batch.len();
     let widths: Vec<usize> = batch.iter().map(|p| p.rhs.r()).collect();
     let total: usize = widths.iter().sum();
     let dispatched_at = Instant::now();
@@ -967,30 +975,27 @@ fn dispatch_spmd<B: SpmdBackend>(inner: &Inner<B>, mut batch: Vec<Pending<B>>) {
     // threads; see `ArdSession::solve_inner`).
     let batch_id = bt_obs::ctx::next_batch_id();
     let request_ids: Vec<u64> = batch.iter().map(|p| p.request_id).collect();
-    let ctx = bt_obs::TraceCtx::batch(batch_id, &request_ids);
-    let _ctx_guard = bt_obs::ctx::enter(ctx.clone());
-    bt_obs::flight::record(
-        "dispatch",
-        0,
-        batch_id,
-        key,
-        format!("width={total} reqs={}", batch.len()),
-    );
+    let _ctx_guard = bt_obs::ctx::enter(bt_obs::TraceCtx::batch(batch_id, &request_ids));
+    let (event, detail) = if small {
+        ("dispatch_small", format!("systems={k} width={total}"))
+    } else {
+        ("dispatch", format!("width={total} reqs={k}"))
+    };
+    bt_obs::flight::record(event, 0, batch_id, key, detail);
 
-    inner.counters.dispatches.fetch_add(1, Relaxed);
-    inner
-        .counters
-        .dispatched_columns
-        .fetch_add(total as u64, Relaxed);
-    inner
-        .counters
-        .max_batch_width
-        .fetch_max(total as u64, Relaxed);
+    let c = &inner.counters;
+    c.dispatches.fetch_add(1, Relaxed);
+    c.dispatched_columns.fetch_add(total as u64, Relaxed);
+    c.max_batch_width.fetch_max(total as u64, Relaxed);
     OBS_DISPATCHES.incr();
     OBS_BATCH_WIDTH.record(total as u64);
+    if small {
+        c.batched_dispatches.fetch_add(1, Relaxed);
+        c.batched_systems.fetch_add(k as u64, Relaxed);
+        OBS_SMALL_DISPATCHES.incr();
+    }
     for p in &batch {
-        let wait = dispatched_at.duration_since(p.enqueued);
-        LAT_QUEUE_WAIT.record_duration(wait);
+        LAT_QUEUE_WAIT.record_duration(dispatched_at.duration_since(p.enqueued));
         // Retroactive span covering submit -> dispatch, tagged with the
         // waiting request's own id (not the whole batch).
         bt_obs::complete_span(
@@ -1003,197 +1008,151 @@ fn dispatch_spmd<B: SpmdBackend>(inner: &Inner<B>, mut batch: Vec<Pending<B>>) {
         );
     }
 
-    let span = bt_obs::span_with("service", "batch.dispatch", || {
-        format!("{{\"width\":{total},\"key\":\"{:016x}\"}}", key)
-    });
-    let assemble_start = Instant::now();
-    let assemble_span = bt_obs::span("service", "batch.assemble");
-    let y = if batch.len() == 1 {
-        // A lone request's own panels go to the solver by value.
-        BlockVec::from_blocks(std::mem::take(&mut batch[0].rhs.blocks))
+    let span = if small {
+        bt_obs::span_with("service", "batch_small.dispatch", || {
+            format!("{{\"systems\":{k},\"width\":{total}}}")
+        })
     } else {
-        hstack(&batch)
+        bt_obs::span_with("service", "batch.dispatch", || {
+            format!("{{\"width\":{total},\"key\":\"{key:016x}\"}}")
+        })
     };
-    drop(assemble_span);
-    LAT_BATCH_ASSEMBLE.record_duration(assemble_start.elapsed());
-
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| session.solve_owned(y)));
-    let solve_time = dispatched_at.elapsed();
-    LAT_SOLVE.record_duration(solve_time);
+    // The solve time is read once the answers are in hand, before a
+    // wide answer is split.
+    let solved = catch_unwind(AssertUnwindSafe(|| match &entry.backing {
+        Backing::Spmd(session) => {
+            let x_wide = solve_spmd(session, &mut batch, batch_id, key);
+            let solve_time = dispatched_at.elapsed();
+            if k == 1 {
+                (vec![Ok(x_wide)], solve_time, None)
+            } else {
+                let parts = split(&x_wide, &widths).into_iter().map(Ok).collect();
+                (parts, solve_time, Some(x_wide))
+            }
+        }
+        Backing::Small(_) => (
+            solve_small(&batch, batch_id, key),
+            dispatched_at.elapsed(),
+            None,
+        ),
+    }));
     drop(span);
 
-    match result {
-        Ok(Ok(x_wide)) => {
-            bt_obs::flight::record("solve_ok", 0, batch_id, key, "");
-            let mut parts = if widths.len() == 1 {
-                vec![x_wide]
-            } else {
-                split(&x_wide, &widths)
-            };
-            for p in batch.into_iter().rev() {
-                let x = parts.pop().expect("one part per request");
-                let queue_wait = dispatched_at.duration_since(p.enqueued);
-                LAT_REQUEST_TOTAL.record_duration(queue_wait + solve_time);
-                let _ = p.tx.send(Ok(SolveResponse {
-                    x,
-                    request_id: p.request_id,
-                    batch_id,
-                    batch_width: total,
-                    queue_wait,
-                    solve_time,
-                }));
+    let (results, solve_time, wide) = solved.unwrap_or_else(|payload| {
+        let solve_time = dispatched_at.elapsed();
+        let msg = payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "solve panicked".into());
+        bt_obs::flight::record("solve_panic", 0, batch_id, key, msg.clone());
+        for p in &batch {
+            bt_obs::flight::record("solve_failed", p.request_id, batch_id, key, "");
+        }
+        // Dump before resolving the tickets, so a caller seeing
+        // `SolveFailed` can immediately read the black box.
+        if let Some(dir) = &inner.cfg.flight_dump_dir {
+            let path = dir.join(format!("bt-flight-batch{batch_id}.json"));
+            if let Err(e) = bt_obs::flight::dump_to_file(&path) {
+                eprintln!("bt-service: flight dump to {} failed: {e}", path.display());
             }
         }
-        Ok(Err(e)) => {
-            bt_obs::flight::record("solve_error", 0, batch_id, key, e.to_string());
-            for p in batch {
-                let _ = p.tx.send(Err(ServiceError::Factorization(e.clone())));
+        (
+            vec![Err(ServiceError::SolveFailed(msg)); k],
+            solve_time,
+            None,
+        )
+    });
+    LAT_SOLVE.record_duration(solve_time);
+    debug_assert_eq!(results.len(), k, "one result per request");
+    // Every batch is answered newest first, and a split batch's wide
+    // answer is freed after answering: on `structured-mix`, answering
+    // oldest first (0.90x) or freeing the wide answer first (0.96x)
+    // measured lower throughput (EXPERIMENTS.md, "Shared factors").
+    for (p, result) in batch.into_iter().zip(results).rev() {
+        let queue_wait = dispatched_at.duration_since(p.enqueued);
+        let response = result.map(|x| {
+            LAT_REQUEST_TOTAL.record_duration(queue_wait + solve_time);
+            SolveResponse {
+                x,
+                request_id: p.request_id,
+                batch_id,
+                batch_width: total,
+                queue_wait,
+                solve_time,
             }
-        }
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "solve panicked".into());
-            bt_obs::flight::record("solve_panic", 0, batch_id, key, msg.clone());
-            for p in &batch {
-                bt_obs::flight::record("solve_failed", p.request_id, batch_id, key, "");
-            }
-            // Dump before resolving the tickets, so a caller seeing
-            // `SolveFailed` can immediately read the black box.
-            if let Some(dir) = &inner.cfg.flight_dump_dir {
-                let path = dir.join(format!("bt-flight-batch{batch_id}.json"));
-                if let Err(e) = bt_obs::flight::dump_to_file(&path) {
-                    eprintln!("bt-service: flight dump to {} failed: {e}", path.display());
-                }
-            }
-            for p in batch {
-                let _ = p.tx.send(Err(ServiceError::SolveFailed(msg.clone())));
-            }
-        }
+        });
+        let _ = p.tx.send(response);
     }
+    drop(wide);
 }
 
-/// Shape-group dispatch over small systems: interleave every request's
-/// matrix into one SoA batch, factor and solve all of them in a single
-/// pass (`crate::batch`), and answer each ticket from its own lane. A
-/// pivot breakdown in the unpivoted interleaved factorization falls
-/// back to per-system pivoted Thomas solves, so one singular lane only
-/// fails its own request.
-fn dispatch_small<B: SpmdBackend>(inner: &Inner<B>, batch: Vec<Pending<B>>) {
-    let k = batch.len();
-    let total: usize = batch.iter().map(|p| p.rhs.r()).sum();
-    let dispatched_at = Instant::now();
-    let t_dispatch_ns = bt_obs::tracer::now_ns();
-
-    let batch_id = bt_obs::ctx::next_batch_id();
-    let request_ids: Vec<u64> = batch.iter().map(|p| p.request_id).collect();
-    let ctx = bt_obs::TraceCtx::batch(batch_id, &request_ids);
-    let _ctx_guard = bt_obs::ctx::enter(ctx);
-    let shape_key = batch[0].entry.key.as_u64();
-    bt_obs::flight::record(
-        "dispatch_small",
-        0,
-        batch_id,
-        shape_key,
-        format!("systems={k} width={total}"),
-    );
-
-    inner.counters.dispatches.fetch_add(1, Relaxed);
-    inner.counters.batched_dispatches.fetch_add(1, Relaxed);
-    inner.counters.batched_systems.fetch_add(k as u64, Relaxed);
-    inner
-        .counters
-        .dispatched_columns
-        .fetch_add(total as u64, Relaxed);
-    inner
-        .counters
-        .max_batch_width
-        .fetch_max(total as u64, Relaxed);
-    OBS_DISPATCHES.incr();
-    OBS_SMALL_DISPATCHES.incr();
-    OBS_BATCH_WIDTH.record(total as u64);
-    for p in &batch {
-        let wait = dispatched_at.duration_since(p.enqueued);
-        LAT_QUEUE_WAIT.record_duration(wait);
-        bt_obs::complete_span(
-            "service",
-            "queue.wait",
-            p.t_submit_ns,
-            t_dispatch_ns,
-            Some(&bt_obs::TraceCtx::request(p.request_id)),
-            None,
-        );
-    }
-
-    let span = bt_obs::span_with("service", "batch_small.dispatch", || {
-        format!("{{\"systems\":{k},\"width\":{total}}}")
-    });
-    let assemble_start = Instant::now();
-    let assemble_span = bt_obs::span("service", "batch.assemble");
-    let row_sets: Vec<&[BlockRow]> = batch
-        .iter()
-        .map(|p| match &p.entry.backing {
-            Backing::Small(rows) => rows.as_slice(),
-            Backing::Spmd(_) => unreachable!("small dispatch over spmd entry"),
-        })
-        .collect();
-    let systems = BatchedSystems::from_row_sets(&row_sets);
-    drop(assemble_span);
-    LAT_BATCH_ASSEMBLE.record_duration(assemble_start.elapsed());
-
-    let solved = systems.factor().map(|factors| {
-        let ys: Vec<&BlockVec> = batch.iter().map(|p| &p.rhs).collect();
-        factors.solve_blockvecs(&ys)
-    });
-    let solve_time = dispatched_at.elapsed();
-    LAT_SOLVE.record_duration(solve_time);
+/// Runs a dispatch's assembly step under the `batch.assemble` span and
+/// latency recorder.
+fn assemble<T>(build: impl FnOnce() -> T) -> T {
+    let start = Instant::now();
+    let span = bt_obs::span("service", "batch.assemble");
+    let built = build();
     drop(span);
+    LAT_BATCH_ASSEMBLE.record_duration(start.elapsed());
+    built
+}
 
-    let respond = |p: Pending<B>, x: BlockVec, solve_time: Duration| {
-        let queue_wait = dispatched_at.duration_since(p.enqueued);
-        LAT_REQUEST_TOTAL.record_duration(queue_wait + solve_time);
-        let _ = p.tx.send(Ok(SolveResponse {
-            x,
-            request_id: p.request_id,
-            batch_id,
-            batch_width: total,
-            queue_wait,
-            solve_time,
-        }));
-    };
+/// The `Spmd` backing's work: stack the group's right-hand sides into
+/// one wide panel and replay it once over the cached session.
+fn solve_spmd<B: SpmdBackend>(
+    session: &ArdSessionOn<B>,
+    batch: &mut [Pending<B>],
+    batch_id: u64,
+    key: u64,
+) -> BlockVec {
+    let y = assemble(|| {
+        if let [lone] = batch {
+            // A lone request's own panels go to the solver by value.
+            BlockVec::from_blocks(std::mem::take(&mut lone.rhs.blocks))
+        } else {
+            hstack(batch)
+        }
+    });
+    let x_wide = session.solve_owned(y);
+    bt_obs::flight::record("solve_ok", 0, batch_id, key, "");
+    x_wide
+}
 
-    match solved {
-        Ok(xs) => {
-            bt_obs::flight::record("solve_ok", 0, batch_id, shape_key, "");
-            for (p, x) in batch.into_iter().zip(xs) {
-                respond(p, x, solve_time);
-            }
+/// The `Small` backing's work: interleave every request's matrix into
+/// one SoA batch, factor and solve all of them in a single pass
+/// (`crate::batch`), one lane per request. A pivot breakdown in the
+/// unpivoted interleaved factorization falls back to per-system pivoted
+/// Thomas solves, so one singular lane only fails its own request.
+fn solve_small<B: SpmdBackend>(
+    batch: &[Pending<B>],
+    batch_id: u64,
+    key: u64,
+) -> Vec<Result<BlockVec, ServiceError>> {
+    fn rows<B: SpmdBackend>(p: &Pending<B>) -> &[BlockRow] {
+        match &p.entry.backing {
+            Backing::Small(rows) => rows,
+            Backing::Spmd(_) => unreachable!("small dispatch over spmd entry"),
+        }
+    }
+    let row_sets: Vec<&[BlockRow]> = batch.iter().map(rows).collect();
+    let systems = assemble(|| BatchedSystems::from_row_sets(&row_sets));
+    match systems.factor() {
+        Ok(factors) => {
+            let ys: Vec<&BlockVec> = batch.iter().map(|p| &p.rhs).collect();
+            let xs = factors.solve_blockvecs(&ys);
+            bt_obs::flight::record("solve_ok", 0, batch_id, key, "");
+            xs.into_iter().map(Ok).collect()
         }
         Err(e) => {
             // The interleaved LU is unpivoted (pivoting would break the
             // shared elimination order across lanes); one hard lane is
             // rare but must not sink the whole batch.
-            bt_obs::flight::record(
-                "batch_small_fallback",
-                0,
-                batch_id,
-                shape_key,
-                e.to_string(),
-            );
-            for p in batch {
-                let rows = match &p.entry.backing {
-                    Backing::Small(rows) => rows.as_slice(),
-                    Backing::Spmd(_) => unreachable!("small dispatch over spmd entry"),
-                };
-                match solve_single(rows, &p.rhs) {
-                    Ok(x) => respond(p, x, dispatched_at.elapsed()),
-                    Err(fe) => {
-                        let _ = p.tx.send(Err(ServiceError::Factorization(fe)));
-                    }
-                }
-            }
+            bt_obs::flight::record("batch_small_fallback", 0, batch_id, key, e.to_string());
+            batch
+                .iter()
+                .map(|p| solve_single(rows(p), &p.rhs).map_err(ServiceError::Factorization))
+                .collect()
         }
     }
 }

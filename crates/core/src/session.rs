@@ -22,20 +22,12 @@
 //!
 //! ## Concurrency semantics
 //!
-//! A session is `Sync`; any number of threads may call
-//! [`ArdSession::solve`] concurrently. The per-rank factors exist in one
-//! copy, so concurrent solves **queue**: each call checks the factors
-//! out under a short lock (microseconds), runs the whole SPMD solve
-//! *unlocked*, and returns them through an RAII lease that restores the
-//! state — and wakes the next waiter — even if the solve panics. The
-//! session's internal lock is therefore never held across a solve, and a
-//! panicking solve can never leave the state empty: either every rank's
-//! factors come back (the session stays usable) or a rank died holding
-//! them, in which case the session enters a terminal *lost* state whose
-//! subsequent solves panic with a descriptive message instead of
-//! deadlocking. Callers wanting true solve parallelism should batch
-//! right-hand sides into one wide panel (see [`crate::service`]) — that
-//! is also the faster shape by the paper's `O(R)` amortization argument.
+//! A session is its factors: one read-only [`RankFactors`] per rank,
+//! shared by every solve through an `Arc`, so concurrent solves on
+//! fresh worlds run at the same time, solves on a persistent world take
+//! turns on that world, and a panicking solve loses nothing. Batching
+//! right-hand sides into one wide panel (see [`crate::service`]) is
+//! still the faster shape, by the paper's `O(R)` amortization argument.
 //!
 //! ## World reuse
 //!
@@ -48,13 +40,12 @@
 
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 
 use bt_blocktri::{BlockRowSource, BlockVec, FactorError, RowPartition};
 use bt_comm::{Comm, CommBackend, CostModel, SimBackend, SpmdBackend, SpmdOutput, SpmdWorld};
 use bt_dense::Mat;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 
 use crate::pcr::PcrRankFactors;
 use crate::refine::RefinedSolve;
@@ -217,21 +208,6 @@ impl RankFactors {
     }
 }
 
-/// Per-rank state checked out by a solve: the rank's system slice and
-/// its factors.
-type RankState = (RankSystem, RankFactors);
-
-/// The factor store a session guards.
-enum FactorStore {
-    /// Factors at rest; a solve may check them out.
-    Available(Vec<RankState>),
-    /// A solve is running with the factors.
-    CheckedOut,
-    /// A panicked solve took a rank's factors down with it; the session
-    /// is permanently unusable (but callers get a message, not a hang).
-    Lost,
-}
-
 /// A reusable accelerated-solver session.
 ///
 /// # Examples
@@ -260,14 +236,9 @@ pub struct ArdSessionOn<B: SpmdBackend> {
     m: usize,
     model: CostModel,
     part: RowPartition,
-    /// Total stored factor bytes, captured at creation (so the getter
-    /// never has to touch the factor lock).
-    factor_bytes: u64,
-    /// Per-rank factors, handed out to worlds on each solve and returned
-    /// afterwards. Held only for checkout/restore — never across a solve.
-    state: Mutex<FactorStore>,
-    /// Wakes solves queued behind a checked-out store.
-    state_cv: Condvar,
+    /// Rank `r`'s factors at index `r`: read by every solve, written by
+    /// none.
+    factors: Arc<[RankFactors]>,
     /// When world reuse is on, the persistent world (built lazily).
     world: Mutex<Option<SpmdWorld>>,
     /// Whether solves run on `world` (see [`ArdSessionOn::set_world_reuse`]).
@@ -278,96 +249,14 @@ pub struct ArdSessionOn<B: SpmdBackend> {
 }
 
 /// The session reporting the modeled clock — the spelling almost all
-/// code uses; the generic [`ArdSessionOn`] runs the same factor-lease
-/// machinery under either [`SpmdBackend`] clock (e.g.
-/// `bt_shm::ShmBackend` for wall-clock serving).
+/// code uses; the generic [`ArdSessionOn`] runs the same factors and
+/// worlds under either [`SpmdBackend`] clock (e.g. `bt_shm::ShmBackend`
+/// for wall-clock serving).
 pub type ArdSession = ArdSessionOn<SimBackend>;
 
-/// RAII checkout of a session's per-rank factors.
-///
-/// Holds the state as `Arc`'d per-rank slots so an SPMD world (possibly
-/// a persistent one requiring `'static` jobs) can take and return each
-/// rank's share. On drop — **including unwinds** — whatever came back is
-/// restored to the session and waiters are notified; if any rank's
-/// factors were destroyed mid-solve the store transitions to
-/// [`FactorStore::Lost`] instead of silently shrinking.
-struct FactorLease<'a, B: SpmdBackend> {
-    session: &'a ArdSessionOn<B>,
-    slots: Option<Arc<Vec<parking_lot::Mutex<Option<RankState>>>>>,
-}
-
-impl<'a, B: SpmdBackend> FactorLease<'a, B> {
-    /// Blocks until the factors are available, then checks them out.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an earlier solve lost the factors.
-    fn checkout(session: &'a ArdSessionOn<B>) -> Self {
-        let mut guard = session
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        loop {
-            match &*guard {
-                FactorStore::Available(_) => break,
-                FactorStore::CheckedOut => {
-                    guard = session
-                        .state_cv
-                        .wait(guard)
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                }
-                FactorStore::Lost => panic!(
-                    "ArdSession factors were lost by an earlier panicked solve; \
-                     recreate the session"
-                ),
-            }
-        }
-        let state = match std::mem::replace(&mut *guard, FactorStore::CheckedOut) {
-            FactorStore::Available(state) => state,
-            _ => unreachable!("loop above exits only on Available"),
-        };
-        drop(guard);
-        let slots: Vec<parking_lot::Mutex<Option<RankState>>> = state
-            .into_iter()
-            .map(|s| parking_lot::Mutex::new(Some(s)))
-            .collect();
-        Self {
-            session,
-            slots: Some(Arc::new(slots)),
-        }
-    }
-
-    /// The per-rank slots, for handing to an SPMD world.
-    fn slots(&self) -> &Arc<Vec<parking_lot::Mutex<Option<RankState>>>> {
-        self.slots.as_ref().expect("slots present until drop")
-    }
-}
-
-impl<B: SpmdBackend> Drop for FactorLease<'_, B> {
-    fn drop(&mut self) {
-        let slots = self.slots.take().expect("dropped once");
-        // All world jobs have completed (run_spmd/SpmdWorld::run join all
-        // ranks before returning, even when propagating a panic), so this
-        // lease holds the only reference — unless a rank died between
-        // taking its slot and restoring it, in which case its factors are
-        // gone and the session is lost.
-        let restored: Option<Vec<RankState>> = Arc::try_unwrap(slots)
-            .ok()
-            .map(|v| v.into_iter().map(parking_lot::Mutex::into_inner).collect())
-            .and_then(|v: Vec<Option<RankState>>| v.into_iter().collect());
-        let mut guard = self
-            .session
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        *guard = match restored {
-            Some(state) if state.len() == self.session.p => FactorStore::Available(state),
-            _ => FactorStore::Lost,
-        };
-        drop(guard);
-        self.session.state_cv.notify_all();
-    }
-}
+/// The per-rank slices of a refined solve's source, shared with the
+/// ranks alongside its sweep budget and tolerance.
+type Refinement = (Arc<[RankSystem]>, usize, f64);
 
 impl<B: SpmdBackend> ArdSessionOn<B> {
     /// Runs the collective exact-scan setup of the paper's algorithm on
@@ -389,7 +278,9 @@ impl<B: SpmdBackend> ArdSessionOn<B> {
     }
 
     /// [`ArdSession::create`] with factors of any [`FactorKind`]. Every
-    /// kind solves through the same lease, worlds and refinement.
+    /// kind solves through the same worlds and refinement. Each rank's
+    /// slice of `src` is dropped once its setup returns: the session
+    /// keeps only the factors.
     ///
     /// # Errors
     ///
@@ -410,22 +301,16 @@ impl<B: SpmdBackend> ArdSessionOn<B> {
             n >= p,
             "need at least one block row per rank (N={n}, P={p})"
         );
-        let out = B::run(p, model, |comm| -> Result<RankState, FactorError> {
-            let sys = kind.rank_system(src, p, comm.rank());
-            let factors = RankFactors::setup(comm, &sys, kind)?;
-            Ok((sys, factors))
+        let out = B::run(p, model, |comm| {
+            RankFactors::setup(comm, &kind.rank_system(src, p, comm.rank()), kind)
         });
-        let state: Vec<RankState> = out.results.into_iter().collect::<Result<_, _>>()?;
-        let factor_bytes = state.iter().map(|(_, f)| f.storage_bytes()).sum();
         Ok(Self {
             p,
             n,
             m,
             model,
             part: RowPartition::new(n, p),
-            factor_bytes,
-            state: Mutex::new(FactorStore::Available(state)),
-            state_cv: Condvar::new(),
+            factors: out.results.into_iter().collect::<Result<_, _>>()?,
             world: Mutex::new(None),
             reuse_world: AtomicBool::new(false),
             clock: PhantomData,
@@ -452,9 +337,10 @@ impl<B: SpmdBackend> ArdSessionOn<B> {
         self.model
     }
 
-    /// Total stored factor bytes across ranks (captured at creation).
+    /// Total stored factor bytes across ranks: all the per-rank state a
+    /// session holds.
     pub fn factor_bytes(&self) -> u64 {
-        self.factor_bytes
+        self.factors.iter().map(RankFactors::storage_bytes).sum()
     }
 
     /// Switches persistent-world reuse on or off. When on, solves run on
@@ -471,19 +357,6 @@ impl<B: SpmdBackend> ArdSessionOn<B> {
         }
     }
 
-    /// Test hook: marks the factors as lost, exactly as if an earlier
-    /// solve had panicked mid-flight with the factors checked out. The
-    /// next solve panics loudly (see the module docs). Used by the
-    /// service layer's panic-containment regression tests.
-    #[doc(hidden)]
-    pub fn lose_factors_for_test(&self) {
-        *self
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = FactorStore::Lost;
-        self.state_cv.notify_all();
-    }
-
     /// Solves one right-hand-side batch with the stored factors. Costs
     /// one copy of `y`: the copy's panels move to the ranks, are solved
     /// in place and move back as the solution.
@@ -495,21 +368,24 @@ impl<B: SpmdBackend> ArdSessionOn<B> {
     ///
     /// # Panics
     ///
-    /// Panics on shape mismatch, or if an earlier panicked solve lost
-    /// the factors (see the module docs on concurrency).
+    /// Panics on shape mismatch. The factors survive the panic: the
+    /// next solve runs as if it had not happened.
     pub fn solve(&self, y: &BlockVec) -> Result<BlockVec, FactorError> {
-        self.solve_owned(y.clone())
+        Ok(self.solve_owned(y.clone()))
     }
 
     /// [`ArdSession::solve`] on an owned batch, with no copy: the
     /// service dispatcher hands over each request's own panels.
-    pub(crate) fn solve_owned(&self, y: BlockVec) -> Result<BlockVec, FactorError> {
-        Ok(self.solve_inner(y, 0, 0.0)?.0)
+    pub(crate) fn solve_owned(&self, y: BlockVec) -> BlockVec {
+        self.solve_inner(y, None).0
     }
 
-    /// Solves with up to `max_sweeps` iterative-refinement sweeps
-    /// (stopping at relative residual `tol`); returns the solution and
-    /// the residual history (empty when `max_sweeps == 0`).
+    /// Solves with up to `max_sweeps` iterative-refinement sweeps against
+    /// `src`, the matrix the session was created from (stopping at
+    /// relative residual `tol`); returns the solution and the residual
+    /// history (empty when `max_sweeps == 0`). The residuals read the
+    /// matrix's rows, which the session does not keep: each call slices
+    /// `src` again, on the caller's thread.
     ///
     /// # Errors
     ///
@@ -517,22 +393,28 @@ impl<B: SpmdBackend> ArdSessionOn<B> {
     ///
     /// # Panics
     ///
-    /// Same conditions as [`ArdSession::solve`].
-    pub fn solve_refined(
+    /// Panics if `src` is not `N x M` like the session, and on the
+    /// conditions of [`ArdSession::solve`].
+    pub fn solve_refined<S: BlockRowSource>(
         &self,
+        src: &S,
         y: &BlockVec,
         max_sweeps: usize,
         tol: f64,
     ) -> Result<(BlockVec, Vec<f64>), FactorError> {
-        self.solve_inner(y.clone(), max_sweeps, tol)
+        assert_eq!(
+            (src.n(), src.m()),
+            (self.n, self.m),
+            "source shape mismatch"
+        );
+        let refine = (max_sweeps > 0).then(|| {
+            let slices = (0..self.p).map(|rank| RankSystem::from_source(src, self.p, rank));
+            (slices.collect(), max_sweeps, tol)
+        });
+        Ok(self.solve_inner(y.clone(), refine))
     }
 
-    fn solve_inner(
-        &self,
-        y: BlockVec,
-        max_sweeps: usize,
-        tol: f64,
-    ) -> Result<(BlockVec, Vec<f64>), FactorError> {
+    fn solve_inner(&self, y: BlockVec, refine: Option<Refinement>) -> (BlockVec, Vec<f64>) {
         assert_eq!(y.n(), self.n, "rhs block count mismatch");
         assert_eq!(y.m(), self.m, "rhs block order mismatch");
 
@@ -548,12 +430,7 @@ impl<B: SpmdBackend> ArdSessionOn<B> {
             })
             .collect();
         slices.reverse();
-        let y_slices = Arc::new(slices);
-
-        // Short lock: factors leave the session here and come back when
-        // `lease` drops — even if the solve below unwinds.
-        let lease = FactorLease::checkout(self);
-        let slots = Arc::clone(lease.slots());
+        let factors = Arc::clone(&self.factors);
 
         // The caller's trace context (e.g. the service dispatcher's
         // batch/request ids) does not cross thread spawns by itself;
@@ -563,40 +440,36 @@ impl<B: SpmdBackend> ArdSessionOn<B> {
         let job = move |comm: &mut Comm| {
             let _ctx_guard = ctx.clone().map(bt_obs::ctx::enter);
             let _span = bt_obs::span("session", "replay.solve");
-            let (sys, factors) = slots[comm.rank()].lock().take().expect("state present");
-            let mut y_local = y_slices[comm.rank()]
-                .lock()
-                .take()
-                .expect("rhs slice present");
+            let rank = comm.rank();
+            let f = &factors[rank];
+            let mut y_local = slices[rank].lock().take().expect("rhs slice present");
             // The replay runs in place in the rank's own panels;
             // refinement keeps `y_local` for its residuals.
-            let solved = if max_sweeps == 0 {
-                factors.solve_in_place(comm, &mut y_local);
-                (y_local, Vec::new())
-            } else {
-                let refined = factors.solve_refined(comm, &sys, &y_local, max_sweeps, tol);
-                (refined.x_local, refined.history)
-            };
-            *slots[comm.rank()].lock() = Some((sys, factors));
-            solved
+            match &refine {
+                None => {
+                    f.solve_in_place(comm, &mut y_local);
+                    (y_local, Vec::new())
+                }
+                Some((sys, sweeps, tol)) => {
+                    let refined = f.solve_refined(comm, &sys[rank], &y_local, *sweeps, *tol);
+                    (refined.x_local, refined.history)
+                }
+            }
         };
-
-        let out = self.run_world(job);
-        drop(lease); // factors restored; waiters wake
 
         // Reassemble by moving each rank's panels back, in rank order.
         let mut blocks = Vec::with_capacity(self.n);
         let mut history = Vec::new();
-        for (panels, h) in out.results {
+        for (panels, h) in self.run_world(job).results {
             blocks.extend(panels);
             history = h;
         }
-        Ok((BlockVec::from_blocks(blocks), history))
+        (BlockVec::from_blocks(blocks), history)
     }
 
-    /// Runs `job` on the persistent world when reuse is on (rebuilding a
-    /// dead one is pointless — a panic loses factors anyway), else on a
-    /// fresh `run_spmd` world.
+    /// Runs `job` on the persistent world when reuse is on, else on a
+    /// fresh world. A world that a panicking job killed is dropped here,
+    /// and the next solve builds a new one.
     fn run_world<T, F>(&self, job: F) -> SpmdOutput<T>
     where
         T: Send + 'static,
@@ -612,8 +485,6 @@ impl<B: SpmdBackend> ArdSessionOn<B> {
             match out {
                 Ok(out) => out,
                 Err(e) => {
-                    // The world is dead; drop it so a future session user
-                    // (after recreating factors) does not trip over it.
                     *wg = None;
                     drop(wg);
                     resume_unwind(e);
@@ -674,7 +545,7 @@ mod tests {
         let t = materialize(&src);
         let session = ArdSession::create(4, ZERO, &src).unwrap();
         let y = random_rhs(28, 5, 2, 3);
-        let (x, history) = session.solve_refined(&y, 6, 1e-13).unwrap();
+        let (x, history) = session.solve_refined(&src, &y, 6, 1e-13).unwrap();
         assert!(t.rel_residual(&x, &y) < 1e-12);
         assert!(!history.is_empty());
     }
@@ -783,34 +654,31 @@ mod tests {
 
     #[test]
     fn concurrent_solves_from_two_threads() {
-        // Regression for the lock-across-the-solve bug: concurrent
-        // callers queue on the factor checkout (short lock + condvar),
-        // not on a mutex held for the whole SPMD solve, and both get
-        // correct answers.
+        // Fresh-world solves share the factors and overlap; each answer
+        // must equal the serial one bit for bit.
         let src = ClusteredToeplitz::standard(48, 4, 11);
-        let t = materialize(&src);
         let session = ArdSession::create(4, ZERO, &src).unwrap();
+        let ys: Vec<Vec<BlockVec>> = (0..2)
+            .map(|tid| {
+                (0..4)
+                    .map(|round| random_rhs(48, 4, 2, 100 * tid + round))
+                    .collect()
+            })
+            .collect();
+        let serial: Vec<Vec<BlockVec>> = ys
+            .iter()
+            .map(|batches| batches.iter().map(|y| session.solve(y).unwrap()).collect())
+            .collect();
         std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..2)
-                .map(|tid| {
-                    let session = &session;
-                    let t = &t;
-                    scope.spawn(move || {
-                        for round in 0..4 {
-                            let y = random_rhs(48, 4, 2, 100 * tid + round);
-                            let x = session.solve(&y).unwrap();
-                            assert!(t.rel_residual(&x, &y) < 1e-11, "thread {tid} round {round}");
-                        }
-                    })
-                })
-                .collect();
-            for h in handles {
-                h.join().unwrap();
+            for (batches, expect) in ys.iter().zip(&serial) {
+                let session = &session;
+                scope.spawn(move || {
+                    for (y, x) in batches.iter().zip(expect) {
+                        assert_eq!(&session.solve(y).unwrap(), x);
+                    }
+                });
             }
         });
-        // The session is still healthy afterwards.
-        let y = random_rhs(48, 4, 1, 999);
-        assert!(t.rel_residual(&session.solve(&y).unwrap(), &y) < 1e-11);
     }
 
     #[test]
@@ -847,45 +715,23 @@ mod tests {
         assert_eq!(fresh, reused, "world reuse must not change results");
     }
 
+    /// A solve that panics inside a rank leaves the factors as they
+    /// were, on fresh and persistent worlds alike.
     #[test]
-    fn lease_restores_factors_on_unwind() {
-        // A panic between checkout and restore must put the factors back
-        // (RAII), so the next solve succeeds instead of hanging or
-        // finding an empty state.
+    fn a_panicking_solve_keeps_the_factors() {
         let src = ClusteredToeplitz::standard(24, 3, 9);
-        let t = materialize(&src);
-        let session = ArdSession::create(2, ZERO, &src).unwrap();
-        let unwound = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            let _lease = FactorLease::checkout(&session);
-            panic!("simulated failure while the factors are checked out");
-        }));
-        assert!(unwound.is_err());
         let y = random_rhs(24, 3, 2, 0);
-        let x = session.solve(&y).unwrap();
-        assert!(t.rel_residual(&x, &y) < 1e-11, "factors were not restored");
-    }
-
-    #[test]
-    fn lost_factors_fail_loudly_not_silently() {
-        // If a rank's factors are destroyed while checked out (a panic
-        // inside the SPMD solve), later solves must panic with a clear
-        // message — not deadlock on the condvar or see an empty vec.
-        let src = ClusteredToeplitz::standard(16, 3, 1);
-        let session = ArdSession::create(2, ZERO, &src).unwrap();
-        let unwound = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            let lease = FactorLease::checkout(&session);
-            lease.slots()[0].lock().take(); // rank 0's factors die with the "world"
-            panic!("simulated mid-solve rank death");
-        }));
-        assert!(unwound.is_err());
-        let y = random_rhs(16, 3, 1, 0);
-        let next = std::panic::catch_unwind(AssertUnwindSafe(|| session.solve(&y)));
-        let payload = next.expect_err("lost factors must not look healthy");
-        let msg = payload
-            .downcast_ref::<&str>()
-            .copied()
-            .or(payload.downcast_ref::<String>().map(String::as_str))
-            .expect("string payload");
-        assert!(msg.contains("lost"), "got: {msg}");
+        let mut ragged = y.clone();
+        ragged.blocks[1] = Mat::zeros(3, 3);
+        for reuse in [false, true] {
+            let session = ArdSession::create(4, ZERO, &src).unwrap();
+            session.set_world_reuse(reuse);
+            let before = session.solve(&y).unwrap();
+            let payload = catch_unwind(AssertUnwindSafe(|| session.solve(&ragged)))
+                .expect_err("a ragged panel must panic");
+            let msg = payload.downcast_ref::<String>().expect("string payload");
+            assert!(msg.contains("rhs panel 1 shape mismatch"), "got: {msg}");
+            assert_eq!(session.solve(&y).unwrap(), before, "reuse={reuse}");
+        }
     }
 }

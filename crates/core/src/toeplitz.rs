@@ -765,7 +765,7 @@ mod tests {
         let t = materialize(&src);
         let y = random_rhs(80, 4, 2, 6);
         let (x, history) = toeplitz_session(4, &src)
-            .solve_refined(&y, 4, 1e-14)
+            .solve_refined(&src, &y, 4, 1e-14)
             .unwrap();
         assert!(t.rel_residual(&x, &y) < 1e-13, "history {history:?}");
         assert!(!history.is_empty());

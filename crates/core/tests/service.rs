@@ -5,11 +5,15 @@
 //! agreement of service answers with direct session solves.
 
 use std::collections::HashSet;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-use bt_ard::{ArdSession, FactorKind, MatrixKey, ServiceConfig, ServiceError, SolverService};
+use bt_ard::{
+    ArdSession, FactorKind, MatrixKey, ServiceConfig, ServiceError, ServiceOn, SolverService,
+};
 use bt_blocktri::gen::{materialize, random_rhs, ClusteredToeplitz, RandomDominant};
 use bt_blocktri::{BlockRow, BlockRowSource, BlockVec};
+use bt_comm::{Comm, SimBackend, SpmdBackend, SpmdOutput, SpmdWorld};
 use bt_dense::Mat;
 use bt_mpsim::CostModel;
 
@@ -164,6 +168,20 @@ fn mismatched_shapes_are_rejected_not_silently_batched() {
     let y = random_rhs(N, M, 1, 2);
     let resp = svc.solve(key, &y).unwrap();
     assert!(materialize(&a).rel_residual(&resp.x, &y) < 1e-10);
+
+    // Ragged panels: an extra column, a missing column, an extra row.
+    for (row, shape) in [(7, (M, 3)), (N - 1, (M, 1)), (0, (M + 1, 2))] {
+        let mut ragged = random_rhs(N, M, 2, 3);
+        ragged.blocks[row] = Mat::zeros(shape.0, shape.1);
+        let err = svc.submit(key, &ragged).map(|_| ()).unwrap_err();
+        assert!(
+            matches!(err, ServiceError::RaggedRhs { row: r, expected: (M, 2), got }
+                if (r, got) == (row, shape)),
+            "got {err:?}"
+        );
+        let resp = svc.solve(key, &y).unwrap();
+        assert!(materialize(&a).rel_residual(&resp.x, &y) < 1e-10);
+    }
 }
 
 #[test]
@@ -241,9 +259,39 @@ fn eviction_racing_an_inflight_solve_is_safe() {
     ));
 }
 
+/// Set while [`FaultyWorlds`] refuses to start a persistent world.
+static WORLDS_FAIL: AtomicBool = AtomicBool::new(false);
+
+/// The simulator, except that starting a persistent world panics while
+/// [`WORLDS_FAIL`] is set. A cached session builds its world on its
+/// first solve, so that solve panics inside the dispatch.
+struct FaultyWorlds;
+
+impl SpmdBackend for FaultyWorlds {
+    fn name() -> &'static str {
+        "faulty"
+    }
+
+    fn run<T, F>(p: usize, model: CostModel, f: F) -> SpmdOutput<T>
+    where
+        T: Send,
+        F: Fn(&mut Comm) -> T + Sync,
+    {
+        SimBackend::run(p, model, f)
+    }
+
+    fn world(p: usize, model: CostModel) -> SpmdWorld {
+        assert!(
+            !WORLDS_FAIL.load(Ordering::SeqCst),
+            "injected world failure"
+        );
+        SimBackend::world(p, model)
+    }
+}
+
 #[test]
 fn solve_panic_is_contained_to_the_batch() {
-    let svc = SolverService::start(ServiceConfig {
+    let svc = ServiceOn::<FaultyWorlds>::start(ServiceConfig {
         max_delay: Duration::from_millis(5),
         ..cfg()
     });
@@ -251,17 +299,14 @@ fn solve_panic_is_contained_to_the_batch() {
     let b = src(42);
     let ka = svc.register(&a).unwrap();
     let kb = svc.register(&b).unwrap();
-
-    // Sabotage A's session the way a mid-solve panic would.
-    assert!(svc.lose_factors_for_test(ka));
-
     let y = random_rhs(N, M, 1, 4);
+    // B's world starts before the fault; A's first solve will panic.
+    svc.solve(kb, &y).unwrap();
+    WORLDS_FAIL.store(true, Ordering::SeqCst);
+
     match svc.solve(ka, &y) {
         Err(ServiceError::SolveFailed(msg)) => {
-            assert!(
-                msg.contains("lost"),
-                "panic payload should mention lost factors, got: {msg}"
-            );
+            assert!(msg.contains("injected world failure"), "got: {msg}");
         }
         other => panic!(
             "expected SolveFailed, got {other:?}",
@@ -272,6 +317,12 @@ fn solve_panic_is_contained_to_the_batch() {
     // The dispatcher survived; other cached matrices are unaffected.
     let resp = svc.solve(kb, &y).unwrap();
     assert!(materialize(&b).rel_residual(&resp.x, &y) < 1e-10);
+
+    // Once worlds start again, A is answered without re-registering.
+    WORLDS_FAIL.store(false, Ordering::SeqCst);
+    let resp = svc.solve(ka, &y).unwrap();
+    assert!(materialize(&a).rel_residual(&resp.x, &y) < 1e-10);
+    assert_eq!(svc.stats().cache_misses, 2);
 }
 
 #[test]

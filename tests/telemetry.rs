@@ -7,10 +7,12 @@
 //! flight-recorder dump containing the doomed request's events.
 
 use std::io::{Read, Write};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
-use block_tridiag_suite::ard::{ServiceConfig, ServiceError, SolverService};
+use block_tridiag_suite::ard::{ServiceConfig, ServiceError, ServiceOn};
 use block_tridiag_suite::blocktri::gen::{materialize, random_rhs, ClusteredToeplitz};
+use block_tridiag_suite::comm::{Comm, SimBackend, SpmdBackend, SpmdOutput, SpmdWorld};
 use block_tridiag_suite::mpsim::CostModel;
 use block_tridiag_suite::obs as bt_obs;
 
@@ -52,6 +54,35 @@ fn event_serves(ev: &bt_obs::json::Json, req: u64) -> bool {
         .is_some_and(|ids| ids.iter().any(is_req))
 }
 
+/// Set while [`FaultyWorlds`] refuses to start a persistent world.
+static WORLDS_FAIL: AtomicBool = AtomicBool::new(false);
+
+/// The simulator, except that starting a persistent world panics while
+/// [`WORLDS_FAIL`] is set, so a new matrix's first solve panics.
+struct FaultyWorlds;
+
+impl SpmdBackend for FaultyWorlds {
+    fn name() -> &'static str {
+        "faulty"
+    }
+
+    fn run<T, F>(p: usize, model: CostModel, f: F) -> SpmdOutput<T>
+    where
+        T: Send,
+        F: Fn(&mut Comm) -> T + Sync,
+    {
+        SimBackend::run(p, model, f)
+    }
+
+    fn world(p: usize, model: CostModel) -> SpmdWorld {
+        assert!(
+            !WORLDS_FAIL.load(Ordering::SeqCst),
+            "injected world failure"
+        );
+        SimBackend::world(p, model)
+    }
+}
+
 /// The observability gate, tracer, flight ring and latency registry are
 /// process-global; this test owns the whole scenario in one body.
 #[test]
@@ -64,7 +95,7 @@ fn serving_path_telemetry_round_trip() {
     let dump_dir = std::env::temp_dir().join("bt_flight_it");
     let _ = std::fs::remove_dir_all(&dump_dir);
 
-    let svc = SolverService::start(ServiceConfig {
+    let svc = ServiceOn::<FaultyWorlds>::start(ServiceConfig {
         max_batch: 4,
         max_delay: Duration::from_millis(5),
         flight_dump_dir: Some(dump_dir.clone()),
@@ -151,12 +182,16 @@ fn serving_path_telemetry_round_trip() {
     }
 
     // ---- Forced solve panic leaves a flight dump. -------------------
-    assert!(svc.lose_factors_for_test(key));
+    let b = ClusteredToeplitz::standard(N, M, 8);
+    let doomed = svc.register(&b).expect("register");
+    WORLDS_FAIL.store(true, Ordering::SeqCst);
     let y = random_rhs(N, M, 1, 99);
-    let ticket = svc.submit(key, &y).expect("submit doomed request");
+    let ticket = svc.submit(doomed, &y).expect("submit doomed request");
     let failed_req = ticket.request_id();
     match ticket.wait() {
-        Err(ServiceError::SolveFailed(msg)) => assert!(msg.contains("lost"), "got: {msg}"),
+        Err(ServiceError::SolveFailed(msg)) => {
+            assert!(msg.contains("injected world failure"), "got: {msg}");
+        }
         other => panic!(
             "expected SolveFailed, got {other:?}",
             other = other.map(|_| ())
@@ -190,6 +225,11 @@ fn serving_path_telemetry_round_trip() {
             .any(|ev| ev.get("kind").and_then(bt_obs::json::Json::as_str) == Some("solve_panic")),
         "dump lacks the panic event"
     );
+
+    // The same key is answered once worlds start again.
+    WORLDS_FAIL.store(false, Ordering::SeqCst);
+    let resp = svc.solve(doomed, &y).expect("solve after the panic");
+    assert!(materialize(&b).rel_residual(&resp.x, &y) < 1e-10);
 
     drop(svc);
     drop(exporter);
