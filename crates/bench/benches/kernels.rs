@@ -14,7 +14,6 @@ use bt_ard::pairs::AffinePair;
 use bt_blocktri::gen::ClusteredToeplitz;
 use bt_blocktri::BlockRowSource;
 use bt_dense::random::{rng, uniform};
-use bt_dense::threading::with_thread_budget;
 use bt_dense::{gemm, gemm_axpy, gemm_packed, gemm_small, LuFactors, Mat, Trans};
 
 fn bench_gemm(c: &mut Criterion) {
@@ -56,12 +55,10 @@ fn time_best(reps: usize, mut f: impl FnMut()) -> f64 {
 const SWEEP_SIZES: [usize; 15] = [
     4, 8, 16, 17, 32, 48, 63, 64, 65, 96, 127, 128, 129, 192, 256,
 ];
-const SWEEP_THREADS: [usize; 3] = [1, 2, 4];
 
 /// One `m x m x m` sweep cell: times every kernel the dispatcher can
-/// pick (AXPY, packed at each thread budget, small-block) plus the
-/// dispatcher itself, prints the per-size line, and returns the JSON
-/// record row.
+/// pick (AXPY, packed, small-block) plus the dispatcher itself, prints
+/// the per-size line, and returns the JSON record row.
 fn sweep_cell(m: usize) -> String {
     let a = uniform(m, m, &mut rng(11));
     let b = uniform(m, m, &mut rng(12));
@@ -80,12 +77,7 @@ fn sweep_cell(m: usize) -> String {
         }) / inner as f64
     };
     let axpy_s = timed(&mut || gemm_axpy(1.0, black_box(&a), black_box(&b), &mut out));
-    let mut packed_s = [0.0f64; SWEEP_THREADS.len()];
-    for (ti, &t) in SWEEP_THREADS.iter().enumerate() {
-        packed_s[ti] = with_thread_budget(t, || {
-            timed(&mut || gemm_packed(1.0, black_box(&a), black_box(&b), &mut out))
-        });
-    }
+    let packed_s = timed(&mut || gemm_packed(1.0, black_box(&a), black_box(&b), &mut out));
     let small_s = matches!(m, 4 | 8 | 16)
         .then(|| timed(&mut || assert!(gemm_small(1.0, black_box(&a), black_box(&b), &mut out))));
     let dispatched_s = timed(&mut || {
@@ -102,8 +94,8 @@ fn sweep_cell(m: usize) -> String {
     let gflops = |s: f64| flops as f64 / s / 1e9;
     // Winner among the kernels the dispatcher chooses between.
     let mut winner = ("axpy", axpy_s);
-    if packed_s[0] < winner.1 {
-        winner = ("packed", packed_s[0]);
+    if packed_s < winner.1 {
+        winner = ("packed", packed_s);
     }
     if let Some(s) = small_s {
         if s < winner.1 {
@@ -111,27 +103,23 @@ fn sweep_cell(m: usize) -> String {
         }
     }
     println!(
-        "bench: gemm/{m:<4} axpy {:>9.4} ms  packed(t1) {:>9.4} ms  small {}  \
+        "bench: gemm/{m:<4} axpy {:>9.4} ms  packed {:>9.4} ms  small {}  \
          dispatched {:>9.4} ms -> {} ({:.2} Gflop/s best)",
         axpy_s * 1e3,
-        packed_s[0] * 1e3,
+        packed_s * 1e3,
         small_s.map_or("      n/a".to_string(), |s| format!("{:>9.4} ms", s * 1e3)),
         dispatched_s * 1e3,
         winner.0,
         gflops(winner.1),
     );
     format!(
-        "    {{\"m\": {m}, \"axpy_s\": {axpy_s:.6e}, \"packed_t1_s\": {:.6e}, \
-         \"packed_t2_s\": {:.6e}, \"packed_t4_s\": {:.6e}, \"small_s\": {}, \
-         \"dispatched_s\": {dispatched_s:.6e}, \
-         \"speedup_packed_vs_axpy\": {:.3}, \"gflops_packed_t1\": {:.3}, \
+        "    {{\"m\": {m}, \"axpy_s\": {axpy_s:.6e}, \"packed_s\": {packed_s:.6e}, \
+         \"small_s\": {}, \"dispatched_s\": {dispatched_s:.6e}, \
+         \"speedup_packed_vs_axpy\": {:.3}, \"gflops_packed\": {:.3}, \
          \"gflops_best\": {:.3}, \"dispatch_winner\": \"{}\"}}",
-        packed_s[0],
-        packed_s[1],
-        packed_s[2],
         small_s.map_or("null".to_string(), |s| format!("{s:.6e}")),
-        axpy_s / packed_s[0],
-        gflops(packed_s[0]),
+        axpy_s / packed_s,
+        gflops(packed_s),
         gflops(winner.1),
         winner.0,
     )
@@ -139,10 +127,10 @@ fn sweep_cell(m: usize) -> String {
 
 /// Kernel sweep over block orders from the small-block specializations
 /// (m = 4, 8, 16, plus 17 and 32 to pin the crossover region) up through
-/// sizes straddling the NB = 64 and KC = 128 blocking boundaries, at
-/// thread budgets 1, 2 and 4. Prints per-size lines through the
-/// criterion harness and emits the raw numbers as `bt-bench-gemm-v4`
-/// JSON to `BENCH_gemm.json` at the workspace root — the data the
+/// sizes straddling the NB = 64 and KC = 128 blocking boundaries, on
+/// the calling thread. Prints per-size lines through the criterion
+/// harness and emits the raw numbers as `bt-bench-gemm-v5` JSON to
+/// `BENCH_gemm.json` at the workspace root — the data the
 /// `PACKED_MIN_FLOPS_*` crossover constants in `bt_dense` are derived
 /// from.
 fn bench_gemm_packed_sweep(c: &mut Criterion) {
@@ -155,7 +143,7 @@ fn bench_gemm_packed_sweep(c: &mut Criterion) {
         let a = uniform(m, m, &mut rng(11));
         let b = uniform(m, m, &mut rng(12));
         let mut out = Mat::zeros(m, m);
-        group.bench_with_input(BenchmarkId::new("packed_t1", m), &m, |bench, _| {
+        group.bench_with_input(BenchmarkId::new("packed", m), &m, |bench, _| {
             bench.iter(|| {
                 gemm_packed(1.0, black_box(&a), black_box(&b), &mut out);
             })
@@ -165,21 +153,18 @@ fn bench_gemm_packed_sweep(c: &mut Criterion) {
 
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     // Run metadata: when/where the numbers were taken, the detected SIMD
-    // path, the thread budget the environment would hand the kernels
-    // (BT_DENSE_THREADS), and the sweep bounds, so stale or cross-host
-    // JSON is recognizable.
+    // path and the sweep bounds, so stale or cross-host JSON is
+    // recognizable.
     let generated_unix_s = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map_or(0, |d| d.as_secs());
-    let env_threads = bt_dense::threading::default_threads();
     let simd = bt_dense::simd::active().name();
     let sizes_json = SWEEP_SIZES.map(|m| m.to_string()).join(", ");
     let json = format!(
-        "{{\n  \"bench\": \"gemm_packed_vs_axpy\",\n  \"schema\": \"bt-bench-gemm-v4\",\n  \
+        "{{\n  \"bench\": \"gemm_packed_vs_axpy\",\n  \"schema\": \"bt-bench-gemm-v5\",\n  \
          \"generated_unix_s\": {generated_unix_s},\n  \
-         \"host_cores\": {host_cores},\n  \"bt_dense_threads\": {env_threads},\n  \
-         \"simd\": \"{simd}\",\n  \
-         \"thread_budgets\": [1, 2, 4],\n  \"sizes\": [{sizes_json}],\n  \
+         \"host_cores\": {host_cores},\n  \"simd\": \"{simd}\",\n  \
+         \"sizes\": [{sizes_json}],\n  \
          \"size_bounds\": {{\"min\": {}, \"max\": {}}},\n  \
          \"note\": \"best-of-N wall clock; m=4/8/16 hit the small-block kernels, \
          17/32 pin the crossover, larger sizes straddle NB=64 and KC=128 blocking \

@@ -276,11 +276,10 @@ fn main() {
         .duration_since(std::time::UNIX_EPOCH)
         .map_or(0, |d| d.as_secs());
     let simd = bt_dense::simd::active().name();
-    let bt_dense_threads = bt_dense::threading::default_threads();
     let json = format!(
         "{{\n  \"bench\": \"solver_service\",\n  \"schema\": \"bt-bench-service-v1\",\n  \
          \"generated_unix_s\": {generated_unix_s},\n  \
-         \"simd\": \"{simd}\",\n  \"bt_dense_threads\": {bt_dense_threads},\n  \
+         \"simd\": \"{simd}\",\n  \
          \"n\": {n},\n  \"m\": {m},\n  \"p\": {p},\n  \"matrices\": {n_matrices},\n  \
          \"requests\": {requests},\n  \"max_batch\": {max_batch},\n  \
          \"max_delay_us\": {max_delay_us},\n  \"single_solve_us\": {:.1},\n  \

@@ -13,8 +13,6 @@
 //!   a factor-once / solve-many API ([`thomas`]);
 //! * [`cyclic_reduction_solve`] — sequential block cyclic reduction, the
 //!   BCYCLIC-style related-work baseline ([`cyclic_reduction`]);
-//! * [`SpdThomasFactors`] — Cholesky-based variant for SPD systems, with
-//!   `log det` support ([`thomas_spd`]);
 //! * [`RowPartition`] — contiguous block-row distribution over ranks
 //!   ([`partition`]).
 //!
@@ -35,7 +33,6 @@ pub mod gen;
 pub mod matrix;
 pub mod partition;
 pub mod thomas;
-pub mod thomas_spd;
 
 pub use cyclic_reduction::cyclic_reduction_solve;
 pub use matrix::{BlockRow, BlockRowSource, BlockTridiag, BlockVec};
@@ -43,4 +40,3 @@ pub use partition::RowPartition;
 pub use thomas::{
     thomas_factor_flops, thomas_solve, thomas_solve_flops, FactorError, ThomasFactors,
 };
-pub use thomas_spd::{is_symmetric, SpdThomasFactors};

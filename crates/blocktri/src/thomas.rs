@@ -172,7 +172,7 @@ pub fn thomas_solve_flops(n: usize, m: usize, r: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gen::{materialize, random_rhs, Poisson2D, RandomDominant};
+    use crate::gen::{materialize, random_rhs, Helmholtz2D, Poisson2D, RandomDominant};
     use bt_dense::solve as dense_solve;
 
     #[test]
@@ -190,6 +190,37 @@ mod tests {
         let y = random_rhs(50, 8, 4, 3);
         let x = thomas_solve(&t, &y).unwrap();
         assert!(t.rel_residual(&x, &y) < 1e-12);
+    }
+
+    #[test]
+    fn matches_dense_solver_on_poisson() {
+        let t = materialize(&Poisson2D::new(40, 6));
+        let y = random_rhs(40, 6, 3, 2);
+        let x = thomas_solve(&t, &y).unwrap();
+        let xd = dense_solve(&t.to_dense(), &y.to_dense()).unwrap();
+        assert!(x.to_dense().sub(&xd).max_abs() < 1e-12 * xd.max_abs());
+        assert!(t.rel_residual(&x, &y) < 1e-13);
+    }
+
+    #[test]
+    fn log_det_from_diagonal_factors_matches_dense() {
+        // det T = prod_i det D_i for the block LU factorization, so an
+        // SPD matrix's log det is the sum of ln det D_i.
+        let t = materialize(&Poisson2D::new(6, 3));
+        let f = ThomasFactors::factor(&t).unwrap();
+        let log_det: f64 = (0..t.n()).map(|i| f.d_factor(i).det().ln()).sum();
+        let dense_det = bt_dense::LuFactors::factor(&t.to_dense()).unwrap().det();
+        assert!((log_det - dense_det.ln()).abs() < 1e-9);
+    }
+
+    #[test]
+    fn solves_mildly_indefinite_helmholtz() {
+        // Block LU handles a symmetric indefinite matrix as long as no
+        // D_i is exactly singular.
+        let t = materialize(&Helmholtz2D::new(24, 6, 3.2));
+        let y = random_rhs(24, 6, 2, 1);
+        let x = thomas_solve(&t, &y).unwrap();
+        assert!(t.rel_residual(&x, &y) < 1e-9);
     }
 
     #[test]

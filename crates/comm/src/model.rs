@@ -31,12 +31,11 @@ pub struct CostModel {
     pub per_byte_s: f64,
     /// Local computation rate in flop/s **per thread**.
     pub flop_rate: f64,
-    /// Intra-rank threads available to the dense kernels. Modeled compute
-    /// time divides by this (perfect intra-rank scaling, the standard
-    /// hybrid MPI+threads assumption); the exact flop/byte *counters* are
+    /// Threads the model assumes each rank spreads its compute over: a
+    /// cost-model parameter only. Modeled compute time divides by it
+    /// (perfect intra-rank scaling); the exact flop/byte *counters* are
     /// unaffected, so Table I validation is thread-count independent.
-    /// `run_spmd` also hands this value to `bt_dense::threading` so the
-    /// real kernels use the same budget the model assumes.
+    /// No kernel reads it: a rank's kernels run on the rank's own thread.
     pub threads_per_rank: usize,
 }
 
@@ -74,8 +73,7 @@ impl CostModel {
         }
     }
 
-    /// Copy of `self` with `threads_per_rank` threads available to each
-    /// rank's dense kernels.
+    /// Copy of `self` with the modeled `threads_per_rank`.
     pub const fn with_threads_per_rank(mut self, threads: usize) -> Self {
         self.threads_per_rank = threads;
         self
@@ -87,9 +85,9 @@ impl CostModel {
         self.latency_s + self.per_byte_s * bytes as f64
     }
 
-    /// Time for `flops` floating point operations, spread over the rank's
-    /// intra-rank threads. A zero `threads_per_rank` is treated as 1 so a
-    /// field-defaulted model cannot produce infinite times.
+    /// Time for `flops` floating point operations, spread over the
+    /// modeled `threads_per_rank`. A zero `threads_per_rank` is treated
+    /// as 1 so a field-defaulted model cannot produce infinite times.
     #[inline]
     pub fn compute_time(&self, flops: u64) -> f64 {
         flops as f64 / self.flop_rate / self.threads_per_rank.max(1) as f64

@@ -115,11 +115,8 @@ fn build_comms(p: usize, model: CostModel, clock: Clock, traced: bool) -> Vec<Co
         .collect()
 }
 
-/// Prepares the calling rank thread: the model's intra-rank thread
-/// budget for the dense kernels (so the real kernels parallelize exactly
-/// as the cost model assumes) and an observability label.
-fn init_rank_thread(rank: usize, model: CostModel) {
-    bt_dense::threading::set_thread_budget(model.threads_per_rank.max(1));
+/// Labels the calling rank thread for observability.
+fn init_rank_thread(rank: usize) {
     if bt_obs::enabled() {
         bt_obs::set_thread_label(format!("rank {rank}"));
     }
@@ -186,7 +183,7 @@ where
             .map(|mut comm| {
                 scope.spawn(move || {
                     let rank = comm.rank();
-                    init_rank_thread(rank, model);
+                    init_rank_thread(rank);
                     let _span =
                         bt_obs::span_with("spmd", "rank", || format!("{{\"rank\":{rank}}}"));
                     // `comm` drops when this thread ends, closing its
@@ -297,7 +294,7 @@ impl SpmdWorld {
             let done_tx = done_tx.clone();
             handles.push(std::thread::spawn(move || {
                 let rank = comm.rank();
-                init_rank_thread(rank, model);
+                init_rank_thread(rank);
                 while let Ok(job) = job_rx.recv() {
                     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job(&mut comm)))
                     {

@@ -184,37 +184,29 @@ pub struct DriverConfig {
     pub model: CostModel,
     /// Phase 1 boundary recovery mode.
     pub boundary: BoundaryMode,
-    /// Intra-rank threads for the dense kernels on each simulated rank.
-    /// Overrides the cost model's `threads_per_rank` for the run:
-    /// `run_spmd` stamps every rank thread with this budget and the
-    /// modeled compute time divides by it, while the exact flop/byte
-    /// counters are unaffected. Defaults to the `BT_DENSE_THREADS`
-    /// environment variable, or 1 when unset.
-    pub threads_per_rank: usize,
 }
 
 impl DriverConfig {
-    /// Default configuration: cluster cost model, exact-scan boundary,
-    /// `BT_DENSE_THREADS` (default 1) intra-rank threads.
+    /// Default configuration: cluster cost model, exact-scan boundary.
     pub fn new(p: usize) -> Self {
         Self {
             p,
             model: CostModel::cluster(),
             boundary: BoundaryMode::ExactScan,
-            threads_per_rank: bt_dense::threading::default_threads(),
         }
     }
 
-    /// Sets the cost model. The model's own `threads_per_rank` is
-    /// superseded by the config's (see [`Self::with_threads_per_rank`]).
+    /// Sets the cost model.
     pub fn with_model(mut self, model: CostModel) -> Self {
         self.model = model;
         self
     }
 
-    /// Sets the intra-rank thread budget (clamped to >= 1 at run time).
+    /// Sets the model's `threads_per_rank` ([`CostModel::threads_per_rank`]):
+    /// modeled compute time divides by it; answers and counters do not
+    /// change.
     pub fn with_threads_per_rank(mut self, threads: usize) -> Self {
-        self.threads_per_rank = threads;
+        self.model.threads_per_rank = threads;
         self
     }
 
@@ -325,7 +317,6 @@ pub(crate) fn run_driver_cfg_on<B: SpmdBackend, S: BlockRowSource + Sync>(
     mode: Mode,
 ) -> Result<DistOutcome, FactorError> {
     let p = cfg.p;
-    let model = cfg.model.with_threads_per_rank(cfg.threads_per_rank.max(1));
     let n = src.n();
     let m = src.m();
     assert!(
@@ -352,7 +343,7 @@ pub(crate) fn run_driver_cfg_on<B: SpmdBackend, S: BlockRowSource + Sync>(
 
     let spmd = B::run(
         p,
-        model,
+        cfg.model,
         |comm: &mut Comm| -> Result<RankOutput, FactorError> {
             let rank = comm.rank();
             let sys = match mode {

@@ -73,8 +73,8 @@ pub use driver::{
 pub use pcr::PcrRankFactors;
 pub use refine::RefinedSolve;
 pub use service::{
-    MatrixKey, ServiceConfig, ServiceError, ServiceOn, ServiceStats, SolveResponse, SolveTicket,
-    SolverService,
+    MatrixKey, RowDefect, ServiceConfig, ServiceError, ServiceOn, ServiceStats, SolveResponse,
+    SolveTicket, SolverService,
 };
 pub use session::{ArdSession, ArdSessionOn, FactorKind, RankFactors};
 pub use spike::SpikeRankFactors;

@@ -125,14 +125,41 @@ impl MatrixKey {
     /// Fingerprints a matrix by content, a word at a time. `O(N M^2)` —
     /// cheap next to the `O(M^3 N / P)` factorization it deduplicates.
     pub fn fingerprint<S: BlockRowSource + ?Sized>(src: &S) -> Self {
+        Self::scan(src).0
+    }
+
+    /// One pass over every entry: the fingerprint, and the first block
+    /// (in the fingerprint's order) that is not `M x M` or holds a
+    /// non-finite entry, as a [`ServiceError::MalformedRow`].
+    fn scan<S: BlockRowSource + ?Sized>(src: &S) -> (Self, Option<ServiceError>) {
+        let m = src.m();
         let mut h = WordHash::new();
-        for i in 0..src.n() {
-            let row = src.row(i);
-            for blk in [&row.a, &row.b, &row.c] {
-                h.write(blk.as_slice());
+        let mut malformed = None;
+        for row in 0..src.n() {
+            let r = src.row(row);
+            for (block, blk) in [('A', &r.a), ('B', &r.b), ('C', &r.c)] {
+                let words = blk.as_slice();
+                let finite = h.write(words);
+                if malformed.is_none() {
+                    let defect = if blk.shape() != (m, m) {
+                        Some(RowDefect::Shape(blk.shape()))
+                    } else if finite {
+                        None
+                    } else {
+                        words
+                            .iter()
+                            .position(|v| !v.is_finite())
+                            .map(|k| RowDefect::NonFinite {
+                                entry: (k % m, k / m),
+                                value: words[k],
+                            })
+                    };
+                    malformed =
+                        defect.map(|defect| ServiceError::MalformedRow { row, block, defect });
+                }
             }
         }
-        Self(h.finish(src.n() as u64, src.m() as u64))
+        (Self(h.finish(src.n() as u64, m as u64)), malformed)
     }
 
     /// The raw 64-bit fingerprint.
@@ -179,21 +206,29 @@ impl WordHash {
     }
 
     /// Folds one block's entries; a block's tail past a multiple of four
-    /// goes to the first lanes.
-    fn write(&mut self, block: &[f64]) {
+    /// goes to the first lanes. Returns whether every entry is finite,
+    /// read off the words the hash loads anyway.
+    fn write(&mut self, block: &[f64]) -> bool {
+        // Adding one to an all-ones exponent field (a NaN or an infinity)
+        // carries into the sign bit, which the mask cleared.
+        let carry = |v: &f64| (v.to_bits() & 0x7ff0_0000_0000_0000) + (1 << 52);
         let [mut l0, mut l1, mut l2, mut l3] = self.lanes;
+        let mut carries = 0;
         let mut quads = block.chunks_exact(4);
         for q in &mut quads {
             l0 = Self::round(l0, q[0].to_bits());
             l1 = Self::round(l1, q[1].to_bits());
             l2 = Self::round(l2, q[2].to_bits());
             l3 = Self::round(l3, q[3].to_bits());
+            carries |= carry(&q[0]) | carry(&q[1]) | carry(&q[2]) | carry(&q[3]);
         }
         self.lanes = [l0, l1, l2, l3];
         for (lane, v) in self.lanes.iter_mut().zip(quads.remainder()) {
             *lane = Self::round(*lane, v.to_bits());
+            carries |= carry(v);
         }
         self.words += block.len() as u64;
+        carries >> 63 == 0
     }
 
     fn finish(self, n: u64, m: u64) -> u64 {
@@ -297,6 +332,16 @@ pub enum ServiceError {
         /// Shape of that panel.
         got: (usize, usize),
     },
+    /// A block of the matrix is not `M x M`, or holds a NaN or an
+    /// infinity. Rejected at register time, before any setup.
+    MalformedRow {
+        /// Block row of the first bad block.
+        row: usize,
+        /// Which block of that row: `'A'`, `'B'` or `'C'`.
+        block: char,
+        /// What is wrong with it.
+        defect: RowDefect,
+    },
     /// The dispatch panicked; the message is the panic payload. The
     /// matrix stays cached and its next request is served as usual.
     SolveFailed(String),
@@ -322,10 +367,35 @@ impl fmt::Display for ServiceError {
             Self::RaggedRhs { row, expected, got } => {
                 write!(f, "rhs panel {row} is {got:?}, not (M, R) = {expected:?}")
             }
+            Self::MalformedRow { row, block, defect } => match defect {
+                RowDefect::Shape((r, c)) => {
+                    write!(f, "block row {row}: {block} is {r} x {c}, not M x M")
+                }
+                RowDefect::NonFinite { entry, value } => {
+                    write!(
+                        f,
+                        "block row {row}: {block}{entry:?} = {value} is not finite"
+                    )
+                }
+            },
             Self::SolveFailed(msg) => write!(f, "solve failed: {msg}"),
             Self::ShuttingDown => write!(f, "service is shutting down"),
         }
     }
+}
+
+/// What [`ServiceError::MalformedRow`] found wrong with a block.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum RowDefect {
+    /// The block's `(rows, cols)`, which is not `(M, M)`.
+    Shape((usize, usize)),
+    /// The block's first non-finite entry in column-major order.
+    NonFinite {
+        /// `(i, j)` of the entry within the block.
+        entry: (usize, usize),
+        /// The entry: NaN or an infinity.
+        value: f64,
+    },
 }
 
 impl std::error::Error for ServiceError {
@@ -554,10 +624,16 @@ impl<B: SpmdBackend> ServiceOn<B> {
     ///
     /// # Errors
     ///
-    /// [`ServiceError::TooFewRows`] if `src.n() < ranks`,
-    /// [`ServiceError::Factorization`] if setup breaks down.
+    /// [`ServiceError::MalformedRow`] if a block is not `M x M` or has a
+    /// non-finite entry (checked in the fingerprint's pass, so a
+    /// malformed matrix is never cached), [`ServiceError::TooFewRows`]
+    /// if `src.n() < ranks`, [`ServiceError::Factorization`] if setup
+    /// breaks down.
     pub fn register<S: BlockRowSource + Sync>(&self, src: &S) -> Result<MatrixKey, ServiceError> {
-        let key = MatrixKey::fingerprint(src);
+        let (key, malformed) = MatrixKey::scan(src);
+        if let Some(err) = malformed {
+            return Err(err);
+        }
         {
             let mut cache = lock(&self.inner.cache);
             cache.seq += 1;

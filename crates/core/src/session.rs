@@ -614,9 +614,7 @@ mod tests {
         let src = ClusteredToeplitz::standard(n, m, 12);
         let batches = vec![random_rhs(n, m, 2, 1), random_rhs(n, m, 5, 2)];
         for p in [1, 3, 4] {
-            let cfg = DriverConfig::new(p)
-                .with_model(ZERO)
-                .with_threads_per_rank(1);
+            let cfg = DriverConfig::new(p).with_model(ZERO);
             for kind in KINDS {
                 let driver =
                     run_driver_cfg_on::<SimBackend, _>(&cfg, &src, &batches, Mode::Factored(kind))

@@ -72,9 +72,7 @@ fn ard_driver_agrees_across_backends() {
     let src = ClusteredToeplitz::standard(64, 3, 7);
     let batches: Vec<BlockVec> = (0..2).map(|s| random_rhs(64, 3, 5, 40 + s)).collect();
     for p in [1, 2, 4, 8] {
-        let cfg = DriverConfig::new(p)
-            .with_model(ZERO)
-            .with_threads_per_rank(1);
+        let cfg = DriverConfig::new(p).with_model(ZERO);
         assert_ard_agreement(&cfg, &src, &batches);
     }
 }
@@ -86,9 +84,7 @@ fn replay_agrees_across_backends_at_eight_ranks() {
     // its window with the scanned boundary value.
     let src = ClusteredToeplitz::standard(48, 4, 11);
     let batches = vec![random_rhs(48, 4, 3, 5)];
-    let cfg = DriverConfig::new(8)
-        .with_model(ZERO)
-        .with_threads_per_rank(1);
+    let cfg = DriverConfig::new(8).with_model(ZERO);
     assert_ard_agreement(&cfg, &src, &batches);
 }
 
@@ -129,9 +125,7 @@ fn pcr_driver_agrees_across_backends() {
     let src = ClusteredToeplitz::standard(24, 2, 3);
     let batches = vec![random_rhs(24, 2, 4, 77)];
     for p in [2, 4, 8] {
-        let cfg = DriverConfig::new(p)
-            .with_model(ZERO)
-            .with_threads_per_rank(1);
+        let cfg = DriverConfig::new(p).with_model(ZERO);
         let sim = pcr_solve_cfg_on::<SimBackend, _>(&cfg, &src, &batches).unwrap();
         let shm = pcr_solve_cfg_on::<ShmBackend, _>(&cfg, &src, &batches).unwrap();
         assert_eq!(
@@ -157,7 +151,7 @@ proptest! {
         let n = 8 * p.max(2); // a few rows per rank at every world size
         let src = ClusteredToeplitz::standard(n, m, salt);
         let batches = vec![random_rhs(n, m, r, salt ^ 0x5a5a)];
-        let cfg = DriverConfig::new(p).with_model(ZERO).with_threads_per_rank(1);
+        let cfg = DriverConfig::new(p).with_model(ZERO);
         let sim = ard_solve_cfg_on::<SimBackend, _>(&cfg, &src, &batches).unwrap();
         let shm = ard_solve_cfg_on::<ShmBackend, _>(&cfg, &src, &batches).unwrap();
         prop_assert_eq!(

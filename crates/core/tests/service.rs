@@ -9,7 +9,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use bt_ard::{
-    ArdSession, FactorKind, MatrixKey, ServiceConfig, ServiceError, ServiceOn, SolverService,
+    ArdSession, FactorKind, MatrixKey, RowDefect, ServiceConfig, ServiceError, ServiceOn,
+    SolverService,
 };
 use bt_blocktri::gen::{materialize, random_rhs, ClusteredToeplitz, RandomDominant};
 use bt_blocktri::{BlockRow, BlockRowSource, BlockVec};
@@ -417,6 +418,115 @@ fn toeplitz_registration_routes_to_fast_path() {
     let b = ClusteredToeplitz::standard(96, 5, 82);
     svc.register(&b).unwrap();
     assert_eq!(svc.stats().toeplitz_registrations, 1);
+}
+
+/// `inner` with `defect` planted in block row 5 (`None`: `inner` as is).
+struct Poisoned<'a> {
+    inner: &'a (dyn BlockRowSource + Sync),
+    defect: Option<Defect>,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Defect {
+    /// Every block of row 5 is `(M - 1) x (M - 1)`.
+    Shrunk,
+    /// The last entry of `B_5` is NaN.
+    Nan,
+    /// The last entry of `B_5` is `+inf`.
+    Inf,
+}
+
+impl BlockRowSource for Poisoned<'_> {
+    fn n(&self) -> usize {
+        self.inner.n()
+    }
+
+    fn m(&self) -> usize {
+        self.inner.m()
+    }
+
+    fn row(&self, i: usize) -> BlockRow {
+        let mut row = self.inner.row(i);
+        if i == 5 {
+            let k = self.m() - 1;
+            match self.defect {
+                Some(Defect::Shrunk) => {
+                    let shrink = |blk: &Mat| blk.block(0, 0, k, k);
+                    row = BlockRow::new(shrink(&row.a), shrink(&row.b), shrink(&row.c));
+                }
+                Some(Defect::Nan) => row.b.set(k, k, f64::NAN),
+                Some(Defect::Inf) => row.b.set(k, k, f64::INFINITY),
+                None => {}
+            }
+        }
+        row
+    }
+}
+
+#[test]
+fn register_rejects_malformed_rows_with_a_typed_error() {
+    // At P = 2: a matrix on the general path (12 rows per rank, under
+    // the Toeplitz floor; M = 5, so a block's last entry is past its
+    // last whole group of four words), one on the Toeplitz path when
+    // clean (32 rows per rank of constant blocks) and a small one on
+    // the batched path.
+    // Each defect in row 5 of each must come back as
+    // `MalformedRow` naming the row, the block and the defect: no panic,
+    // and no factorization error naming the wrong cause.
+    let svc = SolverService::start(ServiceConfig {
+        max_delay: Duration::from_millis(5),
+        ..ServiceConfig::new(2, CostModel::default())
+    });
+    let general = ClusteredToeplitz::standard(24, 5, 3);
+    let constant = ClusteredToeplitz::standard(64, 6, 4);
+    let small = ClusteredToeplitz::standard(16, 4, 5);
+    let sources: [&(dyn BlockRowSource + Sync); 3] = [&general, &constant, &small];
+    for inner in sources {
+        let m = inner.m();
+        for defect in [Defect::Shrunk, Defect::Nan, Defect::Inf] {
+            let poisoned = Poisoned {
+                inner,
+                defect: Some(defect),
+            };
+            let err = svc.register(&poisoned).unwrap_err();
+            let named = match (defect, &err) {
+                (
+                    Defect::Shrunk,
+                    ServiceError::MalformedRow {
+                        row: 5,
+                        block: 'A',
+                        defect: RowDefect::Shape(got),
+                    },
+                ) => *got == (m - 1, m - 1),
+                (
+                    Defect::Nan | Defect::Inf,
+                    ServiceError::MalformedRow {
+                        row: 5,
+                        block: 'B',
+                        defect: RowDefect::NonFinite { entry, value },
+                    },
+                ) => {
+                    *entry == (m - 1, m - 1)
+                        && value.to_bits() == poisoned.row(5).b[*entry].to_bits()
+                }
+                _ => false,
+            };
+            assert!(named, "M = {m}, {defect:?}: got {err:?}");
+            assert!(err.to_string().starts_with("block row 5: "), "{err}");
+        }
+        // The same service still registers and answers the clean matrix.
+        let clean = Poisoned {
+            inner,
+            defect: None,
+        };
+        let key = svc.register(&clean).unwrap();
+        let y = random_rhs(clean.n(), m, 1, 7);
+        let resp = svc.solve(key, &y).unwrap();
+        assert!(materialize(&clean).rel_residual(&resp.x, &y) < 1e-10);
+    }
+    let stats = svc.stats();
+    assert_eq!(stats.toeplitz_registrations, 1);
+    assert_eq!(stats.cached_entries, 3, "no malformed matrix was cached");
 }
 
 /// A matrix served from one flat word stream: row `i` is the `3 M^2`

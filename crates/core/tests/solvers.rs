@@ -393,9 +393,7 @@ fn deterministic_across_runs() {
     let b = ard_solve_dist(4, ZERO, &src, &batches).unwrap();
     assert_eq!(a.x[0], b.x[0], "solver must be run-to-run deterministic");
     assert_eq!(a.stats, b.stats, "counters must be deterministic");
-    let cfg = DriverConfig::new(4)
-        .with_model(ZERO)
-        .with_threads_per_rank(1);
+    let cfg = DriverConfig::new(4).with_model(ZERO);
     let a = ard_solve_cfg_on::<SimBackend, _>(&cfg, &src, &batches).unwrap();
     let b = ard_solve_cfg_on::<SimBackend, _>(&cfg, &src, &batches).unwrap();
     assert_eq!(a.x[0], b.x[0], "solver must be run-to-run deterministic");

@@ -15,9 +15,7 @@
 //! * [`gemm_packed`] — a BLIS-style packed kernel: operand panels are
 //!   repacked into contiguous `MR`-tall / `NR`-wide micro-panels
 //!   and multiplied by a register-tiled microkernel (in [`crate::simd`],
-//!   FMA-vectorized where the CPU allows), with the `jc` (column-block)
-//!   and `ic` (row-block) macro-loops parallelized over the intra-rank
-//!   thread budget ([`crate::threading`]).
+//!   FMA-vectorized where the CPU allows).
 //!
 //! The packed-vs-AXPY crossover only decides between packed and AXPY for
 //! `A` operands that are not small blocks.
@@ -31,16 +29,14 @@
 //! Every kernel accumulates every term unconditionally (no zero
 //! short-circuits), so non-finite inputs propagate into the output as
 //! IEEE-754 dictates. Every kernel also fixes the per-element summation
-//! order independently of blocking, column tiling and thread count: for
-//! a given problem the result is bitwise identical whether the kernel
-//! runs on 1 thread or 16. The small-block and packed kernels share one
+//! order independently of blocking and column tiling. Every kernel runs
+//! on the calling thread. The small-block and packed kernels share one
 //! per-element chain for `k <= KC` (accumulate from zero in `k` order,
 //! then add `alpha` times the sum into C), so at `alpha = ±1` they agree
 //! bit for bit.
 
 use crate::mat::Mat;
 use crate::simd::{self, Isa, MR, NR};
-use crate::threading;
 use crate::view::{MatMut, MatRef};
 use std::cell::RefCell;
 
@@ -79,7 +75,7 @@ impl Trans {
     }
 }
 
-/// Column block width shared by both kernels (`NC` in BLIS terms): a
+/// Column block width of the AXPY kernel (`NC` in BLIS terms): a
 /// `KC x NB` panel of B plus a column stripe of A stay cache-resident.
 const NB: usize = 64;
 /// Inner (k) blocking depth (`KC`).
@@ -104,9 +100,6 @@ const PACKED_MIN_FLOPS_SIMD: usize = 512;
 /// through m = 48 and the scalar microkernel taking over from m = 63;
 /// the crossover sits right at `2 * 63^3`.
 const PACKED_MIN_FLOPS_SCALAR: usize = 500_000;
-
-/// Minimum rows per intra-rank thread for the `ic`-parallel path.
-const IC_MIN_ROWS: usize = 64;
 
 /// `C <- alpha * op(A) * op(B) + beta * C`.
 ///
@@ -339,13 +332,8 @@ fn gemm_axpy_ref(alpha: f64, a: MatRef<'_>, b: MatRef<'_>, mut c: MatMut<'_>) {
 /// A and B panels are repacked into contiguous `MR x KC` /
 /// `KC x NR` micro-panels (zero-padded at the edges) and combined by
 /// a register-tiled microkernel. Packing scratch is checked out of
-/// thread-local buffers, so warm calls allocate nothing. When
-/// the calling thread's budget ([`threading::current_threads`]) exceeds
-/// 1, the `jc` macro-loop (column blocks) — or, for single-column-block
-/// shapes, the `ic` macro-loop (row blocks) — is distributed across
-/// threads. Per-element summation order is fixed by the `KC` partition
-/// of `k` alone, so the result is bitwise identical for every thread
-/// count.
+/// thread-local buffers, so warm calls allocate nothing. Per-element
+/// summation order is fixed by the `KC` partition of `k` alone.
 ///
 /// # Panics
 ///
@@ -359,7 +347,7 @@ pub fn gemm_packed<'a, 'b, 'c>(
     gemm_packed_ref(alpha, a.into(), b.into(), c.into());
 }
 
-fn gemm_packed_ref(alpha: f64, a: MatRef<'_>, b: MatRef<'_>, mut c: MatMut<'_>) {
+fn gemm_packed_ref(alpha: f64, a: MatRef<'_>, b: MatRef<'_>, c: MatMut<'_>) {
     let m = a.rows();
     let k = a.cols();
     let n = b.cols();
@@ -372,124 +360,13 @@ fn gemm_packed_ref(alpha: f64, a: MatRef<'_>, b: MatRef<'_>, mut c: MatMut<'_>) 
     OBS_GEMM_FLOPS.add(gemm_flops(m, k, n));
 
     let (lda, ldb, ldc) = (a.col_stride(), b.col_stride(), c.col_stride());
-    let a_buf = a.data;
-    let b_buf = b.data;
-    let threads = threading::current_threads();
-    let jc_blocks = n.div_ceil(NB);
-
-    if threads > 1 && jc_blocks > 1 {
-        // jc-parallel: disjoint NB-aligned column stripes of C. The
-        // backing buffer is split at column boundaries (columns never
-        // interleave in column-major storage, whatever the stride), so
-        // each thread owns a contiguous sub-slice. The split points
-        // match the sequential stripe order exactly.
-        let t = threads.min(jc_blocks);
-        let cols_per = jc_blocks.div_ceil(t) * NB;
-        // Partial move of the view's fields (MatMut has no Drop): the
-        // raw buffer is what gets carved up across threads.
-        let mut rest = c.data;
-        threading::pinned_scope(|s| {
-            let mut j0 = 0;
-            while j0 < n {
-                let ncols = cols_per.min(n - j0);
-                let split = if j0 + ncols < n {
-                    ncols * ldc
-                } else {
-                    rest.len()
-                };
-                let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(split);
-                rest = tail;
-                let b_chunk = &b_buf[j0 * ldb..];
-                s.spawn(move || {
-                    packed_stripe(alpha, a_buf, lda, 0, m, k, b_chunk, ldb, ncols, chunk, ldc);
-                });
-                j0 += ncols;
-            }
-        });
-    } else if threads > 1 && m >= 2 * IC_MIN_ROWS {
-        // ic-parallel: disjoint row stripes. Column-major C rows
-        // interleave, so each thread works on a private copy of its row
-        // stripe and the main thread copies the stripes back; writebacks
-        // inside the stripe happen in the same order as the direct path,
-        // keeping the result bitwise independent of the thread count.
-        // (The stripe copies are allocated per call — this path only
-        // runs under a multi-thread budget, never on the zero-alloc
-        // replay path.)
-        let t = threads.min(m / IC_MIN_ROWS).max(1);
-        let rows_per = m.div_ceil(t).next_multiple_of(MR);
-        let ranges: Vec<(usize, usize)> = (0..m)
-            .step_by(rows_per)
-            .map(|r0| (r0, rows_per.min(m - r0)))
-            .collect();
-        let mut stripes: Vec<Vec<f64>> = ranges
-            .iter()
-            .map(|&(r0, mb)| {
-                let mut s = vec![0.0; mb * n];
-                for j in 0..n {
-                    s[j * mb..(j + 1) * mb].copy_from_slice(&c.col(j)[r0..r0 + mb]);
-                }
-                s
-            })
-            .collect();
-        threading::pinned_scope(|s| {
-            for (&(r0, mb), stripe) in ranges.iter().zip(stripes.iter_mut()) {
-                s.spawn(move || {
-                    packed_stripe(alpha, a_buf, lda, r0, mb, k, b_buf, ldb, n, stripe, mb);
-                });
-            }
-        });
-        for (&(r0, mb), stripe) in ranges.iter().zip(&stripes) {
-            for j in 0..n {
-                c.col_mut(j)[r0..r0 + mb].copy_from_slice(&stripe[j * mb..(j + 1) * mb]);
-            }
-        }
-    } else {
-        packed_stripe(alpha, a_buf, lda, 0, m, k, b_buf, ldb, n, c.data, ldc);
-    }
-}
-
-/// Hands the caller this thread's kernel scratch `(packed_a, packed_b)`:
-/// the packing panels of [`gemm_packed`], whose first buffer doubles as
-/// the row-major transpose of [`crate::LuFactors`]'s wide panel solve
-/// (the two never nest).
-pub(crate) fn with_pack_bufs<R>(f: impl FnOnce(&mut Vec<f64>, &mut Vec<f64>) -> R) -> R {
-    thread_local! {
-        /// Per-thread packing scratch `(packed_a, packed_b)`: warm
-        /// `gemm_packed` calls on a given OS thread reuse these instead
-        /// of allocating.
-        static PACK_BUFS: RefCell<(Vec<f64>, Vec<f64>)> =
-            const { RefCell::new((Vec::new(), Vec::new())) };
-    }
-    PACK_BUFS.with(|bufs| {
-        let mut bufs = bufs.borrow_mut();
-        let (pa, pb) = &mut *bufs;
-        f(pa, pb)
-    })
-}
-
-/// Sequential packed kernel over one stripe: rows `[row0, row0 + mb)` of
-/// A against all `ncols` columns of the B stripe, accumulating into `c`
-/// (leading dimension `ldc`, stripe rows starting at index 0).
-#[allow(clippy::too_many_arguments)]
-fn packed_stripe(
-    alpha: f64,
-    a: &[f64],
-    lda: usize,
-    row0: usize,
-    mb_total: usize,
-    k: usize,
-    b: &[f64],
-    ldb: usize,
-    ncols: usize,
-    c: &mut [f64],
-    ldc: usize,
-) {
+    let c = c.data;
     with_pack_bufs(|packed_a, packed_b| {
         packed_b.clear();
-        packed_b.resize(KC * ncols.next_multiple_of(NR), 0.0);
+        packed_b.resize(KC * n.next_multiple_of(NR), 0.0);
         packed_a.clear();
-        packed_a.resize(MC.min(mb_total).next_multiple_of(MR) * KC, 0.0);
-        // Pack-time accounting: accumulate locally, publish once per stripe
+        packed_a.resize(MC.min(m).next_multiple_of(MR) * KC, 0.0);
+        // Pack-time accounting: accumulate locally, publish once per call
         // so the hot loop touches no shared state.
         let obs = bt_obs::enabled();
         let mut pack_ns = 0u64;
@@ -505,14 +382,14 @@ fn packed_stripe(
 
         for pc in (0..k).step_by(KC) {
             let kb = KC.min(k - pc);
-            timed(&mut || pack_b(b, ldb, pc, kb, ncols, packed_b));
-            for ic in (0..mb_total).step_by(MC) {
-                let mbb = MC.min(mb_total - ic);
-                timed(&mut || pack_a(a, lda, row0 + ic, mbb, pc, kb, packed_a));
-                let n_jr = ncols.div_ceil(NR);
+            timed(&mut || pack_b(b.data, ldb, pc, kb, n, packed_b));
+            for ic in (0..m).step_by(MC) {
+                let mbb = MC.min(m - ic);
+                timed(&mut || pack_a(a.data, lda, ic, mbb, pc, kb, packed_a));
+                let n_jr = n.div_ceil(NR);
                 let n_ir = mbb.div_ceil(MR);
                 for jr in 0..n_jr {
-                    let jb = NR.min(ncols - jr * NR);
+                    let jb = NR.min(n - jr * NR);
                     let pb = &packed_b[jr * kb * NR..][..kb * NR];
                     for ir in 0..n_ir {
                         let ib = MR.min(mbb - ir * MR);
@@ -535,6 +412,25 @@ fn packed_stripe(
             OBS_PACK_NS.add(pack_ns);
         }
     });
+}
+
+/// Hands the caller this thread's kernel scratch `(packed_a, packed_b)`:
+/// the packing panels of [`gemm_packed`], whose first buffer doubles as
+/// the row-major transpose of [`crate::LuFactors`]'s wide panel solve
+/// (the two never nest).
+pub(crate) fn with_pack_bufs<R>(f: impl FnOnce(&mut Vec<f64>, &mut Vec<f64>) -> R) -> R {
+    thread_local! {
+        /// Per-thread packing scratch `(packed_a, packed_b)`: warm
+        /// `gemm_packed` calls on a given OS thread reuse these instead
+        /// of allocating.
+        static PACK_BUFS: RefCell<(Vec<f64>, Vec<f64>)> =
+            const { RefCell::new((Vec::new(), Vec::new())) };
+    }
+    PACK_BUFS.with(|bufs| {
+        let mut bufs = bufs.borrow_mut();
+        let (pa, pb) = &mut *bufs;
+        f(pa, pb)
+    })
 }
 
 /// Packs rows `[row0, row0 + mb)` of the `KC`-deep A panel at `pc` into
@@ -624,7 +520,6 @@ pub const fn gemm_flops(m: usize, k: usize, n: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::threading::with_thread_budget;
 
     fn approx_eq(a: &Mat, b: &Mat, tol: f64) -> bool {
         a.shape() == b.shape() && a.sub(b).max_abs() <= tol
@@ -704,23 +599,6 @@ mod tests {
         gemm_packed(-1.5, &a, &b, &mut c);
         let expect = c0.add(&naive_matmul(&a, &b).scaled(-1.5));
         assert!(approx_eq(&c, &expect, 1e-11));
-    }
-
-    #[test]
-    fn packed_bitwise_identical_across_thread_budgets() {
-        // Both parallel macro-loop splits (jc for wide C, ic for tall C)
-        // must preserve the per-element summation order exactly.
-        for &(m, k, n) in &[(96, 300, 200), (400, 150, 40)] {
-            let a = seq_mat(m, k, 0.11);
-            let b = seq_mat(k, n, 0.91);
-            let mut c1 = Mat::zeros(m, n);
-            with_thread_budget(1, || gemm_packed(1.0, &a, &b, &mut c1));
-            for t in [2, 3, 5] {
-                let mut ct = Mat::zeros(m, n);
-                with_thread_budget(t, || gemm_packed(1.0, &a, &b, &mut ct));
-                assert_eq!(c1, ct, "budget {t} changed bits for {m}x{k}x{n}");
-            }
-        }
     }
 
     #[test]
@@ -892,39 +770,27 @@ mod tests {
     }
 
     #[test]
-    fn strided_views_parallel_paths_match_sequential() {
-        // The jc/ic-parallel packed paths must handle non-unit strides
-        // (ldc > rows) and stay bitwise identical to one thread.
+    fn packed_strided_views_match_naive_across_blocks() {
+        // Non-unit strides (ldc > rows) on all three operands, at shapes
+        // that cross the KC depth and MC row-block edges; the window is
+        // the only part of C written.
         let big_a = seq_mat(420, 320, 0.31);
         let big_b = seq_mat(320, 220, 0.61);
-        // (400, 300, 200) drives the jc-parallel split; (400, 150, 40)
-        // has a single column block and drives the ic-parallel split.
         for &(m, k, n) in &[(400, 300, 200), (400, 150, 40)] {
-            let mut big_c1 = Mat::zeros(410, 210);
-            let mut big_ct = Mat::zeros(410, 210);
-            with_thread_budget(1, || {
-                gemm_packed(
-                    1.0,
-                    big_a.submatrix(9, 11, m, k),
-                    big_b.submatrix(5, 7, k, n),
-                    big_c1.submatrix_mut(3, 2, m, n),
-                );
-            });
-            for t in [2, 5] {
-                big_ct.fill_zero();
-                with_thread_budget(t, || {
-                    gemm_packed(
-                        1.0,
-                        big_a.submatrix(9, 11, m, k),
-                        big_b.submatrix(5, 7, k, n),
-                        big_ct.submatrix_mut(3, 2, m, n),
-                    );
-                });
-                assert_eq!(
-                    big_c1, big_ct,
-                    "budget {t} changed bits on strided {m}x{k}x{n}"
-                );
-            }
+            let mut big_c = Mat::zeros(410, 210);
+            gemm_packed(
+                1.0,
+                big_a.submatrix(9, 11, m, k),
+                big_b.submatrix(5, 7, k, n),
+                big_c.submatrix_mut(3, 2, m, n),
+            );
+            let expect = naive_matmul(&big_a.block(9, 11, m, k), &big_b.block(5, 7, k, n));
+            assert!(
+                approx_eq(&big_c.block(3, 2, m, n), &expect, 1e-12 * (k as f64)),
+                "strided packed mismatch for {m}x{k}x{n}"
+            );
+            big_c.submatrix_mut(3, 2, m, n).fill_zero();
+            assert_eq!(big_c, Mat::zeros(410, 210), "wrote outside the window");
         }
     }
 

@@ -9,7 +9,6 @@
 //!   dispatched over runtime-detected SIMD kernels ([`simd`]);
 //! * [`LuFactors`] — partially pivoted LU with factor-once / solve-many
 //!   panel solves ([`lu`]);
-//! * [`CholFactors`] — Cholesky for SPD blocks ([`cholesky`]);
 //! * norms and condition estimates ([`norms`]);
 //! * seeded random matrix generators ([`random`]).
 //!
@@ -32,22 +31,18 @@
 //! ```
 
 pub mod batch;
-pub mod cholesky;
 pub mod gemm;
 pub mod lu;
 pub mod mat;
 pub mod norms;
 pub mod random;
 pub mod simd;
-pub mod threading;
 pub mod view;
 
 pub use batch::{batch_gemm, batch_lu_factor, batch_lu_solve, BatchMat, BatchSingularError};
-pub use cholesky::{cholesky_flops, CholFactors};
 pub use gemm::{gemm, gemm_axpy, gemm_flops, gemm_packed, gemm_small, gemv, matmul, matvec, Trans};
 pub use lu::{invert, lu_flops, lu_solve_flops, solve, LuFactors, SingularError};
 pub use mat::Mat;
 pub use norms::{cond_1, fro_norm, inf_norm, one_norm, rel_diff, vec_norm2};
 pub use simd::Isa;
-pub use threading::{current_threads, set_thread_budget, with_thread_budget};
 pub use view::{MatMut, MatRef};

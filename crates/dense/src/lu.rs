@@ -184,10 +184,8 @@ impl LuFactors {
     }
 
     /// Solves `A X = B` in place: `b` holds `B` on entry, `X` on exit.
-    /// `B` may have any number of columns (multi-RHS panel); wide panels
-    /// are split across the intra-rank thread budget
-    /// ([`crate::threading`]), each column being an independent
-    /// triangular sweep. Contiguous panels at least
+    /// `B` may have any number of columns (multi-RHS panel), each an
+    /// independent triangular sweep. Contiguous panels at least
     /// `WIDE_SOLVE_MIN_COLS` wide take the row-oriented sweep, which is
     /// bit-identical to the per-column one for finite data up to the sign
     /// of zero results; warm calls allocate nothing either way.
@@ -208,12 +206,15 @@ impl LuFactors {
                 swap_rows_view(&mut b, k, p);
             }
         }
-        if b.is_contiguous() && b.cols() >= WIDE_SOLVE_MIN_COLS {
-            crate::threading::for_each_column_block_parallel(b, 2 * n * n, |block, w| {
-                self.solve_block_rowwise(block, w);
-            });
-        } else {
-            crate::threading::for_each_column_parallel(b, 2 * n * n, |x| self.solve_column(x));
+        let w = b.cols();
+        if n > 0 {
+            if b.is_contiguous() && w >= WIDE_SOLVE_MIN_COLS {
+                self.solve_block_rowwise(&mut b.data[..n * w], w);
+            } else {
+                for j in 0..w {
+                    self.solve_column(b.col_mut(j));
+                }
+            }
         }
         if let Some(t0) = t0 {
             OBS_LU_PANEL_NS.record_duration(t0.elapsed());
@@ -337,15 +338,16 @@ impl LuFactors {
         xt.transpose()
     }
 
-    /// Solves `A^T X = B` in place. Multi-column panels split across the
-    /// intra-rank thread budget like [`Self::solve_in_place`].
+    /// Solves `A^T X = B` in place, one column at a time.
     pub fn solve_transpose_in_place<'b>(&self, b: impl Into<MatMut<'b>>) {
         let mut b = b.into();
         let n = self.order();
         assert_eq!(b.rows(), n, "solve rhs row count mismatch");
-        crate::threading::for_each_column_parallel(b.rb_mut(), 2 * n * n, |x| {
-            self.solve_transpose_column(x);
-        });
+        if n > 0 {
+            for j in 0..b.cols() {
+                self.solve_transpose_column(b.col_mut(j));
+            }
+        }
         // Undo the permutation last (sequential: touches all columns).
         for (k, &p) in self.piv.iter().enumerate().rev() {
             if p != k {
@@ -507,26 +509,6 @@ mod tests {
         let b = Mat::from_fn(n, 7, |i, j| ((i * 7 + j) as f64).cos());
         let x = lu.solve(&b);
         assert!(matmul(&a, &x).sub(&b).max_abs() < 1e-10);
-    }
-
-    #[test]
-    fn panel_solve_bitwise_identical_across_thread_budgets() {
-        use crate::threading::with_thread_budget;
-        // Wide enough panel (n^2 * r flops) to take the parallel path.
-        let n = 60;
-        let a = test_mat(n, 1.7);
-        let lu = LuFactors::factor(&a).unwrap();
-        let b = Mat::from_fn(n, 24, |i, j| ((i * 24 + j) as f64 * 0.13).cos());
-        let x1 = with_thread_budget(1, || lu.solve(&b));
-        for t in [2, 4, 7] {
-            let xt = with_thread_budget(t, || lu.solve(&b));
-            assert_eq!(x1, xt, "budget {t} changed the solve bits");
-            let mut bt = b.clone();
-            with_thread_budget(t, || lu.solve_transpose_in_place(&mut bt));
-            let mut b1 = b.clone();
-            with_thread_budget(1, || lu.solve_transpose_in_place(&mut b1));
-            assert_eq!(b1, bt, "budget {t} changed the transpose-solve bits");
-        }
     }
 
     #[test]

@@ -41,17 +41,6 @@ pub fn diag_dominant(n: usize, margin: f64, rng: &mut StdRng) -> Mat {
     m
 }
 
-/// Random symmetric positive definite matrix: `A = B B^T + n * I` with
-/// uniform `B`. Well conditioned and always invertible.
-pub fn spd(n: usize, rng: &mut StdRng) -> Mat {
-    let b = uniform(n, n, rng);
-    let mut a = crate::gemm::matmul(&b, &b.transpose());
-    for i in 0..n {
-        a[(i, i)] += n as f64;
-    }
-    a
-}
-
 /// Random vector with entries uniform in `[-1, 1)`.
 pub fn uniform_vec(n: usize, rng: &mut StdRng) -> Vec<f64> {
     (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect()
@@ -61,7 +50,6 @@ pub fn uniform_vec(n: usize, rng: &mut StdRng) -> Vec<f64> {
 mod tests {
     use super::*;
     use crate::lu::LuFactors;
-    use crate::norms::cond_1;
 
     #[test]
     fn seeded_generation_is_deterministic() {
@@ -93,13 +81,6 @@ mod tests {
     #[should_panic(expected = "dominance margin")]
     fn diag_dominant_rejects_small_margin() {
         let _ = diag_dominant(3, 0.5, &mut rng(0));
-    }
-
-    #[test]
-    fn spd_is_symmetric_and_invertible() {
-        let a = spd(10, &mut rng(3));
-        assert!(a.sub(&a.transpose()).max_abs() < 1e-12);
-        assert!(cond_1(&a).is_finite());
     }
 
     #[test]

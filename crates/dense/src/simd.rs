@@ -2,7 +2,7 @@
 //!
 //! Every flop in the suite funnels through a handful of inner loops: the
 //! packed GEMM microkernel, the AXPY update (`y += w * x`) shared by
-//! `gemm_axpy`/`gemv`/the LU and Cholesky sweeps, the dot product of the
+//! `gemm_axpy`/`gemv`/the LU sweeps, the dot product of the
 //! transpose/backward sweeps, the left-looking row update of the LU
 //! panel sweep (`fma_rows`), and the small-block panel GEMM
 //! (`M x M · M x R`, `M` in {4, 8, 16}). This module provides one
@@ -26,10 +26,9 @@
 //! benches can pin a path for one closure on the calling thread with
 //! [`with_isa`]; [`active`] reports that scoped override where one is in
 //! force and the detected ISA everywhere else. The override is
-//! thread-local (concurrent tests cannot flip each other's kernels),
-//! restored on unwind, and inherited by the worker threads the dense
-//! kernels spawn, so a parallel GEMM or panel solve runs one ISA end to
-//! end.
+//! thread-local (concurrent tests cannot flip each other's kernels) and
+//! restored on unwind. The dense kernels run on the calling thread, so a
+//! pin covers every kernel called inside its closure.
 //!
 //! # Safety invariants
 //!
@@ -40,8 +39,7 @@
 //!    a dispatch `match` on [`active`], which returns [`Isa::Avx2Fma`] /
 //!    [`Isa::Neon`] only after the corresponding runtime detection:
 //!    [`with_isa`] refuses any ISA but [`Isa::Scalar`] and the
-//!    [`detected`] one, and worker threads only re-pin the ISA their
-//!    spawning thread was already running.
+//!    [`detected`] one.
 //! 2. **In-bounds pointers** — every kernel receives plain slices and the
 //!    safe wrappers assert the length contracts up front (`pa.len() >=
 //!    kb * MR`, equal `x`/`y` lengths, `4 | 8 | 16`-row columns). The
@@ -54,8 +52,7 @@
 //! from the scalar path by well-understood ULP-level amounts; the
 //! proptests in `tests/simd_kernels.rs` pin the two paths together under
 //! a `k`-scaled tolerance. Within one process the selected path is
-//! fixed, so results remain bitwise deterministic across repeat runs and
-//! thread budgets.
+//! fixed, so results remain bitwise deterministic across repeat runs.
 
 use crate::view::{MatMut, MatRef};
 use std::cell::Cell;
@@ -165,8 +162,7 @@ pub fn active() -> Isa {
 }
 
 /// Runs `f` with the calling thread's kernels pinned to `isa`, restoring
-/// the previous choice afterwards (also on unwind). Worker threads the
-/// dense kernels spawn inside `f` inherit the pin. Other threads are
+/// the previous choice afterwards (also on unwind). Other threads are
 /// unaffected.
 ///
 /// # Panics
@@ -186,10 +182,9 @@ pub fn with_isa<R>(isa: Isa, f: impl FnOnce() -> R) -> R {
     scoped(isa, f)
 }
 
-/// [`with_isa`] without the availability check, for re-pinning an ISA
-/// some thread is already running (the spawning thread's [`active`]
-/// choice, handed to the workers of a parallel kernel).
-pub(crate) fn scoped<R>(isa: Isa, f: impl FnOnce() -> R) -> R {
+/// [`with_isa`] without the availability check: sets the calling
+/// thread's override to `isa` for the duration of `f`.
+fn scoped<R>(isa: Isa, f: impl FnOnce() -> R) -> R {
     struct Restore(u8);
     impl Drop for Restore {
         fn drop(&mut self) {
@@ -1419,43 +1414,6 @@ mod tests {
         let caught = std::panic::catch_unwind(|| with_isa(Isa::Scalar, || panic!("boom")));
         assert!(caught.is_err());
         assert_eq!(active(), det, "a panic left the override in force");
-    }
-
-    #[test]
-    fn scoped_override_reaches_kernel_worker_threads() {
-        // Under a 2-thread budget the jc-parallel packed GEMM and the
-        // parallel panel solve must agree bit for bit with one thread on
-        // the pinned path: FMA and separate rounding differ, so a worker
-        // that fell back to the detected ISA would show.
-        use crate::lu::LuFactors;
-        use crate::threading::with_thread_budget;
-        let wave = |r: usize, c: usize, s: f64| {
-            Mat::from_fn(r, c, |i, j| ((i * c + j) as f64 * 0.37 + s).sin())
-        };
-        let (a, b) = (wave(96, 300, 0.11), wave(300, 200, 0.91));
-        let n = 40;
-        let d = Mat::from_fn(n, n, |i, j| {
-            let v = ((i * n + j) as f64 * 0.7).sin();
-            if i == j {
-                v + 2.0 * n as f64
-            } else {
-                v
-            }
-        });
-        let lu = LuFactors::factor(&d).unwrap();
-        let rhs = wave(n, 64, 0.5);
-        for isa in [Isa::Scalar, detected()] {
-            let run = |threads| {
-                with_isa(isa, || {
-                    with_thread_budget(threads, || {
-                        let mut c = Mat::zeros(96, 200);
-                        crate::gemm_packed(1.0, &a, &b, &mut c);
-                        (c, lu.solve(&rhs))
-                    })
-                })
-            };
-            assert_eq!(run(1), run(2), "workers left the {} pin", isa.name());
-        }
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! relies on.
 //!
 //! Views exist so hot paths can operate on submatrices without
-//! materializing temporaries: the GEMM/GEMV kernels and the LU/Cholesky
-//! panel solves all accept `impl Into<MatRef>` / `impl Into<MatMut>`, so
+//! materializing temporaries: the GEMM/GEMV kernels and the LU panel
+//! solves all accept `impl Into<MatRef>` / `impl Into<MatMut>`, so
 //! `&Mat` / `&mut Mat` callers keep working unchanged while callers
 //! aiming a kernel at a window pass views (DESIGN.md §"Memory model").
 

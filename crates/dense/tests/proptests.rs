@@ -3,7 +3,6 @@
 //! packed-vs-naive GEMM equivalence at blocking boundaries.
 
 use bt_dense::random::{rng, uniform};
-use bt_dense::threading::with_thread_budget;
 use bt_dense::{
     fro_norm, gemm, gemm_axpy, gemm_packed, inf_norm, matmul, one_norm, LuFactors, Mat, Trans,
 };
@@ -149,8 +148,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn packed_matches_naive_at_boundaries_all_trans_and_threads(
-        (m, k, n, seed, threads) in (boundary_dim(), boundary_dim(), boundary_dim(), 0u64..1000, 1usize..5)
+    fn packed_matches_naive_at_boundaries_all_trans(
+        (m, k, n, seed) in (boundary_dim(), boundary_dim(), boundary_dim(), 0u64..1000)
     ) {
         let a0 = uniform(m, k, &mut rng(seed));
         let b0 = uniform(k, n, &mut rng(seed.wrapping_add(1)));
@@ -166,32 +165,26 @@ proptest! {
             let a = if ta == Trans::Yes { a0.transpose() } else { a0.clone() };
             let b = if tb == Trans::Yes { b0.transpose() } else { b0.clone() };
             let mut c = Mat::zeros(m, n);
-            with_thread_budget(threads, || gemm(1.0, &a, ta, &b, tb, 0.0, &mut c));
+            gemm(1.0, &a, ta, &b, tb, 0.0, &mut c);
             prop_assert!(
                 c.sub(&expect).max_abs() <= tol,
-                "gemm({ta:?},{tb:?}) {m}x{k}x{n} threads={threads}: err {}",
+                "gemm({ta:?},{tb:?}) {m}x{k}x{n}: err {}",
                 c.sub(&expect).max_abs()
             );
         }
     }
 
     #[test]
-    fn packed_axpy_and_thread_budgets_agree(
+    fn packed_and_axpy_agree(
         (m, k, n, seed) in (boundary_dim(), boundary_dim(), boundary_dim(), 0u64..1000)
     ) {
         let a = uniform(m, k, &mut rng(seed));
         let b = uniform(k, n, &mut rng(seed ^ 0x9e37));
         let mut c_axpy = Mat::zeros(m, n);
         gemm_axpy(1.0, &a, &b, &mut c_axpy);
-        let mut c1 = Mat::zeros(m, n);
-        with_thread_budget(1, || gemm_packed(1.0, &a, &b, &mut c1));
-        prop_assert!(c1.sub(&c_axpy).max_abs() <= 1e-12 * k as f64);
-        // Parallel packed runs are bitwise identical to single-thread.
-        for t in [2usize, 4] {
-            let mut ct = Mat::zeros(m, n);
-            with_thread_budget(t, || gemm_packed(1.0, &a, &b, &mut ct));
-            prop_assert_eq!(&c1, &ct);
-        }
+        let mut c_packed = Mat::zeros(m, n);
+        gemm_packed(1.0, &a, &b, &mut c_packed);
+        prop_assert!(c_packed.sub(&c_axpy).max_abs() <= 1e-12 * k as f64);
     }
 
     #[test]

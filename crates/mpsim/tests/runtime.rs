@@ -12,21 +12,6 @@ const M: CostModel = CostModel {
 };
 
 #[test]
-fn rank_threads_stamped_from_model() {
-    // run_spmd must hand the model's intra-rank thread budget to
-    // bt_dense::threading on every rank thread.
-    let out = run_spmd(3, M.with_threads_per_rank(4), |_comm| {
-        bt_dense::current_threads()
-    });
-    assert_eq!(out.results, vec![4, 4, 4]);
-    // Budget 0 is clamped to 1, never inherited from the environment.
-    let out = run_spmd(2, M.with_threads_per_rank(0), |_comm| {
-        bt_dense::current_threads()
-    });
-    assert_eq!(out.results, vec![1, 1]);
-}
-
-#[test]
 fn single_rank_world() {
     let out = run_spmd(1, M, |comm| {
         assert_eq!(comm.rank(), 0);
@@ -651,13 +636,6 @@ fn traced_persistent_world_merges_jobs_without_flow_collisions() {
     let tail_doc = bt_obs::json::parse(&tail.to_chrome_json()).expect("tail parses");
     let tail_summary = bt_obs::json::validate_chrome_trace(&tail_doc).expect("tail valid");
     assert_eq!(tail_summary.flow_starts, 1);
-}
-
-#[test]
-fn persistent_world_rank_threads_stamped_from_model() {
-    let mut world = bt_mpsim::SpmdWorld::new(3, M.with_threads_per_rank(4));
-    let out = world.run(|_comm| bt_dense::current_threads());
-    assert_eq!(out.results, vec![4, 4, 4]);
 }
 
 #[test]

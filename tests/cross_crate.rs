@@ -123,12 +123,8 @@ fn modeled_time_decreases_with_ranks_until_latency_bound() {
     let model = CostModel::hpc();
     // A modeled-clock scaling claim: 16 ranks oversubscribe small hosts,
     // so only the modeled clock can show it.
-    let cfg2 = DriverConfig::new(2)
-        .with_model(model)
-        .with_threads_per_rank(1);
-    let cfg16 = DriverConfig::new(16)
-        .with_model(model)
-        .with_threads_per_rank(1);
+    let cfg2 = DriverConfig::new(2).with_model(model);
+    let cfg16 = DriverConfig::new(16).with_model(model);
     let t2 = ard_solve_cfg_on::<SimBackend, _>(&cfg2, &src, &y)
         .unwrap()
         .timings
