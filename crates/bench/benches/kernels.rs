@@ -11,6 +11,7 @@ use std::hint::black_box;
 
 use bt_ard::companion::{CompanionProduct, CompanionW};
 use bt_ard::pairs::AffinePair;
+use bt_bench::{time_best, BenchRecord, Better::Lower};
 use bt_blocktri::gen::ClusteredToeplitz;
 use bt_blocktri::BlockRowSource;
 use bt_dense::random::{rng, uniform};
@@ -39,27 +40,16 @@ fn bench_gemm(c: &mut Criterion) {
     group.finish();
 }
 
-/// Best-of-N wall-clock seconds for one invocation of `f`.
-fn time_best(reps: usize, mut f: impl FnMut()) -> f64 {
-    // One warmup pass (page-in, pack-buffer allocation).
-    f();
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = std::time::Instant::now();
-        f();
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    best
-}
-
 const SWEEP_SIZES: [usize; 15] = [
     4, 8, 16, 17, 32, 48, 63, 64, 65, 96, 127, 128, 129, 192, 256,
 ];
 
 /// One `m x m x m` sweep cell: times every kernel the dispatcher can
 /// pick (AXPY, packed, small-block) plus the dispatcher itself, prints
-/// the per-size line, and returns the JSON record row.
-fn sweep_cell(m: usize) -> String {
+/// the per-size line, and records the cell `m<m>`: the packed and
+/// small-block times against AXPY as their baseline, and the
+/// dispatcher's time.
+fn sweep_cell(m: usize, record: &mut BenchRecord) {
     let a = uniform(m, m, &mut rng(11));
     let b = uniform(m, m, &mut rng(12));
     let mut out = Mat::zeros(m, m);
@@ -91,54 +81,39 @@ fn sweep_cell(m: usize) -> String {
             &mut out,
         );
     });
-    let gflops = |s: f64| flops as f64 / s / 1e9;
-    // Winner among the kernels the dispatcher chooses between.
-    let mut winner = ("axpy", axpy_s);
-    if packed_s < winner.1 {
-        winner = ("packed", packed_s);
-    }
-    if let Some(s) = small_s {
-        if s < winner.1 {
-            winner = ("small", s);
-        }
-    }
     println!(
-        "bench: gemm/{m:<4} axpy {:>9.4} ms  packed {:>9.4} ms  small {}  \
-         dispatched {:>9.4} ms -> {} ({:.2} Gflop/s best)",
+        "bench: gemm/{m:<4} axpy {:>9.4} ms  packed {:>9.4} ms  small {}  dispatched {:>9.4} ms",
         axpy_s * 1e3,
         packed_s * 1e3,
         small_s.map_or("      n/a".to_string(), |s| format!("{:>9.4} ms", s * 1e3)),
         dispatched_s * 1e3,
-        winner.0,
-        gflops(winner.1),
     );
-    format!(
-        "    {{\"m\": {m}, \"axpy_s\": {axpy_s:.6e}, \"packed_s\": {packed_s:.6e}, \
-         \"small_s\": {}, \"dispatched_s\": {dispatched_s:.6e}, \
-         \"speedup_packed_vs_axpy\": {:.3}, \"gflops_packed\": {:.3}, \
-         \"gflops_best\": {:.3}, \"dispatch_winner\": \"{}\"}}",
-        small_s.map_or("null".to_string(), |s| format!("{s:.6e}")),
-        axpy_s / packed_s,
-        gflops(packed_s),
-        gflops(winner.1),
-        winner.0,
-    )
+    let name = format!("m{m}");
+    record
+        .cell(&name, "dense", "packed_s", "s", Lower, packed_s)
+        .baseline(axpy_s);
+    if let Some(s) = small_s {
+        record
+            .cell(&name, "dense", "small_s", "s", Lower, s)
+            .baseline(axpy_s);
+    }
+    record.cell(name, "dense", "dispatched_s", "s", Lower, dispatched_s);
 }
 
 /// Kernel sweep over block orders from the small-block specializations
 /// (m = 4, 8, 16, plus 17 and 32 to pin the crossover region) up through
 /// sizes straddling the NB = 64 and KC = 128 blocking boundaries, on
 /// the calling thread. Prints per-size lines through the criterion
-/// harness and emits the raw numbers as `bt-bench-gemm-v5` JSON to
+/// harness and writes the cells as a `bt-bench-v1` record to
 /// `BENCH_gemm.json` at the workspace root — the data the
-/// `PACKED_MIN_FLOPS_*` crossover constants in `bt_dense` are derived
-/// from.
+/// `PACKED_MIN_FLOPS_*` crossover constants in `bt_dense` are checked
+/// against.
 fn bench_gemm_packed_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("gemm_packed");
     group.sample_size(10);
-    let mut records = Vec::new();
+    let mut record = BenchRecord::new("kernels", false, "none");
     for &m in &SWEEP_SIZES {
-        records.push(sweep_cell(m));
+        sweep_cell(m, &mut record);
         // Keep a criterion-visible entry for the packed kernel too.
         let a = uniform(m, m, &mut rng(11));
         let b = uniform(m, m, &mut rng(12));
@@ -150,34 +125,10 @@ fn bench_gemm_packed_sweep(c: &mut Criterion) {
         });
     }
     group.finish();
-
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    // Run metadata: when/where the numbers were taken, the detected SIMD
-    // path and the sweep bounds, so stale or cross-host JSON is
-    // recognizable.
-    let generated_unix_s = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs());
-    let simd = bt_dense::simd::active().name();
-    let sizes_json = SWEEP_SIZES.map(|m| m.to_string()).join(", ");
-    let json = format!(
-        "{{\n  \"bench\": \"gemm_packed_vs_axpy\",\n  \"schema\": \"bt-bench-gemm-v5\",\n  \
-         \"generated_unix_s\": {generated_unix_s},\n  \
-         \"host_cores\": {host_cores},\n  \"simd\": \"{simd}\",\n  \
-         \"sizes\": [{sizes_json}],\n  \
-         \"size_bounds\": {{\"min\": {}, \"max\": {}}},\n  \
-         \"note\": \"best-of-N wall clock; m=4/8/16 hit the small-block kernels, \
-         17/32 pin the crossover, larger sizes straddle NB=64 and KC=128 blocking \
-         boundaries\",\n  \"results\": [\n{}\n  ]\n}}\n",
-        SWEEP_SIZES[0],
-        SWEEP_SIZES[SWEEP_SIZES.len() - 1],
-        records.join(",\n")
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_gemm.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("bench: wrote {path}"),
-        Err(e) => eprintln!("bench: could not write {path}: {e}"),
-    }
+    record.write_or_exit(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../BENCH_gemm.json"
+    ));
 }
 
 fn bench_lu(c: &mut Criterion) {

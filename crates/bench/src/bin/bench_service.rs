@@ -22,8 +22,13 @@
 //! saturation shows up honestly as latency growth rather than as a
 //! reduced offered rate.
 //!
-//! Emits `BENCH_service.json` (`bt-bench-service-v1`) at the workspace
-//! root (override with `--out`):
+//! Emits `BENCH_service.json` (a `bt-bench-v1` record) at the workspace
+//! root (override with `--out`). Each rate's cells hold the batched
+//! leg's figures against the unbatched leg's as baselines; at a rate
+//! where coalescing engaged (mean batch width >= 16), the throughput
+//! and p99 cells claim that batching wins. The baseline gate tracks the
+//! x16 throughput cell, which the smoke run measures with the full
+//! run's parameters:
 //!
 //! ```text
 //! cargo run --release -p bt-bench --bin bench_service
@@ -33,28 +38,19 @@
 use std::time::{Duration, Instant};
 
 use bt_ard::{ArdSession, MatrixKey, ServiceConfig, SolverService};
-use bt_bench::Args;
+use bt_bench::{
+    Args, BenchRecord,
+    Better::{self, Higher, Lower},
+};
 use bt_blocktri::gen::{materialize, random_rhs, ClusteredToeplitz};
 use bt_blocktri::BlockVec;
-use bt_mpsim::CostModel;
+use bt_mpsim::{CostModel, SimBackend};
+use bt_shm::SpmdBackend;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-struct LegResult {
-    leg: &'static str,
-    rate_mult: f64,
-    rate_rps: f64,
-    requests: usize,
-    throughput_rps: f64,
-    mean_batch_width: f64,
-    max_batch_width: u64,
-    dispatches: u64,
-    p50_us: f64,
-    p95_us: f64,
-    p99_us: f64,
-    max_us: f64,
-    mean_queue_wait_us: f64,
-}
+/// One leg's figures: `(metric, unit, better, value)`, throughput first.
+type Figures = [(&'static str, &'static str, Better, f64); 9];
 
 /// Nearest-rank percentile of an ascending-sorted sample.
 fn percentile(sorted: &[f64], q: f64) -> f64 {
@@ -76,17 +72,14 @@ fn calibrate_solve_s(p: usize, model: CostModel, src: &ClusteredToeplitz, y: &Bl
     best
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_leg(
-    leg: &'static str,
     cfg: ServiceConfig,
     srcs: &[ClusteredToeplitz],
     rhss: &[BlockVec],
     requests: usize,
-    rate_mult: f64,
     rate_rps: f64,
     seed: u64,
-) -> LegResult {
+) -> Figures {
     let svc = SolverService::start(cfg);
     let keys: Vec<MatrixKey> = srcs
         .iter()
@@ -146,25 +139,33 @@ fn run_leg(
     let dispatches = stats.dispatches - warmed.dispatches;
     let columns = stats.dispatched_columns - warmed.dispatched_columns;
     lat_us.sort_by(f64::total_cmp);
-    LegResult {
-        leg,
-        rate_mult,
-        rate_rps,
-        requests,
-        throughput_rps: requests as f64 / makespan_s,
-        mean_batch_width: if dispatches > 0 {
-            columns as f64 / dispatches as f64
-        } else {
-            0.0
-        },
-        max_batch_width: stats.max_batch_width,
-        dispatches,
-        p50_us: percentile(&lat_us, 0.50),
-        p95_us: percentile(&lat_us, 0.95),
-        p99_us: percentile(&lat_us, 0.99),
-        max_us: *lat_us.last().expect("non-empty latencies"),
-        mean_queue_wait_us: queue_wait_us_sum / requests as f64,
-    }
+    let width = columns as f64 / dispatches.max(1) as f64;
+    [
+        (
+            "throughput_rps",
+            "req/s",
+            Higher,
+            requests as f64 / makespan_s,
+        ),
+        ("p50_us", "us", Lower, percentile(&lat_us, 0.50)),
+        ("p95_us", "us", Lower, percentile(&lat_us, 0.95)),
+        ("p99_us", "us", Lower, percentile(&lat_us, 0.99)),
+        ("max_us", "us", Lower, percentile(&lat_us, 1.0)),
+        (
+            "mean_queue_wait_us",
+            "us",
+            Lower,
+            queue_wait_us_sum / requests as f64,
+        ),
+        ("mean_batch_width", "cols", Higher, width),
+        (
+            "max_batch_width",
+            "cols",
+            Higher,
+            stats.max_batch_width as f64,
+        ),
+        ("dispatches", "count", Lower, dispatches as f64),
+    ]
 }
 
 fn main() {
@@ -180,16 +181,12 @@ fn main() {
         );
     }
     let smoke = args.get_usize("smoke", 0) != 0;
-    let (dreq, dmults): (usize, &[f64]) = if smoke {
-        (192, &[16.0])
-    } else {
-        (768, &[1.0, 16.0])
-    };
+    let dmults: &[usize] = if smoke { &[16] } else { &[1, 16] };
     let n = args.get_usize("n", 32);
     let m = args.get_usize("m", 6);
     let p = args.get_usize("p", 4);
     let n_matrices = args.get_usize("matrices", 2);
-    let requests = args.get_usize("requests", dreq);
+    let requests = args.get_usize("requests", 768);
     let max_batch = args.get_usize("max-batch", 32);
     let max_delay_us = args.get_usize("max-delay-us", 1_000);
     let model = CostModel::default();
@@ -207,95 +204,64 @@ fn main() {
         capacity_rps
     );
 
-    let mults: Vec<f64> = if args.get_str("rate-mults").is_some() {
-        args.get_usize_list("rate-mults", &[])
-            .into_iter()
-            .map(|v| v as f64)
-            .collect()
-    } else {
-        dmults.to_vec()
-    };
+    let mut record = BenchRecord::new("bench_service", smoke, SimBackend::name());
+    record.params(&[("n", n), ("m", m), ("p", p), ("matrices", n_matrices)]);
+    record.params(&[("requests", requests), ("max_batch", max_batch)]);
+    record.params(&[("max_delay_us", max_delay_us)]);
+    let calib = format!("calib-n{n}-m{m}-p{p}");
+    record.cell(calib, "session", "solve_us", "us", Lower, solve_s * 1e6);
 
-    let mut results: Vec<LegResult> = Vec::new();
-    for &mult in &mults {
-        let rate_rps = mult * capacity_rps;
-        for (leg, batch) in [("unbatched", 1), ("batched", max_batch)] {
+    for mult in args.get_usize_list("rate-mults", dmults) {
+        let rate_rps = mult as f64 * capacity_rps;
+        let [unbatched, batched] = [1, max_batch].map(|batch| {
             let cfg = ServiceConfig {
                 max_batch: batch,
                 max_delay: Duration::from_micros(max_delay_us as u64),
                 ..ServiceConfig::new(p, model)
             };
-            let rec = run_leg(leg, cfg, &srcs, &rhss, requests, mult, rate_rps, 42);
+            let figures = run_leg(cfg, &srcs, &rhss, requests, rate_rps, 42);
+            let line: Vec<String> = figures
+                .iter()
+                .map(|(metric, _, _, v)| format!("{metric} {v:.1}"))
+                .collect();
             println!(
-                "bench_service: x{mult:<4} {leg:<9} tput {:>8.0} req/s  width {:>5.1} (max {:>3})  \
-                 p50 {:>8.0} us  p95 {:>8.0} us  p99 {:>8.0} us",
-                rec.throughput_rps,
-                rec.mean_batch_width,
-                rec.max_batch_width,
-                rec.p50_us,
-                rec.p95_us,
-                rec.p99_us,
+                "bench_service: x{mult} max_batch {batch}: {}",
+                line.join("  ")
             );
-            results.push(rec);
-        }
-        let batched = results.last().expect("just pushed");
-        let unbatched = &results[results.len() - 2];
+            figures
+        });
+        let get = |figures: &Figures, metric: &str| {
+            figures
+                .iter()
+                .find(|f| f.0 == metric)
+                .expect("a recorded metric")
+                .3
+        };
+        let ratio = |metric: &str| get(&batched, metric) / get(&unbatched, metric);
         println!(
             "bench_service: x{mult} batched vs unbatched: {:.2}x throughput, p99 {:.2}x",
-            batched.throughput_rps / unbatched.throughput_rps,
-            batched.p99_us / unbatched.p99_us,
+            ratio("throughput_rps"),
+            ratio("p99_us")
         );
+        // The coalescer's claim holds only where it engaged: at a mean
+        // batch width of 16 or more, batching must win throughput
+        // without losing p99.
+        let deep = get(&batched, "mean_batch_width") >= 16.0;
+        let name = format!(
+            "x{mult}-n{n}-m{m}-p{p}-mats{n_matrices}-req{requests}-batch{max_batch}-delay{max_delay_us}us"
+        );
+        for ((metric, unit, better, value), (.., base)) in batched.into_iter().zip(unbatched) {
+            let cell = record.cell(&name, "service", metric, unit, better, value);
+            cell.baseline(base);
+            if deep && matches!(metric, "throughput_rps" | "p99_us") {
+                cell.claim(1.0);
+            }
+        }
+        if mult == 16 {
+            record.headline(&name, "throughput_rps");
+        }
     }
-
-    let rows: Vec<String> = results
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"leg\": \"{}\", \"rate_mult\": {:.2}, \"rate_rps\": {:.1}, \
-                 \"requests\": {}, \"throughput_rps\": {:.1}, \"mean_batch_width\": {:.2}, \
-                 \"max_batch_width\": {}, \"dispatches\": {}, \"p50_us\": {:.1}, \
-                 \"p95_us\": {:.1}, \"p99_us\": {:.1}, \"max_us\": {:.1}, \
-                 \"mean_queue_wait_us\": {:.1}}}",
-                r.leg,
-                r.rate_mult,
-                r.rate_rps,
-                r.requests,
-                r.throughput_rps,
-                r.mean_batch_width,
-                r.max_batch_width,
-                r.dispatches,
-                r.p50_us,
-                r.p95_us,
-                r.p99_us,
-                r.max_us,
-                r.mean_queue_wait_us,
-            )
-        })
-        .collect();
-    let generated_unix_s = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs());
-    let simd = bt_dense::simd::active().name();
-    let json = format!(
-        "{{\n  \"bench\": \"solver_service\",\n  \"schema\": \"bt-bench-service-v1\",\n  \
-         \"generated_unix_s\": {generated_unix_s},\n  \
-         \"simd\": \"{simd}\",\n  \
-         \"n\": {n},\n  \"m\": {m},\n  \"p\": {p},\n  \"matrices\": {n_matrices},\n  \
-         \"requests\": {requests},\n  \"max_batch\": {max_batch},\n  \
-         \"max_delay_us\": {max_delay_us},\n  \"single_solve_us\": {:.1},\n  \
-         \"smoke\": {smoke},\n  \
-         \"note\": \"open-loop Poisson arrivals at rate_mult x measured single-solve \
-         capacity; latency is submit -> batched-response wall time; unbatched leg \
-         pins max_batch=1 (one dispatch per request)\",\n  \
-         \"results\": [\n{}\n  ]\n}}\n",
-        solve_s * 1e6,
-        rows.join(",\n")
-    );
     let default_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_service.json");
-    let path = args.get_str("out").unwrap_or(default_path).to_string();
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("bench_service: wrote {path}"),
-        Err(e) => eprintln!("bench_service: could not write {path}: {e}"),
-    }
+    record.write_or_exit(args.get_str("out").unwrap_or(default_path));
     bt_bench::emit_obs(&args);
 }

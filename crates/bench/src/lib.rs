@@ -23,9 +23,24 @@
 //! microbenchmarks for the kernels live under `benches/`.
 
 pub mod cli;
+pub mod record;
 pub mod table;
 pub mod workloads;
 
 pub use cli::{emit, emit_obs, Args};
+pub use record::{BenchRecord, Better};
 pub use table::{fmt_bytes, fmt_flops, fmt_secs, Table};
 pub use workloads::{make_batches, run_ard, run_rd, run_thomas, ExpConfig, GenKind, Measured};
+
+/// Best-of-`reps` wall seconds of one call of `f`, after one warm-up
+/// call (page-in, kernel scratch).
+pub fn time_best(reps: usize, mut f: impl FnMut()) -> f64 {
+    f();
+    let mut best = f64::INFINITY;
+    for _ in 0..reps {
+        let t0 = std::time::Instant::now();
+        f();
+        best = best.min(t0.elapsed().as_secs_f64());
+    }
+    best
+}

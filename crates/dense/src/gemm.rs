@@ -85,14 +85,15 @@ const KC: usize = 128;
 /// residency).
 const MC: usize = 256;
 
-/// Packed-vs-AXPY crossover on SIMD dispatch paths, in flops (`2 m k n`).
-/// Measured on the AVX2+FMA reference host (`cargo bench -p bt-bench
-/// --bench kernels`, see `BENCH_gemm.json`): the FMA microkernel beats
-/// the (also FMA-vectorized) AXPY kernel at every swept size from
-/// m = k = n = 8 (1 kflop, 1.08x) through m = 256 (3.7x), while AXPY
-/// wins at m = 4 (128 flop, 2.2x — the pack pass dominates). 512 flops
-/// splits that gap. Only `A` operands outside the small-block orders
-/// {4, 8, 16} consult it: those always take the panel kernel.
+/// Packed-vs-AXPY crossover on SIMD dispatch paths, in flops (`2 m k n`):
+/// a product of at least this many flops takes the packed kernel, a
+/// smaller one the (also FMA-vectorized) AXPY kernel, whose lack of a
+/// pack pass wins on tiny products. Only `A` operands outside the
+/// small-block orders {4, 8, 16} consult it: those always take the
+/// panel kernel. `cargo bench -p bt-bench --bench kernels` writes the
+/// evidence to `BENCH_gemm.json`: each `m<m>` cell times the packed
+/// kernel against AXPY as its baseline. Check a change to this value
+/// against those cells, not against figures quoted in prose.
 const PACKED_MIN_FLOPS_SIMD: usize = 512;
 
 /// Packed-vs-AXPY crossover on the scalar fallback path. The same sweep

@@ -4,8 +4,8 @@
 //! # Schema-dispatch validation of one or more JSON artifacts:
 //! cargo run -p bt-obs --bin obs_validate -- results/obs_trace.json results/obs_metrics.json
 //!
-//! # Perf-regression gate: fresh bench JSON vs the committed baseline,
-//! # passing when fresh_headline >= tol * committed_headline:
+//! # Perf-regression gate: every headline cell of the committed record
+//! # must reach tol of its committed figure in the fresh record:
 //! cargo run -p bt-obs --bin obs_validate -- --baseline BENCH_service.json /tmp/fresh.json --tol 0.25
 //!
 //! # Prometheus text exposition (the live exporter's /metrics output):
@@ -13,11 +13,9 @@
 //! ```
 //!
 //! In file mode, each file is parsed with the in-tree JSON parser and
-//! checked against the schema it self-identifies as: `bt-obs-metrics-v1`
-//! via [`bt_obs::json::validate_metrics`], `bt-bench-service-v1` via
-//! [`bt_obs::json::validate_bench_service`], `bt-bench-shm-v1` via
-//! [`bt_obs::json::validate_bench_shm`], `bt-bench-structured-v1` via
-//! [`bt_obs::json::validate_bench_structured`], `bt-obs-flight-v1` via
+//! checked against the schema it self-identifies as: `bt-bench-v1` via
+//! [`bt_obs::json::validate_bench`], `bt-obs-metrics-v1` via
+//! [`bt_obs::json::validate_metrics`], `bt-obs-flight-v1` via
 //! [`bt_obs::json::validate_flight`], `bt-obs-snapshot-v1` via
 //! [`bt_obs::json::validate_snapshot`], anything shaped like Chrome
 //! trace-event JSON (bare array or `{"traceEvents": [...]}`) via
@@ -30,32 +28,11 @@ fn validate_file(path: &str) -> Result<String, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read: {e}"))?;
     let doc = json::parse(&text)?;
     let schema = doc.get("schema").and_then(Json::as_str).unwrap_or("");
-    if schema.starts_with("bt-bench-service") {
-        let s = json::validate_bench_service(&doc)?;
+    if schema.starts_with("bt-bench") {
+        let s = json::validate_bench(&doc)?;
         return Ok(format!(
-            "service bench ok: {} legs, batched speedup {:.2}x at top rate",
-            s.legs, s.batched_speedup
-        ));
-    }
-    if schema.starts_with("bt-bench-shm") {
-        let s = json::validate_bench_shm(&doc)?;
-        return Ok(format!(
-            "shm bench ok: {} cells, headline {:.0} RHS columns/s, calib fit error {:.1}%",
-            s.cells,
-            s.headline,
-            s.fit_error * 1e2
-        ));
-    }
-    if schema.starts_with("bt-bench-structured") {
-        let s = json::validate_bench_structured(&doc)?;
-        return Ok(format!(
-            "structured bench ok: {} toeplitz + {} batched cells, replay {:.2}x, \
-             factor memory {:.1}x smaller, batched throughput {:.2}x",
-            s.toeplitz_cells,
-            s.batched_cells,
-            s.headline_toeplitz,
-            s.headline_mem,
-            s.headline_batched
+            "bench record ok ({}): {} cells, {} checks and {} claims hold, {} headlines",
+            s.bench, s.cells, s.checks, s.claims, s.headlines
         ));
     }
     if schema.starts_with("bt-obs-flight") {
@@ -95,10 +72,12 @@ fn read_doc(path: &str) -> Result<Json, String> {
 
 fn run_baseline(committed: &str, fresh: &str, tol: f64) -> Result<(), String> {
     let summary = json::validate_baseline(&read_doc(committed)?, &read_doc(fresh)?, tol)?;
-    println!(
-        "baseline ok ({}): fresh headline {:.3} vs committed {:.3} ({:.2}x, tolerance {:.2}x)",
-        summary.schema, summary.fresh, summary.committed, summary.ratio, tol
-    );
+    for f in &summary.figures {
+        println!(
+            "baseline ok ({}): {} ({}) fresh {:.4} vs committed {:.4} ({:.2}x, tolerance {:.2}x)",
+            summary.bench, f.name, f.metric, f.fresh, f.committed, f.ratio, tol
+        );
+    }
     Ok(())
 }
 

@@ -1,13 +1,15 @@
 //! Minimal in-tree JSON parser and schema validators.
 //!
-//! The suite emits three JSON artifacts — the mpsim virtual-clock Chrome
-//! trace, the bt-obs wall-clock Chrome trace, and the metrics registry
-//! dump — and promises they are machine-readable. This module backs that
-//! promise without an external serde dependency: a recursive-descent
-//! parser into a [`Json`] value plus validators for the Chrome
-//! trace-event shape ([`validate_chrome_trace`]) and the
-//! `bt-obs-metrics-v1` schema ([`validate_metrics`]). Tests and the CI
-//! `obs_validate` binary round-trip every emitted file through them.
+//! The suite's JSON artifacts — the Chrome traces on both clocks, the
+//! `bt-obs` metrics dump, flight dump and live snapshot, and the
+//! `bt-bench-v1` bench records — are promised machine-readable. This
+//! module backs that promise without an external serde dependency: a
+//! recursive-descent parser into a [`Json`] value plus one validator per
+//! format ([`validate_chrome_trace`], [`validate_metrics`],
+//! [`validate_flight`], [`validate_snapshot`], [`validate_bench`]) and
+//! the bench records' perf-regression gate ([`validate_baseline`]).
+//! Tests and the CI `obs_validate` binary round-trip every emitted file
+//! through them.
 
 use std::collections::BTreeMap;
 
@@ -479,124 +481,6 @@ pub fn validate_metrics(doc: &Json) -> Result<MetricsSummary, String> {
     Ok(summary)
 }
 
-/// What [`validate_bench_service`] found.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct BenchServiceSummary {
-    /// Result records (one per `(rate, leg)` pair).
-    pub legs: usize,
-    /// Batched-over-unbatched completed-throughput ratio at the highest
-    /// offered rate both legs ran (1.0 if only one leg is present).
-    pub batched_speedup: f64,
-}
-
-/// Validates a `bt-bench-service-v1` document (`bench_service` output):
-/// schema tag, run parameters, per-leg records with ordered latency
-/// percentiles, and — when the coalescer actually saw deep queues (mean
-/// batch width ≥ 16 at some rate) — that batched dispatch beat
-/// one-solve-per-request throughput at equal-or-better p99 there.
-///
-/// # Errors
-///
-/// The first violated rule, naming the offending record.
-pub fn validate_bench_service(doc: &Json) -> Result<BenchServiceSummary, String> {
-    match doc.get("schema").and_then(Json::as_str) {
-        Some("bt-bench-service-v1") => {}
-        Some(other) => return Err(format!("unknown service bench schema '{other}'")),
-        None => return Err("service bench document lacks a schema tag".to_string()),
-    }
-    for key in ["n", "m", "p", "requests", "max_batch", "max_delay_us"] {
-        match doc.get(key).and_then(Json::as_f64) {
-            Some(v) if v >= 1.0 => {}
-            _ => return Err(format!("'{key}' is missing or not a positive number")),
-        }
-    }
-    let results = doc
-        .get("results")
-        .and_then(Json::as_arr)
-        .ok_or("service bench document lacks a results array")?;
-    if results.is_empty() {
-        return Err("results array is empty".to_string());
-    }
-    let mut parsed: Vec<(String, f64, f64, f64, f64)> = Vec::new();
-    for (i, rec) in results.iter().enumerate() {
-        let leg = rec
-            .get("leg")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("results[{i}] lacks a leg tag"))?;
-        if leg != "unbatched" && leg != "batched" {
-            return Err(format!("results[{i}] has unknown leg '{leg}'"));
-        }
-        let num = |key: &str| {
-            rec.get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("results[{i}] ({leg}) lacks numeric {key}"))
-        };
-        let rate = num("rate_mult")?;
-        let tput = num("throughput_rps")?;
-        let width = num("mean_batch_width")?;
-        let (p50, p95, p99, max) = (
-            num("p50_us")?,
-            num("p95_us")?,
-            num("p99_us")?,
-            num("max_us")?,
-        );
-        num("rate_rps")?;
-        num("requests")?;
-        num("dispatches")?;
-        num("mean_queue_wait_us")?;
-        if tput <= 0.0 {
-            return Err(format!("results[{i}] ({leg}) throughput is not positive"));
-        }
-        if width < 1.0 {
-            return Err(format!("results[{i}] ({leg}) mean batch width below 1"));
-        }
-        if !(p50 <= p95 && p95 <= p99 && p99 <= max) {
-            return Err(format!(
-                "results[{i}] ({leg}) percentiles are not ordered: \
-                 p50 {p50} p95 {p95} p99 {p99} max {max}"
-            ));
-        }
-        parsed.push((leg.to_string(), rate, tput, width, p99));
-    }
-    // The headline claim: wherever coalescing actually engaged (mean
-    // batch width >= 16), batching must win throughput without losing p99.
-    let mut summary = BenchServiceSummary {
-        legs: parsed.len(),
-        batched_speedup: 1.0,
-    };
-    let mut top_rate = f64::NEG_INFINITY;
-    for (leg, rate, tput, width, p99) in &parsed {
-        if leg != "batched" {
-            continue;
-        }
-        let Some((_, _, base_tput, _, base_p99)) = parsed
-            .iter()
-            .find(|(l, r, ..)| l == "unbatched" && r == rate)
-        else {
-            continue;
-        };
-        if *width >= 16.0 {
-            if tput < base_tput {
-                return Err(format!(
-                    "rate x{rate}: batched throughput {tput:.0} req/s lost to \
-                     unbatched {base_tput:.0} req/s despite mean width {width:.1}"
-                ));
-            }
-            if p99 > base_p99 {
-                return Err(format!(
-                    "rate x{rate}: batched p99 {p99:.0} us worse than \
-                     unbatched {base_p99:.0} us despite mean width {width:.1}"
-                ));
-            }
-        }
-        if *rate > top_rate {
-            top_rate = *rate;
-            summary.batched_speedup = tput / base_tput;
-        }
-    }
-    Ok(summary)
-}
-
 /// What [`validate_flight`] found.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FlightSummary {
@@ -699,407 +583,306 @@ pub fn validate_snapshot(doc: &Json) -> Result<MetricsSummary, String> {
     validate_metrics(metrics)
 }
 
-/// What [`validate_bench_shm`] found.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct BenchShmSummary {
-    /// Sweep cells (one per `(p, r)` pair).
+/// Layers a `bt-bench-v1` cell may name: perfbench's per-layer metric
+/// prefixes, so a bench cell and a live metric share one vocabulary.
+pub const BENCH_LAYERS: [&str; 6] = ["service", "session", "ard", "comm", "dense", "baseline"];
+
+/// What [`validate_bench`] found.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct BenchSummary {
+    /// The writer's name (`bench`).
+    pub bench: String,
+    /// Cells in the document.
     pub cells: usize,
-    /// RHS columns solved per wall second at the biggest `(p, r)` cell.
-    pub headline: f64,
-    /// Relative error of the calibration's alpha-beta fit at its
-    /// held-out message size.
-    pub fit_error: f64,
+    /// Cross-checks the cells declare, all within their bounds.
+    pub checks: usize,
+    /// Speedup claims the cells declare, all met.
+    pub claims: usize,
+    /// Headline cells the baseline gate tracks.
+    pub headlines: usize,
 }
 
-/// Validates a `bt-bench-shm-v1` document (`bench_shm` output): schema
-/// tag, run parameters, a calibration block with a finite fit error, and
-/// per-cell records whose measured-vs-modeled `ratio` is consistent with
-/// the recorded `wall_ns / modeled_ns`.
-///
-/// # Errors
-///
-/// The first violated rule, naming the offending cell.
-pub fn validate_bench_shm(doc: &Json) -> Result<BenchShmSummary, String> {
-    match doc.get("schema").and_then(Json::as_str) {
-        Some("bt-bench-shm-v1") => {}
-        Some(other) => return Err(format!("unknown shm bench schema '{other}'")),
-        None => return Err("shm bench document lacks a schema tag".to_string()),
-    }
-    for key in ["n", "m", "reps", "cores"] {
-        match doc.get(key).and_then(Json::as_f64) {
-            Some(v) if v >= 1.0 => {}
-            _ => return Err(format!("'{key}' is missing or not a positive number")),
-        }
-    }
-    let calib = doc
-        .get("calib")
-        .and_then(Json::as_obj)
-        .ok_or("shm bench document lacks a calib object")?;
-    let calib_num = |key: &str| {
-        calib
-            .iter()
-            .find(|(k, _)| *k == key)
-            .and_then(|(_, v)| v.as_f64())
-            .ok_or_else(|| format!("calib lacks numeric {key}"))
-    };
-    if calib_num("alpha_s")? <= 0.0 {
-        return Err("calib alpha_s is not positive".to_string());
-    }
-    if calib_num("beta_s_per_byte")? < 0.0 {
-        return Err("calib beta_s_per_byte is negative".to_string());
-    }
-    if calib_num("flop_rate")? <= 0.0 {
-        return Err("calib flop_rate is not positive".to_string());
-    }
-    let fit_error = calib_num("fit_error")?;
-    if !fit_error.is_finite() || fit_error < 0.0 {
-        return Err(format!(
-            "calib fit_error {fit_error} is not a finite non-negative number"
-        ));
-    }
-    let results = doc
-        .get("results")
-        .and_then(Json::as_arr)
-        .ok_or("shm bench document lacks a results array")?;
-    if results.is_empty() {
-        return Err("results array is empty".to_string());
-    }
-    let mut biggest: Option<(f64, f64, f64)> = None; // (p, r, wall_ns)
-    for (i, rec) in results.iter().enumerate() {
-        let num = |key: &str| {
-            rec.get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("results[{i}] lacks numeric {key}"))
+/// One bench cell as the gate reads it.
+struct BenchCell<'a> {
+    name: &'a str,
+    metric: &'a str,
+    lower_is_better: bool,
+    value: f64,
+    baseline: Option<f64>,
+}
+
+impl BenchCell<'_> {
+    /// The figure the gate compares, and whether lower is better for it:
+    /// the speedup over the baseline (higher is better) when the cell
+    /// has one, else the value in the cell's own direction.
+    fn figure(&self) -> Result<(f64, bool), String> {
+        let (figure, lower) = match self.baseline {
+            None => (self.value, self.lower_is_better),
+            Some(base) if self.lower_is_better => (base / self.value, false),
+            Some(base) => (self.value / base, false),
         };
-        let (p, r) = (num("p")?, num("r")?);
-        if p < 1.0 || r < 1.0 {
-            return Err(format!("results[{i}] has non-positive p or r"));
-        }
-        let (wall, modeled, ratio) = (num("wall_ns")?, num("modeled_ns")?, num("ratio")?);
-        if wall <= 0.0 || modeled <= 0.0 {
-            return Err(format!(
-                "results[{i}] (p={p} r={r}): wall_ns {wall} / modeled_ns {modeled} not positive"
-            ));
-        }
-        let expect = wall / modeled;
-        if ratio <= 0.0 || (ratio - expect).abs() > 0.01 * expect {
-            return Err(format!(
-                "results[{i}] (p={p} r={r}): ratio {ratio} inconsistent with \
-                 wall/modeled {expect:.4}"
-            ));
-        }
-        if biggest.is_none_or(|(bp, br, _)| (p, r) > (bp, br)) {
-            biggest = Some((p, r, wall));
+        if figure.is_finite() && figure > 0.0 {
+            Ok((figure, lower))
+        } else {
+            let (name, metric) = (self.name, self.metric);
+            Err(format!(
+                "cell '{name}' ({metric}): figure {figure} is not positive"
+            ))
         }
     }
-    let (_, r_big, wall_big) = biggest.expect("nonempty results");
-    let headline = doc
-        .get("headline_rhs_cols_per_s")
-        .and_then(Json::as_f64)
-        .ok_or("shm bench document lacks numeric headline_rhs_cols_per_s")?;
-    let expect = r_big / (wall_big * 1e-9);
-    if headline <= 0.0 || (headline - expect).abs() > 0.01 * expect {
-        return Err(format!(
-            "headline {headline:.1} inconsistent with biggest cell's {expect:.1} RHS columns/s"
-        ));
-    }
-    Ok(BenchShmSummary {
-        cells: results.len(),
-        headline,
-        fit_error,
-    })
 }
 
-/// What [`validate_bench_structured`] found.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct BenchStructuredSummary {
-    /// Toeplitz cells (general vs constant-block factor replay).
-    pub toeplitz_cells: usize,
-    /// Batched cells (K looped single solves vs one interleaved batch).
-    pub batched_cells: usize,
-    /// Best warm-replay speedup over the Toeplitz cells.
-    pub headline_toeplitz: f64,
-    /// Best factor-storage reduction over the Toeplitz cells.
-    pub headline_mem: f64,
-    /// Best batched-over-looped throughput over the batched cells.
-    pub headline_batched: f64,
+/// The one rule every bench number obeys: finite and non-negative.
+fn bench_number(v: Option<&Json>, what: impl FnOnce() -> String) -> Result<f64, String> {
+    match v.and_then(Json::as_f64) {
+        Some(x) if x.is_finite() && x >= 0.0 => Ok(x),
+        _ => Err(format!("{} is not a finite non-negative number", what())),
+    }
 }
 
-/// Claims a full-scale SIMD `bt-bench-structured-v1` document must
-/// back: the structure-exploiting paths are only worth shipping if
-/// somewhere in the sweep the Toeplitz factors are at least 3x smaller
-/// and at least 1.3x faster to replay than the general path, and the
-/// interleaved batch beats K looped single solves by at least 2x.
-const STRUCTURED_CLAIM_MIN_REPLAY: f64 = 1.3;
-const STRUCTURED_CLAIM_MIN_MEM: f64 = 3.0;
-const STRUCTURED_CLAIM_MIN_BATCHED: f64 = 2.0;
-
-/// Every structured cell carries an in-bench cross-check against the
-/// general/looped path; the relative difference must sit at roundoff.
-const STRUCTURED_MAX_REL_DIFF: f64 = 1e-6;
-
-/// Validates a `bt-bench-structured-v1` document (`bench_structured`
-/// output): schema tag, run parameters, at least one cell of each kind,
-/// per-cell consistency of `replay_speedup = general_replay_ns /
-/// toeplitz_replay_ns`, `mem_reduction = general_bytes /
-/// toeplitz_bytes` and `batched_speedup = looped_ns / batched_ns`, the
-/// in-bench cross-checks (`rel_diff` at roundoff, residuals present
-/// and small), and headlines consistent with the best cells.
-/// Full-scale documents generated on a SIMD dispatch path must also
-/// back the three structured claims (smoke and scalar runs are only
-/// checked for internal consistency).
-///
-/// # Errors
-///
-/// The first violated rule, naming the offending cell.
-pub fn validate_bench_structured(doc: &Json) -> Result<BenchStructuredSummary, String> {
-    match doc.get("schema").and_then(Json::as_str) {
-        Some("bt-bench-structured-v1") => {}
-        Some(other) => return Err(format!("unknown structured bench schema '{other}'")),
-        None => return Err("structured bench document lacks a schema tag".to_string()),
-    }
-    for key in ["p", "reps", "cores"] {
-        match doc.get(key).and_then(Json::as_f64) {
-            Some(v) if v >= 1.0 => {}
-            _ => return Err(format!("'{key}' is missing or not a positive number")),
-        }
-    }
-    let smoke = match doc.get("smoke") {
-        Some(Json::Bool(b)) => *b,
-        _ => return Err("structured bench document lacks a boolean 'smoke'".to_string()),
-    };
-    let simd = doc
-        .get("simd")
+/// The string member `key` of `v`.
+fn bench_text<'a>(
+    v: &'a Json,
+    key: &str,
+    what: impl FnOnce() -> String,
+) -> Result<&'a str, String> {
+    v.get(key)
         .and_then(Json::as_str)
-        .ok_or("structured bench document lacks a simd tag")?;
-    let results = doc
-        .get("results")
-        .and_then(Json::as_arr)
-        .ok_or("structured bench document lacks a results array")?;
-    let mut summary = BenchStructuredSummary::default();
-    for (i, rec) in results.iter().enumerate() {
-        let num = |key: &str| {
-            rec.get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("results[{i}] lacks numeric {key}"))
-        };
-        let label = rec
-            .get("label")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("results[{i}] lacks a label"))?;
-        let rel_diff = num("rel_diff")?;
-        if !(0.0..=STRUCTURED_MAX_REL_DIFF).contains(&rel_diff) {
-            return Err(format!(
-                "results[{i}] ({label}): rel_diff {rel_diff:.2e} breaks the in-bench \
-                 cross-check against the general path (max {STRUCTURED_MAX_REL_DIFF:.0e})"
-            ));
-        }
-        match rec.get("kind").and_then(Json::as_str) {
-            Some("toeplitz") => {
-                let (g_ns, t_ns) = (num("general_replay_ns")?, num("toeplitz_replay_ns")?);
-                if g_ns <= 0.0 || t_ns <= 0.0 {
-                    return Err(format!(
-                        "results[{i}] ({label}): replay timings must be positive"
-                    ));
-                }
-                let speedup = num("replay_speedup")?;
-                let expect = g_ns / t_ns;
-                if (speedup - expect).abs() > 0.01 * expect {
-                    return Err(format!(
-                        "results[{i}] ({label}): replay_speedup {speedup:.4} inconsistent \
-                         with general/toeplitz {expect:.4}"
-                    ));
-                }
-                let (g_b, t_b) = (num("general_bytes")?, num("toeplitz_bytes")?);
-                if g_b <= 0.0 || t_b <= 0.0 {
-                    return Err(format!(
-                        "results[{i}] ({label}): factor byte counts must be positive"
-                    ));
-                }
-                let mem = num("mem_reduction")?;
-                let expect = g_b / t_b;
-                if (mem - expect).abs() > 0.01 * expect {
-                    return Err(format!(
-                        "results[{i}] ({label}): mem_reduction {mem:.4} inconsistent with \
-                         byte ratio {expect:.4}"
-                    ));
-                }
-                let (g_res, t_res) = (num("general_residual")?, num("toeplitz_residual")?);
-                if t_res > 1e-9f64.max(g_res * 4.0) {
-                    return Err(format!(
-                        "results[{i}] ({label}): toeplitz residual {t_res:.2e} vs general's \
-                         {g_res:.2e} breaks the equal-quality claim"
-                    ));
-                }
-                summary.toeplitz_cells += 1;
-                summary.headline_toeplitz = summary.headline_toeplitz.max(speedup);
-                summary.headline_mem = summary.headline_mem.max(mem);
-            }
-            Some("batched") => {
-                let (l_ns, b_ns) = (num("looped_ns")?, num("batched_ns")?);
-                if l_ns <= 0.0 || b_ns <= 0.0 {
-                    return Err(format!(
-                        "results[{i}] ({label}): solve timings must be positive"
-                    ));
-                }
-                let speedup = num("batched_speedup")?;
-                let expect = l_ns / b_ns;
-                if (speedup - expect).abs() > 0.01 * expect {
-                    return Err(format!(
-                        "results[{i}] ({label}): batched_speedup {speedup:.4} inconsistent \
-                         with looped/batched {expect:.4}"
-                    ));
-                }
-                let res = num("max_residual")?;
-                if res > 1e-9 {
-                    return Err(format!(
-                        "results[{i}] ({label}): batched residual {res:.2e} above 1e-9"
-                    ));
-                }
-                summary.batched_cells += 1;
-                summary.headline_batched = summary.headline_batched.max(speedup);
-            }
-            other => {
-                return Err(format!(
-                    "results[{i}] ({label}): unknown cell kind {other:?}"
-                ))
-            }
-        }
-    }
-    if summary.toeplitz_cells == 0 || summary.batched_cells == 0 {
-        return Err(format!(
-            "need at least one cell of each kind (got {} toeplitz, {} batched)",
-            summary.toeplitz_cells, summary.batched_cells
-        ));
-    }
-    for (key, best) in [
-        ("headline_toeplitz_speedup", summary.headline_toeplitz),
-        ("headline_mem_reduction", summary.headline_mem),
-        ("headline_batched_speedup", summary.headline_batched),
-    ] {
-        let headline = doc
-            .get(key)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("structured bench document lacks numeric {key}"))?;
-        if headline <= 0.0 || (headline - best).abs() > 0.01 * best {
-            return Err(format!(
-                "{key} {headline:.4} inconsistent with best cell's {best:.4}"
-            ));
-        }
-    }
-    if !smoke && simd != "scalar" {
-        if summary.headline_toeplitz < STRUCTURED_CLAIM_MIN_REPLAY {
-            return Err(format!(
-                "full-scale SIMD toeplitz replay {:.2}x is below the \
-                 {STRUCTURED_CLAIM_MIN_REPLAY}x claim",
-                summary.headline_toeplitz
-            ));
-        }
-        if summary.headline_mem < STRUCTURED_CLAIM_MIN_MEM {
-            return Err(format!(
-                "full-scale factor-memory reduction {:.2}x is below the \
-                 {STRUCTURED_CLAIM_MIN_MEM}x claim",
-                summary.headline_mem
-            ));
-        }
-        if summary.headline_batched < STRUCTURED_CLAIM_MIN_BATCHED {
-            return Err(format!(
-                "full-scale SIMD batched throughput {:.2}x is below the \
-                 {STRUCTURED_CLAIM_MIN_BATCHED}x claim",
-                summary.headline_batched
-            ));
-        }
-    }
-    Ok(summary)
+        .ok_or_else(|| format!("{} lacks a string '{key}'", what()))
 }
 
-/// What [`validate_baseline`] found: the headline figure of each
-/// document and their ratio.
+/// A validated `bt-bench-v1` document: its summary, its cells and its
+/// headlines as `(name, metric)` pairs.
+type BenchDoc<'a> = (BenchSummary, Vec<BenchCell<'a>>, Vec<(&'a str, &'a str)>);
+
+fn read_bench(doc: &Json) -> Result<BenchDoc<'_>, String> {
+    match doc.get("schema").and_then(Json::as_str) {
+        Some("bt-bench-v1") => {}
+        Some(other) => return Err(format!("unknown bench schema '{other}'")),
+        None => return Err("bench document lacks a schema tag".to_string()),
+    }
+    let bench = bench_text(doc, "bench", || "bench document".into())?;
+    let meta = doc
+        .get("meta")
+        .ok_or("bench document lacks a meta object")?;
+    bench_number(meta.get("generated_unix_s"), || {
+        "meta.generated_unix_s".into()
+    })?;
+    if bench_number(meta.get("host_cores"), || "meta.host_cores".into())? < 1.0 {
+        return Err("meta.host_cores is below 1".to_string());
+    }
+    bench_text(meta, "simd", || "meta".into())?;
+    bench_text(meta, "backend", || "meta".into())?;
+    if !matches!(meta.get("smoke"), Some(Json::Bool(_))) {
+        return Err("meta lacks a boolean 'smoke'".to_string());
+    }
+    let params = doc
+        .get("params")
+        .and_then(Json::as_obj)
+        .ok_or("bench document lacks a params object")?;
+    for (key, v) in params {
+        bench_number(Some(v), || format!("params.{key}"))?;
+    }
+    let items = doc
+        .get("cells")
+        .and_then(Json::as_arr)
+        .filter(|c| !c.is_empty())
+        .ok_or("bench document lacks a non-empty cells array")?;
+    let mut summary = BenchSummary {
+        bench: bench.to_string(),
+        cells: items.len(),
+        ..BenchSummary::default()
+    };
+    let mut cells: Vec<BenchCell<'_>> = Vec::with_capacity(items.len());
+    for (i, item) in items.iter().enumerate() {
+        let text = |key: &str| bench_text(item, key, || format!("cells[{i}]"));
+        let (name, metric) = (text("name")?, text("metric")?);
+        let at = |what: &str| format!("cell '{name}' ({metric}): {what}");
+        let layer = text("layer")?;
+        if !BENCH_LAYERS.contains(&layer) {
+            return Err(at(&format!("unknown layer '{layer}'")));
+        }
+        text("unit")?;
+        let lower_is_better = match text("better")? {
+            "lower" => true,
+            "higher" => false,
+            other => return Err(at(&format!("'better' is '{other}', not lower or higher"))),
+        };
+        if cells.iter().any(|c| c.name == name && c.metric == metric) {
+            return Err(at("duplicate (name, metric)"));
+        }
+        let optional = |key: &str| {
+            (item.get(key))
+                .map(|v| bench_number(Some(v), || at(key)))
+                .transpose()
+        };
+        let cell = BenchCell {
+            name,
+            metric,
+            lower_is_better,
+            value: bench_number(item.get("value"), || at("value"))?,
+            baseline: optional("baseline")?,
+        };
+        optional("model")?;
+        let checks = item.get("checks").map_or(Some(&[][..]), Json::as_arr);
+        for check in checks.ok_or_else(|| at("checks is not an array"))? {
+            let check_name = bench_text(check, "name", || at("a check"))?;
+            let value = bench_number(check.get("value"), || at(check_name))?;
+            let max = bench_number(check.get("max"), || at(&format!("{check_name} max")))?;
+            if value > max {
+                return Err(at(&format!(
+                    "check '{check_name}' reads {value:e}, above its max {max:e}"
+                )));
+            }
+            summary.checks += 1;
+        }
+        if let Some(claim) = optional("claim")? {
+            if cell.baseline.is_none() {
+                return Err(at("declares a claim but no baseline"));
+            }
+            let (speedup, _) = cell.figure()?;
+            if speedup < claim {
+                return Err(at(&format!(
+                    "speedup {speedup:.3}x over the baseline misses its {claim}x claim"
+                )));
+            }
+            summary.claims += 1;
+        }
+        cells.push(cell);
+    }
+    let items = doc
+        .get("headlines")
+        .and_then(Json::as_arr)
+        .ok_or("bench document lacks a headlines array")?;
+    let mut headlines = Vec::with_capacity(items.len());
+    for (i, item) in items.iter().enumerate() {
+        let text = |key: &str| bench_text(item, key, || format!("headlines[{i}]"));
+        let (name, metric) = (text("name")?, text("metric")?);
+        if !cells.iter().any(|c| c.name == name && c.metric == metric) {
+            return Err(format!("headline '{name}' ({metric}) names no cell"));
+        }
+        headlines.push((name, metric));
+    }
+    summary.headlines = headlines.len();
+    Ok((summary, cells, headlines))
+}
+
+/// Validates a `bt-bench-v1` bench record, the one format every
+/// `BENCH_*.json` file uses:
+///
+/// ```text
+/// {"schema": "bt-bench-v1", "bench": <writer>,
+///  "meta": {"generated_unix_s", "host_cores", "simd", "smoke", "backend"},
+///  "params": {<numeric run parameters>},
+///  "cells": [{"name", "layer", "metric", "unit", "better": "lower"|"higher",
+///             "value", "baseline"?, "model"?,
+///             "checks"?: [{"name", "value", "max"}], "claim"?}],
+///  "headlines": [{"name", "metric"}]}
+/// ```
+///
+/// A cell's name encodes every parameter that changes its measurement,
+/// so equal names in two runs mean equal measurements. `baseline` is a
+/// comparator's value for the same measurement and `model` the cost
+/// model's prediction of `value`; no ratio is stored, a reader computes
+/// it. The rules: the tag and the meta fields; every `(name, metric)`
+/// pair unique; every number finite and non-negative; every layer one
+/// of [`BENCH_LAYERS`]; every check's `value` at most its `max`; every
+/// claim met by the speedup over the baseline (oriented by `better`);
+/// every headline naming a cell.
+///
+/// # Errors
+///
+/// The first violated rule, naming the offending cell.
+pub fn validate_bench(doc: &Json) -> Result<BenchSummary, String> {
+    read_bench(doc).map(|(summary, ..)| summary)
+}
+
+/// One headline the baseline gate compared. A figure is the speedup
+/// over the cell's baseline when it has one, else its value.
 #[derive(Debug, Clone, PartialEq)]
-pub struct BaselineSummary {
-    /// The shared schema tag.
-    pub schema: String,
-    /// Headline figure of the committed (baseline) document.
+pub struct GatedFigure {
+    /// The cell's name.
+    pub name: String,
+    /// The cell's metric.
+    pub metric: String,
+    /// The committed document's figure.
     pub committed: f64,
-    /// Headline figure of the freshly generated document.
+    /// The fresh document's figure.
     pub fresh: f64,
-    /// `fresh / committed`.
+    /// Fresh over committed in the figure's better direction: below 1.0
+    /// is worse.
     pub ratio: f64,
 }
 
-/// Headline figure of a bench document: batched-over-unbatched
-/// throughput at the top rate for `bt-bench-service-v1`, RHS columns
-/// solved per wall second at the biggest cell for `bt-bench-shm-v1`,
-/// best batched-over-looped throughput for
-/// `bt-bench-structured-v1` (the batched figure gates rather than the
-/// Toeplitz one because it exercises the dense kernels end to end and
-/// is the steadier of the structured headlines).
-///
-/// # Errors
-///
-/// Unknown schema, or a document missing its headline figures.
-pub fn bench_headline(doc: &Json) -> Result<(String, f64), String> {
-    let schema = doc
-        .get("schema")
-        .and_then(Json::as_str)
-        .ok_or("bench document lacks a schema tag")?;
-    match schema {
-        "bt-bench-service-v1" => {
-            let summary = validate_bench_service(doc)?;
-            Ok((schema.to_string(), summary.batched_speedup))
-        }
-        "bt-bench-shm-v1" => {
-            let summary = validate_bench_shm(doc)?;
-            Ok((schema.to_string(), summary.headline))
-        }
-        "bt-bench-structured-v1" => {
-            let summary = validate_bench_structured(doc)?;
-            Ok((schema.to_string(), summary.headline_batched))
-        }
-        other => Err(format!("no baseline rule for schema '{other}'")),
-    }
+/// What [`validate_baseline`] found.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BaselineSummary {
+    /// The shared writer name.
+    pub bench: String,
+    /// One entry per committed headline.
+    pub figures: Vec<GatedFigure>,
 }
 
-/// Perf-regression gate: compares a freshly generated bench document
-/// against the committed baseline's headline figure. Passes when
-/// `fresh >= tol * committed` — `tol` is the tolerance band (e.g. 0.25
-/// lets a smoke-scale rerun keep a quarter of the committed full-scale
-/// figure, which still catches sign flips and order-of-magnitude
-/// regressions).
+/// Perf-regression gate: both documents must validate and come from the
+/// same `bench`, the fresh one must hold every committed headline cell,
+/// and each headline's figure must reach `tol` of the committed one in
+/// its better direction. `tol` is the band: 0.25 lets a noisy rerun
+/// keep a quarter of the committed figure, which still catches
+/// collapses.
 ///
 /// # Errors
 ///
-/// Mismatched/unknown schemas, invalid documents, or a fresh headline
-/// below the band.
+/// An invalid document, different benches, a committed document with no
+/// headline, a missing headline cell, or a figure below the band.
 pub fn validate_baseline(
     committed: &Json,
     fresh: &Json,
     tol: f64,
 ) -> Result<BaselineSummary, String> {
-    let (schema_c, headline_c) = bench_headline(committed)?;
-    let (schema_f, headline_f) = bench_headline(fresh)?;
-    if schema_c != schema_f {
+    let (old, old_cells, headlines) =
+        read_bench(committed).map_err(|e| format!("committed: {e}"))?;
+    let (new, new_cells, _) = read_bench(fresh).map_err(|e| format!("fresh: {e}"))?;
+    if old.bench != new.bench {
         return Err(format!(
-            "schema mismatch: committed is '{schema_c}', fresh is '{schema_f}'"
+            "bench mismatch: committed is '{}', fresh is '{}'",
+            old.bench, new.bench
         ));
     }
-    if headline_c <= 0.0 {
-        return Err(format!(
-            "committed headline {headline_c} is not positive — baseline file is unusable"
-        ));
+    if headlines.is_empty() {
+        return Err(format!("committed '{}' declares no headline", old.bench));
     }
-    let ratio = headline_f / headline_c;
-    if ratio < tol {
-        return Err(format!(
-            "{schema_c}: fresh headline {headline_f:.3} is {ratio:.2}x the committed \
-             {headline_c:.3} (tolerance {tol:.2}x) — perf regression"
-        ));
+    let mut figures = Vec::with_capacity(headlines.len());
+    for (name, metric) in headlines {
+        let is = |c: &&BenchCell<'_>| c.name == name && c.metric == metric;
+        let missing = || format!("fresh document lacks headline cell '{name}' ({metric})");
+        let committed_cell = old_cells.iter().find(is).expect("validated headline");
+        let (committed, lower) = committed_cell.figure()?;
+        let (fresh, _) = new_cells.iter().find(is).ok_or_else(missing)?.figure()?;
+        let ratio = if lower {
+            committed / fresh
+        } else {
+            fresh / committed
+        };
+        if ratio < tol {
+            return Err(format!(
+                "{}: headline '{name}' ({metric}) reads {fresh:.4} against the committed \
+                 {committed:.4}, {ratio:.2}x in its better direction (tolerance {tol:.2}x) \
+                 — perf regression",
+                old.bench
+            ));
+        }
+        let (name, metric) = (name.to_string(), metric.to_string());
+        figures.push(GatedFigure {
+            name,
+            metric,
+            committed,
+            fresh,
+            ratio,
+        });
     }
     Ok(BaselineSummary {
-        schema: schema_c,
-        committed: headline_c,
-        fresh: headline_f,
-        ratio,
+        bench: old.bench,
+        figures,
     })
 }
 
@@ -1193,64 +976,6 @@ mod tests {
         assert!(err.contains("sum to"), "{err}");
     }
 
-    fn service_bench_doc() -> String {
-        r#"{
-            "schema": "bt-bench-service-v1",
-            "n": 32, "m": 6, "p": 4, "requests": 192,
-            "max_batch": 32, "max_delay_us": 1000,
-            "results": [
-                {"leg": "unbatched", "rate_mult": 16, "rate_rps": 100000,
-                 "requests": 192, "throughput_rps": 10000,
-                 "mean_batch_width": 1.0, "max_batch_width": 1, "dispatches": 192,
-                 "p50_us": 9000, "p95_us": 16000, "p99_us": 17000, "max_us": 17500,
-                 "mean_queue_wait_us": 9000},
-                {"leg": "batched", "rate_mult": 16, "rate_rps": 100000,
-                 "requests": 192, "throughput_rps": 29000,
-                 "mean_batch_width": 32.0, "max_batch_width": 32, "dispatches": 6,
-                 "p50_us": 4500, "p95_us": 5900, "p99_us": 6000, "max_us": 6100,
-                 "mean_queue_wait_us": 3100}
-            ]
-        }"#
-        .to_string()
-    }
-
-    #[test]
-    fn service_bench_validator_accepts_batched_win() {
-        let summary = validate_bench_service(&parse(&service_bench_doc()).unwrap()).unwrap();
-        assert_eq!(summary.legs, 2);
-        assert!((summary.batched_speedup - 2.9).abs() < 0.01);
-    }
-
-    #[test]
-    fn service_bench_validator_rejects_batched_loss_at_depth() {
-        // Batched leg slower than unbatched while coalescing was deep
-        // (width 32): the headline claim failed, so validation must too.
-        let doc =
-            service_bench_doc().replace("\"throughput_rps\": 29000", "\"throughput_rps\": 9000");
-        let err = validate_bench_service(&parse(&doc).unwrap()).unwrap_err();
-        assert!(err.contains("lost to"), "{err}");
-
-        // Same loss with shallow queues (width 2) is not a violation.
-        let doc = doc.replace("\"mean_batch_width\": 32.0", "\"mean_batch_width\": 2.0");
-        assert!(validate_bench_service(&parse(&doc).unwrap()).is_ok());
-    }
-
-    #[test]
-    fn service_bench_validator_rejects_unordered_percentiles() {
-        let doc = service_bench_doc().replace("\"p95_us\": 5900", "\"p95_us\": 6900");
-        let err = validate_bench_service(&parse(&doc).unwrap()).unwrap_err();
-        assert!(err.contains("not ordered"), "{err}");
-    }
-
-    #[test]
-    fn service_bench_validator_rejects_worse_p99_at_depth() {
-        let doc = service_bench_doc()
-            .replace("\"p99_us\": 6000", "\"p99_us\": 18000")
-            .replace("\"max_us\": 6100", "\"max_us\": 18500");
-        let err = validate_bench_service(&parse(&doc).unwrap()).unwrap_err();
-        assert!(err.contains("p99"), "{err}");
-    }
-
     #[test]
     fn flight_validator_round_trips() {
         let good = r#"{
@@ -1289,162 +1014,108 @@ mod tests {
         assert!(err.contains("not ordered"), "{err}");
     }
 
-    fn shm_doc(wall_ns: f64) -> String {
-        let ratio = wall_ns / 1.0e6;
-        let headline = 256.0 / (wall_ns * 1e-9);
-        format!(
-            r#"{{"schema": "bt-bench-shm-v1", "n": 64, "m": 8, "reps": 3, "cores": 4,
-                "calib": {{"alpha_s": 2e-6, "beta_s_per_byte": 4e-11,
-                           "flop_rate": 2e10, "fit_error": 0.3}},
-                "headline_rhs_cols_per_s": {headline},
-                "results": [
-                  {{"p": 2, "r": 16, "wall_ns": 5e5,
-                    "modeled_ns": 2.5e5, "ratio": 2.0}},
-                  {{"p": 4, "r": 256, "wall_ns": {wall_ns},
-                    "modeled_ns": 1e6, "ratio": {ratio}}}
-                ]}}"#
-        )
+    /// A small valid record: a lower-is-better cell with a model
+    /// prediction and a higher-is-better cell with a baseline, a
+    /// cross-check and a claim, each a headline.
+    fn bench_doc() -> String {
+        r#"{"schema": "bt-bench-v1", "bench": "demo",
+            "meta": {"generated_unix_s": 1, "host_cores": 2, "simd": "scalar",
+                     "smoke": false, "backend": "shm"},
+            "params": {"n": 32, "reps": 5},
+            "cells": [
+              {"name": "n32-r1", "layer": "ard", "metric": "solve_ns", "unit": "ns",
+               "better": "lower", "value": 40, "model": 45},
+              {"name": "n32-r1", "layer": "service", "metric": "throughput_rps",
+               "unit": "req/s", "better": "higher", "value": 500, "baseline": 200,
+               "claim": 2, "checks": [{"name": "rel_diff", "value": 2e-16, "max": 1e-8}]}
+            ],
+            "headlines": [{"name": "n32-r1", "metric": "solve_ns"},
+                          {"name": "n32-r1", "metric": "throughput_rps"}]}"#
+            .to_string()
+    }
+
+    fn bench_err(doc: &str) -> String {
+        validate_bench(&parse(doc).unwrap()).unwrap_err()
     }
 
     #[test]
-    fn shm_bench_schema_validates_and_catches_inconsistency() {
-        let good = shm_doc(3.0e6);
-        let s = validate_bench_shm(&parse(&good).unwrap()).unwrap();
-        assert_eq!(s.cells, 2);
-        assert!((s.fit_error - 0.3).abs() < 1e-12);
-        assert!((s.headline - 256.0 / 3.0e-3).abs() < 1.0);
-
-        let bad_ratio = good.replace("\"ratio\": 2.0", "\"ratio\": 7.0");
-        let err = validate_bench_shm(&parse(&bad_ratio).unwrap()).unwrap_err();
-        assert!(err.contains("inconsistent with"), "{err}");
-
-        let bad_calib = good.replace("\"alpha_s\": 2e-6", "\"alpha_s\": 0");
-        let err = validate_bench_shm(&parse(&bad_calib).unwrap()).unwrap_err();
-        assert!(err.contains("alpha_s"), "{err}");
-
-        let bad_headline = good.replace("\"headline_rhs_cols_per_s\"", "\"headline_rhs\"");
-        let err = validate_bench_shm(&parse(&bad_headline).unwrap()).unwrap_err();
-        assert!(err.contains("headline_rhs_cols_per_s"), "{err}");
-    }
-
-    fn structured_doc(batched_ns: f64) -> String {
-        let batched_speedup = 9.0e7 / batched_ns;
-        format!(
-            r#"{{"schema": "bt-bench-structured-v1", "p": 4, "reps": 5, "cores": 4,
-                "simd": "avx2+fma", "smoke": false,
-                "headline_toeplitz_speedup": 1.74,
-                "headline_mem_reduction": 1781.1,
-                "headline_batched_speedup": {batched_speedup},
-                "results": [
-                  {{"kind": "toeplitz", "label": "toeplitz-r1", "n": 16384, "m": 8,
-                    "p": 4, "r": 1, "general_replay_ns": 1.074e7,
-                    "toeplitz_replay_ns": 6.172e6, "replay_speedup": 1.74,
-                    "general_bytes": 41948160, "toeplitz_bytes": 23552,
-                    "mem_reduction": 1781.1, "rel_diff": 1.8e-16,
-                    "general_residual": 2.5e-16, "toeplitz_residual": 2.7e-16}},
-                  {{"kind": "batched", "label": "batched-m8", "n": 32, "m": 8,
-                    "k": 1024, "r": 1, "looped_ns": 9e7, "batched_ns": {batched_ns},
-                    "batched_speedup": {batched_speedup}, "rel_diff": 2.0e-16,
-                    "max_residual": 2.3e-16}}
-                ]}}"#
-        )
-    }
-
-    #[test]
-    fn structured_bench_schema_validates_and_catches_inconsistency() {
-        let good = structured_doc(4.0e7);
-        let s = validate_bench_structured(&parse(&good).unwrap()).unwrap();
-        assert_eq!((s.toeplitz_cells, s.batched_cells), (1, 1));
-        assert!((s.headline_toeplitz - 1.74).abs() < 1e-9);
-        assert!((s.headline_mem - 1781.1).abs() < 1e-9);
-        assert!((s.headline_batched - 2.25).abs() < 1e-9);
-
-        let bad_speedup = good.replace("\"batched_ns\": 40000000", "\"batched_ns\": 50000000");
-        let err = validate_bench_structured(&parse(&bad_speedup).unwrap()).unwrap_err();
-        assert!(err.contains("inconsistent with looped/batched"), "{err}");
-
-        let bad_mem = good.replace("\"toeplitz_bytes\": 23552", "\"toeplitz_bytes\": 42000");
-        let err = validate_bench_structured(&parse(&bad_mem).unwrap()).unwrap_err();
-        assert!(err.contains("inconsistent with byte ratio"), "{err}");
-
-        let bad_diff = good.replace("\"rel_diff\": 1.8e-16", "\"rel_diff\": 1e-3");
-        let err = validate_bench_structured(&parse(&bad_diff).unwrap()).unwrap_err();
-        assert!(err.contains("cross-check"), "{err}");
-
-        let bad_quality = good.replace(
-            "\"toeplitz_residual\": 2.7e-16",
-            "\"toeplitz_residual\": 3e-9",
-        );
-        let err = validate_bench_structured(&parse(&bad_quality).unwrap()).unwrap_err();
-        assert!(err.contains("equal-quality"), "{err}");
-
-        let one_kind = good.replace("\"kind\": \"batched\"", "\"kind\": \"toeplitz\"");
-        let err = validate_bench_structured(&parse(&one_kind).unwrap()).unwrap_err();
-        // The rewritten cell lacks toeplitz fields, so either error is fine.
-        assert!(
-            err.contains("lacks numeric") || err.contains("each kind"),
-            "{err}"
+    fn bench_validator_accepts_a_record_and_counts_its_rules() {
+        let s = validate_bench(&parse(&bench_doc()).unwrap()).unwrap();
+        assert_eq!(
+            (s.bench.as_str(), s.cells, s.checks, s.claims, s.headlines),
+            ("demo", 2, 1, 1, 2)
         );
     }
 
     #[test]
-    fn structured_bench_full_scale_simd_run_must_back_the_claims() {
-        // Batched headline 1.8x: internally consistent, but below the
-        // 2x claim a full-scale SIMD document must back.
-        let slow = structured_doc(5.0e7);
-        let err = validate_bench_structured(&parse(&slow).unwrap()).unwrap_err();
-        assert!(err.contains("below the 2x"), "{err}");
-        // The same figures pass as a smoke run or on the scalar path.
-        let smoke = slow.replace("\"smoke\": false", "\"smoke\": true");
-        assert!(validate_bench_structured(&parse(&smoke).unwrap()).is_ok());
-        let scalar = slow.replace("\"simd\": \"avx2+fma\"", "\"simd\": \"scalar\"");
-        assert!(validate_bench_structured(&parse(&scalar).unwrap()).is_ok());
-
-        // A Toeplitz replay below 1.3x fails even when batched is fast.
-        let slow_replay = structured_doc(4.0e7)
-            .replace("\"replay_speedup\": 1.74", "\"replay_speedup\": 1.15")
-            .replace(
-                "\"toeplitz_replay_ns\": 6.172e6",
-                "\"toeplitz_replay_ns\": 9.33913e6",
-            )
-            .replace(
-                "\"headline_toeplitz_speedup\": 1.74",
-                "\"headline_toeplitz_speedup\": 1.15",
-            );
-        let err = validate_bench_structured(&parse(&slow_replay).unwrap()).unwrap_err();
-        assert!(err.contains("below the 1.3x"), "{err}");
+    fn bench_validator_rejects_broken_rules_and_malformed_records() {
+        for (from, to, what) in [
+            ("bt-bench-v1", "bt-bench-v0", "unknown bench schema"),
+            ("\"value\": 2e-16", "\"value\": 1e-3", "check 'rel_diff'"),
+            // 300 / 200 = 1.5x misses the 2x claim.
+            ("\"value\": 500", "\"value\": 300", "misses its 2x claim"),
+            ("\"baseline\": 200,", "", "no baseline"),
+            ("\"host_cores\": 2", "\"host_cores\": 0", "host_cores"),
+            (
+                "\"metric\": \"throughput_rps\"",
+                "\"metric\": \"solve_ns\"",
+                "duplicate",
+            ),
+            ("\"value\": 500", "\"value\": 1e999", "finite"),
+            ("\"model\": 45", "\"model\": -1", "finite"),
+            (
+                "\"layer\": \"service\"",
+                "\"layer\": \"gpu\"",
+                "unknown layer",
+            ),
+            (
+                "\"better\": \"higher\"",
+                "\"better\": \"up\"",
+                "not lower or higher",
+            ),
+            (
+                "[{\"name\": \"n32-r1\"",
+                "[{\"name\": \"n64-r1\"",
+                "names no cell",
+            ),
+        ] {
+            let doc = bench_doc().replace(from, to);
+            assert_ne!(doc, bench_doc(), "fixture lacks {from}");
+            let err = bench_err(&doc);
+            assert!(err.contains(what), "{to}: {err}");
+        }
     }
 
     #[test]
-    fn structured_bench_baseline_tracks_batched_headline() {
-        let committed = parse(&structured_doc(4.0e7)).unwrap();
-        let fresh = parse(&structured_doc(4.4e7)).unwrap();
-        let summary = validate_baseline(&committed, &fresh, 0.5).unwrap();
-        assert_eq!(summary.schema, "bt-bench-structured-v1");
-        assert!((summary.ratio - 4.0e7 / 4.4e7).abs() < 1e-9);
+    fn baseline_gate_tracks_headlines_in_their_better_direction() {
+        let committed = parse(&bench_doc()).unwrap();
+        // The solve time is lower-is-better: 40 -> 100 ns reads 0.4x.
+        let slower = parse(&bench_doc().replace("\"value\": 40", "\"value\": 100")).unwrap();
+        let s = validate_baseline(&committed, &slower, 0.25).unwrap();
+        assert_eq!((s.bench.as_str(), s.figures.len()), ("demo", 2));
+        assert!((s.figures[0].ratio - 0.4).abs() < 1e-12);
+        let err = validate_baseline(&committed, &slower, 0.5).unwrap_err();
+        assert!(err.contains("'n32-r1' (solve_ns)") && err.contains("perf regression"));
+        // A cell with a baseline is gated on its speedup: 2.5x -> 5x.
+        let faster = parse(&bench_doc().replace("\"baseline\": 200", "\"baseline\": 100")).unwrap();
+        let s = validate_baseline(&committed, &faster, 1.0).unwrap();
+        assert!((s.figures[1].committed - 2.5).abs() < 1e-12);
+        assert!((s.figures[1].ratio - 2.0).abs() < 1e-12);
     }
 
     #[test]
-    fn shm_bench_baseline_tracks_headline() {
-        // Fresh run 4x slower at the biggest cell -> headline 0.25x.
-        let committed = parse(&shm_doc(1.0e6)).unwrap();
-        let fresh = parse(&shm_doc(4.0e6)).unwrap();
-        let summary = validate_baseline(&committed, &fresh, 0.2).unwrap();
-        assert_eq!(summary.schema, "bt-bench-shm-v1");
-        assert!((summary.ratio - 0.25).abs() < 1e-9);
-        let err = validate_baseline(&committed, &fresh, 0.5).unwrap_err();
-        assert!(err.contains("perf regression"), "{err}");
-    }
-
-    #[test]
-    fn baseline_gate_rejects_schema_mismatch() {
-        let service = parse(&service_bench_doc()).unwrap();
-        let shm = parse(&shm_doc(1.0e6)).unwrap();
-        let err = validate_baseline(&service, &shm, 0.5).unwrap_err();
-        assert!(err.contains("schema mismatch"), "{err}");
-        // Service-vs-service compares batched speedups.
-        let summary = validate_baseline(&service, &service, 0.5).unwrap();
-        assert_eq!(summary.schema, "bt-bench-service-v1");
-        assert!((summary.ratio - 1.0).abs() < 1e-12);
+    fn baseline_gate_rejects_a_missing_headline_and_a_different_bench() {
+        let committed = parse(&bench_doc()).unwrap();
+        let renamed = parse(&bench_doc().replace("n32-r1", "n64-r1")).unwrap();
+        let err = validate_baseline(&committed, &renamed, 0.25).unwrap_err();
+        assert!(err.contains("lacks headline cell 'n32-r1'"), "{err}");
+        let other = parse(&bench_doc().replace("\"demo\"", "\"other\"")).unwrap();
+        let err = validate_baseline(&committed, &other, 0.25).unwrap_err();
+        assert!(err.contains("bench mismatch"), "{err}");
+        let doc = bench_doc();
+        let (head, _) = doc.split_once("\"headlines\"").unwrap();
+        let quiet = parse(&format!("{head}\"headlines\": []}}")).unwrap();
+        let err = validate_baseline(&quiet, &committed, 0.25).unwrap_err();
+        assert!(err.contains("declares no headline"), "{err}");
     }
 }
